@@ -22,16 +22,7 @@ from .bounds import (
 )
 from .errors import LimitError, ParseError, SettleError
 from .formats import RenderStyle, parse_grid, render, render_json, to_json_dict
-from .grid import (
-    Boundary,
-    Configuration,
-    Dims,
-    Prop,
-    density,
-    is_maximal,
-    is_permissible,
-    occupancy,
-)
+from .grid import Boundary, Configuration, Dims, Prop
 from .modelgen import (
     Constraint,
     IpModel,
@@ -88,16 +79,12 @@ __all__ = [
     "brick_comb_best",
     "brute_force",
     "crude_bounds",
-    "density",
     "e_upper_block",
     "enumerate_model_optimum",
     "export_efficient",
     "export_inefficient",
     "generate_pattern",
     "i_lower_bound",
-    "is_maximal",
-    "is_permissible",
-    "occupancy",
     "parse_grid",
     "pattern_occupancy",
     "r_recurrence",

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from types import MappingProxyType
+from typing import ClassVar, Mapping
 
 from .grid import Boundary, Configuration
 from .rows import popcount
@@ -93,15 +94,6 @@ def seeded_recurrence(n: int, seeds: Mapping[int, int], m: int) -> int:
     return prev
 
 
-_SOURCE_LABELS = {
-    "crude_lower": "light-sharing count bound",
-    "crude_upper": "light-sharing count bound",
-    "i_lower": "sharp minimum-occupancy formula",
-    "e_upper_block": "block-injection bound",
-    "e_upper_recurrence": "row-recurrence bound",
-}
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Every analytic bound for one grid size, with method labels."""
@@ -114,9 +106,13 @@ class BoundsReport:
     e_upper_block: int
     e_upper_recurrence: int
 
-    @property
-    def labels(self) -> dict[str, str]:
-        return dict(_SOURCE_LABELS)
+    labels: ClassVar[Mapping[str, str]] = MappingProxyType({
+        "crude_lower": "light-sharing count bound",
+        "crude_upper": "light-sharing count bound",
+        "i_lower": "sharp minimum-occupancy formula",
+        "e_upper_block": "block-injection bound",
+        "e_upper_recurrence": "row-recurrence bound",
+    })
 
     def as_dict(self) -> dict:
         return {
@@ -127,7 +123,7 @@ class BoundsReport:
             "i_lower": self.i_lower,
             "e_upper_block": self.e_upper_block,
             "e_upper_recurrence": self.e_upper_recurrence,
-            "labels": self.labels,
+            "labels": dict(self.labels),
         }
 
 
@@ -177,7 +173,8 @@ def _strip_check(config: Configuration, mask: int, per_row: int) -> tuple[int, i
 def audit_structural_lemmas(config: Configuration) -> dict[str, AuditCheck]:
     """Check the structural facts every maximal open-border configuration obeys.
 
-    - two_south_rows: the two southernmost rows hold at least n+2 houses;
+    - two_south_rows: the two southernmost rows hold at least n+2 houses
+      (m, n >= 2);
     - border_pair_strips: the northernmost l rows of both width-2 border
       strips hold at least l houses, for every l;
     - border_triple_strips: same for width-3 border strips with 2l (n >= 3);
@@ -193,13 +190,13 @@ def audit_structural_lemmas(config: Configuration) -> dict[str, AuditCheck]:
     m, n = config.dims.rows, config.dims.cols
     report: dict[str, AuditCheck] = {}
 
-    if m >= 2:
+    if m >= 2 and n >= 2:
         south = popcount(config.row_bits[m - 2]) + popcount(config.row_bits[m - 1])
         report["two_south_rows"] = AuditCheck(
             True, south >= n + 2, south - (n + 2), f"south rows hold {south}, need {n + 2}"
         )
     else:
-        report["two_south_rows"] = AuditCheck(False, True, detail="needs m >= 2")
+        report["two_south_rows"] = AuditCheck(False, True, detail="needs m >= 2 and n >= 2")
 
     pair_masks = [0b11, 0b11 << (n - 2)] if n >= 2 else []
     if pair_masks:

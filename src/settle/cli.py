@@ -217,7 +217,7 @@ def bounds(rows, cols, as_json):
     """Print analytic occupancy bounds."""
     report = bounds_report(rows, cols)
     if as_json:
-        payload = {"schema": "1", **report.as_dict(), "labels": report.labels}
+        payload = {"schema": "1", **report.as_dict()}
         _emit_json(payload, click.get_text_stream("stdout"))
     else:
         data = report.as_dict()
@@ -260,10 +260,15 @@ def table(objective, rows_range, cols_range, boundary, golden_path, as_json):
     if golden_path is not None:
         with open(golden_path) as fh:
             golden = json.load(fh)
+        want_at = {
+            (m, n): want
+            for m, want_line in zip(golden["rows"], golden["values"])
+            for n, want in zip(golden["cols"], want_line)
+        }
         mismatches = []
-        for m, got_line, want_line in zip(result["rows"], result["values"],
-                                          golden["values"]):
-            for n, got, want in zip(result["cols"], got_line, want_line):
+        for m, got_line in zip(result["rows"], result["values"]):
+            for n, got in zip(result["cols"], got_line):
+                want = want_at.get((m, n))
                 if want is not None and got != want:
                     mismatches.append((m, n, got, want))
         if mismatches:

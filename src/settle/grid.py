@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .rows import (
     Boundary,
+    bit_reverse,
     covered_mask,
     full_mask,
     popcount,
@@ -238,11 +239,11 @@ class Configuration:
         return True
 
     def greedy_complete(self) -> Configuration:
-        """Fill every addable lot, scanning row-major north-first, to a fixpoint.
+        """Fill every addable lot in one row-major, north-first scan.
 
         The input must be permissible; the result is maximal.  Propositions
-        are monotone in occupancy, so one scan already reaches the fixpoint,
-        but we loop defensively until nothing changes.
+        are monotone in occupancy: a lot the scan finds covered stays covered
+        as later houses go up, so one scan reaches the fixpoint.
         """
         if not self.is_permissible():
             raise ValueError("cannot complete an impermissible configuration")
@@ -255,17 +256,13 @@ class Configuration:
                 return bits[k - 1]
             return south_virtual if k > m else 0
 
-        changed = True
-        while changed:
-            changed = False
-            for i in range(1, m + 1):
-                for j in range(1, n + 1):
-                    if bits[i - 1] >> (j - 1) & 1:
-                        continue
-                    mask = covered_mask(row_at(i - 1), row_at(i), row_at(i + 1), n, b)
-                    if not (mask >> (j - 1) & 1):
-                        bits[i - 1] |= 1 << (j - 1)
-                        changed = True
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                if bits[i - 1] >> (j - 1) & 1:
+                    continue
+                mask = covered_mask(row_at(i - 1), row_at(i), row_at(i + 1), n, b)
+                if not (mask >> (j - 1) & 1):
+                    bits[i - 1] |= 1 << (j - 1)
         return Configuration(self.dims, tuple(bits))
 
     # -- measures and symmetries ----------------------------------------------
@@ -279,25 +276,5 @@ class Configuration:
     def mirror_ew(self) -> Configuration:
         """Mirror east-west.  The north-south direction is not symmetric."""
         n = self.dims.cols
-        mirrored = tuple(
-            int(format(bits, f"0{n}b")[::-1], 2) if bits else 0 for bits in self.row_bits
-        )
+        mirrored = tuple(bit_reverse(bits, n) for bits in self.row_bits)
         return Configuration(self.dims, mirrored)
-
-
-def occupancy(config: Configuration) -> int:
-    """Number of houses in the configuration."""
-    return config.occupancy()
-
-
-def density(config: Configuration) -> Fraction:
-    """Exact building density, occupancy / (m*n)."""
-    return config.density()
-
-
-def is_permissible(config: Configuration) -> bool:
-    return config.is_permissible()
-
-
-def is_maximal(config: Configuration) -> bool:
-    return config.is_maximal()

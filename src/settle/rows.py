@@ -1,9 +1,10 @@
-"""Row-level bitmask primitives shared by the checker and the solvers.
+"""Row-level bitmask primitives: the one home of the row rules.
 
 A row of n cells is a bitmask: bit b (0-indexed, LSB first) is column b+1,
 so the LSB is the westernmost cell.  Every function here works unchanged on
-Python ints and on numpy integer arrays, which is what lets the grid checker
-and the DP solvers share one set of light/blocking rules.
+Python ints and on numpy integer arrays, which is what lets the grid checker,
+both DP solvers and the brute-force oracle share one set of light/blocking
+rules and one bit reversal.
 
 Off-grid semantics: a *term* that falls off the grid takes the boundary
 value (empty when the border is open, occupied when it is bricked), while a
@@ -107,16 +108,18 @@ def popcount(x) -> int:
     return int(x).bit_count()
 
 
-REV8_TABLE = [int(format(i, "08b")[::-1], 2) for i in range(256)]
+def bit_reverse(x, n: int):
+    """Reverse the low n bits of x, which holds no bits at or above n.
 
-
-def bit_reverse(x: int, n: int) -> int:
-    """Reverse the low n bits of a Python int (n <= 32)."""
-    t = REV8_TABLE
-    r = (
-        (t[x & 0xFF] << 24)
-        | (t[(x >> 8) & 0xFF] << 16)
-        | (t[(x >> 16) & 0xFF] << 8)
-        | t[(x >> 24) & 0xFF]
-    )
-    return r >> (32 - n)
+    Works on Python ints of any width (returning an int) and on uint32
+    arrays (n <= 32).  Five mask-and-swap stages reverse a 32-bit word;
+    wider ints are reversed one 32-bit word at a time.
+    """
+    if n > 32:
+        return (bit_reverse(x & 0xFFFFFFFF, 32) << (n - 32)) | bit_reverse(x >> 32, n - 32)
+    x = ((x >> 1) & 0x55555555) | ((x & 0x55555555) << 1)
+    x = ((x >> 2) & 0x33333333) | ((x & 0x33333333) << 2)
+    x = ((x >> 4) & 0x0F0F0F0F) | ((x & 0x0F0F0F0F) << 4)
+    x = ((x >> 8) & 0x00FF00FF) | ((x & 0x00FF00FF) << 8)
+    x = (x >> 16) | ((x & 0xFFFF) << 16)
+    return x >> (32 - n)

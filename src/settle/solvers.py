@@ -18,20 +18,15 @@ import numpy as np
 
 from .errors import LimitError, SettleError
 from .grid import Boundary, Configuration, Dims
-from .rows import REV8_TABLE, edge_fills, ew_both, full_mask, triple_mask
-
-_REV8 = np.array(REV8_TABLE, dtype=np.uint32)
-
-
-def _np_bit_reverse(arr: np.ndarray, n: int) -> np.ndarray:
-    """Reverse the low n bits (n <= 32) of a uint32 array."""
-    r = (
-        (_REV8[arr & 0xFF] << 24)
-        | (_REV8[(arr >> 8) & 0xFF] << 16)
-        | (_REV8[(arr >> 16) & 0xFF] << 8)
-        | _REV8[(arr >> 24) & 0xFF]
-    )
-    return r >> np.uint32(32 - n)
+from .rows import (
+    bit_reverse,
+    covered_mask,
+    full_mask,
+    prop_center_mask,
+    prop_east_mask,
+    prop_west_mask,
+    triple_mask,
+)
 
 
 class Objective(Enum):
@@ -116,7 +111,7 @@ def _state_tables(n: int, bricked: bool):
     starts = np.flatnonzero(np.r_[True, tb_sorted[1:] != tb_sorted[:-1]])
     group_keys = tb_sorted[starts].astype(np.intp)
     pc = np.bitwise_count(states).astype(np.int64)
-    rev = _np_bit_reverse(states, n).astype(np.int64)
+    rev = bit_reverse(states, n).astype(np.int64)
     return states, tb, order, starts, group_keys, pc, rev
 
 
@@ -168,7 +163,7 @@ def solve_max(req: SolveRequest) -> SolveResult:
         zc = z[::-1]
         value = pc + (zc >> n)
         if req.want_witness:
-            preds.append(_np_bit_reverse((zc & full).astype(np.uint32), n))
+            preds.append(bit_reverse((zc & full).astype(np.uint32), n))
         _check_wall(t0, limits)
 
     final = (value << n) | rev
@@ -207,21 +202,16 @@ def _pair_tables(n: int, bricked: bool):
     """(c,d)-indexed masks for the pair solver: uncoverable-empty and validity."""
     states, tb, _, _, _, _, _ = _state_tables(n, bricked)
     full = full_mask(n)
-    _, _, west2, east2 = edge_fills(n, bricked)
-    c = states
-    e_east = (c >> 1) & ((c >> 2) | np.uint32(east2))
-    e_west = ((c << 1) & ((c << 2) | np.uint32(west2))) & np.uint32(full)
-    e_center = ew_both(c, n, bricked)
-    d = states
-    d_east = d >> 1
-    d_west = (d << 1) & np.uint32(full)
+    # c is the current row, d the row below; the north proposition depends
+    # on the row above and is folded in by the DP itself
+    c, d = states[:, None], states[None, :]
     covered = (
-        (e_east[:, None] & d_east[None, :])
-        | (e_west[:, None] & d_west[None, :])
-        | (e_center[:, None] & d[None, :])
+        prop_east_mask(c, d, n, bricked)
+        | prop_west_mask(c, d, n, bricked)
+        | prop_center_mask(c, d, n, bricked)
     )
-    req_mask = ((~c & np.uint32(full))[:, None] & ~covered).astype(np.uint16)
-    invalid = (tb[:, None] & d[None, :]) != 0
+    req_mask = ((~c & np.uint32(full)) & ~covered).astype(np.uint16)
+    invalid = (tb[:, None] & d) != 0
     return req_mask, invalid
 
 
@@ -232,7 +222,7 @@ def _min_single_row(req: SolveRequest, t0: float) -> SolveResult:
     full = full_mask(n)
     states, tb, _, _, _, pc, rev = _state_tables(n, bricked)
     d_v = np.uint32(full if bricked else 0)
-    covered = _covered_np(np.uint32(0), states, d_v, n, bricked)
+    covered = covered_mask(np.uint32(0), states, d_v, n, bricked)
     uncovered = (~states & np.uint32(full)) & ~covered
     ok = ((tb & d_v) == 0) & (uncovered == 0)
     inv_rev = (~rev) & full
@@ -308,7 +298,7 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
         # real row (the first advance sits on the virtual empty north row)
         if req.want_witness and i >= 4:
             pred_layers.append(
-                _np_bit_reverse((~gathered & full).astype(np.uint32), n).astype(np.uint16)
+                bit_reverse((~gathered & full).astype(np.uint32), n).astype(np.uint16)
             )
         _check_wall(t0, limits)
     # one more fold against the virtual south row, adding no houses
@@ -326,7 +316,7 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
 
     witness = None
     if req.want_witness:
-        best_u = int(_np_bit_reverse(np.uint32(~int(gathered_v[best_c]) & full), n))
+        best_u = bit_reverse(~int(gathered_v[best_c]) & full, n)
         rows_rev = [best_c, best_u]  # rows m, m-1
         for layer in reversed(pred_layers):
             rows_rev.append(int(layer[rows_rev[-1], rows_rev[-2]]))
@@ -376,11 +366,11 @@ def brute_force(req: SolveRequest) -> SolveResult:
             for i in range(m):
                 north = rows[i - 1] if i >= 1 else np.uint32(0)
                 south = rows[i + 1] if i + 1 < m else np.uint32(d_v)
-                covered = _covered_np(north, rows[i], south, n, bricked)
+                covered = covered_mask(north, rows[i], south, n, bricked)
                 ok &= ((~rows[i] & np.uint32(full)) & ~covered) == 0
         pc = np.bitwise_count(g).astype(np.int64)
         score = (np.int64(cells) - pc) if minimize else pc
-        packed = (score << cells) | _np_bit_reverse(g, cells).astype(np.int64)
+        packed = (score << cells) | bit_reverse(g, cells).astype(np.int64)
         packed = np.where(ok, packed, np.int64(-1))
         idx = int(np.argmax(packed))
         if packed[idx] > best_packed:
@@ -396,17 +386,6 @@ def brute_force(req: SolveRequest) -> SolveResult:
         req.dims, req.objective, optimum, witness,
         {"states": total, "transitions": total * m, "wall_s": time.perf_counter() - t0},
     )
-
-
-def _covered_np(u, c, d, n: int, bricked: bool):
-    """Vectorized union of the four propositions over row arrays."""
-    full = np.uint32(full_mask(n))
-    _, _, west2, east2 = edge_fills(n, bricked)
-    p_east = (c >> 1) & ((c >> 2) | np.uint32(east2)) & (d >> 1)
-    p_west = ((c << 1) & ((c << 2) | np.uint32(west2)) & (d << 1)) & full
-    p_center = ew_both(c, n, bricked) & d
-    p_north = triple_mask(u, n, bricked)
-    return p_east | p_west | p_center | p_north
 
 
 def solve(req: SolveRequest) -> SolveResult:

@@ -131,6 +131,13 @@ class TestAudits:
         assert not report["interior_quad_strips"].applicable
         assert audit_passed(report)
 
+    def test_single_column_skips_south_rows(self):
+        column = Configuration.full(Dims(3, 1))
+        assert column.is_maximal()
+        report = audit_structural_lemmas(column)
+        assert not report["two_south_rows"].applicable
+        assert audit_passed(report)
+
     def test_rejects_non_maximal_input(self):
         with pytest.raises(ValueError):
             audit_structural_lemmas(Configuration.empty(Dims(3, 3)))

@@ -178,6 +178,25 @@ class TestTable:
         assert res.exit_code == 1
         assert "mismatch at (2,2)" in res.output + (res.stderr or "")
 
+    def test_golden_compares_by_row_and_column(self, tmp_path):
+        args = ("table", "--rows", "5..6", "--cols", "4..6")
+        res = invoke(*args, "--golden", str(GOLDEN / "table5.json"))
+        assert res.exit_code == 0
+        assert "mismatch" not in res.output
+        golden = json.loads((GOLDEN / "table5.json").read_text())
+        golden["values"][golden["rows"].index(5)][golden["cols"].index(4)] = 4
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(golden))
+        res = invoke(*args, "--golden", str(bad))
+        assert res.exit_code == 1
+        assert res.output.count("mismatch") == 1
+        assert "mismatch at (5,4): got 16, expected 4" in res.output
+
+    def test_golden_skips_cells_it_lacks(self):
+        res = invoke("table", "--rows", "15..17", "--cols", "2",
+                     "--golden", str(GOLDEN / "table5.json"))
+        assert res.exit_code == 0
+
     def test_single_value_ranges(self):
         res = invoke("table", "--rows", "4", "--cols", "5", "--json")
         assert json.loads(res.output)["values"] == [[17]]

@@ -1,12 +1,13 @@
 """Tests for the exact solvers, the oracle, and resource limits."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from conftest import max_result, min_result
 from settle.errors import LimitError
 from settle.grid import Boundary, Configuration, Dims
-from settle.rows import bit_reverse
+from settle.rows import bit_reverse, covered_mask
 from settle.solvers import (
     Limits,
     Objective,
@@ -160,3 +161,27 @@ class TestRowHelpers:
     def test_bit_reverse(self):
         assert bit_reverse(0b00110, 5) == 0b01100
         assert bit_reverse(1, 12) == 1 << 11
+        for n in (1, 7, 32, 33, 64, 70):
+            for x in (0, 1, (1 << n) - 1, 0x5A5A5A5A5A5A5A5A5A & ((1 << n) - 1)):
+                got = bit_reverse(x, n)
+                assert type(got) is int
+                assert got == int(format(x, f"0{n}b")[::-1], 2)
+
+    def test_array_rules_match_int_rules(self):
+        for n in range(1, 11):
+            full = (1 << n) - 1
+            c = np.arange(1 << n, dtype=np.uint32)
+            u = (c * np.uint32(5) + np.uint32(3)) & np.uint32(full)
+            d = (c * np.uint32(3) + np.uint32(1)) & np.uint32(full)
+            rev = bit_reverse(c, n)
+            assert rev.dtype == np.uint32
+            assert rev.tolist() == [bit_reverse(x, n) for x in range(1 << n)]
+            for bricked in (False, True):
+                got = covered_mask(u, c, d, n, bricked)
+                assert got.dtype == np.uint32
+                want = [covered_mask(int(a), int(b), int(e), n, bricked)
+                        for a, b, e in zip(u, c, d)]
+                assert got.tolist() == want
+        words = np.random.default_rng(0).integers(0, 1 << 32, 4096, dtype=np.uint32)
+        words[:3] = (0, 1, 0xFFFFFFFF)
+        assert bit_reverse(words, 32).tolist() == [bit_reverse(int(x), 32) for x in words]
