@@ -6,6 +6,7 @@ generator raises if construction and formula ever disagree.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -272,6 +273,13 @@ def brick_comb_best(m: int, n: int, max_segments: int = 4) -> tuple[Configuratio
         SegmentKind.BRICK_BLOCK: PatternKind.BRICK,
         SegmentKind.COMB_BLOCK: PatternKind.COMB,
     }
+
+    @functools.cache
+    def piece(kind: SegmentKind, w: int) -> tuple[Configuration, Configuration]:
+        """The segment pattern and its east-west mirror, built once per search."""
+        plain = generate_pattern(seg_gen[kind], m, w)
+        return plain, plain.mirror_ew()
+
     best: tuple[Configuration, SegmentSpec] | None = None
     best_occ = -1
     dims = Dims(m, n, Boundary.FREE)
@@ -280,12 +288,12 @@ def brick_comb_best(m: int, n: int, max_segments: int = 4) -> tuple[Configuratio
             break
         for kinds in itertools.product(SegmentKind, repeat=count):
             for widths in _compositions(n, count, 2):
-                pieces = [generate_pattern(seg_gen[k], m, w) for k, w in zip(kinds, widths)]
+                pieces = [piece(k, w) for k, w in zip(kinds, widths)]
                 for mirrors in itertools.product((False, True), repeat=count):
                     rows = [0] * m
                     shift = 0
-                    for piece, w, mir in zip(pieces, widths, mirrors):
-                        block = piece.mirror_ew() if mir else piece
+                    for pair, w, mir in zip(pieces, widths, mirrors):
+                        block = pair[mir]
                         for i in range(m):
                             rows[i] |= block.row_bits[i] << shift
                         shift += w

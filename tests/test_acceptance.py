@@ -33,6 +33,7 @@ from settle import (
     to_lp,
 )
 from settle.cli import main
+from settle.solvers import Limits, _sweep_min
 
 
 def test_criterion_01_full_table_of_maxima_is_reproduced_exactly():
@@ -137,9 +138,13 @@ def test_criterion_07_structural_audits_pass_and_strip_cap_is_exhaustive():
             for n in range(2, 13):
                 report = audit_structural_lemmas(generate_pattern(kind, m, n))
                 assert audit_passed(report), f"{kind.value} ({m},{n}): {report}"
+    # one min sweep per width closes off a witness at every m in 2..12
+    minima = {(res.dims.rows, n): res
+              for n in range(2, 13)
+              for res in _sweep_min(n, Boundary.FREE, list(range(2, 13)), True, Limits())}
     for m in range(2, 13):
         for n in range(2, 13):
-            for res in (max_result(m, n), min_result(m, n)):
+            for res in (max_result(m, n), minima[m, n]):
                 report = audit_structural_lemmas(res.witness)
                 assert audit_passed(report), f"{res.objective.value} ({m},{n}): {report}"
     for n in range(2, 9):

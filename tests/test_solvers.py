@@ -1,6 +1,8 @@
 """Tests for the exact solvers, the oracle, and resource limits."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ from settle.solvers import (
     Limits,
     Objective,
     SolveRequest,
+    _need_bytes,
+    _pair_tables,
+    _state_tables,
+    _sweep_max,
+    _sweep_min,
     brute_force,
     solve,
     solve_max,
@@ -155,6 +162,93 @@ class TestDispatchAndTable:
         assert out["values"][0][0] is not None
         assert out["values"][0][1] is None
         assert out["errors"][0]["col"] == 13
+
+
+def per_cell_table(objective, rows, cols, boundary):
+    """table() as one independent solve per cell."""
+    values, errors = [], []
+    for m in rows:
+        line = []
+        for n in cols:
+            try:
+                req = SolveRequest(Dims(m, n, boundary), objective, want_witness=False)
+                line.append(solve(req).optimum)
+            except (LimitError, ValueError) as exc:
+                line.append(None)
+                errors.append({"row": m, "col": n, "error": str(exc)})
+        values.append(line)
+    return {"objective": objective.value, "boundary": boundary.value,
+            "rows": list(rows), "cols": list(cols), "values": values, "errors": errors}
+
+
+def same_result(a, b) -> bool:
+    return (a.dims == b.dims and a.optimum == b.optimum and a.witness == b.witness
+            and a.stats["states"] == b.stats["states"]
+            and a.stats["transitions"] == b.stats["transitions"])
+
+
+class TestSweep:
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("objective, cols", [
+        (Objective.MAX_PERMISSIBLE, [1, 3, 7, 25, 10]),
+        (Objective.MIN_MAXIMAL, [1, 3, 7, 13, 6]),
+    ])
+    def test_table_equals_per_cell_solve(self, objective, cols, boundary):
+        rows = [5, 2, 5, 1, 0, 7]
+        assert table(objective, rows, cols, boundary) == \
+            per_cell_table(objective, rows, cols, boundary)
+
+    def test_single_row_min_cells_keep_the_wide_cap(self):
+        out = table(Objective.MIN_MAXIMAL, [1, 2], [13])
+        assert out["values"] == [[13], [None]]
+        assert out["errors"] == [{"row": 2, "col": 13,
+                                  "error": "cols 13 over the configured pair-state cap 12"}]
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_sweep_witnesses_equal_separate_solves(self, boundary):
+        rows = list(range(1, 9))
+        for n in range(1, 11):
+            swept = list(_sweep_max(n, boundary, rows, True, Limits()))
+            assert [r.dims.rows for r in swept] == rows
+            for res in swept:
+                assert same_result(res, max_result(res.dims.rows, n, boundary)), (res.dims, "max")
+            swept = list(_sweep_min(n, boundary, rows[1:], True, Limits()))
+            assert [r.dims.rows for r in swept] == rows[1:]
+            for res in swept:
+                assert same_result(res, min_result(res.dims.rows, n, boundary)), (res.dims, "min")
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_zero_wall_cap_marks_cells_unavailable(self, objective):
+        # a single row needs no row advance, so it is solved before the cap trips
+        out = table(objective, [3, 1, 2], [6, 8], limits=Limits(max_wall_s=0.0))
+        assert out["values"] == [[None, None], [6, 8], [None, None]]
+        assert [(e["row"], e["col"]) for e in out["errors"]] == \
+            [(3, 6), (3, 8), (2, 6), (2, 8)]
+        assert {e["error"] for e in out["errors"]} == {"wall time cap of 0.0s exceeded"}
+
+
+class TestStateBytes:
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("objective, m, n", [
+        (Objective.MAX_PERMISSIBLE, 2, 4),
+        (Objective.MAX_PERMISSIBLE, 9, 14),
+        (Objective.MAX_PERMISSIBLE, 3, 18),
+        (Objective.MIN_MAXIMAL, 3, 3),
+        (Objective.MIN_MAXIMAL, 6, 8),
+        (Objective.MIN_MAXIMAL, 3, 10),
+    ])
+    @pytest.mark.parametrize("witness", [False, True])
+    def test_traced_peak_within_estimate(self, objective, m, n, boundary, witness):
+        req = SolveRequest(Dims(m, n, boundary), objective, want_witness=witness)
+        _state_tables.cache_clear()
+        _pair_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            solve(req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _need_bytes(objective, m, n, witness)
 
 
 class TestRowHelpers:
