@@ -260,6 +260,15 @@ def table(objective, rows_range, cols_range, boundary, golden_path, as_json):
     if golden_path is not None:
         with open(golden_path) as fh:
             golden = json.load(fh)
+        shaped = (
+            isinstance(golden, dict)
+            and all(isinstance(golden.get(key), list) for key in ("rows", "cols", "values"))
+            and len(golden["values"]) == len(golden["rows"])
+            and all(isinstance(line, list) for line in golden["values"])
+        )
+        if not shaped:
+            raise SettleError(f"golden file {golden_path} is not a table: it needs 'rows' and "
+                              "'cols' lists and a 'values' list with one list per row")
         want_at = {
             (m, n): want
             for m, want_line in zip(golden["rows"], golden["values"])

@@ -24,6 +24,16 @@ from .rows import (
 )
 
 
+def _bit_cells(i: int, mask: int) -> list[tuple[int, int]]:
+    """The cells (i, j) of row i whose bits are set in mask, west first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append((i, low.bit_length()))
+        mask ^= low
+    return out
+
+
 class Prop(Enum):
     """The four reasons an empty lot cannot take a house.
 
@@ -116,13 +126,8 @@ class Configuration:
 
     def cells(self) -> list[tuple[int, int]]:
         """Occupied coordinates in row-major (north-first, west-first) order."""
-        out = []
-        for i, bits in enumerate(self.row_bits, start=1):
-            while bits:
-                low = bits & -bits
-                out.append((i, low.bit_length()))
-                bits ^= low
-        return out
+        return [cell for i, bits in enumerate(self.row_bits, start=1)
+                for cell in _bit_cells(i, bits)]
 
     def _row(self, i: int) -> int:
         """Row mask for i, with virtual rows outside the grid.
@@ -143,34 +148,25 @@ class Configuration:
 
     # -- sunlight ------------------------------------------------------------
 
+    def _blocked_mask(self, i: int) -> int:
+        """Houses of row i with east, south and west all occupied."""
+        return triple_mask(self._row(i), self.dims.cols, self._bricked) & self._row(i + 1)
+
     def is_blocked(self, i: int, j: int) -> bool:
         """True iff the house at (i, j) has east, south, and west all occupied.
 
         Calling on an empty lot returns False.
         """
         self._check_coord(i, j)
-        n = self.dims.cols
-        mask = triple_mask(self._row(i), n, self._bricked) & self._row(i + 1)
-        return bool(mask >> (j - 1) & 1)
+        return bool(self._blocked_mask(i) >> (j - 1) & 1)
 
     def blocked_cells(self) -> list[tuple[int, int]]:
-        out = []
-        n = self.dims.cols
-        for i in range(1, self.dims.rows + 1):
-            mask = triple_mask(self._row(i), n, self._bricked) & self._row(i + 1)
-            while mask:
-                low = mask & -mask
-                out.append((i, low.bit_length()))
-                mask ^= low
-        return out
+        return [cell for i in range(1, self.dims.rows + 1)
+                for cell in _bit_cells(i, self._blocked_mask(i))]
 
     def is_permissible(self) -> bool:
         """True iff no house is blocked."""
-        n = self.dims.cols
-        return all(
-            triple_mask(self._row(i), n, self._bricked) & self._row(i + 1) == 0
-            for i in range(1, self.dims.rows + 1)
-        )
+        return not any(self._blocked_mask(i) for i in range(1, self.dims.rows + 1))
 
     # -- propositions and maximality ------------------------------------------
 
@@ -206,37 +202,23 @@ class Configuration:
         self._check_coord(i, j)
         if self.is_occupied(i, j):
             raise ValueError(f"cell ({i},{j}) is already occupied")
-        n, b = self.dims.cols, self._bricked
-        mask = covered_mask(self._row(i - 1), self._row(i), self._row(i + 1), n, b)
-        return not (mask >> (j - 1) & 1)
+        return bool(self._addable_mask(i) >> (j - 1) & 1)
+
+    def _addable_mask(self, i: int) -> int:
+        """Empty lots of row i where none of the four propositions holds."""
+        n = self.dims.cols
+        covered = covered_mask(self._row(i - 1), self._row(i), self._row(i + 1), n, self._bricked)
+        return ~(self._row(i) | covered) & full_mask(n)
 
     def addable_cells(self) -> list[tuple[int, int]]:
-        out = []
-        n, b = self.dims.cols, self._bricked
-        full = full_mask(n)
-        for i in range(1, self.dims.rows + 1):
-            empty = ~self._row(i) & full
-            mask = empty & ~covered_mask(
-                self._row(i - 1), self._row(i), self._row(i + 1), n, b
-            )
-            while mask:
-                low = mask & -mask
-                out.append((i, low.bit_length()))
-                mask ^= low
-        return out
+        return [cell for i in range(1, self.dims.rows + 1)
+                for cell in _bit_cells(i, self._addable_mask(i))]
 
     def is_maximal(self) -> bool:
         """True iff permissible and no empty lot is addable."""
-        if not self.is_permissible():
-            return False
-        n, b = self.dims.cols, self._bricked
-        full = full_mask(n)
-        for i in range(1, self.dims.rows + 1):
-            empty = ~self._row(i) & full
-            covered = covered_mask(self._row(i - 1), self._row(i), self._row(i + 1), n, b)
-            if empty & ~covered:
-                return False
-        return True
+        return self.is_permissible() and not any(
+            self._addable_mask(i) for i in range(1, self.dims.rows + 1)
+        )
 
     def greedy_complete(self) -> Configuration:
         """Fill every addable lot in one row-major, north-first scan.

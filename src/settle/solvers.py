@@ -1,17 +1,19 @@
 """Exact extremal solvers and the brute-force oracle.
 
-The maximum solver advances a value function over single-row profiles with a
-subset-indexed maximum transform (cost ~ n·2^n per row).  The minimum solver
-runs over ordered (row above, current row) pairs, folding the row-above axis
-with a superset-indexed minimum transform so each advance also costs a
-transform instead of 4^n transitions per pair.  Both share the row mask
-algebra from the rows module, evaluated on whole numpy arrays of states.
+Both objectives run on one row-sweep engine, _sweep.  The maximum solver
+keeps a value per row profile; the minimum solver keeps one per ordered
+(row above, current row) pair, so that the north proposition can cover the
+current row.  The minimum scores minus its houses, so both maximize the same
+packed key, and each row's transition maximum is one subset-indexed maximum
+transform over triple masks (cost ~ n·2^n per state column): the maximum
+scatters its rows at triple(u), the minimum at the complement of triple(u),
+since triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.  The row mask algebra
+comes from the rows module, evaluated on whole numpy arrays of states.
 
-Each DP's row loop lives in one generator, _sweep_max or _sweep_min.  The
-state after row k does not depend on the final row count, so one sweep to
-the largest m closes off every requested row count on the way: solve_max and
-solve_min_maximal ask a sweep for their single m, and table makes one sweep
-per column.
+The state after row k does not depend on the final row count, so one sweep
+to the largest m closes off every requested row count on the way:
+solve_max and solve_min_maximal ask a sweep for their single m, and table
+makes one sweep per column.
 """
 from __future__ import annotations
 
@@ -82,8 +84,9 @@ class SolveResult:
     """Exact optimum with an optional witness.
 
     stats: "states" is the number of DP states materialized, "transitions"
-    the number of elementwise updates performed by the subset/superset
-    transforms, "wall_s" the elapsed time.
+    n updates per state for each row-to-row transition maximum (m - 1 of
+    them for the maximum; m for the minimum, whose close-off is one more),
+    "wall_s" the elapsed time.
     """
 
     dims: Dims
@@ -95,6 +98,10 @@ class SolveResult:
 
 # Bytes a solve allocates beyond its arrays: ufunc buffers, Python objects.
 _FIXED_BYTES = 1 << 20
+
+# Score of an unreachable state: below every real score, and still an int64
+# once packed as (score << n) | rev for any n <= 32.
+_DEAD = -(1 << 30)
 
 
 def _group_bound(n: int) -> int:
@@ -115,30 +122,46 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
     """Upper bound on the bytes one solve allocates, with cold table caches.
 
     Counts the arrays alive at the DP's peak: the cached tables, the working
-    arrays of one row advance, and the witness layers kept for every row.
+    arrays of one row, and the witness layers kept for every row.
     """
     size, groups = 1 << n, _group_bound(n)
     # _state_tables: states and tb (uint32); order, pc and rev (int64);
     # starts and group_keys (intp, one per group)
     need = _FIXED_BYTES + size * 32 + groups * 16
+    if objective is Objective.MIN_MAXIMAL and m == 1:
+        # _min_single_row: covered (uint32, its stages before it) and ok;
+        # the int64 key and the np.where result
+        return need + size * 24
     if objective is Objective.MAX_PERMISSIBLE:
-        # value, z and one int64 scratch (the sorted key or the close-off
-        # key), the grouped maxima and the bricked close-off mask
-        need += size * 25 + groups * 8
+        # score, z and the sorted copy of score; the grouped maxima
+        need += size * 24 + groups * 8
         if want_witness:
             # the capture's uint32 copy and bit_reverse stages; one uint32
             # predecessor array per advance
             need += size * 8 + size * 4 * (m - 1)
         return need
     pairs = size * size
-    # _pair_tables (uint16 req_mask, bool invalid); dp, g and gathered, or
-    # dp, its sorted copy and the grouped minima
+    # _pair_tables (uint16 reach, bool invalid); score, the sorted copy of
+    # score or the read, and z; the grouped maxima
     need += pairs * 27 + groups * size * 8
     if want_witness:
         # the capture's scratch as above; one uint16 predecessor layer per
         # advance after the first
         need += pairs * 8 + pairs * 2 * max(m - 2, 0)
     return need
+
+
+def _check_limits(objective: Objective, m: int, n: int, want_witness: bool, limits: Limits):
+    """Raise LimitError when an m×n solve would pass a column or byte cap."""
+    pairs = objective is Objective.MIN_MAXIMAL and m > 1
+    cap, what = (limits.max_cols_pairs, "pair-state cap") if pairs else (limits.max_cols, "cap")
+    if n > cap:
+        raise LimitError(f"cols {n} over the configured {what} {cap}")
+    need = _need_bytes(objective, m, n, want_witness)
+    if need > limits.max_state_bytes:
+        raise LimitError(
+            f"estimated state space of {need} bytes over cap {limits.max_state_bytes}"
+        )
 
 
 def _check_wall(t0: float, limits: Limits):
@@ -171,6 +194,27 @@ def _state_tables(n: int, bricked: bool):
     return states, tb, order, starts, group_keys, pc, rev
 
 
+@lru_cache(maxsize=4)
+def _pair_tables(n: int, bricked: bool):
+    """(c, d)-indexed tables for the pair solver: reach and invalid.
+
+    c is the current row and d the row below.  reach holds the houses of c
+    and the empty lots of c that the east, west and center propositions
+    cover; the north proposition must cover the rest, so a row u above c
+    fits when triple(u) ⊇ ~reach, that is ~triple(u) ⊆ reach.  invalid marks
+    the pairs where d blocks a house of c.
+    """
+    states, tb, _, _, _, _, _ = _state_tables(n, bricked)
+    c, d = states[:, None], states[None, :]
+    # built in place: one (c, d) array of uint32 plus one proposition at a time
+    reach = prop_east_mask(c, d, n, bricked)
+    reach |= prop_west_mask(c, d, n, bricked)
+    reach |= prop_center_mask(c, d, n, bricked)
+    reach |= c
+    invalid = (tb[:, None] & d) != 0
+    return reach.astype(np.uint16), invalid
+
+
 def _subset_max_inplace(z: np.ndarray, n: int):
     """z[k] := max over k' ⊆ k of z[k'], along axis 0."""
     tail = z.shape[1:]
@@ -179,93 +223,109 @@ def _subset_max_inplace(z: np.ndarray, n: int):
         np.maximum(view[:, 1], view[:, 0], out=view[:, 1])
 
 
-def _superset_min_inplace(z: np.ndarray, n: int):
-    """z[k] := min over k' ⊇ k of z[k'], along axis 0."""
-    tail = z.shape[1:]
-    for b in range(n):
-        view = z.reshape(-1, 2, 1 << b, *tail)
-        np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
+def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
+           want_witness: bool, limits: Limits):
+    """One DP sweep to rows[-1], yielding a SolveResult at each m in rows.
 
-
-def _sweep_max(n: int, boundary: Boundary, rows: list[int], want_witness: bool,
-               limits: Limits):
-    """One max DP sweep to rows[-1], yielding a SolveResult at each m in rows.
-
-    rows holds distinct row counts >= 1 in increasing order.  The value
-    function after row k does not depend on the final row count, so closing
-    off at m (masking the last row against the south border and taking the
-    argmax) can happen at every requested m along the way.
+    rows holds distinct row counts in increasing order, each >= 1 for the
+    maximum and >= 2 for the minimum.  Both objectives maximize a score: the
+    houses for the maximum, minus the houses for the minimum.  The maximum's
+    state is indexed by the last row; the minimum's by the row above it and
+    the last row, so that the north proposition can cover the last row.
+    Each row packs (score << n) | rev(row) and takes its maxima over the
+    triple-mask groups of axis 0, the oldest row.  The groups that fit the
+    virtual south row close off at m; scattered and run through the
+    subset-maximum transform, the groups are read at every real row to
+    advance to m + 1.  Ties break toward the largest rev of each row, the
+    last row first.
     """
+    maximize = objective is Objective.MAX_PERMISSIBLE
     bricked = boundary is Boundary.BRICKED
-    if n > limits.max_cols:
-        raise LimitError(f"cols {n} over the configured cap {limits.max_cols}")
-    size = 1 << n
     top = rows[-1]
-    need = _need_bytes(Objective.MAX_PERMISSIBLE, top, n, want_witness)
-    if need > limits.max_state_bytes:
-        raise LimitError(
-            f"estimated state space of {need} bytes over cap {limits.max_state_bytes}"
-        )
+    _check_limits(objective, top, n, want_witness, limits)
     t0 = time.perf_counter()
-    states, tb, order, starts, group_keys, pc, rev = _state_tables(n, bricked)
+    _, _, order, starts, group_keys, pc, rev = _state_tables(n, bricked)
     full = full_mask(n)
+    size = 1 << n
+    d_v = full if bricked else 0  # the virtual south row
+    if maximize:
+        # a row r admits the rows u above it with triple(u) ⊆ ~r: the fold
+        # scatters at triple(u) and is read at full - r, which is z reversed
+        score = pc.copy()
+        scatter, gain, invalid = group_keys, pc, None
+        veto = d_v  # the bits a scatter key must miss to fit the south row
+    else:
+        # a row c admits the rows u above it with ~triple(u) ⊆ reach(c, d):
+        # the fold scatters at full - triple(u) and is read at reach
+        reach, invalid = _pair_tables(n, bricked)
+        score = np.full((size, size), _DEAD, dtype=np.int64)
+        score[0] = -pc  # row 1 sits under the virtual empty north row
+        scatter, gain = full - group_keys, -pc
+        veto = full ^ reach[:, d_v]  # per last row: the lots only north covers
+        cols = np.arange(size)[:, None]
+    axis0 = (-1,) + (1,) * (score.ndim - 1)
+    rev_u, scatter_u = rev.reshape(axis0), scatter.reshape(axis0)
+    pred_dtype = np.min_scalar_type(full)
     closing = set(rows)
-
-    value = pc.copy()  # row 1: any profile, value = its occupancy
     preds: list[np.ndarray] = []
     for m in range(1, top + 1):
-        if m > 1:
-            # value is packed with the tie-break key in place, and its buffer
-            # then receives the next row's value
-            value <<= n
-            value |= rev
-            z = np.full(size, -1, dtype=np.int64)
-            z[group_keys] = np.maximum.reduceat(value[order], starts)
-            _subset_max_inplace(z, n)
-            # A lower row r admits upper rows u with triple(u) ⊆ complement(r);
-            # indexing the transform at full-r is exactly that complement.
-            zc = z[::-1]
-            np.right_shift(zc, n, out=value)
-            value += pc
+        # score is packed in its own buffer, which then receives the next row
+        score <<= n
+        score |= rev_u
+        grouped = np.maximum.reduceat(score[order], starts, axis=0)
+        if m in closing:
+            # the transition maximum into the virtual south row, taken over
+            # the groups that fit it: the transform is not needed for it
+            key = np.where((scatter_u & veto) == 0, grouped, _DEAD << n).max(axis=0)
+            last = []
+            if not maximize:
+                # row m is still an axis: pick it by score, then by rev,
+                # among the rows the virtual south row does not block
+                s = key >> n
+                s[invalid[:, d_v]] = _DEAD
+                c = int(np.argmax((s << n) | rev))
+                key, last = key[c], [c]
+            best = int(key) >> n
+            if best <= _DEAD:
+                raise SettleError(f"no maximal configuration found for {m}x{n} (internal error)")
+            dims = Dims(m, n, boundary)
+            witness = None
             if want_witness:
-                z &= full
-                preds.append(bit_reverse(zc.astype(np.uint32), n))
-            del z, zc  # spent arrays go at once: _need_bytes counts on it
-            _check_wall(t0, limits)
-        if m not in closing:
-            continue
-
-        final = value << n
-        final |= rev
-        if bricked:
-            # the virtual south row is occupied, so the last row must hold no
-            # east-west-flanked house
-            final[tb != 0] = -1
-        best = int(np.argmax(final))
-        del final
-        optimum = int(value[best])
-        dims = Dims(m, n, boundary)
-        witness = None
-        if want_witness:
-            rows_rev = [best]
-            cur = best
-            for pred in reversed(preds):
-                cur = int(pred[cur])
-                rows_rev.append(cur)
-            witness = Configuration(dims, tuple(reversed(rows_rev)))
-        result = SolveResult(
-            dims,
-            Objective.MAX_PERMISSIBLE,
-            optimum,
-            witness,
-            {
-                "states": m * size,
-                "transitions": (m - 1) * n * size,
-                "wall_s": time.perf_counter() - t0,
-            },
-        )
-        _validate_witness(result)
-        yield result
+                rows_rev = last + [bit_reverse(int(key) & full, n)]
+                for layer in reversed(preds):
+                    rows_rev.append(int(layer[tuple(reversed(rows_rev[-layer.ndim:]))]))
+                witness = Configuration(dims, tuple(reversed(rows_rev)))
+            result = SolveResult(
+                dims,
+                objective,
+                best if maximize else -best,
+                witness,
+                {
+                    "states": m * score.size,
+                    "transitions": (m - 1 if maximize else m) * n * score.size,
+                    "wall_s": time.perf_counter() - t0,
+                },
+            )
+            _validate_witness(result)
+            yield result
+        if m == top:
+            return
+        z = np.full(score.shape, _DEAD << n, dtype=np.int64)
+        z[scatter] = grouped
+        del grouped
+        _subset_max_inplace(z, n)
+        r = z[::-1] if maximize else z[reach, cols]
+        del z  # spent arrays go at once: _need_bytes counts on it
+        np.right_shift(r, n, out=score)
+        score += gain
+        if invalid is not None:
+            score[invalid] = _DEAD
+        # the dropped row is a real row once m reaches the rows a state keeps
+        if want_witness and m >= score.ndim:
+            r &= full
+            preds.append(bit_reverse(r.astype(np.uint32), n).astype(pred_dtype, copy=False))
+        del r
+        _check_wall(t0, limits)
 
 
 def solve_max(req: SolveRequest) -> SolveResult:
@@ -273,26 +333,8 @@ def solve_max(req: SolveRequest) -> SolveResult:
     if req.objective is not Objective.MAX_PERMISSIBLE:
         raise ValueError("solve_max requires the max objective")
     dims = req.dims
-    return next(_sweep_max(dims.cols, dims.boundary, [dims.rows], req.want_witness, req.limits))
-
-
-@lru_cache(maxsize=4)
-def _pair_tables(n: int, bricked: bool):
-    """(c,d)-indexed masks for the pair solver: uncoverable-empty and validity."""
-    states, tb, _, _, _, _, _ = _state_tables(n, bricked)
-    full = full_mask(n)
-    # c is the current row, d the row below; the north proposition depends
-    # on the row above and is folded in by the DP itself
-    c, d = states[:, None], states[None, :]
-    # built in place: one (c, d) array of uint32 plus one proposition at a time
-    uncovered = prop_east_mask(c, d, n, bricked)
-    uncovered |= prop_west_mask(c, d, n, bricked)
-    uncovered |= prop_center_mask(c, d, n, bricked)
-    np.invert(uncovered, out=uncovered)
-    uncovered &= ~c & np.uint32(full)
-    req_mask = uncovered.astype(np.uint16)
-    invalid = (tb[:, None] & d) != 0
-    return req_mask, invalid
+    return next(_sweep(req.objective, dims.cols, dims.boundary, [dims.rows],
+                       req.want_witness, req.limits))
 
 
 def _min_single_row(req: SolveRequest, t0: float) -> SolveResult:
@@ -302,14 +344,13 @@ def _min_single_row(req: SolveRequest, t0: float) -> SolveResult:
     full = full_mask(n)
     states, tb, _, _, _, pc, rev = _state_tables(n, bricked)
     d_v = np.uint32(full if bricked else 0)
+    # the empty north row covers nothing, so every empty lot needs cover
     covered = covered_mask(np.uint32(0), states, d_v, n, bricked)
-    uncovered = (~states & np.uint32(full)) & ~covered
-    ok = ((tb & d_v) == 0) & (uncovered == 0)
-    inv_rev = (~rev) & full
-    packed = np.where(ok, (pc << n) | inv_rev, np.int64(1) << 62)
-    best = int(np.argmin(packed))
+    ok = ((tb & d_v) == 0) & ((covered | states) == full)
+    # the sweep's key: fewest houses, then the largest rev
+    best = int(np.argmax(np.where(ok, (-pc << n) | rev, _DEAD << n)))
     optimum = int(pc[best])
-    witness = Configuration(req.dims, (int(states[best]),)) if req.want_witness else None
+    witness = Configuration(req.dims, (best,)) if req.want_witness else None
     result = SolveResult(
         req.dims, req.objective, optimum, witness,
         {"states": 1 << n, "transitions": 1 << n, "wall_s": time.perf_counter() - t0},
@@ -318,118 +359,25 @@ def _min_single_row(req: SolveRequest, t0: float) -> SolveResult:
     return result
 
 
-def _sweep_min(n: int, boundary: Boundary, rows: list[int], want_witness: bool,
-               limits: Limits):
-    """One min DP sweep to rows[-1], yielding a SolveResult at each m in rows.
-
-    rows holds distinct row counts >= 2 in increasing order.  Each row's
-    fold over the row-above axis serves both the advance to the next row and
-    the close-off against the virtual south row, so a requested m costs only
-    one extra gather of 2^n entries.
-    """
-    bricked = boundary is Boundary.BRICKED
-    t0 = time.perf_counter()
-    if n > limits.max_cols_pairs:
-        raise LimitError(f"cols {n} over the configured pair-state cap {limits.max_cols_pairs}")
-    size = 1 << n
-    top = rows[-1]
-    need = _need_bytes(Objective.MIN_MAXIMAL, top, n, want_witness)
-    if need > limits.max_state_bytes:
-        raise LimitError(
-            f"estimated state space of {need} bytes over cap {limits.max_state_bytes}"
-        )
-    states, tb, order, starts, group_keys, pc, rev = _state_tables(n, bricked)
-    req_mask, invalid = _pair_tables(n, bricked)
-    full = full_mask(n)
-    INF = np.int64(1) << 40
-    inv_rev = (~rev) & full
-    col_idx = np.arange(size, dtype=np.intp)
-    d_v = full if bricked else 0
-    req_v = np.asarray(req_mask[:, d_v], dtype=np.intp)
-    closing = set(rows)
-
-    # dp[u, c]: min houses in rows 1..i with rows (i-1, i) = (u, c), all rows
-    # above i-1 settled.  Row 1 exists only under the virtual empty north row.
-    dp = np.full((size, size), INF, dtype=np.int64)
-    dp[0, :] = pc
-    pred_layers: list[np.ndarray] = []
-    pc32 = pc[None, :]
-    for m in range(1, top + 1):
-        # fold the row-above axis: g[k, c] = min over u with triple(u) ⊇ k of
-        # dp[u, c], packed with the tie-break key in dp's own buffer
-        dp <<= n
-        dp |= inv_rev[:, None]
-        g = np.full((size, size), INF << n, dtype=np.int64)
-        g[group_keys, :] = np.minimum.reduceat(dp[order, :], starts, axis=0)
-        _superset_min_inplace(g, n)
-        if m in closing:
-            # close off against the virtual south row, adding no houses
-            gathered_v = g[req_v, col_idx]
-            final_val = gathered_v >> n
-            final_val = np.where(invalid[:, d_v], INF, final_val)
-            final_packed = (np.minimum(final_val, INF) << n) | inv_rev
-            best_c = int(np.argmin(final_packed))
-            optimum = int(final_val[best_c])
-            if optimum >= INF:
-                raise SettleError(f"no maximal configuration found for {m}x{n} (internal error)")
-            dims = Dims(m, n, boundary)
-            witness = None
-            if want_witness:
-                best_u = bit_reverse(~int(gathered_v[best_c]) & full, n)
-                rows_rev = [best_c, best_u]  # rows m, m-1
-                for layer in reversed(pred_layers):
-                    rows_rev.append(int(layer[rows_rev[-1], rows_rev[-2]]))
-                witness = Configuration(dims, tuple(reversed(rows_rev)))
-            result = SolveResult(
-                dims,
-                Objective.MIN_MAXIMAL,
-                optimum,
-                witness,
-                {
-                    "states": m * size * size,
-                    "transitions": m * n * size * size,
-                    "wall_s": time.perf_counter() - t0,
-                },
-            )
-            _validate_witness(result)
-            yield result
-        if m == top:
-            return
-        # advance: the next row's dp lands in the buffer of this one
-        gathered = g[req_mask, col_idx[:, None]]
-        del g  # spent arrays go at once: _need_bytes counts on it
-        np.right_shift(gathered, n, out=dp)
-        dp += pc32
-        np.minimum(dp, INF, out=dp)
-        dp[invalid] = INF
-        # the row-above choice matters for reconstruction only once it is a
-        # real row (the first advance sits on the virtual empty north row)
-        if want_witness and m >= 2:
-            np.invert(gathered, out=gathered)
-            gathered &= full
-            pred_layers.append(bit_reverse(gathered.astype(np.uint32), n).astype(np.uint16))
-        del gathered
-        _check_wall(t0, limits)
-
-
 def solve_min_maximal(req: SolveRequest) -> SolveResult:
     """Exact minimum occupancy over maximal configurations, with witness.
 
     DP over ordered (row above, current row) profile pairs; advancing to the
     next row requires the current row to stay unblocked and every current-row
     empty lot to be covered by one of the four propositions, where the
-    north proposition folds over the row-above axis as a superset-minimum
-    transform.  Virtual empty/full rows close off the two borders.
+    north proposition folds over the row-above axis through the subset
+    transform on complemented triple masks.  Virtual empty/full rows close
+    off the two borders.
     """
     if req.objective is not Objective.MIN_MAXIMAL:
         raise ValueError("solve_min_maximal requires the min objective")
-    dims, limits = req.dims, req.limits
+    dims = req.dims
     if dims.rows == 1:
         t0 = time.perf_counter()
-        if dims.cols > limits.max_cols:
-            raise LimitError(f"cols {dims.cols} over the configured cap {limits.max_cols}")
+        _check_limits(req.objective, 1, dims.cols, req.want_witness, req.limits)
         return _min_single_row(req, t0)
-    return next(_sweep_min(dims.cols, dims.boundary, [dims.rows], req.want_witness, limits))
+    return next(_sweep(req.objective, dims.cols, dims.boundary, [dims.rows],
+                       req.want_witness, req.limits))
 
 
 def brute_force(req: SolveRequest) -> SolveResult:
@@ -527,9 +475,8 @@ def table(
                 cells[m, n] = str(exc)
         if not swept:
             continue
-        sweep = _sweep_max if objective is Objective.MAX_PERMISSIBLE else _sweep_min
         try:
-            for res in sweep(n, boundary, swept, False, limits):
+            for res in _sweep(objective, n, boundary, swept, False, limits):
                 cells[res.dims.rows, n] = res.optimum
         except SettleError as exc:
             for m in swept:

@@ -33,7 +33,7 @@ from settle import (
     to_lp,
 )
 from settle.cli import main
-from settle.solvers import Limits, _sweep_min
+from settle.solvers import Limits, Objective, _sweep
 
 
 def test_criterion_01_full_table_of_maxima_is_reproduced_exactly():
@@ -141,7 +141,8 @@ def test_criterion_07_structural_audits_pass_and_strip_cap_is_exhaustive():
     # one min sweep per width closes off a witness at every m in 2..12
     minima = {(res.dims.rows, n): res
               for n in range(2, 13)
-              for res in _sweep_min(n, Boundary.FREE, list(range(2, 13)), True, Limits())}
+              for res in _sweep(Objective.MIN_MAXIMAL, n, Boundary.FREE, list(range(2, 13)), True,
+                                Limits())}
     for m in range(2, 13):
         for n in range(2, 13):
             for res in (max_result(m, n), minima[m, n]):

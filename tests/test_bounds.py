@@ -1,11 +1,13 @@
 """Tests for analytic bounds, recurrences, and structural audits."""
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from conftest import GOLDEN
 from settle.bounds import (
     audit_passed,
     audit_structural_lemmas,
@@ -19,6 +21,7 @@ from settle.bounds import (
 )
 from settle.grid import Boundary, Configuration, Dims
 from settle.patterns import PatternKind, generate_pattern, pattern_occupancy
+from settle.solvers import Objective, table
 
 
 class TestCrudeBounds:
@@ -88,6 +91,17 @@ class TestSeededRecurrence:
             seeded_recurrence(7, {3: 17, 5: 28}, 8)
         # unless the target itself is seeded
         assert seeded_recurrence(7, {3: 17, 5: 28, 8: 44}, 8) == 44
+
+
+class TestGoldenColumn:
+    def test_table4_matches_recurrences_and_solver(self):
+        golden = json.loads((GOLDEN / "table4.json").read_text())
+        n, rows = golden["cols"], golden["rows"]
+        assert golden["recurrence"] == [r_recurrence(m, n) for m in rows]
+        seeds = {int(m): v for m, v in golden["seeds"].items()}
+        assert golden["seeded"] == [seeded_recurrence(n, seeds, m) for m in golden["seeded_rows"]]
+        exact = table(Objective.MAX_PERMISSIBLE, rows, [n])
+        assert golden["exact"] == [line[0] for line in exact["values"]]
 
 
 class TestRowAboveCap:

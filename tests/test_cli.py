@@ -197,6 +197,12 @@ class TestTable:
                      "--golden", str(GOLDEN / "table5.json"))
         assert res.exit_code == 0
 
+    def test_golden_of_another_shape_exits_2(self):
+        res = invoke("table", "--rows", "2..4", "--cols", "7",
+                     "--golden", str(GOLDEN / "table4.json"))
+        assert res.exit_code == 2
+        assert "is not a table" in res.output
+
     def test_single_value_ranges(self):
         res = invoke("table", "--rows", "4", "--cols", "5", "--json")
         assert json.loads(res.output)["values"] == [[17]]

@@ -17,8 +17,7 @@ from settle.solvers import (
     _need_bytes,
     _pair_tables,
     _state_tables,
-    _sweep_max,
-    _sweep_min,
+    _sweep,
     brute_force,
     solve,
     solve_max,
@@ -93,6 +92,11 @@ class TestMinSolver:
 
     def test_single_row_allows_wide_grids(self):
         assert min_result(1, 18).optimum == 18
+
+    def test_single_row_byte_cap(self):
+        limits = Limits(max_state_bytes=1 << 10)
+        with pytest.raises(LimitError):
+            solve(SolveRequest.minimum(1, 20, limits=limits))
 
     def test_pair_cap_only_binds_multirow_grids(self):
         with pytest.raises(LimitError):
@@ -208,11 +212,11 @@ class TestSweep:
     def test_sweep_witnesses_equal_separate_solves(self, boundary):
         rows = list(range(1, 9))
         for n in range(1, 11):
-            swept = list(_sweep_max(n, boundary, rows, True, Limits()))
+            swept = list(_sweep(Objective.MAX_PERMISSIBLE, n, boundary, rows, True, Limits()))
             assert [r.dims.rows for r in swept] == rows
             for res in swept:
                 assert same_result(res, max_result(res.dims.rows, n, boundary)), (res.dims, "max")
-            swept = list(_sweep_min(n, boundary, rows[1:], True, Limits()))
+            swept = list(_sweep(Objective.MIN_MAXIMAL, n, boundary, rows[1:], True, Limits()))
             assert [r.dims.rows for r in swept] == rows[1:]
             for res in swept:
                 assert same_result(res, min_result(res.dims.rows, n, boundary)), (res.dims, "min")
@@ -233,6 +237,7 @@ class TestStateBytes:
         (Objective.MAX_PERMISSIBLE, 2, 4),
         (Objective.MAX_PERMISSIBLE, 9, 14),
         (Objective.MAX_PERMISSIBLE, 3, 18),
+        (Objective.MIN_MAXIMAL, 1, 18),
         (Objective.MIN_MAXIMAL, 3, 3),
         (Objective.MIN_MAXIMAL, 6, 8),
         (Objective.MIN_MAXIMAL, 3, 10),
