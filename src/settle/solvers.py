@@ -1,14 +1,20 @@
 """Exact extremal solvers and the brute-force oracle.
 
 Both objectives run on one row-sweep engine, _sweep.  The maximum solver
-keeps a value per row profile; the minimum solver keeps one per ordered
+keeps a score per row profile; the minimum solver keeps one per ordered
 (row above, current row) pair, so that the north proposition can cover the
-current row.  The minimum scores minus its houses, so both maximize the same
-packed key, and each row's transition maximum is one subset-indexed maximum
-transform over triple masks (cost ~ n·2^n per state column): the maximum
-scatters its rows at triple(u), the minimum at the complement of triple(u),
-since triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.  The row mask algebra
-comes from the rows module, evaluated on whole numpy arrays of states.
+current row.  The minimum scores minus its houses, so both maximize, and
+each row's transition maximum is one subset-indexed maximum transform over
+triple masks (cost ~ n·2^n per state column): the maximum scatters its rows
+at triple(u), the minimum at the complement of triple(u), since
+triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.  The row mask algebra comes
+from the rows module, evaluated on whole numpy arrays of states.
+
+The forward pass carries scores alone, in the narrowest signed dtype that
+holds them (int16 for every grid within the default caps).  A witness is
+not tracked forward: the sweep keeps each row's scores, and a backward scan
+rebuilds the rows from the south border up, each the argmax of the key
+(score << n) | rev(row) over the rows that fit the rows below it.
 
 The state after row k does not depend on the final row count, so one sweep
 to the largest m closes off every requested row count on the way:
@@ -84,9 +90,10 @@ class SolveResult:
     """Exact optimum with an optional witness.
 
     stats: "states" is the number of DP states materialized, "transitions"
-    n updates per state for each row-to-row transition maximum (m - 1 of
-    them for the maximum; m for the minimum, whose close-off is one more),
-    "wall_s" the elapsed time.
+    n updates per state for each of the m - 1 row-to-row transition maxima
+    (the close-off reads the grouped maxima, not a transform),
+    "state_bytes" the estimate of allocated bytes the solve was checked
+    against (_need_bytes), "wall_s" the elapsed time.
     """
 
     dims: Dims
@@ -99,9 +106,20 @@ class SolveResult:
 # Bytes a solve allocates beyond its arrays: ufunc buffers, Python objects.
 _FIXED_BYTES = 1 << 20
 
-# Score of an unreachable state: below every real score, and still an int64
-# once packed as (score << n) | rev for any n <= 32.
-_DEAD = -(1 << 30)
+
+def _score_type(m: int, n: int):
+    """The narrowest signed dtype for an m×n sweep's scores, and its dead score.
+
+    A real score lies in [-mn, mn].  An unreachable (dead) state starts at
+    or below the dead score, -2^(bits - 2), and loses at most mn more over
+    the sweep, so neither wraps while mn < 2^(bits - 2): int16 up to
+    mn = 16383.
+    """
+    for dtype in (np.int16, np.int32, np.int64):
+        dead = -(1 << (np.iinfo(dtype).bits - 2))
+        if m * n < -dead:
+            break
+    return dtype, dead
 
 
 def _group_bound(n: int) -> int:
@@ -122,37 +140,44 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
     """Upper bound on the bytes one solve allocates, with cold table caches.
 
     Counts the arrays alive at the DP's peak: the cached tables, the working
-    arrays of one row, and the witness layers kept for every row.
+    arrays of one row, the score layers a witness keeps for every row, and
+    the masks of the backward scan.
     """
     size, groups = 1 << n, _group_bound(n)
-    # _state_tables: states and tb (uint32); order, pc and rev (int64);
-    # starts and group_keys (intp, one per group)
-    need = _FIXED_BYTES + size * 32 + groups * 16
+    width = np.dtype(_score_type(m, n)[0]).itemsize
+    # _state_tables: states, tb and rev (uint32), order (intp), pc (int8);
+    # starts and group_keys (intp, one per group).  Its build peaks at 27
+    # bytes a state, with the sorted tb and two masks, below every use.
+    need = _FIXED_BYTES + size * 21 + groups * 16
     if objective is Objective.MIN_MAXIMAL and m == 1:
         # _min_single_row: covered (uint32, its stages before it) and ok;
-        # the int64 key and the np.where result
+        # the negated pc and _argmax_key's masks and uint32 pick
         return need + size * 24
+    # the grouped maxima; at a close-off, their int64 fit test and its mask
+    per_group = width + 9
+    # _scan_back: the fit mask and its uint32 stage, then _argmax_key's
+    # masks and uint32 pick
+    scan = 8 if want_witness else 0
     if objective is Objective.MAX_PERMISSIBLE:
-        # score, z and the sorted copy of score; the grouped maxima
-        need += size * 24 + groups * 8
-        if want_witness:
-            # the capture's uint32 copy and bit_reverse stages; one uint32
-            # predecessor array per advance
-            need += size * 8 + size * 4 * (m - 1)
-        return need
+        # score, gain, z and the sorted copy of score; one score layer per
+        # row before the last for the witness
+        layers = m - 1 if want_witness else 0
+        return need + size * (width * (4 + layers) + scan) + groups * per_group
+    # _pair_tables: reach (uint16) and invalid (bool), built at a peak of
+    # 12 bytes a pair; score, z and one group's gathered rows or the read;
+    # one score layer per row after the first and before the last
+    layers = max(m - 2, 0) if want_witness else 0
     pairs = size * size
-    # _pair_tables (uint16 reach, bool invalid); score, the sorted copy of
-    # score or the read, and z; the grouped maxima
-    need += pairs * 27 + groups * size * 8
-    if want_witness:
-        # the capture's scratch as above; one uint16 predecessor layer per
-        # advance after the first
-        need += pairs * 8 + pairs * 2 * max(m - 2, 0)
-    return need
+    return (need + pairs * max(12, 3 + width * (3 + layers))
+            + groups * size * per_group + size * scan)
 
 
-def _check_limits(objective: Objective, m: int, n: int, want_witness: bool, limits: Limits):
-    """Raise LimitError when an m×n solve would pass a column or byte cap."""
+def _check_limits(objective: Objective, m: int, n: int, want_witness: bool,
+                  limits: Limits) -> int:
+    """Raise LimitError when an m×n solve would pass a column or byte cap.
+
+    Returns the byte estimate the solve was checked against.
+    """
     pairs = objective is Objective.MIN_MAXIMAL and m > 1
     cap, what = (limits.max_cols_pairs, "pair-state cap") if pairs else (limits.max_cols, "cap")
     if n > cap:
@@ -162,6 +187,7 @@ def _check_limits(objective: Objective, m: int, n: int, want_witness: bool, limi
         raise LimitError(
             f"estimated state space of {need} bytes over cap {limits.max_state_bytes}"
         )
+    return need
 
 
 def _check_wall(t0: float, limits: Limits):
@@ -184,8 +210,8 @@ def _validate_witness(result: SolveResult):
 def _state_tables(n: int, bricked: bool):
     """Per-state masks shared by solver calls of equal width and border."""
     states = np.arange(1 << n, dtype=np.uint32)
-    pc = np.bitwise_count(states).astype(np.int64)
-    rev = bit_reverse(states, n).astype(np.int64)
+    pc = np.bitwise_count(states).astype(np.int8)
+    rev = bit_reverse(states, n)
     tb = triple_mask(states, n, bricked)
     order = np.argsort(tb, kind="stable")
     tb_sorted = tb[order]
@@ -220,7 +246,60 @@ def _subset_max_inplace(z: np.ndarray, n: int):
     tail = z.shape[1:]
     for b in range(n):
         view = z.reshape(-1, 2, 1 << b, *tail)
-        np.maximum(view[:, 1], view[:, 0], out=view[:, 1])
+        hi, lo = view[:, 1], view[:, 0]
+        if tail or b >= 3:
+            np.maximum(hi, lo, out=hi)
+        else:
+            # runs of 1 << b elements are too short for the inner loop:
+            # walk the long axis innermost instead (several times faster)
+            np.maximum(hi.T, lo.T, out=hi.T, order="C")
+
+
+def _group_maxima(score: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Maxima of score over the triple-mask groups of axis 0 (order sorts the groups)."""
+    if score.ndim == 1:
+        return np.maximum.reduceat(score[order], starts)
+    # a 2-D reduceat walks each group one short run at a time: one reduction
+    # of whole rows per group is about 15 times faster at n = 12
+    ends = np.r_[starts[1:], len(order)].tolist()
+    grouped = np.empty((len(starts),) + score.shape[1:], dtype=score.dtype)
+    for g, (start, end) in enumerate(zip(starts.tolist(), ends)):
+        np.max(score[order[start:end]], axis=0, out=grouped[g])
+    return grouped
+
+
+def _argmax_key(score: np.ndarray, fit: np.ndarray, rev: np.ndarray) -> int:
+    """The index u with the largest (score[u] << n) | rev[u] where fit holds.
+
+    That is the highest score, ties broken toward the largest rev, found
+    without packing the two.  rev is a permutation in which only 0 maps to
+    0, so an all-zero pick leaves index 0, the one candidate then.
+    """
+    best = np.max(score, where=fit, initial=np.iinfo(score.dtype).min)
+    return int(np.argmax(np.where(fit & (score == best), rev, 0)))
+
+
+def _scan_back(layers, below: list[int], key_u, rev, reach, full: int) -> tuple[int, ...]:
+    """Rebuild a witness's rows, north first, from the scores after every row.
+
+    layers holds the score array after each row, the last row's last.
+    below starts with the virtual south row; for the minimum (reach given)
+    it also holds the last row, picked already.  Walking north, each row is
+    the _argmax_key over the rows u that fit the rows below, u fitting when
+    key_u[u] & block == 0: the set and the key the forward pass maximized
+    over, so the rows are those a stored argmax would give.
+    """
+    for layer in reversed(layers):
+        if reach is None:
+            # the maximum: u fits the row r below it when triple(u) ⊆ ~r
+            scores, block = layer, below[-1]
+        else:
+            # the minimum: u fits the rows (c, d) below it when
+            # ~triple(u) ⊆ reach(c, d), scored at the state (u, c)
+            c, d = below[-1], below[-2]
+            scores, block = layer[:, c], full ^ int(reach[c, d])
+        below.append(_argmax_key(scores, (key_u & block) == 0, rev))
+    return tuple(reversed(below[1:]))
 
 
 def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
@@ -232,69 +311,64 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     houses for the maximum, minus the houses for the minimum.  The maximum's
     state is indexed by the last row; the minimum's by the row above it and
     the last row, so that the north proposition can cover the last row.
-    Each row packs (score << n) | rev(row) and takes its maxima over the
-    triple-mask groups of axis 0, the oldest row.  The groups that fit the
-    virtual south row close off at m; scattered and run through the
-    subset-maximum transform, the groups are read at every real row to
-    advance to m + 1.  Ties break toward the largest rev of each row, the
-    last row first.
+    The forward pass carries scores alone, in the narrowest dtype that
+    holds them (_score_type), and takes their maxima over the triple-mask
+    groups of axis 0, the oldest row.  The groups that fit the virtual
+    south row close off at m; scattered and run through the subset-maximum
+    transform, the groups are read at every real row to advance to m + 1.
+    With a witness, each row's scores are kept, and _scan_back rebuilds
+    the rows from the virtual south row up, breaking ties toward the
+    largest rev of each row, the last row first.
     """
     maximize = objective is Objective.MAX_PERMISSIBLE
     bricked = boundary is Boundary.BRICKED
     top = rows[-1]
-    _check_limits(objective, top, n, want_witness, limits)
+    need = _check_limits(objective, top, n, want_witness, limits)
     t0 = time.perf_counter()
-    _, _, order, starts, group_keys, pc, rev = _state_tables(n, bricked)
+    _, tb, order, starts, group_keys, pc, rev = _state_tables(n, bricked)
+    dtype, dead = _score_type(top, n)
     full = full_mask(n)
     size = 1 << n
     d_v = full if bricked else 0  # the virtual south row
     if maximize:
         # a row r admits the rows u above it with triple(u) ⊆ ~r: the fold
         # scatters at triple(u) and is read at full - r, which is z reversed
-        score = pc.copy()
-        scatter, gain, invalid = group_keys, pc, None
+        score = pc.astype(dtype)
+        gain, reach, invalid = score.copy(), None, None
+        key_u, scatter = tb, group_keys
         veto = d_v  # the bits a scatter key must miss to fit the south row
     else:
         # a row c admits the rows u above it with ~triple(u) ⊆ reach(c, d):
         # the fold scatters at full - triple(u) and is read at reach
         reach, invalid = _pair_tables(n, bricked)
-        score = np.full((size, size), _DEAD, dtype=np.int64)
-        score[0] = -pc  # row 1 sits under the virtual empty north row
-        scatter, gain = full - group_keys, -pc
+        gain = -pc.astype(dtype)
+        score = np.full((size, size), dead, dtype=dtype)
+        score[0] = gain  # row 1 sits under the virtual empty north row
+        key_u, scatter = full ^ tb, full - group_keys
         veto = full ^ reach[:, d_v]  # per last row: the lots only north covers
         cols = np.arange(size)[:, None]
-    axis0 = (-1,) + (1,) * (score.ndim - 1)
-    rev_u, scatter_u = rev.reshape(axis0), scatter.reshape(axis0)
-    pred_dtype = np.min_scalar_type(full)
+    scatter_u = scatter.reshape((-1,) + (1,) * (score.ndim - 1))
+    z = np.empty_like(score)
     closing = set(rows)
-    preds: list[np.ndarray] = []
+    layers: list[np.ndarray] = []
     for m in range(1, top + 1):
-        # score is packed in its own buffer, which then receives the next row
-        score <<= n
-        score |= rev_u
-        grouped = np.maximum.reduceat(score[order], starts, axis=0)
+        grouped = _group_maxima(score, order, starts)
         if m in closing:
             # the transition maximum into the virtual south row, taken over
             # the groups that fit it: the transform is not needed for it
-            key = np.where((scatter_u & veto) == 0, grouped, _DEAD << n).max(axis=0)
-            last = []
+            s = np.where((scatter_u & veto) == 0, grouped, dead).max(axis=0)
             if not maximize:
-                # row m is still an axis: pick it by score, then by rev,
-                # among the rows the virtual south row does not block
-                s = key >> n
-                s[invalid[:, d_v]] = _DEAD
-                c = int(np.argmax((s << n) | rev))
-                key, last = key[c], [c]
-            best = int(key) >> n
-            if best <= _DEAD:
+                s[invalid[:, d_v]] = dead  # the last row must fit the south row
+            best = int(s.max())
+            if best <= dead:
                 raise SettleError(f"no maximal configuration found for {m}x{n} (internal error)")
             dims = Dims(m, n, boundary)
             witness = None
             if want_witness:
-                rows_rev = last + [bit_reverse(int(key) & full, n)]
-                for layer in reversed(preds):
-                    rows_rev.append(int(layer[tuple(reversed(rows_rev[-layer.ndim:]))]))
-                witness = Configuration(dims, tuple(reversed(rows_rev)))
+                # the minimum's last row is still an axis: pick it first
+                below = [d_v] if maximize else [d_v, _argmax_key(s, ~invalid[:, d_v], rev)]
+                witness = Configuration(
+                    dims, _scan_back(layers + [score], below, key_u, rev, reach, full))
             result = SolveResult(
                 dims,
                 objective,
@@ -302,7 +376,8 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
                 witness,
                 {
                     "states": m * score.size,
-                    "transitions": (m - 1 if maximize else m) * n * score.size,
+                    "transitions": (m - 1) * n * score.size,
+                    "state_bytes": need,
                     "wall_s": time.perf_counter() - t0,
                 },
             )
@@ -310,21 +385,20 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             yield result
         if m == top:
             return
-        z = np.full(score.shape, _DEAD << n, dtype=np.int64)
+        z.fill(dead)
         z[scatter] = grouped
-        del grouped
+        del grouped  # spent arrays go at once: _need_bytes counts on it
         _subset_max_inplace(z, n)
-        r = z[::-1] if maximize else z[reach, cols]
-        del z  # spent arrays go at once: _need_bytes counts on it
-        np.right_shift(r, n, out=score)
-        score += gain
-        if invalid is not None:
-            score[invalid] = _DEAD
-        # the dropped row is a real row once m reaches the rows a state keeps
+        # _scan_back reads this row's scores once the row a state drops on
+        # advancing is a real row, that is once m reaches the rows it keeps
         if want_witness and m >= score.ndim:
-            r &= full
-            preds.append(bit_reverse(r.astype(np.uint32), n).astype(pred_dtype, copy=False))
-        del r
+            layers.append(score)
+            score = np.empty_like(z)
+        if maximize:
+            np.add(z[::-1], gain, out=score)
+        else:
+            np.add(z[reach, cols], gain, out=score)
+            score[invalid] = dead
         _check_wall(t0, limits)
 
 
@@ -337,7 +411,7 @@ def solve_max(req: SolveRequest) -> SolveResult:
                        req.want_witness, req.limits))
 
 
-def _min_single_row(req: SolveRequest, t0: float) -> SolveResult:
+def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
     """Minimum maximal occupancy of a 1×n grid by direct enumeration."""
     n = req.dims.cols
     bricked = req.dims.boundary is Boundary.BRICKED
@@ -348,12 +422,13 @@ def _min_single_row(req: SolveRequest, t0: float) -> SolveResult:
     covered = covered_mask(np.uint32(0), states, d_v, n, bricked)
     ok = ((tb & d_v) == 0) & ((covered | states) == full)
     # the sweep's key: fewest houses, then the largest rev
-    best = int(np.argmax(np.where(ok, (-pc << n) | rev, _DEAD << n)))
+    best = _argmax_key(-pc, ok, rev)
     optimum = int(pc[best])
     witness = Configuration(req.dims, (best,)) if req.want_witness else None
     result = SolveResult(
         req.dims, req.objective, optimum, witness,
-        {"states": 1 << n, "transitions": 1 << n, "wall_s": time.perf_counter() - t0},
+        {"states": 1 << n, "transitions": 1 << n, "state_bytes": need,
+         "wall_s": time.perf_counter() - t0},
     )
     _validate_witness(result)
     return result
@@ -374,8 +449,8 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
     dims = req.dims
     if dims.rows == 1:
         t0 = time.perf_counter()
-        _check_limits(req.objective, 1, dims.cols, req.want_witness, req.limits)
-        return _min_single_row(req, t0)
+        need = _check_limits(req.objective, 1, dims.cols, req.want_witness, req.limits)
+        return _min_single_row(req, t0, need)
     return next(_sweep(req.objective, dims.cols, dims.boundary, [dims.rows],
                        req.want_witness, req.limits))
 

@@ -9,6 +9,7 @@ from conftest import GOLDEN
 from settle.cli import main
 from settle.formats import parse_grid
 from settle.modelgen import export_inefficient, to_lp
+from settle.solvers import Objective, _need_bytes
 
 runner = CliRunner()
 
@@ -116,6 +117,14 @@ class TestSolve:
         assert payload["optimum"] == 13
         assert payload["witness"]["rows"] == 3
         assert "wall_s" in payload["stats"]
+
+    def test_json_stats_report_the_checked_byte_estimate(self):
+        for objective, m, n in [("max", 3, 5), ("min", 4, 6), ("min", 1, 9)]:
+            res = invoke("solve", "--objective", objective, "--rows", str(m),
+                         "--cols", str(n), "--json")
+            assert res.exit_code == 0
+            stats = json.loads(res.output)["stats"]
+            assert stats["state_bytes"] == _need_bytes(Objective(objective), m, n, True)
 
     def test_cap_violation_exits_2(self):
         res = invoke("solve", "--rows", "3", "--cols", "30")

@@ -1,12 +1,14 @@
 """Tests for the exact solvers, the oracle, and resource limits."""
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import max_result, min_result
+from settle.bounds import i_lower_bound, r_recurrence
 from settle.errors import LimitError
 from settle.grid import Boundary, Configuration, Dims
 from settle.rows import bit_reverse, covered_mask
@@ -16,6 +18,7 @@ from settle.solvers import (
     SolveRequest,
     _need_bytes,
     _pair_tables,
+    _score_type,
     _state_tables,
     _sweep,
     brute_force,
@@ -221,6 +224,25 @@ class TestSweep:
             for res in swept:
                 assert same_result(res, min_result(res.dims.rows, n, boundary)), (res.dims, "min")
 
+    # sha256 of the witness rows (" "-joined row masks) as a DP that stores
+    # an argmax predecessor per state gives them: they pin the tie-break at
+    # widths where the scores are int16 and the backward scan runs
+    @pytest.mark.parametrize("objective, m, n, boundary, optimum, digest", [
+        (Objective.MAX_PERMISSIBLE, 14, 20, Boundary.FREE, 211,
+         "e56ba602e23b619970c59a86605990e9ab5d439ccb9ab22712e3c6753df688c0"),
+        (Objective.MAX_PERMISSIBLE, 14, 20, Boundary.BRICKED, 199,
+         "b501b4e13a87d57d1f76ecff4de8471fc7704a2ced2b5c3f6d39723b4f203f03"),
+        (Objective.MIN_MAXIMAL, 9, 11, Boundary.FREE, 55,
+         "7ceb0c4f089919c97dd1274e2e7f77d5d1982b43f3aeadaac39a5041b17e6df8"),
+        (Objective.MIN_MAXIMAL, 9, 11, Boundary.BRICKED, 48,
+         "51eeb8815d7c13053661e4099cfb15b083a531e694d29cde8d3d3a8ce087a9f6"),
+    ], ids=["max-free", "max-bricked", "min-free", "min-bricked"])
+    def test_wide_witnesses_keep_their_rows(self, objective, m, n, boundary, optimum, digest):
+        res = solve(SolveRequest(Dims(m, n, boundary), objective))
+        assert res.optimum == optimum
+        rows = " ".join(map(str, res.witness.row_bits))
+        assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("objective", list(Objective))
     def test_zero_wall_cap_marks_cells_unavailable(self, objective):
         # a single row needs no row advance, so it is solved before the cap trips
@@ -231,12 +253,49 @@ class TestSweep:
         assert {e["error"] for e in out["errors"]} == {"wall time cap of 0.0s exceeded"}
 
 
+class TestScoreWidth:
+    """Long three-column sweeps, where r_recurrence and i_lower_bound are exact."""
+
+    def test_int16_holds_up_to_its_bound(self):
+        assert _score_type(5461, 3)[0] == np.int16  # mn = 16383
+        assert _score_type(5462, 3)[0] == np.int32
+        # the widest int16 sweeps: dead minimum states may sink to -32767
+        res = next(_sweep(Objective.MAX_PERMISSIBLE, 3, Boundary.FREE, [5461], False, Limits()))
+        assert res.optimum == r_recurrence(5461, 3)
+        res = next(_sweep(Objective.MIN_MAXIMAL, 3, Boundary.FREE, [5461], False, Limits()))
+        assert res.optimum == i_lower_bound(5461, 3)
+
+    def test_max_past_int16(self):
+        m = 13108
+        res = next(_sweep(Objective.MAX_PERMISSIBLE, 3, Boundary.FREE, [m], True, Limits()))
+        assert res.optimum > 32767
+        assert res.optimum == r_recurrence(m, 3)
+        assert res.witness.is_maximal() and res.witness.occupancy() == res.optimum
+
+    def test_bricked_max_past_int16(self):
+        # criterion 08's identity: free E(m + 1, 5) = bricked E(m, 3) + 2(m + 1) + 3
+        m = 16384
+        walled = next(_sweep(Objective.MAX_PERMISSIBLE, 3, Boundary.BRICKED, [m], True, Limits()))
+        assert walled.optimum > 32767
+        assert walled.witness.is_maximal() and walled.witness.occupancy() == walled.optimum
+        free = next(_sweep(Objective.MAX_PERMISSIBLE, 5, Boundary.FREE, [m + 1], False, Limits()))
+        assert free.optimum == walled.optimum + 2 * (m + 1) + 3
+
+    def test_min_past_int16(self):
+        m = 16384
+        res = next(_sweep(Objective.MIN_MAXIMAL, 3, Boundary.FREE, [m], True, Limits()))
+        assert res.optimum > 32767
+        assert res.optimum == i_lower_bound(m, 3)
+        assert res.witness.is_maximal() and res.witness.occupancy() == res.optimum
+
+
 class TestStateBytes:
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("objective, m, n", [
         (Objective.MAX_PERMISSIBLE, 2, 4),
         (Objective.MAX_PERMISSIBLE, 9, 14),
         (Objective.MAX_PERMISSIBLE, 3, 18),
+        (Objective.MAX_PERMISSIBLE, 20, 12),
         (Objective.MIN_MAXIMAL, 1, 18),
         (Objective.MIN_MAXIMAL, 3, 3),
         (Objective.MIN_MAXIMAL, 6, 8),
