@@ -10,16 +10,19 @@ at triple(u), the minimum at the complement of triple(u), since
 triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.  The row mask algebra comes
 from the rows module, evaluated on whole numpy arrays of states.
 
-The forward pass carries scores alone, in the narrowest signed dtype that
-holds them (int16 for every grid within the default caps).  A witness is
-not tracked forward: the sweep keeps each row's scores, and a backward scan
-rebuilds the rows from the south border up, each the argmax of the key
+The forward pass carries int16 scores alone, shifted each row so that its
+best is 0; the shift is carried as a Python int.  A witness is not tracked
+forward: the sweep keeps each row's scores, and a backward scan rebuilds
+the rows from the south border up, each the argmax of the key
 (score << n) | rev(row) over the rows that fit the rows below it.
 
 The state after row k does not depend on the final row count, so one sweep
 to the largest m closes off every requested row count on the way:
 solve_max and solve_min_maximal ask a sweep for their single m, and table
-makes one sweep per column.
+makes one sweep per column.  The row DP is a max-plus linear recurrence,
+so its shifted state is eventually periodic (Cohen, Dubois, Quadrat & Viot,
+IEEE TAC 1985): once a row repeats an earlier one, the sweep stops and
+closes off every later row count arithmetically.
 """
 from __future__ import annotations
 
@@ -56,7 +59,9 @@ class Limits:
     4^n profile pairs for the minimum solver) within memory; single-row
     grids are enumerated directly and only need the wider max_cols cap.
     max_state_bytes caps the estimated bytes a solve allocates, the cached
-    state and pair tables included.
+    state and pair tables included: the allocations tracemalloc sees, not
+    the process's RSS, to which the interpreter and the imports add about
+    30 MiB.
     """
 
     max_cols: int = 24
@@ -89,11 +94,17 @@ class SolveRequest:
 class SolveResult:
     """Exact optimum with an optional witness.
 
-    stats: "states" is the number of DP states materialized, "transitions"
-    n updates per state for each of the m - 1 row-to-row transition maxima
-    (the close-off reads the grouped maxima, not a transform),
-    "state_bytes" the estimate of allocated bytes the solve was checked
-    against (_need_bytes), "wall_s" the elapsed time.
+    stats: "states" is the number of DP states materialized over the rows
+    the sweep actually advanced through, "transitions" n updates per state
+    for each of those rows' row-to-row transition maxima, one fewer than
+    the rows (the close-off reads the grouped maxima, not a transform).
+    A sweep advances min(m, transient + period) rows: once its shifted
+    state after row transient + period repeats the one after row
+    "transient", every row count m >= transient follows with
+    optimum(m + period) = optimum(m) + "slope".  The three are None when
+    the sweep closed off m before finding a repeat.  "state_bytes" is the
+    estimate of allocated bytes the solve was checked against
+    (_need_bytes), "wall_s" the elapsed time.
     """
 
     dims: Dims
@@ -106,20 +117,14 @@ class SolveResult:
 # Bytes a solve allocates beyond its arrays: ufunc buffers, Python objects.
 _FIXED_BYTES = 1 << 20
 
-
-def _score_type(m: int, n: int):
-    """The narrowest signed dtype for an m×n sweep's scores, and its dead score.
-
-    A real score lies in [-mn, mn].  An unreachable (dead) state starts at
-    or below the dead score, -2^(bits - 2), and loses at most mn more over
-    the sweep, so neither wraps while mn < 2^(bits - 2): int16 up to
-    mn = 16383.
-    """
-    for dtype in (np.int16, np.int32, np.int64):
-        dead = -(1 << (np.iinfo(dtype).bits - 2))
-        if m * n < -dead:
-            break
-    return dtype, dead
+# Scores are int16 at every row count: each row's grouped maxima are shifted
+# to a maximum of 0.  For the maximum their spread is at most 2n, because the
+# empty row fits under every row; for the minimum _normalize checks the band.
+_DEAD = -(1 << 14)  # the score of an unreachable state
+_LIVE = _DEAD // 2  # scores at or above it are live
+_BAND = 1 << 12  # shifted live scores lie in [-_BAND, 0]
+_RING = 4  # how many rows back a row's shifted maxima are looked for
+_SCAN_BLOCK = 1 << 16  # the states _scan_back lists candidates from at a time
 
 
 def _group_bound(n: int) -> int:
@@ -144,7 +149,7 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
     the masks of the backward scan.
     """
     size, groups = 1 << n, _group_bound(n)
-    width = np.dtype(_score_type(m, n)[0]).itemsize
+    width = 2  # int16 scores
     # _state_tables: states, tb and rev (uint32), order (intp), pc (int8);
     # starts and group_keys (intp, one per group).  Its build peaks at 27
     # bytes a state, with the sorted tb and two masks, below every use.
@@ -153,23 +158,29 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
         # _min_single_row: covered (uint32, its stages before it) and ok;
         # the negated pc and _argmax_key's masks and uint32 pick
         return need + size * 24
-    # the grouped maxima; at a close-off, their int64 fit test and its mask
-    per_group = width + 9
-    # _scan_back: the fit mask and its uint32 stage, then _argmax_key's
-    # masks and uint32 pick
-    scan = 8 if want_witness else 0
+    # the grouped maxima and the _RING rows' maxima they are compared with;
+    # at a close-off, their int64 fit test and its mask
+    per_group = width * (_RING + 1) + 9
+    # _scan_back's candidates of one block, if every state there scored the
+    # target: the compare mask, the indices (intp) twice, their uint32 keys
+    # and key test
+    scan = _SCAN_BLOCK * 32 if want_witness else 0
     if objective is Objective.MAX_PERMISSIBLE:
-        # score, gain, z and the sorted copy of score; one score layer per
-        # row before the last for the witness
+        # score, gain, z and the sorted copy of score; a witness keeps one
+        # score layer per row before the last (the transient is not known
+        # in advance)
         layers = m - 1 if want_witness else 0
-        return need + size * (width * (4 + layers) + scan) + groups * per_group
+        return need + scan + size * width * (4 + layers) + groups * per_group
     # _pair_tables: reach (uint16) and invalid (bool), built at a peak of
     # 12 bytes a pair; score, z and one group's gathered rows or the read;
-    # one score layer per row after the first and before the last
+    # one score layer per row after the first and before the last; the
+    # close-off maxima of the rows a cycle repeats, and _argmax_key's masks
+    # and uint32 pick of the last row
     layers = max(m - 2, 0) if want_witness else 0
     pairs = size * size
-    return (need + pairs * max(12, 3 + width * (3 + layers))
-            + groups * size * per_group + size * scan)
+    pick = 8 if want_witness else 0
+    return (need + scan + pairs * max(12, 3 + width * (3 + layers))
+            + groups * size * per_group + size * (width * _RING + pick))
 
 
 def _check_limits(objective: Objective, m: int, n: int, want_witness: bool,
@@ -279,17 +290,23 @@ def _argmax_key(score: np.ndarray, fit: np.ndarray, rev: np.ndarray) -> int:
     return int(np.argmax(np.where(fit & (score == best), rev, 0)))
 
 
-def _scan_back(layers, below: list[int], key_u, rev, reach, full: int) -> tuple[int, ...]:
+def _scan_back(layers, offsets, below: list[int], target: int, key_u, rev, gain, reach,
+               full: int) -> tuple[int, ...]:
     """Rebuild a witness's rows, north first, from the scores after every row.
 
-    layers holds the score array after each row, the last row's last.
-    below starts with the virtual south row; for the minimum (reach given)
-    it also holds the last row, picked already.  Walking north, each row is
-    the _argmax_key over the rows u that fit the rows below, u fitting when
-    key_u[u] & block == 0: the set and the key the forward pass maximized
-    over, so the rows are those a stored argmax would give.
+    layers holds the shifted score array after each row, the last row's
+    last, and offsets what each layer's scores are shifted by.  below starts
+    with the virtual south row; for the minimum (reach given) it also holds
+    the last row, picked already.  target is the optimum's score, which
+    its state in the last layer has.  Walking north, a state's score less
+    the gain of its last row is the maximum over the rows u that fit the
+    rows below it, u fitting when key_u[u] & block == 0; that is the target
+    in the layer above.  So each row is the largest-rev fitting row among
+    those that score the target, the _argmax_key a stored argmax would
+    give, found from short lists of candidates, one block of states at a
+    time.
     """
-    for layer in reversed(layers):
+    for layer, offset in zip(reversed(layers), reversed(offsets)):
         if reach is None:
             # the maximum: u fits the row r below it when triple(u) ⊆ ~r
             scores, block = layer, below[-1]
@@ -298,8 +315,38 @@ def _scan_back(layers, below: list[int], key_u, rev, reach, full: int) -> tuple[
             # ~triple(u) ⊆ reach(c, d), scored at the state (u, c)
             c, d = below[-1], below[-2]
             scores, block = layer[:, c], full ^ int(reach[c, d])
-        below.append(_argmax_key(scores, (key_u & block) == 0, rev))
+        u = -1
+        for lo in range(0, len(scores), _SCAN_BLOCK):
+            cand = lo + np.flatnonzero(scores[lo:lo + _SCAN_BLOCK] == target - offset)
+            cand = cand[(key_u[cand] & block) == 0]
+            if cand.size:
+                pick = int(cand[np.argmax(rev[cand])])
+                if u < 0 or rev[pick] > rev[u]:
+                    u = pick
+        if u < 0:
+            raise SettleError("internal error: the backward scan lost the optimum's path")
+        below.append(u)
+        # the state in this layer gained the gain of its last row
+        target -= int(gain[u if reach is None else c])
     return tuple(reversed(below[1:]))
+
+
+def _normalize(grouped: np.ndarray) -> int:
+    """Shift grouped in place so that its maximum is 0; return the shift.
+
+    Dead scores are reset to _DEAD so that they do not drift.  A live score
+    below -_BAND raises SettleError: the next row could no longer tell it
+    from a dead one.
+    """
+    shift = int(grouped.max())
+    if shift < _LIVE:
+        raise SettleError("internal error: a row of the sweep has no live state")
+    grouped -= shift
+    low = grouped < -_BAND
+    if grouped.max(where=low, initial=_DEAD) >= _LIVE:
+        raise SettleError(f"internal error: live scores spread beyond {_BAND} in one row")
+    grouped[low] = _DEAD
+    return shift
 
 
 def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
@@ -311,29 +358,37 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     houses for the maximum, minus the houses for the minimum.  The maximum's
     state is indexed by the last row; the minimum's by the row above it and
     the last row, so that the north proposition can cover the last row.
-    The forward pass carries scores alone, in the narrowest dtype that
-    holds them (_score_type), and takes their maxima over the triple-mask
-    groups of axis 0, the oldest row.  The groups that fit the virtual
-    south row close off at m; scattered and run through the subset-maximum
-    transform, the groups are read at every real row to advance to m + 1.
-    With a witness, each row's scores are kept, and _scan_back rebuilds
-    the rows from the virtual south row up, breaking ties toward the
+    The forward pass carries int16 scores alone and takes their maxima over
+    the triple-mask groups of axis 0, the oldest row.  The grouped maxima
+    are the whole state of the sweep: the groups that fit the virtual south
+    row close off at m; scattered and run through the subset-maximum
+    transform, they are read at every real row to advance to m + 1.
+
+    Each row's grouped maxima are shifted to a maximum of 0 (_normalize),
+    the shift carried as a Python int.  The sweep is invariant under adding
+    a constant to every score, so once a row's shifted maxima equal those
+    of row m0, p <= _RING rows back, every later row repeats them with p
+    rows' gain d added (the cyclicity of max-plus linear recurrences): the
+    sweep stops advancing and closes off each later m from row
+    m0 + (m - m0) mod p.  With a witness, each row's scores are kept until
+    then, and _scan_back rebuilds the rows from the virtual south row up,
+    reusing the kept rows past m0 periodically.  Ties break toward the
     largest rev of each row, the last row first.
     """
     maximize = objective is Objective.MAX_PERMISSIBLE
+    sign = 1 if maximize else -1  # the optimum is sign * the best score
     bricked = boundary is Boundary.BRICKED
     top = rows[-1]
     need = _check_limits(objective, top, n, want_witness, limits)
     t0 = time.perf_counter()
     _, tb, order, starts, group_keys, pc, rev = _state_tables(n, bricked)
-    dtype, dead = _score_type(top, n)
     full = full_mask(n)
     size = 1 << n
     d_v = full if bricked else 0  # the virtual south row
     if maximize:
         # a row r admits the rows u above it with triple(u) ⊆ ~r: the fold
         # scatters at triple(u) and is read at full - r, which is z reversed
-        score = pc.astype(dtype)
+        score = pc.astype(np.int16)
         gain, reach, invalid = score.copy(), None, None
         key_u, scatter = tb, group_keys
         veto = d_v  # the bits a scatter key must miss to fit the south row
@@ -341,65 +396,112 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         # a row c admits the rows u above it with ~triple(u) ⊆ reach(c, d):
         # the fold scatters at full - triple(u) and is read at reach
         reach, invalid = _pair_tables(n, bricked)
-        gain = -pc.astype(dtype)
-        score = np.full((size, size), dead, dtype=dtype)
+        gain = -pc.astype(np.int16)
+        score = np.full((size, size), _DEAD, dtype=np.int16)
         score[0] = gain  # row 1 sits under the virtual empty north row
         key_u, scatter = full ^ tb, full - group_keys
         veto = full ^ reach[:, d_v]  # per last row: the lots only north covers
         cols = np.arange(size)[:, None]
     scatter_u = scatter.reshape((-1,) + (1,) * (score.ndim - 1))
-    z = np.empty_like(score)
-    closing = set(rows)
+    # _scan_back reads the scores after rows first.. (the minimum's row 1
+    # is picked from row 2's states)
+    first = score.ndim
     layers: list[np.ndarray] = []
+    offsets: list[int] = []
+    ring: list[tuple[int, np.ndarray, int]] = []  # (row, shifted maxima, shift)
+    offset = 0  # true scores are score + offset (grouped + offset once shifted)
+    cycle = None  # (m0, p, d) once found
+
+    def close(grouped: np.ndarray) -> np.ndarray:
+        """The transition maxima into the virtual south row (per last row
+        for the minimum), over the groups that fit it."""
+        s = np.where((scatter_u & veto) == 0, grouped, _DEAD).max(axis=0)
+        if not maximize:
+            s[invalid[:, d_v]] = _DEAD  # the last row must fit the south row
+        return s
+
+    def layer_at(k: int) -> tuple[np.ndarray, int]:
+        if cycle is None or k <= cycle[0]:
+            return layers[k - first], offsets[k - first]
+        m0, p, d = cycle
+        turns, j = divmod(k - m0 - 1, p)
+        return layers[m0 + 1 + j - first], offsets[m0 + 1 + j - first] + d * turns
+
+    def finish(m: int, s: np.ndarray, shift: int, advanced: int) -> SolveResult:
+        best = int(s.max())
+        if best < _LIVE:
+            raise SettleError(f"no maximal configuration found for {m}x{n} (internal error)")
+        dims = Dims(m, n, boundary)
+        witness = None
+        if want_witness:
+            # the minimum's last row is still an axis: pick it first
+            below = [d_v] if maximize else [d_v, _argmax_key(s, ~invalid[:, d_v], rev)]
+            kept, shifts = zip(*map(layer_at, range(first, m + 1)))
+            witness = Configuration(dims, _scan_back(
+                kept, shifts, below, best + shift, key_u, rev, gain, reach, full))
+        m0, p, d = cycle or (None, None, None)
+        result = SolveResult(
+            dims,
+            objective,
+            sign * (best + shift),
+            witness,
+            {
+                "states": advanced * score.size,
+                "transitions": (advanced - 1) * n * score.size,
+                "state_bytes": need,
+                "transient": m0,
+                "period": p,
+                "slope": None if d is None else sign * d,
+                "wall_s": time.perf_counter() - t0,
+            },
+        )
+        _validate_witness(result)
+        return result
+
+    z = np.empty_like(score)
+    wanted = iter(rows)
+    want = next(wanted)
     for m in range(1, top + 1):
-        grouped = _group_maxima(score, order, starts)
-        if m in closing:
-            # the transition maximum into the virtual south row, taken over
-            # the groups that fit it: the transform is not needed for it
-            s = np.where((scatter_u & veto) == 0, grouped, dead).max(axis=0)
-            if not maximize:
-                s[invalid[:, d_v]] = dead  # the last row must fit the south row
-            best = int(s.max())
-            if best <= dead:
-                raise SettleError(f"no maximal configuration found for {m}x{n} (internal error)")
-            dims = Dims(m, n, boundary)
-            witness = None
-            if want_witness:
-                # the minimum's last row is still an axis: pick it first
-                below = [d_v] if maximize else [d_v, _argmax_key(s, ~invalid[:, d_v], rev)]
-                witness = Configuration(
-                    dims, _scan_back(layers + [score], below, key_u, rev, reach, full))
-            result = SolveResult(
-                dims,
-                objective,
-                best if maximize else -best,
-                witness,
-                {
-                    "states": m * score.size,
-                    "transitions": (m - 1) * n * score.size,
-                    "state_bytes": need,
-                    "wall_s": time.perf_counter() - t0,
-                },
-            )
-            _validate_witness(result)
-            yield result
-        if m == top:
-            return
-        z.fill(dead)
-        z[scatter] = grouped
-        del grouped  # spent arrays go at once: _need_bytes counts on it
-        _subset_max_inplace(z, n)
-        # _scan_back reads this row's scores once the row a state drops on
-        # advancing is a real row, that is once m reaches the rows it keeps
-        if want_witness and m >= score.ndim:
+        if want_witness and m >= first:
             layers.append(score)
+            offsets.append(offset)
+        grouped = _group_maxima(score, order, starts)
+        offset += _normalize(grouped)
+        del ring[:-_RING]
+        # at most one row matches: two would have matched each other before
+        for row, seen, seen_offset in ring:
+            if np.array_equal(grouped, seen):
+                cycle = (row, m - row, offset - seen_offset)
+                break
+        ring.append((m, grouped, offset))
+        if m == want:
+            yield finish(m, close(grouped), offset, m)
+            want = next(wanted, None)
+            if want is None:
+                return
+        if cycle is not None:
+            break
+        z.fill(_DEAD)
+        z[scatter] = grouped
+        _subset_max_inplace(z, n)
+        if layers and layers[-1] is score:
             score = np.empty_like(z)
         if maximize:
             np.add(z[::-1], gain, out=score)
         else:
             np.add(z[reach, cols], gain, out=score)
-            score[invalid] = dead
+            score[invalid] = _DEAD
         _check_wall(t0, limits)
+    # the sweep stopped at row m = m0 + p: every later row count repeats
+    # one of the rows m0..m - 1, kept in the ring
+    m0, p, d = cycle
+    bases = {row: (close(seen), seen_offset) for row, seen, seen_offset in ring
+             if m0 <= row < m}
+    while want is not None:
+        turns, j = divmod(want - m0, p)
+        s, shift = bases[m0 + j]
+        yield finish(want, s, shift + d * turns, m)
+        want = next(wanted, None)
 
 
 def solve_max(req: SolveRequest) -> SolveResult:
@@ -428,6 +530,7 @@ def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
     result = SolveResult(
         req.dims, req.objective, optimum, witness,
         {"states": 1 << n, "transitions": 1 << n, "state_bytes": need,
+         "transient": None, "period": None, "slope": None,
          "wall_s": time.perf_counter() - t0},
     )
     _validate_witness(result)

@@ -118,6 +118,15 @@ class TestSolve:
         assert payload["witness"]["rows"] == 3
         assert "wall_s" in payload["stats"]
 
+    def test_json_stats_report_the_cycle(self):
+        # 3 rows end before the sweep of width 9 repeats a row; 30 rows do not
+        short, long = (json.loads(invoke("solve", "--rows", str(m), "--cols", "9",
+                                         "--json").output)["stats"] for m in (3, 30))
+        assert (short["transient"], short["period"], short["slope"]) == (None, None, None)
+        assert short["states"] == 3 * 512
+        assert long["period"] >= 1 and 3 < long["transient"] + long["period"] <= 30
+        assert long["states"] == (long["transient"] + long["period"]) * 512
+
     def test_json_stats_report_the_checked_byte_estimate(self):
         for objective, m, n in [("max", 3, 5), ("min", 4, 6), ("min", 1, 9)]:
             res = invoke("solve", "--objective", objective, "--rows", str(m),
@@ -211,6 +220,17 @@ class TestTable:
                      "--golden", str(GOLDEN / "table4.json"))
         assert res.exit_code == 2
         assert "is not a table" in res.output
+
+    def test_long_column_follows_its_cycle(self):
+        res = invoke("table", "--objective", "max", "--rows", "2..2000", "--cols", "16", "--json")
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert payload["errors"] == []
+        column = {m: line[0] for m, line in zip(payload["rows"], payload["values"])}
+        stats = json.loads(invoke("solve", "--rows", "40", "--cols", "16", "--json").output)["stats"]
+        m0, p, d = stats["transient"], stats["period"], stats["slope"]
+        assert m0 + p <= 40
+        assert all(column[m + p] == column[m] + d for m in range(max(m0, 2), 2001 - p))
 
     def test_single_value_ranges(self):
         res = invoke("table", "--rows", "4", "--cols", "5", "--json")

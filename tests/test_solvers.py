@@ -2,23 +2,26 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import max_result, min_result
+from conftest import GOLDEN, max_result, min_result
 from settle.bounds import i_lower_bound, r_recurrence
-from settle.errors import LimitError
+from settle.errors import LimitError, SettleError
 from settle.grid import Boundary, Configuration, Dims
 from settle.rows import bit_reverse, covered_mask
 from settle.solvers import (
     Limits,
     Objective,
     SolveRequest,
+    _BAND,
+    _DEAD,
+    _normalize,
     _need_bytes,
     _pair_tables,
-    _score_type,
     _state_tables,
     _sweep,
     brute_force,
@@ -226,7 +229,10 @@ class TestSweep:
 
     # sha256 of the witness rows (" "-joined row masks) as a DP that stores
     # an argmax predecessor per state gives them: they pin the tie-break at
-    # widths where the scores are int16 and the backward scan runs
+    # widths where the scores are int16 and the backward scan runs.  The
+    # grids past 14x20 and 9x11 lie past the row where the sweep finds its
+    # cycle, so their scans reuse the kept rows periodically; their digests
+    # were recorded from a sweep that advanced through every row.
     @pytest.mark.parametrize("objective, m, n, boundary, optimum, digest", [
         (Objective.MAX_PERMISSIBLE, 14, 20, Boundary.FREE, 211,
          "e56ba602e23b619970c59a86605990e9ab5d439ccb9ab22712e3c6753df688c0"),
@@ -236,7 +242,21 @@ class TestSweep:
          "7ceb0c4f089919c97dd1274e2e7f77d5d1982b43f3aeadaac39a5041b17e6df8"),
         (Objective.MIN_MAXIMAL, 9, 11, Boundary.BRICKED, 48,
          "51eeb8815d7c13053661e4099cfb15b083a531e694d29cde8d3d3a8ce087a9f6"),
-    ], ids=["max-free", "max-bricked", "min-free", "min-bricked"])
+        (Objective.MAX_PERMISSIBLE, 60, 16, Boundary.FREE, 721,
+         "1c1eacac12d3992da672bd5f3854c5196c96d0125d66679a466e0096c9a01987"),
+        (Objective.MAX_PERMISSIBLE, 60, 16, Boundary.BRICKED, 687,
+         "73ae2a905d0b609ce79c294541ff0d2a58774c8b82666059f51f5d4a39f7a73e"),
+        (Objective.MAX_PERMISSIBLE, 40, 20, Boundary.FREE, 601,
+         "7a4b5605ef410453b048239d7a010abd180b89c6e5737ddc1419f8368b3dac97"),
+        (Objective.MAX_PERMISSIBLE, 40, 20, Boundary.BRICKED, 576,
+         "614dc07ec2b0ebfd64b69c711063a8b8ea0b1132462be4f40cbc4e43f34cbd28"),
+        (Objective.MIN_MAXIMAL, 30, 10, Boundary.FREE, 180,
+         "e5967996211a6f3ea40ad1f99f5043687b3ab706bd6771663c142b16aa62787e"),
+        (Objective.MIN_MAXIMAL, 30, 10, Boundary.BRICKED, 150,
+         "f40a4ba5e8b56ec14992cfff6fc90bb8de3d9ec7cd0316de8f1e9b7a82e3de5c"),
+    ], ids=["max-free", "max-bricked", "min-free", "min-bricked",
+            "max-60x16-free", "max-60x16-bricked", "max-40x20-free", "max-40x20-bricked",
+            "min-30x10-free", "min-30x10-bricked"])
     def test_wide_witnesses_keep_their_rows(self, objective, m, n, boundary, optimum, digest):
         res = solve(SolveRequest(Dims(m, n, boundary), objective))
         assert res.optimum == optimum
@@ -253,13 +273,80 @@ class TestSweep:
         assert {e["error"] for e in out["errors"]} == {"wall time cap of 0.0s exceeded"}
 
 
+class TestPeriodicSweep:
+    """The sweep stops at its cycle and closes off later rows arithmetically."""
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_tables_equal_the_full_sweep(self, objective, boundary):
+        # golden/sweep_tables.json: E for m <= 60, n <= 16 and I for m <= 40,
+        # n <= 10, recorded from a sweep that advanced through every row
+        golden = json.loads((GOLDEN / "sweep_tables.json").read_text())
+        want = golden[objective.value][boundary.value]
+        got = table(objective, want["rows"], want["cols"], boundary)
+        assert got["errors"] == []
+        assert got["values"] == want["values"]
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("objective, n", [
+        (Objective.MAX_PERMISSIBLE, 9), (Objective.MAX_PERMISSIBLE, 16),
+        (Objective.MIN_MAXIMAL, 7), (Objective.MIN_MAXIMAL, 10),
+    ])
+    def test_stats_report_the_cycle(self, objective, n, boundary):
+        rows = list(range(2, 41))
+        swept = list(_sweep(objective, n, boundary, rows, False, Limits()))
+        size = 1 << (n if objective is Objective.MAX_PERMISSIBLE else 2 * n)
+        found = [res for res in swept if res.stats["period"] is not None]
+        assert found, "no cycle within 40 rows"
+        m0, p, d = (found[0].stats[k] for k in ("transient", "period", "slope"))
+        advanced = m0 + p
+        assert found[0].dims.rows == max(advanced, rows[0])
+        optimum = {res.dims.rows: res.optimum for res in swept}
+        for res in swept:
+            m = res.dims.rows
+            assert res.stats["states"] == min(m, advanced) * size
+            assert res.stats["transitions"] == (min(m, advanced) - 1) * n * size
+            if m < advanced:
+                assert res.stats["period"] is None
+            else:
+                assert (res.stats["transient"], res.stats["period"], res.stats["slope"]) == \
+                    (m0, p, d)
+            if m >= m0 and m + p in optimum:
+                assert optimum[m + p] == res.optimum + d
+
+    def test_long_strips(self):
+        # E(m, 3) follows r_recurrence and I(m, n) follows i_lower_bound at
+        # every m; the sweeps stop within a dozen rows
+        rows = sorted({*range(2, 200), *range(200, 10**5, 997), 10**5})
+        spot = {2, 3, 57, 199, 1197, 54032, 10**5 - 1, 10**5}
+        for res in _sweep(Objective.MAX_PERMISSIBLE, 3, Boundary.FREE, sorted(spot), False,
+                          Limits()):
+            assert res.optimum == r_recurrence(res.dims.rows, 3), res.dims
+            assert res.stats["states"] <= 12 * 8
+        for n in range(3, 9):
+            for res in _sweep(Objective.MIN_MAXIMAL, n, Boundary.FREE, rows, False, Limits()):
+                assert res.optimum == i_lower_bound(res.dims.rows, n), res.dims
+                assert res.stats["states"] <= 12 * 4**n
+
+    def test_normalize_shifts_and_checks_the_band(self):
+        # dead scores drift by a row's gain and shift; they go back to _DEAD
+        grouped = np.array([5, 3, 5 - _BAND, _DEAD + 7, _DEAD - 4], dtype=np.int16)
+        assert _normalize(grouped) == 5
+        assert grouped.tolist() == [0, -2, -_BAND, _DEAD, _DEAD]
+        # a live score out of the band raises rather than pass for dead later
+        with pytest.raises(SettleError):
+            _normalize(np.array([0, -_BAND - 1], dtype=np.int16))
+        with pytest.raises(SettleError):
+            _normalize(np.array([_DEAD, _DEAD - 3], dtype=np.int16))
+
+
 class TestScoreWidth:
-    """Long three-column sweeps, where r_recurrence and i_lower_bound are exact."""
+    """Long three-column sweeps, where r_recurrence and i_lower_bound are exact.
+
+    The optima pass the int16 range; the scores the sweep carries do not.
+    """
 
     def test_int16_holds_up_to_its_bound(self):
-        assert _score_type(5461, 3)[0] == np.int16  # mn = 16383
-        assert _score_type(5462, 3)[0] == np.int32
-        # the widest int16 sweeps: dead minimum states may sink to -32767
         res = next(_sweep(Objective.MAX_PERMISSIBLE, 3, Boundary.FREE, [5461], False, Limits()))
         assert res.optimum == r_recurrence(5461, 3)
         res = next(_sweep(Objective.MIN_MAXIMAL, 3, Boundary.FREE, [5461], False, Limits()))
@@ -296,10 +383,12 @@ class TestStateBytes:
         (Objective.MAX_PERMISSIBLE, 9, 14),
         (Objective.MAX_PERMISSIBLE, 3, 18),
         (Objective.MAX_PERMISSIBLE, 20, 12),
+        (Objective.MAX_PERMISSIBLE, 200, 12),
         (Objective.MIN_MAXIMAL, 1, 18),
         (Objective.MIN_MAXIMAL, 3, 3),
         (Objective.MIN_MAXIMAL, 6, 8),
         (Objective.MIN_MAXIMAL, 3, 10),
+        (Objective.MIN_MAXIMAL, 50, 8),
     ])
     @pytest.mark.parametrize("witness", [False, True])
     def test_traced_peak_within_estimate(self, objective, m, n, boundary, witness):
