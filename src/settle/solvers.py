@@ -150,37 +150,35 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
     """
     size, groups = 1 << n, _group_bound(n)
     width = 2  # int16 scores
-    # _state_tables: states, tb and rev (uint32), order (intp), pc (int8);
-    # starts and group_keys (intp, one per group).  Its build peaks at 27
-    # bytes a state, with the sorted tb and two masks, below every use.
-    need = _FIXED_BYTES + size * 21 + groups * 16
+    # _state_tables: tb (uint32), order (intp), pc (int8); starts and
+    # group_keys (intp, one per group).  Its build peaks at 19 bytes a
+    # state, with the sorted tb and two masks, below every use.
+    need = _FIXED_BYTES + size * 13 + groups * 16
+    # a _pick over one block, if every state there is a candidate: the
+    # compare mask, the indices (intp) twice, their uint32 keys and key
+    # test, or the indices and three int64 stages of their rev
+    pick = _SCAN_BLOCK * 32 if want_witness else 0
     if objective is Objective.MIN_MAXIMAL and m == 1:
-        # _min_single_row: covered (uint32, its stages before it) and ok;
-        # the negated pc and _argmax_key's masks and uint32 pick
-        return need + size * 24
+        # _min_single_row: states, covered and covered_mask's stages
+        # (uint32), then ok and the scores the pick reads
+        return need + pick + size * 20
     # the grouped maxima and the _RING rows' maxima they are compared with;
     # at a close-off, their int64 fit test and its mask
     per_group = width * (_RING + 1) + 9
-    # _scan_back's candidates of one block, if every state there scored the
-    # target: the compare mask, the indices (intp) twice, their uint32 keys
-    # and key test
-    scan = _SCAN_BLOCK * 32 if want_witness else 0
     if objective is Objective.MAX_PERMISSIBLE:
         # score, gain, z and the sorted copy of score; a witness keeps one
         # score layer per row before the last (the transient is not known
         # in advance)
         layers = m - 1 if want_witness else 0
-        return need + scan + size * width * (4 + layers) + groups * per_group
-    # _pair_tables: reach (uint16) and invalid (bool), built at a peak of
-    # 12 bytes a pair; score, z and one group's gathered rows or the read;
-    # one score layer per row after the first and before the last; the
-    # close-off maxima of the rows a cycle repeats, and _argmax_key's masks
-    # and uint32 pick of the last row
+        return need + pick + size * width * (4 + layers) + groups * per_group
+    # _pair_tables: reach (uint16), built at a peak of 12 bytes a pair;
+    # score, z and one group's gathered rows or the read; one score layer
+    # per row after the first and before the last; the close-off maxima of
+    # the rows a cycle repeats
     layers = max(m - 2, 0) if want_witness else 0
     pairs = size * size
-    pick = 8 if want_witness else 0
-    return (need + scan + pairs * max(12, 3 + width * (3 + layers))
-            + groups * size * per_group + size * (width * _RING + pick))
+    return (need + pick + pairs * max(12, 2 + width * (3 + layers))
+            + groups * size * per_group + size * width * _RING)
 
 
 def _check_limits(objective: Objective, m: int, n: int, want_witness: bool,
@@ -222,34 +220,36 @@ def _state_tables(n: int, bricked: bool):
     """Per-state masks shared by solver calls of equal width and border."""
     states = np.arange(1 << n, dtype=np.uint32)
     pc = np.bitwise_count(states).astype(np.int8)
-    rev = bit_reverse(states, n)
     tb = triple_mask(states, n, bricked)
+    del states  # so that the build peaks below a max sweep's use
     order = np.argsort(tb, kind="stable")
     tb_sorted = tb[order]
     starts = np.flatnonzero(np.r_[True, tb_sorted[1:] != tb_sorted[:-1]])
     group_keys = tb_sorted[starts].astype(np.intp)
-    return states, tb, order, starts, group_keys, pc, rev
+    return tb, order, starts, group_keys, pc
 
 
 @lru_cache(maxsize=4)
-def _pair_tables(n: int, bricked: bool):
-    """(c, d)-indexed tables for the pair solver: reach and invalid.
+def _pair_tables(n: int, bricked: bool) -> np.ndarray:
+    """The (c, d)-indexed reach table of the pair solver.
 
     c is the current row and d the row below.  reach holds the houses of c
     and the empty lots of c that the east, west and center propositions
     cover; the north proposition must cover the rest, so a row u above c
-    fits when triple(u) ⊇ ~reach, that is ~triple(u) ⊆ reach.  invalid marks
-    the pairs where d blocks a house of c.
+    fits when triple(u) ⊇ ~reach, that is ~triple(u) ⊆ reach.  reach is 0
+    where d blocks a house of c (c ≠ 0 there; elsewhere reach ⊇ c).
     """
-    states, tb, _, _, _, _, _ = _state_tables(n, bricked)
+    states = np.arange(1 << n, dtype=np.uint32)
     c, d = states[:, None], states[None, :]
     # built in place: one (c, d) array of uint32 plus one proposition at a time
     reach = prop_east_mask(c, d, n, bricked)
     reach |= prop_west_mask(c, d, n, bricked)
     reach |= prop_center_mask(c, d, n, bricked)
     reach |= c
-    invalid = (tb[:, None] & d) != 0
-    return reach.astype(np.uint16), invalid
+    # key 0 fits only u = full on the bricked border, and (full, c) is itself
+    # blocked for every c ≠ 0: dead from row 1 on, so blocked pairs read dead
+    reach[(triple_mask(c, n, bricked) & d) != 0] = 0
+    return reach.astype(np.uint16)
 
 
 def _subset_max_inplace(z: np.ndarray, n: int):
@@ -279,19 +279,26 @@ def _group_maxima(score: np.ndarray, order: np.ndarray, starts: np.ndarray) -> n
     return grouped
 
 
-def _argmax_key(score: np.ndarray, fit: np.ndarray, rev: np.ndarray) -> int:
-    """The index u with the largest (score[u] << n) | rev[u] where fit holds.
+def _pick(scores: np.ndarray, target: int, key: np.ndarray, block: int, n: int) -> int:
+    """The u with scores[u] == target and key[u] & block == 0 of largest
+    rev(u), its n bits reversed (every solver's tie-break), or -1 if none.
 
-    That is the highest score, ties broken toward the largest rev, found
-    without packing the two.  rev is a permutation in which only 0 maps to
-    0, so an all-zero pick leaves index 0, the one candidate then.
+    rev is computed for the candidates alone, one _SCAN_BLOCK at a time.
     """
-    best = np.max(score, where=fit, initial=np.iinfo(score.dtype).min)
-    return int(np.argmax(np.where(fit & (score == best), rev, 0)))
+    u, u_rev = -1, -1
+    for lo in range(0, len(scores), _SCAN_BLOCK):
+        cand = lo + np.flatnonzero(scores[lo:lo + _SCAN_BLOCK] == target)
+        cand = cand[(key[cand] & block) == 0]
+        if cand.size:
+            rev = bit_reverse(cand, n)
+            i = int(np.argmax(rev))
+            if rev[i] > u_rev:
+                u, u_rev = int(cand[i]), int(rev[i])
+    return u
 
 
-def _scan_back(layers, offsets, below: list[int], target: int, key_u, rev, gain, reach,
-               full: int) -> tuple[int, ...]:
+def _scan_back(layers, offsets, below: list[int], target: int, key_u, gain, reach,
+               n: int) -> tuple[int, ...]:
     """Rebuild a witness's rows, north first, from the scores after every row.
 
     layers holds the shifted score array after each row, the last row's
@@ -301,10 +308,8 @@ def _scan_back(layers, offsets, below: list[int], target: int, key_u, rev, gain,
     its state in the last layer has.  Walking north, a state's score less
     the gain of its last row is the maximum over the rows u that fit the
     rows below it, u fitting when key_u[u] & block == 0; that is the target
-    in the layer above.  So each row is the largest-rev fitting row among
-    those that score the target, the _argmax_key a stored argmax would
-    give, found from short lists of candidates, one block of states at a
-    time.
+    in the layer above.  So each row is the _pick among the fitting rows
+    that score the target, the row a stored argmax would give.
     """
     for layer, offset in zip(reversed(layers), reversed(offsets)):
         if reach is None:
@@ -314,15 +319,8 @@ def _scan_back(layers, offsets, below: list[int], target: int, key_u, rev, gain,
             # the minimum: u fits the rows (c, d) below it when
             # ~triple(u) ⊆ reach(c, d), scored at the state (u, c)
             c, d = below[-1], below[-2]
-            scores, block = layer[:, c], full ^ int(reach[c, d])
-        u = -1
-        for lo in range(0, len(scores), _SCAN_BLOCK):
-            cand = lo + np.flatnonzero(scores[lo:lo + _SCAN_BLOCK] == target - offset)
-            cand = cand[(key_u[cand] & block) == 0]
-            if cand.size:
-                pick = int(cand[np.argmax(rev[cand])])
-                if u < 0 or rev[pick] > rev[u]:
-                    u = pick
+            scores, block = layer[:, c], full_mask(n) ^ int(reach[c, d])
+        u = _pick(scores, target - offset, key_u, block, n)
         if u < 0:
             raise SettleError("internal error: the backward scan lost the optimum's path")
         below.append(u)
@@ -381,7 +379,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     top = rows[-1]
     need = _check_limits(objective, top, n, want_witness, limits)
     t0 = time.perf_counter()
-    _, tb, order, starts, group_keys, pc, rev = _state_tables(n, bricked)
+    tb, order, starts, group_keys, pc = _state_tables(n, bricked)
     full = full_mask(n)
     size = 1 << n
     d_v = full if bricked else 0  # the virtual south row
@@ -389,13 +387,13 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         # a row r admits the rows u above it with triple(u) ⊆ ~r: the fold
         # scatters at triple(u) and is read at full - r, which is z reversed
         score = pc.astype(np.int16)
-        gain, reach, invalid = score.copy(), None, None
+        gain, reach = score.copy(), None
         key_u, scatter = tb, group_keys
         veto = d_v  # the bits a scatter key must miss to fit the south row
     else:
         # a row c admits the rows u above it with ~triple(u) ⊆ reach(c, d):
         # the fold scatters at full - triple(u) and is read at reach
-        reach, invalid = _pair_tables(n, bricked)
+        reach = _pair_tables(n, bricked)
         gain = -pc.astype(np.int16)
         score = np.full((size, size), _DEAD, dtype=np.int16)
         score[0] = gain  # row 1 sits under the virtual empty north row
@@ -415,10 +413,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     def close(grouped: np.ndarray) -> np.ndarray:
         """The transition maxima into the virtual south row (per last row
         for the minimum), over the groups that fit it."""
-        s = np.where((scatter_u & veto) == 0, grouped, _DEAD).max(axis=0)
-        if not maximize:
-            s[invalid[:, d_v]] = _DEAD  # the last row must fit the south row
-        return s
+        return np.where((scatter_u & veto) == 0, grouped, _DEAD).max(axis=0)
 
     def layer_at(k: int) -> tuple[np.ndarray, int]:
         if cycle is None or k <= cycle[0]:
@@ -435,10 +430,10 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         witness = None
         if want_witness:
             # the minimum's last row is still an axis: pick it first
-            below = [d_v] if maximize else [d_v, _argmax_key(s, ~invalid[:, d_v], rev)]
+            below = [d_v] if maximize else [d_v, _pick(s, best, tb, d_v, n)]
             kept, shifts = zip(*map(layer_at, range(first, m + 1)))
             witness = Configuration(dims, _scan_back(
-                kept, shifts, below, best + shift, key_u, rev, gain, reach, full))
+                kept, shifts, below, best + shift, key_u, gain, reach, n))
         m0, p, d = cycle or (None, None, None)
         result = SolveResult(
             dims,
@@ -490,7 +485,6 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             np.add(z[::-1], gain, out=score)
         else:
             np.add(z[reach, cols], gain, out=score)
-            score[invalid] = _DEAD
         _check_wall(t0, limits)
     # the sweep stopped at row m = m0 + p: every later row count repeats
     # one of the rows m0..m - 1, kept in the ring
@@ -518,18 +512,20 @@ def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
     n = req.dims.cols
     bricked = req.dims.boundary is Boundary.BRICKED
     full = full_mask(n)
-    states, tb, _, _, _, pc, rev = _state_tables(n, bricked)
+    tb, _, _, _, pc = _state_tables(n, bricked)
+    states = np.arange(1 << n, dtype=np.uint32)
     d_v = np.uint32(full if bricked else 0)
     # the empty north row covers nothing, so every empty lot needs cover
     covered = covered_mask(np.uint32(0), states, d_v, n, bricked)
     ok = ((tb & d_v) == 0) & ((covered | states) == full)
-    # the sweep's key: fewest houses, then the largest rev
-    best = _argmax_key(-pc, ok, rev)
-    optimum = int(pc[best])
-    witness = Configuration(req.dims, (best,)) if req.want_witness else None
+    # the sweep's tie-break: fewest houses, then the largest rev
+    optimum = int(pc.min(where=ok, initial=n))
+    witness = None
+    if req.want_witness:
+        witness = Configuration(req.dims, (_pick(np.where(ok, pc, -1), optimum, tb, 0, n),))
     result = SolveResult(
         req.dims, req.objective, optimum, witness,
-        {"states": 1 << n, "transitions": 1 << n, "state_bytes": need,
+        {"states": 1 << n, "transitions": 0, "state_bytes": need,
          "transient": None, "period": None, "slope": None,
          "wall_s": time.perf_counter() - t0},
     )

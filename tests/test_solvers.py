@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conftest import GOLDEN, max_result, min_result
 from settle.bounds import i_lower_bound, r_recurrence
 from settle.errors import LimitError, SettleError
 from settle.grid import Boundary, Configuration, Dims
-from settle.rows import bit_reverse, covered_mask
+from settle.rows import bit_reverse, covered_mask, full_mask, triple_mask
 from settle.solvers import (
     Limits,
     Objective,
@@ -74,10 +75,6 @@ class TestMaxSolver:
         with pytest.raises(LimitError):
             solve_max(SolveRequest.maximum(8, 12, limits=limits))
 
-    def test_stats_present(self):
-        res = max_result(3, 6)
-        assert res.stats["states"] == 3 * 64
-        assert res.stats["wall_s"] >= 0
 
 
 class TestMinSolver:
@@ -159,6 +156,19 @@ class TestDispatchAndTable:
     def test_solve_dispatches_by_objective(self):
         assert solve(SolveRequest.maximum(3, 3)).optimum == max_result(3, 3).optimum
         assert solve(SolveRequest.minimum(3, 3)).optimum == min_result(3, 3).optimum
+
+    # transitions: n updates per state for each row after the first
+    @pytest.mark.parametrize("req, states, transitions", [
+        (SolveRequest.maximum(3, 6), 3 * 64, 2 * 6 * 64),
+        (SolveRequest.maximum(1, 9), 512, 0),
+        (SolveRequest.minimum(1, 9), 512, 0),
+        (SolveRequest.minimum(1, 9, Boundary.BRICKED), 512, 0),
+    ], ids=["max-3x6", "max-1x9", "min-1x9", "min-1x9-bricked"])
+    def test_stats_present(self, req, states, transitions):
+        res = solve(req)
+        assert res.stats["states"] == states
+        assert res.stats["transitions"] == transitions
+        assert res.stats["wall_s"] >= 0
 
     def test_table_values_and_shape(self):
         out = table(Objective.MAX_PERMISSIBLE, range(2, 5), range(2, 7))
@@ -328,6 +338,26 @@ class TestPeriodicSweep:
                 assert res.optimum == i_lower_bound(res.dims.rows, n), res.dims
                 assert res.stats["states"] <= 12 * 4**n
 
+    def test_growth_rate_per_row(self):
+        # E grows by (3n + n mod 2)/4 houses a row on the free border; the
+        # bricked rate at n is the free rate at n + 2 less 2, criterion 08's
+        # identity per row.  r_recurrence's rate is exact except at
+        # n = 2 (mod 4), where it is larger.
+        def free_rate(n):
+            return Fraction(3 * n + n % 2, 4)
+
+        for boundary in Boundary:
+            for n in range(3, 21):
+                res = next(_sweep(Objective.MAX_PERMISSIBLE, n, boundary, [100], False,
+                                  Limits()))
+                rate = Fraction(res.stats["slope"], res.stats["period"])
+                if boundary is Boundary.BRICKED:
+                    assert rate == free_rate(n + 2) - 2, n
+                    continue
+                assert rate == free_rate(n), n
+                bound = Fraction(r_recurrence(400, n) - r_recurrence(200, n), 200)
+                assert bound > rate if n % 4 == 2 else bound == rate, n
+
     def test_normalize_shifts_and_checks_the_band(self):
         # dead scores drift by a row's gain and shift; they go back to _DEAD
         grouped = np.array([5, 3, 5 - _BAND, _DEAD + 7, _DEAD - 4], dtype=np.int16)
@@ -402,6 +432,26 @@ class TestStateBytes:
         finally:
             tracemalloc.stop()
         assert peak <= _need_bytes(objective, m, n, witness)
+
+
+class TestPairRule:
+    """The facts the pair solver's one reach table rests on."""
+
+    def test_only_the_bricked_full_row_has_a_full_triple(self):
+        for n in range(1, 17):
+            states = np.arange(1 << n, dtype=np.uint32)
+            for bricked in (False, True):
+                full = np.flatnonzero(triple_mask(states, n, bricked) == full_mask(n))
+                assert full.tolist() == ([full_mask(n)] if bricked else []), (n, bricked)
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_reach_is_zero_on_exactly_the_blocked_pairs(self, bricked):
+        for n in range(1, 11):
+            states = np.arange(1 << n, dtype=np.uint32)
+            c, d = states[:, None], states[None, :]
+            reach = _pair_tables(n, bricked)
+            blocked = (triple_mask(c, n, bricked) & d) != 0
+            assert np.array_equal((reach == 0) & (c != 0), blocked), n
 
 
 class TestRowHelpers:
