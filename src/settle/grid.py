@@ -164,9 +164,16 @@ class Configuration:
         return [cell for i in range(1, self.dims.rows + 1)
                 for cell in _bit_cells(i, self._blocked_mask(i))]
 
+    def _windows(self):
+        """(north, row, south) for every row, north first, virtual rows included."""
+        south = full_mask(self.dims.cols) if self._bricked else 0
+        padded = (0, *self.row_bits, south)
+        return zip(padded, padded[1:], padded[2:])
+
     def is_permissible(self) -> bool:
         """True iff no house is blocked."""
-        return not any(self._blocked_mask(i) for i in range(1, self.dims.rows + 1))
+        n, b = self.dims.cols, self._bricked
+        return not any(triple_mask(c, n, b) & d for _, c, d in self._windows())
 
     # -- propositions and maximality ------------------------------------------
 
@@ -216,9 +223,10 @@ class Configuration:
 
     def is_maximal(self) -> bool:
         """True iff permissible and no empty lot is addable."""
-        return self.is_permissible() and not any(
-            self._addable_mask(i) for i in range(1, self.dims.rows + 1)
-        )
+        n, b = self.dims.cols, self._bricked
+        full = full_mask(n)
+        return not any(triple_mask(c, n, b) & d or ~(c | covered_mask(u, c, d, n, b)) & full
+                       for u, c, d in self._windows())
 
     def greedy_complete(self) -> Configuration:
         """Fill every addable lot in one row-major, north-first scan.

@@ -58,10 +58,10 @@ class Limits:
     Column caps keep the state spaces (2^n profiles for the maximum solver,
     4^n profile pairs for the minimum solver) within memory; single-row
     grids are enumerated directly and only need the wider max_cols cap.
-    max_state_bytes caps the estimated bytes a solve allocates, the cached
-    state and pair tables included: the allocations tracemalloc sees, not
-    the process's RSS, to which the interpreter and the imports add about
-    30 MiB.
+    max_state_bytes caps the estimated bytes a solve or brute_force
+    allocates, the cached state and pair tables included: the allocations
+    tracemalloc sees, not the process's RSS, to which the interpreter and
+    the imports add about 30 MiB.
     """
 
     max_cols: int = 24
@@ -125,6 +125,7 @@ _LIVE = _DEAD // 2  # scores at or above it are live
 _BAND = 1 << 12  # shifted live scores lie in [-_BAND, 0]
 _RING = 4  # how many rows back a row's shifted maxima are looked for
 _SCAN_BLOCK = 1 << 16  # the states _scan_back lists candidates from at a time
+_BRUTE_BLOCK = 1 << 16  # the entries _window_ok evaluates a row rule on at a time
 
 
 def _group_bound(n: int) -> int:
@@ -181,6 +182,23 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
             + groups * size * per_group + size * width * _RING)
 
 
+def _brute_bytes(objective: Objective, m: int, n: int) -> int:
+    """Upper bound on the bytes brute_force allocates on an m×n grid.
+
+    While the row rules are and-ed on: the bool array of one byte a
+    configuration, the last row-rule table and the next one as it is built
+    (one byte an entry, over up to three axes for the minimum and two for
+    the maximum), the uint32 stages of one _BRUTE_BLOCK of it and the
+    uint32 rows of its other axes.  Then the bool array, the int8 scores
+    and the per-axis score vector, built by doubling.
+    """
+    configs, size = 1 << (m * n), 1 << n
+    arity = min(m, 3 if objective is Objective.MIN_MAXIMAL else 2)
+    rules = configs + 2 * size ** arity + _BRUTE_BLOCK * 24 + (size * 4 if arity > 1 else 0)
+    scores = 2 * configs + 2 * size
+    return _FIXED_BYTES + max(rules, scores)
+
+
 def _check_limits(objective: Objective, m: int, n: int, want_witness: bool,
                   limits: Limits) -> int:
     """Raise LimitError when an m×n solve would pass a column or byte cap.
@@ -191,7 +209,11 @@ def _check_limits(objective: Objective, m: int, n: int, want_witness: bool,
     cap, what = (limits.max_cols_pairs, "pair-state cap") if pairs else (limits.max_cols, "cap")
     if n > cap:
         raise LimitError(f"cols {n} over the configured {what} {cap}")
-    need = _need_bytes(objective, m, n, want_witness)
+    return _check_bytes(_need_bytes(objective, m, n, want_witness), limits)
+
+
+def _check_bytes(need: int, limits: Limits) -> int:
+    """Raise LimitError when the byte estimate need passes the cap; return need."""
     if need > limits.max_state_bytes:
         raise LimitError(
             f"estimated state space of {need} bytes over cap {limits.max_state_bytes}"
@@ -554,11 +576,64 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
                        req.want_witness, req.limits))
 
 
+def _axis_rows(j, n: int):
+    """The rows at indices j of a brute_force axis: index j holds the row
+    whose bit reversal is full - j."""
+    return bit_reverse(full_mask(n) ^ j, n)
+
+
+def _window_ok(n: int, bricked: bool, minimize: bool, north: bool, south: bool) -> np.ndarray:
+    """Whether a row keeps the row rules, over every value of its window.
+
+    The window is the row's axis, with the axis of the row above it first
+    (north, the minimum only) and that of the row below it last (south); a
+    missing neighbour is the virtual row, empty to the north and the
+    border's row to the south.  No house of the row may be blocked by the
+    row below; for the minimum, every empty lot of the row must be covered.
+    Evaluated _BRUTE_BLOCK entries at a time along the first axis.
+    """
+    size = 1 << n
+    k = 1 + north + south
+    out = np.empty((size,) * k, dtype=bool)
+    rows = _axis_rows(np.arange(size, dtype=np.uint32), n) if k > 1 else None
+    step = max(1, _BRUTE_BLOCK >> (n * (k - 1)))
+    for lo in range(0, size, step):
+        head = _axis_rows(np.arange(lo, min(lo + step, size), dtype=np.uint32), n)
+        axes = [a.reshape((-1,) + (1,) * (k - 1 - i))
+                for i, a in enumerate([head] + [rows] * (k - 1))]
+        u = axes.pop(0) if north else np.uint32(0)
+        c = axes.pop(0)
+        d = axes.pop(0) if south else np.uint32(full_mask(n) if bricked else 0)
+        ok = (triple_mask(c, n, bricked) & d) == 0
+        if minimize:
+            ok = ok & ((~(c | covered_mask(u, c, d, n, bricked)) & full_mask(n)) == 0)
+        out[lo:lo + step] = ok
+    return out
+
+
 def brute_force(req: SolveRequest) -> SolveResult:
     """Independent oracle: enumerate all 2^(mn) configurations.
 
-    Filters by permissibility (max objective) or maximality (min objective);
-    ties break toward the lexicographically smallest cell string.
+    The configurations are one array of shape (2^n,) * m, axis k holding
+    row k, north first.  Each row rule is evaluated once per value of the
+    row and of its neighbours (_window_ok) and and-ed onto the adjacent
+    axes of one bool array: permissibility for the max objective,
+    maximality for the min objective.  A configuration's score is the sum
+    of its rows' houses (empty lots for the min objective), and one argmax
+    over every configuration picks the optimum.  No axis is maximized out
+    before it: that would be the row DP's transition maximum, and the
+    oracle would share the structure it is there to check.
+
+    Ties break toward the largest bit reversal of the whole grid, which is
+    the lexicographically smallest north-first "#"/"." cell string among
+    the optima.  Index j on every axis holds the row with rev(row) =
+    full - j, so a configuration g sits at flat index 2^(mn) - 1 - rev(g),
+    and the first maximum np.argmax finds is the one of largest rev(g).
+
+    Grids of more than 22 cells raise LimitError, as do estimates past
+    limits.max_state_bytes (_brute_bytes) and runs past limits.max_wall_s.
+    stats: "states" counts the configurations, "transitions" the rows
+    checked (m per configuration), "state_bytes" the estimate.
     """
     m, n = req.dims.rows, req.dims.cols
     cells = m * n
@@ -566,43 +641,39 @@ def brute_force(req: SolveRequest) -> SolveResult:
         raise LimitError(f"brute force handles at most 22 cells, got {cells}")
     bricked = req.dims.boundary is Boundary.BRICKED
     minimize = req.objective is Objective.MIN_MAXIMAL
+    need = _check_bytes(_brute_bytes(req.objective, m, n), req.limits)
     t0 = time.perf_counter()
-    full = full_mask(n)
-    d_v = full if bricked else 0
-    total = 1 << cells
-    chunk = min(total, 1 << 20)
-    best_packed = np.int64(-1)
-    best_grid = 0
-    for base in range(0, total, chunk):
-        g = np.arange(base, base + chunk, dtype=np.uint32)
-        rows = [(g >> np.uint32(i * n)) & np.uint32(full) for i in range(m)]
-        ok = np.ones(len(g), dtype=bool)
-        for i in range(m):
-            south = rows[i + 1] if i + 1 < m else np.uint32(d_v)
-            ok &= (triple_mask(rows[i], n, bricked) & south) == 0
-        if minimize:
-            for i in range(m):
-                north = rows[i - 1] if i >= 1 else np.uint32(0)
-                south = rows[i + 1] if i + 1 < m else np.uint32(d_v)
-                covered = covered_mask(north, rows[i], south, n, bricked)
-                ok &= ((~rows[i] & np.uint32(full)) & ~covered) == 0
-        pc = np.bitwise_count(g).astype(np.int64)
-        score = (np.int64(cells) - pc) if minimize else pc
-        packed = (score << cells) | bit_reverse(g, cells).astype(np.int64)
-        packed = np.where(ok, packed, np.int64(-1))
-        idx = int(np.argmax(packed))
-        if packed[idx] > best_packed:
-            best_packed = np.int64(packed[idx])
-            best_grid = int(g[idx])
-    if best_packed < 0:
+    shape = (1 << n,) * m
+    ok = np.ones(shape, dtype=bool)
+    window = table = None
+    for k in range(m):
+        north, south = minimize and k > 0, k < m - 1
+        if (north, south) != window:
+            window, table = (north, south), _window_ok(n, bricked, minimize, north, south)
+        first = k - north  # the window's first axis
+        ok &= table.reshape((1,) * first + table.shape + (1,) * (m - first - table.ndim))
+        _check_wall(t0, req.limits)
+    del table
+    # the row at index j has an empty lot at each set bit of j (rev(row) = full - j)
+    gain = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        gain = np.concatenate((gain, gain + 1))
+    if not minimize:
+        np.subtract(n, gain, out=gain)  # houses, not empty lots
+    score = np.ones(shape, dtype=np.int8)  # 1 + the score, 0 where ok fails
+    for k in range(m):
+        score += gain.reshape((1,) * k + (-1,) + (1,) * (m - k - 1))
+    score *= ok
+    best = int(np.argmax(score))
+    if score.flat[best] == 0:
         raise SettleError(f"no feasible configuration found for {m}x{n} (internal error)")
-    row_bits = tuple((best_grid >> (i * n)) & full for i in range(m))
-    config = Configuration(req.dims, row_bits)
-    optimum = config.occupancy()
-    witness = config if req.want_witness else None
+    config = Configuration(req.dims, tuple(
+        _axis_rows(int(j), n) for j in np.unravel_index(best, shape)))
     return SolveResult(
-        req.dims, req.objective, optimum, witness,
-        {"states": total, "transitions": total * m, "wall_s": time.perf_counter() - t0},
+        req.dims, req.objective, config.occupancy(),
+        config if req.want_witness else None,
+        {"states": 1 << cells, "transitions": m << cells, "state_bytes": need,
+         "wall_s": time.perf_counter() - t0},
     )
 
 

@@ -20,6 +20,7 @@ from settle.solvers import (
     SolveRequest,
     _BAND,
     _DEAD,
+    _brute_bytes,
     _normalize,
     _need_bytes,
     _pair_tables,
@@ -121,10 +122,27 @@ class TestMinSolver:
             solve_min_maximal(SolveRequest.maximum(3, 3))
 
 
+def naive_maximal(config: Configuration) -> bool:
+    """Permissible, and a house on any empty lot makes it impermissible."""
+    return config.is_permissible() and not any(
+        config.with_house(i, j).is_permissible()
+        for i in range(1, config.dims.rows + 1) for j in range(1, config.dims.cols + 1)
+        if not config.is_occupied(i, j))
+
+
 class TestBruteForce:
     def test_cell_cap(self):
         with pytest.raises(LimitError):
             brute_force(SolveRequest.maximum(5, 5))
+
+    def test_byte_cap(self):
+        limits = Limits(max_state_bytes=1 << 10)
+        with pytest.raises(LimitError, match="estimated state space"):
+            brute_force(SolveRequest.maximum(1, 20, limits=limits))
+
+    def test_wall_cap(self):
+        with pytest.raises(LimitError, match="wall time cap"):
+            brute_force(SolveRequest.minimum(4, 4, limits=Limits(max_wall_s=0.0)))
 
     def test_agrees_with_solvers_on_samples(self):
         for m, n in [(2, 3), (3, 3), (4, 4), (2, 8), (1, 12)]:
@@ -134,22 +152,67 @@ class TestBruteForce:
                 assert brute_force(SolveRequest.minimum(m, n, bnd)).optimum == \
                     min_result(m, n, bnd).optimum, (m, n, bnd, "min")
 
-    def test_witness_is_lexicographically_smallest_optimum(self):
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("m, n", [(3, 3), (2, 5), (4, 3), (1, 9)])
+    def test_witness_is_lexicographically_smallest_optimum(self, m, n, objective, boundary):
         # independent enumeration in coordinate space
-        m = n = 3
-        best = None
-        for bits in range(1 << 9):
-            rows = tuple((bits >> (3 * i)) & 0b111 for i in range(3))
-            config = Configuration(Dims(m, n), rows)
+        dims = Dims(m, n, boundary)
+        coords = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        ranked = []
+        for bits in range(1 << (m * n)):
+            config = Configuration.from_cells(
+                dims, [cell for k, cell in enumerate(coords) if bits >> k & 1])
             if not config.is_permissible():
                 continue
-            key = (-config.occupancy(),
-                   "".join("#" if config.is_occupied(i, j) else "."
-                           for i in range(1, 4) for j in range(1, 4)))
-            if best is None or key < best[0]:
-                best = (key, config)
-        res = brute_force(SolveRequest.maximum(3, 3))
-        assert res.witness == best[1]
+            text = "".join("#" if config.is_occupied(i, j) else "." for i, j in coords)
+            houses = text.count("#")
+            ranked.append(((-houses if objective is Objective.MAX_PERMISSIBLE else houses,
+                            text), config))
+        ranked.sort(key=lambda pair: pair[0])
+        best = next(config for _, config in ranked
+                    if objective is Objective.MAX_PERMISSIBLE or naive_maximal(config))
+        assert brute_force(SolveRequest(dims, objective)).witness == best
+
+    # sha256 of "mxn:" and the witness rows (" "-joined row masks), one line
+    # per grid with 2 <= mn <= 20 in row-major (m, n) order, as the chunked
+    # enumeration that packed (score, rev(g)) into one int64 gave them
+    @pytest.mark.parametrize("objective, boundary, digest", [
+        (Objective.MAX_PERMISSIBLE, Boundary.FREE,
+         "18e2046400a8e5c642287189a2480bfad3a50bd80778a360fb9c1599ecc1f98f"),
+        (Objective.MAX_PERMISSIBLE, Boundary.BRICKED,
+         "3c83e46483558b16f61b03ccee112a3ff0d5a54a20132b9fb2d327b4d6b18ede"),
+        (Objective.MIN_MAXIMAL, Boundary.FREE,
+         "a613fb6c275fce090a19978a3617778ed2efa3424ad6b49310cf2243b09731d7"),
+        (Objective.MIN_MAXIMAL, Boundary.BRICKED,
+         "8b0fff089051d285c9701fb882b478b6db28cd80ff6ce55b51d05703352ba2c8"),
+    ], ids=["max-free", "max-bricked", "min-free", "min-bricked"])
+    def test_witnesses_keep_their_rows(self, objective, boundary, digest):
+        grids = [(m, n) for m in range(1, 21) for n in range(1, 21) if 2 <= m * n <= 20]
+        h = hashlib.sha256()
+        for m, n in grids:
+            res = brute_force(SolveRequest(Dims(m, n, boundary), objective))
+            h.update(f"{m}x{n}:{' '.join(map(str, res.witness.row_bits))}\n".encode())
+        assert len(grids) == 65
+        assert h.hexdigest() == digest
+
+    def test_needs_no_dp_code(self, monkeypatch):
+        # the oracle is one of two independent methods: it must answer with
+        # the DP's tables and sweep out of reach
+        reqs = [SolveRequest(Dims(m, n, boundary), objective)
+                for m, n in [(1, 7), (3, 4), (5, 2)] for boundary in Boundary
+                for objective in Objective]
+        want = [solve(req).optimum for req in reqs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute_force reached the DP")
+
+        for name in ("_state_tables", "_pair_tables", "_sweep"):
+            monkeypatch.setattr(f"settle.solvers.{name}", refuse)
+        for req, optimum in zip(reqs, want):
+            res = brute_force(req)
+            assert res.optimum == optimum, req
+            assert res.witness.is_maximal() and res.witness.occupancy() == optimum, req
 
 
 class TestDispatchAndTable:
@@ -432,6 +495,19 @@ class TestStateBytes:
         finally:
             tracemalloc.stop()
         assert peak <= _need_bytes(objective, m, n, witness)
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("m, n", [(1, 22), (2, 11), (11, 2), (22, 1)])
+    def test_brute_force_peak_within_estimate(self, m, n, objective):
+        req = SolveRequest(Dims(m, n), objective)
+        tracemalloc.start()
+        try:
+            res = brute_force(req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.stats["state_bytes"] == _brute_bytes(objective, m, n)
+        assert peak <= res.stats["state_bytes"]
 
 
 class TestPairRule:
