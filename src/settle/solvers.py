@@ -1,9 +1,11 @@
 """Exact extremal solvers and the brute-force oracle.
 
 Both objectives run on one row-sweep engine, _sweep.  The maximum solver
-keeps a score per row profile; the minimum solver keeps one per ordered
-(row above, current row) pair, so that the north proposition can cover the
-current row.  The minimum scores minus its houses, so both maximize, and
+keeps a score per row profile.  The minimum solver's states are ordered
+(row above, current row) pairs, so that the north proposition can cover
+the current row; since its transition reads the row above only through
+its triple mask, it keeps one score per (triple class of the row above,
+current row).  The minimum scores minus its houses, so both maximize, and
 each row's transition maximum is one subset-indexed maximum transform over
 triple masks (cost ~ n·2^n per state column): the maximum scatters its rows
 at triple(u), the minimum at the complement of triple(u), since
@@ -12,7 +14,7 @@ from the rows module, evaluated on whole numpy arrays of states.
 
 The forward pass carries int16 scores alone, shifted each row so that its
 best is 0; the shift is carried as a Python int.  A witness is not tracked
-forward: the sweep keeps each row's scores, and a backward scan rebuilds
+forward: the sweep keeps each row's state, and a backward scan rebuilds
 the rows from the south border up, each the argmax of the key
 (score << n) | rev(row) over the rows that fit the rows below it.
 
@@ -94,17 +96,21 @@ class SolveRequest:
 class SolveResult:
     """Exact optimum with an optional witness.
 
-    stats: "states" is the number of DP states materialized over the rows
-    the sweep actually advanced through, "transitions" n updates per state
+    stats: "states" is the number of DP states (row profiles for the
+    maximum, (row above, row) pairs for the minimum) over the rows the
+    sweep actually advanced through, and "transitions" n updates per state
     for each of those rows' row-to-row transition maxima, one fewer than
     the rows (the close-off reads the grouped maxima, not a transform).
+    They count the DP, not arrays: the minimum holds its states' maxima
+    per triple class of the row above, never one score per pair.
     A sweep advances min(m, transient + period) rows: once its shifted
     state after row transient + period repeats the one after row
     "transient", every row count m >= transient follows with
     optimum(m + period) = optimum(m) + "slope".  The three are None when
     the sweep closed off m before finding a repeat.  "state_bytes" is the
     estimate of allocated bytes the solve was checked against
-    (_need_bytes), "wall_s" the elapsed time.
+    (_need_bytes), "wall_s" the elapsed time, and "phases" the seconds
+    spent in each of _PHASES, which sum to at most wall_s.
     """
 
     dims: Dims
@@ -125,7 +131,14 @@ _LIVE = _DEAD // 2  # scores at or above it are live
 _BAND = 1 << 12  # shifted live scores lie in [-_BAND, 0]
 _RING = 4  # how many rows back a row's shifted maxima are looked for
 _SCAN_BLOCK = 1 << 16  # the states _scan_back lists candidates from at a time
-_BRUTE_BLOCK = 1 << 16  # the entries _window_ok evaluates a row rule on at a time
+_RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
+# The pair advance transforms _CHUNK current rows at a time: a (2^n, _CHUNK)
+# int16 block, 2 MiB at n = 12, which stays in cache through the transform.
+# It reads the block _READ_ROWS rows at a time, so the flat indices stay
+# in cache too.
+_CHUNK = 256
+_READ_ROWS = 16
+_PHASES = ("group", "transform", "read", "close", "scan")
 
 
 def _group_bound(n: int) -> int:
@@ -142,6 +155,20 @@ def _group_bound(n: int) -> int:
     return a[n]
 
 
+@lru_cache(maxsize=32)
+def _class_count(n: int, bricked: bool) -> int:
+    """The number of distinct triple masks of width n: the pair state's classes.
+
+    K is the triple mask of some row exactly when it is the triple mask of
+    its dilation (K | K<<1 | K>>1) & full: a row with triple mask K holds
+    K and the neighbours of K, so it holds the dilation, and triple masks
+    only grow with the row.
+    """
+    keys = np.arange(1 << n, dtype=np.uint32)
+    dilated = (keys | (keys << 1) | (keys >> 1)) & full_mask(n)
+    return int(np.count_nonzero(triple_mask(dilated, n, bricked) == keys))
+
+
 def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int:
     """Upper bound on the bytes one solve allocates, with cold table caches.
 
@@ -149,7 +176,16 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
     arrays of one row, the score layers a witness keeps for every row, and
     the masks of the backward scan.
     """
-    size, groups = 1 << n, _group_bound(n)
+    pairs = objective is Objective.MIN_MAXIMAL and m > 1
+    size = 1 << n
+    # the pair state has one row per class, the larger count of both
+    # borders; it is enumerated only up to the 16 columns the uint16 reach
+    # table holds, so that no estimate allocates 2^n keys (the byte cap
+    # refuses wider pair solves by a(n) anyway)
+    if pairs and n <= 16:
+        groups = max(_class_count(n, False), _class_count(n, True))
+    else:
+        groups = _group_bound(n)
     width = 2  # int16 scores
     # _state_tables: tb (uint32), order (intp), pc (int8); starts and
     # group_keys (intp, one per group).  Its build peaks at 19 bytes a
@@ -163,23 +199,34 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
         # _min_single_row: states, covered and covered_mask's stages
         # (uint32), then ok and the scores the pick reads
         return need + pick + size * 20
-    # the grouped maxima and the _RING rows' maxima they are compared with;
-    # at a close-off, their int64 fit test and its mask
-    per_group = width * (_RING + 1) + 9
     if objective is Objective.MAX_PERMISSIBLE:
+        # the grouped maxima and the _RING rows' maxima they are compared
+        # with; at a close-off, their int64 fit test and its mask
+        per_group = width * (_RING + 1) + 9
         # score, gain, z and the sorted copy of score; a witness keeps one
         # score layer per row before the last (the transient is not known
         # in advance)
         layers = m - 1 if want_witness else 0
         return need + pick + size * width * (4 + layers) + groups * per_group
-    # _pair_tables: reach (uint16), built at a peak of 12 bytes a pair;
-    # score, z and one group's gathered rows or the read; one score layer
-    # per row after the first and before the last; the close-off maxima of
-    # the rows a cycle repeats
-    layers = max(m - 2, 0) if want_witness else 0
-    pairs = size * size
-    return (need + pick + pairs * max(12, 2 + width * (3 + layers))
-            + groups * size * per_group + size * width * _RING)
+    # The minimum's state is its grouped maxima, one (groups, 2^n) array a
+    # row.  A witness keeps every row's (the layers, shared with the ring);
+    # otherwise the ring holds _RING + 1.
+    grouped = groups * size * width
+    held = m if want_witness else min(m, _RING + 1)
+    chunk = min(_CHUNK, size)
+    # a row advance: the next row's maxima and the class-ordered copy of
+    # this row's; the block, the read, and one _READ_ROWS slice of reach
+    # rows with its flat indices (intp); one class's maxima
+    advance = (2 * grouped + 2 * chunk * size * width
+               + _READ_ROWS * size * (2 + 8) + size * width)
+    # a _pair_read, for a close-off or a column of _scan_back: the uint16
+    # fit test, its mask and the masked maxima; at a cycle, the close-off
+    # maxima of the rows it repeats
+    read = groups * size * (2 + 1 + width) + size * width * _RING
+    # _pair_tables: reach (uint16), built _RULE_BLOCK pairs at a time in
+    # uint32 stages, before any grouped maxima exist
+    return (need + pick + size * size * 2
+            + max(_RULE_BLOCK * 24, held * grouped + max(advance, read)))
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -188,13 +235,13 @@ def _brute_bytes(objective: Objective, m: int, n: int) -> int:
     While the row rules are and-ed on: the bool array of one byte a
     configuration, the last row-rule table and the next one as it is built
     (one byte an entry, over up to three axes for the minimum and two for
-    the maximum), the uint32 stages of one _BRUTE_BLOCK of it and the
+    the maximum), the uint32 stages of one _RULE_BLOCK of it and the
     uint32 rows of its other axes.  Then the bool array, the int8 scores
     and the per-axis score vector, built by doubling.
     """
     configs, size = 1 << (m * n), 1 << n
     arity = min(m, 3 if objective is Objective.MIN_MAXIMAL else 2)
-    rules = configs + 2 * size ** arity + _BRUTE_BLOCK * 24 + (size * 4 if arity > 1 else 0)
+    rules = configs + 2 * size ** arity + _RULE_BLOCK * 24 + (size * 4 if arity > 1 else 0)
     scores = 2 * configs + 2 * size
     return _FIXED_BYTES + max(rules, scores)
 
@@ -260,18 +307,24 @@ def _pair_tables(n: int, bricked: bool) -> np.ndarray:
     cover; the north proposition must cover the rest, so a row u above c
     fits when triple(u) ⊇ ~reach, that is ~triple(u) ⊆ reach.  reach is 0
     where d blocks a house of c (c ≠ 0 there; elsewhere reach ⊇ c).
+    Built _RULE_BLOCK pairs at a time, straight into the uint16 table.
     """
-    states = np.arange(1 << n, dtype=np.uint32)
-    c, d = states[:, None], states[None, :]
-    # built in place: one (c, d) array of uint32 plus one proposition at a time
-    reach = prop_east_mask(c, d, n, bricked)
-    reach |= prop_west_mask(c, d, n, bricked)
-    reach |= prop_center_mask(c, d, n, bricked)
-    reach |= c
-    # key 0 fits only u = full on the bricked border, and (full, c) is itself
-    # blocked for every c ≠ 0: dead from row 1 on, so blocked pairs read dead
-    reach[(triple_mask(c, n, bricked) & d) != 0] = 0
-    return reach.astype(np.uint16)
+    size = 1 << n
+    reach = np.empty((size, size), dtype=np.uint16)
+    d = np.arange(size, dtype=np.uint32)
+    step = max(1, _RULE_BLOCK >> n)
+    for lo in range(0, size, step):
+        c = np.arange(lo, min(lo + step, size), dtype=np.uint32)[:, None]
+        part = prop_east_mask(c, d, n, bricked)
+        part |= prop_west_mask(c, d, n, bricked)
+        part |= prop_center_mask(c, d, n, bricked)
+        part |= c
+        # key 0 fits only u = full on the bricked border, and (full, c) is
+        # itself blocked for every c ≠ 0: dead from row 1 on, so blocked
+        # pairs read dead
+        part[(triple_mask(c, n, bricked) & d) != 0] = 0
+        reach[lo:lo + step] = part
+    return reach
 
 
 def _subset_max_inplace(z: np.ndarray, n: int):
@@ -288,17 +341,98 @@ def _subset_max_inplace(z: np.ndarray, n: int):
             np.maximum(hi.T, lo.T, out=hi.T, order="C")
 
 
-def _group_maxima(score: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Maxima of score over the triple-mask groups of axis 0 (order sorts the groups)."""
-    if score.ndim == 1:
-        return np.maximum.reduceat(score[order], starts)
-    # a 2-D reduceat walks each group one short run at a time: one reduction
-    # of whole rows per group is about 15 times faster at n = 12
-    ends = np.r_[starts[1:], len(order)].tolist()
-    grouped = np.empty((len(starts),) + score.shape[1:], dtype=score.dtype)
-    for g, (start, end) in enumerate(zip(starts.tolist(), ends)):
-        np.max(score[order[start:end]], axis=0, out=grouped[g])
-    return grouped
+class _Clock:
+    """Seconds a sweep spends per phase: lap(phase) books the time since
+    the last mark or lap to phase."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(_PHASES, 0.0)
+        self.mark()
+
+    def mark(self):
+        self.t = time.perf_counter()
+
+    def lap(self, phase: str):
+        now = time.perf_counter()
+        self.seconds[phase] += now - self.t
+        self.t = now
+
+
+def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
+                  clock: _Clock | None = None) -> np.ndarray:
+    """The minimum's row advance, from grouped maxima to grouped maxima.
+
+    grouped[g, c] is the best score of a state (u, c) whose row above u is
+    in triple class g.  The next state (c, d) scores gain[d] plus the
+    maximum of grouped[g, c] over the classes g that fit it, ~key(g) ⊆
+    reach(c, d), and the result is grouped by the class of c.  The current
+    rows c are taken _CHUNK at a time in class order.  Each chunk is
+    scattered at the complemented class keys into a (2^n, _CHUNK) block,
+    run through the subset-maximum transform and read at reach(c, d) with
+    one flat take per _READ_ROWS rows; the read rows are maxed into the
+    class of c, and gain[d] is added once per class.
+    """
+    clock = clock or _Clock()
+    _, order, starts, group_keys, _ = _state_tables(n, bricked)
+    reach = _pair_tables(n, bricked)
+    size = 1 << n
+    chunk = min(_CHUNK, size)
+    rows = min(_READ_ROWS, chunk)
+    scatter = full_mask(n) - group_keys
+    bounds = starts.tolist() + [size]
+    out = np.empty_like(grouped)
+    block = np.empty((size, chunk), dtype=grouped.dtype)
+    flat = block.reshape(-1)
+    read = np.empty((chunk, size), dtype=grouped.dtype)
+    idx = np.empty((rows, size), dtype=np.intp)
+    local = np.arange(chunk)[:, None]
+    clock.mark()
+    ordered = grouped[:, order]
+    g = 0
+    for lo in range(0, size, chunk):
+        hi = lo + chunk
+        block.fill(_DEAD)
+        block[scatter] = ordered[:, lo:hi]
+        _subset_max_inplace(block, n)
+        clock.lap("transform")
+        for r in range(0, chunk, rows):
+            # row j of the chunk reads block[reach(c, d), j]; the flat
+            # indices lie below 2^n * chunk, so "clip" never clips (it only
+            # spares take a buffered copy of its output)
+            np.multiply(reach[order[lo + r:lo + r + rows]], chunk, out=idx, dtype=np.intp)
+            idx += local[r:r + rows]
+            np.take(flat, idx, out=read[r:r + rows], mode="clip")
+        clock.lap("read")
+        # the classes that meet the chunk; a class begun in an earlier
+        # chunk takes the maximum with what it holds
+        while g < len(starts) and bounds[g] < hi:
+            part = read[max(bounds[g], lo) - lo:min(bounds[g + 1], hi) - lo]
+            if bounds[g] >= lo:
+                np.max(part, axis=0, out=out[g])
+            else:
+                np.maximum(out[g], part.max(axis=0), out=out[g])
+            if bounds[g + 1] > hi:
+                break
+            g += 1
+        clock.lap("group")
+    out += gain
+    clock.lap("group")
+    return out
+
+
+def _pair_read(grouped: np.ndarray, d: int, n: int, bricked: bool) -> np.ndarray:
+    """_pair_advance's read for the one row d below, before its gain.
+
+    For every current row c, the maximum of grouped[g, c] over the classes
+    g that fit (c, d), ~key(g) ⊆ reach(c, d), in (classes) x 2^n work.  At
+    the virtual south row it is the close-off; at a row of a witness it
+    rebuilds the scores the backward scan reads.
+    """
+    _, _, _, group_keys, _ = _state_tables(n, bricked)
+    reach = _pair_tables(n, bricked)
+    keys = (full_mask(n) - group_keys).astype(reach.dtype)
+    fit = (keys[:, None] & (full_mask(n) ^ reach[:, d])) == 0
+    return np.where(fit, grouped, _DEAD).max(axis=0)
 
 
 def _pick(scores: np.ndarray, target: int, key: np.ndarray, block: int, n: int) -> int:
@@ -319,35 +453,39 @@ def _pick(scores: np.ndarray, target: int, key: np.ndarray, block: int, n: int) 
     return u
 
 
-def _scan_back(layers, offsets, below: list[int], target: int, key_u, gain, reach,
-               n: int) -> tuple[int, ...]:
-    """Rebuild a witness's rows, north first, from the scores after every row.
+def _scan_back(layers, offsets, below: list[int], target: int, key_u, gain, n: int,
+               bricked: bool, pairs: bool) -> tuple[int, ...]:
+    """Rebuild a witness's rows, north first, from the state after every row.
 
-    layers holds the shifted score array after each row, the last row's
-    last, and offsets what each layer's scores are shifted by.  below starts
-    with the virtual south row; for the minimum (reach given) it also holds
-    the last row, picked already.  target is the optimum's score, which
-    its state in the last layer has.  Walking north, a state's score less
-    the gain of its last row is the maximum over the rows u that fit the
-    rows below it, u fitting when key_u[u] & block == 0; that is the target
-    in the layer above.  So each row is the _pick among the fitting rows
-    that score the target, the row a stored argmax would give.
+    For the maximum, layers holds the shifted score array after each row,
+    the last row's last; for the minimum (pairs), the grouped maxima of
+    the row before each, from which _pair_read rebuilds the one column
+    of scores the scan reads.  offsets is what each layer's scores are
+    shifted by.  below starts with the virtual south row; for the minimum
+    it also holds the last row, picked already.  target is the optimum's
+    score, which its state in the last layer has.  Walking north, a
+    state's score less the gain of its last row is the maximum over the
+    rows u that fit the rows below it, u fitting when key_u[u] & block ==
+    0; that is the target in the layer above.  So each row is the _pick
+    among the fitting rows that score the target, the row a stored argmax
+    would give.
     """
     for layer, offset in zip(reversed(layers), reversed(offsets)):
-        if reach is None:
+        if not pairs:
             # the maximum: u fits the row r below it when triple(u) ⊆ ~r
             scores, block = layer, below[-1]
         else:
             # the minimum: u fits the rows (c, d) below it when
             # ~triple(u) ⊆ reach(c, d), scored at the state (u, c)
             c, d = below[-1], below[-2]
-            scores, block = layer[:, c], full_mask(n) ^ int(reach[c, d])
+            scores = _pair_read(layer, c, n, bricked) + gain[c]
+            block = full_mask(n) ^ int(_pair_tables(n, bricked)[c, d])
         u = _pick(scores, target - offset, key_u, block, n)
         if u < 0:
             raise SettleError("internal error: the backward scan lost the optimum's path")
         below.append(u)
         # the state in this layer gained the gain of its last row
-        target -= int(gain[u if reach is None else c])
+        target -= int(gain[c if pairs else u])
     return tuple(reversed(below[1:]))
 
 
@@ -379,10 +517,13 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     state is indexed by the last row; the minimum's by the row above it and
     the last row, so that the north proposition can cover the last row.
     The forward pass carries int16 scores alone and takes their maxima over
-    the triple-mask groups of axis 0, the oldest row.  The grouped maxima
-    are the whole state of the sweep: the groups that fit the virtual south
-    row close off at m; scattered and run through the subset-maximum
-    transform, they are read at every real row to advance to m + 1.
+    the triple-mask groups of the oldest row.  The grouped maxima are the
+    whole state of the sweep: the groups that fit the virtual south row
+    close off at m; scattered and run through the subset-maximum
+    transform, they are read at every real row to advance to m + 1.  The
+    maximum groups its score array after each read; the minimum reads
+    grouped maxima into grouped maxima (_pair_advance) and never holds a
+    score per pair.
 
     Each row's grouped maxima are shifted to a maximum of 0 (_normalize),
     the shift carried as a Python int.  The sweep is invariant under adding
@@ -390,10 +531,11 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     of row m0, p <= _RING rows back, every later row repeats them with p
     rows' gain d added (the cyclicity of max-plus linear recurrences): the
     sweep stops advancing and closes off each later m from row
-    m0 + (m - m0) mod p.  With a witness, each row's scores are kept until
+    m0 + (m - m0) mod p.  With a witness, each row's state is kept until
     then, and _scan_back rebuilds the rows from the virtual south row up,
     reusing the kept rows past m0 periodically.  Ties break toward the
-    largest rev of each row, the last row first.
+    largest rev of each row, the last row first.  Every result's stats
+    carry the seconds spent so far per phase (_PHASES).
     """
     maximize = objective is Objective.MAX_PERMISSIBLE
     sign = 1 if maximize else -1  # the optimum is sign * the best score
@@ -401,6 +543,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     top = rows[-1]
     need = _check_limits(objective, top, n, want_witness, limits)
     t0 = time.perf_counter()
+    clock = _Clock()
     tb, order, starts, group_keys, pc = _state_tables(n, bricked)
     full = full_mask(n)
     size = 1 << n
@@ -408,24 +551,24 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     if maximize:
         # a row r admits the rows u above it with triple(u) ⊆ ~r: the fold
         # scatters at triple(u) and is read at full - r, which is z reversed
-        score = pc.astype(np.int16)
-        gain, reach = score.copy(), None
+        state = pc.astype(np.int16)
+        gain = state.copy()
         key_u, scatter = tb, group_keys
-        veto = d_v  # the bits a scatter key must miss to fit the south row
+        z = np.empty_like(state)
+        # _scan_back reads the scores after rows 1..
+        first, states = 1, size
     else:
         # a row c admits the rows u above it with ~triple(u) ⊆ reach(c, d):
         # the fold scatters at full - triple(u) and is read at reach
-        reach = _pair_tables(n, bricked)
+        # (_pair_advance, _pair_read)
         gain = -pc.astype(np.int16)
-        score = np.full((size, size), _DEAD, dtype=np.int16)
-        score[0] = gain  # row 1 sits under the virtual empty north row
-        key_u, scatter = full ^ tb, full - group_keys
-        veto = full ^ reach[:, d_v]  # per last row: the lots only north covers
-        cols = np.arange(size)[:, None]
-    scatter_u = scatter.reshape((-1,) + (1,) * (score.ndim - 1))
-    # _scan_back reads the scores after rows first.. (the minimum's row 1
-    # is picked from row 2's states)
-    first = score.ndim
+        # row 1 sits under the virtual empty north row, in the class of 0
+        state = np.full((len(starts), size), _DEAD, dtype=np.int16)
+        state[np.searchsorted(group_keys, tb[0])] = gain
+        key_u = full ^ tb
+        # _scan_back reads the scores after rows 2.. (row 1 is picked from
+        # row 2's states); the DP's states are the pairs (u, c)
+        first, states = 2, size * size
     layers: list[np.ndarray] = []
     offsets: list[int] = []
     ring: list[tuple[int, np.ndarray, int]] = []  # (row, shifted maxima, shift)
@@ -435,7 +578,13 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     def close(grouped: np.ndarray) -> np.ndarray:
         """The transition maxima into the virtual south row (per last row
         for the minimum), over the groups that fit it."""
-        return np.where((scatter_u & veto) == 0, grouped, _DEAD).max(axis=0)
+        clock.mark()
+        if maximize:
+            s = np.where((scatter & d_v) == 0, grouped, _DEAD).max()
+        else:
+            s = _pair_read(grouped, d_v, n, bricked)
+        clock.lap("close")
+        return s
 
     def layer_at(k: int) -> tuple[np.ndarray, int]:
         if cycle is None or k <= cycle[0]:
@@ -451,11 +600,13 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         dims = Dims(m, n, boundary)
         witness = None
         if want_witness:
+            clock.mark()
             # the minimum's last row is still an axis: pick it first
             below = [d_v] if maximize else [d_v, _pick(s, best, tb, d_v, n)]
             kept, shifts = zip(*map(layer_at, range(first, m + 1)))
             witness = Configuration(dims, _scan_back(
-                kept, shifts, below, best + shift, key_u, gain, reach, n))
+                kept, shifts, below, best + shift, key_u, gain, n, bricked, not maximize))
+            clock.lap("scan")
         m0, p, d = cycle or (None, None, None)
         result = SolveResult(
             dims,
@@ -463,26 +614,29 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             sign * (best + shift),
             witness,
             {
-                "states": advanced * score.size,
-                "transitions": (advanced - 1) * n * score.size,
+                "states": advanced * states,
+                "transitions": (advanced - 1) * n * states,
                 "state_bytes": need,
                 "transient": m0,
                 "period": p,
                 "slope": None if d is None else sign * d,
+                "phases": dict(clock.seconds),
                 "wall_s": time.perf_counter() - t0,
             },
         )
         _validate_witness(result)
         return result
 
-    z = np.empty_like(score)
     wanted = iter(rows)
     want = next(wanted)
     for m in range(1, top + 1):
+        clock.mark()
         if want_witness and m >= first:
-            layers.append(score)
+            # the minimum's layer is the grouped maxima after row m - 1,
+            # from which _pair_read rebuilds the scores after row m
+            layers.append(state if maximize else grouped)
             offsets.append(offset)
-        grouped = _group_maxima(score, order, starts)
+        grouped = np.maximum.reduceat(state[order], starts) if maximize else state
         offset += _normalize(grouped)
         del ring[:-_RING]
         # at most one row matches: two would have matched each other before
@@ -491,6 +645,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
                 cycle = (row, m - row, offset - seen_offset)
                 break
         ring.append((m, grouped, offset))
+        clock.lap("group")
         if m == want:
             yield finish(m, close(grouped), offset, m)
             want = next(wanted, None)
@@ -498,15 +653,18 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
                 return
         if cycle is not None:
             break
-        z.fill(_DEAD)
-        z[scatter] = grouped
-        _subset_max_inplace(z, n)
-        if layers and layers[-1] is score:
-            score = np.empty_like(z)
         if maximize:
-            np.add(z[::-1], gain, out=score)
+            clock.mark()
+            z.fill(_DEAD)
+            z[scatter] = grouped
+            _subset_max_inplace(z, n)
+            clock.lap("transform")
+            if layers and layers[-1] is state:
+                state = np.empty_like(z)
+            np.add(z[::-1], gain, out=state)
+            clock.lap("read")
         else:
-            np.add(z[reach, cols], gain, out=score)
+            state = _pair_advance(grouped, n, bricked, gain, clock)
         _check_wall(t0, limits)
     # the sweep stopped at row m = m0 + p: every later row count repeats
     # one of the rows m0..m - 1, kept in the ring
@@ -530,11 +688,16 @@ def solve_max(req: SolveRequest) -> SolveResult:
 
 
 def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
-    """Minimum maximal occupancy of a 1×n grid by direct enumeration."""
+    """Minimum maximal occupancy of a 1×n grid by direct enumeration.
+
+    The one row is closed off against both virtual rows at once: its
+    enumeration is booked as the "close" phase, its pick as "scan".
+    """
     n = req.dims.cols
     bricked = req.dims.boundary is Boundary.BRICKED
     full = full_mask(n)
     tb, _, _, _, pc = _state_tables(n, bricked)
+    clock = _Clock()
     states = np.arange(1 << n, dtype=np.uint32)
     d_v = np.uint32(full if bricked else 0)
     # the empty north row covers nothing, so every empty lot needs cover
@@ -542,14 +705,16 @@ def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
     ok = ((tb & d_v) == 0) & ((covered | states) == full)
     # the sweep's tie-break: fewest houses, then the largest rev
     optimum = int(pc.min(where=ok, initial=n))
+    clock.lap("close")
     witness = None
     if req.want_witness:
         witness = Configuration(req.dims, (_pick(np.where(ok, pc, -1), optimum, tb, 0, n),))
+        clock.lap("scan")
     result = SolveResult(
         req.dims, req.objective, optimum, witness,
         {"states": 1 << n, "transitions": 0, "state_bytes": need,
          "transient": None, "period": None, "slope": None,
-         "wall_s": time.perf_counter() - t0},
+         "phases": clock.seconds, "wall_s": time.perf_counter() - t0},
     )
     _validate_witness(result)
     return result
@@ -590,13 +755,13 @@ def _window_ok(n: int, bricked: bool, minimize: bool, north: bool, south: bool) 
     missing neighbour is the virtual row, empty to the north and the
     border's row to the south.  No house of the row may be blocked by the
     row below; for the minimum, every empty lot of the row must be covered.
-    Evaluated _BRUTE_BLOCK entries at a time along the first axis.
+    Evaluated _RULE_BLOCK entries at a time along the first axis.
     """
     size = 1 << n
     k = 1 + north + south
     out = np.empty((size,) * k, dtype=bool)
     rows = _axis_rows(np.arange(size, dtype=np.uint32), n) if k > 1 else None
-    step = max(1, _BRUTE_BLOCK >> (n * (k - 1)))
+    step = max(1, _RULE_BLOCK >> (n * (k - 1)))
     for lo in range(0, size, step):
         head = _axis_rows(np.arange(lo, min(lo + step, size), dtype=np.uint32), n)
         axes = [a.reshape((-1,) + (1,) * (k - 1 - i))

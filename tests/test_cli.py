@@ -9,7 +9,7 @@ from conftest import GOLDEN
 from settle.cli import main
 from settle.formats import parse_grid
 from settle.modelgen import export_inefficient, to_lp
-from settle.solvers import Objective, _need_bytes
+from settle.solvers import _PHASES, Objective, _need_bytes
 
 runner = CliRunner()
 
@@ -126,6 +126,16 @@ class TestSolve:
         assert short["states"] == 3 * 512
         assert long["period"] >= 1 and 3 < long["transient"] + long["period"] <= 30
         assert long["states"] == (long["transient"] + long["period"]) * 512
+
+    def test_json_stats_report_the_phases(self):
+        for objective in ("max", "min"):
+            res = invoke("solve", "--objective", objective, "--rows", "5", "--cols", "8",
+                         "--json")
+            assert res.exit_code == 0
+            stats = json.loads(res.output)["stats"]
+            assert set(stats["phases"]) == set(_PHASES)
+            assert all(s >= 0 for s in stats["phases"].values())
+            assert sum(stats["phases"].values()) <= stats["wall_s"]
 
     def test_json_stats_report_the_checked_byte_estimate(self):
         for objective, m, n in [("max", 3, 5), ("min", 4, 6), ("min", 1, 9)]:

@@ -20,9 +20,13 @@ from settle.solvers import (
     SolveRequest,
     _BAND,
     _DEAD,
+    _LIVE,
+    _PHASES,
     _brute_bytes,
+    _class_count,
     _normalize,
     _need_bytes,
+    _pair_advance,
     _pair_tables,
     _state_tables,
     _sweep,
@@ -305,7 +309,9 @@ class TestSweep:
     # widths where the scores are int16 and the backward scan runs.  The
     # grids past 14x20 and 9x11 lie past the row where the sweep finds its
     # cycle, so their scans reuse the kept rows periodically; their digests
-    # were recorded from a sweep that advanced through every row.
+    # were recorded from a sweep that advanced through every row.  The
+    # min 12x12 digest, at the pair cap, was recorded from a sweep that
+    # held the (row above, row) scores of every pair.
     @pytest.mark.parametrize("objective, m, n, boundary, optimum, digest", [
         (Objective.MAX_PERMISSIBLE, 14, 20, Boundary.FREE, 211,
          "e56ba602e23b619970c59a86605990e9ab5d439ccb9ab22712e3c6753df688c0"),
@@ -327,9 +333,11 @@ class TestSweep:
          "e5967996211a6f3ea40ad1f99f5043687b3ab706bd6771663c142b16aa62787e"),
         (Objective.MIN_MAXIMAL, 30, 10, Boundary.BRICKED, 150,
          "f40a4ba5e8b56ec14992cfff6fc90bb8de3d9ec7cd0316de8f1e9b7a82e3de5c"),
+        (Objective.MIN_MAXIMAL, 12, 12, Boundary.FREE, 74,
+         "1de086484d78d805457b17fa273707eaf9dffa9547e5655806da99c8875e0665"),
     ], ids=["max-free", "max-bricked", "min-free", "min-bricked",
             "max-60x16-free", "max-60x16-bricked", "max-40x20-free", "max-40x20-bricked",
-            "min-30x10-free", "min-30x10-bricked"])
+            "min-30x10-free", "min-30x10-bricked", "min-12x12-free"])
     def test_wide_witnesses_keep_their_rows(self, objective, m, n, boundary, optimum, digest):
         res = solve(SolveRequest(Dims(m, n, boundary), objective))
         assert res.optimum == optimum
@@ -482,6 +490,7 @@ class TestStateBytes:
         (Objective.MIN_MAXIMAL, 6, 8),
         (Objective.MIN_MAXIMAL, 3, 10),
         (Objective.MIN_MAXIMAL, 50, 8),
+        (Objective.MIN_MAXIMAL, 5, 12),
     ])
     @pytest.mark.parametrize("witness", [False, True])
     def test_traced_peak_within_estimate(self, objective, m, n, boundary, witness):
@@ -495,6 +504,32 @@ class TestStateBytes:
         finally:
             tracemalloc.stop()
         assert peak <= _need_bytes(objective, m, n, witness)
+
+    def test_pair_state_holds_no_pair_array(self):
+        # the minimum's state is one score per (class, row), so its estimate
+        # at the pair cap is a fraction of one int16 score per row pair
+        assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True) <= 128 << 20
+        assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, False) < \
+            _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True)
+
+    def test_wide_pair_solve_is_refused_by_its_estimate(self):
+        # a raised pair cap leaves the byte cap to refuse the 4^n table,
+        # and the estimate itself allocates nothing of the width's size
+        limits = Limits(max_cols=40, max_cols_pairs=40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError, match="estimated state space"):
+                solve(SolveRequest.minimum(2, 40, limits=limits))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_class_count_is_exact(self, bricked):
+        for n in range(1, 17):
+            starts = _state_tables(n, bricked)[2]
+            assert _class_count(n, bricked) == len(starts), (n, bricked)
 
     @pytest.mark.parametrize("objective", list(Objective))
     @pytest.mark.parametrize("m, n", [(1, 22), (2, 11), (11, 2), (22, 1)])
@@ -528,6 +563,59 @@ class TestPairRule:
             reach = _pair_tables(n, bricked)
             blocked = (triple_mask(c, n, bricked) & d) != 0
             assert np.array_equal((reach == 0) & (c != 0), blocked), n
+
+
+class TestPairAdvance:
+    """The minimum's class-indexed row advance against the pair-array DP."""
+
+    @staticmethod
+    def reference(grouped, n, bricked, gain):
+        # every (u, c) pair's score is the best class of u that fits the
+        # rows below, z[reach(c, d), c]; then grouped by the class of c
+        tb, order, starts, group_keys, _ = _state_tables(n, bricked)
+        reach = _pair_tables(n, bricked)
+        size = 1 << n
+        scatter = full_mask(n) - group_keys
+        keys = np.arange(size)
+        z = np.full((size, size), _DEAD, dtype=np.int16)
+        for g, key in enumerate(scatter.tolist()):
+            within = (keys & key) == key  # the keys that hold this class's key
+            z[within] = np.maximum(z[within], grouped[g])
+        score = z[reach, np.arange(size)[:, None]] + gain
+        ends = np.r_[starts[1:], size]
+        return np.stack([score[order[a:b]].max(axis=0) for a, b in zip(starts, ends)])
+
+    @pytest.mark.parametrize("chunk", [None, 8], ids=["one-chunk", "chunks-of-8"])
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_matches_the_pair_array(self, bricked, chunk, monkeypatch):
+        if chunk is not None:
+            # classes that span chunks, read a few rows at a time
+            monkeypatch.setattr("settle.solvers._CHUNK", chunk)
+            monkeypatch.setattr("settle.solvers._READ_ROWS", chunk // 4)
+        rng = np.random.default_rng(9)
+        for n in range(1, 9):
+            groups = len(_state_tables(n, bricked)[2])
+            gain = -np.bitwise_count(np.arange(1 << n)).astype(np.int16)
+            for _ in range(3):
+                grouped = rng.integers(-2 * n, 1, (groups, 1 << n)).astype(np.int16)
+                grouped[rng.random(grouped.shape) < 0.3] = _DEAD
+                got = _pair_advance(grouped, n, bricked, gain)
+                want = self.reference(grouped, n, bricked, gain)
+                live = want >= _LIVE
+                assert np.array_equal(got[live], want[live]), (n, bricked)
+                assert (got[~live] < _LIVE).all(), (n, bricked)
+
+
+class TestPhases:
+    @pytest.mark.parametrize("req", [
+        SolveRequest.maximum(6, 9), SolveRequest.minimum(6, 9, Boundary.BRICKED),
+        SolveRequest.minimum(1, 9), SolveRequest.minimum(40, 7, want_witness=False),
+    ], ids=["max", "min", "min-1-row", "min-cycle"])
+    def test_phases_account_for_the_wall_time(self, req):
+        stats = solve(req).stats
+        assert set(stats["phases"]) == set(_PHASES)
+        assert all(s >= 0 for s in stats["phases"].values())
+        assert sum(stats["phases"].values()) <= stats["wall_s"]
 
 
 class TestRowHelpers:
