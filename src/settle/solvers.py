@@ -12,11 +12,13 @@ at triple(u), the minimum at the complement of triple(u), since
 triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.  The row mask algebra comes
 from the rows module, evaluated on whole numpy arrays of states.
 
-The forward pass carries int16 scores alone, shifted each row so that its
-best is 0; the shift is carried as a Python int.  A witness is not tracked
-forward: the sweep keeps each row's state, and a backward scan rebuilds
-the rows from the south border up, each the argmax of the key
-(score << n) | rev(row) over the rows that fit the rows below it.
+The forward pass carries scores alone, shifted each row so that its best
+is 0; the shift is carried as a Python int.  So the maximum's scores fit
+in int8, because each lies within 2n of its row's best, and the
+minimum's in int16.  A witness is not tracked forward: the sweep keeps
+each row's state, and a backward scan rebuilds the rows from the south
+border up, each the argmax of the key (score << n) | rev(row) over the
+rows that fit the rows below it.
 
 The state after row k does not depend on the final row count, so one sweep
 to the largest m closes off every requested row count on the way:
@@ -123,12 +125,12 @@ class SolveResult:
 # Bytes a solve allocates beyond its arrays: ufunc buffers, Python objects.
 _FIXED_BYTES = 1 << 20
 
-# Scores are int16 at every row count: each row's grouped maxima are shifted
-# to a maximum of 0.  For the maximum their spread is at most 2n, because the
-# empty row fits under every row; for the minimum _normalize checks the band.
-_DEAD = -(1 << 14)  # the score of an unreachable state
-_LIVE = _DEAD // 2  # scores at or above it are live
-_BAND = 1 << 12  # shifted live scores lie in [-_BAND, 0]
+# Each row's grouped maxima are shifted to a maximum of 0 (_normalize), at
+# every row count.  Scores at or above dead // 2 are live, and shifted live
+# scores lie in [-band, 0].  The maximum's scores are int8 with dead -128
+# and band 2n (_scores); the minimum's are int16 with the values below.
+_DEAD = -(1 << 14)  # the minimum's score of an unreachable state
+_BAND = 1 << 12  # the minimum's shifted live scores lie in [-_BAND, 0]
 _RING = 4  # how many rows back a row's shifted maxima are looked for
 _SCAN_BLOCK = 1 << 16  # the states _scan_back lists candidates from at a time
 _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
@@ -139,6 +141,21 @@ _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
 _CHUNK = 256
 _READ_ROWS = 16
 _PHASES = ("group", "transform", "read", "close", "scan")
+
+
+def _scores(objective: Objective, n: int) -> tuple[type, int, int]:
+    """The dtype of an objective's scores at width n, its dead score and band.
+
+    The maximum's scores are int8.  The empty row fits under every row, so
+    each state scores within 2n of its row's best: shifted live scores lie
+    in [-2n, 0] and unshifted ones in [-2n, n], [-64, 32] at the uint32
+    limit n = 32.  A dead score plus a row's gain, at most -128 + n, stays
+    below the live ones.  The minimum's band is 4096, so its scores are
+    int16.
+    """
+    if objective is Objective.MAX_PERMISSIBLE:
+        return np.int8, -128, 2 * n
+    return np.int16, _DEAD, _BAND
 
 
 def _group_bound(n: int) -> int:
@@ -186,7 +203,7 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
         groups = max(_class_count(n, False), _class_count(n, True))
     else:
         groups = _group_bound(n)
-    width = 2  # int16 scores
+    width = np.dtype(_scores(objective, n)[0]).itemsize
     # _state_tables: tb (uint32), order (intp), pc (int8); starts and
     # group_keys (intp, one per group).  Its build peaks at 19 bytes a
     # state, with the sorted tb and two masks, below every use.
@@ -203,11 +220,11 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int
         # the grouped maxima and the _RING rows' maxima they are compared
         # with; at a close-off, their int64 fit test and its mask
         per_group = width * (_RING + 1) + 9
-        # score, gain, z and the sorted copy of score; a witness keeps one
-        # score layer per row before the last (the transient is not known
-        # in advance)
+        # score, z and the sorted copy of score (gain is the cached pc); a
+        # witness keeps one score layer per row before the last (the
+        # transient is not known in advance)
         layers = m - 1 if want_witness else 0
-        return need + pick + size * width * (4 + layers) + groups * per_group
+        return need + pick + size * width * (3 + layers) + groups * per_group
     # The minimum's state is its grouped maxima, one (groups, 2^n) array a
     # row.  A witness keeps every row's (the layers, shared with the ring);
     # otherwise the ring holds _RING + 1.
@@ -328,16 +345,22 @@ def _pair_tables(n: int, bricked: bool) -> np.ndarray:
 
 
 def _subset_max_inplace(z: np.ndarray, n: int):
-    """z[k] := max over k' ⊆ k of z[k'], along axis 0."""
+    """z[k] := max over k' ⊆ k of z[k'], along axis 0.
+
+    The subset-maximum (zeta) transform of Björklund, Husfeldt, Kaski &
+    Koivisto (STOC 2007): one pass per bit b, each z[k] with bit b set
+    taking the maximum with z[k - 2^b].
+    """
     tail = z.shape[1:]
     for b in range(n):
         view = z.reshape(-1, 2, 1 << b, *tail)
         hi, lo = view[:, 1], view[:, 0]
-        if tail or b >= 3:
+        if tail or b >= 4:
             np.maximum(hi, lo, out=hi)
         else:
-            # runs of 1 << b elements are too short for the inner loop:
-            # walk the long axis innermost instead (several times faster)
+            # on a 1-D z, runs of 1 << b elements are too short for the
+            # inner loop: walk the long axis innermost instead (at n = 23,
+            # the pass at b = 3 takes about half the time this way)
             np.maximum(hi.T, lo.T, out=hi.T, order="C")
 
 
@@ -489,21 +512,24 @@ def _scan_back(layers, offsets, below: list[int], target: int, key_u, gain, n: i
     return tuple(reversed(below[1:]))
 
 
-def _normalize(grouped: np.ndarray) -> int:
+def _normalize(grouped: np.ndarray, dead: int, band: int) -> int:
     """Shift grouped in place so that its maximum is 0; return the shift.
 
-    Dead scores are reset to _DEAD so that they do not drift.  A live score
-    below -_BAND raises SettleError: the next row could no longer tell it
-    from a dead one.
+    Scores at or above dead // 2 are live (_scores gives dead and band).
+    Dead scores are reset to dead so that they do not drift; they are found
+    before the shift, which may wrap them around.  A live score more than
+    band below the maximum raises SettleError: the next row could no longer
+    tell it from a dead one.
     """
+    live = dead // 2
     shift = int(grouped.max())
-    if shift < _LIVE:
+    if shift < live:
         raise SettleError("internal error: a row of the sweep has no live state")
+    low = grouped < shift - band
+    if grouped.max(where=low, initial=dead) >= shift + live:
+        raise SettleError(f"internal error: live scores spread beyond {band} in one row")
     grouped -= shift
-    low = grouped < -_BAND
-    if grouped.max(where=low, initial=_DEAD) >= _LIVE:
-        raise SettleError(f"internal error: live scores spread beyond {_BAND} in one row")
-    grouped[low] = _DEAD
+    grouped[low] = dead
     return shift
 
 
@@ -516,14 +542,14 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     houses for the maximum, minus the houses for the minimum.  The maximum's
     state is indexed by the last row; the minimum's by the row above it and
     the last row, so that the north proposition can cover the last row.
-    The forward pass carries int16 scores alone and takes their maxima over
-    the triple-mask groups of the oldest row.  The grouped maxima are the
-    whole state of the sweep: the groups that fit the virtual south row
-    close off at m; scattered and run through the subset-maximum
-    transform, they are read at every real row to advance to m + 1.  The
-    maximum groups its score array after each read; the minimum reads
-    grouped maxima into grouped maxima (_pair_advance) and never holds a
-    score per pair.
+    The forward pass carries scores alone (_scores: int8 for the maximum,
+    int16 for the minimum) and takes their maxima over the triple-mask
+    groups of the oldest row.  The grouped maxima are the whole state of
+    the sweep: the groups that fit the virtual south row close off at m;
+    scattered and run through the subset-maximum transform, they are read
+    at every real row to advance to m + 1.  The maximum groups its score
+    array after each read; the minimum reads grouped maxima into grouped
+    maxima (_pair_advance) and never holds a score per pair.
 
     Each row's grouped maxima are shifted to a maximum of 0 (_normalize),
     the shift carried as a Python int.  The sweep is invariant under adding
@@ -545,14 +571,16 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     t0 = time.perf_counter()
     clock = _Clock()
     tb, order, starts, group_keys, pc = _state_tables(n, bricked)
+    dtype, dead, band = _scores(objective, n)
+    live = dead // 2
     full = full_mask(n)
     size = 1 << n
     d_v = full if bricked else 0  # the virtual south row
     if maximize:
         # a row r admits the rows u above it with triple(u) ⊆ ~r: the fold
         # scatters at triple(u) and is read at full - r, which is z reversed
-        state = pc.astype(np.int16)
-        gain = state.copy()
+        gain = pc  # int8, as the scores
+        state = pc.copy()
         key_u, scatter = tb, group_keys
         z = np.empty_like(state)
         # _scan_back reads the scores after rows 1..
@@ -561,9 +589,9 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         # a row c admits the rows u above it with ~triple(u) ⊆ reach(c, d):
         # the fold scatters at full - triple(u) and is read at reach
         # (_pair_advance, _pair_read)
-        gain = -pc.astype(np.int16)
+        gain = -pc.astype(dtype)
         # row 1 sits under the virtual empty north row, in the class of 0
-        state = np.full((len(starts), size), _DEAD, dtype=np.int16)
+        state = np.full((len(starts), size), dead, dtype=dtype)
         state[np.searchsorted(group_keys, tb[0])] = gain
         key_u = full ^ tb
         # _scan_back reads the scores after rows 2.. (row 1 is picked from
@@ -580,7 +608,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         for the minimum), over the groups that fit it."""
         clock.mark()
         if maximize:
-            s = np.where((scatter & d_v) == 0, grouped, _DEAD).max()
+            s = np.where((scatter & d_v) == 0, grouped, dead).max()
         else:
             s = _pair_read(grouped, d_v, n, bricked)
         clock.lap("close")
@@ -595,7 +623,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
 
     def finish(m: int, s: np.ndarray, shift: int, advanced: int) -> SolveResult:
         best = int(s.max())
-        if best < _LIVE:
+        if best < live:
             raise SettleError(f"no maximal configuration found for {m}x{n} (internal error)")
         dims = Dims(m, n, boundary)
         witness = None
@@ -637,7 +665,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             layers.append(state if maximize else grouped)
             offsets.append(offset)
         grouped = np.maximum.reduceat(state[order], starts) if maximize else state
-        offset += _normalize(grouped)
+        offset += _normalize(grouped, dead, band)
         del ring[:-_RING]
         # at most one row matches: two would have matched each other before
         for row, seen, seen_offset in ring:
@@ -655,7 +683,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             break
         if maximize:
             clock.mark()
-            z.fill(_DEAD)
+            z.fill(dead)
             z[scatter] = grouped
             _subset_max_inplace(z, n)
             clock.lap("transform")
@@ -865,12 +893,15 @@ def table(
     min objective are enumerated directly under the wider max_cols cap, as
     in solve.  The max_wall_s cap counts from the start of a column's
     sweep; cells the sweep has not reached when it trips get its
-    LimitError message.
+    LimitError message.  "wall_s" holds each cell's stats["wall_s"], the
+    seconds from the start of its column's sweep to its close-off, and
+    None for an error cell.
     """
     limits = limits or Limits()
     rows = list(row_range)
     cols = list(col_range)
     cells: dict[tuple[int, int], int | str] = {}
+    seconds: dict[tuple[int, int], float] = {}
     for n in cols:
         swept = []
         for m in sorted(set(rows)):
@@ -878,7 +909,8 @@ def table(
                 dims = Dims(m, n, boundary)
                 if objective is Objective.MIN_MAXIMAL and m == 1:
                     req = SolveRequest(dims, objective, want_witness=False, limits=limits)
-                    cells[m, n] = solve_min_maximal(req).optimum
+                    res = solve_min_maximal(req)
+                    cells[m, n], seconds[m, n] = res.optimum, res.stats["wall_s"]
                 else:
                     swept.append(m)
             except (SettleError, ValueError) as exc:
@@ -888,6 +920,7 @@ def table(
         try:
             for res in _sweep(objective, n, boundary, swept, False, limits):
                 cells[res.dims.rows, n] = res.optimum
+                seconds[res.dims.rows, n] = res.stats["wall_s"]
         except SettleError as exc:
             for m in swept:
                 cells.setdefault((m, n), str(exc))
@@ -903,11 +936,13 @@ def table(
             else:
                 line.append(cell)
         values.append(line)
+    wall_s = [[seconds.get((m, n)) for n in cols] for m in rows]
     return {
         "objective": objective.value,
         "boundary": boundary.value,
         "rows": rows,
         "cols": cols,
         "values": values,
+        "wall_s": wall_s,
         "errors": errors,
     }

@@ -242,6 +242,20 @@ class TestTable:
         assert m0 + p <= 40
         assert all(column[m + p] == column[m] + d for m in range(max(m0, 2), 2001 - p))
 
+    def test_json_reports_per_cell_seconds(self):
+        res = invoke("table", "--objective", "min", "--rows", "1..3", "--cols", "5..7",
+                     "--json", env={"SETTLE_MAX_COLS": "6"})
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert set(payload) == {"schema", "objective", "boundary", "rows", "cols",
+                                "values", "wall_s", "errors"}
+        # null exactly at the error cells: width 7 past the cap
+        assert [[s is None for s in line] for line in payload["wall_s"]] == \
+            [[False, False, True]] * 3
+        assert [[v is None for v in line] for line in payload["values"]] == \
+            [[False, False, True]] * 3
+        assert all(s >= 0 for line in payload["wall_s"] for s in line[:2])
+
     def test_single_value_ranges(self):
         res = invoke("table", "--rows", "4", "--cols", "5", "--json")
         assert json.loads(res.output)["values"] == [[17]]

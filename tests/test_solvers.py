@@ -20,7 +20,6 @@ from settle.solvers import (
     SolveRequest,
     _BAND,
     _DEAD,
-    _LIVE,
     _PHASES,
     _brute_bytes,
     _class_count,
@@ -28,7 +27,9 @@ from settle.solvers import (
     _need_bytes,
     _pair_advance,
     _pair_tables,
+    _scores,
     _state_tables,
+    _subset_max_inplace,
     _sweep,
     brute_force,
     solve,
@@ -282,8 +283,13 @@ class TestSweep:
     ])
     def test_table_equals_per_cell_solve(self, objective, cols, boundary):
         rows = [5, 2, 5, 1, 0, 7]
-        assert table(objective, rows, cols, boundary) == \
-            per_cell_table(objective, rows, cols, boundary)
+        got = table(objective, rows, cols, boundary)
+        # the seconds differ from run to run: only their shape is compared
+        wall_s = got.pop("wall_s")
+        assert got == per_cell_table(objective, rows, cols, boundary)
+        assert [[s is None for s in line] for line in wall_s] == \
+            [[v is None for v in line] for line in got["values"]]
+        assert all(s >= 0 for line in wall_s for s in line if s is not None)
 
     def test_single_row_min_cells_keep_the_wide_cap(self):
         out = table(Objective.MIN_MAXIMAL, [1, 2], [13])
@@ -432,13 +438,37 @@ class TestPeriodicSweep:
     def test_normalize_shifts_and_checks_the_band(self):
         # dead scores drift by a row's gain and shift; they go back to _DEAD
         grouped = np.array([5, 3, 5 - _BAND, _DEAD + 7, _DEAD - 4], dtype=np.int16)
-        assert _normalize(grouped) == 5
+        assert _normalize(grouped, _DEAD, _BAND) == 5
         assert grouped.tolist() == [0, -2, -_BAND, _DEAD, _DEAD]
         # a live score out of the band raises rather than pass for dead later
         with pytest.raises(SettleError):
-            _normalize(np.array([0, -_BAND - 1], dtype=np.int16))
+            _normalize(np.array([0, -_BAND - 1], dtype=np.int16), _DEAD, _BAND)
         with pytest.raises(SettleError):
-            _normalize(np.array([_DEAD, _DEAD - 3], dtype=np.int16))
+            _normalize(np.array([_DEAD, _DEAD - 3], dtype=np.int16), _DEAD, _BAND)
+
+    def test_normalize_shifts_and_checks_the_int8_band(self):
+        # the maximum at n = 5: a live score 2n below the row's best is
+        # kept, and dead scores drifted by a row's gain go back to -128,
+        # although the shift wraps them around first
+        dtype, dead, band = _scores(Objective.MAX_PERMISSIBLE, 5)
+        grouped = np.array([5, 3, 5 - 10, -128 + 5, -128], dtype=dtype)
+        assert _normalize(grouped, dead, band) == 5
+        assert grouped.dtype == np.int8
+        assert grouped.tolist() == [0, -2, -10, -128, -128]
+        with pytest.raises(SettleError):
+            _normalize(np.array([4, 4 - 11], dtype=dtype), dead, band)
+        with pytest.raises(SettleError):
+            _normalize(np.array([-128, -128 + 5], dtype=dtype), dead, band)
+
+    def test_int8_scores_hold_every_max_width(self):
+        # up to the uint32 limit: unshifted scores lie in [-2n, n], and a
+        # dead score plus a row's gain stays below the live ones
+        for n in range(1, 33):
+            dtype, dead, band = _scores(Objective.MAX_PERMISSIBLE, n)
+            info = np.iinfo(dtype)
+            assert (dtype, band) == (np.int8, 2 * n), n
+            assert info.min <= dead and n <= info.max, n
+            assert dead + n < dead // 2 <= -2 * n, n
 
 
 class TestScoreWidth:
@@ -504,6 +534,11 @@ class TestStateBytes:
         finally:
             tracemalloc.stop()
         assert peak <= _need_bytes(objective, m, n, witness)
+
+    def test_long_max_witness_fits_the_default_cap(self):
+        # the estimate still counts m - 1 score layers, at one byte each
+        assert _need_bytes(Objective.MAX_PERMISSIBLE, 100, 24, True) <= \
+            Limits().max_state_bytes
 
     def test_pair_state_holds_no_pair_array(self):
         # the minimum's state is one score per (class, row), so its estimate
@@ -601,9 +636,24 @@ class TestPairAdvance:
                 grouped[rng.random(grouped.shape) < 0.3] = _DEAD
                 got = _pair_advance(grouped, n, bricked, gain)
                 want = self.reference(grouped, n, bricked, gain)
-                live = want >= _LIVE
+                live = want >= _DEAD // 2
                 assert np.array_equal(got[live], want[live]), (n, bricked)
-                assert (got[~live] < _LIVE).all(), (n, bricked)
+                assert (got[~live] < _DEAD // 2).all(), (n, bricked)
+
+
+class TestSubsetMax:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_matches_the_naive_subset_maximum(self, dtype):
+        # widths up to 10 take both the transposed passes (b < 4) and the
+        # plain ones
+        rng = np.random.default_rng(3)
+        info = np.iinfo(dtype)
+        for n in range(11):
+            keys = np.arange(1 << n)
+            z = rng.integers(info.min, info.max, 1 << n, endpoint=True).astype(dtype)
+            want = [z[(keys & k) == keys].max() for k in range(1 << n)]
+            _subset_max_inplace(z, n)
+            assert z.tolist() == want, (n, dtype)
 
 
 class TestPhases:
