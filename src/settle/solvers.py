@@ -5,12 +5,13 @@ keeps a score per row profile.  The minimum solver's states are ordered
 (row above, current row) pairs, so that the north proposition can cover
 the current row; since its transition reads the row above only through
 its triple mask, it keeps one score per (triple class of the row above,
-current row).  The minimum scores minus its houses, so both maximize, and
-each row's transition maximum is one subset-indexed maximum transform over
-triple masks (cost ~ n·2^n per state column): the maximum scatters its rows
-at triple(u), the minimum at the complement of triple(u), since
-triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.  The row mask algebra comes
-from the rows module, evaluated on whole numpy arrays of states.
+current row).  A triple class is a triple mask that occurs; _state_tables
+gives every row its class.  The minimum scores minus its houses, so both
+maximize, and each row's transition maximum is one subset-indexed maximum
+transform over the classes (cost ~ n·2^n per state column): the maximum
+scatters its rows at triple(u), the minimum at the complement of
+triple(u), since triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.  The row mask
+algebra comes from the rows module, evaluated on numpy arrays of states.
 
 The forward pass carries scores alone, shifted each row so that its best
 is 0; the shift is carried as a Python int.  So the maximum's scores fit
@@ -158,92 +159,60 @@ def _scores(objective: Objective, n: int) -> tuple[type, int, int]:
     return np.int16, _DEAD, _BAND
 
 
-def _group_bound(n: int) -> int:
-    """Upper bound on the distinct triple masks of width n (the fold's groups).
-
-    A triple mask never holds 1-0-1 in adjacent columns: flanked houses at
-    columns j-1 and j+1 occupy column j and both its neighbours, so column j
-    is flanked too.  n-bit strings without 101 number a(n) = a(n-1) + a(n-2)
-    + a(n-4).
-    """
-    a = [1, 2, 4, 7]
-    while len(a) <= n:
-        a.append(a[-1] + a[-2] + a[-4])
-    return a[n]
-
-
-@lru_cache(maxsize=32)
-def _class_count(n: int, bricked: bool) -> int:
-    """The number of distinct triple masks of width n: the pair state's classes.
-
-    K is the triple mask of some row exactly when it is the triple mask of
-    its dilation (K | K<<1 | K>>1) & full: a row with triple mask K holds
-    K and the neighbours of K, so it holds the dilation, and triple masks
-    only grow with the row.
-    """
-    keys = np.arange(1 << n, dtype=np.uint32)
-    dilated = (keys | (keys << 1) | (keys >> 1)) & full_mask(n)
-    return int(np.count_nonzero(triple_mask(dilated, n, bricked) == keys))
-
-
-def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool) -> int:
+def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricked: bool,
+                kept: int | None = None) -> int:
     """Upper bound on the bytes one solve allocates, with cold table caches.
 
     Counts the arrays alive at the DP's peak: the cached tables, the working
-    arrays of one row, the score layers a witness keeps for every row, and
-    the masks of the backward scan.
+    arrays of one row, the score layers a witness keeps, and the masks of
+    the backward scan.  A witness keeps a layer a row until the sweep's
+    cycle: kept rows once the cycle is known (_sweep), else m.
     """
-    pairs = objective is Objective.MIN_MAXIMAL and m > 1
     size = 1 << n
-    # the pair state has one row per class, the larger count of both
-    # borders; it is enumerated only up to the 16 columns the uint16 reach
-    # table holds, so that no estimate allocates 2^n keys (the byte cap
-    # refuses wider pair solves by a(n) anyway)
-    if pairs and n <= 16:
-        groups = max(_class_count(n, False), _class_count(n, True))
-    else:
-        groups = _group_bound(n)
+    # the classes are enumerated (2^n work, cached) up to the 24 columns of
+    # the default cap; beyond, 2^n bounds them
+    groups = len(_class_keys(n, bricked)) if n <= 24 else size
     width = np.dtype(_scores(objective, n)[0]).itemsize
-    # _state_tables: tb (uint32), order (intp), pc (int8); starts and
-    # group_keys (intp, one per group).  Its build peaks at 19 bytes a
-    # state, with the sorted tb and two masks, below every use.
-    need = _FIXED_BYTES + size * 13 + groups * 16
+    # _state_tables: ids (the narrowest unsigned type of a class index) and
+    # pc (int8) a state, keys (uint32) a class.  The build adds the uint32
+    # stages of one _RULE_BLOCK and an index a class, freed before any use.
+    need = _FIXED_BYTES + size * (np.min_scalar_type(groups - 1).itemsize + 1) + groups * 4
+    build = min(size, _RULE_BLOCK) * 24 + groups * 8
     # a _pick over one block, if every state there is a candidate: the
-    # compare mask, the indices (intp) twice, their uint32 keys and key
-    # test, or the indices and three int64 stages of their rev
-    pick = _SCAN_BLOCK * 32 if want_witness else 0
+    # compare mask, the indices (intp) twice, their classes and fit, or the
+    # indices and three int64 stages of their rev; the rows' Python objects
+    pick = _SCAN_BLOCK * 32 + m * 256 if want_witness else 0  # 168 bytes a row measured
     if objective is Objective.MIN_MAXIMAL and m == 1:
         # _min_single_row: states, covered and covered_mask's stages
         # (uint32), then ok and the scores the pick reads
-        return need + pick + size * 20
+        return need + max(build, pick + size * 20)
     if objective is Objective.MAX_PERMISSIBLE:
         # the grouped maxima and the _RING rows' maxima they are compared
-        # with; at a close-off, their int64 fit test and its mask
-        per_group = width * (_RING + 1) + 9
-        # score, z and the sorted copy of score (gain is the cached pc); a
-        # witness keeps one score layer per row before the last (the
-        # transient is not known in advance)
-        layers = m - 1 if want_witness else 0
-        return need + pick + size * width * (3 + layers) + groups * per_group
+        # with; at a close-off or a row of _scan_back, the uint32 fit test,
+        # its mask and the masked maxima
+        per_group = width * (_RING + 2) + 5
+        # score and z (gain is the cached pc); a witness keeps one score
+        # layer per kept row before the last, which is score itself
+        layers = (kept or m) - 1 if want_witness else 0
+        return need + max(build, pick + size * width * (2 + layers) + groups * per_group)
     # The minimum's state is its grouped maxima, one (groups, 2^n) array a
-    # row.  A witness keeps every row's (the layers, shared with the ring);
-    # otherwise the ring holds _RING + 1.
+    # row.  A witness keeps every kept row's (the layers, shared with the
+    # ring); otherwise the ring holds _RING + 1.
     grouped = groups * size * width
-    held = m if want_witness else min(m, _RING + 1)
+    held = (kept or m) if want_witness else min(m, _RING + 1)
     chunk = min(_CHUNK, size)
-    # a row advance: the next row's maxima and the class-ordered copy of
-    # this row's; the block, the read, and one _READ_ROWS slice of reach
-    # rows with its flat indices (intp); one class's maxima
-    advance = (2 * grouped + 2 * chunk * size * width
+    # a row advance: the class order (intp, and its sort's buffer), bounds,
+    # the next maxima and this row's class-ordered copy, the block, the read,
+    # a _READ_ROWS slice of reach rows, its flat indices (intp), a class's maxima
+    advance = (2 * grouped + size * 16 + groups * 64 + 2 * chunk * size * width
                + _READ_ROWS * size * (2 + 8) + size * width)
     # a _pair_read, for a close-off or a column of _scan_back: the uint16
     # fit test, its mask and the masked maxima; at a cycle, the close-off
     # maxima of the rows it repeats
     read = groups * size * (2 + 1 + width) + size * width * _RING
-    # _pair_tables: reach (uint16), built _RULE_BLOCK pairs at a time in
-    # uint32 stages, before any grouped maxima exist
+    # _pair_tables: reach (uint16), built _RULE_BLOCK pairs at a time in uint32 stages
     return (need + pick + size * size * 2
-            + max(_RULE_BLOCK * 24, held * grouped + max(advance, read)))
+            + max(build, _RULE_BLOCK * 24, held * grouped + max(advance, read)))
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -263,17 +232,24 @@ def _brute_bytes(objective: Objective, m: int, n: int) -> int:
     return _FIXED_BYTES + max(rules, scores)
 
 
-def _check_limits(objective: Objective, m: int, n: int, want_witness: bool,
-                  limits: Limits) -> int:
-    """Raise LimitError when an m×n solve would pass a column or byte cap.
+def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: Limits) -> int:
+    """Raise LimitError when a solve would pass a column or byte cap.
 
-    Returns the byte estimate the solve was checked against.
+    Returns the byte estimate the solve was checked against.  A witness
+    solve it refuses is estimated again from the m0 + p rows its sweep
+    keeps, the cycle found by a sweep without a witness.
     """
+    m, n, bricked = dims.rows, dims.cols, dims.boundary is Boundary.BRICKED
     pairs = objective is Objective.MIN_MAXIMAL and m > 1
     cap, what = (limits.max_cols_pairs, "pair-state cap") if pairs else (limits.max_cols, "cap")
     if n > cap:
         raise LimitError(f"cols {n} over the configured {what} {cap}")
-    return _check_bytes(_need_bytes(objective, m, n, want_witness), limits)
+    need = _need_bytes(objective, m, n, want_witness, bricked)
+    if want_witness and m > 1 and need > limits.max_state_bytes:
+        cycle = next(_sweep(objective, n, dims.boundary, [m], False, limits)).stats
+        if cycle["transient"] is not None:
+            need = _need_bytes(objective, m, n, True, bricked, cycle["transient"] + cycle["period"])
+    return _check_bytes(need, limits)
 
 
 def _check_bytes(need: int, limits: Limits) -> int:
@@ -302,17 +278,40 @@ def _validate_witness(result: SolveResult):
 
 
 @lru_cache(maxsize=8)
+def _class_keys(n: int, bricked: bool) -> np.ndarray:
+    """The triple masks of width n that occur, ascending: the state classes.
+
+    K is the triple mask of some row exactly when it is the triple mask of
+    its dilation (K | K<<1 | K>>1) & full: a row with triple mask K holds
+    K and the neighbours of K, so it holds the dilation, and triple masks
+    only grow with the row.  Tested _RULE_BLOCK masks at a time.
+    """
+    keys = []
+    for lo in range(0, 1 << n, _RULE_BLOCK):
+        k = np.arange(lo, min(lo + _RULE_BLOCK, 1 << n), dtype=np.uint32)
+        dilated = (k | (k << 1) | (k >> 1)) & full_mask(n)
+        keys.append(k[triple_mask(dilated, n, bricked) == k])
+    return np.concatenate(keys)
+
+
+@lru_cache(maxsize=8)
 def _state_tables(n: int, bricked: bool):
-    """Per-state masks shared by solver calls of equal width and border."""
-    states = np.arange(1 << n, dtype=np.uint32)
-    pc = np.bitwise_count(states).astype(np.int8)
-    tb = triple_mask(states, n, bricked)
-    del states  # so that the build peaks below a max sweep's use
-    order = np.argsort(tb, kind="stable")
-    tb_sorted = tb[order]
-    starts = np.flatnonzero(np.r_[True, tb_sorted[1:] != tb_sorted[:-1]])
-    group_keys = tb_sorted[starts].astype(np.intp)
-    return tb, order, starts, group_keys, pc
+    """The classes (_class_keys), each state's class index ids (in the
+    narrowest unsigned type) and its houses pc (int8).  ids first holds each
+    key's index at the key; a state's triple mask is at most the state, so
+    ids is then read top down, _RULE_BLOCK states at a time, each block at
+    indices that no block has overwritten yet."""
+    keys = _class_keys(n, bricked)
+    size = 1 << n
+    ids = np.empty(size, dtype=np.min_scalar_type(len(keys) - 1))
+    ids[keys] = np.arange(len(keys))
+    pc = np.empty(size, dtype=np.int8)
+    step = min(_RULE_BLOCK, size)
+    for lo in range(size - step, -1, -step):
+        states = np.arange(lo, lo + step, dtype=np.uint32)
+        ids[lo:lo + step] = ids[triple_mask(states, n, bricked)]
+        pc[lo:lo + step] = np.bitwise_count(states)
+    return keys, ids, pc
 
 
 @lru_cache(maxsize=4)
@@ -396,13 +395,14 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     class of c, and gain[d] is added once per class.
     """
     clock = clock or _Clock()
-    _, order, starts, group_keys, _ = _state_tables(n, bricked)
+    keys, ids, _ = _state_tables(n, bricked)
     reach = _pair_tables(n, bricked)
     size = 1 << n
     chunk = min(_CHUNK, size)
     rows = min(_READ_ROWS, chunk)
-    scatter = full_mask(n) - group_keys
-    bounds = starts.tolist() + [size]
+    scatter = full_mask(n) - keys
+    order = np.argsort(ids, kind="stable")  # class g: order[bounds[g]:bounds[g + 1]]
+    bounds = [0] + np.cumsum(np.bincount(ids, minlength=len(keys))).tolist()
     out = np.empty_like(grouped)
     block = np.empty((size, chunk), dtype=grouped.dtype)
     flat = block.reshape(-1)
@@ -428,7 +428,7 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
         clock.lap("read")
         # the classes that meet the chunk; a class begun in an earlier
         # chunk takes the maximum with what it holds
-        while g < len(starts) and bounds[g] < hi:
+        while g < len(keys) and bounds[g] < hi:
             part = read[max(bounds[g], lo) - lo:min(bounds[g + 1], hi) - lo]
             if bounds[g] >= lo:
                 np.max(part, axis=0, out=out[g])
@@ -451,23 +451,22 @@ def _pair_read(grouped: np.ndarray, d: int, n: int, bricked: bool) -> np.ndarray
     the virtual south row it is the close-off; at a row of a witness it
     rebuilds the scores the backward scan reads.
     """
-    _, _, _, group_keys, _ = _state_tables(n, bricked)
     reach = _pair_tables(n, bricked)
-    keys = (full_mask(n) - group_keys).astype(reach.dtype)
+    keys = (full_mask(n) - _state_tables(n, bricked)[0]).astype(reach.dtype)
     fit = (keys[:, None] & (full_mask(n) ^ reach[:, d])) == 0
     return np.where(fit, grouped, _DEAD).max(axis=0)
 
 
-def _pick(scores: np.ndarray, target: int, key: np.ndarray, block: int, n: int) -> int:
-    """The u with scores[u] == target and key[u] & block == 0 of largest
-    rev(u), its n bits reversed (every solver's tie-break), or -1 if none.
+def _pick(scores: np.ndarray, target: int, fits: np.ndarray, ids: np.ndarray, n: int) -> int:
+    """The u with scores[u] == target whose class fits, fits[ids[u]], of
+    largest rev(u), its n bits reversed (every solver's tie-break), or -1.
 
     rev is computed for the candidates alone, one _SCAN_BLOCK at a time.
     """
     u, u_rev = -1, -1
     for lo in range(0, len(scores), _SCAN_BLOCK):
         cand = lo + np.flatnonzero(scores[lo:lo + _SCAN_BLOCK] == target)
-        cand = cand[(key[cand] & block) == 0]
+        cand = cand[fits[ids[cand]]]
         if cand.size:
             rev = bit_reverse(cand, n)
             i = int(np.argmax(rev))
@@ -476,7 +475,7 @@ def _pick(scores: np.ndarray, target: int, key: np.ndarray, block: int, n: int) 
     return u
 
 
-def _scan_back(layers, offsets, below: list[int], target: int, key_u, gain, n: int,
+def _scan_back(layers, offsets, below: list[int], target: int, gain, n: int,
                bricked: bool, pairs: bool) -> tuple[int, ...]:
     """Rebuild a witness's rows, north first, from the state after every row.
 
@@ -488,22 +487,22 @@ def _scan_back(layers, offsets, below: list[int], target: int, key_u, gain, n: i
     it also holds the last row, picked already.  target is the optimum's
     score, which its state in the last layer has.  Walking north, a
     state's score less the gain of its last row is the maximum over the
-    rows u that fit the rows below it, u fitting when key_u[u] & block ==
-    0; that is the target in the layer above.  So each row is the _pick
-    among the fitting rows that score the target, the row a stored argmax
-    would give.
+    rows u that fit the rows below it, which fit by the class of u; that is
+    the target in the layer above.  So each row is the _pick among the
+    fitting rows that score the target, the row a stored argmax would give.
     """
+    keys, ids, _ = _state_tables(n, bricked)
     for layer, offset in zip(reversed(layers), reversed(offsets)):
         if not pairs:
             # the maximum: u fits the row r below it when triple(u) ⊆ ~r
-            scores, block = layer, below[-1]
+            scores, fits = layer, (keys & below[-1]) == 0
         else:
             # the minimum: u fits the rows (c, d) below it when
             # ~triple(u) ⊆ reach(c, d), scored at the state (u, c)
             c, d = below[-1], below[-2]
             scores = _pair_read(layer, c, n, bricked) + gain[c]
-            block = full_mask(n) ^ int(_pair_tables(n, bricked)[c, d])
-        u = _pick(scores, target - offset, key_u, block, n)
+            fits = (keys | int(_pair_tables(n, bricked)[c, d])) == full_mask(n)
+        u = _pick(scores, target - offset, fits, ids, n)
         if u < 0:
             raise SettleError("internal error: the backward scan lost the optimum's path")
         below.append(u)
@@ -567,21 +566,19 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     sign = 1 if maximize else -1  # the optimum is sign * the best score
     bricked = boundary is Boundary.BRICKED
     top = rows[-1]
-    need = _check_limits(objective, top, n, want_witness, limits)
     t0 = time.perf_counter()
+    need = _check_limits(objective, Dims(top, n, boundary), want_witness, limits)
     clock = _Clock()
-    tb, order, starts, group_keys, pc = _state_tables(n, bricked)
+    keys, ids, pc = _state_tables(n, bricked)
     dtype, dead, band = _scores(objective, n)
     live = dead // 2
-    full = full_mask(n)
     size = 1 << n
-    d_v = full if bricked else 0  # the virtual south row
+    d_v = full_mask(n) if bricked else 0  # the virtual south row
     if maximize:
         # a row r admits the rows u above it with triple(u) ⊆ ~r: the fold
         # scatters at triple(u) and is read at full - r, which is z reversed
         gain = pc  # int8, as the scores
         state = pc.copy()
-        key_u, scatter = tb, group_keys
         z = np.empty_like(state)
         # _scan_back reads the scores after rows 1..
         first, states = 1, size
@@ -591,9 +588,8 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         # (_pair_advance, _pair_read)
         gain = -pc.astype(dtype)
         # row 1 sits under the virtual empty north row, in the class of 0
-        state = np.full((len(starts), size), dead, dtype=dtype)
-        state[np.searchsorted(group_keys, tb[0])] = gain
-        key_u = full ^ tb
+        state = np.full((len(keys), size), dead, dtype=dtype)
+        state[ids[0]] = gain
         # _scan_back reads the scores after rows 2.. (row 1 is picked from
         # row 2's states); the DP's states are the pairs (u, c)
         first, states = 2, size * size
@@ -608,7 +604,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         for the minimum), over the groups that fit it."""
         clock.mark()
         if maximize:
-            s = np.where((scatter & d_v) == 0, grouped, dead).max()
+            s = np.where((keys & d_v) == 0, grouped, dead).max()
         else:
             s = _pair_read(grouped, d_v, n, bricked)
         clock.lap("close")
@@ -630,10 +626,10 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         if want_witness:
             clock.mark()
             # the minimum's last row is still an axis: pick it first
-            below = [d_v] if maximize else [d_v, _pick(s, best, tb, d_v, n)]
+            below = [d_v] if maximize else [d_v, _pick(s, best, (keys & d_v) == 0, ids, n)]
             kept, shifts = zip(*map(layer_at, range(first, m + 1)))
             witness = Configuration(dims, _scan_back(
-                kept, shifts, below, best + shift, key_u, gain, n, bricked, not maximize))
+                kept, shifts, below, best + shift, gain, n, bricked, not maximize))
             clock.lap("scan")
         m0, p, d = cycle or (None, None, None)
         result = SolveResult(
@@ -664,7 +660,10 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             # from which _pair_read rebuilds the scores after row m
             layers.append(state if maximize else grouped)
             offsets.append(offset)
-        grouped = np.maximum.reduceat(state[order], starts) if maximize else state
+        grouped = state
+        if maximize:
+            grouped = np.full(len(keys), dead, dtype=dtype)
+            np.maximum.at(grouped, ids, state)
         offset += _normalize(grouped, dead, band)
         del ring[:-_RING]
         # at most one row matches: two would have matched each other before
@@ -684,7 +683,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         if maximize:
             clock.mark()
             z.fill(dead)
-            z[scatter] = grouped
+            z[keys] = grouped
             _subset_max_inplace(z, n)
             clock.lap("transform")
             if layers and layers[-1] is state:
@@ -724,19 +723,20 @@ def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
     n = req.dims.cols
     bricked = req.dims.boundary is Boundary.BRICKED
     full = full_mask(n)
-    tb, _, _, _, pc = _state_tables(n, bricked)
+    keys, ids, pc = _state_tables(n, bricked)
     clock = _Clock()
     states = np.arange(1 << n, dtype=np.uint32)
     d_v = np.uint32(full if bricked else 0)
     # the empty north row covers nothing, so every empty lot needs cover
     covered = covered_mask(np.uint32(0), states, d_v, n, bricked)
-    ok = ((tb & d_v) == 0) & ((covered | states) == full)
+    fits = (keys & d_v) == 0
+    ok = fits[ids] & ((covered | states) == full)
     # the sweep's tie-break: fewest houses, then the largest rev
     optimum = int(pc.min(where=ok, initial=n))
     clock.lap("close")
     witness = None
     if req.want_witness:
-        witness = Configuration(req.dims, (_pick(np.where(ok, pc, -1), optimum, tb, 0, n),))
+        witness = Configuration(req.dims, (_pick(np.where(ok, pc, -1), optimum, fits, ids, n),))
         clock.lap("scan")
     result = SolveResult(
         req.dims, req.objective, optimum, witness,
@@ -763,7 +763,7 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
     dims = req.dims
     if dims.rows == 1:
         t0 = time.perf_counter()
-        need = _check_limits(req.objective, 1, dims.cols, req.want_witness, req.limits)
+        need = _check_limits(req.objective, dims, req.want_witness, req.limits)
         return _min_single_row(req, t0, need)
     return next(_sweep(req.objective, dims.cols, dims.boundary, [dims.rows],
                        req.want_witness, req.limits))

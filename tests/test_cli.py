@@ -143,7 +143,7 @@ class TestSolve:
                          "--cols", str(n), "--json")
             assert res.exit_code == 0
             stats = json.loads(res.output)["stats"]
-            assert stats["state_bytes"] == _need_bytes(Objective(objective), m, n, True)
+            assert stats["state_bytes"] == _need_bytes(Objective(objective), m, n, True, False)
 
     def test_cap_violation_exits_2(self):
         res = invoke("solve", "--rows", "3", "--cols", "30")

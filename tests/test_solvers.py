@@ -22,7 +22,7 @@ from settle.solvers import (
     _DEAD,
     _PHASES,
     _brute_bytes,
-    _class_count,
+    _class_keys,
     _normalize,
     _need_bytes,
     _pair_advance,
@@ -513,6 +513,8 @@ class TestStateBytes:
         (Objective.MAX_PERMISSIBLE, 2, 4),
         (Objective.MAX_PERMISSIBLE, 9, 14),
         (Objective.MAX_PERMISSIBLE, 3, 18),
+        (Objective.MAX_PERMISSIBLE, 2, 20),
+        (Objective.MAX_PERMISSIBLE, 8, 22),
         (Objective.MAX_PERMISSIBLE, 20, 12),
         (Objective.MAX_PERMISSIBLE, 200, 12),
         (Objective.MIN_MAXIMAL, 1, 18),
@@ -525,27 +527,58 @@ class TestStateBytes:
     @pytest.mark.parametrize("witness", [False, True])
     def test_traced_peak_within_estimate(self, objective, m, n, boundary, witness):
         req = SolveRequest(Dims(m, n, boundary), objective, want_witness=witness)
+        _class_keys.cache_clear()
         _state_tables.cache_clear()
         _pair_tables.cache_clear()
         tracemalloc.start()
         try:
-            solve(req)
+            res = solve(req)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _need_bytes(objective, m, n, witness)
+        bricked = boundary is Boundary.BRICKED
+        assert res.stats["state_bytes"] == _need_bytes(objective, m, n, witness, bricked)
+        assert peak <= res.stats["state_bytes"]
 
     def test_long_max_witness_fits_the_default_cap(self):
-        # the estimate still counts m - 1 score layers, at one byte each
-        assert _need_bytes(Objective.MAX_PERMISSIBLE, 100, 24, True) <= \
+        # the estimate counts m - 1 score layers, at one byte each, before
+        # the sweep's cycle is known
+        assert _need_bytes(Objective.MAX_PERMISSIBLE, 100, 24, True, True) <= \
             Limits().max_state_bytes
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_witness_is_estimated_again_from_the_kept_rows(self, boundary):
+        # a cap between the estimates from m - 1 and from the m0 + p rows
+        # the witness keeps: the solve is admitted on the second
+        m, n = 60, 12
+        bricked = boundary is Boundary.BRICKED
+        cycle = solve(SolveRequest.maximum(m, n, boundary, want_witness=False)).stats
+        kept = cycle["transient"] + cycle["period"]
+        low = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, True, bricked, kept)
+        high = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, True, bricked)
+        assert low < high
+        limits = Limits(max_state_bytes=(low + high) // 2)
+        _class_keys.cache_clear()
+        _state_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            res = solve(SolveRequest.maximum(m, n, boundary, limits=limits))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.witness == max_result(m, n, boundary).witness
+        assert res.stats["state_bytes"] == low
+        assert peak <= res.stats["state_bytes"]
+        with pytest.raises(LimitError, match="estimated state space"):
+            solve(SolveRequest.maximum(m, n, boundary, limits=Limits(max_state_bytes=low - 1)))
 
     def test_pair_state_holds_no_pair_array(self):
         # the minimum's state is one score per (class, row), so its estimate
         # at the pair cap is a fraction of one int16 score per row pair
-        assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True) <= 128 << 20
-        assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, False) < \
-            _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True)
+        for bricked in (False, True):
+            assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True, bricked) <= 128 << 20
+            assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, False, bricked) < \
+                _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True, bricked)
 
     def test_wide_pair_solve_is_refused_by_its_estimate(self):
         # a raised pair cap leaves the byte cap to refuse the 4^n table,
@@ -561,10 +594,25 @@ class TestStateBytes:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("bricked", [False, True])
-    def test_class_count_is_exact(self, bricked):
+    def test_state_tables_index_the_triple_masks(self, bricked):
         for n in range(1, 17):
-            starts = _state_tables(n, bricked)[2]
-            assert _class_count(n, bricked) == len(starts), (n, bricked)
+            keys, ids, pc = _state_tables(n, bricked)
+            states = np.arange(1 << n, dtype=np.uint32)
+            tb = triple_mask(states, n, bricked)
+            assert np.array_equal(keys, np.unique(tb)), (n, bricked)
+            assert np.array_equal(keys[ids], tb), (n, bricked)
+            assert np.array_equal(pc, np.bitwise_count(states)), (n, bricked)
+
+    def test_class_ids_pass_uint16_on_the_bricked_border(self):
+        # 92 736 classes at n = 24, where a uint16 id would wrap silently;
+        # checked 2^20 states at a time
+        n, step = 24, 1 << 20
+        keys, ids, _ = _state_tables(n, True)
+        assert len(keys) == 92736
+        for lo in range(0, 1 << n, step):
+            states = np.arange(lo, lo + step, dtype=np.uint32)
+            assert np.array_equal(keys[ids[lo:lo + step]], triple_mask(states, n, True)), lo
+        _state_tables.cache_clear()
 
     @pytest.mark.parametrize("objective", list(Objective))
     @pytest.mark.parametrize("m, n", [(1, 22), (2, 11), (11, 2), (22, 1)])
@@ -607,18 +655,17 @@ class TestPairAdvance:
     def reference(grouped, n, bricked, gain):
         # every (u, c) pair's score is the best class of u that fits the
         # rows below, z[reach(c, d), c]; then grouped by the class of c
-        tb, order, starts, group_keys, _ = _state_tables(n, bricked)
+        keys, ids, _ = _state_tables(n, bricked)
         reach = _pair_tables(n, bricked)
         size = 1 << n
-        scatter = full_mask(n) - group_keys
-        keys = np.arange(size)
+        scatter = full_mask(n) - keys
+        masks = np.arange(size)
         z = np.full((size, size), _DEAD, dtype=np.int16)
         for g, key in enumerate(scatter.tolist()):
-            within = (keys & key) == key  # the keys that hold this class's key
+            within = (masks & key) == key  # the masks that hold this class's key
             z[within] = np.maximum(z[within], grouped[g])
         score = z[reach, np.arange(size)[:, None]] + gain
-        ends = np.r_[starts[1:], size]
-        return np.stack([score[order[a:b]].max(axis=0) for a, b in zip(starts, ends)])
+        return np.stack([score[ids == g].max(axis=0) for g in range(len(keys))])
 
     @pytest.mark.parametrize("chunk", [None, 8], ids=["one-chunk", "chunks-of-8"])
     @pytest.mark.parametrize("bricked", [False, True])
@@ -629,7 +676,7 @@ class TestPairAdvance:
             monkeypatch.setattr("settle.solvers._READ_ROWS", chunk // 4)
         rng = np.random.default_rng(9)
         for n in range(1, 9):
-            groups = len(_state_tables(n, bricked)[2])
+            groups = len(_state_tables(n, bricked)[0])
             gain = -np.bitwise_count(np.arange(1 << n)).astype(np.int16)
             for _ in range(3):
                 grouped = rng.integers(-2 * n, 1, (groups, 1 << n)).astype(np.int16)
