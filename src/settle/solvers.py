@@ -5,13 +5,25 @@ keeps a score per row profile.  The minimum solver's states are ordered
 (row above, current row) pairs, so that the north proposition can cover
 the current row; since its transition reads the row above only through
 its triple mask, it keeps one score per (triple class of the row above,
-current row).  A triple class is a triple mask that occurs; _state_tables
-gives every row its class.  The minimum scores minus its houses, so both
+current row).  A triple class is a triple mask that occurs; _split_plan
+finds the classes from the two halves of a row, and _state_tables gives
+every row its class.  The minimum scores minus its houses, so both
 maximize, and each row's transition maximum is one subset-indexed maximum
-transform over the classes (cost ~ n·2^n per state column): the maximum
-scatters its rows at triple(u), the minimum at the complement of
-triple(u), since triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.  The row mask
-algebra comes from the rows module, evaluated on numpy arrays of states.
+transform over the classes (cost ~ n·2^n per state column), scattered at
+the complement of triple(u): the maximum takes superset maxima, read at
+the row below, since triple(u) & r == 0 exactly when r ⊆ ~triple(u); the
+minimum takes subset maxima, read at reach, since triple(u) ⊇ k exactly
+when ~triple(u) ⊆ ~k.
+
+The maximum runs its row advance over the two halves of a row, the low
+h = n // 2 bits and the high n - h: triple bit j reads bits j - 1, j and
+j + 1 alone, so each half of a state's triple mask follows from that
+half of the state and the one bit of the other half next to it.  Its
+transform runs over the low bits of the classes in a (2^h, high halves)
+array and then over the high bits of all 2^n scores, and from _SPLIT_COLS
+columns on it groups a row by maxing runs of rows, then runs of columns,
+into their classes.  The row mask algebra comes from the rows module,
+evaluated on numpy arrays of states.
 
 The forward pass carries scores alone, shifted each row so that its best
 is 0; the shift is carried as a Python int.  So the maximum's scores fit
@@ -35,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,6 +154,16 @@ _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
 # in cache too.
 _CHUNK = 256
 _READ_ROWS = 16
+# From _SPLIT_COLS columns on, the maximum groups a row over its two halves
+# (_split_group) rather than with one np.maximum.at over every state.  They
+# cross at n = 18, where either wins in turn (0.5 to 1.0 ms a row); at 19
+# the split takes 0.9 to 1.3 ms, np.maximum.at 1.5 to 1.9.  It gathers the
+# rows of a run _RUN_ROWS at a time.
+_SPLIT_COLS = 19
+_RUN_ROWS = 128
+# _need_bytes reads the split plan up to _PLAN_COLS columns (0.1 s and
+# 39 MiB to build at 28); beyond, it bounds the classes by 2^n.
+_PLAN_COLS = 28
 _PHASES = ("group", "transform", "read", "close", "scan")
 
 
@@ -169,32 +192,32 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     cycle: kept rows once the cycle is known (_sweep), else m.
     """
     size = 1 << n
-    # the classes are enumerated (2^n work, cached) up to the 24 columns of
-    # the default cap; beyond, 2^n bounds them
-    groups = len(_class_keys(n, bricked)) if n <= 24 else size
     width = np.dtype(_scores(objective, n)[0]).itemsize
+    groups, plan, advance = _split_bytes(n, bricked, width)
     # _state_tables: ids (the narrowest unsigned type of a class index) and
-    # pc (int8) a state, keys (uint32) a class.  The build adds the uint32
-    # stages of one _RULE_BLOCK and an index a class, freed before any use.
-    need = _FIXED_BYTES + size * (np.min_scalar_type(groups - 1).itemsize + 1) + groups * 4
-    build = min(size, _RULE_BLOCK) * 24 + groups * 8
+    # pc (int8) a state, and the split plan, which holds the classes.  The
+    # plan's build adds at most 40 bytes a class; then the tables' build
+    # adds the uint32 stages of one _RULE_BLOCK and an index a class.
+    need = _FIXED_BYTES + size * (np.min_scalar_type(groups - 1).itemsize + 1) + plan
+    build = max(groups * 40, min(size, _RULE_BLOCK) * 24 + groups * 8)
     # a _pick over one block, if every state there is a candidate: the
     # compare mask, the indices (intp) twice, their classes and fit, or the
     # indices and three int64 stages of their rev; the rows' Python objects
     pick = _SCAN_BLOCK * 32 + m * 256 if want_witness else 0  # 168 bytes a row measured
     if objective is Objective.MIN_MAXIMAL and m == 1:
-        # _min_single_row: states, covered and covered_mask's stages
-        # (uint32), then ok and the scores the pick reads
-        return need + max(build, pick + size * 20)
+        # _min_single_row: ok, and one _RULE_BLOCK's states, covered and
+        # covered_mask's stages (uint32), or the scores the pick reads
+        return need + max(build, size + max(min(size, _RULE_BLOCK) * 24, pick + size))
     if objective is Objective.MAX_PERMISSIBLE:
         # the grouped maxima and the _RING rows' maxima they are compared
         # with; at a close-off or a row of _scan_back, the uint32 fit test,
         # its mask and the masked maxima
         per_group = width * (_RING + 2) + 5
-        # score and z (gain is the cached pc); a witness keeps one score
-        # layer per kept row before the last, which is score itself
-        layers = (kept or m) - 1 if want_witness else 0
-        return need + max(build, pick + size * width * (2 + layers) + groups * per_group)
+        # the state, transformed in place (row 1's is the cached pc); a
+        # witness keeps every kept row's state, a new array from row 2 on
+        states = max((kept or m) - 1, 1) if want_witness else 1
+        return need + max(build, size * width * states + groups * per_group
+                          + max(pick, advance))
     # The minimum's state is its grouped maxima, one (groups, 2^n) array a
     # row.  A witness keeps every kept row's (the layers, shared with the
     # ring); otherwise the ring holds _RING + 1.
@@ -213,6 +236,37 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     # _pair_tables: reach (uint16), built _RULE_BLOCK pairs at a time in uint32 stages
     return (need + pick + size * size * 2
             + max(build, _RULE_BLOCK * 24, held * grouped + max(advance, read)))
+
+
+def _split_bytes(n: int, bricked: bool, width: int) -> tuple[int, int, int]:
+    """The classes at width n, the bytes of its cached _split_plan, and the
+    most a row advance of the maximum holds beyond its score arrays and
+    grouped maxima.
+
+    Read off the plan up to _PLAN_COLS columns, where it takes work of the
+    order of its classes.  Beyond, 2^n bounds the classes and the (column
+    run, row run) pairs, 2^(n - h) the row runs and high halves, and three
+    2^n score arrays a row advance.
+    """
+    h = n // 2
+    if n > _PLAN_COLS:
+        size, rows = 1 << n, 1 << (n - h)
+        # keys (uint32) and at (intp) a class, cls (uint32) a pair; the row
+        # order, run views and hv a row; both sides' cols and starts a column
+        return size, size * 16 + rows * (8 + 128 + 8) + (1 << h) * 32, 3 * size * width
+    keys, hv, at, runs, split, sides = _split_plan(n, bricked)
+    plan = (keys.nbytes + hv.nbytes + at.nbytes + len(runs) * 128 + sum(map(len, runs)) * 8
+            + sum(cols.nbytes + starts.nbytes + cls.nbytes for cols, starts, cls in sides))
+    # _split_transform's (2^h, len(hv)) array of the low halves
+    low = (len(hv) << h) * width
+    if n < _SPLIT_COLS:
+        return len(keys), plan, low
+    # _split_group: a row a run, then the rows of a run it gathers and
+    # their maximum, or a side's gathered columns and their runs' maxima
+    part = (len(runs) << h) * width
+    run = ((min(max(map(len, runs)), _RUN_ROWS) + 1) << h) * width
+    side = max(((len(cls[0]) << h) + cls.size) * width for _, _, cls in sides)
+    return len(keys), plan, max(low, part + max(run, side))
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -277,31 +331,91 @@ def _validate_witness(result: SolveResult):
         )
 
 
-@lru_cache(maxsize=8)
-def _class_keys(n: int, bricked: bool) -> np.ndarray:
-    """The triple masks of width n that occur, ascending: the state classes.
+class _SplitPlan(NamedTuple):
+    """The classes of one width, and how the maximum's row advance reaches
+    them over the two halves of a row (_split_plan)."""
 
-    K is the triple mask of some row exactly when it is the triple mask of
-    its dilation (K | K<<1 | K>>1) & full: a row with triple mask K holds
-    K and the neighbours of K, so it holds the dilation, and triple masks
-    only grow with the row.  Tested _RULE_BLOCK masks at a time.
+    keys: np.ndarray  # the classes: the triple masks that occur, ascending
+    hv: np.ndarray  # the distinct high halves of the complemented keys
+    at: np.ndarray  # each class's flat index into a (2^h, len(hv)) array
+    runs: list[np.ndarray]  # the rows, in runs; those with b = 0 first
+    split: int  # the runs with b = 0
+    sides: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (cols, starts, cls), b = 0, 1
+
+
+@lru_cache(maxsize=8)
+def _split_plan(n: int, bricked: bool) -> _SplitPlan:
+    """The classes of width n and the split plan, from its two halves.
+
+    Triple bit j of a row reads its bits j - 1, j and j + 1 alone.  With
+    h = n // 2, the high half of a state (its bits h..n - 1, a row of the
+    state viewed as a (2^(n - h), 2^h) array) therefore gives the high half
+    of its triple mask once t, its bit h - 1, is known, and the low half (a
+    column) gives the low half once b, its bit h, is known.  Both come from
+    triple_mask on rows that hold one half and that one bit of the other.
+
+    runs holds the rows in runs of equal (b, high half given t = 1, high
+    half given t = 0), ascending.  For b = 0 and b = 1, sides holds the
+    columns (cols) in runs of equal (low half given b, t), the index in
+    cols where each run starts, and the class index (cls) of each (column
+    run, row run of that b) pair.  Each pair holds states of one triple
+    mask, and each state lies in one pair, so the pairs' masks are the
+    classes.  hv and at place the complemented keys for _split_transform:
+    the row of a key's low half, the column of its high half.
     """
-    keys = []
-    for lo in range(0, 1 << n, _RULE_BLOCK):
-        k = np.arange(lo, min(lo + _RULE_BLOCK, 1 << n), dtype=np.uint32)
-        dilated = (k | (k << 1) | (k >> 1)) & full_mask(n)
-        keys.append(k[triple_mask(dilated, n, bricked) == k])
-    return np.concatenate(keys)
+    h, w = n // 2, n - n // 2
+    top = (1 << h) >> 1  # bit h - 1; none when h = 0
+    hi = np.arange(1 << w, dtype=np.uint32)
+    hi1 = triple_mask((hi << h) | top, n, bricked) >> h
+    hi0 = triple_mask(hi << h, n, bricked) >> h
+    order, starts = _runs(((hi & 1).astype(np.int64) << (2 * w))
+                          | (hi1.astype(np.int64) << w) | hi0)
+    first = order[starts]
+    split = int(np.count_nonzero((hi[first] & 1) == 0))
+    hi1, hi0 = hi1[first], hi0[first]
+    lo = np.arange(1 << h, dtype=np.uint32)
+    t = (lo & top) != 0
+    sides = []
+    for b, part in ((0, slice(None, split)), (1, slice(split, None))):
+        lo_key = triple_mask(lo | (b << h), n, bricked) & ((1 << h) - 1)
+        cols, col_starts = _runs(lo_key * 2 + t)
+        col = cols[col_starts][:, None]
+        mask = (np.where(t[col], hi1[part], hi0[part]) << h) | lo_key[col]
+        sides.append((cols, col_starts, mask))
+    # (np.unique would import numpy.ma, about 1 MiB, on a solve's first call)
+    masks = np.concatenate([mask.ravel() for *_, mask in sides])
+    by_mask, mask_starts = _runs(masks)
+    keys = masks[by_mask[mask_starts]]
+    dtype = np.min_scalar_type(len(keys) - 1)
+    sides = [(cols, col_starts, np.searchsorted(keys, mask).astype(dtype))
+             for cols, col_starts, mask in sides]
+    high = keys >> h
+    hv = high[_starts(high)]
+    low = ((1 << h) - 1) - (keys & ((1 << h) - 1))
+    at = low.astype(np.intp) * len(hv) + np.searchsorted(hv, high)
+    return _SplitPlan(keys, ((1 << w) - 1) - hv, at, np.split(order, starts[1:]), split, sides)
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of key in ascending key order, and where each run of
+    equal keys starts in that order."""
+    order = np.argsort(key, kind="stable")
+    return order, _starts(key[order])
+
+
+def _starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of the ascending array ordered starts."""
+    return np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
 
 
 @lru_cache(maxsize=8)
 def _state_tables(n: int, bricked: bool):
-    """The classes (_class_keys), each state's class index ids (in the
+    """The classes (_split_plan), each state's class index ids (in the
     narrowest unsigned type) and its houses pc (int8).  ids first holds each
     key's index at the key; a state's triple mask is at most the state, so
     ids is then read top down, _RULE_BLOCK states at a time, each block at
     indices that no block has overwritten yet."""
-    keys = _class_keys(n, bricked)
+    keys = _split_plan(n, bricked).keys
     size = 1 << n
     ids = np.empty(size, dtype=np.min_scalar_type(len(keys) - 1))
     ids[keys] = np.arange(len(keys))
@@ -311,6 +425,7 @@ def _state_tables(n: int, bricked: bool):
         states = np.arange(lo, lo + step, dtype=np.uint32)
         ids[lo:lo + step] = ids[triple_mask(states, n, bricked)]
         pc[lo:lo + step] = np.bitwise_count(states)
+    pc.flags.writeable = False  # the maximum's first state (_sweep)
     return keys, ids, pc
 
 
@@ -343,24 +458,60 @@ def _pair_tables(n: int, bricked: bool) -> np.ndarray:
     return reach
 
 
-def _subset_max_inplace(z: np.ndarray, n: int):
-    """z[k] := max over k' ⊆ k of z[k'], along axis 0.
+def _split_group(state: np.ndarray, n: int, bricked: bool, grouped: np.ndarray):
+    """grouped[g] := max(grouped[g], the maximum of state over class g).
+
+    Over the two halves of a row (_split_plan): each run of rows is maxed
+    into one row, each run of columns of those into one entry, and the
+    entries are maxed into their classes.
+    """
+    plan = _split_plan(n, bricked)
+    rows = state.reshape(len(state) >> (n // 2), -1)
+    part = np.empty((len(plan.runs), rows.shape[1]), dtype=state.dtype)
+    for r, run in enumerate(plan.runs):
+        # gathered _RUN_ROWS rows at a time
+        np.max(rows[run[:_RUN_ROWS]], axis=0, out=part[r])
+        for lo in range(_RUN_ROWS, len(run), _RUN_ROWS):
+            np.maximum(part[r], rows[run[lo:lo + _RUN_ROWS]].max(axis=0), out=part[r])
+    for block, (cols, starts, cls) in zip((part[:plan.split], part[plan.split:]), plan.sides):
+        np.maximum.at(grouped, cls, np.maximum.reduceat(block.T[cols], starts, axis=0))
+
+
+def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
+    """z[k] := max over k' ⊆ k (k' ⊇ k if superset) of z[k'], along axis 0.
 
     The subset-maximum (zeta) transform of Björklund, Husfeldt, Kaski &
     Koivisto (STOC 2007): one pass per bit b, each z[k] with bit b set
-    taking the maximum with z[k - 2^b].
+    taking the maximum with z[k - 2^b] (the other way round for supersets).
     """
     tail = z.shape[1:]
     for b in range(n):
         view = z.reshape(-1, 2, 1 << b, *tail)
-        hi, lo = view[:, 1], view[:, 0]
-        if tail or b >= 4:
-            np.maximum(hi, lo, out=hi)
-        else:
-            # on a 1-D z, runs of 1 << b elements are too short for the
-            # inner loop: walk the long axis innermost instead (at n = 23,
-            # the pass at b = 3 takes about half the time this way)
-            np.maximum(hi.T, lo.T, out=hi.T, order="C")
+        into, other = (view[:, 0], view[:, 1]) if superset else (view[:, 1], view[:, 0])
+        np.maximum(into, other, out=into)
+
+
+def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool, dead: int):
+    """z[r] := the maximum of grouped over the classes with keys disjoint
+    from r, the rows that a row r admits above it.
+
+    key & r == 0 exactly when r ⊆ ~key, so z is the superset-maximum
+    transform of grouped scattered at the complemented keys.  It runs bit by
+    bit, so it splits at h = n // 2 (_split_plan): the low bits are
+    transformed in a (2^h, len(hv)) array, one column per high half of a
+    complemented key, which is scattered into the rows hv of z viewed as a
+    (2^(n - h), 2^h) array; every other row is dead.  Then the high bits
+    are transformed over all of z.
+    """
+    plan = _split_plan(n, bricked)
+    h = n // 2
+    low = np.full((1 << h, len(plan.hv)), dead, dtype=z.dtype)
+    low.reshape(-1)[plan.at] = grouped
+    _subset_max_inplace(low, h, superset=True)
+    z.fill(dead)
+    rows = z.reshape(-1, 1 << h)
+    rows[plan.hv] = low.T
+    _subset_max_inplace(rows, n - h, superset=True)
 
 
 class _Clock:
@@ -547,7 +698,10 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     the sweep: the groups that fit the virtual south row close off at m;
     scattered and run through the subset-maximum transform, they are read
     at every real row to advance to m + 1.  The maximum groups its score
-    array after each read; the minimum reads grouped maxima into grouped
+    array after each read, over the two halves of a row from _SPLIT_COLS
+    columns on (_split_group), and transforms the low halves of its
+    classes in a small array before the high bits of all 2^n scores
+    (_split_transform); the minimum reads grouped maxima into grouped
     maxima (_pair_advance) and never holds a score per pair.
 
     Each row's grouped maxima are shifted to a maximum of 0 (_normalize),
@@ -575,11 +729,11 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     size = 1 << n
     d_v = full_mask(n) if bricked else 0  # the virtual south row
     if maximize:
-        # a row r admits the rows u above it with triple(u) ⊆ ~r: the fold
-        # scatters at triple(u) and is read at full - r, which is z reversed
+        # a row r admits the rows u above it with triple(u) & r == 0: the
+        # fold scatters at full - triple(u), takes superset maxima and is
+        # read at r (_split_transform)
         gain = pc  # int8, as the scores
-        state = pc.copy()
-        z = np.empty_like(state)
+        state = pc  # row 1 scores its houses
         # _scan_back reads the scores after rows 1..
         first, states = 1, size
     else:
@@ -663,7 +817,10 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         grouped = state
         if maximize:
             grouped = np.full(len(keys), dead, dtype=dtype)
-            np.maximum.at(grouped, ids, state)
+            if n < _SPLIT_COLS:
+                np.maximum.at(grouped, ids, state)
+            else:
+                _split_group(state, n, bricked, grouped)
         offset += _normalize(grouped, dead, band)
         del ring[:-_RING]
         # at most one row matches: two would have matched each other before
@@ -682,13 +839,13 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             break
         if maximize:
             clock.mark()
-            z.fill(dead)
-            z[keys] = grouped
-            _subset_max_inplace(z, n)
+            # state is grouped already, so the transform may overwrite it,
+            # unless it is the cached pc or a witness keeps it
+            if want_witness or state is pc:
+                state = np.empty_like(pc)
+            _split_transform(grouped, state, n, bricked, dead)
             clock.lap("transform")
-            if layers and layers[-1] is state:
-                state = np.empty_like(z)
-            np.add(z[::-1], gain, out=state)
+            state += gain
             clock.lap("read")
         else:
             state = _pair_advance(grouped, n, bricked, gain, clock)
@@ -717,20 +874,25 @@ def solve_max(req: SolveRequest) -> SolveResult:
 def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
     """Minimum maximal occupancy of a 1×n grid by direct enumeration.
 
-    The one row is closed off against both virtual rows at once: its
-    enumeration is booked as the "close" phase, its pick as "scan".
+    The one row is closed off against both virtual rows at once, one
+    _RULE_BLOCK of rows at a time: its enumeration is booked as the "close"
+    phase, its pick as "scan".
     """
     n = req.dims.cols
     bricked = req.dims.boundary is Boundary.BRICKED
     full = full_mask(n)
     keys, ids, pc = _state_tables(n, bricked)
     clock = _Clock()
-    states = np.arange(1 << n, dtype=np.uint32)
+    size = 1 << n
     d_v = np.uint32(full if bricked else 0)
-    # the empty north row covers nothing, so every empty lot needs cover
-    covered = covered_mask(np.uint32(0), states, d_v, n, bricked)
     fits = (keys & d_v) == 0
-    ok = fits[ids] & ((covered | states) == full)
+    ok = np.empty(size, dtype=bool)
+    for lo in range(0, size, _RULE_BLOCK):
+        hi = min(lo + _RULE_BLOCK, size)
+        states = np.arange(lo, hi, dtype=np.uint32)
+        # the empty north row covers nothing, so every empty lot needs cover
+        covered = covered_mask(np.uint32(0), states, d_v, n, bricked)
+        ok[lo:hi] = fits[ids[lo:hi]] & ((covered | states) == full)
     # the sweep's tie-break: fewest houses, then the largest rev
     optimum = int(pc.min(where=ok, initial=n))
     clock.lap("close")

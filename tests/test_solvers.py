@@ -22,12 +22,14 @@ from settle.solvers import (
     _DEAD,
     _PHASES,
     _brute_bytes,
-    _class_keys,
     _normalize,
     _need_bytes,
     _pair_advance,
     _pair_tables,
     _scores,
+    _split_group,
+    _split_plan,
+    _split_transform,
     _state_tables,
     _subset_max_inplace,
     _sweep,
@@ -317,7 +319,10 @@ class TestSweep:
     # cycle, so their scans reuse the kept rows periodically; their digests
     # were recorded from a sweep that advanced through every row.  The
     # min 12x12 digest, at the pair cap, was recorded from a sweep that
-    # held the (row above, row) scores of every pair.
+    # held the (row above, row) scores of every pair.  The max 23x23 and
+    # 24x24 digests, past _SPLIT_COLS, were recorded from a sweep that
+    # grouped every state with one np.maximum.at and transformed all of
+    # its 2^n scores in one array.
     @pytest.mark.parametrize("objective, m, n, boundary, optimum, digest", [
         (Objective.MAX_PERMISSIBLE, 14, 20, Boundary.FREE, 211,
          "e56ba602e23b619970c59a86605990e9ab5d439ccb9ab22712e3c6753df688c0"),
@@ -341,9 +346,14 @@ class TestSweep:
          "f40a4ba5e8b56ec14992cfff6fc90bb8de3d9ec7cd0316de8f1e9b7a82e3de5c"),
         (Objective.MIN_MAXIMAL, 12, 12, Boundary.FREE, 74,
          "1de086484d78d805457b17fa273707eaf9dffa9547e5655806da99c8875e0665"),
+        (Objective.MAX_PERMISSIBLE, 23, 23, Boundary.FREE, 403,
+         "1a7b46adb13bcf8d6dc6eaf81a87b45c3fd45b4201329a4cb713451a0d7adc81"),
+        (Objective.MAX_PERMISSIBLE, 24, 24, Boundary.FREE, 433,
+         "90a4cf40892b6c8c0c23d5c6fc574df617c2cd363615125ec2c54440e8f8eac6"),
     ], ids=["max-free", "max-bricked", "min-free", "min-bricked",
             "max-60x16-free", "max-60x16-bricked", "max-40x20-free", "max-40x20-bricked",
-            "min-30x10-free", "min-30x10-bricked", "min-12x12-free"])
+            "min-30x10-free", "min-30x10-bricked", "min-12x12-free",
+            "max-23x23-free", "max-24x24-free"])
     def test_wide_witnesses_keep_their_rows(self, objective, m, n, boundary, optimum, digest):
         res = solve(SolveRequest(Dims(m, n, boundary), objective))
         assert res.optimum == optimum
@@ -527,7 +537,7 @@ class TestStateBytes:
     @pytest.mark.parametrize("witness", [False, True])
     def test_traced_peak_within_estimate(self, objective, m, n, boundary, witness):
         req = SolveRequest(Dims(m, n, boundary), objective, want_witness=witness)
-        _class_keys.cache_clear()
+        _split_plan.cache_clear()
         _state_tables.cache_clear()
         _pair_tables.cache_clear()
         tracemalloc.start()
@@ -558,7 +568,7 @@ class TestStateBytes:
         high = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, True, bricked)
         assert low < high
         limits = Limits(max_state_bytes=(low + high) // 2)
-        _class_keys.cache_clear()
+        _split_plan.cache_clear()
         _state_tables.cache_clear()
         tracemalloc.start()
         try:
@@ -691,8 +701,7 @@ class TestPairAdvance:
 class TestSubsetMax:
     @pytest.mark.parametrize("dtype", [np.int8, np.int16])
     def test_matches_the_naive_subset_maximum(self, dtype):
-        # widths up to 10 take both the transposed passes (b < 4) and the
-        # plain ones
+        # a 1-D z, with no tail axis, at every width up to 10
         rng = np.random.default_rng(3)
         info = np.iinfo(dtype)
         for n in range(11):
@@ -701,6 +710,48 @@ class TestSubsetMax:
             want = [z[(keys & k) == keys].max() for k in range(1 << n)]
             _subset_max_inplace(z, n)
             assert z.tolist() == want, (n, dtype)
+
+    def test_matches_the_naive_superset_maximum(self):
+        # a tail axis of three columns, each transformed on its own
+        rng = np.random.default_rng(4)
+        for n in range(11):
+            keys = np.arange(1 << n)
+            z = rng.integers(-128, 127, (1 << n, 3), endpoint=True).astype(np.int8)
+            want = np.stack([z[(keys & k) == k].max(axis=0) for k in range(1 << n)])
+            _subset_max_inplace(z, n, superset=True)
+            assert np.array_equal(z, want), n
+
+
+class TestSplitRow:
+    """The maximum's row advance over the two halves of a row."""
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_group_matches_maximum_at(self, bricked):
+        # every width up to 16, below _SPLIT_COLS, and two above it;
+        # the states hold dead entries, and grouped holds maxima already
+        rng = np.random.default_rng(5)
+        for n in [*range(1, 17), 20, 21]:
+            _, ids, _ = _state_tables(n, bricked)
+            state = rng.integers(-2 * n, n, 1 << n, endpoint=True).astype(np.int8)
+            state[rng.random(1 << n) < 0.3] = -128
+            grouped = rng.integers(-128, 0, ids.max() + 1).astype(np.int8)
+            want = grouped.copy()
+            np.maximum.at(want, ids, state)
+            _split_group(state, n, bricked, grouped)
+            assert np.array_equal(grouped, want), (n, bricked)
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_transform_matches_the_naive_maximum(self, bricked):
+        # z[r] is the best class whose key misses r: the rows r admits above it
+        rng = np.random.default_rng(6)
+        for n in range(1, 13):
+            keys = _state_tables(n, bricked)[0]
+            grouped = rng.integers(-2 * n, 0, len(keys), endpoint=True).astype(np.int8)
+            grouped[rng.random(len(keys)) < 0.3] = -128
+            z = np.empty(1 << n, dtype=np.int8)
+            _split_transform(grouped, z, n, bricked, -128)
+            want = [grouped[(keys & r) == 0].max(initial=-128) for r in range(1 << n)]
+            assert z.tolist() == want, (n, bricked)
 
 
 class TestPhases:
