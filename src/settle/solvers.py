@@ -6,8 +6,8 @@ keeps a score per row profile.  The minimum solver's states are ordered
 the current row; since its transition reads the row above only through
 its triple mask, it keeps one score per (triple class of the row above,
 current row).  A triple class is a triple mask that occurs; _split_plan
-finds the classes from the two halves of a row, and _state_tables gives
-every row its class.  The minimum scores minus its houses, so both
+finds the classes from the two halves of a row, and is the one place that
+places a row in its class.  The minimum scores minus its houses, so both
 maximize, and each row's transition maximum is one subset-indexed maximum
 transform over the classes (cost ~ n·2^n per state column), scattered at
 the complement of triple(u): the maximum takes superset maxima, read at
@@ -20,10 +20,10 @@ h = n // 2 bits and the high n - h: triple bit j reads bits j - 1, j and
 j + 1 alone, so each half of a state's triple mask follows from that
 half of the state and the one bit of the other half next to it.  Its
 transform runs over the low bits of the classes in a (2^h, high halves)
-array and then over the high bits of all 2^n scores, and from _SPLIT_COLS
-columns on it groups a row by maxing runs of rows, then runs of columns,
-into their classes.  The row mask algebra comes from the rows module,
-evaluated on numpy arrays of states.
+array and then over the high bits of all 2^n scores, and it groups a row
+by maxing runs of rows, then runs of columns, into their classes.  The
+row mask algebra comes from the rows module, evaluated on numpy arrays of
+states.
 
 The forward pass carries scores alone, shifted each row so that its best
 is 0; the shift is carried as a Python int.  So the maximum's scores fit
@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class Limits:
     4^n profile pairs for the minimum solver) within memory; single-row
     grids are enumerated directly and only need the wider max_cols cap.
     max_state_bytes caps the estimated bytes a solve or brute_force
-    allocates, the cached state and pair tables included: the allocations
+    allocates, the cached per-width tables included: the allocations
     tracemalloc sees, not the process's RSS, to which the interpreter and
     the imports add about 30 MiB.
     """
@@ -154,12 +154,8 @@ _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
 # in cache too.
 _CHUNK = 256
 _READ_ROWS = 16
-# From _SPLIT_COLS columns on, the maximum groups a row over its two halves
-# (_split_group) rather than with one np.maximum.at over every state.  They
-# cross at n = 18, where either wins in turn (0.5 to 1.0 ms a row); at 19
-# the split takes 0.9 to 1.3 ms, np.maximum.at 1.5 to 1.9.  It gathers the
-# rows of a run _RUN_ROWS at a time.
-_SPLIT_COLS = 19
+# The maximum's grouping (_split_group) gathers the rows of a run _RUN_ROWS
+# at a time.
 _RUN_ROWS = 128
 # _need_bytes reads the split plan up to _PLAN_COLS columns (0.1 s and
 # 39 MiB to build at 28); beyond, it bounds the classes by 2^n.
@@ -194,24 +190,24 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     size = 1 << n
     width = np.dtype(_scores(objective, n)[0]).itemsize
     groups, plan, advance = _split_bytes(n, bricked, width)
-    # _state_tables: ids (the narrowest unsigned type of a class index) and
-    # pc (int8) a state, and the split plan, which holds the classes.  The
-    # plan's build adds at most 40 bytes a class; then the tables' build
-    # adds the uint32 stages of one _RULE_BLOCK and an index a class.
-    need = _FIXED_BYTES + size * (np.min_scalar_type(groups - 1).itemsize + 1) + plan
-    build = max(groups * 40, min(size, _RULE_BLOCK) * 24 + groups * 8)
+    # _houses: pc (int8) a state, built in place; and the split plan, which
+    # holds the classes and whose build adds at most 56 bytes a class (54
+    # measured at n = 16 to 22, where a class holds 1.45 pairs)
+    need = _FIXED_BYTES + size + plan
+    build = groups * 56
     # a _pick over one block, if every state there is a candidate: the
-    # compare mask, the indices (intp) twice, their classes and fit, or the
-    # indices and three int64 stages of their rev; the rows' Python objects
+    # compare mask and the indices (intp), then their uint32 copy and the
+    # uint32 stages of its triple mask, fit and rev; the rows' Python objects
     pick = _SCAN_BLOCK * 32 + m * 256 if want_witness else 0  # 168 bytes a row measured
     if objective is Objective.MIN_MAXIMAL and m == 1:
-        # _min_single_row: ok, and one _RULE_BLOCK's states, covered and
-        # covered_mask's stages (uint32), or the scores the pick reads
+        # _min_single_row: ok, and one _RULE_BLOCK's states, their fit,
+        # covered and the uint32 stages of covered_mask or of the triple
+        # mask, or the scores the pick reads
         return need + max(build, size + max(min(size, _RULE_BLOCK) * 24, pick + size))
     if objective is Objective.MAX_PERMISSIBLE:
         # the grouped maxima and the _RING rows' maxima they are compared
-        # with; at a close-off or a row of _scan_back, the uint32 fit test,
-        # its mask and the masked maxima
+        # with; at a close-off, the uint32 fit test, its mask and the masked
+        # maxima
         per_group = width * (_RING + 2) + 5
         # the state, transformed in place (row 1's is the cached pc); a
         # witness keeps every kept row's state, a new array from row 2 on
@@ -224,10 +220,12 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     grouped = groups * size * width
     held = (kept or m) if want_witness else min(m, _RING + 1)
     chunk = min(_CHUNK, size)
-    # a row advance: the class order (intp, and its sort's buffer), bounds,
-    # the next maxima and this row's class-ordered copy, the block, the read,
-    # a _READ_ROWS slice of reach rows, its flat indices (intp), a class's maxima
-    advance = (2 * grouped + size * 16 + groups * 64 + 2 * chunk * size * width
+    # a row advance: the class order (intp), and while it is found the
+    # uint32 states, their triple keys and its stages, or the keys, their
+    # sort's buffer and sorted copy (16 bytes a state); bounds, the next
+    # maxima and this row's class-ordered copy, the block, the read, a
+    # _READ_ROWS slice of reach rows, its flat indices (intp), a class's maxima
+    advance = (2 * grouped + size * 24 + groups * 64 + 2 * chunk * size * width
                + _READ_ROWS * size * (2 + 8) + size * width)
     # a _pair_read, for a close-off or a column of _scan_back: the uint16
     # fit test, its mask and the masked maxima; at a cycle, the close-off
@@ -259,8 +257,6 @@ def _split_bytes(n: int, bricked: bool, width: int) -> tuple[int, int, int]:
             + sum(cols.nbytes + starts.nbytes + cls.nbytes for cols, starts, cls in sides))
     # _split_transform's (2^h, len(hv)) array of the low halves
     low = (len(hv) << h) * width
-    if n < _SPLIT_COLS:
-        return len(keys), plan, low
     # _split_group: a row a run, then the rows of a run it gathers and
     # their maximum, or a side's gathered columns and their runs' maxima
     part = (len(runs) << h) * width
@@ -409,24 +405,18 @@ def _starts(ordered: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _state_tables(n: int, bricked: bool):
-    """The classes (_split_plan), each state's class index ids (in the
-    narrowest unsigned type) and its houses pc (int8).  ids first holds each
-    key's index at the key; a state's triple mask is at most the state, so
-    ids is then read top down, _RULE_BLOCK states at a time, each block at
-    indices that no block has overwritten yet."""
-    keys = _split_plan(n, bricked).keys
-    size = 1 << n
-    ids = np.empty(size, dtype=np.min_scalar_type(len(keys) - 1))
-    ids[keys] = np.arange(len(keys))
-    pc = np.empty(size, dtype=np.int8)
-    step = min(_RULE_BLOCK, size)
-    for lo in range(size - step, -1, -step):
-        states = np.arange(lo, lo + step, dtype=np.uint32)
-        ids[lo:lo + step] = ids[triple_mask(states, n, bricked)]
-        pc[lo:lo + step] = np.bitwise_count(states)
-    pc.flags.writeable = False  # the maximum's first state (_sweep)
-    return keys, ids, pc
+def _houses(n: int) -> np.ndarray:
+    """The houses of every row of width n (int8), the maximum's gain.
+
+    Built in place by doubling: the rows from 2^b to 2^(b + 1) - 1 are
+    those below 2^b with bit b set.  Read-only, as it is the maximum's
+    first state (_sweep).
+    """
+    pc = np.zeros(1 << n, dtype=np.int8)
+    for b in range(n):
+        np.add(pc[:1 << b], 1, out=pc[1 << b:2 << b])
+    pc.flags.writeable = False
+    return pc
 
 
 @lru_cache(maxsize=4)
@@ -546,14 +536,15 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     class of c, and gain[d] is added once per class.
     """
     clock = clock or _Clock()
-    keys, ids, _ = _state_tables(n, bricked)
+    keys = _split_plan(n, bricked).keys
     reach = _pair_tables(n, bricked)
     size = 1 << n
     chunk = min(_CHUNK, size)
     rows = min(_READ_ROWS, chunk)
     scatter = full_mask(n) - keys
-    order = np.argsort(ids, kind="stable")  # class g: order[bounds[g]:bounds[g + 1]]
-    bounds = [0] + np.cumsum(np.bincount(ids, minlength=len(keys))).tolist()
+    # the rows of class g are order[bounds[g]:bounds[g + 1]], as the keys ascend
+    order, starts = _runs(triple_mask(np.arange(size, dtype=np.uint32), n, bricked))
+    bounds = starts.tolist() + [size]
     out = np.empty_like(grouped)
     block = np.empty((size, chunk), dtype=grouped.dtype)
     flat = block.reshape(-1)
@@ -603,21 +594,26 @@ def _pair_read(grouped: np.ndarray, d: int, n: int, bricked: bool) -> np.ndarray
     rebuilds the scores the backward scan reads.
     """
     reach = _pair_tables(n, bricked)
-    keys = (full_mask(n) - _state_tables(n, bricked)[0]).astype(reach.dtype)
+    keys = (full_mask(n) - _split_plan(n, bricked).keys).astype(reach.dtype)
     fit = (keys[:, None] & (full_mask(n) ^ reach[:, d])) == 0
     return np.where(fit, grouped, _DEAD).max(axis=0)
 
 
-def _pick(scores: np.ndarray, target: int, fits: np.ndarray, ids: np.ndarray, n: int) -> int:
-    """The u with scores[u] == target whose class fits, fits[ids[u]], of
+def _pick(scores: np.ndarray, target: int, fits: Callable, n: int, bricked: bool) -> int:
+    """The u with scores[u] == target that fits, fits(triple(u)), of
     largest rev(u), its n bits reversed (every solver's tie-break), or -1.
 
-    rev is computed for the candidates alone, one _SCAN_BLOCK at a time.
+    Fit (a bool array from uint32 triple masks) and rev are computed for
+    the candidates alone, one _SCAN_BLOCK at a time.
     """
     u, u_rev = -1, -1
     for lo in range(0, len(scores), _SCAN_BLOCK):
-        cand = lo + np.flatnonzero(scores[lo:lo + _SCAN_BLOCK] == target)
-        cand = cand[fits[ids[cand]]]
+        cand = np.flatnonzero(scores[lo:lo + _SCAN_BLOCK] == target)
+        if not cand.size:
+            continue
+        cand = cand.astype(np.uint32)
+        cand += lo
+        cand = cand[fits(triple_mask(cand, n, bricked))]
         if cand.size:
             rev = bit_reverse(cand, n)
             i = int(np.argmax(rev))
@@ -638,22 +634,24 @@ def _scan_back(layers, offsets, below: list[int], target: int, gain, n: int,
     it also holds the last row, picked already.  target is the optimum's
     score, which its state in the last layer has.  Walking north, a
     state's score less the gain of its last row is the maximum over the
-    rows u that fit the rows below it, which fit by the class of u; that is
-    the target in the layer above.  So each row is the _pick among the
-    fitting rows that score the target, the row a stored argmax would give.
+    rows u that fit the rows below it, which fit by the triple mask of u;
+    that is the target in the layer above.  So each row is the _pick among
+    the fitting rows that score the target, the row a stored argmax would
+    give.
     """
-    keys, ids, _ = _state_tables(n, bricked)
     for layer, offset in zip(reversed(layers), reversed(offsets)):
         if not pairs:
             # the maximum: u fits the row r below it when triple(u) ⊆ ~r
-            scores, fits = layer, (keys & below[-1]) == 0
+            r = below[-1]
+            scores, fits = layer, lambda t: (t & r) == 0
         else:
             # the minimum: u fits the rows (c, d) below it when
             # ~triple(u) ⊆ reach(c, d), scored at the state (u, c)
             c, d = below[-1], below[-2]
             scores = _pair_read(layer, c, n, bricked) + gain[c]
-            fits = (keys | int(_pair_tables(n, bricked)[c, d])) == full_mask(n)
-        u = _pick(scores, target - offset, fits, ids, n)
+            reach, full = int(_pair_tables(n, bricked)[c, d]), full_mask(n)
+            fits = lambda t: (t | reach) == full
+        u = _pick(scores, target - offset, fits, n, bricked)
         if u < 0:
             raise SettleError("internal error: the backward scan lost the optimum's path")
         below.append(u)
@@ -698,11 +696,14 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     the sweep: the groups that fit the virtual south row close off at m;
     scattered and run through the subset-maximum transform, they are read
     at every real row to advance to m + 1.  The maximum groups its score
-    array after each read, over the two halves of a row from _SPLIT_COLS
-    columns on (_split_group), and transforms the low halves of its
-    classes in a small array before the high bits of all 2^n scores
-    (_split_transform); the minimum reads grouped maxima into grouped
-    maxima (_pair_advance) and never holds a score per pair.
+    array after each read over the two halves of a row (_split_group), and
+    transforms the low halves of its classes in a small array before the
+    high bits of all 2^n scores (_split_transform); the minimum reads
+    grouped maxima into grouped maxima (_pair_advance), its rows in the
+    order of their triple masks, and never holds a score per pair.  No
+    array maps a row to its class: the plan groups the maximum's rows, and
+    the minimum and the backward scan take triple masks of the rows they
+    read.
 
     Each row's grouped maxima are shifted to a maximum of 0 (_normalize),
     the shift carried as a Python int.  The sweep is invariant under adding
@@ -723,7 +724,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     t0 = time.perf_counter()
     need = _check_limits(objective, Dims(top, n, boundary), want_witness, limits)
     clock = _Clock()
-    keys, ids, pc = _state_tables(n, bricked)
+    keys, pc = _split_plan(n, bricked).keys, _houses(n)
     dtype, dead, band = _scores(objective, n)
     live = dead // 2
     size = 1 << n
@@ -743,7 +744,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         gain = -pc.astype(dtype)
         # row 1 sits under the virtual empty north row, in the class of 0
         state = np.full((len(keys), size), dead, dtype=dtype)
-        state[ids[0]] = gain
+        state[np.searchsorted(keys, triple_mask(0, n, bricked))] = gain
         # _scan_back reads the scores after rows 2.. (row 1 is picked from
         # row 2's states); the DP's states are the pairs (u, c)
         first, states = 2, size * size
@@ -780,7 +781,8 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         if want_witness:
             clock.mark()
             # the minimum's last row is still an axis: pick it first
-            below = [d_v] if maximize else [d_v, _pick(s, best, (keys & d_v) == 0, ids, n)]
+            fits = lambda t: (t & d_v) == 0
+            below = [d_v] if maximize else [d_v, _pick(s, best, fits, n, bricked)]
             kept, shifts = zip(*map(layer_at, range(first, m + 1)))
             witness = Configuration(dims, _scan_back(
                 kept, shifts, below, best + shift, gain, n, bricked, not maximize))
@@ -817,10 +819,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         grouped = state
         if maximize:
             grouped = np.full(len(keys), dead, dtype=dtype)
-            if n < _SPLIT_COLS:
-                np.maximum.at(grouped, ids, state)
-            else:
-                _split_group(state, n, bricked, grouped)
+            _split_group(state, n, bricked, grouped)
         offset += _normalize(grouped, dead, band)
         del ring[:-_RING]
         # at most one row matches: two would have matched each other before
@@ -881,24 +880,24 @@ def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
     n = req.dims.cols
     bricked = req.dims.boundary is Boundary.BRICKED
     full = full_mask(n)
-    keys, ids, pc = _state_tables(n, bricked)
+    pc = _houses(n)
     clock = _Clock()
     size = 1 << n
     d_v = np.uint32(full if bricked else 0)
-    fits = (keys & d_v) == 0
+    fits = lambda t: (t & d_v) == 0
     ok = np.empty(size, dtype=bool)
     for lo in range(0, size, _RULE_BLOCK):
         hi = min(lo + _RULE_BLOCK, size)
         states = np.arange(lo, hi, dtype=np.uint32)
         # the empty north row covers nothing, so every empty lot needs cover
         covered = covered_mask(np.uint32(0), states, d_v, n, bricked)
-        ok[lo:hi] = fits[ids[lo:hi]] & ((covered | states) == full)
+        ok[lo:hi] = fits(triple_mask(states, n, bricked)) & ((covered | states) == full)
     # the sweep's tie-break: fewest houses, then the largest rev
     optimum = int(pc.min(where=ok, initial=n))
     clock.lap("close")
     witness = None
     if req.want_witness:
-        witness = Configuration(req.dims, (_pick(np.where(ok, pc, -1), optimum, fits, ids, n),))
+        witness = Configuration(req.dims, (_pick(np.where(ok, pc, -1), optimum, fits, n, bricked),))
         clock.lap("scan")
     result = SolveResult(
         req.dims, req.objective, optimum, witness,

@@ -22,6 +22,7 @@ from settle.solvers import (
     _DEAD,
     _PHASES,
     _brute_bytes,
+    _houses,
     _normalize,
     _need_bytes,
     _pair_advance,
@@ -30,7 +31,6 @@ from settle.solvers import (
     _split_group,
     _split_plan,
     _split_transform,
-    _state_tables,
     _subset_max_inplace,
     _sweep,
     brute_force,
@@ -214,7 +214,7 @@ class TestBruteForce:
         def refuse(*args, **kwargs):
             raise AssertionError("brute_force reached the DP")
 
-        for name in ("_state_tables", "_pair_tables", "_sweep"):
+        for name in ("_houses", "_split_plan", "_pair_tables", "_sweep"):
             monkeypatch.setattr(f"settle.solvers.{name}", refuse)
         for req, optimum in zip(reqs, want):
             res = brute_force(req)
@@ -320,9 +320,9 @@ class TestSweep:
     # were recorded from a sweep that advanced through every row.  The
     # min 12x12 digest, at the pair cap, was recorded from a sweep that
     # held the (row above, row) scores of every pair.  The max 23x23 and
-    # 24x24 digests, past _SPLIT_COLS, were recorded from a sweep that
-    # grouped every state with one np.maximum.at and transformed all of
-    # its 2^n scores in one array.
+    # 24x24 digests were recorded from a sweep that grouped every state
+    # with one np.maximum.at over a per-state class index and transformed
+    # all of its 2^n scores in one array.
     @pytest.mark.parametrize("objective, m, n, boundary, optimum, digest", [
         (Objective.MAX_PERMISSIBLE, 14, 20, Boundary.FREE, 211,
          "e56ba602e23b619970c59a86605990e9ab5d439ccb9ab22712e3c6753df688c0"),
@@ -538,7 +538,7 @@ class TestStateBytes:
     def test_traced_peak_within_estimate(self, objective, m, n, boundary, witness):
         req = SolveRequest(Dims(m, n, boundary), objective, want_witness=witness)
         _split_plan.cache_clear()
-        _state_tables.cache_clear()
+        _houses.cache_clear()
         _pair_tables.cache_clear()
         tracemalloc.start()
         try:
@@ -569,7 +569,7 @@ class TestStateBytes:
         assert low < high
         limits = Limits(max_state_bytes=(low + high) // 2)
         _split_plan.cache_clear()
-        _state_tables.cache_clear()
+        _houses.cache_clear()
         tracemalloc.start()
         try:
             res = solve(SolveRequest.maximum(m, n, boundary, limits=limits))
@@ -604,25 +604,42 @@ class TestStateBytes:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("bricked", [False, True])
-    def test_state_tables_index_the_triple_masks(self, bricked):
+    def test_tables_hold_the_triple_classes_and_houses(self, bricked):
         for n in range(1, 17):
-            keys, ids, pc = _state_tables(n, bricked)
             states = np.arange(1 << n, dtype=np.uint32)
-            tb = triple_mask(states, n, bricked)
-            assert np.array_equal(keys, np.unique(tb)), (n, bricked)
-            assert np.array_equal(keys[ids], tb), (n, bricked)
-            assert np.array_equal(pc, np.bitwise_count(states)), (n, bricked)
+            keys = _split_plan(n, bricked).keys
+            assert np.array_equal(keys, np.unique(triple_mask(states, n, bricked))), (n, bricked)
+            assert np.array_equal(_houses(n), np.bitwise_count(states)), (n, bricked)
 
-    def test_class_ids_pass_uint16_on_the_bricked_border(self):
-        # 92 736 classes at n = 24, where a uint16 id would wrap silently;
-        # checked 2^20 states at a time
-        n, step = 24, 1 << 20
-        keys, ids, _ = _state_tables(n, True)
-        assert len(keys) == 92736
-        for lo in range(0, 1 << n, step):
-            states = np.arange(lo, lo + step, dtype=np.uint32)
-            assert np.array_equal(keys[ids[lo:lo + step]], triple_mask(states, n, True)), lo
-        _state_tables.cache_clear()
+    def test_plan_classes_pass_uint16_on_the_bricked_border(self):
+        # 92 736 classes at n = 24, where a uint16 class index would wrap
+        # silently: each (column run, row run) pair's index names the triple
+        # mask of the pair's first state
+        n, h = 24, 12
+        plan = _split_plan(n, True)
+        assert len(plan.keys) == 92736
+        for (cols, starts, cls), runs in zip(plan.sides, (plan.runs[:plan.split],
+                                                          plan.runs[plan.split:])):
+            low = cols[starts].astype(np.uint32)[:, None]
+            high = np.array([run[0] for run in runs], dtype=np.uint32)
+            first = (high << h) | low
+            assert cls.shape == first.shape
+            assert np.array_equal(plan.keys[cls], triple_mask(first, n, True))
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_wide_max_holds_under_3_bytes_a_state(self, boundary):
+        # the cached houses and one int8 state array, with cold caches: no
+        # per-state class index
+        m, n = 2, 22
+        _split_plan.cache_clear()
+        _houses.cache_clear()
+        tracemalloc.start()
+        try:
+            solve(SolveRequest.maximum(m, n, boundary, want_witness=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << n
 
     @pytest.mark.parametrize("objective", list(Objective))
     @pytest.mark.parametrize("m, n", [(1, 22), (2, 11), (11, 2), (22, 1)])
@@ -665,9 +682,10 @@ class TestPairAdvance:
     def reference(grouped, n, bricked, gain):
         # every (u, c) pair's score is the best class of u that fits the
         # rows below, z[reach(c, d), c]; then grouped by the class of c
-        keys, ids, _ = _state_tables(n, bricked)
+        keys = _split_plan(n, bricked).keys
         reach = _pair_tables(n, bricked)
         size = 1 << n
+        ids = np.searchsorted(keys, triple_mask(np.arange(size, dtype=np.uint32), n, bricked))
         scatter = full_mask(n) - keys
         masks = np.arange(size)
         z = np.full((size, size), _DEAD, dtype=np.int16)
@@ -686,7 +704,7 @@ class TestPairAdvance:
             monkeypatch.setattr("settle.solvers._READ_ROWS", chunk // 4)
         rng = np.random.default_rng(9)
         for n in range(1, 9):
-            groups = len(_state_tables(n, bricked)[0])
+            groups = len(_split_plan(n, bricked).keys)
             gain = -np.bitwise_count(np.arange(1 << n)).astype(np.int16)
             for _ in range(3):
                 grouped = rng.integers(-2 * n, 1, (groups, 1 << n)).astype(np.int16)
@@ -727,14 +745,15 @@ class TestSplitRow:
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_group_matches_maximum_at(self, bricked):
-        # every width up to 16, below _SPLIT_COLS, and two above it;
-        # the states hold dead entries, and grouped holds maxima already
+        # every width up to 21; the states hold dead entries, and grouped
+        # holds maxima already
         rng = np.random.default_rng(5)
-        for n in [*range(1, 17), 20, 21]:
-            _, ids, _ = _state_tables(n, bricked)
+        for n in range(1, 22):
+            keys = _split_plan(n, bricked).keys
+            ids = np.searchsorted(keys, triple_mask(np.arange(1 << n, dtype=np.uint32), n, bricked))
             state = rng.integers(-2 * n, n, 1 << n, endpoint=True).astype(np.int8)
             state[rng.random(1 << n) < 0.3] = -128
-            grouped = rng.integers(-128, 0, ids.max() + 1).astype(np.int8)
+            grouped = rng.integers(-128, 0, len(keys)).astype(np.int8)
             want = grouped.copy()
             np.maximum.at(want, ids, state)
             _split_group(state, n, bricked, grouped)
@@ -745,7 +764,7 @@ class TestSplitRow:
         # z[r] is the best class whose key misses r: the rows r admits above it
         rng = np.random.default_rng(6)
         for n in range(1, 13):
-            keys = _state_tables(n, bricked)[0]
+            keys = _split_plan(n, bricked).keys
             grouped = rng.integers(-2 * n, 0, len(keys), endpoint=True).astype(np.int8)
             grouped[rng.random(len(keys)) < 0.3] = -128
             z = np.empty(1 << n, dtype=np.int8)
