@@ -15,15 +15,17 @@ the row below, since triple(u) & r == 0 exactly when r ⊆ ~triple(u); the
 minimum takes subset maxima, read at reach, since triple(u) ⊇ k exactly
 when ~triple(u) ⊆ ~k.
 
-The maximum runs its row advance over the two halves of a row, the low
+One function, _split_transform, is that transform for both objectives,
+in either direction.  It runs over the two halves of a row, the low
 h = n // 2 bits and the high n - h: triple bit j reads bits j - 1, j and
 j + 1 alone, so each half of a state's triple mask follows from that
-half of the state and the one bit of the other half next to it.  Its
+half of the state and the one bit of the other half next to it.  The
 transform runs over the low bits of the classes in a (2^h, high halves)
-array and then over the high bits of all 2^n scores, and it groups a row
-by maxing runs of rows, then runs of columns, into their classes.  The
-row mask algebra comes from the rows module, evaluated on numpy arrays of
-states.
+array and then over the high bits of all 2^n entries; the minimum runs it
+on a chunk of current rows at a time, as a trailing axis.  The maximum
+also groups a row by maxing runs of rows, then runs of columns, into
+their classes.  The row mask algebra comes from the rows module,
+evaluated on numpy arrays of states.
 
 The forward pass carries scores alone, shifted each row so that its best
 is 0; the shift is carried as a Python int.  So the maximum's scores fit
@@ -189,7 +191,7 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     """
     size = 1 << n
     width = np.dtype(_scores(objective, n)[0]).itemsize
-    groups, plan, advance = _split_bytes(n, bricked, width)
+    groups, plan, low, group = _split_bytes(n, bricked, width)
     # _houses: pc (int8) a state, built in place; and the split plan, which
     # holds the classes and whose build adds at most 56 bytes a class (54
     # measured at n = 16 to 22, where a class holds 1.45 pairs)
@@ -200,10 +202,11 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     # uint32 stages of its triple mask, fit and rev; the rows' Python objects
     pick = _SCAN_BLOCK * 32 + m * 256 if want_witness else 0  # 168 bytes a row measured
     if objective is Objective.MIN_MAXIMAL and m == 1:
-        # _min_single_row: ok, and one _RULE_BLOCK's states, their fit,
-        # covered and the uint32 stages of covered_mask or of the triple
-        # mask, or the scores the pick reads
-        return need + max(build, size + max(min(size, _RULE_BLOCK) * 24, pick + size))
+        # _min_single_row: ok, and one _RULE_BLOCK's states, their reach
+        # and the uint32 stages of _reach; with a witness, the scores the
+        # pick reads
+        scores = pick + size if want_witness else 0
+        return need + max(build, size + max(min(size, _RULE_BLOCK) * 24, scores))
     if objective is Objective.MAX_PERMISSIBLE:
         # the grouped maxima and the _RING rows' maxima they are compared
         # with; at a close-off, the uint32 fit test, its mask and the masked
@@ -213,7 +216,7 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
         # witness keeps every kept row's state, a new array from row 2 on
         states = max((kept or m) - 1, 1) if want_witness else 1
         return need + max(build, size * width * states + groups * per_group
-                          + max(pick, advance))
+                          + max(pick, low * width, group))
     # The minimum's state is its grouped maxima, one (groups, 2^n) array a
     # row.  A witness keeps every kept row's (the layers, shared with the
     # ring); otherwise the ring holds _RING + 1.
@@ -223,9 +226,10 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     # a row advance: the class order (intp), and while it is found the
     # uint32 states, their triple keys and its stages, or the keys, their
     # sort's buffer and sorted copy (16 bytes a state); bounds, the next
-    # maxima and this row's class-ordered copy, the block, the read, a
-    # _READ_ROWS slice of reach rows, its flat indices (intp), a class's maxima
-    advance = (2 * grouped + size * 24 + groups * 64 + 2 * chunk * size * width
+    # maxima; a chunk's gathered columns of grouped and _split_transform's
+    # (2^h, len(hv), chunk) low array, the block and the read; a _READ_ROWS
+    # slice of reach rows, its flat indices (intp), a class's maxima
+    advance = (grouped + size * 24 + groups * 64 + (groups + low + 2 * size) * chunk * width
                + _READ_ROWS * size * (2 + 8) + size * width)
     # a _pair_read, for a close-off or a column of _scan_back: the uint16
     # fit test, its mask and the masked maxima; at a cycle, the close-off
@@ -236,33 +240,31 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
             + max(build, _RULE_BLOCK * 24, held * grouped + max(advance, read)))
 
 
-def _split_bytes(n: int, bricked: bool, width: int) -> tuple[int, int, int]:
-    """The classes at width n, the bytes of its cached _split_plan, and the
-    most a row advance of the maximum holds beyond its score arrays and
-    grouped maxima.
+def _split_bytes(n: int, bricked: bool, width: int) -> tuple[int, int, int, int]:
+    """The classes at width n, the bytes of its cached _split_plan, the
+    cells of _split_transform's (2^h, len(hv)) low array, and the most
+    _split_group holds beyond its score array and grouped maxima.
 
     Read off the plan up to _PLAN_COLS columns, where it takes work of the
-    order of its classes.  Beyond, 2^n bounds the classes and the (column
-    run, row run) pairs, 2^(n - h) the row runs and high halves, and three
-    2^n score arrays a row advance.
+    order of its classes.  Beyond, 2^n bounds the classes, the (column
+    run, row run) pairs and the low cells, 2^(n - h) the row runs and high
+    halves, and three 2^n score arrays the grouping.
     """
     h = n // 2
     if n > _PLAN_COLS:
         size, rows = 1 << n, 1 << (n - h)
         # keys (uint32) and at (intp) a class, cls (uint32) a pair; the row
         # order, run views and hv a row; both sides' cols and starts a column
-        return size, size * 16 + rows * (8 + 128 + 8) + (1 << h) * 32, 3 * size * width
+        return size, size * 16 + rows * (8 + 128 + 8) + (1 << h) * 32, size, 3 * size * width
     keys, hv, at, runs, split, sides = _split_plan(n, bricked)
     plan = (keys.nbytes + hv.nbytes + at.nbytes + len(runs) * 128 + sum(map(len, runs)) * 8
             + sum(cols.nbytes + starts.nbytes + cls.nbytes for cols, starts, cls in sides))
-    # _split_transform's (2^h, len(hv)) array of the low halves
-    low = (len(hv) << h) * width
     # _split_group: a row a run, then the rows of a run it gathers and
     # their maximum, or a side's gathered columns and their runs' maxima
     part = (len(runs) << h) * width
     run = ((min(max(map(len, runs)), _RUN_ROWS) + 1) << h) * width
     side = max(((len(cls[0]) << h) + cls.size) * width for _, _, cls in sides)
-    return len(keys), plan, max(low, part + max(run, side))
+    return len(keys), plan, len(hv) << h, part + max(run, side)
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -285,15 +287,23 @@ def _brute_bytes(objective: Objective, m: int, n: int) -> int:
 def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: Limits) -> int:
     """Raise LimitError when a solve would pass a column or byte cap.
 
+    Past 16 columns for a pair solve, and past 32 for every solve, no
+    Limits value lifts the column cap: reach and _pair_read's keys are
+    uint16, and _split_plan's rows, bit_reverse and _scores' int8 band hold
+    32 columns.  Both are checked before any table is built.
+
     Returns the byte estimate the solve was checked against.  A witness
     solve it refuses is estimated again from the m0 + p rows its sweep
     keeps, the cycle found by a sweep without a witness.
     """
     m, n, bricked = dims.rows, dims.cols, dims.boundary is Boundary.BRICKED
     pairs = objective is Objective.MIN_MAXIMAL and m > 1
-    cap, what = (limits.max_cols_pairs, "pair-state cap") if pairs else (limits.max_cols, "cap")
+    cap, limit, what = ((limits.max_cols_pairs, 16, "pair-state cap") if pairs
+                        else (limits.max_cols, 32, "cap"))
     if n > cap:
         raise LimitError(f"cols {n} over the configured {what} {cap}")
+    if n > limit:
+        raise LimitError(f"cols {n} over the hard limit {limit}, which no {what} lifts")
     need = _need_bytes(objective, m, n, want_witness, bricked)
     if want_witness and m > 1 and need > limits.max_state_bytes:
         cycle = next(_sweep(objective, n, dims.boundary, [m], False, limits)).stats
@@ -419,32 +429,37 @@ def _houses(n: int) -> np.ndarray:
     return pc
 
 
+def _reach(c: np.ndarray, d, n: int, bricked: bool) -> np.ndarray:
+    """The pair rule: reach(c, d) for the uint32 rows c over the rows d below.
+
+    reach holds the houses of c and the empty lots of c that the east, west
+    and center propositions cover; the north proposition must cover the
+    rest, so a row u above c fits when triple(u) ⊇ ~reach, that is
+    ~triple(u) ⊆ reach.  reach is 0 where d blocks a house of c (c ≠ 0
+    there; elsewhere reach ⊇ c).
+    """
+    part = prop_east_mask(c, d, n, bricked)
+    part |= prop_west_mask(c, d, n, bricked)
+    part |= prop_center_mask(c, d, n, bricked)
+    part |= c
+    # key 0 fits only u = full on the bricked border, and (full, c) is
+    # itself blocked for every c ≠ 0: dead from row 1 on, so blocked
+    # pairs read dead
+    part[(triple_mask(c, n, bricked) & d) != 0] = 0
+    return part
+
+
 @lru_cache(maxsize=4)
 def _pair_tables(n: int, bricked: bool) -> np.ndarray:
-    """The (c, d)-indexed reach table of the pair solver.
-
-    c is the current row and d the row below.  reach holds the houses of c
-    and the empty lots of c that the east, west and center propositions
-    cover; the north proposition must cover the rest, so a row u above c
-    fits when triple(u) ⊇ ~reach, that is ~triple(u) ⊆ reach.  reach is 0
-    where d blocks a house of c (c ≠ 0 there; elsewhere reach ⊇ c).
-    Built _RULE_BLOCK pairs at a time, straight into the uint16 table.
-    """
+    """The pair solver's uint16 table of _reach, indexed by the current row c
+    and the row d below it, built _RULE_BLOCK pairs at a time."""
     size = 1 << n
     reach = np.empty((size, size), dtype=np.uint16)
     d = np.arange(size, dtype=np.uint32)
     step = max(1, _RULE_BLOCK >> n)
     for lo in range(0, size, step):
         c = np.arange(lo, min(lo + step, size), dtype=np.uint32)[:, None]
-        part = prop_east_mask(c, d, n, bricked)
-        part |= prop_west_mask(c, d, n, bricked)
-        part |= prop_center_mask(c, d, n, bricked)
-        part |= c
-        # key 0 fits only u = full on the bricked border, and (full, c) is
-        # itself blocked for every c ≠ 0: dead from row 1 on, so blocked
-        # pairs read dead
-        part[(triple_mask(c, n, bricked) & d) != 0] = 0
-        reach[lo:lo + step] = part
+        reach[lo:lo + step] = _reach(c, d, n, bricked)
     return reach
 
 
@@ -481,27 +496,31 @@ def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
         np.maximum(into, other, out=into)
 
 
-def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool, dead: int):
-    """z[r] := the maximum of grouped over the classes with keys disjoint
-    from r, the rows that a row r admits above it.
+def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool, dead: int,
+                     superset: bool):
+    """The one subset-maximum transform of both DPs, along axis 0 of the
+    classes' grouped maxima, with any trailing axes.
 
-    key & r == 0 exactly when r ⊆ ~key, so z is the superset-maximum
-    transform of grouped scattered at the complemented keys.  It runs bit by
-    bit, so it splits at h = n // 2 (_split_plan): the low bits are
-    transformed in a (2^h, len(hv)) array, one column per high half of a
-    complemented key, which is scattered into the rows hv of z viewed as a
-    (2^(n - h), 2^h) array; every other row is dead.  Then the high bits
-    are transformed over all of z.
+    z[r] := the maximum of grouped over the classes whose complemented keys
+    hold r (superset, the maximum: key & r == 0, the rows r admits above
+    it), or lie in r (the minimum: ~key ⊆ reach r, the classes that fit).
+    So z is the superset- or subset-maximum transform of grouped scattered
+    at the complemented keys.  It runs bit by bit, so it splits at
+    h = n // 2 (_split_plan): the low bits are transformed in a
+    (2^h, len(hv)) array, one column per high half of a complemented key,
+    which is scattered into the rows hv of z viewed as a (2^(n - h), 2^h)
+    array; every other row is dead.  Then the high bits are transformed
+    over all of z.
     """
     plan = _split_plan(n, bricked)
-    h = n // 2
-    low = np.full((1 << h, len(plan.hv)), dead, dtype=z.dtype)
-    low.reshape(-1)[plan.at] = grouped
-    _subset_max_inplace(low, h, superset=True)
+    h, tail = n // 2, grouped.shape[1:]
+    low = np.full((1 << h, len(plan.hv), *tail), dead, dtype=z.dtype)
+    low.reshape(-1, *tail)[plan.at] = grouped
+    _subset_max_inplace(low, h, superset)
     z.fill(dead)
-    rows = z.reshape(-1, 1 << h)
-    rows[plan.hv] = low.T
-    _subset_max_inplace(rows, n - h, superset=True)
+    rows = z.reshape(-1, 1 << h, *tail)
+    rows[plan.hv] = low.swapaxes(0, 1)
+    _subset_max_inplace(rows, n - h, superset)
 
 
 class _Clock:
@@ -529,11 +548,11 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     in triple class g.  The next state (c, d) scores gain[d] plus the
     maximum of grouped[g, c] over the classes g that fit it, ~key(g) ⊆
     reach(c, d), and the result is grouped by the class of c.  The current
-    rows c are taken _CHUNK at a time in class order.  Each chunk is
-    scattered at the complemented class keys into a (2^n, _CHUNK) block,
-    run through the subset-maximum transform and read at reach(c, d) with
-    one flat take per _READ_ROWS rows; the read rows are maxed into the
-    class of c, and gain[d] is added once per class.
+    rows c are taken _CHUNK at a time in class order.  Each chunk's
+    columns of grouped run through the subset direction of the maximum's
+    transform (_split_transform) into a (2^n, _CHUNK) block, which is read
+    at reach(c, d) with one flat take per _READ_ROWS rows; the read rows
+    are maxed into the class of c, and gain[d] is added once per class.
     """
     clock = clock or _Clock()
     keys = _split_plan(n, bricked).keys
@@ -541,7 +560,6 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     size = 1 << n
     chunk = min(_CHUNK, size)
     rows = min(_READ_ROWS, chunk)
-    scatter = full_mask(n) - keys
     # the rows of class g are order[bounds[g]:bounds[g + 1]], as the keys ascend
     order, starts = _runs(triple_mask(np.arange(size, dtype=np.uint32), n, bricked))
     bounds = starts.tolist() + [size]
@@ -552,13 +570,10 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     idx = np.empty((rows, size), dtype=np.intp)
     local = np.arange(chunk)[:, None]
     clock.mark()
-    ordered = grouped[:, order]
     g = 0
     for lo in range(0, size, chunk):
         hi = lo + chunk
-        block.fill(_DEAD)
-        block[scatter] = ordered[:, lo:hi]
-        _subset_max_inplace(block, n)
+        _split_transform(grouped[:, order[lo:hi]], block, n, bricked, _DEAD, superset=False)
         clock.lap("transform")
         for r in range(0, chunk, rows):
             # row j of the chunk reads block[reach(c, d), j]; the flat
@@ -695,10 +710,12 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     groups of the oldest row.  The grouped maxima are the whole state of
     the sweep: the groups that fit the virtual south row close off at m;
     scattered and run through the subset-maximum transform, they are read
-    at every real row to advance to m + 1.  The maximum groups its score
-    array after each read over the two halves of a row (_split_group), and
-    transforms the low halves of its classes in a small array before the
-    high bits of all 2^n scores (_split_transform); the minimum reads
+    at every real row to advance to m + 1.  Both objectives transform the
+    low halves of their classes in a small array before the high bits of
+    all 2^n entries (_split_transform), the maximum once a row for its
+    superset maxima, the minimum once a chunk of current rows for its
+    subset maxima.  The maximum groups its score array after each read
+    over the two halves of a row (_split_group); the minimum reads
     grouped maxima into grouped maxima (_pair_advance), its rows in the
     order of their triple masks, and never holds a score per pair.  No
     array maps a row to its class: the plan groups the maximum's rows, and
@@ -842,7 +859,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             # unless it is the cached pc or a witness keeps it
             if want_witness or state is pc:
                 state = np.empty_like(pc)
-            _split_transform(grouped, state, n, bricked, dead)
+            _split_transform(grouped, state, n, bricked, dead, superset=True)
             clock.lap("transform")
             state += gain
             clock.lap("read")
@@ -875,7 +892,8 @@ def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
 
     The one row is closed off against both virtual rows at once, one
     _RULE_BLOCK of rows at a time: its enumeration is booked as the "close"
-    phase, its pick as "scan".
+    phase, its pick as "scan".  The empty north row covers nothing, so a
+    row c is maximal exactly when reach(c, d_v) is full (_reach).
     """
     n = req.dims.cols
     bricked = req.dims.boundary is Boundary.BRICKED
@@ -884,19 +902,16 @@ def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
     clock = _Clock()
     size = 1 << n
     d_v = np.uint32(full if bricked else 0)
-    fits = lambda t: (t & d_v) == 0
     ok = np.empty(size, dtype=bool)
     for lo in range(0, size, _RULE_BLOCK):
         hi = min(lo + _RULE_BLOCK, size)
-        states = np.arange(lo, hi, dtype=np.uint32)
-        # the empty north row covers nothing, so every empty lot needs cover
-        covered = covered_mask(np.uint32(0), states, d_v, n, bricked)
-        ok[lo:hi] = fits(triple_mask(states, n, bricked)) & ((covered | states) == full)
+        ok[lo:hi] = _reach(np.arange(lo, hi, dtype=np.uint32), d_v, n, bricked) == full
     # the sweep's tie-break: fewest houses, then the largest rev
     optimum = int(pc.min(where=ok, initial=n))
     clock.lap("close")
     witness = None
     if req.want_witness:
+        fits = lambda t: (t & d_v) == 0
         witness = Configuration(req.dims, (_pick(np.where(ok, pc, -1), optimum, fits, n, bricked),))
         clock.lap("scan")
     result = SolveResult(
@@ -916,8 +931,10 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
     next row requires the current row to stay unblocked and every current-row
     empty lot to be covered by one of the four propositions, where the
     north proposition folds over the row-above axis through the subset
-    transform on complemented triple masks.  Virtual empty/full rows close
-    off the two borders.
+    direction of the maximum's transform (_split_transform) on complemented
+    triple masks.  Virtual empty/full rows close off the two borders.  A
+    single row is enumerated directly, through the same reach rule
+    (_reach).
     """
     if req.objective is not Objective.MIN_MAXIMAL:
         raise ValueError("solve_min_maximal requires the min objective")

@@ -22,6 +22,7 @@ from settle.solvers import (
     _DEAD,
     _PHASES,
     _brute_bytes,
+    _check_limits,
     _houses,
     _normalize,
     _need_bytes,
@@ -528,6 +529,7 @@ class TestStateBytes:
         (Objective.MAX_PERMISSIBLE, 20, 12),
         (Objective.MAX_PERMISSIBLE, 200, 12),
         (Objective.MIN_MAXIMAL, 1, 18),
+        (Objective.MIN_MAXIMAL, 1, 22),
         (Objective.MIN_MAXIMAL, 3, 3),
         (Objective.MIN_MAXIMAL, 6, 8),
         (Objective.MIN_MAXIMAL, 3, 10),
@@ -591,17 +593,42 @@ class TestStateBytes:
                 _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True, bricked)
 
     def test_wide_pair_solve_is_refused_by_its_estimate(self):
-        # a raised pair cap leaves the byte cap to refuse the 4^n table,
-        # and the estimate itself allocates nothing of the width's size
+        # a raised pair cap leaves the byte cap to refuse the 4^n table (at
+        # 16 columns, the widest a pair solve admits), and the estimate
+        # itself allocates nothing of the width's size
         limits = Limits(max_cols=40, max_cols_pairs=40)
         tracemalloc.start()
         try:
             with pytest.raises(LimitError, match="estimated state space"):
-                solve(SolveRequest.minimum(2, 40, limits=limits))
+                solve(SolveRequest.minimum(2, 16, limits=limits))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("objective, m, n", [
+        (Objective.MIN_MAXIMAL, 2, 17),  # reach and _pair_read's keys are uint16
+        (Objective.MAX_PERMISSIBLE, 2, 33),  # hi << h wraps in _split_plan's uint32 rows
+        (Objective.MIN_MAXIMAL, 1, 33),
+    ])
+    def test_no_limits_lift_the_hard_width_limits(self, objective, m, n):
+        # refused before any table is built, whatever the caps: never solved
+        limits = Limits(max_cols=40, max_cols_pairs=40, max_state_bytes=1 << 62)
+        for boundary in Boundary:
+            _split_plan.cache_clear()
+            with pytest.raises(LimitError, match="hard limit"):
+                _check_limits(objective, Dims(m, n, boundary), False, limits)
+            assert _split_plan.cache_info().currsize == 0
+        # the widest admitted grids are estimated, not refused
+        assert _check_limits(objective, Dims(m, n - 1), False, limits) > 0
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_single_row_min_counts_the_pick_only_with_a_witness(self, bricked):
+        # the pick's 2^n int8 scores are allocated for a witness alone
+        for n in (22, 24):
+            with_pick = _need_bytes(Objective.MIN_MAXIMAL, 1, n, True, bricked)
+            without = _need_bytes(Objective.MIN_MAXIMAL, 1, n, False, bricked)
+            assert with_pick - without >= 1 << n, (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_tables_hold_the_triple_classes_and_houses(self, bricked):
@@ -761,16 +788,27 @@ class TestSplitRow:
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_transform_matches_the_naive_maximum(self, bricked):
-        # z[r] is the best class whose key misses r: the rows r admits above it
+        # superset, the maximum's: z[r] is the best class whose key misses
+        # r, the rows r admits above it; subset, the minimum's, over a
+        # trailing axis: z[k, j] is the best grouped[g, j] with ~key(g) ⊆ k,
+        # the classes that fit reach k
         rng = np.random.default_rng(6)
         for n in range(1, 13):
             keys = _split_plan(n, bricked).keys
             grouped = rng.integers(-2 * n, 0, len(keys), endpoint=True).astype(np.int8)
             grouped[rng.random(len(keys)) < 0.3] = -128
             z = np.empty(1 << n, dtype=np.int8)
-            _split_transform(grouped, z, n, bricked, -128)
+            _split_transform(grouped, z, n, bricked, -128, superset=True)
             want = [grouped[(keys & r) == 0].max(initial=-128) for r in range(1 << n)]
             assert z.tolist() == want, (n, bricked)
+            grouped = rng.integers(-2 * n, 0, (len(keys), 5), endpoint=True).astype(np.int16)
+            grouped[rng.random(grouped.shape) < 0.3] = _DEAD
+            z = np.empty((1 << n, 5), dtype=np.int16)
+            _split_transform(grouped, z, n, bricked, _DEAD, superset=False)
+            holes = full_mask(n) - keys
+            want = np.stack([np.where(((holes & k) == holes)[:, None], grouped, _DEAD).max(axis=0)
+                             for k in range(1 << n)])
+            assert np.array_equal(z, want), (n, bricked)
 
 
 class TestPhases:
