@@ -6,14 +6,13 @@ keeps a score per row profile.  The minimum solver's states are ordered
 the current row; since its transition reads the row above only through
 its triple mask, it keeps one score per (triple class of the row above,
 current row).  A triple class is a triple mask that occurs; _split_plan
-finds the classes from the two halves of a row, and is the one place that
-places a row in its class.  The minimum scores minus its houses, so both
-maximize, and each row's transition maximum is one subset-indexed maximum
-transform over the classes (cost ~ n·2^n per state column), scattered at
-the complement of triple(u): the maximum takes superset maxima, read at
-the row below, since triple(u) & r == 0 exactly when r ⊆ ~triple(u); the
-minimum takes subset maxima, read at reach, since triple(u) ⊇ k exactly
-when ~triple(u) ⊆ ~k.
+finds the classes from the two halves of a row.  The minimum scores
+minus its houses, so both maximize, and each row's transition maximum is
+one subset-indexed maximum transform over the classes (cost ~ n·2^n per
+state column), scattered at the complement of triple(u): the maximum
+takes superset maxima, read at the row below, since triple(u) & r == 0
+exactly when r ⊆ ~triple(u); the minimum takes subset maxima, read at
+reach, since triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.
 
 One function, _split_transform, is that transform for both objectives,
 in either direction.  It runs over the two halves of a row, the low
@@ -26,6 +25,18 @@ on a chunk of current rows at a time, as a trailing axis.  The maximum
 also groups a row by maxing runs of rows, then runs of columns, into
 their classes.  The row mask algebra comes from the rows module,
 evaluated on numpy arrays of states.
+
+The minimum reads its transformed chunk at reach(c, d) for every current
+row c and row d below (_reach), and takes the maximum over the rows c of
+each class.  reach is c or-ed with masks of c and-ed with shifts of d:
+for a row c of a class with key K, it is 0 where d meets K, and
+otherwise reads d only through the few bits D_g that some row of the
+class can see (_reach_bits).  So _reach_tables holds, per class, the
+reach of its rows at the 2^|D_g| subsets of D_g and one reach-0 slot,
+and the slot each d reads: the advance reads those entries alone, maxes
+them per class, and expands each class's slots to all 2^n rows d.  At
+n = 12 that is 15% of the 4^n pairs on the free border and 47% on the
+bricked one.
 
 The forward pass carries scores alone, shifted each row so that its best
 is 0; the shift is carried as a Python int.  So the maximum's scores fit
@@ -46,6 +57,7 @@ closes off every later row count arithmetically.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -152,8 +164,8 @@ _SCAN_BLOCK = 1 << 16  # the states _scan_back lists candidates from at a time
 _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
 # The pair advance transforms _CHUNK current rows at a time: a (2^n, _CHUNK)
 # int16 block, 2 MiB at n = 12, which stays in cache through the transform.
-# It reads the block _READ_ROWS rows at a time, so the flat indices stay
-# in cache too.
+# It reads the block about _READ_ROWS * 2^n table entries at a time, so
+# the flat indices stay in cache too.
 _CHUNK = 256
 _READ_ROWS = 16
 # The maximum's grouping (_split_group) gathers the rows of a run _RUN_ROWS
@@ -191,22 +203,22 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     """
     size = 1 << n
     width = np.dtype(_scores(objective, n)[0]).itemsize
+    # a _pick over one block, if every state there is a candidate: the
+    # compare mask and the indices (intp), then their uint32 copy and the
+    # uint32 stages of its triple mask, fit and rev; the rows' Python objects
+    pick = _SCAN_BLOCK * 32 + m * 256 if want_witness else 0  # 168 bytes a row measured
+    if objective is Objective.MIN_MAXIMAL and m == 1:
+        # _min_single_row reads _houses alone: pc (int8) a state; ok, and
+        # one _RULE_BLOCK's states, their reach and the uint32 stages of
+        # _reach; with a witness, the scores the pick reads
+        scores = pick + size if want_witness else 0
+        return _FIXED_BYTES + 2 * size + max(min(size, _RULE_BLOCK) * 24, scores)
     groups, plan, low, group = _split_bytes(n, bricked, width)
     # _houses: pc (int8) a state, built in place; and the split plan, which
     # holds the classes and whose build adds at most 56 bytes a class (54
     # measured at n = 16 to 22, where a class holds 1.45 pairs)
     need = _FIXED_BYTES + size + plan
     build = groups * 56
-    # a _pick over one block, if every state there is a candidate: the
-    # compare mask and the indices (intp), then their uint32 copy and the
-    # uint32 stages of its triple mask, fit and rev; the rows' Python objects
-    pick = _SCAN_BLOCK * 32 + m * 256 if want_witness else 0  # 168 bytes a row measured
-    if objective is Objective.MIN_MAXIMAL and m == 1:
-        # _min_single_row: ok, and one _RULE_BLOCK's states, their reach
-        # and the uint32 stages of _reach; with a witness, the scores the
-        # pick reads
-        scores = pick + size if want_witness else 0
-        return need + max(build, size + max(min(size, _RULE_BLOCK) * 24, scores))
     if objective is Objective.MAX_PERMISSIBLE:
         # the grouped maxima and the _RING rows' maxima they are compared
         # with; at a close-off, the uint32 fit test, its mask and the masked
@@ -223,21 +235,44 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     grouped = groups * size * width
     held = (kept or m) if want_witness else min(m, _RING + 1)
     chunk = min(_CHUNK, size)
-    # a row advance: the class order (intp), and while it is found the
-    # uint32 states, their triple keys and its stages, or the keys, their
-    # sort's buffer and sorted copy (16 bytes a state); bounds, the next
-    # maxima; a chunk's gathered columns of grouped and _split_transform's
-    # (2^h, len(hv), chunk) low array, the block and the read; a _READ_ROWS
-    # slice of reach rows, its flat indices (intp), a class's maxima
-    advance = (grouped + size * 24 + groups * 64 + (groups + low + 2 * size) * chunk * width
-               + _READ_ROWS * size * (2 + 8) + size * width)
-    # a _pair_read, for a close-off or a column of _scan_back: the uint16
-    # fit test, its mask and the masked maxima; at a cycle, the close-off
-    # maxima of the rows it repeats
-    read = groups * size * (2 + 1 + width) + size * width * _RING
-    # _pair_tables: reach (uint16), built _RULE_BLOCK pairs at a time in uint32 stages
-    return (need + pick + size * size * 2
-            + max(build, _RULE_BLOCK * 24, held * grouped + max(advance, read)))
+    tables, made, slots = _reach_bytes(n, bricked)
+    # a row advance: the next maxima, the class slots and the block; then
+    # a chunk's gathered columns of grouped and _split_transform's (2^h,
+    # len(hv), chunk) low array, and a read of at most _READ_ROWS * 2^n
+    # table entries, their flat indices (intp) and a class piece's maxima;
+    # or, at the end, the slot indices (intp) of _RULE_BLOCK entries
+    advance = (grouped + slots * width + size * chunk * width
+               + max((groups + low) * chunk * width + _READ_ROWS * size * (2 + 8) + size * width,
+                     max(size, _RULE_BLOCK) * 8))
+    # a _pair_read, for a close-off or a column of _scan_back: the column
+    # of reach, built in the uint32 stages of _reach, the uint16 fit test,
+    # its mask and the masked maxima; at a cycle, the close-off maxima of
+    # the rows it repeats.  The sweep keeps the column at d_v (uint32).
+    read = size * 24 + groups * size * (2 + 1 + width) + size * width * _RING
+    return (need + pick + tables + size * 4
+            + max(build, made, held * grouped + max(advance, read)))
+
+
+def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int]:
+    """The bytes of the cached _reach_bits and _reach_tables at width n,
+    the most their builds hold beyond them, and the class slots."""
+    seen, count = _reach_bits(n, bricked)
+    size, groups = 1 << n, len(seen)
+    width = (1 << np.bitwise_count(seen).astype(np.int64)) + 1
+    most = int(width.max()) - 1
+    slots = int(width.sum())
+    # D_g and the rows a class; the rows in table order (intp), the starts
+    # list and the runs; the uint16 entries, the offsets (intp) and slots
+    tables = (groups * 12 + size * 8 + groups * 40 + (n + 1) * 300 + int(count @ width) * 2
+              + groups * 8 + groups * size * np.dtype(np.min_scalar_type(most)).itemsize)
+    # _reach_bits: a block's (bit, row) pairs in the uint32 stages of
+    # _reach, and its rows' keys and ids (intp).  _reach_tables: the rows' keys, class places and
+    # the stable sort (intp); reach(c, {k}) at every bit, uint16, built in
+    # uint32 stages; a run's rows of one bit of D_g (intp) and their moves;
+    # arrays of a few words a class
+    made = max(min(n << n, _RULE_BLOCK >> 2) * 32,
+               size * (32 + 18 * n) + groups * 32 * (n + 8))
+    return tables, made, slots
 
 
 def _split_bytes(n: int, bricked: bool, width: int) -> tuple[int, int, int, int]:
@@ -288,9 +323,10 @@ def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: 
     """Raise LimitError when a solve would pass a column or byte cap.
 
     Past 16 columns for a pair solve, and past 32 for every solve, no
-    Limits value lifts the column cap: reach and _pair_read's keys are
-    uint16, and _split_plan's rows, bit_reverse and _scores' int8 band hold
-    32 columns.  Both are checked before any table is built.
+    Limits value lifts the column cap: the class tables' reach
+    (_reach_tables) and _pair_read's reach and keys are uint16, and
+    _split_plan's rows, bit_reverse and _scores' int8 band hold 32
+    columns.  Both are checked before any table is built.
 
     Returns the byte estimate the solve was checked against.  A witness
     solve it refuses is estimated again from the m0 + p rows its sweep
@@ -449,18 +485,114 @@ def _reach(c: np.ndarray, d, n: int, bricked: bool) -> np.ndarray:
     return part
 
 
-@lru_cache(maxsize=4)
-def _pair_tables(n: int, bricked: bool) -> np.ndarray:
-    """The pair solver's uint16 table of _reach, indexed by the current row c
-    and the row d below it, built _RULE_BLOCK pairs at a time."""
-    size = 1 << n
-    reach = np.empty((size, size), dtype=np.uint16)
-    d = np.arange(size, dtype=np.uint32)
-    step = max(1, _RULE_BLOCK >> n)
+@lru_cache(maxsize=8)
+def _reach_bits(n: int, bricked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The bits each class's reach reads of the row below, and its rows.
+
+    reach(c, d) is c or-ed with masks of c and-ed with shifts of d, so bit
+    k of d adds reach(c, {k}) to it.  Take a class g, with key K: where d
+    meets K, reach is 0; elsewhere it reads d only through D_g, the bits k
+    outside K for which reach(c, {k}) ≠ reach(c, ∅) = c at some row c of
+    g.  Returns D_g (uint32) and the rows of g, per class, evaluated on
+    _RULE_BLOCK >> 2 (bit, row) pairs at a time.
+    """
+    keys = _split_plan(n, bricked).keys
+    seen = np.zeros(len(keys), dtype=np.uint32)
+    rows = np.zeros(len(keys), dtype=np.intp)
+    size, step = 1 << n, max(1, (_RULE_BLOCK >> 2) // n)
+    bit = (np.uint32(1) << np.arange(n, dtype=np.uint32))[:, None]
     for lo in range(0, size, step):
-        c = np.arange(lo, min(lo + step, size), dtype=np.uint32)[:, None]
-        reach[lo:lo + step] = _reach(c, d, n, bricked)
-    return reach
+        c = np.arange(lo, min(lo + step, size), dtype=np.uint32)
+        key = triple_mask(c, n, bricked)
+        moved = np.where(_reach(c, bit, n, bricked) != c, bit, 0)
+        ids = np.searchsorted(keys, key)
+        np.bitwise_or.at(seen, ids, np.bitwise_or.reduce(moved, axis=0) & ~key)
+        rows += np.bincount(ids, minlength=len(keys))
+    return seen, rows
+
+
+class _ReachTables(NamedTuple):
+    """The minimum's per-class reach tables at one width (_reach_tables).
+
+    The classes are taken in table order: by the size of D_g, then by key.
+    """
+
+    order: np.ndarray  # the rows, class by class in table order (intp)
+    starts: list[int]  # where each class's rows start in order, and 2^n
+    runs: list[tuple[int, int, int, int, int, int]]  # per table width (_reach_tables)
+    reach: np.ndarray  # per row in order, its class's table row (uint16)
+    offset: np.ndarray  # per class, in key order, where its maxima start
+    slots: np.ndarray  # (classes, 2^n): each row d's slot in its class's table
+    total: int  # the slots of all classes
+
+
+@lru_cache(maxsize=8)
+def _reach_tables(n: int, bricked: bool) -> _ReachTables:
+    """The pair solver's reach, per class, at the rows below it can see.
+
+    The table row of a row c in class g holds reach(c, d) at the 2^|D_g|
+    subsets d of D_g (_reach_bits), subset s at slot s, whose bit i is the
+    i-th bit of D_g, and then 0, at slot 2^|D_g|.  slots[g, d] is d & D_g's
+    slot, or 2^|D_g| where d meets the key: so the table row holds reach(c,
+    d) at slots[g, d] for every d.  Both are built by doubling, one bit at
+    a time, from reach(c, ∅) = c and the 2^n-entry slot 0.  A run of
+    classes with tables of one width L is the tuple (first row, end row,
+    L, its first entry in reach, its first class in table order, and that
+    class's first slot); the runs follow the table order.
+    """
+    keys = _split_plan(n, bricked).keys
+    seen, count = _reach_bits(n, bricked)
+    size, groups = 1 << n, len(keys)
+    bits = np.bitwise_count(seen).astype(np.intp)
+    width = (1 << bits) + 1
+    by = np.argsort(bits, kind="stable")  # the table order
+    place = np.empty(groups, dtype=np.intp)
+    place[by] = np.arange(groups)
+    c = np.arange(size, dtype=np.uint32)
+    order = np.argsort(place[np.searchsorted(keys, triple_mask(c, n, bricked))], kind="stable")
+    # where each class's rows, table entries and slots start, in table order
+    row_at, entry_at, slot_at = np.zeros((3, groups + 1), dtype=np.intp)
+    np.cumsum(count[by], out=row_at[1:])
+    np.cumsum(count[by] * width[by], out=entry_at[1:])
+    np.cumsum(width[by], out=slot_at[1:])
+    # reach(c, {k}) for every bit k (a row) and row c
+    moves = _reach(c, (np.uint32(1) << np.arange(n, dtype=np.uint32))[:, None], n, bricked)
+    moves = moves.astype(np.uint16)
+    reach = np.empty(int(entry_at[-1]), dtype=np.uint16)
+    runs = []
+    firsts = _starts(bits[by]).tolist()
+    for j0, j1 in zip(firsts, firsts[1:] + [groups]):
+        cls = by[j0:j1]
+        b, w = int(bits[cls[0]]), int(width[cls[0]])
+        r0, r1, e0 = int(row_at[j0]), int(row_at[j1]), int(entry_at[j0])
+        rows = order[r0:r1]
+        table = reach[e0:int(entry_at[j1])].reshape(r1 - r0, w)
+        table[:, 0] = rows
+        table[:, -1] = 0
+        # the bits of each class's D_g, lowest first
+        pos = np.nonzero((seen[cls, None] >> np.arange(n, dtype=np.uint32)) & 1)[1]
+        pos = pos.reshape(len(cls), b)
+        for i in range(b):
+            k = np.repeat(pos[:, i], count[cls])
+            np.bitwise_or(table[:, :1 << i], moves[k, rows][:, None], out=table[:, 1 << i:2 << i])
+        runs.append((r0, r1, w, e0, j0, int(slot_at[j0])))
+    # bit k of d adds 2^i to the slot when it is the i-th bit of D_g, and
+    # 2^|D_g| when it is a key bit; each step clips the sum at 2^|D_g|
+    top = (1 << bits).astype(np.min_scalar_type(1 << int(bits.max())))[:, None]
+    every = np.arange(n, dtype=np.uint32)
+    held = (seen[:, None] >> every) & 1
+    step = np.where((keys[:, None] >> every) & 1, top, held << (np.cumsum(held, axis=1) - held))
+    step = step.astype(top.dtype)
+    room = top - step
+    slots = np.empty((groups, size), dtype=top.dtype)
+    slots[:, 0] = 0
+    for k in range(n):
+        high = slots[:, 1 << k:2 << k]
+        np.minimum(slots[:, :1 << k], room[:, k:k + 1], out=high)
+        high += step[:, k:k + 1]
+    offset = np.empty(groups, dtype=np.intp)
+    offset[by] = slot_at[:-1]
+    return _ReachTables(order, row_at.tolist(), runs, reach, offset, slots, int(slot_at[-1]))
 
 
 def _split_group(state: np.ndarray, n: int, bricked: bool, grouped: np.ndarray):
@@ -548,69 +680,75 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     in triple class g.  The next state (c, d) scores gain[d] plus the
     maximum of grouped[g, c] over the classes g that fit it, ~key(g) ⊆
     reach(c, d), and the result is grouped by the class of c.  The current
-    rows c are taken _CHUNK at a time in class order.  Each chunk's
-    columns of grouped run through the subset direction of the maximum's
-    transform (_split_transform) into a (2^n, _CHUNK) block, which is read
-    at reach(c, d) with one flat take per _READ_ROWS rows; the read rows
-    are maxed into the class of c, and gain[d] is added once per class.
+    rows c are taken _CHUNK at a time in table order (_reach_tables).  Each
+    chunk's columns of grouped run through the subset direction of the
+    maximum's transform (_split_transform) into a (2^n, _CHUNK) block.
+    Each row c of class g reads the block at the 2^|D_g| + 1 reach values
+    of its class table row alone, not at all 2^n rows d; a run of rows
+    whose tables have one width is read about _READ_ROWS * 2^n entries per
+    flat take, and the read rows are maxed into the slots of their class.
+    Then the slots are expanded to every row d below (slots[g, d]), in
+    bulk, and gain[d] is added once.  The blocked slot holds reach 0 and so
+    reads the block's row 0, as a read at reach(c, d) = 0 does: the result
+    is the same, dead entries included, as a read at every (c, d).
     """
     clock = clock or _Clock()
-    keys = _split_plan(n, bricked).keys
-    reach = _pair_tables(n, bricked)
+    tables = _reach_tables(n, bricked)
+    starts = tables.starts
     size = 1 << n
     chunk = min(_CHUNK, size)
-    rows = min(_READ_ROWS, chunk)
-    # the rows of class g are order[bounds[g]:bounds[g + 1]], as the keys ascend
-    order, starts = _runs(triple_mask(np.arange(size, dtype=np.uint32), n, bricked))
-    bounds = starts.tolist() + [size]
     out = np.empty_like(grouped)
     block = np.empty((size, chunk), dtype=grouped.dtype)
     flat = block.reshape(-1)
-    read = np.empty((chunk, size), dtype=grouped.dtype)
-    idx = np.empty((rows, size), dtype=np.intp)
+    # every slot is maxed with each row of its class: the least score is no bias
+    maxima = np.full(tables.total, np.iinfo(grouped.dtype).min, dtype=grouped.dtype)
     local = np.arange(chunk)[:, None]
     clock.mark()
-    g = 0
     for lo in range(0, size, chunk):
         hi = lo + chunk
-        _split_transform(grouped[:, order[lo:hi]], block, n, bricked, _DEAD, superset=False)
+        _split_transform(grouped[:, tables.order[lo:hi]], block, n, bricked, _DEAD,
+                         superset=False)
         clock.lap("transform")
-        for r in range(0, chunk, rows):
-            # row j of the chunk reads block[reach(c, d), j]; the flat
-            # indices lie below 2^n * chunk, so "clip" never clips (it only
-            # spares take a buffered copy of its output)
-            np.multiply(reach[order[lo + r:lo + r + rows]], chunk, out=idx, dtype=np.intp)
-            idx += local[r:r + rows]
-            np.take(flat, idx, out=read[r:r + rows], mode="clip")
+        for first, end, width, entry, cls, slot in tables.runs:
+            step = max(1, (_READ_ROWS << n) // width)
+            for a in range(max(first, lo), min(end, hi), step):
+                z = min(a + step, end, hi)
+                at = entry + (a - first) * width
+                # row j of the chunk reads block[reach, j]; the flat indices
+                # lie below 2^n * chunk, so "clip" never clips
+                idx = np.multiply(tables.reach[at:at + (z - a) * width].reshape(-1, width),
+                                  chunk, dtype=np.intp)
+                idx += local[a - lo:z - lo]
+                read = np.take(flat, idx, mode="clip")
+                # the classes that meet rows a..z - 1, and their slots
+                i, j = bisect_right(starts, a) - 1, bisect_left(starts, z)
+                part = maxima[slot + (i - cls) * width:slot + (j - cls) * width]
+                cuts = [a] + starts[i + 1:j] + [z]
+                for into, b, e in zip(part.reshape(-1, width), cuts, cuts[1:]):
+                    np.maximum(into, read[b - a:e - a].max(axis=0), out=into)
         clock.lap("read")
-        # the classes that meet the chunk; a class begun in an earlier
-        # chunk takes the maximum with what it holds
-        while g < len(keys) and bounds[g] < hi:
-            part = read[max(bounds[g], lo) - lo:min(bounds[g + 1], hi) - lo]
-            if bounds[g] >= lo:
-                np.max(part, axis=0, out=out[g])
-            else:
-                np.maximum(out[g], part.max(axis=0), out=out[g])
-            if bounds[g + 1] > hi:
-                break
-            g += 1
-        clock.lap("group")
+    # _RULE_BLOCK slot indices at a time; "clip" spares take a buffered
+    # copy of out
+    step = max(1, _RULE_BLOCK >> n)
+    for lo in range(0, len(out), step):
+        idx = tables.slots[lo:lo + step] + tables.offset[lo:lo + step, None]
+        np.take(maxima, idx, out=out[lo:lo + step], mode="clip")
     out += gain
     clock.lap("group")
     return out
 
 
-def _pair_read(grouped: np.ndarray, d: int, n: int, bricked: bool) -> np.ndarray:
-    """_pair_advance's read for the one row d below, before its gain.
+def _pair_read(grouped: np.ndarray, reach: np.ndarray, n: int, bricked: bool) -> np.ndarray:
+    """_pair_advance's read for one row d below, before its gain.
 
-    For every current row c, the maximum of grouped[g, c] over the classes
-    g that fit (c, d), ~key(g) ⊆ reach(c, d), in (classes) x 2^n work.  At
-    the virtual south row it is the close-off; at a row of a witness it
+    reach holds reach(c, d) for every current row c (_reach).  For every
+    c, the maximum of grouped[g, c] over the classes g that fit (c, d),
+    ~key(g) ⊆ reach(c, d), in (classes) x 2^n work, in uint16.  At the
+    virtual south row it is the close-off; at a row of a witness it
     rebuilds the scores the backward scan reads.
     """
-    reach = _pair_tables(n, bricked)
-    keys = (full_mask(n) - _split_plan(n, bricked).keys).astype(reach.dtype)
-    fit = (keys[:, None] & (full_mask(n) ^ reach[:, d])) == 0
+    keys = (full_mask(n) - _split_plan(n, bricked).keys).astype(np.uint16)
+    fit = (keys[:, None] & (full_mask(n) ^ reach.astype(np.uint16))) == 0
     return np.where(fit, grouped, _DEAD).max(axis=0)
 
 
@@ -654,6 +792,9 @@ def _scan_back(layers, offsets, below: list[int], target: int, gain, n: int,
     the fitting rows that score the target, the row a stored argmax would
     give.
     """
+    if pairs:
+        rows, full = np.arange(1 << n, dtype=np.uint32), full_mask(n)
+        column = _reach(rows, np.uint32(below[0]), n, bricked)
     for layer, offset in zip(reversed(layers), reversed(offsets)):
         if not pairs:
             # the maximum: u fits the row r below it when triple(u) ⊆ ~r
@@ -661,10 +802,12 @@ def _scan_back(layers, offsets, below: list[int], target: int, gain, n: int,
             scores, fits = layer, lambda t: (t & r) == 0
         else:
             # the minimum: u fits the rows (c, d) below it when
-            # ~triple(u) ⊆ reach(c, d), scored at the state (u, c)
-            c, d = below[-1], below[-2]
-            scores = _pair_read(layer, c, n, bricked) + gain[c]
-            reach, full = int(_pair_tables(n, bricked)[c, d]), full_mask(n)
+            # ~triple(u) ⊆ reach(c, d), scored at the state (u, c); the
+            # column of reach at d, read the step before, holds reach(c, d)
+            c = below[-1]
+            reach = int(column[c])
+            column = _reach(rows, np.uint32(c), n, bricked)
+            scores = _pair_read(layer, column, n, bricked) + gain[c]
             fits = lambda t: (t | reach) == full
         u = _pick(scores, target - offset, fits, n, bricked)
         if u < 0:
@@ -717,10 +860,10 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     subset maxima.  The maximum groups its score array after each read
     over the two halves of a row (_split_group); the minimum reads
     grouped maxima into grouped maxima (_pair_advance), its rows in the
-    order of their triple masks, and never holds a score per pair.  No
-    array maps a row to its class: the plan groups the maximum's rows, and
-    the minimum and the backward scan take triple masks of the rows they
-    read.
+    order of its class tables (_reach_tables), and never holds a score per
+    pair.  No array maps a row to its class: the plan groups the maximum's
+    rows, the minimum's tables list its rows class by class, and the
+    backward scan takes triple masks of the rows it reads.
 
     Each row's grouped maxima are shifted to a maximum of 0 (_normalize),
     the shift carried as a Python int.  The sweep is invariant under adding
@@ -759,6 +902,8 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         # the fold scatters at full - triple(u) and is read at reach
         # (_pair_advance, _pair_read)
         gain = -pc.astype(dtype)
+        # reach(c, d_v) for every last row c, which the close-offs read
+        south = _reach(np.arange(size, dtype=np.uint32), np.uint32(d_v), n, bricked)
         # row 1 sits under the virtual empty north row, in the class of 0
         state = np.full((len(keys), size), dead, dtype=dtype)
         state[np.searchsorted(keys, triple_mask(0, n, bricked))] = gain
@@ -778,7 +923,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         if maximize:
             s = np.where((keys & d_v) == 0, grouped, dead).max()
         else:
-            s = _pair_read(grouped, d_v, n, bricked)
+            s = _pair_read(grouped, south, n, bricked)
         clock.lap("close")
         return s
 

@@ -27,7 +27,9 @@ from settle.solvers import (
     _normalize,
     _need_bytes,
     _pair_advance,
-    _pair_tables,
+    _reach,
+    _reach_bits,
+    _reach_tables,
     _scores,
     _split_group,
     _split_plan,
@@ -215,7 +217,7 @@ class TestBruteForce:
         def refuse(*args, **kwargs):
             raise AssertionError("brute_force reached the DP")
 
-        for name in ("_houses", "_split_plan", "_pair_tables", "_sweep"):
+        for name in ("_houses", "_split_plan", "_reach_bits", "_reach_tables", "_sweep"):
             monkeypatch.setattr(f"settle.solvers.{name}", refuse)
         for req, optimum in zip(reqs, want):
             res = brute_force(req)
@@ -535,13 +537,18 @@ class TestStateBytes:
         (Objective.MIN_MAXIMAL, 3, 10),
         (Objective.MIN_MAXIMAL, 50, 8),
         (Objective.MIN_MAXIMAL, 5, 12),
+        # past the default pair cap, where the class tables (23 MiB free,
+        # 64 MiB bricked) outweigh the state
+        (Objective.MIN_MAXIMAL, 3, 13),
     ])
     @pytest.mark.parametrize("witness", [False, True])
     def test_traced_peak_within_estimate(self, objective, m, n, boundary, witness):
-        req = SolveRequest(Dims(m, n, boundary), objective, want_witness=witness)
+        limits = Limits(max_cols_pairs=max(n, Limits().max_cols_pairs))
+        req = SolveRequest(Dims(m, n, boundary), objective, want_witness=witness, limits=limits)
         _split_plan.cache_clear()
         _houses.cache_clear()
-        _pair_tables.cache_clear()
+        _reach_bits.cache_clear()
+        _reach_tables.cache_clear()
         tracemalloc.start()
         try:
             res = solve(req)
@@ -550,6 +557,24 @@ class TestStateBytes:
             tracemalloc.stop()
         bricked = boundary is Boundary.BRICKED
         assert res.stats["state_bytes"] == _need_bytes(objective, m, n, witness, bricked)
+        assert peak <= res.stats["state_bytes"]
+
+    @pytest.mark.parametrize("witness", [False, True])
+    def test_single_row_min_builds_no_split_plan(self, witness):
+        # _min_single_row reads _houses alone: neither its estimate nor the
+        # solve builds the split plan
+        req = SolveRequest.minimum(1, 24, Boundary.BRICKED, want_witness=witness)
+        _split_plan.cache_clear()
+        _houses.cache_clear()
+        tracemalloc.start()
+        try:
+            res = solve(req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _split_plan.cache_info().currsize == 0
+        assert res.stats["state_bytes"] == \
+            _need_bytes(Objective.MIN_MAXIMAL, 1, 24, witness, True)
         assert peak <= res.stats["state_bytes"]
 
     def test_long_max_witness_fits_the_default_cap(self):
@@ -593,10 +618,11 @@ class TestStateBytes:
                 _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True, bricked)
 
     def test_wide_pair_solve_is_refused_by_its_estimate(self):
-        # a raised pair cap leaves the byte cap to refuse the 4^n table (at
-        # 16 columns, the widest a pair solve admits), and the estimate
-        # itself allocates nothing of the width's size
-        limits = Limits(max_cols=40, max_cols_pairs=40)
+        # a raised pair cap leaves the byte cap to refuse the class tables
+        # (at 16 columns, the widest a pair solve admits; 1.8 GiB on the
+        # free border, under the default cap, so the cap is set at 1 GiB),
+        # and the estimate itself allocates nothing of the width's size
+        limits = Limits(max_cols=40, max_cols_pairs=40, max_state_bytes=1 << 30)
         tracemalloc.start()
         try:
             with pytest.raises(LimitError, match="estimated state space"):
@@ -697,9 +723,29 @@ class TestPairRule:
         for n in range(1, 11):
             states = np.arange(1 << n, dtype=np.uint32)
             c, d = states[:, None], states[None, :]
-            reach = _pair_tables(n, bricked)
+            reach = _reach(c, d, n, bricked)
             blocked = (triple_mask(c, n, bricked) & d) != 0
             assert np.array_equal((reach == 0) & (c != 0), blocked), n
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_class_tables_hold_reach_at_every_pair(self, bricked):
+        # the entry the advance reads for (c, d), in the table row of c at
+        # the slot of d in the class of c, is reach(c, d): blocked pairs too
+        for n in range(1, 11):
+            tables = _reach_tables(n, bricked)
+            keys = _split_plan(n, bricked).keys
+            states = np.arange(1 << n, dtype=np.uint32)
+            assert np.array_equal(np.sort(tables.order), states), (n, bricked)
+            # the runs follow one another over every row
+            firsts = [run[0] for run in tables.runs]
+            assert firsts[0] == 0 and [run[1] for run in tables.runs] == firsts[1:] + [1 << n]
+            for first, end, width, entry, _, _ in tables.runs:
+                c = tables.order[first:end].astype(np.uint32)
+                table = tables.reach[entry:entry + (end - first) * width].reshape(-1, width)
+                slots = tables.slots[np.searchsorted(keys, triple_mask(c, n, bricked))]
+                got = np.take_along_axis(table, slots.astype(np.intp), axis=1)
+                want = _reach(c[:, None], states[None, :], n, bricked)
+                assert np.array_equal(got, want), (n, bricked, width)
 
 
 class TestPairAdvance:
@@ -710,8 +756,9 @@ class TestPairAdvance:
         # every (u, c) pair's score is the best class of u that fits the
         # rows below, z[reach(c, d), c]; then grouped by the class of c
         keys = _split_plan(n, bricked).keys
-        reach = _pair_tables(n, bricked)
         size = 1 << n
+        states = np.arange(size, dtype=np.uint32)
+        reach = _reach(states[:, None], states[None, :], n, bricked)
         ids = np.searchsorted(keys, triple_mask(np.arange(size, dtype=np.uint32), n, bricked))
         scatter = full_mask(n) - keys
         masks = np.arange(size)
