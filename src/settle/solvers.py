@@ -38,13 +38,24 @@ them per class, and expands each class's slots to all 2^n rows d.  At
 n = 12 that is 15% of the 4^n pairs on the free border and 47% on the
 bricked one.
 
+Past the sign of the optimum and the count of DP states it reports, the
+sweep does not branch on the objective.  Each objective is one row rule,
+the transfer step of the transfer-matrix method (Stanley, Enumerative
+Combinatorics I, section 4.7): _max_rule and _min_rule give the row
+advance, the close-off at the virtual south row, the witness scan's read
+of a kept state, each row's gain, and which row's shift a kept state
+carries.
+
 The forward pass carries scores alone, shifted each row so that its best
 is 0; the shift is carried as a Python int.  So the maximum's scores fit
 in int8, because each lies within 2n of its row's best, and the
 minimum's in int16.  A witness is not tracked forward: the sweep keeps
 each row's state, and a backward scan rebuilds the rows from the south
 border up, each the argmax of the key (score << n) | rev(row) over the
-rows that fit the rows below it.
+rows that fit the rows below it.  It reads each row's candidates from
+that row's own state, in one loop for both objectives: the maximum's
+scores as they are, the minimum's class maxima at the row below, as its
+close-off reads the last row's at the south border.
 
 The state after row k does not depend on the final row count, so one sweep
 to the largest m closes off every requested row count on the way:
@@ -87,9 +98,10 @@ class Objective(Enum):
 class Limits:
     """Resource caps for a solve call.
 
-    Column caps keep the state spaces (2^n profiles for the maximum solver,
-    4^n profile pairs for the minimum solver) within memory; single-row
-    grids are enumerated directly and only need the wider max_cols cap.
+    Column caps keep the states within memory: 2^n profile scores for the
+    maximum solver; for the minimum solver, one score per (triple class,
+    profile) and its per-class reach tables.  Single-row grids are
+    enumerated directly and only need the wider max_cols cap.
     max_state_bytes caps the estimated bytes a solve or brute_force
     allocates, the cached per-width tables included: the allocations
     tracemalloc sees, not the process's RSS, to which the interpreter and
@@ -160,7 +172,7 @@ _FIXED_BYTES = 1 << 20
 _DEAD = -(1 << 14)  # the minimum's score of an unreachable state
 _BAND = 1 << 12  # the minimum's shifted live scores lie in [-_BAND, 0]
 _RING = 4  # how many rows back a row's shifted maxima are looked for
-_SCAN_BLOCK = 1 << 16  # the states _scan_back lists candidates from at a time
+_SCAN_BLOCK = 1 << 16  # the states the witness scan lists candidates from at a time
 _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
 # The pair advance transforms _CHUNK current rows at a time: a (2^n, _CHUNK)
 # int16 block, 2 MiB at n = 12, which stays in cache through the transform.
@@ -244,10 +256,12 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     advance = (grouped + slots * width + size * chunk * width
                + max((groups + low) * chunk * width + _READ_ROWS * size * (2 + 8) + size * width,
                      max(size, _RULE_BLOCK) * 8))
-    # a _pair_read, for a close-off or a column of _scan_back: the column
-    # of reach, built in the uint32 stages of _reach, the uint16 fit test,
-    # its mask and the masked maxima; at a cycle, the close-off maxima of
-    # the rows it repeats.  The sweep keeps the column at d_v (uint32).
+    # a read of _min_rule, for a close-off or a row of the witness scan:
+    # the column of reach, built in the uint32 stages of _reach, the
+    # uint16 fit test, its mask and the masked maxima; the rule keeps the
+    # last read's maxima until the next advance, and at a cycle the sweep
+    # keeps the close-off maxima of the rows it repeats.  The rule keeps
+    # the column at d_v (uint32).
     read = size * 24 + groups * size * (2 + 1 + width) + size * width * _RING
     return (need + pick + tables + size * 4
             + max(build, made, held * grouped + max(advance, read)))
@@ -324,9 +338,9 @@ def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: 
 
     Past 16 columns for a pair solve, and past 32 for every solve, no
     Limits value lifts the column cap: the class tables' reach
-    (_reach_tables) and _pair_read's reach and keys are uint16, and
-    _split_plan's rows, bit_reverse and _scores' int8 band hold 32
-    columns.  Both are checked before any table is built.
+    (_reach_tables) is uint16, as are the reach and keys of _min_rule's
+    reads, and _split_plan's rows, bit_reverse and _scores' int8 band
+    hold 32 columns.  Both are checked before any table is built.
 
     Returns the byte estimate the solve was checked against.  A witness
     solve it refuses is estimated again from the m0 + p rows its sweep
@@ -456,7 +470,7 @@ def _houses(n: int) -> np.ndarray:
 
     Built in place by doubling: the rows from 2^b to 2^(b + 1) - 1 are
     those below 2^b with bit b set.  Read-only, as it is the maximum's
-    first state (_sweep).
+    first state (_max_rule).
     """
     pc = np.zeros(1 << n, dtype=np.int8)
     for b in range(n):
@@ -738,18 +752,115 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     return out
 
 
-def _pair_read(grouped: np.ndarray, reach: np.ndarray, n: int, bricked: bool) -> np.ndarray:
-    """_pair_advance's read for one row d below, before its gain.
+class _Rule(NamedTuple):
+    """One objective's row rule: what the sweep (_sweep) runs per row.
 
-    reach holds reach(c, d) for every current row c (_reach).  For every
-    c, the maximum of grouped[g, c] over the classes g that fit (c, d),
-    ~key(g) ⊆ reach(c, d), in (classes) x 2^n work, in uint16.  At the
-    virtual south row it is the close-off; at a row of a witness it
-    rebuilds the scores the backward scan reads.
+    A rule's scores are dead at unreachable states and, once a row is
+    shifted (_normalize), live within band below 0 (_scores).
     """
-    keys = (full_mask(n) - _split_plan(n, bricked).keys).astype(np.uint16)
-    fit = (keys[:, None] & (full_mask(n) ^ reach.astype(np.uint16))) == 0
-    return np.where(fit, grouped, _DEAD).max(axis=0)
+
+    # (grouped, state, clock) -> (state, grouped): the next row's state and
+    # its grouped maxima, from the last row's; grouped None builds row 1
+    advance: Callable
+    close: Callable  # grouped -> the maxima into the virtual south row
+    # (layer, below) -> (scores, fits): a kept state's scores of the rows u
+    # that may sit above the rows below, and whether u fits, by triple(u)
+    scan: Callable
+    gain: np.ndarray  # each row's score
+    lag: int  # the state kept after row k carries the shift of row k - lag
+    dead: int
+    band: int
+
+
+def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
+    """The maximum's row rule: its state is one score per row, grouped by
+    the row's triple class (_split_group).
+
+    A row r admits the rows u above it with triple(u) & r == 0: the advance
+    scatters the grouped maxima at full - triple(u), takes superset maxima
+    and reads them at r (_split_transform).  A kept state holds the scores
+    after its row, shifted by the row before it.  keep: a witness keeps
+    every state, so each is a new array.
+    """
+    keys, pc = _split_plan(n, bricked).keys, _houses(n)
+    dtype, dead, band = _scores(Objective.MAX_PERMISSIBLE, n)
+
+    def advance(grouped, state, clock):
+        if grouped is None:
+            state = pc  # row 1 scores its houses
+        else:
+            # the last state is grouped already, so the transform may
+            # overwrite it, unless it is the cached pc or a witness keeps it
+            if keep or state is pc:
+                state = np.empty_like(pc)
+            _split_transform(grouped, state, n, bricked, dead, superset=True)
+            clock.lap("transform")
+            state += pc
+            clock.lap("read")
+        grouped = np.full(len(keys), dead, dtype=dtype)
+        _split_group(state, n, bricked, grouped)
+        return state, grouped
+
+    def scan(layer, below):
+        # u fits the row r below it when triple(u) ⊆ ~r
+        r = below[-1]
+        return layer, lambda t: (t & r) == 0
+
+    # the close-off reads the classes the virtual south row admits
+    close = lambda grouped: np.where((keys & d_v) == 0, grouped, dead).max()
+    return _Rule(advance, close, scan, pc, 1, dead, band)
+
+
+def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
+    """The minimum's row rule: its state is its grouped maxima, grouped[g, c]
+    the best score of a state (u, c) whose row above u is in class g.
+
+    A row c admits the rows u above it, for the row d below it, with
+    ~triple(u) ⊆ reach(c, d) (_pair_advance).  A kept state carries its
+    own row's shift.  The close-off reads the last row's state at the
+    virtual south row, and the witness scan reads each row's state at the
+    row below it: so each row's scores come from its own state.
+    """
+    keys = _split_plan(n, bricked).keys
+    dtype, dead, band = _scores(Objective.MIN_MAXIMAL, n)
+    gain = -_houses(n).astype(dtype)
+    full, rows = full_mask(n), np.arange(1 << n, dtype=np.uint32)
+    holes = (full - keys).astype(np.uint16)
+    south = _reach(rows, np.uint32(d_v), n, bricked)  # reach(c, d_v), built once
+    # the last read, (grouped, d, maxima), until the next advance: a
+    # witness scan starts where the close-off read
+    last = []
+
+    def read(grouped, d):
+        """_pair_advance's read for the one row d below, before its gain:
+        for every row c, the maximum of grouped[g, c] over the classes g
+        that fit (c, d), ~key(g) ⊆ reach(c, d), in (classes) x 2^n work,
+        in uint16."""
+        if not (last and last[0] is grouped and last[1] == d):
+            column = south if d == d_v else _reach(rows, np.uint32(d), n, bricked)
+            fit = (holes[:, None] & (full ^ column.astype(np.uint16))) == 0
+            last[:] = grouped, d, np.where(fit, grouped, dead).max(axis=0)
+        return last[2]
+
+    def advance(grouped, state, clock):
+        last.clear()
+        if grouped is None:
+            # row 1 sits under the virtual empty north row, in the class of 0
+            state = np.full((len(keys), 1 << n), dead, dtype=dtype)
+            state[np.searchsorted(keys, triple_mask(0, n, bricked))] = gain
+        else:
+            state = _pair_advance(grouped, n, bricked, gain, clock)
+        return state, state
+
+    def scan(layer, below):
+        # u fits the rows (c, d) below it when ~triple(u) ⊆ reach(c, d);
+        # the virtual south row needs no cover
+        c = below[-1]
+        reach = (int(_reach(np.uint32([c]), np.uint32(below[-2]), n, bricked)[0])
+                 if below[1:] else full)
+        return read(layer, c), lambda t: (t | reach) == full
+
+    return _Rule(advance, lambda grouped: read(grouped, d_v), scan, gain, 0, dead, band)
 
 
 def _pick(scores: np.ndarray, target: int, fits: Callable, n: int, bricked: bool) -> int:
@@ -773,49 +884,6 @@ def _pick(scores: np.ndarray, target: int, fits: Callable, n: int, bricked: bool
             if rev[i] > u_rev:
                 u, u_rev = int(cand[i]), int(rev[i])
     return u
-
-
-def _scan_back(layers, offsets, below: list[int], target: int, gain, n: int,
-               bricked: bool, pairs: bool) -> tuple[int, ...]:
-    """Rebuild a witness's rows, north first, from the state after every row.
-
-    For the maximum, layers holds the shifted score array after each row,
-    the last row's last; for the minimum (pairs), the grouped maxima of
-    the row before each, from which _pair_read rebuilds the one column
-    of scores the scan reads.  offsets is what each layer's scores are
-    shifted by.  below starts with the virtual south row; for the minimum
-    it also holds the last row, picked already.  target is the optimum's
-    score, which its state in the last layer has.  Walking north, a
-    state's score less the gain of its last row is the maximum over the
-    rows u that fit the rows below it, which fit by the triple mask of u;
-    that is the target in the layer above.  So each row is the _pick among
-    the fitting rows that score the target, the row a stored argmax would
-    give.
-    """
-    if pairs:
-        rows, full = np.arange(1 << n, dtype=np.uint32), full_mask(n)
-        column = _reach(rows, np.uint32(below[0]), n, bricked)
-    for layer, offset in zip(reversed(layers), reversed(offsets)):
-        if not pairs:
-            # the maximum: u fits the row r below it when triple(u) ⊆ ~r
-            r = below[-1]
-            scores, fits = layer, lambda t: (t & r) == 0
-        else:
-            # the minimum: u fits the rows (c, d) below it when
-            # ~triple(u) ⊆ reach(c, d), scored at the state (u, c); the
-            # column of reach at d, read the step before, holds reach(c, d)
-            c = below[-1]
-            reach = int(column[c])
-            column = _reach(rows, np.uint32(c), n, bricked)
-            scores = _pair_read(layer, column, n, bricked) + gain[c]
-            fits = lambda t: (t | reach) == full
-        u = _pick(scores, target - offset, fits, n, bricked)
-        if u < 0:
-            raise SettleError("internal error: the backward scan lost the optimum's path")
-        below.append(u)
-        # the state in this layer gained the gain of its last row
-        target -= int(gain[c if pairs else u])
-    return tuple(reversed(below[1:]))
 
 
 def _normalize(grouped: np.ndarray, dead: int, band: int) -> int:
@@ -845,115 +913,95 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
 
     rows holds distinct row counts in increasing order, each >= 1 for the
     maximum and >= 2 for the minimum.  Both objectives maximize a score: the
-    houses for the maximum, minus the houses for the minimum.  The maximum's
-    state is indexed by the last row; the minimum's by the row above it and
-    the last row, so that the north proposition can cover the last row.
-    The forward pass carries scores alone (_scores: int8 for the maximum,
-    int16 for the minimum) and takes their maxima over the triple-mask
-    groups of the oldest row.  The grouped maxima are the whole state of
-    the sweep: the groups that fit the virtual south row close off at m;
-    scattered and run through the subset-maximum transform, they are read
-    at every real row to advance to m + 1.  Both objectives transform the
-    low halves of their classes in a small array before the high bits of
-    all 2^n entries (_split_transform), the maximum once a row for its
-    superset maxima, the minimum once a chunk of current rows for its
-    subset maxima.  The maximum groups its score array after each read
-    over the two halves of a row (_split_group); the minimum reads
-    grouped maxima into grouped maxima (_pair_advance), its rows in the
-    order of its class tables (_reach_tables), and never holds a score per
-    pair.  No array maps a row to its class: the plan groups the maximum's
-    rows, the minimum's tables list its rows class by class, and the
-    backward scan takes triple masks of the rows it reads.
+    houses for the maximum, minus the houses for the minimum.  All that
+    differs between them is the row rule (_max_rule, _min_rule).  The
+    maximum's state is indexed by the last row; the minimum's by the row
+    above it and the last row, so that the north proposition can cover the
+    last row.  The sweep carries the state's maxima over the triple classes
+    of its oldest row (_scores: int8 for the maximum, int16 for the
+    minimum), and they are its whole state: the rule closes them off at the
+    virtual south row at m, and advances them through the subset-maximum
+    transform (_split_transform) to m + 1.  The maximum groups its score
+    array after each advance over the two halves of a row (_split_group);
+    the minimum advances grouped maxima into grouped maxima (_pair_advance),
+    its rows in the order of its class tables (_reach_tables), and never
+    holds a score per pair.  No array maps a row to its class: the plan
+    groups the maximum's rows, the minimum's tables list its rows class by
+    class, and the witness scan takes triple masks of the rows it reads.
 
     Each row's grouped maxima are shifted to a maximum of 0 (_normalize),
     the shift carried as a Python int.  The sweep is invariant under adding
     a constant to every score, so once a row's shifted maxima equal those
     of row m0, p <= _RING rows back, every later row repeats them with p
     rows' gain d added (the cyclicity of max-plus linear recurrences): the
-    sweep stops advancing and closes off each later m from row
-    m0 + (m - m0) mod p.  With a witness, each row's state is kept until
-    then, and _scan_back rebuilds the rows from the virtual south row up,
-    reusing the kept rows past m0 periodically.  Ties break toward the
-    largest rev of each row, the last row first.  Every result's stats
-    carry the seconds spent so far per phase (_PHASES).
+    sweep stops advancing at row m0 + p and closes off each later m at row
+    m0 + 1 + (m - m0 - 1) mod p.  With a witness, each row's state is kept
+    until then, and a backward scan rebuilds the rows from the virtual
+    south row up, reusing the kept rows past m0 periodically.  Ties break
+    toward the largest rev of each row, the last row first.  Every result's
+    stats carry the seconds spent so far per phase (_PHASES).
     """
     maximize = objective is Objective.MAX_PERMISSIBLE
-    sign = 1 if maximize else -1  # the optimum is sign * the best score
     bricked = boundary is Boundary.BRICKED
     top = rows[-1]
     t0 = time.perf_counter()
     need = _check_limits(objective, Dims(top, n, boundary), want_witness, limits)
     clock = _Clock()
-    keys, pc = _split_plan(n, bricked).keys, _houses(n)
-    dtype, dead, band = _scores(objective, n)
-    live = dead // 2
-    size = 1 << n
     d_v = full_mask(n) if bricked else 0  # the virtual south row
-    if maximize:
-        # a row r admits the rows u above it with triple(u) & r == 0: the
-        # fold scatters at full - triple(u), takes superset maxima and is
-        # read at r (_split_transform)
-        gain = pc  # int8, as the scores
-        state = pc  # row 1 scores its houses
-        # _scan_back reads the scores after rows 1..
-        first, states = 1, size
-    else:
-        # a row c admits the rows u above it with ~triple(u) ⊆ reach(c, d):
-        # the fold scatters at full - triple(u) and is read at reach
-        # (_pair_advance, _pair_read)
-        gain = -pc.astype(dtype)
-        # reach(c, d_v) for every last row c, which the close-offs read
-        south = _reach(np.arange(size, dtype=np.uint32), np.uint32(d_v), n, bricked)
-        # row 1 sits under the virtual empty north row, in the class of 0
-        state = np.full((len(keys), size), dead, dtype=dtype)
-        state[np.searchsorted(keys, triple_mask(0, n, bricked))] = gain
-        # _scan_back reads the scores after rows 2.. (row 1 is picked from
-        # row 2's states); the DP's states are the pairs (u, c)
-        first, states = 2, size * size
-    layers: list[np.ndarray] = []
-    offsets: list[int] = []
-    ring: list[tuple[int, np.ndarray, int]] = []  # (row, shifted maxima, shift)
-    offset = 0  # true scores are score + offset (grouped + offset once shifted)
+    # the optimum is sign * the best score; the DP's states are the rows,
+    # or the minimum's pairs (u, c)
+    sign, states, rule = ((1, 1 << n, _max_rule(n, bricked, d_v, want_witness)) if maximize
+                          else (-1, 1 << 2 * n, _min_rule(n, bricked, d_v)))
+    layers: list[np.ndarray] = []  # with a witness, the state after each row
+    shifts = [0]  # true scores after row k are the shifted ones + shifts[k]
+    ring: dict[int, np.ndarray] = {}  # the last rows' shifted maxima
+    closed: dict[int, np.ndarray] = {}  # their close-offs, until the next advance
     cycle = None  # (m0, p, d) once found
 
-    def close(grouped: np.ndarray) -> np.ndarray:
-        """The transition maxima into the virtual south row (per last row
-        for the minimum), over the groups that fit it."""
-        clock.mark()
-        if maximize:
-            s = np.where((keys & d_v) == 0, grouped, dead).max()
-        else:
-            s = _pair_read(grouped, south, n, bricked)
-        clock.lap("close")
-        return s
-
-    def layer_at(k: int) -> tuple[np.ndarray, int]:
+    def repeat(k: int) -> tuple[int, int]:
+        """The row, at most m0 + p, whose state row k's repeats, and the
+        shift between them."""
         if cycle is None or k <= cycle[0]:
-            return layers[k - first], offsets[k - first]
+            return k, 0
         m0, p, d = cycle
         turns, j = divmod(k - m0 - 1, p)
-        return layers[m0 + 1 + j - first], offsets[m0 + 1 + j - first] + d * turns
+        return m0 + 1 + j, d * turns
 
-    def finish(m: int, s: np.ndarray, shift: int, advanced: int) -> SolveResult:
-        best = int(s.max())
-        if best < live:
+    def finish(m: int, advanced: int) -> SolveResult:
+        row, shift = repeat(m)
+        clock.mark()
+        if row not in closed:
+            closed[row] = rule.close(ring[row])
+        clock.lap("close")
+        best = int(closed[row].max())
+        if best < rule.dead // 2:
             raise SettleError(f"no maximal configuration found for {m}x{n} (internal error)")
+        score = best + shifts[row] + shift
         dims = Dims(m, n, boundary)
         witness = None
         if want_witness:
-            clock.mark()
-            # the minimum's last row is still an axis: pick it first
-            fits = lambda t: (t & d_v) == 0
-            below = [d_v] if maximize else [d_v, _pick(s, best, fits, n, bricked)]
-            kept, shifts = zip(*map(layer_at, range(first, m + 1)))
-            witness = Configuration(dims, _scan_back(
-                kept, shifts, below, best + shift, gain, n, bricked, not maximize))
+            # Walking north from the virtual south row, a kept state's best
+            # score over the rows u that fit the rows below it (rule.scan)
+            # is the target, and the state kept a row earlier scores the
+            # target less the gain of u.  So each row is the _pick among the
+            # fitting rows that score the target, the row a stored argmax
+            # would give.
+            below, target = [d_v], score
+            for k in range(m, 0, -1):
+                row, shift = repeat(k)
+                scores, fits = rule.scan(layers[row - 1], below)
+                u = _pick(scores, target - shifts[row - rule.lag] - shift, fits, n, bricked)
+                if u < 0:
+                    raise SettleError("internal error: the backward scan lost the optimum's path")
+                below.append(u)
+                target -= int(rule.gain[u])
+            witness = Configuration(dims, tuple(reversed(below[1:])))
             clock.lap("scan")
         m0, p, d = cycle or (None, None, None)
         result = SolveResult(
             dims,
             objective,
-            sign * (best + shift),
+            sign * score,
             witness,
             {
                 "states": advanced * states,
@@ -969,58 +1017,30 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         _validate_witness(result)
         return result
 
-    wanted = iter(rows)
-    want = next(wanted)
+    wanted = rows[::-1]  # the row counts left to close off, the next one last
+    state = grouped = None
     for m in range(1, top + 1):
+        closed.clear()
         clock.mark()
-        if want_witness and m >= first:
-            # the minimum's layer is the grouped maxima after row m - 1,
-            # from which _pair_read rebuilds the scores after row m
-            layers.append(state if maximize else grouped)
-            offsets.append(offset)
-        grouped = state
-        if maximize:
-            grouped = np.full(len(keys), dead, dtype=dtype)
-            _split_group(state, n, bricked, grouped)
-        offset += _normalize(grouped, dead, band)
-        del ring[:-_RING]
+        state, grouped = rule.advance(grouped, state, clock)
+        if want_witness:
+            layers.append(state)
+        shifts.append(shifts[-1] + _normalize(grouped, rule.dead, rule.band))
+        ring.pop(m - _RING - 1, None)
         # at most one row matches: two would have matched each other before
-        for row, seen, seen_offset in ring:
+        for row, seen in ring.items():
             if np.array_equal(grouped, seen):
-                cycle = (row, m - row, offset - seen_offset)
+                cycle = (row, m - row, shifts[m] - shifts[row])
                 break
-        ring.append((m, grouped, offset))
+        ring[m] = grouped
         clock.lap("group")
-        if m == want:
-            yield finish(m, close(grouped), offset, m)
-            want = next(wanted, None)
-            if want is None:
-                return
-        if cycle is not None:
-            break
-        if maximize:
-            clock.mark()
-            # state is grouped already, so the transform may overwrite it,
-            # unless it is the cached pc or a witness keeps it
-            if want_witness or state is pc:
-                state = np.empty_like(pc)
-            _split_transform(grouped, state, n, bricked, dead, superset=True)
-            clock.lap("transform")
-            state += gain
-            clock.lap("read")
-        else:
-            state = _pair_advance(grouped, n, bricked, gain, clock)
+        # once the sweep has found its cycle, at row m = m0 + p, every later
+        # row count repeats one of the rows m0 + 1..m, kept in the ring
+        while wanted and (wanted[-1] == m or cycle is not None):
+            yield finish(wanted.pop(), m)
+        if not wanted:
+            return
         _check_wall(t0, limits)
-    # the sweep stopped at row m = m0 + p: every later row count repeats
-    # one of the rows m0..m - 1, kept in the ring
-    m0, p, d = cycle
-    bases = {row: (close(seen), seen_offset) for row, seen, seen_offset in ring
-             if m0 <= row < m}
-    while want is not None:
-        turns, j = divmod(want - m0, p)
-        s, shift = bases[m0 + j]
-        yield finish(want, s, shift + d * turns, m)
-        want = next(wanted, None)
 
 
 def solve_max(req: SolveRequest) -> SolveResult:

@@ -302,18 +302,32 @@ class TestSweep:
         assert out["errors"] == [{"row": 2, "col": 13,
                                   "error": "cols 13 over the configured pair-state cap 12"}]
 
+    # sha256 of every result these sweeps yield: objective, border, n, m,
+    # optimum, witness rows and the stats states, transitions, transient,
+    # period and slope.  Recorded from a sweep whose witness scan branched
+    # on the objective and picked the minimum's last row from its close-off.
+    SWEPT = {
+        Boundary.FREE: "5252acf5448320ee2f701208ea50d42c40beb5988e6eca932cfabfb67da3b95b",
+        Boundary.BRICKED: "a448540dc10b0aaba768a5f271efa6fb53f6fa9d1fcf411690f2ecb97a553a0c",
+    }
+
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_sweep_witnesses_equal_separate_solves(self, boundary):
         rows = list(range(1, 9))
+        pinned = hashlib.sha256()
         for n in range(1, 11):
-            swept = list(_sweep(Objective.MAX_PERMISSIBLE, n, boundary, rows, True, Limits()))
-            assert [r.dims.rows for r in swept] == rows
-            for res in swept:
-                assert same_result(res, max_result(res.dims.rows, n, boundary)), (res.dims, "max")
-            swept = list(_sweep(Objective.MIN_MAXIMAL, n, boundary, rows[1:], True, Limits()))
-            assert [r.dims.rows for r in swept] == rows[1:]
-            for res in swept:
-                assert same_result(res, min_result(res.dims.rows, n, boundary)), (res.dims, "min")
+            for objective, counts, solved in ((Objective.MAX_PERMISSIBLE, rows, max_result),
+                                              (Objective.MIN_MAXIMAL, rows[1:], min_result)):
+                swept = list(_sweep(objective, n, boundary, counts, True, Limits()))
+                assert [r.dims.rows for r in swept] == counts
+                for res in swept:
+                    assert same_result(res, solved(res.dims.rows, n, boundary)), \
+                        (res.dims, objective.value)
+                    stats = [res.stats[k] for k in
+                             ("states", "transitions", "transient", "period", "slope")]
+                    pinned.update(repr((objective.value, boundary.value, n, res.dims.rows,
+                                        res.optimum, res.witness.row_bits, stats)).encode())
+        assert pinned.hexdigest() == self.SWEPT[boundary]
 
     # sha256 of the witness rows (" "-joined row masks) as a DP that stores
     # an argmax predecessor per state gives them: they pin the tie-break at
@@ -414,19 +428,35 @@ class TestPeriodicSweep:
             if m >= m0 and m + p in optimum:
                 assert optimum[m + p] == res.optimum + d
 
+    # the minimum's cycle (m0, p, d) at n = 2..12: on the free border it
+    # proves I = i_lower_bound at every m; the bricked one has no formula
+    MIN_CYCLES = {
+        Boundary.FREE: ([1, 3, 3, 3, 3, 4, 5, 4, 5, 5, 5], [1] * 11,
+                        [2, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6]),
+        Boundary.BRICKED: ([3, 3, 3, 3, 5, 3, 5, 5, 6, 5, 6], [1, 3] * 5 + [1],
+                           [1, 4, 2, 7, 3, 10, 4, 13, 5, 16, 6]),
+    }
+
     def test_long_strips(self):
         # E(m, 3) follows r_recurrence and I(m, n) follows i_lower_bound at
-        # every m; the sweeps stop within a dozen rows
+        # every m; the sweeps stop within a dozen rows, and the cycle each
+        # one stops at covers every later m
         rows = sorted({*range(2, 200), *range(200, 10**5, 997), 10**5})
         spot = {2, 3, 57, 199, 1197, 54032, 10**5 - 1, 10**5}
         for res in _sweep(Objective.MAX_PERMISSIBLE, 3, Boundary.FREE, sorted(spot), False,
                           Limits()):
             assert res.optimum == r_recurrence(res.dims.rows, 3), res.dims
             assert res.stats["states"] <= 12 * 8
-        for n in range(3, 9):
-            for res in _sweep(Objective.MIN_MAXIMAL, n, Boundary.FREE, rows, False, Limits()):
-                assert res.optimum == i_lower_bound(res.dims.rows, n), res.dims
-                assert res.stats["states"] <= 12 * 4**n
+        for boundary, want in self.MIN_CYCLES.items():
+            got = []
+            for n in range(2, 13):
+                counts = rows if boundary is Boundary.FREE else rows[:20]
+                for res in _sweep(Objective.MIN_MAXIMAL, n, boundary, counts, False, Limits()):
+                    assert res.stats["states"] <= 12 * 4**n
+                    if boundary is Boundary.FREE:
+                        assert res.optimum == i_lower_bound(res.dims.rows, n), res.dims
+                got.append([res.stats[k] for k in ("transient", "period", "slope")])
+            assert [list(column) for column in zip(*got)] == list(want), boundary
 
     def test_growth_rate_per_row(self):
         # E grows by (3n + n mod 2)/4 houses a row on the free border; the
@@ -633,7 +663,7 @@ class TestStateBytes:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("objective, m, n", [
-        (Objective.MIN_MAXIMAL, 2, 17),  # reach and _pair_read's keys are uint16
+        (Objective.MIN_MAXIMAL, 2, 17),  # reach and _min_rule's fit keys are uint16
         (Objective.MAX_PERMISSIBLE, 2, 33),  # hi << h wraps in _split_plan's uint32 rows
         (Objective.MIN_MAXIMAL, 1, 33),
     ])
