@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .rows import (
     Boundary,
@@ -22,16 +23,6 @@ from .rows import (
     prop_west_mask,
     triple_mask,
 )
-
-
-def _bit_cells(i: int, mask: int) -> list[tuple[int, int]]:
-    """The cells (i, j) of row i whose bits are set in mask, west first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append((i, low.bit_length()))
-        mask ^= low
-    return out
 
 
 class Prop(Enum):
@@ -65,7 +56,8 @@ class Configuration:
     """An immutable occupancy assignment, one bitmask per row (north first).
 
     Bit b of ``row_bits[i-1]`` is column b+1 of row i; the LSB is the
-    westernmost column.
+    westernmost column.  The checker packs the rows once into rows.py lanes
+    and evaluates each rule on the whole grid in one call.
     """
 
     dims: Dims
@@ -126,66 +118,85 @@ class Configuration:
 
     def cells(self) -> list[tuple[int, int]]:
         """Occupied coordinates in row-major (north-first, west-first) order."""
-        return [cell for i, bits in enumerate(self.row_bits, start=1)
-                for cell in _bit_cells(i, bits)]
-
-    def _row(self, i: int) -> int:
-        """Row mask for i, with virtual rows outside the grid.
-
-        The virtual south row is full when the border is bricked, empty when
-        open; the virtual north row is always empty (the northern border is
-        irrelevant in both modes).
-        """
-        if 1 <= i <= self.dims.rows:
-            return self.row_bits[i - 1]
-        if i > self.dims.rows and self.dims.boundary is Boundary.BRICKED:
-            return full_mask(self.dims.cols)
-        return 0
+        return self._cells(self._lanes[1])
 
     @property
     def _bricked(self) -> bool:
         return self.dims.boundary is Boundary.BRICKED
 
+    # -- whole-grid lanes ------------------------------------------------------
+
+    @cached_property
+    def _lanes(self) -> tuple[int, int, int]:
+        """(north, rows, south): every row and its two neighbours, as lanes.
+
+        ``rows`` packs row i into lane i - 1 at the rows.py stride of n + 2
+        bits, so the rules evaluate the whole grid in one call.  ``north``
+        and ``south`` hold in lane i - 1 the rows above and below row i,
+        virtual rows included: the virtual north row is always empty (the
+        northern border is irrelevant in both modes), the virtual south row
+        is full when the border is bricked and empty when open.
+        """
+        m, n = self.dims.rows, self.dims.cols
+        stride = n + 2
+        rows = 0
+        for bits in reversed(self.row_bits):
+            rows = rows << stride | int(bits)  # int(): a numpy mask would wrap
+        north = (rows & ((1 << (m - 1) * stride) - 1)) << stride  # row m is north of no row
+        south = rows >> stride
+        if self._bricked:
+            south |= full_mask(n) << (m - 1) * stride
+        return north, rows, south
+
+    def _cells(self, mask: int) -> list[tuple[int, int]]:
+        """Decode the lane bits of mask to (i, j) cells, row-major, west first."""
+        stride = self.dims.cols + 2
+        out = []
+        while mask:
+            low = mask & -mask
+            i, j = divmod(low.bit_length() - 1, stride)
+            out.append((i + 1, j + 1))
+            mask ^= low
+        return out
+
+    def _bit(self, mask: int, i: int, j: int) -> bool:
+        """Whether cell (i, j)'s bit of the lane mask is set."""
+        self._check_coord(i, j)
+        return bool(mask >> ((i - 1) * (self.dims.cols + 2) + j - 1) & 1)
+
     # -- sunlight ------------------------------------------------------------
 
-    def _blocked_mask(self, i: int) -> int:
-        """Houses of row i with east, south and west all occupied."""
-        return triple_mask(self._row(i), self.dims.cols, self._bricked) & self._row(i + 1)
+    def _blocked(self) -> int:
+        """Houses with east, south and west all occupied, as lanes."""
+        _, rows, south = self._lanes
+        return triple_mask(rows, self.dims.cols, self._bricked, self.dims.rows) & south
 
     def is_blocked(self, i: int, j: int) -> bool:
         """True iff the house at (i, j) has east, south, and west all occupied.
 
         Calling on an empty lot returns False.
         """
-        self._check_coord(i, j)
-        return bool(self._blocked_mask(i) >> (j - 1) & 1)
+        return self._bit(self._blocked(), i, j)
 
     def blocked_cells(self) -> list[tuple[int, int]]:
-        return [cell for i in range(1, self.dims.rows + 1)
-                for cell in _bit_cells(i, self._blocked_mask(i))]
-
-    def _windows(self):
-        """(north, row, south) for every row, north first, virtual rows included."""
-        south = full_mask(self.dims.cols) if self._bricked else 0
-        padded = (0, *self.row_bits, south)
-        return zip(padded, padded[1:], padded[2:])
+        return self._cells(self._blocked())
 
     def is_permissible(self) -> bool:
         """True iff no house is blocked."""
-        n, b = self.dims.cols, self._bricked
-        return not any(triple_mask(c, n, b) & d for _, c, d in self._windows())
+        return not self._blocked()
 
     # -- propositions and maximality ------------------------------------------
 
-    def _prop_mask(self, which: Prop, i: int) -> int:
-        n, b = self.dims.cols, self._bricked
+    def _prop_mask(self, which: Prop) -> int:
+        north, rows, south = self._lanes
+        n, b, m = self.dims.cols, self._bricked, self.dims.rows
         if which is Prop.EAST:
-            return prop_east_mask(self._row(i), self._row(i + 1), n, b)
+            return prop_east_mask(rows, south, n, b, m)
         if which is Prop.WEST:
-            return prop_west_mask(self._row(i), self._row(i + 1), n, b)
+            return prop_west_mask(rows, south, n, b, m)
         if which is Prop.CENTER:
-            return prop_center_mask(self._row(i), self._row(i + 1), n, b)
-        return prop_north_mask(self._row(i - 1), n, b)
+            return prop_center_mask(rows, south, n, b, m)
+        return prop_north_mask(north, n, b, m)
 
     def proposition(self, which: Prop, i: int, j: int) -> bool:
         """Evaluate one proposition at (i, j).
@@ -193,72 +204,61 @@ class Configuration:
         Off-grid terms take the border value; a proposition whose subject
         neighbor is off-grid is false.
         """
-        self._check_coord(i, j)
-        return bool(self._prop_mask(which, i) >> (j - 1) & 1)
+        return self._bit(self._prop_mask(which), i, j)
 
     def propositions_at(self, i: int, j: int) -> dict[Prop, bool]:
         """All four propositions at (i, j), for diagnostics."""
-        self._check_coord(i, j)
-        return {p: bool(self._prop_mask(p, i) >> (j - 1) & 1) for p in Prop}
+        return {p: self._bit(self._prop_mask(p), i, j) for p in Prop}
 
     def is_addable(self, i: int, j: int) -> bool:
         """True iff building on the empty lot (i, j) keeps things permissible.
 
         Equivalent to: none of the four propositions holds there.
         """
-        self._check_coord(i, j)
         if self.is_occupied(i, j):
             raise ValueError(f"cell ({i},{j}) is already occupied")
-        return bool(self._addable_mask(i) >> (j - 1) & 1)
+        return self._bit(self._addable(), i, j)
 
-    def _addable_mask(self, i: int) -> int:
-        """Empty lots of row i where none of the four propositions holds."""
-        n = self.dims.cols
-        covered = covered_mask(self._row(i - 1), self._row(i), self._row(i + 1), n, self._bricked)
-        return ~(self._row(i) | covered) & full_mask(n)
+    def _addable(self) -> int:
+        """Empty lots where none of the four propositions holds, as lanes."""
+        north, rows, south = self._lanes
+        m, n = self.dims.rows, self.dims.cols
+        covered = covered_mask(north, rows, south, n, self._bricked, m)
+        return ~(rows | covered) & full_mask(n, m)
 
     def addable_cells(self) -> list[tuple[int, int]]:
-        return [cell for i in range(1, self.dims.rows + 1)
-                for cell in _bit_cells(i, self._addable_mask(i))]
+        return self._cells(self._addable())
 
     def is_maximal(self) -> bool:
         """True iff permissible and no empty lot is addable."""
-        n, b = self.dims.cols, self._bricked
-        full = full_mask(n)
-        return not any(triple_mask(c, n, b) & d or ~(c | covered_mask(u, c, d, n, b)) & full
-                       for u, c, d in self._windows())
+        return not self._blocked() and not self._addable()
 
     def greedy_complete(self) -> Configuration:
         """Fill every addable lot in one row-major, north-first scan.
 
         The input must be permissible; the result is maximal.  Propositions
         are monotone in occupancy: a lot the scan finds covered stays covered
-        as later houses go up, so one scan reaches the fixpoint.
+        as later houses go up, so the lowest addable lot of a row is always
+        the next one a west-first scan would take, and one scan reaches the
+        fixpoint.
         """
         if not self.is_permissible():
             raise ValueError("cannot complete an impermissible configuration")
-        m, n, b = self.dims.rows, self.dims.cols, self._bricked
-        bits = list(self.row_bits)
-        south_virtual = full_mask(n) if b else 0
-
-        def row_at(k: int) -> int:
-            if 1 <= k <= m:
-                return bits[k - 1]
-            return south_virtual if k > m else 0
-
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                if bits[i - 1] >> (j - 1) & 1:
-                    continue
-                mask = covered_mask(row_at(i - 1), row_at(i), row_at(i + 1), n, b)
-                if not (mask >> (j - 1) & 1):
-                    bits[i - 1] |= 1 << (j - 1)
-        return Configuration(self.dims, tuple(bits))
+        n, b = self.dims.cols, self._bricked
+        full = full_mask(n)
+        # bits[i] is row i, between the virtual north and south rows
+        bits = [0, *self.row_bits, full if b else 0]
+        for i in range(1, self.dims.rows + 1):
+            u, c, d = bits[i - 1:i + 2]
+            while addable := ~(c | covered_mask(u, c, d, n, b)) & full:
+                c |= addable & -addable  # the lowest: the scan's next house
+            bits[i] = c
+        return Configuration(self.dims, tuple(bits[1:-1]))
 
     # -- measures and symmetries ----------------------------------------------
 
     def occupancy(self) -> int:
-        return sum(popcount(bits) for bits in self.row_bits)
+        return popcount(self._lanes[1])
 
     def density(self) -> Fraction:
         return Fraction(self.occupancy(), self.dims.rows * self.dims.cols)

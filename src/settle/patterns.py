@@ -128,27 +128,24 @@ def pattern_occupancy(kind: PatternKind, m: int, n: int) -> int:
     )
 
 
+def _every(n: int, start: int, step: int) -> int:
+    """Mask of the bits start, start + step, ... below n."""
+    return sum(1 << b for b in range(start, n, step))
+
+
 def _gen_brick(m: int, n: int) -> list[int]:
     if n == 2:
         return [full_mask(2)] * m
-    h = n // 2
-    full_cols = 0
-    for j in range(1, n + 1, 2):
-        full_cols |= 1 << (j - 1)
+    full_cols = _every(n, 0, 2)  # odd j
     # Half columns sit at even j; their phases strictly alternate so that a
     # full column is never flanked by two simultaneous half-column houses.
-    if n % 4 == 0:
-        start_odd = m % 2 == 1
-    else:
-        start_odd = True
-    phase_odd = [start_odd if k % 2 == 1 else not start_odd for k in range(1, h + 1)]
-    rows = []
-    for i in range(1, m + 1):
-        bits = full_cols
-        for k in range(1, h + 1):
-            if (i % 2 == 1) == phase_odd[k - 1]:
-                bits |= 1 << (2 * k - 1)
-        rows.append(bits)
+    # Odd rows take every other half column from j = 2 (j = 2, 6, ...) and
+    # even rows the rest, except at n % 4 == 0 and even m, where the phases
+    # swap.
+    odd, even = _every(n, 1, 4), _every(n, 3, 4)
+    if n % 4 == 0 and m % 2 == 0:
+        odd, even = even, odd
+    rows = ([full_cols | odd, full_cols | even] * ((m + 1) // 2))[:m]
     if n % 2 == 0 and not (rows[m - 1] >> (n - 1) & 1):
         # The south-east corner lot is always safe to occupy and is needed
         # for maximality when column n is a half column out of phase.
@@ -204,17 +201,11 @@ def _gen_stripe(m: int, n: int) -> list[int]:
 def _gen_check(m: int, n: int) -> list[int]:
     # West and east columns plus the south row are full; interior lots of the
     # first m-1 rows follow a checkerboard class chosen to avoid creating a
-    # blocked house at (m-1, 2) when n = 3.
+    # blocked house at (m-1, 2) when n = 3: lot (i, j) is built iff
+    # (i + j) % 2 == cls, so odd rows take the bits of cls's parity.
     cls = 1 if (n == 3 and m % 2 == 1) else 0
-    rows = []
-    for i in range(1, m):
-        bits = _edges(n)
-        for j in range(2, n):
-            if (i + j) % 2 == cls:
-                bits |= 1 << (j - 1)
-        rows.append(bits)
-    rows.append(full_mask(n))
-    return rows
+    odd, even = (_edges(n) | _every(n, p, 2) for p in (cls, 1 - cls))
+    return ([odd, even] * (m // 2))[:m - 1] + [full_mask(n)]
 
 
 _GENERATORS = {

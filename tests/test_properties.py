@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from settle import (
     render,
     solve_max,
 )
+from settle import rows as R
 
 # ---------------------------------------------------------------------------
 # Reference semantics, written in plain coordinate space with no bit tricks.
@@ -80,13 +83,34 @@ def ref_addable(config: Configuration, i: int, j: int) -> bool:
     )
 
 
-def ref_maximal(config: Configuration) -> bool:
+def ref_addable_cells(config: Configuration) -> list[tuple[int, int]]:
     m, n = config.dims.rows, config.dims.cols
-    if ref_blocked_cells(config):
-        return False
-    return not any(
-        ref_addable(config, i, j) for i in range(1, m + 1) for j in range(1, n + 1)
-    )
+    return [
+        (i, j)
+        for i in range(1, m + 1)
+        for j in range(1, n + 1)
+        if ref_addable(config, i, j)
+    ]
+
+
+def ref_maximal(config: Configuration) -> bool:
+    return not ref_blocked_cells(config) and not ref_addable_cells(config)
+
+
+def ref_complete(config: Configuration) -> Configuration:
+    """Drop the blocked houses, then build on each addable lot, row-major.
+
+    Dropping a blocked house blocks no other, and a lot found covered stays
+    covered as houses go up, so the result is maximal.
+    """
+    for i, j in ref_blocked_cells(config):
+        config = config.without_house(i, j)
+    m, n = config.dims.rows, config.dims.cols
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            if ref_addable(config, i, j):
+                config = config.with_house(i, j)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +161,7 @@ class TestPropositionReference:
 
     @given(configurations())
     def test_addable_iff_no_proposition_holds(self, config):
-        m, n = config.dims.rows, config.dims.cols
-        expected = [
-            (i, j)
-            for i in range(1, m + 1)
-            for j in range(1, n + 1)
-            if ref_addable(config, i, j)
-        ]
+        expected = ref_addable_cells(config)
         assert config.addable_cells() == expected
         for i, j in expected:
             assert config.is_addable(i, j)
@@ -151,6 +169,78 @@ class TestPropositionReference:
     @given(configurations())
     def test_maximal_matches_reference(self, config):
         assert config.is_maximal() == ref_maximal(config)
+
+
+def _random_config(rng: random.Random, dims: Dims, density: float) -> Configuration:
+    cells = [
+        (i, j)
+        for i in range(1, dims.rows + 1)
+        for j in range(1, dims.cols + 1)
+        if rng.random() < density
+    ]
+    return Configuration.from_cells(dims, cells)
+
+
+class TestWideGrids:
+    """The checker on grids the 6x7 strategy never reaches.
+
+    The checker packs a grid's rows into one int at a stride of n + 2 bits,
+    so these widths put lanes across 64-bit word boundaries (n = 31..33,
+    62..65), and the narrowest (n = 1, 2, 3) have edge fills that vanish or
+    overlap; heights go up to 40, on both borders.  Each grid is tried
+    random, completed to a maximal grid by the reference, and with one house
+    of that grid removed, which greedy completion must then restore as the
+    reference does.
+    """
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 62, 63, 64, 65])
+    def test_checker_matches_reference(self, n, boundary):
+        rng = random.Random(n)
+        for m in (1, 2, 3, 40):
+            dims = Dims(m, n, boundary)
+            full = ref_complete(_random_config(rng, dims, 0.7))
+            assert ref_maximal(full)
+            cells = full.cells()
+            opened = full.without_house(*cells[len(cells) // 2]) if cells else full
+            for config in (_random_config(rng, dims, 0.5), full, opened):
+                blocked = ref_blocked_cells(config)
+                assert config.blocked_cells() == blocked
+                assert config.is_permissible() == (not blocked)
+                assert config.addable_cells() == ref_addable_cells(config)
+                assert config.is_maximal() == ref_maximal(config)
+            assert opened.greedy_complete() == ref_complete(opened)
+
+
+def _pack(rows: list[int], n: int) -> int:
+    return sum(r << k * (n + 2) for k, r in enumerate(rows))
+
+
+class TestLanes:
+    """Every row rule on k packed rows equals, lane by lane, the rule on
+    each row alone."""
+
+    # each rule and the rows it reads: u above, c itself, d below
+    RULES = [
+        (R.ew_both, "c"),
+        (R.triple_mask, "c"),
+        (R.prop_east_mask, "cd"),
+        (R.prop_west_mask, "cd"),
+        (R.prop_center_mask, "cd"),
+        (R.prop_north_mask, "u"),
+        (R.covered_mask, "ucd"),
+    ]
+
+    @given(st.data(), st.integers(1, 70), st.integers(1, 6), st.booleans())
+    def test_lanes_match_single_rows(self, data, n, k, bricked):
+        row = st.integers(0, (1 << n) - 1)
+        rows = {name: data.draw(st.lists(row, min_size=k, max_size=k)) for name in "ucd"}
+        full, stride = R.full_mask(n), n + 2
+        for rule, reads in self.RULES:
+            packed = rule(*(_pack(rows[r], n) for r in reads), n, bricked, lanes=k)
+            for lane in range(k):
+                single = rule(*(rows[r][lane] for r in reads), n, bricked)
+                assert packed >> lane * stride & full == single, (rule.__name__, lane)
 
 
 class TestGreedyClosure:
