@@ -319,18 +319,20 @@ def _split_bytes(n: int, bricked: bool, width: int) -> tuple[int, int, int, int]
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
     """Upper bound on the bytes brute_force allocates on an m×n grid.
 
-    While the row rules are and-ed on: the bool array of one byte a
-    configuration, the last row-rule table and the next one as it is built
-    (one byte an entry, over up to three axes for the minimum and two for
-    the maximum), the uint32 stages of one _RULE_BLOCK of it and the
-    uint32 rows of its other axes.  Then the bool array, the int8 scores
-    and the per-axis score vector, built by doubling.
+    While the row rules are and-ed on: the uint8 array of one byte a
+    configuration and the last row-rule table (one byte an entry, over up
+    to three axes for the minimum and two for the maximum).  Beside them,
+    either the next table as it is built, the uint32 stages of one
+    _RULE_BLOCK of it and the uint32 rows of its other axes; or a short
+    pattern's line and its np.repeat temporary, at most _RULE_BLOCK bytes
+    each.  Then the uint8 array and the uint8 scores, one byte a
+    configuration each.
     """
     configs, size = 1 << (m * n), 1 << n
     arity = min(m, 3 if objective is Objective.MIN_MAXIMAL else 2)
-    rules = configs + 2 * size ** arity + _RULE_BLOCK * 24 + (size * 4 if arity > 1 else 0)
-    scores = 2 * configs + 2 * size
-    return _FIXED_BYTES + max(rules, scores)
+    build = size ** arity + _RULE_BLOCK * 24 + (size * 4 if arity > 1 else 0)
+    rules = configs + size ** arity + max(build, 2 * _RULE_BLOCK)
+    return _FIXED_BYTES + max(rules, 2 * configs)
 
 
 def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: Limits) -> int:
@@ -1150,15 +1152,22 @@ def _window_ok(n: int, bricked: bool, minimize: bool, north: bool, south: bool) 
 def brute_force(req: SolveRequest) -> SolveResult:
     """Independent oracle: enumerate all 2^(mn) configurations.
 
-    The configurations are one array of shape (2^n,) * m, axis k holding
-    row k, north first.  Each row rule is evaluated once per value of the
-    row and of its neighbours (_window_ok) and and-ed onto the adjacent
-    axes of one bool array: permissibility for the max objective,
-    maximality for the min objective.  A configuration's score is the sum
-    of its rows' houses (empty lots for the min objective), and one argmax
-    over every configuration picks the optimum.  No axis is maximized out
-    before it: that would be the row DP's transition maximum, and the
-    oracle would share the structure it is there to check.
+    The configurations are one flat array of 2^(mn) entries, the C order
+    of shape (2^n,) * m: axis k holds row k, north first.  Each row rule
+    is evaluated once per value of the row and of its neighbours
+    (_window_ok) and and-ed onto the adjacent axes: permissibility for the
+    max objective, maximality for the min objective.  A window table of T
+    entries with rest configurations of the axes after it repeats with
+    period T * rest.  From _RULE_BLOCK entries on, it is and-ed through an
+    (outer, T, rest) view; a shorter period is repeated across rest and
+    tiled to a line of _RULE_BLOCK entries, so numpy's inner loop always
+    runs long.  A configuration's score is its houses (empty lots for the
+    min objective): each set bit of the flat index is an empty lot, so the
+    scores are built by doubling over the mn bits, score[2^b:2^(b+1)] =
+    score[:2^b] -/+ 1.  One argmax over every configuration picks the
+    optimum.  No axis is maximized out before it: that would be the row
+    DP's transition maximum, and the oracle would share the structure it
+    is there to check.
 
     Ties break toward the largest bit reversal of the whole grid, which is
     the lexicographically smallest north-first "#"/"." cell string among
@@ -1179,32 +1188,41 @@ def brute_force(req: SolveRequest) -> SolveResult:
     minimize = req.objective is Objective.MIN_MAXIMAL
     need = _check_bytes(_brute_bytes(req.objective, m, n), req.limits)
     t0 = time.perf_counter()
-    shape = (1 << n,) * m
-    ok = np.ones(shape, dtype=bool)
+    configs = 1 << cells
+    # uint8, not bool: numpy's bool and with a broadcast operand is about
+    # 30 times slower
+    ok = np.ones(configs, dtype=np.uint8)
     window = table = None
     for k in range(m):
         north, south = minimize and k > 0, k < m - 1
         if (north, south) != window:
-            window, table = (north, south), _window_ok(n, bricked, minimize, north, south)
-        first = k - north  # the window's first axis
-        ok &= table.reshape((1,) * first + table.shape + (1,) * (m - first - table.ndim))
+            window = north, south
+            table = _window_ok(n, bricked, minimize, north, south).view(np.uint8).ravel()
+        rest = 1 << (n * (m - 1 - k - south))  # the configurations of the axes after the window
+        period = table.size * rest
+        if period < _RULE_BLOCK:
+            # a short period: and a line of _RULE_BLOCK entries that repeats it
+            width = min(configs, _RULE_BLOCK)
+            view = ok.reshape(-1, width)
+            view &= np.tile(np.repeat(table, rest), width // period)
+        else:
+            view = ok.reshape(-1, table.size, rest)
+            view &= table[:, None]
         _check_wall(t0, req.limits)
     del table
-    # the row at index j has an empty lot at each set bit of j (rev(row) = full - j)
-    gain = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        gain = np.concatenate((gain, gain + 1))
-    if not minimize:
-        np.subtract(n, gain, out=gain)  # houses, not empty lots
-    score = np.ones(shape, dtype=np.int8)  # 1 + the score, 0 where ok fails
-    for k in range(m):
-        score += gain.reshape((1,) * k + (-1,) + (1,) * (m - k - 1))
+    # Index bit set means empty lot (rev(row) = full - j on every axis), so
+    # a configuration's empty lots are the popcount of its flat index.
+    score = np.empty(configs, dtype=np.uint8)  # 1 + the score, 0 where ok fails
+    score[0] = 1 if minimize else 1 + cells
+    step = np.add if minimize else np.subtract
+    for b in range(cells):
+        step(score[:1 << b], 1, out=score[1 << b:2 << b])
     score *= ok
     best = int(np.argmax(score))
-    if score.flat[best] == 0:
+    if score[best] == 0:
         raise SettleError(f"no feasible configuration found for {m}x{n} (internal error)")
     config = Configuration(req.dims, tuple(
-        _axis_rows(int(j), n) for j in np.unravel_index(best, shape)))
+        _axis_rows(int(j), n) for j in np.unravel_index(best, (1 << n,) * m)))
     return SolveResult(
         req.dims, req.objective, config.occupancy(),
         config if req.want_witness else None,

@@ -206,6 +206,27 @@ class TestBruteForce:
         assert len(grids) == 65
         assert h.hexdigest() == digest
 
+    # the same digest over the tall strips with 21 <= mn <= 22 and n <= 3,
+    # recorded on the row-axis array before it went flat
+    @pytest.mark.parametrize("objective, boundary, digest", [
+        (Objective.MAX_PERMISSIBLE, Boundary.FREE,
+         "1816a3229912ff0022948b74008e51e8533d0e12c5b4a8e8cfa60ffbf6b05b05"),
+        (Objective.MAX_PERMISSIBLE, Boundary.BRICKED,
+         "57cd27324dc44aba3c9ca70ab1ab0a1a0c0699499d8ecf3947018e0197146cc2"),
+        (Objective.MIN_MAXIMAL, Boundary.FREE,
+         "937563d4fe0b0815feb70e6ad3576a7ae497cd64131cc0b207862ee5aa9f2f15"),
+        (Objective.MIN_MAXIMAL, Boundary.BRICKED,
+         "fac0195203d05f217ed68660be44550b74b0565c71800d662d728f5b27aa521a"),
+    ], ids=["max-free", "max-bricked", "min-free", "min-bricked"])
+    def test_tall_strip_witnesses_keep_their_rows(self, objective, boundary, digest):
+        h = hashlib.sha256()
+        for m, n in [(7, 3), (11, 2), (21, 1), (22, 1)]:
+            req = SolveRequest(Dims(m, n, boundary), objective)
+            res = brute_force(req)
+            assert res.optimum == solve(req).optimum, (m, n)
+            h.update(f"{m}x{n}:{' '.join(map(str, res.witness.row_bits))}\n".encode())
+        assert h.hexdigest() == digest
+
     def test_needs_no_dp_code(self, monkeypatch):
         # the oracle is one of two independent methods: it must answer with
         # the DP's tables and sweep out of reach
@@ -217,7 +238,8 @@ class TestBruteForce:
         def refuse(*args, **kwargs):
             raise AssertionError("brute_force reached the DP")
 
-        for name in ("_houses", "_split_plan", "_reach_bits", "_reach_tables", "_sweep"):
+        for name in ("_houses", "_split_plan", "_reach_bits", "_reach_tables", "_sweep",
+                     "_check_limits"):
             monkeypatch.setattr(f"settle.solvers.{name}", refuse)
         for req, optimum in zip(reqs, want):
             res = brute_force(req)
