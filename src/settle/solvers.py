@@ -38,13 +38,15 @@ them per class, and expands each class's slots to all 2^n rows d.  At
 n = 12 that is 15% of the 4^n pairs on the free border and 47% on the
 bricked one.
 
-Past the sign of the optimum and the count of DP states it reports, the
-sweep does not branch on the objective.  Each objective is one row rule,
-the transfer step of the transfer-matrix method (Stanley, Enumerative
-Combinatorics I, section 4.7): _max_rule and _min_rule give the row
-advance, the close-off at the virtual south row, the witness scan's read
-of a kept state, each row's gain, and which row's shift a kept state
-carries.
+Past the sign of the optimum, the count of DP states it reports and the
+choice of its rule, the sweep does not branch on the objective.  Each
+solve runs one of three row rules, the transfer step of the
+transfer-matrix method (Stanley, Enumerative Combinatorics I, section
+4.7): _max_rule for the maximum, _min_rule for the minimum, and _row_rule
+for a minimum of one row, which needs no row above it and so keeps one
+score per row.  A rule gives the row advance, the close-off at the
+virtual south row, the witness scan's read of a kept state, and which
+row's shift a kept state carries.
 
 The forward pass carries scores alone, shifted each row so that its best
 is 0; the shift is carried as a Python int.  So the maximum's scores fit
@@ -58,12 +60,12 @@ scores as they are, the minimum's class maxima at the row below, as its
 close-off reads the last row's at the south border.
 
 The state after row k does not depend on the final row count, so one sweep
-to the largest m closes off every requested row count on the way:
-solve_max and solve_min_maximal ask a sweep for their single m, and table
-makes one sweep per column.  The row DP is a max-plus linear recurrence,
-so its shifted state is eventually periodic (Cohen, Dubois, Quadrat & Viot,
-IEEE TAC 1985): once a row repeats an earlier one, the sweep stops and
-closes off every later row count arithmetically.
+to the largest m closes off every requested row count on the way: solve
+asks a sweep for its single m, and table makes one sweep per column, and
+one more for a minimum's single row.  The row DP is a max-plus linear
+recurrence, so its shifted state is eventually periodic (Cohen, Dubois,
+Quadrat & Viot, IEEE TAC 1985): once a row repeats an earlier one, the
+sweep stops and closes off every later row count arithmetically.
 """
 from __future__ import annotations
 
@@ -100,8 +102,8 @@ class Limits:
 
     Column caps keep the states within memory: 2^n profile scores for the
     maximum solver; for the minimum solver, one score per (triple class,
-    profile) and its per-class reach tables.  Single-row grids are
-    enumerated directly and only need the wider max_cols cap.
+    profile) and its per-class reach tables.  A single-row minimum keeps
+    one score per row (_row_rule), so it only needs the wider max_cols cap.
     max_state_bytes caps the estimated bytes a solve or brute_force
     allocates, the cached per-width tables included: the allocations
     tracemalloc sees, not the process's RSS, to which the interpreter and
@@ -139,10 +141,11 @@ class SolveResult:
     """Exact optimum with an optional witness.
 
     stats: "states" is the number of DP states (row profiles for the
-    maximum, (row above, row) pairs for the minimum) over the rows the
-    sweep actually advanced through, and "transitions" n updates per state
-    for each of those rows' row-to-row transition maxima, one fewer than
-    the rows (the close-off reads the grouped maxima, not a transform).
+    maximum and a single-row minimum, (row above, row) pairs for any other
+    minimum) over the rows the sweep actually advanced through, and
+    "transitions" n updates per state for each of those rows' row-to-row
+    transition maxima, one fewer than the rows (the close-off reads the
+    grouped maxima, not a transform).
     They count the DP, not arrays: the minimum holds its states' maxima
     per triple class of the row above, never one score per pair.
     A sweep advances min(m, transient + period) rows: once its shifted
@@ -220,11 +223,10 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     # uint32 stages of its triple mask, fit and rev; the rows' Python objects
     pick = _SCAN_BLOCK * 32 + m * 256 if want_witness else 0  # 168 bytes a row measured
     if objective is Objective.MIN_MAXIMAL and m == 1:
-        # _min_single_row reads _houses alone: pc (int8) a state; ok, and
-        # one _RULE_BLOCK's states, their reach and the uint32 stages of
-        # _reach; with a witness, the scores the pick reads
-        scores = pick + size if want_witness else 0
-        return _FIXED_BYTES + 2 * size + max(min(size, _RULE_BLOCK) * 24, scores)
+        # _row_rule reads _houses alone: pc and the state (int8) a row; then
+        # one _RULE_BLOCK's rows, their reach and the uint32 stages of
+        # _reach, or the pick, which reads the state itself
+        return _FIXED_BYTES + 2 * size + max(min(size, _RULE_BLOCK) * 24, pick)
     groups, plan, low, group = _split_bytes(n, bricked, width)
     # _houses: pc (int8) a state, built in place; and the split plan, which
     # holds the classes and whose build adds at most 56 bytes a class (54
@@ -468,7 +470,8 @@ def _starts(ordered: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _houses(n: int) -> np.ndarray:
-    """The houses of every row of width n (int8), the maximum's gain.
+    """The houses of every row of width n (int8): each row's gain, up to
+    the optimum's sign, for every row rule.
 
     Built in place by doubling: the rows from 2^b to 2^(b + 1) - 1 are
     those below 2^b with bit b set.  Read-only, as it is the maximum's
@@ -755,10 +758,12 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
 
 
 class _Rule(NamedTuple):
-    """One objective's row rule: what the sweep (_sweep) runs per row.
+    """One row rule: what the sweep (_sweep) runs per row.
 
     A rule's scores are dead at unreachable states and, once a row is
-    shifted (_normalize), live within band below 0 (_scores).
+    shifted (_normalize), live within band below 0 (_scores).  A row's
+    gain is not the rule's: it is the row's houses (_houses), times the
+    optimum's sign.
     """
 
     # (grouped, state, clock) -> (state, grouped): the next row's state and
@@ -768,7 +773,6 @@ class _Rule(NamedTuple):
     # (layer, below) -> (scores, fits): a kept state's scores of the rows u
     # that may sit above the rows below, and whether u fits, by triple(u)
     scan: Callable
-    gain: np.ndarray  # each row's score
     lag: int  # the state kept after row k carries the shift of row k - lag
     dead: int
     band: int
@@ -810,7 +814,7 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
 
     # the close-off reads the classes the virtual south row admits
     close = lambda grouped: np.where((keys & d_v) == 0, grouped, dead).max()
-    return _Rule(advance, close, scan, pc, 1, dead, band)
+    return _Rule(advance, close, scan, 1, dead, band)
 
 
 def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
@@ -847,9 +851,10 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     def advance(grouped, state, clock):
         last.clear()
         if grouped is None:
-            # row 1 sits under the virtual empty north row, in the class of 0
+            # row 1 sits under the virtual empty north row, whose triple
+            # mask 0 is the least key on both borders
             state = np.full((len(keys), 1 << n), dead, dtype=dtype)
-            state[np.searchsorted(keys, triple_mask(0, n, bricked))] = gain
+            state[0] = gain
         else:
             state = _pair_advance(grouped, n, bricked, gain, clock)
         return state, state
@@ -862,7 +867,33 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
                  if below[1:] else full)
         return read(layer, c), lambda t: (t | reach) == full
 
-    return _Rule(advance, lambda grouped: read(grouped, d_v), scan, gain, 0, dead, band)
+    return _Rule(advance, lambda grouped: read(grouped, d_v), scan, 0, dead, band)
+
+
+def _row_rule(n: int, bricked: bool, d_v: int) -> _Rule:
+    """The row rule of a minimum of one row: its state is one score per row
+    c, minus its houses, and dead unless reach(c, d_v) is full (_reach).
+
+    The virtual empty north row covers nothing, so a row is maximal alone
+    exactly when reach(c, d_v) is full.  The state is built _RULE_BLOCK
+    rows at a time, in the maximum's scores (_scores).  Its grouped maxima
+    are its one maximum, so the close-off is that maximum, and the witness
+    scan reads the state itself.  The kept state carries row 0's shift.
+    """
+    pc, full = _houses(n), full_mask(n)
+    dtype, dead, band = _scores(Objective.MAX_PERMISSIBLE, n)
+    size = 1 << n
+
+    def advance(grouped, state, clock):
+        state = np.empty(size, dtype=dtype)
+        for lo in range(0, size, _RULE_BLOCK):
+            hi = min(lo + _RULE_BLOCK, size)
+            ok = _reach(np.arange(lo, hi, dtype=np.uint32), np.uint32(d_v), n, bricked) == full
+            state[lo:hi] = np.where(ok, -pc[lo:hi], dead)
+        return state, state.max(keepdims=True)
+
+    scan = lambda layer, below: (layer, lambda t: (t & d_v) == 0)
+    return _Rule(advance, np.max, scan, 1, dead, band)
 
 
 def _pick(scores: np.ndarray, target: int, fits: Callable, n: int, bricked: bool) -> int:
@@ -913,17 +944,18 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
            want_witness: bool, limits: Limits):
     """One DP sweep to rows[-1], yielding a SolveResult at each m in rows.
 
-    rows holds distinct row counts in increasing order, each >= 1 for the
-    maximum and >= 2 for the minimum.  Both objectives maximize a score: the
-    houses for the maximum, minus the houses for the minimum.  All that
-    differs between them is the row rule (_max_rule, _min_rule).  The
-    maximum's state is indexed by the last row; the minimum's by the row
-    above it and the last row, so that the north proposition can cover the
-    last row.  The sweep carries the state's maxima over the triple classes
-    of its oldest row (_scores: int8 for the maximum, int16 for the
-    minimum), and they are its whole state: the rule closes them off at the
-    virtual south row at m, and advances them through the subset-maximum
-    transform (_split_transform) to m + 1.  The maximum groups its score
+    rows holds distinct row counts >= 1 in increasing order.  Both
+    objectives maximize a score: the houses for the maximum, minus the
+    houses for the minimum.  All that differs between them is the row rule,
+    chosen from rows[-1]: _max_rule for the maximum, _row_rule for a
+    minimum to one row, _min_rule for any other minimum, which closes off
+    row 1 too.  The maximum's state is indexed by the last row; the
+    minimum's by the row above it and the last row, so that the north
+    proposition can cover the last row.  The sweep carries the state's
+    maxima over the triple classes of its oldest row (_scores: int8 for
+    the maximum, int16 for the minimum), and they are its whole state: the
+    rule closes them off at the virtual south row at m, and advances them
+    through the subset-maximum transform (_split_transform) to m + 1.  The maximum groups its score
     array after each advance over the two halves of a row (_split_group);
     the minimum advances grouped maxima into grouped maxima (_pair_advance),
     its rows in the order of its class tables (_reach_tables), and never
@@ -951,9 +983,13 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     clock = _Clock()
     d_v = full_mask(n) if bricked else 0  # the virtual south row
     # the optimum is sign * the best score; the DP's states are the rows,
-    # or the minimum's pairs (u, c)
-    sign, states, rule = ((1, 1 << n, _max_rule(n, bricked, d_v, want_witness)) if maximize
-                          else (-1, 1 << 2 * n, _min_rule(n, bricked, d_v)))
+    # or, past one row, the minimum's pairs (u, c)
+    if maximize:
+        sign, states, rule = 1, 1 << n, _max_rule(n, bricked, d_v, want_witness)
+    elif top == 1:
+        sign, states, rule = -1, 1 << n, _row_rule(n, bricked, d_v)
+    else:
+        sign, states, rule = -1, 1 << 2 * n, _min_rule(n, bricked, d_v)
     layers: list[np.ndarray] = []  # with a witness, the state after each row
     shifts = [0]  # true scores after row k are the shifted ones + shifts[k]
     ring: dict[int, np.ndarray] = {}  # the last rows' shifted maxima
@@ -996,7 +1032,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
                 if u < 0:
                     raise SettleError("internal error: the backward scan lost the optimum's path")
                 below.append(u)
-                target -= int(rule.gain[u])
+                target -= sign * int(_houses(n)[u])
             witness = Configuration(dims, tuple(reversed(below[1:])))
             clock.lap("scan")
         m0, p, d = cycle or (None, None, None)
@@ -1045,50 +1081,19 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         _check_wall(t0, limits)
 
 
-def solve_max(req: SolveRequest) -> SolveResult:
-    """Exact maximum occupancy over permissible configurations, with witness."""
-    if req.objective is not Objective.MAX_PERMISSIBLE:
-        raise ValueError("solve_max requires the max objective")
+def solve(req: SolveRequest) -> SolveResult:
+    """Exact optimum of the request's objective, with witness: one sweep
+    (_sweep) to its row count."""
     dims = req.dims
     return next(_sweep(req.objective, dims.cols, dims.boundary, [dims.rows],
                        req.want_witness, req.limits))
 
 
-def _min_single_row(req: SolveRequest, t0: float, need: int) -> SolveResult:
-    """Minimum maximal occupancy of a 1×n grid by direct enumeration.
-
-    The one row is closed off against both virtual rows at once, one
-    _RULE_BLOCK of rows at a time: its enumeration is booked as the "close"
-    phase, its pick as "scan".  The empty north row covers nothing, so a
-    row c is maximal exactly when reach(c, d_v) is full (_reach).
-    """
-    n = req.dims.cols
-    bricked = req.dims.boundary is Boundary.BRICKED
-    full = full_mask(n)
-    pc = _houses(n)
-    clock = _Clock()
-    size = 1 << n
-    d_v = np.uint32(full if bricked else 0)
-    ok = np.empty(size, dtype=bool)
-    for lo in range(0, size, _RULE_BLOCK):
-        hi = min(lo + _RULE_BLOCK, size)
-        ok[lo:hi] = _reach(np.arange(lo, hi, dtype=np.uint32), d_v, n, bricked) == full
-    # the sweep's tie-break: fewest houses, then the largest rev
-    optimum = int(pc.min(where=ok, initial=n))
-    clock.lap("close")
-    witness = None
-    if req.want_witness:
-        fits = lambda t: (t & d_v) == 0
-        witness = Configuration(req.dims, (_pick(np.where(ok, pc, -1), optimum, fits, n, bricked),))
-        clock.lap("scan")
-    result = SolveResult(
-        req.dims, req.objective, optimum, witness,
-        {"states": 1 << n, "transitions": 0, "state_bytes": need,
-         "transient": None, "period": None, "slope": None,
-         "phases": clock.seconds, "wall_s": time.perf_counter() - t0},
-    )
-    _validate_witness(result)
-    return result
+def solve_max(req: SolveRequest) -> SolveResult:
+    """Exact maximum occupancy over permissible configurations, with witness."""
+    if req.objective is not Objective.MAX_PERMISSIBLE:
+        raise ValueError("solve_max requires the max objective")
+    return solve(req)
 
 
 def solve_min_maximal(req: SolveRequest) -> SolveResult:
@@ -1100,18 +1105,12 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
     north proposition folds over the row-above axis through the subset
     direction of the maximum's transform (_split_transform) on complemented
     triple masks.  Virtual empty/full rows close off the two borders.  A
-    single row is enumerated directly, through the same reach rule
-    (_reach).
+    single row needs no row above it: its sweep keeps one score per row,
+    through the same reach rule (_row_rule).
     """
     if req.objective is not Objective.MIN_MAXIMAL:
         raise ValueError("solve_min_maximal requires the min objective")
-    dims = req.dims
-    if dims.rows == 1:
-        t0 = time.perf_counter()
-        need = _check_limits(req.objective, dims, req.want_witness, req.limits)
-        return _min_single_row(req, t0, need)
-    return next(_sweep(req.objective, dims.cols, dims.boundary, [dims.rows],
-                       req.want_witness, req.limits))
+    return solve(req)
 
 
 def _axis_rows(j, n: int):
@@ -1231,13 +1230,6 @@ def brute_force(req: SolveRequest) -> SolveResult:
     )
 
 
-def solve(req: SolveRequest) -> SolveResult:
-    """Dispatch to the solver matching the request's objective."""
-    if req.objective is Objective.MAX_PERMISSIBLE:
-        return solve_max(req)
-    return solve_min_maximal(req)
-
-
 def table(
     objective: Objective,
     row_range,
@@ -1250,13 +1242,13 @@ def table(
     Each column is one DP sweep without witness to its largest row count,
     closing off at every requested m on the way.  Rows may come in any
     order and repeat; a row count below 1 is a per-cell ValueError entry,
-    and cap errors keep their per-cell messages.  Single-row cells of the
-    min objective are enumerated directly under the wider max_cols cap, as
-    in solve.  The max_wall_s cap counts from the start of a column's
-    sweep; cells the sweep has not reached when it trips get its
-    LimitError message.  "wall_s" holds each cell's stats["wall_s"], the
-    seconds from the start of its column's sweep to its close-off, and
-    None for an error cell.
+    and cap errors keep their per-cell messages.  A single-row cell of the
+    min objective is a sweep of its own, as in solve: its row rule
+    (_row_rule) is under the wider max_cols cap.  The max_wall_s cap
+    counts from the start of a sweep; cells the sweep has not reached when
+    it trips get its LimitError message.  "wall_s" holds each cell's
+    stats["wall_s"], the seconds from the start of its sweep to its
+    close-off, and None for an error cell.
     """
     limits = limits or Limits()
     rows = list(row_range)
@@ -1267,24 +1259,22 @@ def table(
         swept = []
         for m in sorted(set(rows)):
             try:
-                dims = Dims(m, n, boundary)
-                if objective is Objective.MIN_MAXIMAL and m == 1:
-                    req = SolveRequest(dims, objective, want_witness=False, limits=limits)
-                    res = solve_min_maximal(req)
-                    cells[m, n], seconds[m, n] = res.optimum, res.stats["wall_s"]
-                else:
-                    swept.append(m)
-            except (SettleError, ValueError) as exc:
+                Dims(m, n, boundary)
+                swept.append(m)
+            except ValueError as exc:
                 cells[m, n] = str(exc)
-        if not swept:
-            continue
-        try:
-            for res in _sweep(objective, n, boundary, swept, False, limits):
-                cells[res.dims.rows, n] = res.optimum
-                seconds[res.dims.rows, n] = res.stats["wall_s"]
-        except SettleError as exc:
-            for m in swept:
-                cells.setdefault((m, n), str(exc))
+        # each sweep under its own try, so a cell keeps its own solve's error
+        single = objective is Objective.MIN_MAXIMAL and swept[:1] == [1]
+        for run in ([swept[:1], swept[1:]] if single else [swept]):
+            if not run:
+                continue
+            try:
+                for res in _sweep(objective, n, boundary, run, False, limits):
+                    cells[res.dims.rows, n] = res.optimum
+                    seconds[res.dims.rows, n] = res.stats["wall_s"]
+            except SettleError as exc:
+                for m in run:
+                    cells.setdefault((m, n), str(exc))
     values: list[list[int | None]] = []
     errors: list[dict] = []
     for m in rows:
