@@ -38,7 +38,8 @@ def _parse_json(text: str) -> Configuration:
     except ValueError:
         raise ParseError(f"unknown boundary {obj['boundary']!r}")
     m, n = obj["rows"], obj["cols"]
-    if not (isinstance(m, int) and isinstance(n, int)):
+    # type(...) is int: JSON's true and false load as bools, an int subclass
+    if not (type(m) is int and type(n) is int):
         raise ParseError("rows and cols must be integers")
     cells = obj["cells"]
     if not isinstance(cells, list) or len(cells) != m:
@@ -49,7 +50,7 @@ def _parse_json(text: str) -> Configuration:
             raise ParseError(f"cell row has wrong length (expected {n})", line=i)
         mask = 0
         for j, v in enumerate(row, start=1):
-            if v not in (0, 1):
+            if type(v) is not int or v not in (0, 1):
                 raise ParseError(f"cell value must be 0 or 1, got {v!r}", line=i, column=j)
             mask |= v << (j - 1)
         bits.append(mask)

@@ -6,8 +6,8 @@ keeps a score per row profile.  The minimum solver's states are ordered
 the current row; since its transition reads the row above only through
 its triple mask, it keeps one score per (triple class of the row above,
 current row).  A triple class is a triple mask that occurs; _split_plan
-finds the classes from the two halves of a row.  The minimum scores
-minus its houses, so both maximize, and each row's transition maximum is
+finds the classes from the two halves of a row.  The minimum scores its
+empty lots, so both maximize, and each row's transition maximum is
 one subset-indexed maximum transform over the classes (cost ~ n·2^n per
 state column), scattered at the complement of triple(u): the maximum
 takes superset maxima, read at the row below, since triple(u) & r == 0
@@ -38,26 +38,28 @@ them per class, and expands each class's slots to all 2^n rows d.  At
 n = 12 that is 15% of the 4^n pairs on the free border and 47% on the
 bricked one.
 
-Past the sign of the optimum, the count of DP states it reports and the
-choice of its rule, the sweep does not branch on the objective.  Each
-solve runs one of three row rules, the transfer step of the
-transfer-matrix method (Stanley, Enumerative Combinatorics I, section
-4.7): _max_rule for the maximum, _min_rule for the minimum, and _row_rule
-for a minimum of one row, which needs no row above it and so keeps one
-score per row.  A rule gives the row advance, the close-off at the
-virtual south row, the witness scan's read of a kept state, and which
-row's shift a kept state carries.
+Past what it scores, the count of DP states it reports and the choice of
+its rule, the sweep does not branch on the objective.  Each solve runs
+one of three row rules, the transfer step of the transfer-matrix method
+(Stanley, Enumerative Combinatorics I, section 4.7): _max_rule for the
+maximum, _min_rule for the minimum, and _row_rule for a minimum of one
+row, which needs no row above it and so keeps one score per row.  A rule
+gives the row advance, the close-off at the virtual south row, the
+witness scan's read of a kept state, and which row's shift a kept state
+carries.
 
 The forward pass carries scores alone, shifted each row so that its best
-is 0; the shift is carried as a Python int.  So the maximum's scores fit
-in int8, because each lies within 2n of its row's best, and the
-minimum's in int16.  A witness is not tracked forward: the sweep keeps
-each row's state, and a backward scan rebuilds the rows from the south
-border up, each the argmax of the key (score << n) | rev(row) over the
-rows that fit the rows below it.  It reads each row's candidates from
-that row's own state, in one loop for both objectives: the maximum's
-scores as they are, the minimum's class maxima at the row below, as its
-close-off reads the last row's at the south border.
+is 0; the shift is carried as a Python int.  So every rule's scores fit
+in int8, because each lies within 2n of its row's best: the maximum's
+since the empty row fits under every row, the minimum's as measured (at
+most n + 1 up to n = 14), and _normalize checks it on every row.  A
+witness is not tracked forward: the sweep keeps each row's state, and a
+backward scan rebuilds the rows from the south border up, each the
+argmax of the key (score << n) | rev(row) over the rows that fit the
+rows below it.  It reads each row's candidates from that row's own
+state, in one loop for both objectives: the maximum's scores as they
+are, the minimum's class maxima at the row below, as its close-off reads
+the last row's at the south border.
 
 The state after row k does not depend on the final row count, so one sweep
 to the largest m closes off every requested row count on the way: solve
@@ -168,17 +170,19 @@ class SolveResult:
 # Bytes a solve allocates beyond its arrays: ufunc buffers, Python objects.
 _FIXED_BYTES = 1 << 20
 
-# Each row's grouped maxima are shifted to a maximum of 0 (_normalize), at
-# every row count.  Scores at or above dead // 2 are live, and shifted live
-# scores lie in [-band, 0].  The maximum's scores are int8 with dead -128
-# and band 2n (_scores); the minimum's are int16 with the values below.
-_DEAD = -(1 << 14)  # the minimum's score of an unreachable state
-_BAND = 1 << 12  # the minimum's shifted live scores lie in [-_BAND, 0]
+# Every rule's scores are int8.  Each row's grouped maxima are shifted to a
+# maximum of 0 (_normalize), at every row count; scores at or above
+# _DEAD // 2 are live, and shifted live scores lie in [-2n, 0].  A row's
+# gain, its houses for the maximum and its empty lots for the minimum,
+# lies in [0, n], so unshifted live scores lie in [-2n, n], [-64, 32] at
+# the uint32 limit n = 32, and a dead score plus a gain, at most -128 + n,
+# stays below the live ones.
+_DEAD = -128  # the score of an unreachable state
 _RING = 4  # how many rows back a row's shifted maxima are looked for
 _SCAN_BLOCK = 1 << 16  # the states the witness scan lists candidates from at a time
 _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
 # The pair advance transforms _CHUNK current rows at a time: a (2^n, _CHUNK)
-# int16 block, 2 MiB at n = 12, which stays in cache through the transform.
+# int8 block, 1 MiB at n = 12, which stays in cache through the transform.
 # It reads the block about _READ_ROWS * 2^n table entries at a time, so
 # the flat indices stay in cache too.
 _CHUNK = 256
@@ -192,21 +196,6 @@ _PLAN_COLS = 28
 _PHASES = ("group", "transform", "read", "close", "scan")
 
 
-def _scores(objective: Objective, n: int) -> tuple[type, int, int]:
-    """The dtype of an objective's scores at width n, its dead score and band.
-
-    The maximum's scores are int8.  The empty row fits under every row, so
-    each state scores within 2n of its row's best: shifted live scores lie
-    in [-2n, 0] and unshifted ones in [-2n, n], [-64, 32] at the uint32
-    limit n = 32.  A dead score plus a row's gain, at most -128 + n, stays
-    below the live ones.  The minimum's band is 4096, so its scores are
-    int16.
-    """
-    if objective is Objective.MAX_PERMISSIBLE:
-        return np.int8, -128, 2 * n
-    return np.int16, _DEAD, _BAND
-
-
 def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricked: bool,
                 kept: int | None = None) -> int:
     """Upper bound on the bytes one solve allocates, with cold table caches.
@@ -217,7 +206,6 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     cycle: kept rows once the cycle is known (_sweep), else m.
     """
     size = 1 << n
-    width = np.dtype(_scores(objective, n)[0]).itemsize
     # a _pick over one block, if every state there is a candidate: the
     # compare mask and the indices (intp), then their uint32 copy and the
     # uint32 stages of its triple mask, fit and rev; the rows' Python objects
@@ -227,7 +215,7 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
         # one _RULE_BLOCK's rows, their reach and the uint32 stages of
         # _reach, or the pick, which reads the state itself
         return _FIXED_BYTES + 2 * size + max(min(size, _RULE_BLOCK) * 24, pick)
-    groups, plan, low, group = _split_bytes(n, bricked, width)
+    groups, plan, low, group = _split_bytes(n, bricked)
     # _houses: pc (int8) a state, built in place; and the split plan, which
     # holds the classes and whose build adds at most 56 bytes a class (54
     # measured at n = 16 to 22, where a class holds 1.45 pairs)
@@ -237,16 +225,15 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
         # the grouped maxima and the _RING rows' maxima they are compared
         # with; at a close-off, the uint32 fit test, its mask and the masked
         # maxima
-        per_group = width * (_RING + 2) + 5
+        per_group = _RING + 7
         # the state, transformed in place (row 1's is the cached pc); a
         # witness keeps every kept row's state, a new array from row 2 on
         states = max((kept or m) - 1, 1) if want_witness else 1
-        return need + max(build, size * width * states + groups * per_group
-                          + max(pick, low * width, group))
+        return need + max(build, size * states + groups * per_group + max(pick, low, group))
     # The minimum's state is its grouped maxima, one (groups, 2^n) array a
     # row.  A witness keeps every kept row's (the layers, shared with the
     # ring); otherwise the ring holds _RING + 1.
-    grouped = groups * size * width
+    grouped = groups * size
     held = (kept or m) if want_witness else min(m, _RING + 1)
     chunk = min(_CHUNK, size)
     tables, made, slots = _reach_bytes(n, bricked)
@@ -255,8 +242,8 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     # len(hv), chunk) low array, and a read of at most _READ_ROWS * 2^n
     # table entries, their flat indices (intp) and a class piece's maxima;
     # or, at the end, the slot indices (intp) of _RULE_BLOCK entries
-    advance = (grouped + slots * width + size * chunk * width
-               + max((groups + low) * chunk * width + _READ_ROWS * size * (2 + 8) + size * width,
+    advance = (grouped + slots + size * chunk
+               + max((groups + low) * chunk + _READ_ROWS * size * (2 + 8) + size,
                      max(size, _RULE_BLOCK) * 8))
     # a read of _min_rule, for a close-off or a row of the witness scan:
     # the column of reach, built in the uint32 stages of _reach, the
@@ -264,7 +251,7 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     # last read's maxima until the next advance, and at a cycle the sweep
     # keeps the close-off maxima of the rows it repeats.  The rule keeps
     # the column at d_v (uint32).
-    read = size * 24 + groups * size * (2 + 1 + width) + size * width * _RING
+    read = size * 24 + groups * size * (2 + 1 + 1) + size * _RING
     return (need + pick + tables + size * 4
             + max(build, made, held * grouped + max(advance, read)))
 
@@ -291,7 +278,7 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int]:
     return tables, made, slots
 
 
-def _split_bytes(n: int, bricked: bool, width: int) -> tuple[int, int, int, int]:
+def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int]:
     """The classes at width n, the bytes of its cached _split_plan, the
     cells of _split_transform's (2^h, len(hv)) low array, and the most
     _split_group holds beyond its score array and grouped maxima.
@@ -306,15 +293,15 @@ def _split_bytes(n: int, bricked: bool, width: int) -> tuple[int, int, int, int]
         size, rows = 1 << n, 1 << (n - h)
         # keys (uint32) and at (intp) a class, cls (uint32) a pair; the row
         # order, run views and hv a row; both sides' cols and starts a column
-        return size, size * 16 + rows * (8 + 128 + 8) + (1 << h) * 32, size, 3 * size * width
+        return size, size * 16 + rows * (8 + 128 + 8) + (1 << h) * 32, size, 3 * size
     keys, hv, at, runs, split, sides = _split_plan(n, bricked)
     plan = (keys.nbytes + hv.nbytes + at.nbytes + len(runs) * 128 + sum(map(len, runs)) * 8
             + sum(cols.nbytes + starts.nbytes + cls.nbytes for cols, starts, cls in sides))
     # _split_group: a row a run, then the rows of a run it gathers and
     # their maximum, or a side's gathered columns and their runs' maxima
-    part = (len(runs) << h) * width
-    run = ((min(max(map(len, runs)), _RUN_ROWS) + 1) << h) * width
-    side = max(((len(cls[0]) << h) + cls.size) * width for _, _, cls in sides)
+    part = len(runs) << h
+    run = (min(max(map(len, runs)), _RUN_ROWS) + 1) << h
+    side = max((len(cls[0]) << h) + cls.size for _, _, cls in sides)
     return len(keys), plan, len(hv) << h, part + max(run, side)
 
 
@@ -343,8 +330,8 @@ def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: 
     Past 16 columns for a pair solve, and past 32 for every solve, no
     Limits value lifts the column cap: the class tables' reach
     (_reach_tables) is uint16, as are the reach and keys of _min_rule's
-    reads, and _split_plan's rows, bit_reverse and _scores' int8 band
-    hold 32 columns.  Both are checked before any table is built.
+    reads, and _split_plan's rows, bit_reverse and the int8 scores' band
+    (_DEAD) hold 32 columns.  Both are checked before any table is built.
 
     Returns the byte estimate the solve was checked against.  A witness
     solve it refuses is estimated again from the m0 + p rows its sweep
@@ -470,8 +457,8 @@ def _starts(ordered: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _houses(n: int) -> np.ndarray:
-    """The houses of every row of width n (int8): each row's gain, up to
-    the optimum's sign, for every row rule.
+    """The houses of every row of width n (int8): each row's gain for the
+    maximum, and n less its gain for the minimum.
 
     Built in place by doubling: the rows from 2^b to 2^(b + 1) - 1 are
     those below 2^b with bit b set.  Read-only, as it is the maximum's
@@ -647,7 +634,7 @@ def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
         np.maximum(into, other, out=into)
 
 
-def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool, dead: int,
+def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool,
                      superset: bool):
     """The one subset-maximum transform of both DPs, along axis 0 of the
     classes' grouped maxima, with any trailing axes.
@@ -665,10 +652,10 @@ def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool, 
     """
     plan = _split_plan(n, bricked)
     h, tail = n // 2, grouped.shape[1:]
-    low = np.full((1 << h, len(plan.hv), *tail), dead, dtype=z.dtype)
+    low = np.full((1 << h, len(plan.hv), *tail), _DEAD, dtype=z.dtype)
     low.reshape(-1, *tail)[plan.at] = grouped
     _subset_max_inplace(low, h, superset)
-    z.fill(dead)
+    z.fill(_DEAD)
     rows = z.reshape(-1, 1 << h, *tail)
     rows[plan.hv] = low.swapaxes(0, 1)
     _subset_max_inplace(rows, n - h, superset)
@@ -719,14 +706,13 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     out = np.empty_like(grouped)
     block = np.empty((size, chunk), dtype=grouped.dtype)
     flat = block.reshape(-1)
-    # every slot is maxed with each row of its class: the least score is no bias
-    maxima = np.full(tables.total, np.iinfo(grouped.dtype).min, dtype=grouped.dtype)
+    # every slot is maxed with each row of its class: the dead score is no bias
+    maxima = np.full(tables.total, _DEAD, dtype=grouped.dtype)
     local = np.arange(chunk)[:, None]
     clock.mark()
     for lo in range(0, size, chunk):
         hi = lo + chunk
-        _split_transform(grouped[:, tables.order[lo:hi]], block, n, bricked, _DEAD,
-                         superset=False)
+        _split_transform(grouped[:, tables.order[lo:hi]], block, n, bricked, superset=False)
         clock.lap("transform")
         for first, end, width, entry, cls, slot in tables.runs:
             step = max(1, (_READ_ROWS << n) // width)
@@ -760,10 +746,10 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
 class _Rule(NamedTuple):
     """One row rule: what the sweep (_sweep) runs per row.
 
-    A rule's scores are dead at unreachable states and, once a row is
-    shifted (_normalize), live within band below 0 (_scores).  A row's
-    gain is not the rule's: it is the row's houses (_houses), times the
-    optimum's sign.
+    A rule's scores are int8: _DEAD at unreachable states and, once a row
+    is shifted (_normalize), live within 2n below 0.  A row's gain is not
+    the rule's: it is the row's houses for the maximum, and its empty lots,
+    n less its houses (_houses), for the minimum.
     """
 
     # (grouped, state, clock) -> (state, grouped): the next row's state and
@@ -774,8 +760,6 @@ class _Rule(NamedTuple):
     # that may sit above the rows below, and whether u fits, by triple(u)
     scan: Callable
     lag: int  # the state kept after row k carries the shift of row k - lag
-    dead: int
-    band: int
 
 
 def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
@@ -789,7 +773,6 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
     every state, so each is a new array.
     """
     keys, pc = _split_plan(n, bricked).keys, _houses(n)
-    dtype, dead, band = _scores(Objective.MAX_PERMISSIBLE, n)
 
     def advance(grouped, state, clock):
         if grouped is None:
@@ -799,11 +782,11 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
             # overwrite it, unless it is the cached pc or a witness keeps it
             if keep or state is pc:
                 state = np.empty_like(pc)
-            _split_transform(grouped, state, n, bricked, dead, superset=True)
+            _split_transform(grouped, state, n, bricked, superset=True)
             clock.lap("transform")
             state += pc
             clock.lap("read")
-        grouped = np.full(len(keys), dead, dtype=dtype)
+        grouped = np.full(len(keys), _DEAD, dtype=np.int8)
         _split_group(state, n, bricked, grouped)
         return state, grouped
 
@@ -813,8 +796,8 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
         return layer, lambda t: (t & r) == 0
 
     # the close-off reads the classes the virtual south row admits
-    close = lambda grouped: np.where((keys & d_v) == 0, grouped, dead).max()
-    return _Rule(advance, close, scan, 1, dead, band)
+    close = lambda grouped: np.where((keys & d_v) == 0, grouped, _DEAD).max()
+    return _Rule(advance, close, scan, 1)
 
 
 def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
@@ -828,8 +811,7 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     row below it: so each row's scores come from its own state.
     """
     keys = _split_plan(n, bricked).keys
-    dtype, dead, band = _scores(Objective.MIN_MAXIMAL, n)
-    gain = -_houses(n).astype(dtype)
+    gain = n - _houses(n)  # each row's empty lots
     full, rows = full_mask(n), np.arange(1 << n, dtype=np.uint32)
     holes = (full - keys).astype(np.uint16)
     south = _reach(rows, np.uint32(d_v), n, bricked)  # reach(c, d_v), built once
@@ -845,7 +827,7 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
         if not (last and last[0] is grouped and last[1] == d):
             column = south if d == d_v else _reach(rows, np.uint32(d), n, bricked)
             fit = (holes[:, None] & (full ^ column.astype(np.uint16))) == 0
-            last[:] = grouped, d, np.where(fit, grouped, dead).max(axis=0)
+            last[:] = grouped, d, np.where(fit, grouped, _DEAD).max(axis=0)
         return last[2]
 
     def advance(grouped, state, clock):
@@ -853,7 +835,7 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
         if grouped is None:
             # row 1 sits under the virtual empty north row, whose triple
             # mask 0 is the least key on both borders
-            state = np.full((len(keys), 1 << n), dead, dtype=dtype)
+            state = np.full((len(keys), 1 << n), _DEAD, dtype=np.int8)
             state[0] = gain
         else:
             state = _pair_advance(grouped, n, bricked, gain, clock)
@@ -867,33 +849,32 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
                  if below[1:] else full)
         return read(layer, c), lambda t: (t | reach) == full
 
-    return _Rule(advance, lambda grouped: read(grouped, d_v), scan, 0, dead, band)
+    return _Rule(advance, lambda grouped: read(grouped, d_v), scan, 0)
 
 
 def _row_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     """The row rule of a minimum of one row: its state is one score per row
-    c, minus its houses, and dead unless reach(c, d_v) is full (_reach).
+    c, its empty lots, and dead unless reach(c, d_v) is full (_reach).
 
     The virtual empty north row covers nothing, so a row is maximal alone
     exactly when reach(c, d_v) is full.  The state is built _RULE_BLOCK
-    rows at a time, in the maximum's scores (_scores).  Its grouped maxima
+    rows at a time.  Its grouped maxima
     are its one maximum, so the close-off is that maximum, and the witness
     scan reads the state itself.  The kept state carries row 0's shift.
     """
     pc, full = _houses(n), full_mask(n)
-    dtype, dead, band = _scores(Objective.MAX_PERMISSIBLE, n)
     size = 1 << n
 
     def advance(grouped, state, clock):
-        state = np.empty(size, dtype=dtype)
+        state = np.empty(size, dtype=np.int8)
         for lo in range(0, size, _RULE_BLOCK):
             hi = min(lo + _RULE_BLOCK, size)
             ok = _reach(np.arange(lo, hi, dtype=np.uint32), np.uint32(d_v), n, bricked) == full
-            state[lo:hi] = np.where(ok, -pc[lo:hi], dead)
+            state[lo:hi] = np.where(ok, n - pc[lo:hi], _DEAD)
         return state, state.max(keepdims=True)
 
     scan = lambda layer, below: (layer, lambda t: (t & d_v) == 0)
-    return _Rule(advance, np.max, scan, 1, dead, band)
+    return _Rule(advance, np.max, scan, 1)
 
 
 def _pick(scores: np.ndarray, target: int, fits: Callable, n: int, bricked: bool) -> int:
@@ -919,24 +900,25 @@ def _pick(scores: np.ndarray, target: int, fits: Callable, n: int, bricked: bool
     return u
 
 
-def _normalize(grouped: np.ndarray, dead: int, band: int) -> int:
-    """Shift grouped in place so that its maximum is 0; return the shift.
+def _normalize(grouped: np.ndarray, n: int) -> int:
+    """Shift the int8 grouped in place so that its maximum is 0; return the
+    shift.
 
-    Scores at or above dead // 2 are live (_scores gives dead and band).
-    Dead scores are reset to dead so that they do not drift; they are found
-    before the shift, which may wrap them around.  A live score more than
-    band below the maximum raises SettleError: the next row could no longer
-    tell it from a dead one.
+    Scores at or above _DEAD // 2 are live.  Dead scores are reset to _DEAD
+    so that they do not drift; they are found before the shift, which may
+    wrap them around.  A live score more than the band 2n below the maximum
+    raises SettleError: the next row could no longer tell it from a dead
+    one.
     """
-    live = dead // 2
+    live = _DEAD // 2
     shift = int(grouped.max())
     if shift < live:
         raise SettleError("internal error: a row of the sweep has no live state")
-    low = grouped < shift - band
-    if grouped.max(where=low, initial=dead) >= shift + live:
-        raise SettleError(f"internal error: live scores spread beyond {band} in one row")
+    low = grouped < shift - 2 * n
+    if grouped.max(where=low, initial=_DEAD) >= shift + live:
+        raise SettleError(f"internal error: live scores spread beyond {2 * n} in one row")
     grouped -= shift
-    grouped[low] = dead
+    grouped[low] = _DEAD
     return shift
 
 
@@ -945,15 +927,15 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     """One DP sweep to rows[-1], yielding a SolveResult at each m in rows.
 
     rows holds distinct row counts >= 1 in increasing order.  Both
-    objectives maximize a score: the houses for the maximum, minus the
-    houses for the minimum.  All that differs between them is the row rule,
+    objectives maximize a score: the houses for the maximum, the empty lots
+    for the minimum.  All that differs between them is the row rule,
     chosen from rows[-1]: _max_rule for the maximum, _row_rule for a
     minimum to one row, _min_rule for any other minimum, which closes off
     row 1 too.  The maximum's state is indexed by the last row; the
     minimum's by the row above it and the last row, so that the north
     proposition can cover the last row.  The sweep carries the state's
-    maxima over the triple classes of its oldest row (_scores: int8 for
-    the maximum, int16 for the minimum), and they are its whole state: the
+    int8 maxima over the triple classes of its oldest row, and they are
+    its whole state: the
     rule closes them off at the virtual south row at m, and advances them
     through the subset-maximum transform (_split_transform) to m + 1.  The maximum groups its score
     array after each advance over the two halves of a row (_split_group);
@@ -982,14 +964,19 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     need = _check_limits(objective, Dims(top, n, boundary), want_witness, limits)
     clock = _Clock()
     d_v = full_mask(n) if bricked else 0  # the virtual south row
-    # the optimum is sign * the best score; the DP's states are the rows,
-    # or, past one row, the minimum's pairs (u, c)
+    # the DP's states are the rows, or, past one row, the minimum's pairs (u, c)
     if maximize:
-        sign, states, rule = 1, 1 << n, _max_rule(n, bricked, d_v, want_witness)
+        states, rule = 1 << n, _max_rule(n, bricked, d_v, want_witness)
     elif top == 1:
-        sign, states, rule = -1, 1 << n, _row_rule(n, bricked, d_v)
+        states, rule = 1 << n, _row_rule(n, bricked, d_v)
     else:
-        sign, states, rule = -1, 1 << 2 * n, _min_rule(n, bricked, d_v)
+        states, rule = 1 << 2 * n, _min_rule(n, bricked, d_v)
+
+    def houses(score: int, count: int) -> int:
+        """The houses of count rows that score score, and the other way
+        round: the minimum scores count * n less them."""
+        return score if maximize else count * n - score
+
     layers: list[np.ndarray] = []  # with a witness, the state after each row
     shifts = [0]  # true scores after row k are the shifted ones + shifts[k]
     ring: dict[int, np.ndarray] = {}  # the last rows' shifted maxima
@@ -1012,7 +999,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             closed[row] = rule.close(ring[row])
         clock.lap("close")
         best = int(closed[row].max())
-        if best < rule.dead // 2:
+        if best < _DEAD // 2:
             raise SettleError(f"no maximal configuration found for {m}x{n} (internal error)")
         score = best + shifts[row] + shift
         dims = Dims(m, n, boundary)
@@ -1032,14 +1019,14 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
                 if u < 0:
                     raise SettleError("internal error: the backward scan lost the optimum's path")
                 below.append(u)
-                target -= sign * int(_houses(n)[u])
+                target -= houses(int(_houses(n)[u]), 1)
             witness = Configuration(dims, tuple(reversed(below[1:])))
             clock.lap("scan")
         m0, p, d = cycle or (None, None, None)
         result = SolveResult(
             dims,
             objective,
-            sign * score,
+            houses(score, m),
             witness,
             {
                 "states": advanced * states,
@@ -1047,7 +1034,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
                 "state_bytes": need,
                 "transient": m0,
                 "period": p,
-                "slope": None if d is None else sign * d,
+                "slope": None if d is None else houses(d, p),
                 "phases": dict(clock.seconds),
                 "wall_s": time.perf_counter() - t0,
             },
@@ -1063,7 +1050,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         state, grouped = rule.advance(grouped, state, clock)
         if want_witness:
             layers.append(state)
-        shifts.append(shifts[-1] + _normalize(grouped, rule.dead, rule.band))
+        shifts.append(shifts[-1] + _normalize(grouped, n))
         ring.pop(m - _RING - 1, None)
         # at most one row matches: two would have matched each other before
         for row, seen in ring.items():

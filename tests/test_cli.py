@@ -96,6 +96,15 @@ class TestCheck:
         assert res.exit_code == 2
         assert "column" in res.output or "column" in (res.stderr or "")
 
+    def test_json_grid_of_bad_types_exits_2(self):
+        # a float cell and a bool row count are parse errors, not a
+        # traceback or a verdict on a grid of True rows
+        for grid in ({"rows": 1, "cols": 2, "boundary": "free", "cells": [[1.0, 0]]},
+                     {"rows": True, "cols": 2, "boundary": "free", "cells": [[1, 0]]}):
+            res = invoke("check", "-", input=json.dumps(grid))
+            assert res.exit_code == 2, grid
+            assert "maximal" not in res.output, grid
+
 
 class TestSolve:
     def test_text_output(self):

@@ -67,6 +67,22 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_grid(text)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rows", True), ("cols", True), ("rows", 2.0), ("cols", "2"),
+    ])
+    def test_json_rejects_non_integer_dims(self, field, value):
+        grid = {"rows": 2, "cols": 2, "boundary": "free", "cells": [[1, 0], [0, 0]]}
+        grid[field] = value
+        with pytest.raises(ParseError, match="rows and cols must be integers"):
+            parse_grid(json.dumps(grid))
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, True, False, "1", None])
+    def test_json_rejects_non_integer_cells(self, value):
+        text = json.dumps({"rows": 1, "cols": 2, "boundary": "free", "cells": [[0, value]]})
+        with pytest.raises(ParseError, match="cell value must be 0 or 1") as err:
+            parse_grid(text)
+        assert (err.value.line, err.value.column) == (1, 2)
+
 
 class TestRender:
     def test_full_two_by_two_plain(self):

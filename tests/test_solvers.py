@@ -18,7 +18,6 @@ from settle.solvers import (
     Limits,
     Objective,
     SolveRequest,
-    _BAND,
     _DEAD,
     _PHASES,
     _brute_bytes,
@@ -30,7 +29,6 @@ from settle.solvers import (
     _reach,
     _reach_bits,
     _reach_tables,
-    _scores,
     _split_group,
     _split_plan,
     _split_transform,
@@ -362,7 +360,8 @@ class TestSweep:
 
     # sha256 of the witness rows (" "-joined row masks) as a DP that stores
     # an argmax predecessor per state gives them: they pin the tie-break at
-    # widths where the scores are int16 and the backward scan runs.  The
+    # widths where the backward scan runs.  The minimum's digests were
+    # recorded from a sweep whose int16 scores were minus its houses.  The
     # grids past 14x20 and 9x11 lie past the row where the sweep finds its
     # cycle, so their scans reuse the kept rows periodically; their digests
     # were recorded from a sweep that advanced through every row.  The
@@ -459,13 +458,15 @@ class TestPeriodicSweep:
             if m >= m0 and m + p in optimum:
                 assert optimum[m + p] == res.optimum + d
 
-    # the minimum's cycle (m0, p, d) at n = 2..12: on the free border it
-    # proves I = i_lower_bound at every m; the bricked one has no formula
+    # the minimum's cycle (m0, p, d) at n = 2..13: on the free border it
+    # proves I = i_lower_bound at every m; the bricked one has no formula.
+    # Width 13 lies past the default pair cap, and certifies the int8 band
+    # there.
     MIN_CYCLES = {
-        Boundary.FREE: ([1, 3, 3, 3, 3, 4, 5, 4, 5, 5, 5], [1] * 11,
-                        [2, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6]),
-        Boundary.BRICKED: ([3, 3, 3, 3, 5, 3, 5, 5, 6, 5, 6], [1, 3] * 5 + [1],
-                           [1, 4, 2, 7, 3, 10, 4, 13, 5, 16, 6]),
+        Boundary.FREE: ([1, 3, 3, 3, 3, 4, 5, 4, 5, 5, 5, 5], [1] * 12,
+                        [2, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 7]),
+        Boundary.BRICKED: ([3, 3, 3, 3, 5, 3, 5, 5, 6, 5, 6, 5], [1, 3] * 6,
+                           [1, 4, 2, 7, 3, 10, 4, 13, 5, 16, 6, 19]),
     }
 
     def test_long_strips(self):
@@ -480,9 +481,10 @@ class TestPeriodicSweep:
             assert res.stats["states"] <= 12 * 8
         for boundary, want in self.MIN_CYCLES.items():
             got = []
-            for n in range(2, 13):
+            for n in range(2, 14):
                 counts = rows if boundary is Boundary.FREE else rows[:20]
-                for res in _sweep(Objective.MIN_MAXIMAL, n, boundary, counts, False, Limits()):
+                for res in _sweep(Objective.MIN_MAXIMAL, n, boundary, counts, False,
+                                  Limits(max_cols_pairs=13)):
                     assert res.stats["states"] <= 12 * 4**n
                     if boundary is Boundary.FREE:
                         assert res.optimum == i_lower_bound(res.dims.rows, n), res.dims
@@ -509,40 +511,33 @@ class TestPeriodicSweep:
                 bound = Fraction(r_recurrence(400, n) - r_recurrence(200, n), 200)
                 assert bound > rate if n % 4 == 2 else bound == rate, n
 
-    def test_normalize_shifts_and_checks_the_band(self):
-        # dead scores drift by a row's gain and shift; they go back to _DEAD
-        grouped = np.array([5, 3, 5 - _BAND, _DEAD + 7, _DEAD - 4], dtype=np.int16)
-        assert _normalize(grouped, _DEAD, _BAND) == 5
-        assert grouped.tolist() == [0, -2, -_BAND, _DEAD, _DEAD]
-        # a live score out of the band raises rather than pass for dead later
-        with pytest.raises(SettleError):
-            _normalize(np.array([0, -_BAND - 1], dtype=np.int16), _DEAD, _BAND)
-        with pytest.raises(SettleError):
-            _normalize(np.array([_DEAD, _DEAD - 3], dtype=np.int16), _DEAD, _BAND)
-
     def test_normalize_shifts_and_checks_the_int8_band(self):
-        # the maximum at n = 5: a live score 2n below the row's best is
-        # kept, and dead scores drifted by a row's gain go back to -128,
-        # although the shift wraps them around first
-        dtype, dead, band = _scores(Objective.MAX_PERMISSIBLE, 5)
-        grouped = np.array([5, 3, 5 - 10, -128 + 5, -128], dtype=dtype)
-        assert _normalize(grouped, dead, band) == 5
+        # n = 5: a live score 2n below the row's best is kept, and dead
+        # scores drifted by a row's gain go back to -128, although the
+        # shift wraps them around first; a live score out of the band
+        # raises rather than pass for dead later
+        grouped = np.array([5, 3, 5 - 10, -128 + 5, -128], dtype=np.int8)
+        assert _normalize(grouped, 5) == 5
         assert grouped.dtype == np.int8
         assert grouped.tolist() == [0, -2, -10, -128, -128]
         with pytest.raises(SettleError):
-            _normalize(np.array([4, 4 - 11], dtype=dtype), dead, band)
+            _normalize(np.array([4, 4 - 11], dtype=np.int8), 5)
         with pytest.raises(SettleError):
-            _normalize(np.array([-128, -128 + 5], dtype=dtype), dead, band)
+            _normalize(np.array([-128, -128 + 5], dtype=np.int8), 5)
 
     def test_int8_scores_hold_every_max_width(self):
-        # up to the uint32 limit: unshifted scores lie in [-2n, n], and a
-        # dead score plus a row's gain stays below the live ones
+        # up to the uint32 limit, for both objectives: a row's gain, its
+        # houses for the maximum or its empty lots for the minimum, lies in
+        # [0, n], so unshifted live scores lie in [-2n, n], and a dead score
+        # plus a gain stays below the live ones
+        info = np.iinfo(np.int8)
+        assert _DEAD == info.min
         for n in range(1, 33):
-            dtype, dead, band = _scores(Objective.MAX_PERMISSIBLE, n)
-            info = np.iinfo(dtype)
-            assert (dtype, band) == (np.int8, 2 * n), n
-            assert info.min <= dead and n <= info.max, n
-            assert dead + n < dead // 2 <= -2 * n, n
+            houses = np.array([0, n], dtype=np.int8)  # the empty row and the full one
+            for gain in (houses, n - houses):
+                assert gain.dtype == np.int8 and sorted(gain.tolist()) == [0, n], n
+            assert info.min <= -2 * n and n <= info.max, n
+            assert _DEAD + n < _DEAD // 2 <= -2 * n, n
 
 
 class TestScoreWidth:
@@ -672,7 +667,7 @@ class TestStateBytes:
 
     def test_pair_state_holds_no_pair_array(self):
         # the minimum's state is one score per (class, row), so its estimate
-        # at the pair cap is a fraction of one int16 score per row pair
+        # at the pair cap is a fraction of one int8 score per row pair
         for bricked in (False, True):
             assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True, bricked) <= 128 << 20
             assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, False, bricked) < \
@@ -824,7 +819,7 @@ class TestPairAdvance:
         ids = np.searchsorted(keys, triple_mask(np.arange(size, dtype=np.uint32), n, bricked))
         scatter = full_mask(n) - keys
         masks = np.arange(size)
-        z = np.full((size, size), _DEAD, dtype=np.int16)
+        z = np.full((size, size), _DEAD, dtype=np.int8)
         for g, key in enumerate(scatter.tolist()):
             within = (masks & key) == key  # the masks that hold this class's key
             z[within] = np.maximum(z[within], grouped[g])
@@ -841,9 +836,9 @@ class TestPairAdvance:
         rng = np.random.default_rng(9)
         for n in range(1, 9):
             groups = len(_split_plan(n, bricked).keys)
-            gain = -np.bitwise_count(np.arange(1 << n)).astype(np.int16)
+            gain = n - np.bitwise_count(np.arange(1 << n)).astype(np.int8)
             for _ in range(3):
-                grouped = rng.integers(-2 * n, 1, (groups, 1 << n)).astype(np.int16)
+                grouped = rng.integers(-2 * n, 1, (groups, 1 << n)).astype(np.int8)
                 grouped[rng.random(grouped.shape) < 0.3] = _DEAD
                 got = _pair_advance(grouped, n, bricked, gain)
                 want = self.reference(grouped, n, bricked, gain)
@@ -907,13 +902,13 @@ class TestSplitRow:
             grouped = rng.integers(-2 * n, 0, len(keys), endpoint=True).astype(np.int8)
             grouped[rng.random(len(keys)) < 0.3] = -128
             z = np.empty(1 << n, dtype=np.int8)
-            _split_transform(grouped, z, n, bricked, -128, superset=True)
+            _split_transform(grouped, z, n, bricked, superset=True)
             want = [grouped[(keys & r) == 0].max(initial=-128) for r in range(1 << n)]
             assert z.tolist() == want, (n, bricked)
-            grouped = rng.integers(-2 * n, 0, (len(keys), 5), endpoint=True).astype(np.int16)
+            grouped = rng.integers(-2 * n, 0, (len(keys), 5), endpoint=True).astype(np.int8)
             grouped[rng.random(grouped.shape) < 0.3] = _DEAD
-            z = np.empty((1 << n, 5), dtype=np.int16)
-            _split_transform(grouped, z, n, bricked, _DEAD, superset=False)
+            z = np.empty((1 << n, 5), dtype=np.int8)
+            _split_transform(grouped, z, n, bricked, superset=False)
             holes = full_mask(n) - keys
             want = np.stack([np.where(((holes & k) == holes)[:, None], grouped, _DEAD).max(axis=0)
                              for k in range(1 << n)])
