@@ -13,7 +13,7 @@ from enum import Enum
 
 from .errors import SettleError
 from .grid import Boundary, Configuration, Dims
-from .rows import full_mask
+from .rows import full_mask, triple_mask
 
 
 class PatternKind(Enum):
@@ -288,10 +288,11 @@ def brick_comb_best(m: int, n: int, max_segments: int = 4) -> tuple[Configuratio
                         for i in range(m):
                             rows[i] |= block.row_bits[i] << shift
                         shift += w
-                    candidate = Configuration(dims, tuple(rows))
-                    if not candidate.is_permissible():
+                    # permissible: no house blocked by the row below it
+                    # (the virtual south row of the free border is empty)
+                    if any(triple_mask(a, n, False) & b for a, b in zip(rows, rows[1:])):
                         continue
-                    completed = candidate.greedy_complete()
+                    completed = Configuration(dims, tuple(rows)).greedy_complete()
                     occ = completed.occupancy()
                     if occ > best_occ:
                         spec = tuple(

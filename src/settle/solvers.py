@@ -29,14 +29,15 @@ evaluated on numpy arrays of states.
 The minimum reads its transformed chunk at reach(c, d) for every current
 row c and row d below (_reach), and takes the maximum over the rows c of
 each class.  reach is c or-ed with masks of c and-ed with shifts of d:
-for a row c of a class with key K, it is 0 where d meets K, and
-otherwise reads d only through the few bits D_g that some row of the
-class can see (_reach_bits).  So _reach_tables holds, per class, the
-reach of its rows at the 2^|D_g| subsets of D_g and one reach-0 slot,
-and the slot each d reads: the advance reads those entries alone, maxes
-them per class, and expands each class's slots to all 2^n rows d.  At
-n = 12 that is 15% of the 4^n pairs on the free border and 47% on the
-bricked one.
+for a row c with key K, it is 0 where d meets K, and otherwise reads d
+only through the few bits D_c that change it (_reach_bits).  So
+_reach_tables holds, per row, its reach at the 2^|D_c| subsets of D_c and
+one reach-0 slot: the advance reads those entries alone, maxes each into
+its class's slot of the same bits, and one subset-maximum transform over
+each class's slots (the bits D_g of all its rows) fills the rest, since a
+row's reach grows with d.  At n = 12 it reads 0.8% of the 4^n pairs on
+the free border and 1.9% on the bricked one.  Then each class's slots
+are expanded to all 2^n rows d.
 
 Past what it scores, the count of DP states it reports and the choice of
 its rule, the sweep does not branch on the objective.  Each solve runs
@@ -72,7 +73,6 @@ sweep stops and closes off every later row count arithmetically.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -104,7 +104,7 @@ class Limits:
 
     Column caps keep the states within memory: 2^n profile scores for the
     maximum solver; for the minimum solver, one score per (triple class,
-    profile) and its per-class reach tables.  A single-row minimum keeps
+    profile) and its reach tables.  A single-row minimum keeps
     one score per row (_row_rule), so it only needs the wider max_cols cap.
     max_state_bytes caps the estimated bytes a solve or brute_force
     allocates, the cached per-width tables included: the allocations
@@ -236,15 +236,16 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     grouped = groups * size
     held = (kept or m) if want_witness else min(m, _RING + 1)
     chunk = min(_CHUNK, size)
-    tables, made, slots = _reach_bytes(n, bricked)
-    # a row advance: the next maxima, the class slots and the block; then
-    # a chunk's gathered columns of grouped and _split_transform's (2^h,
-    # len(hv), chunk) low array, and a read of at most _READ_ROWS * 2^n
-    # table entries, their flat indices (intp) and a class piece's maxima;
-    # or, at the end, the slot indices (intp) of _RULE_BLOCK entries
-    advance = (grouped + slots + size * chunk
-               + max((groups + low) * chunk + _READ_ROWS * size * (2 + 8) + size,
-                     max(size, _RULE_BLOCK) * 8))
+    tables, made, entries, slots = _reach_bytes(n, bricked)
+    # a row advance: the next maxima, the block and the rows' reads, one
+    # a table entry; then a chunk's gathered columns of grouped and
+    # _split_transform's (2^h, len(hv), chunk) low array, and the flat
+    # indices (intp) of at most _READ_ROWS * 2^n table entries; or, at the
+    # end, the class slots and the slot indices (intp) of _RULE_BLOCK
+    # entries
+    advance = (grouped + size * chunk + entries
+               + max((groups + low) * chunk + _READ_ROWS * size * 8,
+                     slots + max(size, _RULE_BLOCK) * 8))
     # a read of _min_rule, for a close-off or a row of the witness scan:
     # the column of reach, built in the uint32 stages of _reach, the
     # uint16 fit test, its mask and the masked maxima; the rule keeps the
@@ -256,26 +257,34 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
             + max(build, made, held * grouped + max(advance, read)))
 
 
-def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int]:
+def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int]:
     """The bytes of the cached _reach_bits and _reach_tables at width n,
-    the most their builds hold beyond them, and the class slots."""
-    seen, count = _reach_bits(n, bricked)
+    the most their builds hold beyond them, and the entries of the row
+    tables and the class slots."""
+    own, seen = _reach_bits(n, bricked)
     size, groups = 1 << n, len(seen)
-    width = (1 << np.bitwise_count(seen).astype(np.int64)) + 1
-    most = int(width.max()) - 1
-    slots = int(width.sum())
-    # D_g and the rows a class; the rows in table order (intp), the starts
-    # list and the runs; the uint16 entries, the offsets (intp) and slots
-    tables = (groups * 12 + size * 8 + groups * 40 + (n + 1) * 300 + int(count @ width) * 2
-              + groups * 8 + groups * size * np.dtype(np.min_scalar_type(most)).itemsize)
+    widths = (1 << np.arange(n + 1, dtype=np.int64)) + 1
+    rows = np.bincount(np.bitwise_count(own), minlength=n + 1)
+    held = np.bincount(np.bitwise_count(seen), minlength=n + 1)
+    entries, slots = int(rows @ widths), int(held @ widths)
+    bits = int(rows @ np.arange(n + 1))  # the bits of every row's D_c
+    item = np.dtype(np.min_scalar_type(1 << int(np.flatnonzero(held)[-1]))).itemsize
+    # D_c a row and D_g a class; the rows in table order (intp), the runs
+    # and the spans; the uint16 entries, their scatter (intp), the offsets
+    # (intp) and the slots
+    tables = (size * 4 + groups * 4 + size * 8 + (n + 1) * 600
+              + entries * (2 + 8) + groups * 8 + groups * size * item)
     # _reach_bits: a block's (bit, row) pairs in the uint32 stages of
-    # _reach, and its rows' keys and ids (intp).  _reach_tables: the rows' keys, class places and
-    # the stable sort (intp); reach(c, {k}) at every bit, uint16, built in
-    # uint32 stages; a run's rows of one bit of D_g (intp) and their moves;
-    # arrays of a few words a class
+    # _reach.  _reach_tables: a few words a row (the rows' keys and ids,
+    # the sort and its keys, the reordered rows); a (row, bit) flag a bit
+    # of the row; for each bit of a D_c, its row, place and step (intp)
+    # and reach(c, {k}) in uint32 stages, then its step alone beside a
+    # run's int64 table and its shifted copy; arrays of a few words a
+    # class and bit
+    run = int((rows * widths).max())
     made = max(min(n << n, _RULE_BLOCK >> 2) * 32,
-               size * (32 + 18 * n) + groups * 32 * (n + 8))
-    return tables, made, slots
+               size * (64 + n) + groups * 32 * (n + 8) + max(bits * 56, bits * 8 + run * 16))
+    return tables, made, entries, slots
 
 
 def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int]:
@@ -312,14 +321,15 @@ def _brute_bytes(objective: Objective, m: int, n: int) -> int:
     configuration and the last row-rule table (one byte an entry, over up
     to three axes for the minimum and two for the maximum).  Beside them,
     either the next table as it is built, the uint32 stages of one
-    _RULE_BLOCK of it and the uint32 rows of its other axes; or a short
+    _RULE_BLOCK of it and the uint32 rows of its other axes (of its first
+    block on one axis); or a short
     pattern's line and its np.repeat temporary, at most _RULE_BLOCK bytes
     each.  Then the uint8 array and the uint8 scores, one byte a
     configuration each.
     """
     configs, size = 1 << (m * n), 1 << n
     arity = min(m, 3 if objective is Objective.MIN_MAXIMAL else 2)
-    build = size ** arity + _RULE_BLOCK * 24 + (size * 4 if arity > 1 else 0)
+    build = size ** arity + _RULE_BLOCK * 24 + (size if arity > 1 else min(size, _RULE_BLOCK)) * 4
     rules = configs + size ** arity + max(build, 2 * _RULE_BLOCK)
     return _FIXED_BYTES + max(rules, 2 * configs)
 
@@ -328,8 +338,8 @@ def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: 
     """Raise LimitError when a solve would pass a column or byte cap.
 
     Past 16 columns for a pair solve, and past 32 for every solve, no
-    Limits value lifts the column cap: the class tables' reach
-    (_reach_tables) is uint16, as are the reach and keys of _min_rule's
+    Limits value lifts the column cap: the reach tables
+    (_reach_tables) are uint16, as are the reach and keys of _min_rule's
     reads, and _split_plan's rows, bit_reverse and the int8 scores' band
     (_DEAD) hold 32 columns.  Both are checked before any table is built.
 
@@ -493,102 +503,123 @@ def _reach(c: np.ndarray, d, n: int, bricked: bool) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _reach_bits(n: int, bricked: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The bits each class's reach reads of the row below, and its rows.
+    """The bits of the row below that each row's reach reads, and each
+    class's.
 
     reach(c, d) is c or-ed with masks of c and-ed with shifts of d, so bit
-    k of d adds reach(c, {k}) to it.  Take a class g, with key K: where d
-    meets K, reach is 0; elsewhere it reads d only through D_g, the bits k
-    outside K for which reach(c, {k}) ≠ reach(c, ∅) = c at some row c of
-    g.  Returns D_g (uint32) and the rows of g, per class, evaluated on
-    _RULE_BLOCK >> 2 (bit, row) pairs at a time.
+    k of d adds reach(c, {k}) to it.  Where d meets the key of c, reach is
+    0; elsewhere it reads d only through D_c, the bits k outside the key
+    for which reach(c, {k}) ≠ reach(c, ∅) = c.  A class g reads D_g, the
+    union of its rows' D_c.  Returns D_c per row and D_g per class
+    (uint32), evaluated on _RULE_BLOCK >> 2 (bit, row) pairs at a time.
     """
     keys = _split_plan(n, bricked).keys
-    seen = np.zeros(len(keys), dtype=np.uint32)
-    rows = np.zeros(len(keys), dtype=np.intp)
     size, step = 1 << n, max(1, (_RULE_BLOCK >> 2) // n)
+    own = np.empty(size, dtype=np.uint32)
+    seen = np.zeros(len(keys), dtype=np.uint32)
     bit = (np.uint32(1) << np.arange(n, dtype=np.uint32))[:, None]
     for lo in range(0, size, step):
         c = np.arange(lo, min(lo + step, size), dtype=np.uint32)
         key = triple_mask(c, n, bricked)
-        moved = np.where(_reach(c, bit, n, bricked) != c, bit, 0)
-        ids = np.searchsorted(keys, key)
-        np.bitwise_or.at(seen, ids, np.bitwise_or.reduce(moved, axis=0) & ~key)
-        rows += np.bincount(ids, minlength=len(keys))
-    return seen, rows
+        part = own[lo:lo + step]
+        np.bitwise_or.reduce(np.where(_reach(c, bit, n, bricked) != c, bit, 0), axis=0, out=part)
+        part &= ~key
+        np.bitwise_or.at(seen, np.searchsorted(keys, key), part)
+    return own, seen
 
 
 class _ReachTables(NamedTuple):
-    """The minimum's per-class reach tables at one width (_reach_tables).
+    """The minimum's reach tables at one width (_reach_tables).
 
-    The classes are taken in table order: by the size of D_g, then by key.
+    The rows are taken in table order: by the size of their own bits D_c,
+    then by class.  The classes' slots are laid out by the size of D_g,
+    then by key.
     """
 
-    order: np.ndarray  # the rows, class by class in table order (intp)
-    starts: list[int]  # where each class's rows start in order, and 2^n
-    runs: list[tuple[int, int, int, int, int, int]]  # per table width (_reach_tables)
-    reach: np.ndarray  # per row in order, its class's table row (uint16)
-    offset: np.ndarray  # per class, in key order, where its maxima start
+    order: np.ndarray  # the rows in table order (intp)
+    runs: list[tuple[int, int, int, int]]  # per table width (_reach_tables)
+    reach: np.ndarray  # per row in order, reach at its own slots (uint16)
+    scatter: np.ndarray  # per entry of reach, its class slot (intp)
+    spans: list[tuple[int, int, int]]  # per size B of D_g: (first slot, classes, B)
+    offset: np.ndarray  # per class, in key order, where its slots start
     slots: np.ndarray  # (classes, 2^n): each row d's slot in its class's table
     total: int  # the slots of all classes
 
 
 @lru_cache(maxsize=8)
 def _reach_tables(n: int, bricked: bool) -> _ReachTables:
-    """The pair solver's reach, per class, at the rows below it can see.
+    """The pair solver's reach, per row at the rows below it can see, and
+    the slots of its classes.
 
-    The table row of a row c in class g holds reach(c, d) at the 2^|D_g|
-    subsets d of D_g (_reach_bits), subset s at slot s, whose bit i is the
-    i-th bit of D_g, and then 0, at slot 2^|D_g|.  slots[g, d] is d & D_g's
-    slot, or 2^|D_g| where d meets the key: so the table row holds reach(c,
-    d) at slots[g, d] for every d.  Both are built by doubling, one bit at
-    a time, from reach(c, ∅) = c and the 2^n-entry slot 0.  A run of
-    classes with tables of one width L is the tuple (first row, end row,
-    L, its first entry in reach, its first class in table order, and that
-    class's first slot); the runs follow the table order.
+    The table row of a row c holds reach(c, s) at the 2^|D_c| subsets s of
+    its own bits D_c (_reach_bits), subset s at slot s, whose bit i is the
+    i-th bit of D_c, and then 0, at slot 2^|D_c|.  A run of rows with one
+    |D_c| is the tuple (first row, end row, width L = 2^|D_c| + 1, its
+    first entry in reach).  A class g has 2^|D_g| + 1 slots: subset s of
+    D_g at slot s, whose bit i is the i-th bit of D_g, and the blocked slot
+    2^|D_g|.  scatter maps the slot s of a row of class g to g's slot of s,
+    the bits of D_c placed at their ranks in D_g, and the row's blocked
+    slot to g's.  Both are built by doubling, one bit of D_c at a time,
+    from reach(c, ∅) = c and g's slot ∅.  slots[g, d] is d & D_g's slot,
+    or 2^|D_g| where d meets the key, built by doubling from the 2^n-entry
+    slot 0.
     """
     keys = _split_plan(n, bricked).keys
-    seen, count = _reach_bits(n, bricked)
+    own, seen = _reach_bits(n, bricked)
     size, groups = 1 << n, len(keys)
-    bits = np.bitwise_count(seen).astype(np.intp)
-    width = (1 << bits) + 1
-    by = np.argsort(bits, kind="stable")  # the table order
-    place = np.empty(groups, dtype=np.intp)
-    place[by] = np.arange(groups)
     c = np.arange(size, dtype=np.uint32)
-    order = np.argsort(place[np.searchsorted(keys, triple_mask(c, n, bricked))], kind="stable")
-    # where each class's rows, table entries and slots start, in table order
-    row_at, entry_at, slot_at = np.zeros((3, groups + 1), dtype=np.intp)
-    np.cumsum(count[by], out=row_at[1:])
-    np.cumsum(count[by] * width[by], out=entry_at[1:])
-    np.cumsum(width[by], out=slot_at[1:])
-    # reach(c, {k}) for every bit k (a row) and row c
-    moves = _reach(c, (np.uint32(1) << np.arange(n, dtype=np.uint32))[:, None], n, bricked)
-    moves = moves.astype(np.uint16)
-    reach = np.empty(int(entry_at[-1]), dtype=np.uint16)
-    runs = []
-    firsts = _starts(bits[by]).tolist()
-    for j0, j1 in zip(firsts, firsts[1:] + [groups]):
-        cls = by[j0:j1]
-        b, w = int(bits[cls[0]]), int(width[cls[0]])
-        r0, r1, e0 = int(row_at[j0]), int(row_at[j1]), int(entry_at[j0])
-        rows = order[r0:r1]
-        table = reach[e0:int(entry_at[j1])].reshape(r1 - r0, w)
-        table[:, 0] = rows
-        table[:, -1] = 0
-        # the bits of each class's D_g, lowest first
-        pos = np.nonzero((seen[cls, None] >> np.arange(n, dtype=np.uint32)) & 1)[1]
-        pos = pos.reshape(len(cls), b)
+    every = np.arange(n, dtype=np.uint32)
+    ids = np.searchsorted(keys, triple_mask(c, n, bricked))
+    # the classes' slots, by |D_g| then key, and the rank of each bit of
+    # D_g among them
+    held = np.bitwise_count(seen).astype(np.intp)
+    by = np.argsort(held, kind="stable")
+    slot_at = np.zeros(groups + 1, dtype=np.intp)
+    np.cumsum((1 << held[by]) + 1, out=slot_at[1:])
+    offset = np.empty(groups, dtype=np.intp)
+    offset[by] = slot_at[:-1]
+    firsts = _starts(held[by]).tolist()
+    spans = [(int(slot_at[j0]), j1 - j0, int(held[by[j0]]))
+             for j0, j1 in zip(firsts, firsts[1:] + [groups])]
+    mine = ((seen[:, None] >> every) & 1).astype(np.intp)
+    rank = np.cumsum(mine, axis=1) - mine
+    # the rows in table order: by |D_c|, then by class
+    bits = np.bitwise_count(own)
+    order = np.argsort((bits.astype(np.int64) << 32) | ids, kind="stable")
+    own, bits, ids = own[order], bits[order], ids[order]
+    reach = np.empty(int(((1 << bits.astype(np.intp)) + 1).sum()), dtype=np.uint16)
+    scatter = np.empty(len(reach), dtype=np.intp)
+    # the bits k of each row's D_c, lowest first, row by row: reach(c, {k})
+    # in the low 16 bits, and above them the slot k adds in D_g, so that
+    # one or of both builds the table and the scatter (the slots' bits are
+    # distinct, so or adds them)
+    row, pos = np.divmod(np.flatnonzero((own[:, None] & (np.uint32(1) << every)) != 0), n)
+    move = _reach(order[row].astype(np.uint32), np.uint32(1) << pos.astype(np.uint32), n, bricked)
+    move = (1 << (rank[ids[row], pos] + 16)) | move
+    # the runs, one |D_c| each, built slot by slot, so that each step is
+    # one long row, and stored row by row: slot ∅ holds reach(c, ∅) = c,
+    # the blocked slot reach 0 and the class's blocked slot
+    bounds = _starts(bits).tolist() + [size]
+    blocked = (1 << held[ids]) << 16
+    base = offset[ids]
+    runs, e, p = [], 0, 0
+    for r0, r1 in zip(bounds, bounds[1:]):
+        b = int(bits[r0])
+        w, rows = (1 << b) + 1, r1 - r0
+        table = np.empty((w, rows), dtype=np.int64)
+        table[0], table[-1] = order[r0:r1], blocked[r0:r1]
+        moves = move[p:p + rows * b].reshape(rows, b).T
         for i in range(b):
-            k = np.repeat(pos[:, i], count[cls])
-            np.bitwise_or(table[:, :1 << i], moves[k, rows][:, None], out=table[:, 1 << i:2 << i])
-        runs.append((r0, r1, w, e0, j0, int(slot_at[j0])))
+            np.bitwise_or(table[:1 << i], moves[i], out=table[1 << i:2 << i])
+        both = table.T
+        np.bitwise_and(both, 0xFFFF, out=reach[e:e + table.size].reshape(rows, w), casting="unsafe")
+        np.add(both >> 16, base[r0:r1, None], out=scatter[e:e + table.size].reshape(rows, w))
+        runs.append((r0, r1, w, e))
+        e, p = e + table.size, p + rows * b
     # bit k of d adds 2^i to the slot when it is the i-th bit of D_g, and
     # 2^|D_g| when it is a key bit; each step clips the sum at 2^|D_g|
-    top = (1 << bits).astype(np.min_scalar_type(1 << int(bits.max())))[:, None]
-    every = np.arange(n, dtype=np.uint32)
-    held = (seen[:, None] >> every) & 1
-    step = np.where((keys[:, None] >> every) & 1, top, held << (np.cumsum(held, axis=1) - held))
-    step = step.astype(top.dtype)
+    top = (1 << held).astype(np.min_scalar_type(1 << int(held.max())))[:, None]
+    step = np.where((keys[:, None] >> every) & 1, top, mine << rank).astype(top.dtype)
     room = top - step
     slots = np.empty((groups, size), dtype=top.dtype)
     slots[:, 0] = 0
@@ -596,9 +627,7 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
         high = slots[:, 1 << k:2 << k]
         np.minimum(slots[:, :1 << k], room[:, k:k + 1], out=high)
         high += step[:, k:k + 1]
-    offset = np.empty(groups, dtype=np.intp)
-    offset[by] = slot_at[:-1]
-    return _ReachTables(order, row_at.tolist(), runs, reach, offset, slots, int(slot_at[-1]))
+    return _ReachTables(order, runs, reach, scatter, spans, offset, slots, int(slot_at[-1]))
 
 
 def _split_group(state: np.ndarray, n: int, bricked: bool, grouped: np.ndarray):
@@ -688,50 +717,61 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     reach(c, d), and the result is grouped by the class of c.  The current
     rows c are taken _CHUNK at a time in table order (_reach_tables).  Each
     chunk's columns of grouped run through the subset direction of the
-    maximum's transform (_split_transform) into a (2^n, _CHUNK) block.
-    Each row c of class g reads the block at the 2^|D_g| + 1 reach values
-    of its class table row alone, not at all 2^n rows d; a run of rows
-    whose tables have one width is read about _READ_ROWS * 2^n entries per
-    flat take, and the read rows are maxed into the slots of their class.
-    Then the slots are expanded to every row d below (slots[g, d]), in
-    bulk, and gain[d] is added once.  The blocked slot holds reach 0 and so
-    reads the block's row 0, as a read at reach(c, d) = 0 does: the result
-    is the same, dead entries included, as a read at every (c, d).
+    maximum's transform (_split_transform) into a (2^n, _CHUNK) block, and
+    each row c reads the block, read_c(s) = block[reach(c, s), c], at the
+    2^|D_c| + 1 entries of its own table row alone, not at all 2^n rows d:
+    a run's rows of a chunk, about _READ_ROWS * 2^n entries per flat take.
+
+    After the last chunk, every read is maxed into its class slot
+    (scatter), and one in-place subset maximum over each class's first
+    2^|D_g| slots gives slot s ⊆ D_g the maximum of read_c(s ∩ D_c) over
+    the rows c of the class.  That is the maximum of read_c(s), by two
+    facts.  reach(c, d) for d that miss the key is c or-ed with reach(c,
+    {k}) over the bits k of d, and bits outside D_c add nothing: reach(c,
+    s) = reach(c, s ∩ D_c).  And read_c is monotone in s ⊆ D_g: no such s
+    meets the key, so reach(c, s) grows with s, and the block, a
+    subset-maximum transform, grows with reach.  So of the slots t ⊆ s
+    that the transform collects, a row's reads peak at s ∩ D_c.  The
+    blocked slots, reach 0, read the block's row 0, as a read at reach(c,
+    d) = 0 does, and skip the transform.  Then the class slots are expanded
+    to every row d below (slots[g, d]), in bulk, and gain[d] is added once:
+    the result is the same, dead entries included, as a read at every (c,
+    d).
     """
     clock = clock or _Clock()
     tables = _reach_tables(n, bricked)
-    starts = tables.starts
     size = 1 << n
     chunk = min(_CHUNK, size)
     out = np.empty_like(grouped)
     block = np.empty((size, chunk), dtype=grouped.dtype)
     flat = block.reshape(-1)
-    # every slot is maxed with each row of its class: the dead score is no bias
-    maxima = np.full(tables.total, _DEAD, dtype=grouped.dtype)
+    read = np.empty(len(tables.reach), dtype=grouped.dtype)  # the reads, laid out as reach
     local = np.arange(chunk)[:, None]
     clock.mark()
     for lo in range(0, size, chunk):
         hi = lo + chunk
         _split_transform(grouped[:, tables.order[lo:hi]], block, n, bricked, superset=False)
         clock.lap("transform")
-        for first, end, width, entry, cls, slot in tables.runs:
+        for first, end, width, entry in tables.runs:
             step = max(1, (_READ_ROWS << n) // width)
             for a in range(max(first, lo), min(end, hi), step):
                 z = min(a + step, end, hi)
-                at = entry + (a - first) * width
+                at, to = entry + (a - first) * width, entry + (z - first) * width
                 # row j of the chunk reads block[reach, j]; the flat indices
                 # lie below 2^n * chunk, so "clip" never clips
-                idx = np.multiply(tables.reach[at:at + (z - a) * width].reshape(-1, width),
-                                  chunk, dtype=np.intp)
+                idx = np.multiply(tables.reach[at:to].reshape(-1, width), chunk, dtype=np.intp)
                 idx += local[a - lo:z - lo]
-                read = np.take(flat, idx, mode="clip")
-                # the classes that meet rows a..z - 1, and their slots
-                i, j = bisect_right(starts, a) - 1, bisect_left(starts, z)
-                part = maxima[slot + (i - cls) * width:slot + (j - cls) * width]
-                cuts = [a] + starts[i + 1:j] + [z]
-                for into, b, e in zip(part.reshape(-1, width), cuts, cuts[1:]):
-                    np.maximum(into, read[b - a:e - a].max(axis=0), out=into)
+                np.take(flat, idx, out=read[at:to].reshape(-1, width), mode="clip")
         clock.lap("read")
+    # each class's slot ∅ and blocked slot take reads of all its rows, and
+    # the transform lifts every other slot to at least slot ∅: the dead
+    # fill is no bias
+    maxima = np.full(tables.total, _DEAD, dtype=grouped.dtype)
+    np.maximum.at(maxima, tables.scatter, read)
+    for at, count, bits in tables.spans:
+        span = maxima[at:at + count * ((1 << bits) + 1)].reshape(count, -1)
+        _subset_max_inplace(span[:, :1 << bits].T, bits)
+    clock.lap("read")
     # _RULE_BLOCK slot indices at a time; "clip" spares take a buffered
     # copy of out
     step = max(1, _RULE_BLOCK >> n)
@@ -940,10 +980,10 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     through the subset-maximum transform (_split_transform) to m + 1.  The maximum groups its score
     array after each advance over the two halves of a row (_split_group);
     the minimum advances grouped maxima into grouped maxima (_pair_advance),
-    its rows in the order of its class tables (_reach_tables), and never
+    its rows in the order of its reach tables (_reach_tables), and never
     holds a score per pair.  No array maps a row to its class: the plan
-    groups the maximum's rows, the minimum's tables list its rows class by
-    class, and the witness scan takes triple masks of the rows it reads.
+    groups the maximum's rows, the minimum's tables list its rows by |D_c|
+    and class, and the witness scan takes triple masks of the rows it reads.
 
     Each row's grouped maxima are shifted to a maximum of 0 (_normalize),
     the shift carried as a Python int.  The sweep is invariant under adding
@@ -1100,10 +1140,19 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
     return solve(req)
 
 
-def _axis_rows(j, n: int):
-    """The rows at indices j of a brute_force axis: index j holds the row
-    whose bit reversal is full - j."""
-    return bit_reverse(full_mask(n) ^ j, n)
+def _axis_rows(n: int, count: int) -> np.ndarray:
+    """The first count (a power of two) rows of a brute_force axis
+    (uint32): index j holds the row whose bit reversal is full - j.
+
+    Built by doubling: row j + 2^b is row j with bit n - 1 - b flipped, for
+    j below 2^b.  For the same reason row lo + j, for lo a multiple of
+    count, is row j xor rev(lo).
+    """
+    rows = np.empty(count, dtype=np.uint32)
+    rows[0] = full_mask(n)
+    for b in range(count.bit_length() - 1):
+        np.bitwise_xor(rows[:1 << b], np.uint32(1 << (n - 1 - b)), out=rows[1 << b:2 << b])
+    return rows
 
 
 def _window_ok(n: int, bricked: bool, minimize: bool, north: bool, south: bool) -> np.ndarray:
@@ -1114,15 +1163,17 @@ def _window_ok(n: int, bricked: bool, minimize: bool, north: bool, south: bool) 
     missing neighbour is the virtual row, empty to the north and the
     border's row to the south.  No house of the row may be blocked by the
     row below; for the minimum, every empty lot of the row must be covered.
-    Evaluated _RULE_BLOCK entries at a time along the first axis.
+    Evaluated _RULE_BLOCK entries at a time along the first axis, on axis
+    rows built once (_axis_rows): every row of the axes after the first,
+    and the first block's rows, which give each block's.
     """
     size = 1 << n
     k = 1 + north + south
     out = np.empty((size,) * k, dtype=bool)
-    rows = _axis_rows(np.arange(size, dtype=np.uint32), n) if k > 1 else None
     step = max(1, _RULE_BLOCK >> (n * (k - 1)))
+    rows = _axis_rows(n, size if k > 1 else min(size, step))
     for lo in range(0, size, step):
-        head = _axis_rows(np.arange(lo, min(lo + step, size), dtype=np.uint32), n)
+        head = rows[:step] ^ np.uint32(bit_reverse(lo, n))
         axes = [a.reshape((-1,) + (1,) * (k - 1 - i))
                 for i, a in enumerate([head] + [rows] * (k - 1))]
         u = axes.pop(0) if north else np.uint32(0)
@@ -1208,7 +1259,7 @@ def brute_force(req: SolveRequest) -> SolveResult:
     if score[best] == 0:
         raise SettleError(f"no feasible configuration found for {m}x{n} (internal error)")
     config = Configuration(req.dims, tuple(
-        _axis_rows(int(j), n) for j in np.unravel_index(best, (1 << n,) * m)))
+        bit_reverse(full_mask(n) ^ int(j), n) for j in np.unravel_index(best, (1 << n,) * m)))
     return SolveResult(
         req.dims, req.objective, config.occupancy(),
         config if req.want_witness else None,

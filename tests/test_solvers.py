@@ -593,9 +593,10 @@ class TestStateBytes:
         (Objective.MIN_MAXIMAL, 3, 10),
         (Objective.MIN_MAXIMAL, 50, 8),
         (Objective.MIN_MAXIMAL, 5, 12),
-        # past the default pair cap, where the class tables (23 MiB free,
-        # 64 MiB bricked) outweigh the state
+        # past the default pair cap, where the reach tables (8.5 MiB free,
+        # 16 MiB bricked) outweigh the state
         (Objective.MIN_MAXIMAL, 3, 13),
+        (Objective.MIN_MAXIMAL, 2, 14),
     ])
     @pytest.mark.parametrize("witness", [False, True])
     def test_traced_peak_within_estimate(self, objective, m, n, boundary, witness):
@@ -674,11 +675,11 @@ class TestStateBytes:
                 _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True, bricked)
 
     def test_wide_pair_solve_is_refused_by_its_estimate(self):
-        # a raised pair cap leaves the byte cap to refuse the class tables
-        # (at 16 columns, the widest a pair solve admits; 1.8 GiB on the
-        # free border, under the default cap, so the cap is set at 1 GiB),
+        # a raised pair cap leaves the byte cap to refuse the reach tables
+        # (at 16 columns, the widest a pair solve admits; 0.72 GiB on the
+        # free border, under the default cap, so the cap is set at 512 MiB),
         # and the estimate itself allocates nothing of the width's size
-        limits = Limits(max_cols=40, max_cols_pairs=40, max_state_bytes=1 << 30)
+        limits = Limits(max_cols=40, max_cols_pairs=40, max_state_bytes=1 << 29)
         tracemalloc.start()
         try:
             with pytest.raises(LimitError, match="estimated state space"):
@@ -785,24 +786,65 @@ class TestPairRule:
             assert np.array_equal((reach == 0) & (c != 0), blocked), n
 
     @pytest.mark.parametrize("bricked", [False, True])
+    def test_own_bits_read_every_pair(self, bricked):
+        # the two facts the advance's subset maximum over class slots rests
+        # on: for d that miss the key of c, reach(c, d) = reach(c, d ∩ D_c);
+        # and reach(c, s) ⊆ reach(c, s ∪ {k}) for s ∪ {k} ⊆ D_g
+        for n in range(1, 11):
+            own, seen = _reach_bits(n, bricked)
+            keys = _split_plan(n, bricked).keys
+            states = np.arange(1 << n, dtype=np.uint32)
+            key = triple_mask(states, n, bricked)
+            held = seen[np.searchsorted(keys, key)]
+            assert ((own & ~held) == 0).all() and ((held & key) == 0).all(), (n, bricked)
+            c, d = states[:, None], states[None, :]
+            reach = _reach(c, d, n, bricked)
+            miss = (key[:, None] & d) == 0
+            own_d = reach[c, d & own[:, None]]
+            assert np.array_equal(reach[miss], own_d[miss]), (n, bricked)
+            inside = (d & ~held[:, None]) == 0  # the s ⊆ D_g
+            for k in range(n):
+                bit = np.uint32(1 << k)
+                grown = inside & ((held[:, None] & bit) != 0) & ((d & bit) == 0)
+                more = reach[c, d | bit]
+                assert ((reach & ~more)[grown] == 0).all(), (n, bricked, k)
+
+    @pytest.mark.parametrize("bricked", [False, True])
     def test_class_tables_hold_reach_at_every_pair(self, bricked):
-        # the entry the advance reads for (c, d), in the table row of c at
-        # the slot of d in the class of c, is reach(c, d): blocked pairs too
+        # the entry a row c reads at its own slot of d (d ∩ D_c, its bit i
+        # the i-th bit of D_c, or the blocked slot where d meets the key)
+        # is reach(c, d), blocked pairs included; scatter sends it to the
+        # class slot of d ∩ D_c, or to the class's blocked slot
         for n in range(1, 11):
             tables = _reach_tables(n, bricked)
+            own, _ = _reach_bits(n, bricked)
             keys = _split_plan(n, bricked).keys
             states = np.arange(1 << n, dtype=np.uint32)
             assert np.array_equal(np.sort(tables.order), states), (n, bricked)
-            # the runs follow one another over every row
+            # the runs follow one another over every row and entry
             firsts = [run[0] for run in tables.runs]
             assert firsts[0] == 0 and [run[1] for run in tables.runs] == firsts[1:] + [1 << n]
-            for first, end, width, entry, _, _ in tables.runs:
+            assert tables.runs[0][3] == 0
+            for (first, end, width, entry), nxt in zip(tables.runs, tables.runs[1:]):
+                assert nxt[3] == entry + (end - first) * width, (n, bricked)
+            for first, end, width, entry in tables.runs:
                 c = tables.order[first:end].astype(np.uint32)
-                table = tables.reach[entry:entry + (end - first) * width].reshape(-1, width)
-                slots = tables.slots[np.searchsorted(keys, triple_mask(c, n, bricked))]
-                got = np.take_along_axis(table, slots.astype(np.intp), axis=1)
+                cls = np.searchsorted(keys, triple_mask(c, n, bricked))
+                assert ((1 << np.bitwise_count(own[c]).astype(int)) + 1 == width).all()
+                blocked = (triple_mask(c, n, bricked)[:, None] & states) != 0
+                slot = np.zeros((len(c), 1 << n), dtype=np.intp)
+                for k in range(n):
+                    # bit k of d adds 2^i where it is the i-th bit of D_c
+                    below = np.bitwise_count(own[c] & ((1 << k) - 1)).astype(np.intp)
+                    has = ((own[c] >> k) & 1).astype(bool)[:, None] & ((states >> k) & 1 == 1)
+                    slot += np.where(has, 1 << below[:, None], 0)
+                slot[blocked] = width - 1
+                at = entry + np.arange(len(c))[:, None] * width + slot
                 want = _reach(c[:, None], states[None, :], n, bricked)
-                assert np.array_equal(got, want), (n, bricked, width)
+                assert np.array_equal(tables.reach[at], want), (n, bricked, width)
+                part = np.where(blocked, states, states & own[c][:, None])
+                place = tables.offset[cls][:, None] + tables.slots[cls[:, None], part]
+                assert np.array_equal(tables.scatter[at], place), (n, bricked, width)
 
 
 class TestPairAdvance:
@@ -834,17 +876,16 @@ class TestPairAdvance:
             monkeypatch.setattr("settle.solvers._CHUNK", chunk)
             monkeypatch.setattr("settle.solvers._READ_ROWS", chunk // 4)
         rng = np.random.default_rng(9)
-        for n in range(1, 9):
+        for n in range(1, 11):
             groups = len(_split_plan(n, bricked).keys)
             gain = n - np.bitwise_count(np.arange(1 << n)).astype(np.int8)
-            for _ in range(3):
+            # one input at 9 and 10, where most (class, D_c) pairs appear
+            for _ in range(3 if n < 9 else 1):
                 grouped = rng.integers(-2 * n, 1, (groups, 1 << n)).astype(np.int8)
                 grouped[rng.random(grouped.shape) < 0.3] = _DEAD
                 got = _pair_advance(grouped, n, bricked, gain)
-                want = self.reference(grouped, n, bricked, gain)
-                live = want >= _DEAD // 2
-                assert np.array_equal(got[live], want[live]), (n, bricked)
-                assert (got[~live] < _DEAD // 2).all(), (n, bricked)
+                # dead entries included
+                assert np.array_equal(got, self.reference(grouped, n, bricked, gain)), (n, bricked)
 
 
 class TestSubsetMax:
