@@ -109,7 +109,10 @@ class Limits:
     max_state_bytes caps the estimated bytes a solve or brute_force
     allocates, the cached per-width tables included: the allocations
     tracemalloc sees, not the process's RSS, to which the interpreter and
-    the imports add about 30 MiB.
+    the imports add about 30 MiB.  A solve checks its estimate without a
+    witness before it sweeps, then each layer a witness keeps beyond it
+    and each backward scan as the sweep reaches them, so the cap bounds
+    every allocation on the way, not only the total at the end.
     """
 
     max_cols: int = 24
@@ -155,9 +158,11 @@ class SolveResult:
     "transient", every row count m >= transient follows with
     optimum(m + period) = optimum(m) + "slope".  The three are None when
     the sweep closed off m before finding a repeat.  "state_bytes" is the
-    estimate of allocated bytes the solve was checked against
-    (_need_bytes), "wall_s" the elapsed time, and "phases" the seconds
-    spent in each of _PHASES, which sum to at most wall_s.
+    charged peak of allocated bytes the solve was checked against: the
+    estimate without a witness (_need_bytes) and, with one, the layers
+    the sweep kept beyond it and the scan's pick (_sweep).  "wall_s" is
+    the elapsed time, and "phases" the seconds spent in each of _PHASES,
+    which sum to at most wall_s.
     """
 
     dims: Dims
@@ -196,25 +201,20 @@ _PLAN_COLS = 28
 _PHASES = ("group", "transform", "read", "close", "scan")
 
 
-def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricked: bool,
-                kept: int | None = None) -> int:
-    """Upper bound on the bytes one solve allocates, with cold table caches.
+def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
+    """Upper bound on the bytes one solve without a witness allocates, with
+    cold table caches.
 
     Counts the arrays alive at the DP's peak: the cached tables, the working
-    arrays of one row, the score layers a witness keeps, and the masks of
-    the backward scan.  A witness keeps a layer a row until the sweep's
-    cycle: kept rows once the cycle is known (_sweep), else m.
+    arrays of one row, and the states the sweep holds, one for the maximum
+    and the ring's for the minimum.  A witness's kept layers past those and
+    its backward scan are charged by the sweep as it goes (_sweep).
     """
     size = 1 << n
-    # a _pick over one block, if every state there is a candidate: the
-    # compare mask and the indices (intp), then their uint32 copy and the
-    # uint32 stages of its triple mask, fit and rev; the rows' Python objects
-    pick = _SCAN_BLOCK * 32 + m * 256 if want_witness else 0  # 168 bytes a row measured
     if objective is Objective.MIN_MAXIMAL and m == 1:
         # _row_rule reads _houses alone: pc and the state (int8) a row; then
-        # one _RULE_BLOCK's rows, their reach and the uint32 stages of
-        # _reach, or the pick, which reads the state itself
-        return _FIXED_BYTES + 2 * size + max(min(size, _RULE_BLOCK) * 24, pick)
+        # one _RULE_BLOCK's rows, their reach and the uint32 stages of _reach
+        return _FIXED_BYTES + 2 * size + min(size, _RULE_BLOCK) * 24
     groups, plan, low, group = _split_bytes(n, bricked)
     # _houses: pc (int8) a state, built in place; and the split plan, which
     # holds the classes and whose build adds at most 56 bytes a class (54
@@ -226,15 +226,12 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
         # with; at a close-off, the uint32 fit test, its mask and the masked
         # maxima
         per_group = _RING + 7
-        # the state, transformed in place (row 1's is the cached pc); a
-        # witness keeps every kept row's state, a new array from row 2 on
-        states = max((kept or m) - 1, 1) if want_witness else 1
-        return need + max(build, size * states + groups * per_group + max(pick, low, group))
+        # the state, transformed in place (row 1's is the cached pc)
+        return need + max(build, size + groups * per_group + max(low, group))
     # The minimum's state is its grouped maxima, one (groups, 2^n) array a
-    # row.  A witness keeps every kept row's (the layers, shared with the
-    # ring); otherwise the ring holds _RING + 1.
+    # row, of which the ring holds _RING + 1.
     grouped = groups * size
-    held = (kept or m) if want_witness else min(m, _RING + 1)
+    held = min(m, _RING + 1)
     chunk = min(_CHUNK, size)
     tables, made, entries, slots = _reach_bytes(n, bricked)
     # a row advance: the next maxima, the block and the rows' reads, one
@@ -253,7 +250,7 @@ def _need_bytes(objective: Objective, m: int, n: int, want_witness: bool, bricke
     # keeps the close-off maxima of the rows it repeats.  The rule keeps
     # the column at d_v (uint32).
     read = size * 24 + groups * size * (2 + 1 + 1) + size * _RING
-    return (need + pick + tables + size * 4
+    return (need + tables + size * 4
             + max(build, made, held * grouped + max(advance, read)))
 
 
@@ -334,7 +331,7 @@ def _brute_bytes(objective: Objective, m: int, n: int) -> int:
     return _FIXED_BYTES + max(rules, 2 * configs)
 
 
-def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: Limits) -> int:
+def _check_limits(objective: Objective, dims: Dims, limits: Limits) -> int:
     """Raise LimitError when a solve would pass a column or byte cap.
 
     Past 16 columns for a pair solve, and past 32 for every solve, no
@@ -343,9 +340,9 @@ def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: 
     reads, and _split_plan's rows, bit_reverse and the int8 scores' band
     (_DEAD) hold 32 columns.  Both are checked before any table is built.
 
-    Returns the byte estimate the solve was checked against.  A witness
-    solve it refuses is estimated again from the m0 + p rows its sweep
-    keeps, the cycle found by a sweep without a witness.
+    Returns the byte estimate of the solve without a witness (_need_bytes),
+    checked against the cap; what a witness keeps beyond it, the sweep
+    charges as it keeps it.
     """
     m, n, bricked = dims.rows, dims.cols, dims.boundary is Boundary.BRICKED
     pairs = objective is Objective.MIN_MAXIMAL and m > 1
@@ -355,12 +352,7 @@ def _check_limits(objective: Objective, dims: Dims, want_witness: bool, limits: 
         raise LimitError(f"cols {n} over the configured {what} {cap}")
     if n > limit:
         raise LimitError(f"cols {n} over the hard limit {limit}, which no {what} lifts")
-    need = _need_bytes(objective, m, n, want_witness, bricked)
-    if want_witness and m > 1 and need > limits.max_state_bytes:
-        cycle = next(_sweep(objective, n, dims.boundary, [m], False, limits)).stats
-        if cycle["transient"] is not None:
-            need = _need_bytes(objective, m, n, True, bricked, cycle["transient"] + cycle["period"])
-    return _check_bytes(need, limits)
+    return _check_bytes(_need_bytes(objective, m, n, bricked), limits)
 
 
 def _check_bytes(need: int, limits: Limits) -> int:
@@ -996,12 +988,18 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     south row up, reusing the kept rows past m0 periodically.  Ties break
     toward the largest rev of each row, the last row first.  Every result's
     stats carry the seconds spent so far per phase (_PHASES).
+
+    The byte cap is checked against the estimate without a witness
+    (_check_limits) before the first row.  A witness charges each layer it
+    keeps past those the estimate holds, sized like the last one, before
+    the advance makes it, and each scan's pick as the scan starts, for that
+    scan alone: a result's "state_bytes" is the peak charged so far.
     """
     maximize = objective is Objective.MAX_PERMISSIBLE
     bricked = boundary is Boundary.BRICKED
     top = rows[-1]
     t0 = time.perf_counter()
-    need = _check_limits(objective, Dims(top, n, boundary), want_witness, limits)
+    charged = _check_limits(objective, Dims(top, n, boundary), limits)
     clock = _Clock()
     d_v = full_mask(n) if bricked else 0  # the virtual south row
     # the DP's states are the rows, or, past one row, the minimum's pairs (u, c)
@@ -1018,6 +1016,9 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         return score if maximize else count * n - score
 
     layers: list[np.ndarray] = []  # with a witness, the state after each row
+    # the layers the estimate holds: the cached pc and one state for the
+    # maximum, the ring's maxima for the minimum
+    held = 2 if maximize else _RING + 1
     shifts = [0]  # true scores after row k are the shifted ones + shifts[k]
     ring: dict[int, np.ndarray] = {}  # the last rows' shifted maxima
     closed: dict[int, np.ndarray] = {}  # their close-offs, until the next advance
@@ -1043,8 +1044,13 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             raise SettleError(f"no maximal configuration found for {m}x{n} (internal error)")
         score = best + shifts[row] + shift
         dims = Dims(m, n, boundary)
-        witness = None
+        witness, peak = None, charged
         if want_witness:
+            # a _pick over one block, if every state there is a candidate:
+            # the compare mask and the indices (intp), then their uint32
+            # copy and the uint32 stages of its triple mask, fit and rev;
+            # the rows' Python objects, 168 bytes a row measured
+            peak = _check_bytes(charged + _SCAN_BLOCK * 32 + m * 256, limits)
             # Walking north from the virtual south row, a kept state's best
             # score over the rows u that fit the rows below it (rule.scan)
             # is the target, and the state kept a row earlier scores the
@@ -1071,7 +1077,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
             {
                 "states": advanced * states,
                 "transitions": (advanced - 1) * n * states,
-                "state_bytes": need,
+                "state_bytes": peak,
                 "transient": m0,
                 "period": p,
                 "slope": None if d is None else houses(d, p),
@@ -1086,6 +1092,9 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     state = grouped = None
     for m in range(1, top + 1):
         closed.clear()
+        if want_witness and len(layers) >= held:
+            # one more layer, sized like the last, before the advance makes it
+            charged = _check_bytes(charged + layers[-1].nbytes, limits)
         clock.mark()
         state, grouped = rule.advance(grouped, state, clock)
         if want_witness:

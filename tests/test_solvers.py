@@ -20,6 +20,8 @@ from settle.solvers import (
     SolveRequest,
     _DEAD,
     _PHASES,
+    _RING,
+    _SCAN_BLOCK,
     _brute_bytes,
     _check_limits,
     _houses,
@@ -458,15 +460,15 @@ class TestPeriodicSweep:
             if m >= m0 and m + p in optimum:
                 assert optimum[m + p] == res.optimum + d
 
-    # the minimum's cycle (m0, p, d) at n = 2..13: on the free border it
+    # the minimum's cycle (m0, p, d) at n = 2..14: on the free border it
     # proves I = i_lower_bound at every m; the bricked one has no formula.
-    # Width 13 lies past the default pair cap, and certifies the int8 band
-    # there.
+    # Widths 13 and 14 lie past the default pair cap, and certify the int8
+    # band there.
     MIN_CYCLES = {
-        Boundary.FREE: ([1, 3, 3, 3, 3, 4, 5, 4, 5, 5, 5, 5], [1] * 12,
-                        [2, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 7]),
-        Boundary.BRICKED: ([3, 3, 3, 3, 5, 3, 5, 5, 6, 5, 6, 5], [1, 3] * 6,
-                           [1, 4, 2, 7, 3, 10, 4, 13, 5, 16, 6, 19]),
+        Boundary.FREE: ([1, 3, 3, 3, 3, 4, 5, 4, 5, 5, 5, 5, 5], [1] * 13,
+                        [2, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 7, 8]),
+        Boundary.BRICKED: ([3, 3, 3, 3, 5, 3, 5, 5, 6, 5, 6, 5, 6], [1, 3] * 6 + [1],
+                           [1, 4, 2, 7, 3, 10, 4, 13, 5, 16, 6, 19, 7]),
     }
 
     def test_long_strips(self):
@@ -481,10 +483,10 @@ class TestPeriodicSweep:
             assert res.stats["states"] <= 12 * 8
         for boundary, want in self.MIN_CYCLES.items():
             got = []
-            for n in range(2, 14):
+            for n in range(2, 15):
                 counts = rows if boundary is Boundary.FREE else rows[:20]
                 for res in _sweep(Objective.MIN_MAXIMAL, n, boundary, counts, False,
-                                  Limits(max_cols_pairs=13)):
+                                  Limits(max_cols_pairs=14)):
                     assert res.stats["states"] <= 12 * 4**n
                     if boundary is Boundary.FREE:
                         assert res.optimum == i_lower_bound(res.dims.rows, n), res.dims
@@ -586,6 +588,7 @@ class TestStateBytes:
         (Objective.MAX_PERMISSIBLE, 8, 22),
         (Objective.MAX_PERMISSIBLE, 20, 12),
         (Objective.MAX_PERMISSIBLE, 200, 12),
+        (Objective.MAX_PERMISSIBLE, 40, 20),
         (Objective.MIN_MAXIMAL, 1, 18),
         (Objective.MIN_MAXIMAL, 1, 22),
         (Objective.MIN_MAXIMAL, 3, 3),
@@ -593,6 +596,7 @@ class TestStateBytes:
         (Objective.MIN_MAXIMAL, 3, 10),
         (Objective.MIN_MAXIMAL, 50, 8),
         (Objective.MIN_MAXIMAL, 5, 12),
+        (Objective.MIN_MAXIMAL, 30, 12),
         # past the default pair cap, where the reach tables (8.5 MiB free,
         # 16 MiB bricked) outweigh the state
         (Objective.MIN_MAXIMAL, 3, 13),
@@ -613,8 +617,26 @@ class TestStateBytes:
         finally:
             tracemalloc.stop()
         bricked = boundary is Boundary.BRICKED
-        assert res.stats["state_bytes"] == _need_bytes(objective, m, n, witness, bricked)
+        charges = self.charges(res, bricked) if witness else 0
+        assert res.stats["state_bytes"] == _need_bytes(objective, m, n, bricked) + charges
         assert peak <= res.stats["state_bytes"]
+        if witness and peak >= 4 << 20:
+            # the charged layers are the ones the sweep keeps, m0 + p of them
+            assert res.stats["state_bytes"] <= 1.5 * peak
+
+    @staticmethod
+    def charges(res, bricked):
+        """What a witness solve charges beyond _need_bytes: each layer it
+        keeps past the ones the estimate holds (the cached pc and one state
+        for the maximum, the ring's _RING + 1 maxima for the minimum), and
+        its scan's pick."""
+        m, n = res.dims.rows, res.dims.cols
+        if res.objective is Objective.MAX_PERMISSIBLE or m == 1:
+            layer, held, states = 1 << n, 2, 1 << n
+        else:
+            layer, held, states = len(_split_plan(n, bricked).keys) << n, _RING + 1, 4**n
+        kept = res.stats["states"] // states
+        return max(kept - held, 0) * layer + _SCAN_BLOCK * 32 + m * 256
 
     @pytest.mark.parametrize("witness", [False, True])
     def test_single_row_min_builds_no_split_plan(self, witness):
@@ -630,49 +652,64 @@ class TestStateBytes:
         finally:
             tracemalloc.stop()
         assert _split_plan.cache_info().currsize == 0
-        assert res.stats["state_bytes"] == \
-            _need_bytes(Objective.MIN_MAXIMAL, 1, 24, witness, True)
+        charges = self.charges(res, True) if witness else 0
+        assert res.stats["state_bytes"] == _need_bytes(Objective.MIN_MAXIMAL, 1, 24, True) + charges
         assert peak <= res.stats["state_bytes"]
-
-    def test_long_max_witness_fits_the_default_cap(self):
-        # the estimate counts m - 1 score layers, at one byte each, before
-        # the sweep's cycle is known
-        assert _need_bytes(Objective.MAX_PERMISSIBLE, 100, 24, True, True) <= \
-            Limits().max_state_bytes
 
     @pytest.mark.parametrize("boundary", list(Boundary))
-    def test_witness_is_estimated_again_from_the_kept_rows(self, boundary):
-        # a cap between the estimates from m - 1 and from the m0 + p rows
-        # the witness keeps: the solve is admitted on the second
+    def test_a_cap_at_the_charged_peak_admits_one_sweep(self, boundary, monkeypatch):
+        # the sweep charges the layers its witness keeps, m0 + p of the m
+        # rows, as it keeps them: no second sweep finds the cycle first
         m, n = 60, 12
-        bricked = boundary is Boundary.BRICKED
-        cycle = solve(SolveRequest.maximum(m, n, boundary, want_witness=False)).stats
-        kept = cycle["transient"] + cycle["period"]
-        low = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, True, bricked, kept)
-        high = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, True, bricked)
-        assert low < high
-        limits = Limits(max_state_bytes=(low + high) // 2)
-        _split_plan.cache_clear()
-        _houses.cache_clear()
-        tracemalloc.start()
-        try:
-            res = solve(SolveRequest.maximum(m, n, boundary, limits=limits))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = solve(SolveRequest.maximum(m, n, boundary)).stats["state_bytes"]
+        sweeps = []
+
+        def counted(*args):
+            sweeps.append(args)
+            return _sweep(*args)
+
+        monkeypatch.setattr("settle.solvers._sweep", counted)
+        res = solve(SolveRequest.maximum(m, n, boundary, limits=Limits(max_state_bytes=peak)))
+        assert len(sweeps) == 1
         assert res.witness == max_result(m, n, boundary).witness
-        assert res.stats["state_bytes"] == low
-        assert peak <= res.stats["state_bytes"]
-        with pytest.raises(LimitError, match="estimated state space"):
-            solve(SolveRequest.maximum(m, n, boundary, limits=Limits(max_state_bytes=low - 1)))
+        assert res.stats["state_bytes"] == peak
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_a_cap_below_the_charged_peak_refuses_the_witness(self, boundary):
+        # refused at the charge that passes the cap, before its allocation:
+        # one byte under the charged peak, the scan's pick; two layers past
+        # the estimate, a layer in mid-sweep (seven or eight layers of 1 MiB
+        # kept)
+        m, n = 40, 20
+        need = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, boundary is Boundary.BRICKED)
+        peak = solve(SolveRequest.maximum(m, n, boundary)).stats["state_bytes"]
+        for cap in (peak - 1, need + (2 << n) - 1):
+            _split_plan.cache_clear()
+            _houses.cache_clear()
+            tracemalloc.start()
+            try:
+                with pytest.raises(LimitError, match="estimated state space"):
+                    solve(SolveRequest.maximum(m, n, boundary,
+                                               limits=Limits(max_state_bytes=cap)))
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert traced <= cap
+
+    def test_estimate_before_the_sweep_does_not_grow_with_the_rows(self):
+        # a witness's layers are charged as the sweep keeps them, so the
+        # estimate checked first counts no layer a row
+        dims = [Dims(m, 24) for m in (2, 10**6)]
+        first, last = (_check_limits(Objective.MAX_PERMISSIBLE, d, Limits()) for d in dims)
+        assert first == last
 
     def test_pair_state_holds_no_pair_array(self):
         # the minimum's state is one score per (class, row), so its estimate
         # at the pair cap is a fraction of one int8 score per row pair
-        for bricked in (False, True):
-            assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True, bricked) <= 128 << 20
-            assert _need_bytes(Objective.MIN_MAXIMAL, 12, 12, False, bricked) < \
-                _need_bytes(Objective.MIN_MAXIMAL, 12, 12, True, bricked)
+        for boundary in Boundary:
+            need = _need_bytes(Objective.MIN_MAXIMAL, 12, 12, boundary is Boundary.BRICKED)
+            charged = solve(SolveRequest.minimum(12, 12, boundary)).stats["state_bytes"]
+            assert need < charged <= 128 << 20
 
     def test_wide_pair_solve_is_refused_by_its_estimate(self):
         # a raised pair cap leaves the byte cap to refuse the reach tables
@@ -700,18 +737,19 @@ class TestStateBytes:
         for boundary in Boundary:
             _split_plan.cache_clear()
             with pytest.raises(LimitError, match="hard limit"):
-                _check_limits(objective, Dims(m, n, boundary), False, limits)
+                _check_limits(objective, Dims(m, n, boundary), limits)
             assert _split_plan.cache_info().currsize == 0
         # the widest admitted grids are estimated, not refused
-        assert _check_limits(objective, Dims(m, n - 1), False, limits) > 0
+        assert _check_limits(objective, Dims(m, n - 1), limits) > 0
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_single_row_min_counts_the_pick_only_with_a_witness(self, bricked):
         # the pick reads the kept state itself: a witness adds its block
         # of candidates, not a 2^n score copy
+        boundary = Boundary.BRICKED if bricked else Boundary.FREE
         for n in (22, 24):
-            with_pick = _need_bytes(Objective.MIN_MAXIMAL, 1, n, True, bricked)
-            without = _need_bytes(Objective.MIN_MAXIMAL, 1, n, False, bricked)
+            with_pick, without = (solve(SolveRequest.minimum(1, n, boundary, want_witness=w))
+                                  .stats["state_bytes"] for w in (True, False))
             assert 0 < with_pick - without < 1 << n, (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
