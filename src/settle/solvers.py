@@ -54,13 +54,13 @@ is 0; the shift is carried as a Python int.  So every rule's scores fit
 in int8, because each lies within 2n of its row's best: the maximum's
 since the empty row fits under every row, the minimum's as measured (at
 most n + 1 up to n = 14), and _normalize checks it on every row.  A
-witness is not tracked forward: the sweep keeps each row's state, and a
-backward scan rebuilds the rows from the south border up, each the
+witness is not tracked forward: the sweep keeps a layer of each row,
+and a backward scan rebuilds the rows from the south border up, each the
 argmax of the key (score << n) | rev(row) over the rows that fit the
-rows below it.  It reads each row's candidates from that row's own
-state, in one loop for both objectives: the maximum's scores as they
-are, the minimum's class maxima at the row below, as its close-off reads
-the last row's at the south border.
+rows below it, in one loop for both objectives (the rule's scan).  The
+maximum keeps two small arrays of its split advance, not the row's 2^n
+scores; the minimum keeps its class maxima and reads them at the row
+below, as its close-off reads the last row's at the south border.
 
 The state after row k does not depend on the final row count, so one sweep
 to the largest m closes off every requested row count on the way: solve
@@ -113,6 +113,7 @@ class Limits:
     witness before it sweeps, then each layer a witness keeps beyond it
     and each backward scan as the sweep reaches them, so the cap bounds
     every allocation on the way, not only the total at the end.
+    max_wall_s is checked after each row advance and each row of the scan.
     """
 
     max_cols: int = 24
@@ -184,7 +185,7 @@ _FIXED_BYTES = 1 << 20
 # stays below the live ones.
 _DEAD = -128  # the score of an unreachable state
 _RING = 4  # how many rows back a row's shifted maxima are looked for
-_SCAN_BLOCK = 1 << 16  # the states the witness scan lists candidates from at a time
+_SCAN_BLOCK = 1 << 16  # the entries the witness scan tests at a time (_pick, _max_rule)
 _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
 # The pair advance transforms _CHUNK current rows at a time: a (2^n, _CHUNK)
 # int8 block, 1 MiB at n = 12, which stays in cache through the transform.
@@ -298,17 +299,20 @@ def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int]:
     if n > _PLAN_COLS:
         size, rows = 1 << n, 1 << (n - h)
         # keys (uint32) and at (intp) a class, cls (uint32) a pair; the row
-        # order, run views and hv a row; both sides' cols and starts a column
-        return size, size * 16 + rows * (8 + 128 + 8) + (1 << h) * 32, size, 3 * size
-    keys, hv, at, runs, split, sides = _split_plan(n, bricked)
-    plan = (keys.nbytes + hv.nbytes + at.nbytes + len(runs) * 128 + sum(map(len, runs)) * 8
+        # order, run views, hv, run_keys, hi_desc and run_desc a row; both
+        # sides' cols and starts, col_keys and lo_desc a column
+        return size, size * 16 + rows * (8 + 128 + 8 + 24) + (1 << h) * 48, size, 3 * size
+    plan = _split_plan(n, bricked)
+    runs, sides = plan.runs, plan.sides
+    held = (sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
+            + len(runs) * 128 + sum(map(len, runs)) * 8
             + sum(cols.nbytes + starts.nbytes + cls.nbytes for cols, starts, cls in sides))
     # _split_group: a row a run, then the rows of a run it gathers and
     # their maximum, or a side's gathered columns and their runs' maxima
     part = len(runs) << h
     run = (min(max(map(len, runs)), _RUN_ROWS) + 1) << h
     side = max((len(cls[0]) << h) + cls.size for _, _, cls in sides)
-    return len(keys), plan, len(hv) << h, part + max(run, side)
+    return len(plan.keys), held, len(plan.hv) << h, part + max(run, side)
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -381,15 +385,22 @@ def _validate_witness(result: SolveResult):
 
 
 class _SplitPlan(NamedTuple):
-    """The classes of one width, and how the maximum's row advance reaches
-    them over the two halves of a row (_split_plan)."""
+    """The classes of one width, and how the maximum's row advance and
+    witness scan reach them over the two halves of a row (_split_plan)."""
 
     keys: np.ndarray  # the classes: the triple masks that occur, ascending
-    hv: np.ndarray  # the distinct high halves of the complemented keys
+    hv: np.ndarray  # the distinct high halves of the complemented keys, ascending
     at: np.ndarray  # each class's flat index into a (2^h, len(hv)) array
     runs: list[np.ndarray]  # the rows, in runs; those with b = 0 first
     split: int  # the runs with b = 0
     sides: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (cols, starts, cls), b = 0, 1
+    # the scan's: the key of the class of (run, column) is
+    # (run_keys[run, t] << h) | col_keys[b, column]
+    run_keys: np.ndarray  # (runs, 2): each run's high half of its keys, given t = 0, 1
+    col_keys: np.ndarray  # (2, 2^h): each column's low half of its keys, given b = 0, 1
+    lo_desc: np.ndarray  # the columns by descending rev_h (intp)
+    hi_desc: np.ndarray  # the rows by descending rev_(n - h), in hv's dtype
+    run_desc: np.ndarray  # the run of each row of hi_desc (intp)
 
 
 @lru_cache(maxsize=8)
@@ -410,7 +421,9 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     run, row run of that b) pair.  Each pair holds states of one triple
     mask, and each state lies in one pair, so the pairs' masks are the
     classes.  hv and at place the complemented keys for _split_transform:
-    the row of a key's low half, the column of its high half.
+    the row of a key's low half, the column of its high half.  The rest
+    serves the witness scan (_max_rule); at h = 0, t is 0 and a run's two
+    high halves agree.
     """
     h, w = n // 2, n - n // 2
     top = (1 << h) >> 1  # bit h - 1; none when h = 0
@@ -424,9 +437,11 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     hi1, hi0 = hi1[first], hi0[first]
     lo = np.arange(1 << h, dtype=np.uint32)
     t = (lo & top) != 0
+    col_keys = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
+    col_keys &= (1 << h) - 1
     sides = []
     for b, part in ((0, slice(None, split)), (1, slice(split, None))):
-        lo_key = triple_mask(lo | (b << h), n, bricked) & ((1 << h) - 1)
+        lo_key = col_keys[b]
         cols, col_starts = _runs(lo_key * 2 + t)
         col = cols[col_starts][:, None]
         mask = (np.where(t[col], hi1[part], hi0[part]) << h) | lo_key[col]
@@ -442,7 +457,14 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     hv = high[_starts(high)]
     low = ((1 << h) - 1) - (keys & ((1 << h) - 1))
     at = low.astype(np.intp) * len(hv) + np.searchsorted(hv, high)
-    return _SplitPlan(keys, ((1 << w) - 1) - hv, at, np.split(order, starts[1:]), split, sides)
+    half = np.min_scalar_type((1 << w) - 1)
+    run_of = np.empty(1 << w, dtype=np.intp)
+    run_of[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=1 << w))
+    hi_desc = _axis_rows(w, 1 << w)
+    return _SplitPlan(keys, (((1 << w) - 1) - hv).astype(half), at, np.split(order, starts[1:]),
+                      split, sides, np.stack([hi0, hi1], axis=1), col_keys,
+                      _axis_rows(h, 1 << h).astype(np.intp), hi_desc.astype(half),
+                      run_of[hi_desc])
 
 
 def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -622,12 +644,13 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     return _ReachTables(order, runs, reach, scatter, spans, offset, slots, int(slot_at[-1]))
 
 
-def _split_group(state: np.ndarray, n: int, bricked: bool, grouped: np.ndarray):
+def _split_group(state: np.ndarray, n: int, bricked: bool, grouped: np.ndarray) -> np.ndarray:
     """grouped[g] := max(grouped[g], the maximum of state over class g).
 
     Over the two halves of a row (_split_plan): each run of rows is maxed
     into one row, each run of columns of those into one entry, and the
-    entries are maxed into their classes.
+    entries are maxed into their classes.  Returns the first step's
+    (runs, 2^h) maxima, part[run, column].
     """
     plan = _split_plan(n, bricked)
     rows = state.reshape(len(state) >> (n // 2), -1)
@@ -639,6 +662,7 @@ def _split_group(state: np.ndarray, n: int, bricked: bool, grouped: np.ndarray):
             np.maximum(part[r], rows[run[lo:lo + _RUN_ROWS]].max(axis=0), out=part[r])
     for block, (cols, starts, cls) in zip((part[:plan.split], part[plan.split:]), plan.sides):
         np.maximum.at(grouped, cls, np.maximum.reduceat(block.T[cols], starts, axis=0))
+    return part
 
 
 def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
@@ -656,7 +680,7 @@ def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
 
 
 def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool,
-                     superset: bool):
+                     superset: bool) -> np.ndarray:
     """The one subset-maximum transform of both DPs, along axis 0 of the
     classes' grouped maxima, with any trailing axes.
 
@@ -669,7 +693,7 @@ def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool,
     (2^h, len(hv)) array, one column per high half of a complemented key,
     which is scattered into the rows hv of z viewed as a (2^(n - h), 2^h)
     array; every other row is dead.  Then the high bits are transformed
-    over all of z.
+    over all of z.  Returns the transformed low array.
     """
     plan = _split_plan(n, bricked)
     h, tail = n // 2, grouped.shape[1:]
@@ -680,6 +704,7 @@ def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool,
     rows = z.reshape(-1, 1 << h, *tail)
     rows[plan.hv] = low.swapaxes(0, 1)
     _subset_max_inplace(rows, n - h, superset)
+    return low
 
 
 class _Clock:
@@ -784,14 +809,18 @@ class _Rule(NamedTuple):
     n less its houses (_houses), for the minimum.
     """
 
-    # (grouped, state, clock) -> (state, grouped): the next row's state and
-    # its grouped maxima, from the last row's; grouped None builds row 1
+    # (grouped, state, clock) -> (state, grouped, layer): the next row's
+    # state, its grouped maxima and what a witness keeps of it, from the
+    # last row's; grouped None builds row 1
     advance: Callable
     close: Callable  # grouped -> the maxima into the virtual south row
-    # (layer, below) -> (scores, fits): a kept state's scores of the rows u
-    # that may sit above the rows below, and whether u fits, by triple(u)
+    # (layer, below, target) -> the row u above the rows below that fits
+    # them and scores target in the kept layer, of largest rev(u), or -1
     scan: Callable
-    lag: int  # the state kept after row k carries the shift of row k - lag
+    lag: int  # the layer kept after row k carries the shift of row k - lag
+    layer: int  # the bytes of one kept layer
+    held: int  # the kept layers the estimate without a witness holds (_need_bytes)
+    pick: int  # the bytes one scan call allocates
 
 
 def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
@@ -800,36 +829,84 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
 
     A row r admits the rows u above it with triple(u) & r == 0: the advance
     scatters the grouped maxima at full - triple(u), takes superset maxima
-    and reads them at r (_split_transform).  A kept state holds the scores
-    after its row, shifted by the row before it.  keep: a witness keeps
-    every state, so each is a new array.
+    and reads them at r (_split_transform), in one state array that every
+    row overwrites.  keep: a witness keeps, of each row, not its 2^n
+    scores but the two small arrays the advance builds: the transformed
+    low array and part, the maxima of each run of high halves at each low
+    half (_split_group), shifted by the row before it.  Row 1's low array
+    is 0: the empty north row admits every row.
+
+    The scan picks in three exact steps.  The target is the best score of
+    the rows that fit the row r below, and the rows of one (run, low half)
+    pair share a class, so the rows that fit and score it lie in the pairs
+    where part is the target and key & r == 0.  rev(u) = rev_h(lo)·2^(n -
+    h) + rev(hi), so the largest rev_h(lo) of those pairs wins.  At that
+    low half a row hi scores its houses plus the best low entry at the
+    high halves hv ⊇ hi, the high half of the transform: the state's int8
+    score.  Its rows in those runs are scored by descending rev, step at a
+    time, and the first to score the target is the pick.
     """
-    keys, pc = _split_plan(n, bricked).keys, _houses(n)
+    plan, pc = _split_plan(n, bricked), _houses(n)
+    keys = plan.keys
+    h, w = n // 2, n - n // 2
+    top = (1 << h) >> 1  # the columns from top on have bit h - 1 set
+    step = max(1, _SCAN_BLOCK // len(plan.hv))  # the scan's rows a (row, high half) test
+    first = np.broadcast_to(np.int8(0), (1 << h, len(plan.hv)))
+    houses = pc.reshape(1 << w, 1 << h)
 
     def advance(grouped, state, clock):
         if grouped is None:
-            state = pc  # row 1 scores its houses
+            state, low = pc, first  # row 1 scores its houses
         else:
             # the last state is grouped already, so the transform may
-            # overwrite it, unless it is the cached pc or a witness keeps it
-            if keep or state is pc:
+            # overwrite it, unless it is the cached pc
+            if state is pc:
                 state = np.empty_like(pc)
-            _split_transform(grouped, state, n, bricked, superset=True)
+            low = _split_transform(grouped, state, n, bricked, superset=True)
             clock.lap("transform")
             state += pc
             clock.lap("read")
         grouped = np.full(len(keys), _DEAD, dtype=np.int8)
-        _split_group(state, n, bricked, grouped)
-        return state, grouped
+        part = _split_group(state, n, bricked, grouped)
+        return state, grouped, (low, part) if keep else None
 
-    def scan(layer, below):
-        # u fits the row r below it when triple(u) ⊆ ~r
+    def scan(layer, below, target):
+        low, part = layer
         r = below[-1]
-        return layer, lambda t: (t & r) == 0
+        # the (run, low half) pairs that hold a fitting row of the target;
+        # a class's key is (run_keys[run, t] << h) | col_keys[b, lo], with
+        # t the low half's bit h - 1 and b the run's bit h (runs from split)
+        hit = part == target
+        high = (plan.run_keys & (r >> h)) == 0
+        hit[:, :top] &= high[:, :1]
+        hit[:, top:] &= high[:, 1:]
+        low_fits = (plan.col_keys & (r & ((1 << h) - 1))) == 0
+        hit[:plan.split] &= low_fits[0]
+        hit[plan.split:] &= low_fits[1]
+        lo = int(plan.lo_desc[np.argmax(hit.any(axis=0)[plan.lo_desc])])
+        # that low half's rows in those runs, by descending rev, step at a
+        # time: a row scores its houses and the best transformed low entry
+        # of the high halves that hold it
+        rows = plan.hi_desc[hit[:, lo][plan.run_desc]]
+        for at in range(0, len(rows), step):
+            hi = rows[at:at + step, None]
+            score = np.where((plan.hv & hi) == hi, low[lo], _DEAD).max(axis=1)
+            score += houses[hi[:, 0], lo]
+            i = int(np.argmax(score == target))
+            if score[i] == target:
+                return (int(hi[i, 0]) << h) | lo
+        return -1
 
     # the close-off reads the classes the virtual south row admits
     close = lambda grouped: np.where((keys & d_v) == 0, grouped, _DEAD).max()
-    return _Rule(advance, close, scan, 1)
+    # a layer is low and part.  A scan call holds a bool a (run, low half)
+    # pair and a column, a bool and a high half a row, then, step rows at a
+    # time, their test against hv (in hv's dtype, bool and int8), and
+    # their houses through an intp index
+    part = len(plan.runs) << h
+    test = step * len(plan.hv) * (plan.hv.itemsize + 2)
+    return _Rule(advance, close, scan, 1, (len(plan.hv) << h) + part, 0,
+                 part + (2 << h) + ((1 + plan.hv.itemsize) << w) + test + step * 16)
 
 
 def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
@@ -871,17 +948,18 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
             state[0] = gain
         else:
             state = _pair_advance(grouped, n, bricked, gain, clock)
-        return state, state
+        return state, state, state
 
-    def scan(layer, below):
+    def scan(layer, below, target):
         # u fits the rows (c, d) below it when ~triple(u) ⊆ reach(c, d);
         # the virtual south row needs no cover
         c = below[-1]
         reach = (int(_reach(np.uint32([c]), np.uint32(below[-2]), n, bricked)[0])
                  if below[1:] else full)
-        return read(layer, c), lambda t: (t | reach) == full
+        return _pick(read(layer, c), target, lambda t: (t | reach) == full, n, bricked)
 
-    return _Rule(advance, lambda grouped: read(grouped, d_v), scan, 0)
+    return _Rule(advance, lambda grouped: read(grouped, d_v), scan, 0,
+                 len(keys) << n, _RING + 1, _SCAN_BLOCK * 32)
 
 
 def _row_rule(n: int, bricked: bool, d_v: int) -> _Rule:
@@ -903,15 +981,17 @@ def _row_rule(n: int, bricked: bool, d_v: int) -> _Rule:
             hi = min(lo + _RULE_BLOCK, size)
             ok = _reach(np.arange(lo, hi, dtype=np.uint32), np.uint32(d_v), n, bricked) == full
             state[lo:hi] = np.where(ok, n - pc[lo:hi], _DEAD)
-        return state, state.max(keepdims=True)
+        return state, state.max(keepdims=True), state
 
-    scan = lambda layer, below: (layer, lambda t: (t & d_v) == 0)
-    return _Rule(advance, np.max, scan, 1)
+    scan = lambda layer, below, target: _pick(layer, target, lambda t: (t & d_v) == 0, n, bricked)
+    return _Rule(advance, np.max, scan, 1, size, 1, _SCAN_BLOCK * 32)
 
 
 def _pick(scores: np.ndarray, target: int, fits: Callable, n: int, bricked: bool) -> int:
     """The u with scores[u] == target that fits, fits(triple(u)), of
-    largest rev(u), its n bits reversed (every solver's tie-break), or -1.
+    largest rev(u), its n bits reversed (every solver's tie-break), or -1:
+    the scan of the rules that keep a score per row, _min_rule's read at
+    the row below and _row_rule's state.
 
     Fit (a bool array from uint32 triple masks) and rev are computed for
     the candidates alone, one _SCAN_BLOCK at a time.
@@ -983,17 +1063,18 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     of row m0, p <= _RING rows back, every later row repeats them with p
     rows' gain d added (the cyclicity of max-plus linear recurrences): the
     sweep stops advancing at row m0 + p and closes off each later m at row
-    m0 + 1 + (m - m0 - 1) mod p.  With a witness, each row's state is kept
-    until then, and a backward scan rebuilds the rows from the virtual
-    south row up, reusing the kept rows past m0 periodically.  Ties break
-    toward the largest rev of each row, the last row first.  Every result's
-    stats carry the seconds spent so far per phase (_PHASES).
+    m0 + 1 + (m - m0 - 1) mod p.  With a witness, the rule's layer of each
+    row is kept until then, and a backward scan rebuilds the rows from the
+    virtual south row up (rule.scan), reusing the layers past m0
+    periodically.  Ties break toward the largest rev of each row, the last
+    row first.  Every result's stats carry the seconds spent so far per
+    phase (_PHASES).
 
     The byte cap is checked against the estimate without a witness
     (_check_limits) before the first row.  A witness charges each layer it
-    keeps past those the estimate holds, sized like the last one, before
-    the advance makes it, and each scan's pick as the scan starts, for that
-    scan alone: a result's "state_bytes" is the peak charged so far.
+    keeps past the rule's held ones before the advance makes it, and a
+    scan call and the rows as each scan starts, for that scan alone: a
+    result's "state_bytes" is the peak charged so far.
     """
     maximize = objective is Objective.MAX_PERMISSIBLE
     bricked = boundary is Boundary.BRICKED
@@ -1015,10 +1096,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         round: the minimum scores count * n less them."""
         return score if maximize else count * n - score
 
-    layers: list[np.ndarray] = []  # with a witness, the state after each row
-    # the layers the estimate holds: the cached pc and one state for the
-    # maximum, the ring's maxima for the minimum
-    held = 2 if maximize else _RING + 1
+    layers: list = []  # with a witness, what the rule keeps of each row
     shifts = [0]  # true scores after row k are the shifted ones + shifts[k]
     ring: dict[int, np.ndarray] = {}  # the last rows' shifted maxima
     closed: dict[int, np.ndarray] = {}  # their close-offs, until the next advance
@@ -1046,26 +1124,24 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         dims = Dims(m, n, boundary)
         witness, peak = None, charged
         if want_witness:
-            # a _pick over one block, if every state there is a candidate:
-            # the compare mask and the indices (intp), then their uint32
-            # copy and the uint32 stages of its triple mask, fit and rev;
-            # the rows' Python objects, 168 bytes a row measured
-            peak = _check_bytes(charged + _SCAN_BLOCK * 32 + m * 256, limits)
-            # Walking north from the virtual south row, a kept state's best
-            # score over the rows u that fit the rows below it (rule.scan)
-            # is the target, and the state kept a row earlier scores the
-            # target less the gain of u.  So each row is the _pick among the
-            # fitting rows that score the target, the row a stored argmax
-            # would give.
+            # one scan call, and the rows' Python objects, 168 bytes a row
+            # measured
+            peak = _check_bytes(charged + rule.pick + m * 256, limits)
+            # Walking north from the virtual south row, a kept layer's best
+            # score over the rows u that fit the rows below it is the
+            # target, and the layer kept a row earlier scores the target
+            # less the gain of u.  So each row is the fitting row that
+            # scores the target of largest rev (rule.scan), the row a stored
+            # argmax would give.
             below, target = [d_v], score
             for k in range(m, 0, -1):
                 row, shift = repeat(k)
-                scores, fits = rule.scan(layers[row - 1], below)
-                u = _pick(scores, target - shifts[row - rule.lag] - shift, fits, n, bricked)
+                u = rule.scan(layers[row - 1], below, target - shifts[row - rule.lag] - shift)
                 if u < 0:
                     raise SettleError("internal error: the backward scan lost the optimum's path")
                 below.append(u)
                 target -= houses(int(_houses(n)[u]), 1)
+                _check_wall(t0, limits)
             witness = Configuration(dims, tuple(reversed(below[1:])))
             clock.lap("scan")
         m0, p, d = cycle or (None, None, None)
@@ -1092,13 +1168,13 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     state = grouped = None
     for m in range(1, top + 1):
         closed.clear()
-        if want_witness and len(layers) >= held:
-            # one more layer, sized like the last, before the advance makes it
-            charged = _check_bytes(charged + layers[-1].nbytes, limits)
+        if want_witness and len(layers) >= rule.held:
+            # one more layer, before the advance makes it
+            charged = _check_bytes(charged + rule.layer, limits)
         clock.mark()
-        state, grouped = rule.advance(grouped, state, clock)
+        state, grouped, layer = rule.advance(grouped, state, clock)
         if want_witness:
-            layers.append(state)
+            layers.append(layer)
         shifts.append(shifts[-1] + _normalize(grouped, n))
         ring.pop(m - _RING - 1, None)
         # at most one row matches: two would have matched each other before
@@ -1151,7 +1227,9 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
 
 def _axis_rows(n: int, count: int) -> np.ndarray:
     """The first count (a power of two) rows of a brute_force axis
-    (uint32): index j holds the row whose bit reversal is full - j.
+    (uint32): index j holds the row whose bit reversal is full - j, so all
+    2^n of them are the rows by descending rev (the order of _split_plan's
+    lo_desc and hi_desc).
 
     Built by doubling: row j + 2^b is row j with bit n - 1 - b flipped, for
     j below 2^b.  For the same reason row lo + j, for lo a multiple of

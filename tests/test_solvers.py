@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -25,9 +26,11 @@ from settle.solvers import (
     _brute_bytes,
     _check_limits,
     _houses,
+    _max_rule,
     _normalize,
     _need_bytes,
     _pair_advance,
+    _pick,
     _reach,
     _reach_bits,
     _reach_tables,
@@ -85,6 +88,14 @@ class TestMaxSolver:
         limits = Limits(max_wall_s=0.0)
         with pytest.raises(LimitError):
             solve_max(SolveRequest.maximum(8, 12, limits=limits))
+
+    def test_wall_cap_stops_the_witness_scan(self):
+        # the sweep finds its cycle within a few rows; the scan's 10^5 picks
+        # take seconds uncapped, so the cap must trip inside the scan
+        t0 = time.perf_counter()
+        with pytest.raises(LimitError, match="wall time cap"):
+            solve(SolveRequest.maximum(10**5, 3, limits=Limits(max_wall_s=0.05)))
+        assert time.perf_counter() - t0 < 1
 
 
 
@@ -399,10 +410,14 @@ class TestSweep:
          "1a7b46adb13bcf8d6dc6eaf81a87b45c3fd45b4201329a4cb713451a0d7adc81"),
         (Objective.MAX_PERMISSIBLE, 24, 24, Boundary.FREE, 433,
          "90a4cf40892b6c8c0c23d5c6fc574df617c2cd363615125ec2c54440e8f8eac6"),
+        (Objective.MAX_PERMISSIBLE, 23, 23, Boundary.BRICKED, 385,
+         "96164786db3d19b426487d1693e1c6fca01af39730b17af39e438d3dfae548f9"),
+        (Objective.MAX_PERMISSIBLE, 24, 24, Boundary.BRICKED, 415,
+         "8194f3affccea621cdb639bad1035002f764289bccd01b7aa3b29d7fae6b5164"),
     ], ids=["max-free", "max-bricked", "min-free", "min-bricked",
             "max-60x16-free", "max-60x16-bricked", "max-40x20-free", "max-40x20-bricked",
             "min-30x10-free", "min-30x10-bricked", "min-12x12-free",
-            "max-23x23-free", "max-24x24-free"])
+            "max-23x23-free", "max-24x24-free", "max-23x23-bricked", "max-24x24-bricked"])
     def test_wide_witnesses_keep_their_rows(self, objective, m, n, boundary, optimum, digest):
         res = solve(SolveRequest(Dims(m, n, boundary), objective))
         assert res.optimum == optimum
@@ -627,16 +642,29 @@ class TestStateBytes:
     @staticmethod
     def charges(res, bricked):
         """What a witness solve charges beyond _need_bytes: each layer it
-        keeps past the ones the estimate holds (the cached pc and one state
-        for the maximum, the ring's _RING + 1 maxima for the minimum), and
-        its scan's pick."""
+        keeps past the ones the estimate holds, and one scan call.  The
+        maximum keeps each row's transformed low array and run maxima
+        (part), none of them in the estimate, and its scan call holds a
+        bool per entry of part, a few arrays of one low half's rows and
+        one block of their (row, high half) test.  The minimum keeps its
+        grouped maxima, the ring's _RING + 1 of them in the estimate, and
+        a single-row minimum its one state; both pick over one
+        _SCAN_BLOCK."""
         m, n = res.dims.rows, res.dims.cols
-        if res.objective is Objective.MAX_PERMISSIBLE or m == 1:
-            layer, held, states = 1 << n, 2, 1 << n
+        h, pick = n // 2, _SCAN_BLOCK * 32
+        if res.objective is Objective.MAX_PERMISSIBLE:
+            plan = _split_plan(n, bricked)
+            part, size = len(plan.runs) << h, plan.hv.itemsize
+            layer, held, states = (len(plan.hv) << h) + part, 0, 1 << n
+            step = max(1, _SCAN_BLOCK // len(plan.hv))
+            pick = (part + (2 << h) + ((1 + size) << (n - h))
+                    + step * len(plan.hv) * (size + 2) + step * 16)
+        elif m == 1:
+            layer, held, states = 1 << n, 1, 1 << n
         else:
             layer, held, states = len(_split_plan(n, bricked).keys) << n, _RING + 1, 4**n
         kept = res.stats["states"] // states
-        return max(kept - held, 0) * layer + _SCAN_BLOCK * 32 + m * 256
+        return max(kept - held, 0) * layer + pick + m * 256
 
     @pytest.mark.parametrize("witness", [False, True])
     def test_single_row_min_builds_no_split_plan(self, witness):
@@ -677,13 +705,16 @@ class TestStateBytes:
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_a_cap_below_the_charged_peak_refuses_the_witness(self, boundary):
         # refused at the charge that passes the cap, before its allocation:
-        # one byte under the charged peak, the scan's pick; two layers past
-        # the estimate, a layer in mid-sweep (seven or eight layers of 1 MiB
-        # kept)
+        # one byte under the charged peak, the scan's pick; one byte under
+        # two layers past the estimate, the second layer (of the seven or
+        # eight kept, the low array and part, 0.23 MiB free, 0.28 bricked)
         m, n = 40, 20
-        need = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, boundary is Boundary.BRICKED)
+        bricked = boundary is Boundary.BRICKED
+        need = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, bricked)
+        plan = _split_plan(n, bricked)
+        layer = (len(plan.hv) + len(plan.runs)) << (n // 2)
         peak = solve(SolveRequest.maximum(m, n, boundary)).stats["state_bytes"]
-        for cap in (peak - 1, need + (2 << n) - 1):
+        for cap in (peak - 1, need + 2 * layer - 1):
             _split_plan.cache_clear()
             _houses.cache_clear()
             tracemalloc.start()
@@ -992,6 +1023,62 @@ class TestSplitRow:
             want = np.stack([np.where(((holes & k) == holes)[:, None], grouped, _DEAD).max(axis=0)
                              for k in range(1 << n)])
             assert np.array_equal(z, want), (n, bricked)
+
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_scan_picks_as_the_full_scores(self, boundary, monkeypatch):
+        # every scan call of max witnesses, n = 1..16 and m on both sides of
+        # the cycle's transient m0, against _pick on the kept layer's full
+        # int8 scores, rebuilt from the grouped maxima of the row before it;
+        # at each call also below the empty and full rows and a random one,
+        # at the best score that fits them
+        bricked = boundary is Boundary.BRICKED
+        rng = np.random.default_rng(7)
+        made = _max_rule
+        seen = {"calls": 0, "lows": 0}
+
+        def rule(n, bricked, d_v, keep):
+            inner = made(n, bricked, d_v, keep)
+            h = n // 2
+            full = {}  # id(layer) -> (layer, its scores)
+            rows = np.arange(1 << n, dtype=np.uint32)
+            keys = triple_mask(rows, n, bricked)
+
+            def advance(grouped, state, clock):
+                scores = _houses(n).copy()
+                if grouped is not None:
+                    _split_transform(grouped, scores, n, bricked, superset=True)
+                    scores += _houses(n)
+                state, grouped, layer = inner.advance(grouped, state, clock)
+                full[id(layer)] = layer, scores
+                return state, grouped, layer
+
+            def check(layer, scores, r, target):
+                u = inner.scan(layer, [d_v, r], target)
+                fits = lambda t: (t & r) == 0
+                assert u == _pick(scores, target, fits, n, bricked), (n, bricked, r, target)
+                tied = rows[(scores == target) & fits(keys)]
+                seen["lows"] = max(seen["lows"], len(np.unique(tied & ((1 << h) - 1))))
+                seen["calls"] += 1
+                return u
+
+            def scan(layer, below, target):
+                scores = full[id(layer)][1]
+                for r in (0, full_mask(n), int(rng.integers(1 << n))):
+                    check(layer, scores, r, int(scores[(keys & r) == 0].max()))
+                return check(layer, scores, below[-1], target)
+
+            return inner._replace(advance=advance, scan=scan)
+
+        monkeypatch.setattr("settle.solvers._max_rule", rule)
+        for n in range(1, 17):
+            plain = next(_sweep(Objective.MAX_PERMISSIBLE, n, boundary, [60], False, Limits()))
+            m0, p = plain.stats["transient"], plain.stats["period"]
+            rows = sorted({1, 2, max(1, m0 - 1), m0, m0 + 1, m0 + p, m0 + p + 1, 3 * (m0 + p) + 1})
+            for res in _sweep(Objective.MAX_PERMISSIBLE, n, boundary, rows, True, Limits()):
+                assert res.witness.occupancy() == res.optimum
+        # the target ties across many low halves somewhere
+        assert seen["calls"] > 2000 and seen["lows"] >= 16, seen
 
 
 class TestPhases:
