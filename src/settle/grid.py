@@ -7,35 +7,21 @@ south, and west neighbors are all occupied; the northern side never matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .rows import (
+    BLOCKED,
+    PROPS,
     Boundary,
+    Prop,
+    Rule,
     bit_reverse,
     covered_mask,
     full_mask,
     popcount,
-    prop_center_mask,
-    prop_east_mask,
-    prop_north_mask,
-    prop_west_mask,
-    triple_mask,
+    rule_mask,
 )
-
-
-class Prop(Enum):
-    """The four reasons an empty lot cannot take a house.
-
-    EAST/WEST/NORTH: the house on that side would lose its last source of
-    light.  CENTER: a house on the lot itself would be blocked.
-    """
-
-    EAST = "east"
-    WEST = "west"
-    NORTH = "north"
-    CENTER = "center"
 
 
 @dataclass(frozen=True)
@@ -166,37 +152,26 @@ class Configuration:
 
     # -- sunlight ------------------------------------------------------------
 
-    def _blocked(self) -> int:
-        """Houses with east, south and west all occupied, as lanes."""
-        _, rows, south = self._lanes
-        return triple_mask(rows, self.dims.cols, self._bricked, self.dims.rows) & south
+    def _rule(self, rule: Rule) -> int:
+        """Where one rule of the rows.py table holds, as lanes (BLOCKED: the
+        houses with east, south and west all occupied)."""
+        return rule_mask((rule,), *self._lanes, self.dims.cols, self._bricked, self.dims.rows)
 
     def is_blocked(self, i: int, j: int) -> bool:
         """True iff the house at (i, j) has east, south, and west all occupied.
 
         Calling on an empty lot returns False.
         """
-        return self._bit(self._blocked(), i, j)
+        return self._bit(self._rule(BLOCKED), i, j)
 
     def blocked_cells(self) -> list[tuple[int, int]]:
-        return self._cells(self._blocked())
+        return self._cells(self._rule(BLOCKED))
 
     def is_permissible(self) -> bool:
         """True iff no house is blocked."""
-        return not self._blocked()
+        return not self._rule(BLOCKED)
 
     # -- propositions and maximality ------------------------------------------
-
-    def _prop_mask(self, which: Prop) -> int:
-        north, rows, south = self._lanes
-        n, b, m = self.dims.cols, self._bricked, self.dims.rows
-        if which is Prop.EAST:
-            return prop_east_mask(rows, south, n, b, m)
-        if which is Prop.WEST:
-            return prop_west_mask(rows, south, n, b, m)
-        if which is Prop.CENTER:
-            return prop_center_mask(rows, south, n, b, m)
-        return prop_north_mask(north, n, b, m)
 
     def proposition(self, which: Prop, i: int, j: int) -> bool:
         """Evaluate one proposition at (i, j).
@@ -204,11 +179,11 @@ class Configuration:
         Off-grid terms take the border value; a proposition whose subject
         neighbor is off-grid is false.
         """
-        return self._bit(self._prop_mask(which), i, j)
+        return self._bit(self._rule(PROPS[which]), i, j)
 
     def propositions_at(self, i: int, j: int) -> dict[Prop, bool]:
         """All four propositions at (i, j), for diagnostics."""
-        return {p: self._bit(self._prop_mask(p), i, j) for p in Prop}
+        return {p: self._bit(self._rule(rule), i, j) for p, rule in PROPS.items()}
 
     def is_addable(self, i: int, j: int) -> bool:
         """True iff building on the empty lot (i, j) keeps things permissible.
@@ -231,7 +206,7 @@ class Configuration:
 
     def is_maximal(self) -> bool:
         """True iff permissible and no empty lot is addable."""
-        return not self._blocked() and not self._addable()
+        return not self._rule(BLOCKED) and not self._addable()
 
     def greedy_complete(self) -> Configuration:
         """Fill every addable lot in one row-major, north-first scan.

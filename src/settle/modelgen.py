@@ -6,14 +6,18 @@ constraint per interior-capable cell; the inefficient model minimizes
 occupancy over maximal configurations, with an auxiliary binary per
 applicable proposition and a covering constraint per cell (plus the same
 no-blocked-house constraints so its feasible set is exactly the maximal
-configurations).  Proposition variables whose defining terms fall outside
-the grid are identically false and are omitted.
+configurations).  Every constraint is read from the rule table in rows.py
+(BLOCKED and PROPS), cell by cell: a rule with a cell outside the grid is
+identically false on the free border and is omitted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import LimitError
+from .rows import BLOCKED, PROPS, Rule
 
 
 @dataclass(frozen=True)
@@ -36,63 +40,63 @@ def _x(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
+# One cap on the cells bounds both exports: at 100x100 the inefficient one
+# traced an 84 MiB peak through to_lp (8.5-8.8 KB a cell from 50x50 on), far
+# below Limits().max_state_bytes, and took 1.7 s via the CLI on 2 cores.
+MAX_CELLS = 10_000
+
+
 def _check_dims(m: int, n: int):
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be at least 1x1, got {m}x{n}")
+    if m * n > MAX_CELLS:
+        raise LimitError(f"{m}x{n} has {m * n} cells; the IP export takes at most {MAX_CELLS}")
+
+
+def _houses(rule: Rule, m: int, n: int, i: int, j: int) -> list[str] | None:
+    """The house variables of rule at (i, j), in the table's order; None if a
+    cell lies off the grid, where the free border's empty lot falsifies it."""
+    cells = [(i + a, j + b) for a, b in rule.cells]
+    if all(1 <= a <= m and 1 <= b <= n for a, b in cells):
+        return [_x(a, b) for a, b in cells]
+    return None
+
+
+def _cells(m: int, n: int):
+    return ((i, j) for i in range(1, m + 1) for j in range(1, n + 1))
 
 
 def _blocked_constraints(m: int, n: int) -> list[Constraint]:
-    """One constraint per cell whose east, south and west all lie on-grid."""
-    out = []
-    for i in range(1, m):
-        for j in range(2, n):
-            out.append(Constraint(
-                f"blk_{i}_{j}",
-                ((1, _x(i, j)), (1, _x(i, j - 1)), (1, _x(i, j + 1)), (1, _x(i + 1, j))),
-                "<=",
-                3,
-            ))
-    return out
+    """No blocked house: one constraint per cell where the rule can hold."""
+    return [Constraint(f"blk_{i}_{j}", tuple((1, x) for x in houses), "<=", len(houses) - 1)
+            for i, j in _cells(m, n) if (houses := _houses(BLOCKED, m, n, i, j))]
 
 
 def export_efficient(m: int, n: int) -> IpModel:
     """Model whose optimum is the maximum permissible occupancy."""
     _check_dims(m, n)
-    xs = tuple(_x(i, j) for i in range(1, m + 1) for j in range(1, n + 1))
+    xs = tuple(_x(i, j) for i, j in _cells(m, n))
     return IpModel("Maximize", xs, tuple(_blocked_constraints(m, n)), xs)
-
-
-def _aux_terms(m: int, n: int, i: int, j: int) -> list[tuple[str, list[str]]]:
-    """Applicable proposition variables at (i, j) with their defining houses."""
-    out = []
-    if i <= m - 1 and j <= n - 2:
-        out.append((f"pE_{i}_{j}", [_x(i, j + 1), _x(i, j + 2), _x(i + 1, j + 1)]))
-    if i <= m - 1 and j >= 3:
-        out.append((f"pW_{i}_{j}", [_x(i, j - 1), _x(i, j - 2), _x(i + 1, j - 1)]))
-    if i >= 2 and 2 <= j <= n - 1:
-        out.append((f"pN_{i}_{j}", [_x(i - 1, j - 1), _x(i - 1, j), _x(i - 1, j + 1)]))
-    if i <= m - 1 and 2 <= j <= n - 1:
-        out.append((f"pC_{i}_{j}", [_x(i, j + 1), _x(i, j - 1), _x(i + 1, j)]))
-    return out
 
 
 def export_inefficient(m: int, n: int) -> IpModel:
     """Model whose optimum is the minimum maximal occupancy."""
     _check_dims(m, n)
-    xs = tuple(_x(i, j) for i in range(1, m + 1) for j in range(1, n + 1))
+    xs = tuple(_x(i, j) for i, j in _cells(m, n))
     constraints = _blocked_constraints(m, n)
     aux_names: list[str] = []
     covers: list[Constraint] = []
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            cover_terms: list[tuple[int, str]] = [(1, _x(i, j))]
-            for name, houses in _aux_terms(m, n, i, j):
+    for i, j in _cells(m, n):
+        cover_terms: list[tuple[int, str]] = [(1, _x(i, j))]
+        for prop, rule in PROPS.items():
+            if houses := _houses(rule, m, n, i, j):
+                name = f"p{prop.name[0]}_{i}_{j}"
                 aux_names.append(name)
                 for k, house in enumerate(houses, start=1):
                     constraints.append(Constraint(
                         f"{name}_{k}", ((1, name), (-1, house)), "<=", 0))
                 cover_terms.append((1, name))
-            covers.append(Constraint(f"cover_{i}_{j}", tuple(cover_terms), ">=", 1))
+        covers.append(Constraint(f"cover_{i}_{j}", tuple(cover_terms), ">=", 1))
     constraints.extend(covers)
     return IpModel("Minimize", xs, tuple(constraints), xs + tuple(aux_names))
 
@@ -136,9 +140,10 @@ def to_lp(model: IpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def enumerate_model_optimum(model: IpModel) -> int:
-    """Optimum of a small model by brute enumeration of the objective vars.
+def model_feasible(model: IpModel) -> np.ndarray:
+    """Whether model holds at each assignment of its objective variables.
 
+    Entry k of the bool array gives the i-th objective variable bit i of k.
     Auxiliary binaries (those outside the objective) must be constrained only
     by pair constraints aux - x <= 0 plus nonnegative appearances in >=
     covers, as produced by export_inefficient; each is set to the largest
@@ -178,9 +183,15 @@ def enumerate_model_optimum(model: IpModel) -> int:
         for coef, var in con.terms:
             lhs += coef * value[var]
         feasible &= (lhs <= con.rhs) if con.op == "<=" else (lhs >= con.rhs)
+    return feasible
+
+
+def enumerate_model_optimum(model: IpModel) -> int:
+    """Optimum of a small model by enumeration (model_feasible)."""
+    feasible = model_feasible(model)
     if not feasible.any():
         raise ValueError("model is infeasible")
-    score = np.bitwise_count(configs.astype(np.uint64)).astype(np.int64)
+    score = np.bitwise_count(np.arange(len(feasible), dtype=np.uint64)).astype(np.int64)
     score = np.where(feasible, score, -1 if model.sense == "Maximize" else 1 << 30)
     best = score.max() if model.sense == "Maximize" else score.min()
     return int(best)

@@ -4,12 +4,13 @@ A row of n cells is a bitmask: bit b (0-indexed, LSB first) is column b+1,
 so the LSB is the westernmost cell.  Every function here works unchanged on
 Python ints and on numpy integer arrays, which is what lets the grid checker,
 both DP solvers and the brute-force oracle share one set of light/blocking
-rules and one bit reversal.
+rules and one bit reversal.  The rules themselves are one table of cells
+(BLOCKED and PROPS), which the IP export (modelgen) reads as well.
 
 Off-grid semantics: a *term* that falls off the grid takes the boundary
 value (empty when the border is open, occupied when it is bricked), while a
-proposition about an off-grid *neighbor* is simply false.  The fill masks
-below implement exactly that split.
+proposition about an off-grid *neighbor* is simply false.  The compiled
+fills below implement exactly that split.
 
 Lanes: with ``lanes=k`` the rules evaluate k rows at once on one Python int
 (the SWAR bitboard technique), one lane per row at a stride of n + 2 bits:
@@ -17,9 +18,9 @@ row r sits at bits r(n+2) .. r(n+2) + n - 1, and the two bits above it are
 guard bits.  The masks and fills repeat in every lane, so lane r of the
 result is the ``lanes=1`` result on lane r of the inputs.  The rules shift
 by at most two columns, so two clear guard bits keep every shifted term
-inside its own lane.  With one, ``prop_west_mask``'s ``c << 2`` would carry
+inside its own lane.  With one, the west rule's (0, -2) term would carry
 column n of lane r - 1 into column 1 of lane r, and the rule would stay
-right only because its ``c << 1`` factor is 0 there.  Two contracts make
+right only because its (0, -1) term is 0 there.  Two contracts make
 the lanes hold:
 
 - inputs have clear guard bits (and no bits above the last lane);
@@ -32,6 +33,7 @@ that way on numpy arrays.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -55,67 +57,93 @@ def full_mask(n: int, lanes: int = 1) -> int:
     return ((1 << n) - 1) * _lane_ones(n, lanes)
 
 
-def edge_fills(n: int, bricked: bool, lanes: int = 1) -> tuple[int, int, int, int]:
-    """Return (west1, east1, west2, east2) off-grid occupancy fills.
+class Prop(Enum):
+    """The four reasons an empty lot cannot take a house.
 
-    west1/east1 stand in for the lot just west of column 1 / just east of
-    column n; west2/east2 for the lots two steps out (used by the two-step
-    terms of the east/west propositions).  All four are 0 for an open border,
-    and each is repeated in every lane.
+    EAST/WEST/NORTH: the house on that side would lose its last source of
+    light.  CENTER: a house on the lot itself would be blocked.
     """
-    if not bricked:
-        return 0, 0, 0, 0
-    ones = _lane_ones(n, lanes)
-    west2 = 2 * ones if n >= 2 else 0
-    east2 = (1 << (n - 2)) * ones if n >= 2 else 0
-    return ones, (1 << (n - 1)) * ones, west2, east2
+
+    EAST = "east"
+    WEST = "west"
+    NORTH = "north"
+    CENTER = "center"
 
 
-def ew_both(r, n: int, bricked: bool, lanes: int = 1):
-    """Mask of cells whose east AND west neighbors are occupied in row r."""
-    full = full_mask(n, lanes)
-    west1, east1, _, _ = edge_fills(n, bricked, lanes)
-    west_of = ((r << 1) & full) | west1  # bit b: neighbor west of column b+1
-    east_of = (r >> 1) | east1           # bit b: neighbor east of column b+1
-    return west_of & east_of
+@dataclass(frozen=True, eq=False)  # hashed by identity: keys of _compiled
+class Rule:
+    """Holds at a cell when all its cells, (row, column) offsets from it with
+    south and east positive, are occupied, unless its subject (the
+    neighbour it is about; None: the cell itself) lies off the grid."""
+
+    cells: tuple[tuple[int, int], ...]
+    subject: tuple[int, int] | None = None
+
+
+# The blocking rule and the four propositions, the one place their cells are
+# written, each in the order the IP export writes them (modelgen): unsorted.
+BLOCKED = Rule(((0, 0), (0, -1), (0, 1), (1, 0)))  # a house, its W, E and S
+PROPS = {
+    Prop.EAST: Rule(((0, 1), (0, 2), (1, 1)), (0, 1)),
+    Prop.WEST: Rule(((0, -1), (0, -2), (1, -1)), (0, -1)),
+    Prop.NORTH: Rule(((-1, -1), (-1, 0), (-1, 1)), (-1, 0)),  # the triple above
+    Prop.CENTER: Rule(((0, 1), (0, -1), (1, 0))),  # W, E and S: blocked if built
+}
+_PROP_RULES = tuple(PROPS.values())
+
+
+@lru_cache(maxsize=1024)  # keyed on the width, not the row count, so any grid hits
+def _compiled(rules: tuple[Rule, ...], n: int, bricked: bool) -> tuple:
+    """Each rule as (row, shift, fill) terms at width n, and its cut.
+
+    A cell's row offset picks u, c or d (row 0, 1, 2), and its column
+    offset dc reads column j + dc at column j: a right shift by dc.  fill
+    holds, in one lane, the columns where the cell is off the grid when the
+    border is bricked; the subject's cell is never filled, so the rule is
+    false where the subject is off the grid.  Only left shifts carry bits
+    past column n, so a rule of left shifts alone is cut to the full mask.
+    """
+    full = (1 << n) - 1
+    out = []
+    for rule in rules:
+        terms = []
+        for dr, dc in rule.cells:
+            off = full & ~(full >> dc if dc >= 0 else full << -dc)
+            terms.append((dr + 1, dc, off if bricked and (dr, dc) != rule.subject else 0))
+        out.append((tuple(terms), full if all(dc < 0 for _, dc in rule.cells) else 0))
+    return tuple(out)
+
+
+def rule_mask(rules: tuple[Rule, ...], u, c, d, n: int, bricked: bool, lanes: int = 1):
+    """Cells of row c where any of rules holds; u is the row above c, d the
+    row below.  The one evaluator of the table."""
+    rows, ones = (u, c, d), _lane_ones(n, lanes)
+    out = None
+    for terms, cut in _compiled(rules, n, bricked):
+        mask = None
+        for row, shift, fill in terms:
+            t = rows[row]
+            if shift > 0:
+                t = t >> shift
+            elif shift < 0:
+                t = t << -shift
+            if fill:
+                t = t | fill * ones
+            mask = t if mask is None else mask & t
+        if cut:
+            mask = mask & cut * ones
+        out = mask if out is None else out | mask
+    return out
 
 
 def triple_mask(r, n: int, bricked: bool, lanes: int = 1):
     """Mask of houses in row r flanked by occupied east and west neighbors.
 
-    Such a house is blocked as soon as its south neighbor is occupied, so
-    a transition from row r to a row s below it is permissible iff
-    ``triple_mask(r) & s == 0``.
+    It is the north rule read one row down.  Such a house is blocked as
+    soon as its south neighbor is occupied, so a transition from row r to a
+    row s below it is permissible iff ``triple_mask(r) & s == 0``.
     """
-    return r & ew_both(r, n, bricked, lanes)
-
-
-def prop_east_mask(c, d, n: int, bricked: bool, lanes: int = 1):
-    """Cells of row c where building would leave the eastern house lightless.
-
-    c is the row itself, d the row below it.  Bit j-1 is set iff columns
-    j+1, j+2 of c and column j+1 of d are all occupied (two-step term filled
-    per border mode; the proposition is false where column j+1 is off-grid).
-    """
-    _, _, _, east2 = edge_fills(n, bricked, lanes)
-    return (c >> 1) & ((c >> 2) | east2) & (d >> 1)
-
-
-def prop_west_mask(c, d, n: int, bricked: bool, lanes: int = 1):
-    """Cells of row c where building would leave the western house lightless."""
-    full = full_mask(n, lanes)
-    _, _, west2, _ = edge_fills(n, bricked, lanes)
-    return ((c << 1) & ((c << 2) | west2) & (d << 1)) & full
-
-
-def prop_center_mask(c, d, n: int, bricked: bool, lanes: int = 1):
-    """Cells of row c where a new house would itself be blocked."""
-    return ew_both(c, n, bricked, lanes) & d
-
-
-def prop_north_mask(u, n: int, bricked: bool, lanes: int = 1):
-    """Cells where building would block the house directly north (in row u)."""
-    return triple_mask(u, n, bricked, lanes)
+    return rule_mask((PROPS[Prop.NORTH],), r, 0, 0, n, bricked, lanes)
 
 
 def covered_mask(u, c, d, n: int, bricked: bool, lanes: int = 1):
@@ -124,12 +152,7 @@ def covered_mask(u, c, d, n: int, bricked: bool, lanes: int = 1):
     u is the row above c, d the row below.  An empty cell outside this mask
     is addable; a maximal configuration has no such cell.
     """
-    return (
-        prop_east_mask(c, d, n, bricked, lanes)
-        | prop_west_mask(c, d, n, bricked, lanes)
-        | prop_center_mask(c, d, n, bricked, lanes)
-        | prop_north_mask(u, n, bricked, lanes)
-    )
+    return rule_mask(_PROP_RULES, u, c, d, n, bricked, lanes)
 
 
 def popcount(x) -> int:

@@ -82,15 +82,7 @@ import numpy as np
 
 from .errors import LimitError, SettleError
 from .grid import Boundary, Configuration, Dims
-from .rows import (
-    bit_reverse,
-    covered_mask,
-    full_mask,
-    prop_center_mask,
-    prop_east_mask,
-    prop_west_mask,
-    triple_mask,
-)
+from .rows import bit_reverse, covered_mask, full_mask, triple_mask
 
 
 class Objective(Enum):
@@ -504,10 +496,7 @@ def _reach(c: np.ndarray, d, n: int, bricked: bool) -> np.ndarray:
     ~triple(u) ⊆ reach.  reach is 0 where d blocks a house of c (c ≠ 0
     there; elsewhere reach ⊇ c).
     """
-    part = prop_east_mask(c, d, n, bricked)
-    part |= prop_west_mask(c, d, n, bricked)
-    part |= prop_center_mask(c, d, n, bricked)
-    part |= c
+    part = c | covered_mask(0, c, d, n, bricked)  # no row above: north is 0
     # key 0 fits only u = full on the bricked border, and (full, c) is
     # itself blocked for every c ≠ 0: dead from row 1 on, so blocked
     # pairs read dead

@@ -9,7 +9,7 @@ from conftest import GOLDEN
 from settle.cli import main
 from settle.formats import parse_grid
 from settle.grid import Dims
-from settle.modelgen import export_inefficient, to_lp
+from settle.modelgen import MAX_CELLS, export_inefficient, to_lp
 from settle.solvers import _PHASES, Objective, SolveRequest, solve
 
 runner = CliRunner()
@@ -288,6 +288,14 @@ class TestExportIp:
     def test_max_model_matches_golden(self):
         res = invoke("export-ip", "--rows", "3", "--cols", "4")
         assert res.output == (GOLDEN / "efficient_3x4.lp").read_text()
+
+    def test_past_the_cell_cap_exits_2(self):
+        for objective in ("max", "min"):
+            for rows, cols in [(1, MAX_CELLS + 1), (2000, 2000)]:
+                res = invoke("export-ip", "--objective", objective,
+                             "--rows", str(rows), "--cols", str(cols))
+                assert res.exit_code == 2
+                assert "at most" in res.output
 
 
 class TestOracle:

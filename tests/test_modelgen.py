@@ -4,10 +4,14 @@ from __future__ import annotations
 import pytest
 
 from conftest import GOLDEN, max_result, min_result
+from settle.errors import LimitError
+from settle.grid import Configuration, Dims
 from settle.modelgen import (
+    MAX_CELLS,
     enumerate_model_optimum,
     export_efficient,
     export_inefficient,
+    model_feasible,
     to_lp,
 )
 
@@ -79,3 +83,31 @@ class TestLpFormat:
     def test_enumeration_rejects_oversized_models(self):
         with pytest.raises(ValueError):
             enumerate_model_optimum(export_efficient(5, 5))
+
+
+class TestFeasibleSets:
+    """The models hold exactly where the checker says so, configuration by
+    configuration, not only at the optimum."""
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 13) for n in range(1, 13)
+                                      if m * n <= 12])
+    def test_models_agree_with_the_checker(self, m, n):
+        full = (1 << n) - 1
+        configs = [Configuration(Dims(m, n), tuple(k >> i * n & full for i in range(m)))
+                   for k in range(1 << m * n)]
+        assert model_feasible(export_efficient(m, n)).tolist() == [
+            c.is_permissible() for c in configs]
+        assert model_feasible(export_inefficient(m, n)).tolist() == [
+            c.is_maximal() for c in configs]
+
+
+class TestCellCap:
+    @pytest.mark.parametrize("export", [export_efficient, export_inefficient])
+    @pytest.mark.parametrize("m, n", [(1, MAX_CELLS + 1), (MAX_CELLS + 1, 1), (2000, 2000)])
+    def test_past_the_cap_raises_before_building(self, export, m, n):
+        with pytest.raises(LimitError, match="at most"):
+            export(m, n)
+
+    def test_the_cap_itself_builds(self):
+        model = export_efficient(1, MAX_CELLS)
+        assert len(model.objective) == MAX_CELLS and model.constraints == ()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -220,27 +220,25 @@ class TestLanes:
     """Every row rule on k packed rows equals, lane by lane, the rule on
     each row alone."""
 
-    # each rule and the rows it reads: u above, c itself, d below
-    RULES = [
-        (R.ew_both, "c"),
-        (R.triple_mask, "c"),
-        (R.prop_east_mask, "cd"),
-        (R.prop_west_mask, "cd"),
-        (R.prop_center_mask, "cd"),
-        (R.prop_north_mask, "u"),
-        (R.covered_mask, "ucd"),
+    # every rule of the table, blocking included, then the names derived
+    # from it; each reads (u, c, d): the row above, the row, the row below
+    TABLE = [("BLOCKED", R.BLOCKED)] + [(p.name, rule) for p, rule in R.PROPS.items()]
+    RULES = [(name, partial(R.rule_mask, (rule,))) for name, rule in TABLE] + [
+        ("triple_mask", lambda u, c, d, *rest, **kw: R.triple_mask(c, *rest, **kw)),
+        ("covered_mask", R.covered_mask),
     ]
 
-    @given(st.data(), st.integers(1, 70), st.integers(1, 6), st.booleans())
-    def test_lanes_match_single_rows(self, data, n, k, bricked):
+    @pytest.mark.parametrize("name, rule", RULES, ids=[name for name, _ in RULES])
+    @given(data=st.data(), n=st.integers(1, 70), k=st.integers(1, 6), bricked=st.booleans())
+    def test_lanes_match_single_rows(self, name, rule, data, n, k, bricked):
         row = st.integers(0, (1 << n) - 1)
-        rows = {name: data.draw(st.lists(row, min_size=k, max_size=k)) for name in "ucd"}
+        rows = [data.draw(st.lists(row, min_size=k, max_size=k)) for _ in "ucd"]
         full, stride = R.full_mask(n), n + 2
-        for rule, reads in self.RULES:
-            packed = rule(*(_pack(rows[r], n) for r in reads), n, bricked, lanes=k)
-            for lane in range(k):
-                single = rule(*(rows[r][lane] for r in reads), n, bricked)
-                assert packed >> lane * stride & full == single, (rule.__name__, lane)
+        packed = rule(*(_pack(r, n) for r in rows), n, bricked, lanes=k)
+        for lane in range(k):
+            single = rule(*(r[lane] for r in rows), n, bricked)
+            assert single <= full, (name, lane)
+            assert packed >> lane * stride & full == single, (name, lane)
 
 
 class TestGreedyClosure:
