@@ -1,7 +1,7 @@
 """Exact extremal solvers and the brute-force oracle.
 
-Both objectives run on one row-sweep engine, _sweep.  The maximum solver
-keeps a score per row profile.  The minimum solver's states are ordered
+Both objectives run on one row-sweep engine, _sweep.  The maximum solver's
+states are row profiles.  The minimum solver's states are ordered
 (row above, current row) pairs, so that the north proposition can cover
 the current row; since its transition reads the row above only through
 its triple mask, it keeps one score per (triple class of the row above,
@@ -20,11 +20,14 @@ h = n // 2 bits and the high n - h: triple bit j reads bits j - 1, j and
 j + 1 alone, so each half of a state's triple mask follows from that
 half of the state and the one bit of the other half next to it.  The
 transform runs over the low bits of the classes in a (2^h, high halves)
-array and then over the high bits of all 2^n entries; the minimum runs it
+array; the minimum then runs it over the high bits of all 2^n entries,
 on a chunk of current rows at a time, as a trailing axis.  The maximum
-also groups a row by maxing runs of rows, then runs of columns, into
-their classes.  The row mask algebra comes from the rows module,
-evaluated on numpy arrays of states.
+holds no array of 2^n entries: the high half of its transform and the
+maximum over a run of rows of equal high-half triple bits swap, so each
+run's best score at each low half is one sparse (max, +) product of the
+low array with a cover table per width, and runs of columns of those
+are maxed into their classes.  The row mask algebra comes from the rows
+module, evaluated on numpy arrays of states.
 
 The minimum reads its transformed chunk at reach(c, d) for every current
 row c and row d below (_reach), and takes the maximum over the rows c of
@@ -94,9 +97,10 @@ class Objective(Enum):
 class Limits:
     """Resource caps for a solve call.
 
-    Column caps keep the states within memory: 2^n profile scores for the
-    maximum solver; for the minimum solver, one score per (triple class,
-    profile) and its reach tables.  A single-row minimum keeps
+    Column caps keep the states within memory: for the maximum solver, its
+    split plan and arrays of 2^(n/2) entries a row run or high half; for
+    the minimum solver, one score per (triple class, profile) and its
+    reach tables.  A single-row minimum keeps
     one score per row (_row_rule), so it only needs the wider max_cols cap.
     max_state_bytes caps the estimated bytes a solve or brute_force
     allocates, the cached per-width tables included: the allocations
@@ -185,11 +189,8 @@ _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
 # the flat indices stay in cache too.
 _CHUNK = 256
 _READ_ROWS = 16
-# The maximum's grouping (_split_group) gathers the rows of a run _RUN_ROWS
-# at a time.
-_RUN_ROWS = 128
-# _need_bytes reads the split plan up to _PLAN_COLS columns (0.1 s and
-# 39 MiB to build at 28); beyond, it bounds the classes by 2^n.
+# _need_bytes reads the split plan up to _PLAN_COLS columns (0.2-0.3 s and
+# 38-47 MiB to build at 28); beyond, it bounds the classes by 2^n.
 _PLAN_COLS = 28
 _PHASES = ("group", "transform", "read", "close", "scan")
 
@@ -199,8 +200,8 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
     cold table caches.
 
     Counts the arrays alive at the DP's peak: the cached tables, the working
-    arrays of one row, and the states the sweep holds, one for the maximum
-    and the ring's for the minimum.  A witness's kept layers past those and
+    arrays of one row, and the grouped maxima of the rows in the sweep's
+    ring.  A witness's kept layers past those and
     its backward scan are charged by the sweep as it goes (_sweep).
     """
     size = 1 << n
@@ -208,19 +209,16 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
         # _row_rule reads _houses alone: pc and the state (int8) a row; then
         # one _RULE_BLOCK's rows, their reach and the uint32 stages of _reach
         return _FIXED_BYTES + 2 * size + min(size, _RULE_BLOCK) * 24
-    groups, plan, low, group = _split_bytes(n, bricked)
-    # _houses: pc (int8) a state, built in place; and the split plan, which
-    # holds the classes and whose build adds at most 56 bytes a class (54
-    # measured at n = 16 to 22, where a class holds 1.45 pairs)
-    need = _FIXED_BYTES + size + plan
-    build = groups * 56
+    groups, plan, build, low, group = _split_bytes(n, bricked)
     if objective is Objective.MAX_PERMISSIBLE:
-        # the grouped maxima and the _RING rows' maxima they are compared
-        # with; at a close-off, the uint32 fit test, its mask and the masked
-        # maxima
+        # the split plan, and no array of one entry a row: the grouped
+        # maxima and the _RING rows' maxima they are compared with, and at
+        # a close-off the uint32 fit test, its mask and the masked maxima;
+        # the low array, then its transposed copy and the product's arrays
         per_group = _RING + 7
-        # the state, transformed in place (row 1's is the cached pc)
-        return need + max(build, size + groups * per_group + max(low, group))
+        return _FIXED_BYTES + plan + max(build, groups * per_group + low + max(low, group))
+    # _houses: pc (int8) a state, built in place; and the split plan
+    need = _FIXED_BYTES + size + plan
     # The minimum's state is its grouped maxima, one (groups, 2^n) array a
     # row, of which the ring holds _RING + 1.
     grouped = groups * size
@@ -277,34 +275,42 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int]:
     return tables, made, entries, slots
 
 
-def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int]:
-    """The classes at width n, the bytes of its cached _split_plan, the
-    cells of _split_transform's (2^h, len(hv)) low array, and the most
-    _split_group holds beyond its score array and grouped maxima.
+def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
+    """The classes at width n, the bytes of its cached _split_plan and the
+    most its build holds beyond them, the cells of _split_transform's (2^h,
+    len(hv)) low array, and the most the maximum's product and grouping
+    (_max_rule) hold beyond the low array and the grouped maxima.
 
     Read off the plan up to _PLAN_COLS columns, where it takes work of the
     order of its classes.  Beyond, 2^n bounds the classes, the (column
     run, row run) pairs and the low cells, 2^(n - h) the row runs and high
-    halves, and three 2^n score arrays the grouping.
+    halves, 3^(n - h) the cover table's pairs (a row under a high half),
+    and three 2^n arrays the product and the grouping.  The build holds
+    56 bytes a class or the cover table's, from its (high half, row) pairs.
     """
-    h = n // 2
+    h, w = n // 2, n - n // 2
     if n > _PLAN_COLS:
-        size, rows = 1 << n, 1 << (n - h)
-        # keys (uint32) and at (intp) a class, cls (uint32) a pair; the row
-        # order, run views, hv, run_keys, hi_desc and run_desc a row; both
-        # sides' cols and starts, col_keys and lo_desc a column
-        return size, size * 16 + rows * (8 + 128 + 8 + 24) + (1 << h) * 48, size, 3 * size
+        size, rows = 1 << n, 1 << w
+        # keys (uint32) and at (intp) a class, cls (uint32) a pair; a few
+        # words a row or high half, cover_hv (intp) and cover_houses a pair
+        # of the cover table, a few words a column
+        held = size * 16 + rows * 32 + 3**w * 9 + (1 << h) * 48
+        return size, held, max(size * 56, rows * (rows * 5 + 4) + 3**w * 32), size, 3 * size
     plan = _split_plan(n, bricked)
-    runs, sides = plan.runs, plan.sides
     held = (sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
-            + len(runs) * 128 + sum(map(len, runs)) * 8
-            + sum(cols.nbytes + starts.nbytes + cls.nbytes for cols, starts, cls in sides))
-    # _split_group: a row a run, then the rows of a run it gathers and
-    # their maximum, or a side's gathered columns and their runs' maxima
-    part = len(runs) << h
-    run = (min(max(map(len, runs)), _RUN_ROWS) + 1) << h
-    side = max((len(cls[0]) << h) + cls.size for _, _, cls in sides)
-    return len(plan.keys), held, len(plan.hv) << h, part + max(run, side)
+            + sum(cols.nbytes + starts.nbytes + cls.nbytes for cols, starts, cls in plan.sides))
+    runs, cells, pairs = len(plan.run_keys), len(plan.hv), len(plan.cover_hv)
+    # The cover table's build, a few bytes a row, the and of a (high half,
+    # row) pair in the rows' dtype and its flag, a uint8 a (high half, run)
+    # pair and its copy, a few words a pair (3.6 MiB at n = 23, 37 at 28,
+    # free); then at most 56 bytes a class (45 to 52 measured, n = 16..28)
+    build = max(len(plan.keys) * 56, ((3 * cells + 4) << w) + cells * runs * 2 + pairs * 32)
+    # part, a row a run; then one run's gathered rows, or a side's gathered
+    # columns and their runs' maxima
+    part = runs << h
+    run = int(np.diff(plan.cover).max()) << h
+    side = max((len(cls[0]) << h) + cls.size for _, _, cls in plan.sides)
+    return len(plan.keys), held, build, cells << h, part + max(run, side)
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -383,9 +389,12 @@ class _SplitPlan(NamedTuple):
     keys: np.ndarray  # the classes: the triple masks that occur, ascending
     hv: np.ndarray  # the distinct high halves of the complemented keys, ascending
     at: np.ndarray  # each class's flat index into a (2^h, len(hv)) array
-    runs: list[np.ndarray]  # the rows, in runs; those with b = 0 first
-    split: int  # the runs with b = 0
+    split: int  # the runs of rows with b = 0, which come first
     sides: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (cols, starts, cls), b = 0, 1
+    # the cover table A, sparse: run r's pairs are cover[r]..cover[r + 1]
+    cover: np.ndarray
+    cover_hv: np.ndarray  # each pair's column of hv (intp)
+    cover_houses: np.ndarray  # each pair's A (int8, one a row)
     # the scan's: the key of the class of (run, column) is
     # (run_keys[run, t] << h) | col_keys[b, column]
     run_keys: np.ndarray  # (runs, 2): each run's high half of its keys, given t = 0, 1
@@ -406,16 +415,19 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     column) gives the low half once b, its bit h, is known.  Both come from
     triple_mask on rows that hold one half and that one bit of the other.
 
-    runs holds the rows in runs of equal (b, high half given t = 1, high
-    half given t = 0), ascending.  For b = 0 and b = 1, sides holds the
-    columns (cols) in runs of equal (low half given b, t), the index in
-    cols where each run starts, and the class index (cls) of each (column
-    run, row run of that b) pair.  Each pair holds states of one triple
-    mask, and each state lies in one pair, so the pairs' masks are the
-    classes.  hv and at place the complemented keys for _split_transform:
-    the row of a key's low half, the column of its high half.  The rest
-    serves the witness scan (_max_rule); at h = 0, t is 0 and a run's two
-    high halves agree.
+    The rows fall in runs of equal (b, high half given t = 1, high half
+    given t = 0), ascending.  For b = 0 and b = 1, sides holds the columns
+    (cols) in runs of equal (low half given b, t), the index in cols where
+    each run starts, and the class index (cls) of each (column run, row run
+    of that b) pair.  Each pair holds states of one triple mask, and each
+    state lies in one pair, so the pairs' masks are the classes.  hv and at
+    place the complemented keys for _split_transform: the row of a key's
+    low half, the column of its high half.  The cover table holds, for the
+    maximum's product (_max_rule), A[run, column], the most houses of a row
+    of the run in the column's hv, where there is one: 6 641 of 305 x 305
+    pairs at n = 23.  Each row lies in key 0's all-ones hv, so each run has
+    a pair.  The rest serves the witness scan; at h = 0, t is 0 and a
+    run's two high halves agree.
     """
     h, w = n // 2, n - n // 2
     top = (1 << h) >> 1  # bit h - 1; none when h = 0
@@ -427,6 +439,21 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     first = order[starts]
     split = int(np.count_nonzero((hi[first] & 1) == 0))
     hi1, hi0 = hi1[first], hi0[first]
+    # the keys' high halves: each run's at t = 0 and 1, as every run meets
+    # columns of both.  The cover table: a uint8 flag a (high half, row)
+    # pair, 1 + the row's houses where it misses the high half, else 0, is
+    # maxed over each run; 0 marks the (run, high half) pairs where none does
+    both = np.sort(np.concatenate([hi0, hi1]))
+    hv = both[_starts(both)]
+    half = np.min_scalar_type((1 << w) - 1)
+    rows = hi[order].astype(half)
+    flags = ((hv.astype(half)[:, None] & rows) == 0).view(np.uint8)
+    np.multiply(flags, np.bitwise_count(rows) + np.uint8(1), out=flags)
+    most = np.ascontiguousarray(np.maximum.reduceat(flags, starts, axis=1).T).ravel()
+    del flags
+    pairs = np.flatnonzero(most)
+    run, cover_hv = np.divmod(pairs, len(hv))
+    cover = np.searchsorted(run, np.arange(len(starts) + 1))
     lo = np.arange(1 << h, dtype=np.uint32)
     t = (lo & top) != 0
     col_keys = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
@@ -445,16 +472,14 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     dtype = np.min_scalar_type(len(keys) - 1)
     sides = [(cols, col_starts, np.searchsorted(keys, mask).astype(dtype))
              for cols, col_starts, mask in sides]
-    high = keys >> h
-    hv = high[_starts(high)]
     low = ((1 << h) - 1) - (keys & ((1 << h) - 1))
-    at = low.astype(np.intp) * len(hv) + np.searchsorted(hv, high)
-    half = np.min_scalar_type((1 << w) - 1)
+    at = low.astype(np.intp) * len(hv) + np.searchsorted(hv, keys >> h)
     run_of = np.empty(1 << w, dtype=np.intp)
     run_of[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=1 << w))
     hi_desc = _axis_rows(w, 1 << w)
-    return _SplitPlan(keys, (((1 << w) - 1) - hv).astype(half), at, np.split(order, starts[1:]),
-                      split, sides, np.stack([hi0, hi1], axis=1), col_keys,
+    return _SplitPlan(keys, (((1 << w) - 1) - hv).astype(half), at, split, sides, cover,
+                      cover_hv, (most[pairs] - 1).astype(np.int8)[:, None],
+                      np.stack([hi0, hi1], axis=1), col_keys,
                       _axis_rows(h, 1 << h).astype(np.intp), hi_desc.astype(half),
                       run_of[hi_desc])
 
@@ -473,12 +498,11 @@ def _starts(ordered: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _houses(n: int) -> np.ndarray:
-    """The houses of every row of width n (int8): each row's gain for the
-    maximum, and n less its gain for the minimum.
+    """The houses of every row of width n (int8), n less each row's gain
+    for the minimum; the maximum adds houses over a row's two halves.
 
     Built in place by doubling: the rows from 2^b to 2^(b + 1) - 1 are
-    those below 2^b with bit b set.  Read-only, as it is the maximum's
-    first state (_max_rule).
+    those below 2^b with bit b set.  Read-only, as it is cached.
     """
     pc = np.zeros(1 << n, dtype=np.int8)
     for b in range(n):
@@ -633,27 +657,6 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     return _ReachTables(order, runs, reach, scatter, spans, offset, slots, int(slot_at[-1]))
 
 
-def _split_group(state: np.ndarray, n: int, bricked: bool, grouped: np.ndarray) -> np.ndarray:
-    """grouped[g] := max(grouped[g], the maximum of state over class g).
-
-    Over the two halves of a row (_split_plan): each run of rows is maxed
-    into one row, each run of columns of those into one entry, and the
-    entries are maxed into their classes.  Returns the first step's
-    (runs, 2^h) maxima, part[run, column].
-    """
-    plan = _split_plan(n, bricked)
-    rows = state.reshape(len(state) >> (n // 2), -1)
-    part = np.empty((len(plan.runs), rows.shape[1]), dtype=state.dtype)
-    for r, run in enumerate(plan.runs):
-        # gathered _RUN_ROWS rows at a time
-        np.max(rows[run[:_RUN_ROWS]], axis=0, out=part[r])
-        for lo in range(_RUN_ROWS, len(run), _RUN_ROWS):
-            np.maximum(part[r], rows[run[lo:lo + _RUN_ROWS]].max(axis=0), out=part[r])
-    for block, (cols, starts, cls) in zip((part[:plan.split], part[plan.split:]), plan.sides):
-        np.maximum.at(grouped, cls, np.maximum.reduceat(block.T[cols], starts, axis=0))
-    return part
-
-
 def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
     """z[k] := max over k' ⊆ k (k' ⊇ k if superset) of z[k'], along axis 0.
 
@@ -668,31 +671,34 @@ def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
         np.maximum(into, other, out=into)
 
 
-def _split_transform(grouped: np.ndarray, z: np.ndarray, n: int, bricked: bool,
-                     superset: bool) -> np.ndarray:
+def _split_transform(grouped: np.ndarray, n: int, bricked: bool, superset: bool,
+                     z: np.ndarray | None = None) -> np.ndarray:
     """The one subset-maximum transform of both DPs, along axis 0 of the
     classes' grouped maxima, with any trailing axes.
 
     z[r] := the maximum of grouped over the classes whose complemented keys
-    hold r (superset, the maximum: key & r == 0, the rows r admits above
-    it), or lie in r (the minimum: ~key ⊆ reach r, the classes that fit).
-    So z is the superset- or subset-maximum transform of grouped scattered
-    at the complemented keys.  It runs bit by bit, so it splits at
-    h = n // 2 (_split_plan): the low bits are transformed in a
-    (2^h, len(hv)) array, one column per high half of a complemented key,
-    which is scattered into the rows hv of z viewed as a (2^(n - h), 2^h)
-    array; every other row is dead.  Then the high bits are transformed
-    over all of z.  Returns the transformed low array.
+    hold r (superset: key & r == 0, the rows r admits above it), or lie in
+    r (the minimum: ~key ⊆ reach r, the classes that fit).  So z is the
+    superset- or subset-maximum transform of grouped scattered at the
+    complemented keys.  It runs bit by bit, so it splits at h = n // 2
+    (_split_plan): the low bits are transformed in a (2^h, len(hv)) array,
+    one column per high half of a complemented key, and that low array is
+    returned; both DPs share it.  Given z, the minimum's full-width form,
+    the low array is scattered into the rows hv of z viewed as a
+    (2^(n - h), 2^h) array, every other row dead, and the high bits are
+    transformed over all of z.  The maximum takes its high half in its
+    product with the cover table instead (_max_rule), and holds no z.
     """
     plan = _split_plan(n, bricked)
     h, tail = n // 2, grouped.shape[1:]
-    low = np.full((1 << h, len(plan.hv), *tail), _DEAD, dtype=z.dtype)
+    low = np.full((1 << h, len(plan.hv), *tail), _DEAD, dtype=grouped.dtype)
     low.reshape(-1, *tail)[plan.at] = grouped
     _subset_max_inplace(low, h, superset)
-    z.fill(_DEAD)
-    rows = z.reshape(-1, 1 << h, *tail)
-    rows[plan.hv] = low.swapaxes(0, 1)
-    _subset_max_inplace(rows, n - h, superset)
+    if z is not None:
+        z.fill(_DEAD)
+        rows = z.reshape(-1, 1 << h, *tail)
+        rows[plan.hv] = low.swapaxes(0, 1)
+        _subset_max_inplace(rows, n - h, superset)
     return low
 
 
@@ -756,7 +762,7 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     clock.mark()
     for lo in range(0, size, chunk):
         hi = lo + chunk
-        _split_transform(grouped[:, tables.order[lo:hi]], block, n, bricked, superset=False)
+        _split_transform(grouped[:, tables.order[lo:hi]], n, bricked, False, block)
         clock.lap("transform")
         for first, end, width, entry in tables.runs:
             step = max(1, (_READ_ROWS << n) // width)
@@ -798,9 +804,9 @@ class _Rule(NamedTuple):
     n less its houses (_houses), for the minimum.
     """
 
-    # (grouped, state, clock) -> (state, grouped, layer): the next row's
-    # state, its grouped maxima and what a witness keeps of it, from the
-    # last row's; grouped None builds row 1
+    # (grouped, clock) -> (grouped, layer): the next row's grouped maxima
+    # and what a witness keeps of the row, from the last row's grouped
+    # maxima; grouped None builds row 1
     advance: Callable
     close: Callable  # grouped -> the maxima into the virtual south row
     # (layer, below, target) -> the row u above the rows below that fits
@@ -813,74 +819,89 @@ class _Rule(NamedTuple):
 
 
 def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
-    """The maximum's row rule: its state is one score per row, grouped by
-    the row's triple class (_split_group).
+    """The maximum's row rule: its state is its grouped maxima, the best
+    score of each triple class's rows; it holds no score per row.
 
-    A row r admits the rows u above it with triple(u) & r == 0: the advance
-    scatters the grouped maxima at full - triple(u), takes superset maxima
-    and reads them at r (_split_transform), in one state array that every
-    row overwrites.  keep: a witness keeps, of each row, not its 2^n
-    scores but the two small arrays the advance builds: the transformed
-    low array and part, the maxima of each run of high halves at each low
-    half (_split_group), shifted by the row before it.  Row 1's low array
-    is 0: the empty north row admits every row.
+    A row r admits the rows u above it with triple(u) & r == 0 and scores
+    its houses, pc(hi) + pc(lo) over its two halves (_split_plan).  The
+    advance takes the low half of the superset transform of the grouped
+    maxima (_split_transform), low[lo, j]; its high half and the maximum
+    over a run's rows swap, so each run's best at each low half is one
+    sparse (max, +) product with the plan's cover table A,
+
+        part[run, lo] = pc(lo) + max over j of (low[lo, j] + A[run, j]),
+
+    a run's pairs gathered as rows of the transposed low array.  Runs of
+    columns of part are then maxed into their classes.  Row 1 is the
+    product with low = 0: the empty north row admits every row.  keep: a
+    witness keeps each row's transposed low array and part, shifted by the
+    row before it.
 
     The scan picks in three exact steps.  The target is the best score of
     the rows that fit the row r below, and the rows of one (run, low half)
     pair share a class, so the rows that fit and score it lie in the pairs
-    where part is the target and key & r == 0.  rev(u) = rev_h(lo)·2^(n -
-    h) + rev(hi), so the largest rev_h(lo) of those pairs wins.  At that
-    low half a row hi scores its houses plus the best low entry at the
-    high halves hv ⊇ hi, the high half of the transform: the state's int8
-    score.  Its rows in those runs are scored by descending rev, step at a
-    time, and the first to score the target is the pick.
+    where key & r == 0 and part is the target: the runs whose high half of
+    the key misses r are found first, and only their part is compared.
+    rev(u) = rev_h(lo)·2^(n - h) + rev(hi), so the largest rev_h(lo) of
+    those pairs wins.  At that low half a row hi scores its houses plus the
+    best low entry at the high halves hv ⊇ hi.  Its rows in those runs are
+    scored by descending rev, step at a time, and the first to score the
+    target is the pick.
     """
-    plan, pc = _split_plan(n, bricked), _houses(n)
-    keys = plan.keys
+    plan = _split_plan(n, bricked)
+    keys, bounds = plan.keys, plan.cover.tolist()
     h, w = n // 2, n - n // 2
+    runs = len(plan.run_keys)
     top = (1 << h) >> 1  # the columns from top on have bit h - 1 set
     step = max(1, _SCAN_BLOCK // len(plan.hv))  # the scan's rows a (row, high half) test
-    first = np.broadcast_to(np.int8(0), (1 << h, len(plan.hv)))
-    houses = pc.reshape(1 << w, 1 << h)
+    houses = np.bitwise_count(np.arange(1 << h, dtype=np.uint32)).astype(np.int8)  # pc(lo)
 
-    def advance(grouped, state, clock):
+    def advance(grouped, clock):
         if grouped is None:
-            state, low = pc, first  # row 1 scores its houses
+            low_t = np.zeros((len(plan.hv), 1 << h), dtype=np.int8)
         else:
-            # the last state is grouped already, so the transform may
-            # overwrite it, unless it is the cached pc
-            if state is pc:
-                state = np.empty_like(pc)
-            low = _split_transform(grouped, state, n, bricked, superset=True)
-            clock.lap("transform")
-            state += pc
-            clock.lap("read")
+            low_t = np.ascontiguousarray(_split_transform(grouped, n, bricked, True).T)
+        part = np.empty((runs, 1 << h), dtype=np.int8)
+        for r in range(runs):
+            got = low_t[plan.cover_hv[bounds[r]:bounds[r + 1]]]
+            got += plan.cover_houses[bounds[r]:bounds[r + 1]]
+            got.max(axis=0, out=part[r])
+        part += houses
+        del got  # the last run's rows, before the grouping
+        clock.lap("transform")
         grouped = np.full(len(keys), _DEAD, dtype=np.int8)
-        part = _split_group(state, n, bricked, grouped)
-        return state, grouped, (low, part) if keep else None
+        for block, (cols, starts, cls) in zip((part[:plan.split], part[plan.split:]), plan.sides):
+            np.maximum.at(grouped, cls, np.maximum.reduceat(block.T[cols], starts, axis=0))
+        return grouped, (low_t, part) if keep else None
 
     def scan(layer, below, target):
-        low, part = layer
+        low_t, part = layer
         r = below[-1]
         # the (run, low half) pairs that hold a fitting row of the target;
         # a class's key is (run_keys[run, t] << h) | col_keys[b, lo], with
-        # t the low half's bit h - 1 and b the run's bit h (runs from split)
-        hit = part == target
+        # t the low half's bit h - 1 and b the run's bit h (runs from
+        # split).  t = 1 only adds key bits, so the runs that fit at t = 0
+        # are the runs that fit at all
         high = (plan.run_keys & (r >> h)) == 0
-        hit[:, :top] &= high[:, :1]
-        hit[:, top:] &= high[:, 1:]
+        fit = np.flatnonzero(high[:, 0])
+        hit = part[fit] == target
+        hit[:, top:] &= high[fit, 1:]
         low_fits = (plan.col_keys & (r & ((1 << h) - 1))) == 0
-        hit[:plan.split] &= low_fits[0]
-        hit[plan.split:] &= low_fits[1]
+        split = int(np.searchsorted(fit, plan.split))
+        hit[:split] &= low_fits[0]
+        hit[split:] &= low_fits[1]
         lo = int(plan.lo_desc[np.argmax(hit.any(axis=0)[plan.lo_desc])])
         # that low half's rows in those runs, by descending rev, step at a
         # time: a row scores its houses and the best transformed low entry
         # of the high halves that hold it
-        rows = plan.hi_desc[hit[:, lo][plan.run_desc]]
+        held = np.zeros(runs, dtype=bool)
+        held[fit] = hit[:, lo]
+        rows = plan.hi_desc[held[plan.run_desc]]
+        target -= int(houses[lo])  # the score of the high half alone
         for at in range(0, len(rows), step):
             hi = rows[at:at + step, None]
-            score = np.where((plan.hv & hi) == hi, low[lo], _DEAD).max(axis=1)
-            score += houses[hi[:, 0], lo]
+            score = np.where((plan.hv & hi) == hi, low_t[:, lo], _DEAD).max(axis=1)
+            score += np.bitwise_count(hi[:, 0])
             i = int(np.argmax(score == target))
             if score[i] == target:
                 return (int(hi[i, 0]) << h) | lo
@@ -888,14 +909,14 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
 
     # the close-off reads the classes the virtual south row admits
     close = lambda grouped: np.where((keys & d_v) == 0, grouped, _DEAD).max()
-    # a layer is low and part.  A scan call holds a bool a (run, low half)
-    # pair and a column, a bool and a high half a row, then, step rows at a
-    # time, their test against hv (in hv's dtype, bool and int8), and
-    # their houses through an intp index
-    part = len(plan.runs) << h
+    # a layer is low_t and part.  A scan call holds a bool a (fitting run,
+    # low half) pair and a column, five bools and an intp a run, a bool and
+    # a high half a row, then, step rows at a time, their test against hv
+    # (in hv's dtype, bool and int8), and their houses
+    part = runs << h
     test = step * len(plan.hv) * (plan.hv.itemsize + 2)
-    return _Rule(advance, close, scan, 1, (len(plan.hv) << h) + part, 0,
-                 part + (2 << h) + ((1 + plan.hv.itemsize) << w) + test + step * 16)
+    return _Rule(advance, close, scan, 1, (len(plan.hv) << h) + part, 1,
+                 part + (2 << h) + runs * 13 + ((1 + plan.hv.itemsize) << w) + test + step * 16)
 
 
 def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
@@ -928,7 +949,7 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
             last[:] = grouped, d, np.where(fit, grouped, _DEAD).max(axis=0)
         return last[2]
 
-    def advance(grouped, state, clock):
+    def advance(grouped, clock):
         last.clear()
         if grouped is None:
             # row 1 sits under the virtual empty north row, whose triple
@@ -937,7 +958,7 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
             state[0] = gain
         else:
             state = _pair_advance(grouped, n, bricked, gain, clock)
-        return state, state, state
+        return state, state
 
     def scan(layer, below, target):
         # u fits the rows (c, d) below it when ~triple(u) ⊆ reach(c, d);
@@ -964,13 +985,13 @@ def _row_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     pc, full = _houses(n), full_mask(n)
     size = 1 << n
 
-    def advance(grouped, state, clock):
+    def advance(grouped, clock):
         state = np.empty(size, dtype=np.int8)
         for lo in range(0, size, _RULE_BLOCK):
             hi = min(lo + _RULE_BLOCK, size)
             ok = _reach(np.arange(lo, hi, dtype=np.uint32), np.uint32(d_v), n, bricked) == full
             state[lo:hi] = np.where(ok, n - pc[lo:hi], _DEAD)
-        return state, state.max(keepdims=True), state
+        return state.max(keepdims=True), state
 
     scan = lambda layer, below, target: _pick(layer, target, lambda t: (t & d_v) == 0, n, bricked)
     return _Rule(advance, np.max, scan, 1, size, 1, _SCAN_BLOCK * 32)
@@ -1032,19 +1053,18 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     for the minimum.  All that differs between them is the row rule,
     chosen from rows[-1]: _max_rule for the maximum, _row_rule for a
     minimum to one row, _min_rule for any other minimum, which closes off
-    row 1 too.  The maximum's state is indexed by the last row; the
+    row 1 too.  The maximum's states are indexed by the last row; the
     minimum's by the row above it and the last row, so that the north
-    proposition can cover the last row.  The sweep carries the state's
-    int8 maxima over the triple classes of its oldest row, and they are
-    its whole state: the
-    rule closes them off at the virtual south row at m, and advances them
-    through the subset-maximum transform (_split_transform) to m + 1.  The maximum groups its score
-    array after each advance over the two halves of a row (_split_group);
-    the minimum advances grouped maxima into grouped maxima (_pair_advance),
-    its rows in the order of its reach tables (_reach_tables), and never
-    holds a score per pair.  No array maps a row to its class: the plan
-    groups the maximum's rows, the minimum's tables list its rows by |D_c|
-    and class, and the witness scan takes triple masks of the rows it reads.
+    proposition can cover the last row.  The sweep carries the states'
+    int8 maxima over the triple classes of their oldest row, and they are
+    its whole state: the rule closes them off at the virtual south row at
+    m, and advances them to m + 1 through the subset-maximum transform
+    (_split_transform), whose high half the maximum takes as a product
+    with its cover table (_max_rule) and the minimum over a chunk of rows
+    at a time (_pair_advance).  Neither holds a score per state.  No array
+    maps a row to its class: the plan groups the maximum's rows, the
+    minimum's tables list its rows by |D_c| and class, and the witness
+    scan takes triple masks of the rows it reads.
 
     Each row's grouped maxima are shifted to a maximum of 0 (_normalize),
     the shift carried as a Python int.  The sweep is invariant under adding
@@ -1129,7 +1149,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
                 if u < 0:
                     raise SettleError("internal error: the backward scan lost the optimum's path")
                 below.append(u)
-                target -= houses(int(_houses(n)[u]), 1)
+                target -= houses(u.bit_count(), 1)
                 _check_wall(t0, limits)
             witness = Configuration(dims, tuple(reversed(below[1:])))
             clock.lap("scan")
@@ -1154,14 +1174,14 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         return result
 
     wanted = rows[::-1]  # the row counts left to close off, the next one last
-    state = grouped = None
+    grouped = None
     for m in range(1, top + 1):
         closed.clear()
         if want_witness and len(layers) >= rule.held:
             # one more layer, before the advance makes it
             charged = _check_bytes(charged + rule.layer, limits)
         clock.mark()
-        state, grouped, layer = rule.advance(grouped, state, clock)
+        grouped, layer = rule.advance(grouped, clock)
         if want_witness:
             layers.append(layer)
         shifts.append(shifts[-1] + _normalize(grouped, n))

@@ -21,6 +21,7 @@ from settle.solvers import (
     SolveRequest,
     _DEAD,
     _PHASES,
+    _Clock,
     _RING,
     _SCAN_BLOCK,
     _brute_bytes,
@@ -34,7 +35,6 @@ from settle.solvers import (
     _reach,
     _reach_bits,
     _reach_tables,
-    _split_group,
     _split_plan,
     _split_transform,
     _subset_max_inplace,
@@ -604,6 +604,10 @@ class TestStateBytes:
         (Objective.MAX_PERMISSIBLE, 20, 12),
         (Objective.MAX_PERMISSIBLE, 200, 12),
         (Objective.MAX_PERMISSIBLE, 40, 20),
+        # past the default column cap, where the maximum's peak once passed
+        # its estimate
+        (Objective.MAX_PERMISSIBLE, 2, 26),
+        (Objective.MAX_PERMISSIBLE, 26, 26),
         (Objective.MIN_MAXIMAL, 1, 18),
         (Objective.MIN_MAXIMAL, 1, 22),
         (Objective.MIN_MAXIMAL, 3, 3),
@@ -619,7 +623,8 @@ class TestStateBytes:
     ])
     @pytest.mark.parametrize("witness", [False, True])
     def test_traced_peak_within_estimate(self, objective, m, n, boundary, witness):
-        limits = Limits(max_cols_pairs=max(n, Limits().max_cols_pairs))
+        limits = Limits(max_cols=max(n, Limits().max_cols),
+                        max_cols_pairs=max(n, Limits().max_cols_pairs))
         req = SolveRequest(Dims(m, n, boundary), objective, want_witness=witness, limits=limits)
         _split_plan.cache_clear()
         _houses.cache_clear()
@@ -643,21 +648,23 @@ class TestStateBytes:
     def charges(res, bricked):
         """What a witness solve charges beyond _need_bytes: each layer it
         keeps past the ones the estimate holds, and one scan call.  The
-        maximum keeps each row's transformed low array and run maxima
-        (part), none of them in the estimate, and its scan call holds a
-        bool per entry of part, a few arrays of one low half's rows and
-        one block of their (row, high half) test.  The minimum keeps its
-        grouped maxima, the ring's _RING + 1 of them in the estimate, and
+        maximum keeps each row's transposed low array and run maxima
+        (part), the last row's in the estimate as its advance's arrays,
+        and its scan call holds a bool per entry of part, a few arrays of
+        a word a run or of one low half's rows, and one block of their
+        (row, high half) test.  The minimum keeps its grouped maxima,
+        the ring's _RING + 1 of them in the estimate, and
         a single-row minimum its one state; both pick over one
         _SCAN_BLOCK."""
         m, n = res.dims.rows, res.dims.cols
         h, pick = n // 2, _SCAN_BLOCK * 32
         if res.objective is Objective.MAX_PERMISSIBLE:
             plan = _split_plan(n, bricked)
-            part, size = len(plan.runs) << h, plan.hv.itemsize
-            layer, held, states = (len(plan.hv) << h) + part, 0, 1 << n
+            runs, size = len(plan.run_keys), plan.hv.itemsize
+            part = runs << h
+            layer, held, states = (len(plan.hv) << h) + part, 1, 1 << n
             step = max(1, _SCAN_BLOCK // len(plan.hv))
-            pick = (part + (2 << h) + ((1 + size) << (n - h))
+            pick = (part + (2 << h) + runs * 13 + ((1 + size) << (n - h))
                     + step * len(plan.hv) * (size + 2) + step * 16)
         elif m == 1:
             layer, held, states = 1 << n, 1, 1 << n
@@ -706,13 +713,14 @@ class TestStateBytes:
     def test_a_cap_below_the_charged_peak_refuses_the_witness(self, boundary):
         # refused at the charge that passes the cap, before its allocation:
         # one byte under the charged peak, the scan's pick; one byte under
-        # two layers past the estimate, the second layer (of the seven or
-        # eight kept, the low array and part, 0.23 MiB free, 0.28 bricked)
+        # two layers past the estimate, the third layer kept (of the seven
+        # or eight, the transposed low array and part, 0.23 MiB free, 0.28
+        # bricked; the estimate holds the first)
         m, n = 40, 20
         bricked = boundary is Boundary.BRICKED
         need = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, bricked)
         plan = _split_plan(n, bricked)
-        layer = (len(plan.hv) + len(plan.runs)) << (n // 2)
+        layer = (len(plan.hv) + len(plan.run_keys)) << (n // 2)
         peak = solve(SolveRequest.maximum(m, n, boundary)).stats["state_bytes"]
         for cap in (peak - 1, need + 2 * layer - 1):
             _split_plan.cache_clear()
@@ -798,18 +806,19 @@ class TestStateBytes:
         n, h = 24, 12
         plan = _split_plan(n, True)
         assert len(plan.keys) == 92736
-        for (cols, starts, cls), runs in zip(plan.sides, (plan.runs[:plan.split],
-                                                          plan.runs[plan.split:])):
+        # a row of each run
+        some = np.empty(len(plan.run_keys), dtype=np.uint32)
+        some[plan.run_desc] = plan.hi_desc
+        for (cols, starts, cls), high in zip(plan.sides, (some[:plan.split], some[plan.split:])):
             low = cols[starts].astype(np.uint32)[:, None]
-            high = np.array([run[0] for run in runs], dtype=np.uint32)
             first = (high << h) | low
             assert cls.shape == first.shape
             assert np.array_equal(plan.keys[cls], triple_mask(first, n, True))
 
     @pytest.mark.parametrize("boundary", list(Boundary))
-    def test_wide_max_holds_under_3_bytes_a_state(self, boundary):
-        # the cached houses and one int8 state array, with cold caches: no
-        # per-state class index
+    def test_wide_max_holds_under_1_byte_a_state(self, boundary):
+        # with cold caches: no array of one entry a row, neither houses nor
+        # a state nor a per-state class index (0.42 free, 0.58 bricked)
         m, n = 2, 22
         _split_plan.cache_clear()
         _houses.cache_clear()
@@ -819,7 +828,7 @@ class TestStateBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 << n
+        assert peak < 1 << n
 
     @pytest.mark.parametrize("objective", list(Objective))
     @pytest.mark.parametrize("m, n", [(1, 22), (2, 11), (11, 2), (22, 1)])
@@ -985,20 +994,61 @@ class TestSplitRow:
     """The maximum's row advance over the two halves of a row."""
 
     @pytest.mark.parametrize("bricked", [False, True])
-    def test_group_matches_maximum_at(self, bricked):
-        # every width up to 21; the states hold dead entries, and grouped
-        # holds maxima already
+    def test_product_matches_the_full_scores(self, bricked):
+        # every width up to 21: the advance's run maxima (part) and grouped
+        # maxima against the full-width superset transform plus each row's
+        # houses, maxed into runs and classes by np.maximum.at; grouped
+        # holds dead entries, and row 1 (grouped None) scores houses alone
         rng = np.random.default_rng(5)
         for n in range(1, 22):
-            keys = _split_plan(n, bricked).keys
-            ids = np.searchsorted(keys, triple_mask(np.arange(1 << n, dtype=np.uint32), n, bricked))
-            state = rng.integers(-2 * n, n, 1 << n, endpoint=True).astype(np.int8)
-            state[rng.random(1 << n) < 0.3] = -128
-            grouped = rng.integers(-128, 0, len(keys)).astype(np.int8)
-            want = grouped.copy()
-            np.maximum.at(want, ids, state)
-            _split_group(state, n, bricked, grouped)
-            assert np.array_equal(grouped, want), (n, bricked)
+            plan = _split_plan(n, bricked)
+            h, w = n // 2, n - n // 2
+            rows = np.arange(1 << n, dtype=np.uint32)
+            ids = np.searchsorted(plan.keys, triple_mask(rows, n, bricked))
+            run_of = np.empty(1 << w, dtype=np.intp)
+            run_of[plan.hi_desc] = plan.run_desc
+            grouped = rng.integers(-2 * n, 0, len(plan.keys), endpoint=True).astype(np.int8)
+            grouped[rng.random(len(plan.keys)) < 0.3] = _DEAD
+            rule = _max_rule(n, bricked, 0, True)
+            for last in (None, grouped):
+                scores = _houses(n).copy()
+                if last is not None:
+                    _split_transform(last, n, bricked, True, scores)
+                    scores += _houses(n)
+                want = np.full(len(plan.keys), _DEAD, dtype=np.int8)
+                np.maximum.at(want, ids, scores)
+                part = np.full((len(plan.run_keys), 1 << h), _DEAD, dtype=np.int8)
+                np.maximum.at(part, run_of, scores.reshape(1 << w, 1 << h))
+                got, (_, got_part) = rule.advance(last, _Clock())
+                assert np.array_equal(got_part, part), (n, bricked)
+                assert np.array_equal(got, want), (n, bricked)
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_every_run_is_covered(self, bricked):
+        # the product's premise: every row's high half lies in the all-ones
+        # hv, the complemented high half of key 0, the empty row's class,
+        # so each run has a pair there, A = its most houses; and a run's
+        # pairs are the columns some row of it lies in, ascending
+        for n in range(1, 27):
+            plan = _split_plan(n, bricked)
+            w = n - n // 2
+            assert plan.keys[0] == 0 and plan.hv[0] == (1 << w) - 1, (n, bricked)
+            rows = np.zeros((len(plan.run_keys), 1 << w), dtype=bool)
+            rows[plan.run_desc, plan.hi_desc] = True
+            first = plan.cover[:-1]
+            assert (np.diff(plan.cover) > 0).all(), (n, bricked)
+            assert (plan.cover_hv[first] == 0).all(), (n, bricked)
+            most = [int(np.bitwise_count(np.flatnonzero(r)).max()) for r in rows]
+            assert plan.cover_houses[first, 0].tolist() == most, (n, bricked)
+            if n <= 16:
+                hi = np.arange(1 << w)
+                under = (hi[:, None] & ~plan.hv.astype(np.int64)) == 0
+                for r, (a, b) in enumerate(zip(plan.cover[:-1], plan.cover[1:])):
+                    fits = under[rows[r]]
+                    assert plan.cover_hv[a:b].tolist() == np.flatnonzero(fits.any(axis=0)).tolist()
+                    want = [np.bitwise_count(hi[rows[r]][fits[:, j]]).max()
+                            for j in plan.cover_hv[a:b]]
+                    assert plan.cover_houses[a:b, 0].tolist() == want, (n, bricked, r)
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_transform_matches_the_naive_maximum(self, bricked):
@@ -1012,13 +1062,13 @@ class TestSplitRow:
             grouped = rng.integers(-2 * n, 0, len(keys), endpoint=True).astype(np.int8)
             grouped[rng.random(len(keys)) < 0.3] = -128
             z = np.empty(1 << n, dtype=np.int8)
-            _split_transform(grouped, z, n, bricked, superset=True)
+            _split_transform(grouped, n, bricked, True, z)
             want = [grouped[(keys & r) == 0].max(initial=-128) for r in range(1 << n)]
             assert z.tolist() == want, (n, bricked)
             grouped = rng.integers(-2 * n, 0, (len(keys), 5), endpoint=True).astype(np.int8)
             grouped[rng.random(grouped.shape) < 0.3] = _DEAD
             z = np.empty((1 << n, 5), dtype=np.int8)
-            _split_transform(grouped, z, n, bricked, superset=False)
+            _split_transform(grouped, n, bricked, False, z)
             holes = full_mask(n) - keys
             want = np.stack([np.where(((holes & k) == holes)[:, None], grouped, _DEAD).max(axis=0)
                              for k in range(1 << n)])
@@ -1044,14 +1094,14 @@ class TestSplitRow:
             rows = np.arange(1 << n, dtype=np.uint32)
             keys = triple_mask(rows, n, bricked)
 
-            def advance(grouped, state, clock):
+            def advance(grouped, clock):
                 scores = _houses(n).copy()
                 if grouped is not None:
-                    _split_transform(grouped, scores, n, bricked, superset=True)
+                    _split_transform(grouped, n, bricked, True, scores)
                     scores += _houses(n)
-                state, grouped, layer = inner.advance(grouped, state, clock)
+                grouped, layer = inner.advance(grouped, clock)
                 full[id(layer)] = layer, scores
-                return state, grouped, layer
+                return grouped, layer
 
             def check(layer, scores, r, target):
                 u = inner.scan(layer, [d_v, r], target)
