@@ -25,8 +25,11 @@ on a chunk of current rows at a time, as a trailing axis.  The maximum
 holds no array of 2^n entries: the high half of its transform and the
 maximum over a run of rows of equal high-half triple bits swap, so each
 run's best score at each low half is one sparse (max, +) product of the
-low array with a cover table per width, and runs of columns of those
-are maxed into their classes.  The row mask algebra comes from the rows
+low array with a cover table per width.  The low array is first closed
+over the key high halves, a subset-maximum transform along the Hasse
+edges of their family alone, so that the product reads only each run's
+undominated pairs; then each run's maxima are grouped along contiguous
+rows into their classes.  The row mask algebra comes from the rows
 module, evaluated on numpy arrays of states.
 
 The minimum reads its transformed chunk at reach(c, d) for every current
@@ -171,6 +174,7 @@ class SolveResult:
 
 # Bytes a solve allocates beyond its arrays: ufunc buffers, Python objects.
 _FIXED_BYTES = 1 << 20
+_OBJECT_BYTES = 256  # the Python objects of one array of a table: its own, its tuple
 
 # Every rule's scores are int8.  Each row's grouped maxima are shifted to a
 # maximum of 0 (_normalize), at every row count; scores at or above
@@ -183,6 +187,8 @@ _DEAD = -128  # the score of an unreachable state
 _RING = 4  # how many rows back a row's shifted maxima are looked for
 _SCAN_BLOCK = 1 << 16  # the entries the witness scan tests at a time (_pick, _max_rule)
 _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
+_GATHER_BLOCK = 1 << 18  # the bytes of one gather of the maximum's advance (_batches)
+_PLAN_BLOCK = 1 << 20  # the pairs _split_plan flags, and bytes _hasse ands, at a time
 # The pair advance transforms _CHUNK current rows at a time: a (2^n, _CHUNK)
 # int8 block, 1 MiB at n = 12, which stays in cache through the transform.
 # It reads the block about _READ_ROWS * 2^n table entries at a time, so
@@ -214,7 +220,8 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
         # the split plan, and no array of one entry a row: the grouped
         # maxima and the _RING rows' maxima they are compared with, and at
         # a close-off the uint32 fit test, its mask and the masked maxima;
-        # the low array, then its transposed copy and the product's arrays
+        # the low array, then its closed transposed copy beside the rest of
+        # the advance
         per_group = _RING + 7
         return _FIXED_BYTES + plan + max(build, groups * per_group + low + max(low, group))
     # _houses: pc (int8) a state, built in place; and the split plan
@@ -278,39 +285,59 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int]:
 def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     """The classes at width n, the bytes of its cached _split_plan and the
     most its build holds beyond them, the cells of _split_transform's (2^h,
-    len(hv)) low array, and the most the maximum's product and grouping
-    (_max_rule) hold beyond the low array and the grouped maxima.
+    len(hv)) low array, and the most the maximum's advance (_max_rule)
+    holds beyond its closed low array and the grouped maxima.
 
     Read off the plan up to _PLAN_COLS columns, where it takes work of the
-    order of its classes.  Beyond, 2^n bounds the classes, the (column
-    run, row run) pairs and the low cells, 2^(n - h) the row runs and high
-    halves, 3^(n - h) the cover table's pairs (a row under a high half),
-    and three 2^n arrays the product and the grouping.  The build holds
-    56 bytes a class or the cover table's, from its (high half, row) pairs.
+    order of its classes.  Beyond, 2^n bounds the classes, the (run,
+    column run) cells and the low cells, 2^(n - h) the row runs and high
+    halves, their square the pairs of each and the Hasse edges, and three
+    2^n arrays the product and the grouping.
     """
     h, w = n // 2, n - n // 2
     if n > _PLAN_COLS:
         size, rows = 1 << n, 1 << w
-        # keys (uint32) and at (intp) a class, cls (uint32) a pair; a few
-        # words a row or high half, cover_hv (intp) and cover_houses a pair
-        # of the cover table, a few words a column
-        held = size * 16 + rows * 32 + 3**w * 9 + (1 << h) * 48
-        return size, held, max(size * 56, rows * (rows * 5 + 4) + 3**w * 32), size, 3 * size
+        # keys (uint32), at and class_starts (intp) a class, order (intp) a
+        # cell; a few words a row, a (run, high half) pair or an edge
+        held = size * 28 + rows * 64 + rows * rows * 40
+        return size, held, max(size * 12, 3 * _PLAN_BLOCK + rows * rows * 24), size, 3 * size
     plan = _split_plan(n, bricked)
-    held = (sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
-            + sum(cols.nbytes + starts.nbytes + cls.nbytes for cols, starts, cls in plan.sides))
-    runs, cells, pairs = len(plan.run_keys), len(plan.hv), len(plan.cover_hv)
-    # The cover table's build, a few bytes a row, the and of a (high half,
-    # row) pair in the rows' dtype and its flag, a uint8 a (high half, run)
-    # pair and its copy, a few words a pair (3.6 MiB at n = 23, 37 at 28,
-    # free); then at most 56 bytes a class (45 to 52 measured, n = 16..28)
-    build = max(len(plan.keys) * 56, ((3 * cells + 4) << w) + cells * runs * 2 + pairs * 32)
-    # part, a row a run; then one run's gathered rows, or a side's gathered
-    # columns and their runs' maxima
+    arrays = [a for a in plan if isinstance(a, np.ndarray)]
+    arrays += [a for batches in (plan.sides, plan.closure, plan.product)
+               for batch in batches for a in batch if isinstance(a, np.ndarray)]
+    held = sum(a.nbytes + _OBJECT_BYTES for a in arrays)
+    highs, runs, cells = len(plan.hv), len(plan.run_keys), len(plan.order)
+    children = np.concatenate([members[:, 1:].ravel() for _, members in plan.closure]
+                              + [np.empty(0, np.intp)])
+    edges, kept = len(children), sum(cols.size for _, cols, *_ in plan.product)
+    degree = max(1, int(np.bincount(children).max(initial=0)))  # the most Hasse parents
+    # The build holds at most the largest of: the cells' masks and their
+    # sort (9.5 bytes a cell measured, n = 23..28); the cover table's pass,
+    # 1 + A and its kept flag a (high half, run) pair, the edges and their
+    # ranks (intp), the rows and their houses, beside a block of (high
+    # half, row) pairs, the and in the rows' dtype and its flag, with the
+    # block's parents' maxima and one parent's rows, and the high halves'
+    # padded parents (intp), or, after the pass, the kept pairs (intp) and
+    # their A; or _hasse's strict order, a bool a pair of high halves and
+    # an intp pair for each in it, bit-packed both ways, and a block of
+    # and-ed rows
+    block = min(highs, max(1, _PLAN_BLOCK >> w))
+    packed = -(-highs // 8)
+    cover = (2 * (highs + 1) * runs + edges * 24 + (3 << w)
+             + max(3 * min(_PLAN_BLOCK, highs << w) + 2 * block * runs + highs * degree * 8,
+                   kept * 19))
+    hasse = (highs * highs * 10 + 2 * highs * packed
+             + 3 * min(_PLAN_BLOCK, highs * highs // 2 * packed))
+    build = max(cells * 12, cover, hasse)
+    # The advance: part, a row a run, beside one batch's gather and its
+    # maxima, or a side's permuted part and the cells' maxima, or the cells
+    # and their copy in class order
     part = runs << h
-    run = int(np.diff(plan.cover).max()) << h
-    side = max((len(cls[0]) << h) + cls.size for _, _, cls in plan.sides)
-    return len(plan.keys), held, build, cells << h, part + max(run, side)
+    gather = max([members.size for _, members in plan.closure]
+                 + [cols.size for _, cols, *_ in plan.product]) << h
+    side = max(plan.split, runs - plan.split) << h
+    advance = part + max(2 * gather, side + cells, 2 * cells)
+    return len(plan.keys), held, build, highs << h, advance
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -387,14 +414,23 @@ class _SplitPlan(NamedTuple):
     witness scan reach them over the two halves of a row (_split_plan)."""
 
     keys: np.ndarray  # the classes: the triple masks that occur, ascending
-    hv: np.ndarray  # the distinct high halves of the complemented keys, ascending
+    # the distinct high halves of the complemented keys, by the popcount of
+    # the key high half K_j they complement, then by K_j
+    hv: np.ndarray
     at: np.ndarray  # each class's flat index into a (2^h, len(hv)) array
     split: int  # the runs of rows with b = 0, which come first
-    sides: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (cols, starts, cls), b = 0, 1
-    # the cover table A, sparse: run r's pairs are cover[r]..cover[r + 1]
-    cover: np.ndarray
-    cover_hv: np.ndarray  # each pair's column of hv (intp)
-    cover_houses: np.ndarray  # each pair's A (int8, one a row)
+    sides: list[tuple[np.ndarray, np.ndarray]]  # (cols, starts), b = 0, 1
+    # the (run, column run) cells of both sides, b = 0 first, each side's
+    # row by row, in class order (intp), and where each class's cells start
+    order: np.ndarray
+    class_starts: np.ndarray
+    # the closure's batches, (parents, members) with members[:, 0] the
+    # parents and the rest their Hasse children, in rounds of ascending
+    # popcount (intp)
+    closure: list[tuple[np.ndarray, np.ndarray]]
+    # the product's batches, (runs, cols, A): each run's undominated pairs,
+    # their columns of hv (intp) and the cover table A (int8, (runs, k, 1))
+    product: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     # the scan's: the key of the class of (run, column) is
     # (run_keys[run, t] << h) | col_keys[b, column]
     run_keys: np.ndarray  # (runs, 2): each run's high half of its keys, given t = 0, 1
@@ -417,17 +453,28 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
 
     The rows fall in runs of equal (b, high half given t = 1, high half
     given t = 0), ascending.  For b = 0 and b = 1, sides holds the columns
-    (cols) in runs of equal (low half given b, t), the index in cols where
-    each run starts, and the class index (cls) of each (column run, row run
-    of that b) pair.  Each pair holds states of one triple mask, and each
-    state lies in one pair, so the pairs' masks are the classes.  hv and at
-    place the complemented keys for _split_transform: the row of a key's
-    low half, the column of its high half.  The cover table holds, for the
-    maximum's product (_max_rule), A[run, column], the most houses of a row
-    of the run in the column's hv, where there is one: 6 641 of 305 x 305
-    pairs at n = 23.  Each row lies in key 0's all-ones hv, so each run has
-    a pair.  The rest serves the witness scan; at h = 0, t is 0 and a
-    run's two high halves agree.
+    (cols) in runs of equal (low half given b, t) and the index in cols
+    where each run starts.  Each (run, column run) cell holds states of one
+    triple mask, and each state lies in one cell, so the cells' masks are
+    the classes; order lists the cells by class.  hv and at place the
+    complemented keys for _split_transform: the row of a key's low half,
+    the column of its high half.
+
+    The rest serves the maximum's advance (_max_rule).  The key high halves
+    K_j = ~hv[j] form a family under ⊆; closure holds its Hasse edges
+    (K_j' ⊊ K_j with no member between, found by _hasse), grouped by
+    parent, a round per popcount of the parents.  The cover table A[run, j]
+    is the most houses of a row of the run that misses K_j, where there is
+    one; a row that misses K_j misses every K_j' ⊆ K_j, so A falls as K_j
+    grows.  A pair (run, j) is dominated when some K_k ⊋ K_j has an equal
+    A[run, k], and then a Hasse parent of K_j on the way to K_k has it too;
+    product keeps the rest, each run's in one batch of runs with as many
+    pairs: 1 656 of 6 641 pairs at n = 23, free.  Each row misses K = 0,
+    the high half of key 0, so each run keeps a pair.  A and the dominance
+    are found in one pass, _PLAN_BLOCK (high half, row) pairs at a time,
+    the largest K_j first, so that each pair's parents are done before it;
+    the full cover table is not kept.  At h = 0, t is 0 and a run's two
+    high halves agree.
     """
     h, w = n // 2, n - n // 2
     top = (1 << h) >> 1  # bit h - 1; none when h = 0
@@ -439,49 +486,135 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     first = order[starts]
     split = int(np.count_nonzero((hi[first] & 1) == 0))
     hi1, hi0 = hi1[first], hi0[first]
-    # the keys' high halves: each run's at t = 0 and 1, as every run meets
-    # columns of both.  The cover table: a uint8 flag a (high half, row)
-    # pair, 1 + the row's houses where it misses the high half, else 0, is
-    # maxed over each run; 0 marks the (run, high half) pairs where none does
-    both = np.sort(np.concatenate([hi0, hi1]))
-    hv = both[_starts(both)]
-    half = np.min_scalar_type((1 << w) - 1)
-    rows = hi[order].astype(half)
-    flags = ((hv.astype(half)[:, None] & rows) == 0).view(np.uint8)
-    np.multiply(flags, np.bitwise_count(rows) + np.uint8(1), out=flags)
-    most = np.ascontiguousarray(np.maximum.reduceat(flags, starts, axis=1).T).ravel()
-    del flags
-    pairs = np.flatnonzero(most)
-    run, cover_hv = np.divmod(pairs, len(hv))
-    cover = np.searchsorted(run, np.arange(len(starts) + 1))
     lo = np.arange(1 << h, dtype=np.uint32)
     t = (lo & top) != 0
     col_keys = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
     col_keys &= (1 << h) - 1
-    sides = []
+    sides, masks = [], []
     for b, part in ((0, slice(None, split)), (1, slice(split, None))):
         lo_key = col_keys[b]
         cols, col_starts = _runs(lo_key * 2 + t)
-        col = cols[col_starts][:, None]
-        mask = (np.where(t[col], hi1[part], hi0[part]) << h) | lo_key[col]
-        sides.append((cols, col_starts, mask))
+        col = cols[col_starts]
+        masks.append(((np.where(t[col], hi1[part, None], hi0[part, None]) << h)
+                      | lo_key[col]).ravel())
+        sides.append((cols, col_starts))
     # (np.unique would import numpy.ma, about 1 MiB, on a solve's first call)
-    masks = np.concatenate([mask.ravel() for *_, mask in sides])
-    by_mask, mask_starts = _runs(masks)
-    keys = masks[by_mask[mask_starts]]
-    dtype = np.min_scalar_type(len(keys) - 1)
-    sides = [(cols, col_starts, np.searchsorted(keys, mask).astype(dtype))
-             for cols, col_starts, mask in sides]
-    low = ((1 << h) - 1) - (keys & ((1 << h) - 1))
-    at = low.astype(np.intp) * len(hv) + np.searchsorted(hv, keys >> h)
+    masks = np.concatenate(masks)
+    by_mask, class_starts = _runs(masks)
+    keys = masks[by_mask[class_starts]]
+    del masks
+    # the key high halves K_j, by popcount, then ascending: every run's at
+    # t = 0 and 1, as every run meets columns of both
+    both = np.sort(np.concatenate([hi0, hi1]))
+    high = both[_starts(both)]
+    high = high[np.argsort(np.bitwise_count(high), kind="stable")]
+    # at: a key's column in high, plus its complemented low half's row
+    where = np.empty(1 << w, dtype=np.intp)
+    where[high] = np.arange(len(high))
+    at = where[keys >> h]
+    low = keys & ((1 << h) - 1)
+    np.subtract((1 << h) - 1, low, out=low)
+    low *= len(high)
+    at += low
+    del where, low
+    child, parent = _hasse(high)
+    # each high half's Hasse parents, padded with len(high), a row of 0s
+    rank = np.arange(len(child)) - np.searchsorted(child, child)
+    ups = np.full((len(high), int(rank.max(initial=0)) + 1), len(high))
+    ups[child, rank] = parent
+    # the cover table, dense: 1 + A, or 0 where no row of the run misses
+    # K_j, a uint8 flag a (high half, row) pair maxed over each run; then
+    # a pair is kept when its A passes every Hasse parent's
+    half = np.min_scalar_type((1 << w) - 1)
+    rows = hi[order].astype(half)
+    gain = np.bitwise_count(rows) + np.uint8(1)
+    most = np.zeros((len(high) + 1, len(starts)), dtype=np.uint8)
+    keep = np.empty((len(starts), len(high)), dtype=bool)
+    step = max(1, _PLAN_BLOCK >> w)
+    for a in range(len(high) - step, -step, -step):
+        z, a = a + step, max(a, 0)
+        flags = ((high[a:z].astype(half)[:, None] & rows) == 0).view(np.uint8)
+        np.multiply(flags, gain, out=flags)
+        np.maximum.reduceat(flags, starts, axis=1, out=most[a:z])
+        del flags
+        up = most[ups[a:z, 0]]
+        for i in range(1, ups.shape[1]):
+            np.maximum(up, most[ups[a:z, i]], out=up)
+        np.greater(most[a:z], up, out=keep[:, a:z].T)
+    del up
+    run, col = np.nonzero(keep)
+    cover = most[col, run].astype(np.int8) - 1
+    del most, keep
+    product = [(runs, col[at], cover[at][..., None], more)
+               for runs, at, more in _batches(run, np.zeros_like(run), h)]
+    # the closure: each round the parents of one popcount, whose children
+    # have less
+    rounds = np.bitwise_count(high)[parent]
+    by = np.lexsort((parent, rounds))
+    parent, child = parent[by], child[by]
+    closure = [(parents, np.concatenate([parents[:, None], child[at]], axis=1))
+               for parents, at, _ in _batches(parent, rounds[by], h, 1)]
     run_of = np.empty(1 << w, dtype=np.intp)
     run_of[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=1 << w))
     hi_desc = _axis_rows(w, 1 << w)
-    return _SplitPlan(keys, (((1 << w) - 1) - hv).astype(half), at, split, sides, cover,
-                      cover_hv, (most[pairs] - 1).astype(np.int8)[:, None],
-                      np.stack([hi0, hi1], axis=1), col_keys,
+    return _SplitPlan(keys, (((1 << w) - 1) - high).astype(half), at, split, sides, by_mask,
+                      class_starts, closure, product, np.stack([hi0, hi1], axis=1), col_keys,
                       _axis_rows(h, 1 << h).astype(np.intp), hi_desc.astype(half),
                       run_of[hi_desc])
+
+
+def _hasse(high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hasse edges of a family of distinct sets, as bit masks: the
+    (child, parent) index pairs with high[child] ⊊ high[parent] and no
+    member between, ordered by child, then parent.
+
+    A pair of the strict order is an edge unless some member lies above
+    the child and below the parent: the bit-packed rows of the members
+    above each child and below each parent are and-ed, _PLAN_BLOCK bytes
+    of pairs at a time.
+    """
+    sub = (high[:, None] & ~high) == 0  # sub[j, k]: high[j] ⊆ high[k]
+    np.fill_diagonal(sub, False)
+    child, parent = np.divmod(np.flatnonzero(sub), len(high))
+    above, below = np.packbits(sub, axis=1), np.packbits(sub.T, axis=1)
+    del sub
+    between = np.empty(len(child), dtype=bool)
+    step = max(1, _PLAN_BLOCK // above.shape[1])
+    for a in range(0, len(child), step):
+        np.any(above[child[a:a + step]] & below[parent[a:a + step]], axis=1,
+               out=between[a:a + step])
+    return child[~between], parent[~between]
+
+
+def _batches(owner: np.ndarray, rounds: np.ndarray, h: int,
+             extra: int = 0) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """The entries of owner, where each owner's entries are contiguous, in
+    batches for an (owners, k, 2^h) gather of at most _GATHER_BLOCK bytes,
+    k + extra rows an owner: per batch, owners of k entries each in one
+    round, at, the (owners, k) positions of their entries, and whether the
+    batch goes on with owners begun in the batch before.  An owner of more
+    entries than a gather holds is split into batches of one owner.
+    Batches come by ascending round.
+    """
+    if not len(owner):
+        return []
+    segs = _starts(owner)
+    count = np.diff(segs, append=len(owner))
+    by, firsts = _runs((rounds[segs].astype(np.int64) << 32) | count)
+    rows = max(1 + extra, _GATHER_BLOCK >> h)  # the rows of a gather
+    batches = []
+    for g0, g1 in zip(firsts.tolist(), firsts[1:].tolist() + [len(by)]):
+        k = int(count[by[g0]])
+        if k + extra > rows:
+            for s in segs[by[g0:g1]].tolist():
+                batches += [(owner[[s]], np.arange(s + a, s + min(a + rows - extra, k))[None],
+                             a > 0) for a in range(0, k, rows - extra)]
+            continue
+        step = rows // (k + extra)
+        for a in range(g0, g1, step):
+            at = segs[by[a:min(a + step, g1)], None] + np.arange(k)
+            batches.append((owner[at[:, 0]], at, False))
+    return batches
 
 
 def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -493,7 +626,9 @@ def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _starts(ordered: np.ndarray) -> np.ndarray:
     """Where each run of equal entries of the ascending array ordered starts."""
-    return np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    new = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 @lru_cache(maxsize=8)
@@ -686,8 +821,9 @@ def _split_transform(grouped: np.ndarray, n: int, bricked: bool, superset: bool,
     returned; both DPs share it.  Given z, the minimum's full-width form,
     the low array is scattered into the rows hv of z viewed as a
     (2^(n - h), 2^h) array, every other row dead, and the high bits are
-    transformed over all of z.  The maximum takes its high half in its
-    product with the cover table instead (_max_rule), and holds no z.
+    transformed over all of z.  The maximum closes the low array over its
+    key high halves and takes its high half in its product with the cover
+    table instead (_max_rule), and holds no z.
     """
     plan = _split_plan(n, bricked)
     h, tail = n // 2, grouped.shape[1:]
@@ -795,6 +931,16 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     return out
 
 
+def _close(low_t: np.ndarray, closure: list[tuple[np.ndarray, np.ndarray]]):
+    """low_t[j] := the maximum of low_t[j'] over every K_j' ⊆ K_j, in place,
+    with the plan's closure (_split_plan): round by round, each parent
+    takes the maximum of its row and its Hasse children's, which an
+    earlier round has closed, so each parent is written once.
+    """
+    for parents, members in closure:
+        low_t[parents] = low_t[members].max(axis=1)
+
+
 class _Rule(NamedTuple):
     """One row rule: what the sweep (_sweep) runs per row.
 
@@ -825,17 +971,32 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
     A row r admits the rows u above it with triple(u) & r == 0 and scores
     its houses, pc(hi) + pc(lo) over its two halves (_split_plan).  The
     advance takes the low half of the superset transform of the grouped
-    maxima (_split_transform), low[lo, j]; its high half and the maximum
-    over a run's rows swap, so each run's best at each low half is one
-    sparse (max, +) product with the plan's cover table A,
+    maxima (_split_transform), low[lo, j], transposed, and closes it over
+    the key high halves K_j = ~hv[j] (_close): L[lo, j] is the maximum of
+    low[lo, j'] over every K_j' ⊆ K_j.  The high half of the transform and
+    the maximum over a run's rows swap, so each run's best at each low half
+    is one sparse (max, +) product with the plan's cover table A,
 
-        part[run, lo] = pc(lo) + max over j of (low[lo, j] + A[run, j]),
+        part[run, lo] = pc(lo) + max over j of (L[lo, j] + A[run, j]),
 
-    a run's pairs gathered as rows of the transposed low array.  Runs of
-    columns of part are then maxed into their classes.  Row 1 is the
-    product with low = 0: the empty north row admits every row.  keep: a
-    witness keeps each row's transposed low array and part, shifted by the
-    row before it.
+    over the run's undominated pairs alone: per batch of runs with k pairs
+    (_batches), one .max(axis=1) over a (runs, k, 2^h) gather of rows of
+    the closed array.  This is exact.  Every kept term is attained: L[lo,
+    j] is some low[lo, j'] with K_j' ⊆ K_j, and the row that gives A[run,
+    j] misses K_j, so it misses K_j' too and scores at least the term.  A
+    row hi of the run scores pc(hi) plus low[lo, j] at some K_j it misses,
+    at most the term of the pair (run, j); and every dropped pair is
+    dominated by a kept one, whose closed entry is as large at an equal A.
+    The scan reads the closed array unchanged: its maximum over the hv ⊇
+    hi, the K_j that hi misses, is the same before and after the closure,
+    as those K_j take in every K_j' ⊆ K_j.
+
+    Each side's part is then grouped along contiguous rows: its columns
+    taken in column-run order, maxed over each column run by one reduceat
+    along axis 1, and the (run, column run) cells maxed into their classes
+    by one reduceat over the plan's class order.  Row 1 is the product with
+    low = 0: the empty north row admits every row.  keep: a witness keeps
+    each row's closed low array and part, shifted by the row before it.
 
     The scan picks in three exact steps.  The target is the best score of
     the rows that fit the row r below, and the rows of one (run, low half)
@@ -849,7 +1010,7 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
     target is the pick.
     """
     plan = _split_plan(n, bricked)
-    keys, bounds = plan.keys, plan.cover.tolist()
+    keys = plan.keys
     h, w = n // 2, n - n // 2
     runs = len(plan.run_keys)
     top = (1 << h) >> 1  # the columns from top on have bit h - 1 set
@@ -861,18 +1022,27 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
             low_t = np.zeros((len(plan.hv), 1 << h), dtype=np.int8)
         else:
             low_t = np.ascontiguousarray(_split_transform(grouped, n, bricked, True).T)
+            _close(low_t, plan.closure)
         part = np.empty((runs, 1 << h), dtype=np.int8)
-        for r in range(runs):
-            got = low_t[plan.cover_hv[bounds[r]:bounds[r + 1]]]
-            got += plan.cover_houses[bounds[r]:bounds[r + 1]]
-            got.max(axis=0, out=part[r])
+        for rows, cols, cover, more in plan.product:
+            got = low_t[cols]
+            got += cover
+            best = got.max(axis=1)
+            if more:
+                np.maximum(best, part[rows], out=best)
+            part[rows] = best
         part += houses
-        del got  # the last run's rows, before the grouping
+        del got, best  # the last batch, before the grouping
+        layer = (low_t, part) if keep else None
+        del low_t
         clock.lap("transform")
-        grouped = np.full(len(keys), _DEAD, dtype=np.int8)
-        for block, (cols, starts, cls) in zip((part[:plan.split], part[plan.split:]), plan.sides):
-            np.maximum.at(grouped, cls, np.maximum.reduceat(block.T[cols], starts, axis=0))
-        return grouped, (low_t, part) if keep else None
+        cells = np.empty(len(plan.order), dtype=np.int8)
+        at = 0
+        for block, (cols, starts) in zip((part[:plan.split], part[plan.split:]), plan.sides):
+            into = cells[at:at + len(block) * len(starts)].reshape(len(block), len(starts))
+            np.maximum.reduceat(block.take(cols, axis=1), starts, axis=1, out=into)
+            at += into.size
+        return np.maximum.reduceat(cells.take(plan.order), plan.class_starts), layer
 
     def scan(layer, below, target):
         low_t, part = layer
@@ -884,7 +1054,8 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
         # are the runs that fit at all
         high = (plan.run_keys & (r >> h)) == 0
         fit = np.flatnonzero(high[:, 0])
-        hit = part[fit] == target
+        hit = part[fit]
+        hit = np.equal(hit, target, out=hit.view(bool))  # in place, a byte a pair
         hit[:, top:] &= high[fit, 1:]
         low_fits = (plan.col_keys & (r & ((1 << h) - 1))) == 0
         split = int(np.searchsorted(fit, plan.split))

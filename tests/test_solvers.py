@@ -26,6 +26,7 @@ from settle.solvers import (
     _SCAN_BLOCK,
     _brute_bytes,
     _check_limits,
+    _close,
     _houses,
     _max_rule,
     _normalize,
@@ -608,6 +609,9 @@ class TestStateBytes:
         # its estimate
         (Objective.MAX_PERMISSIBLE, 2, 26),
         (Objective.MAX_PERMISSIBLE, 26, 26),
+        # past it at 28, where the witness scan once held a copy of the run
+        # maxima beside their fit test
+        (Objective.MAX_PERMISSIBLE, 8, 28),
         (Objective.MIN_MAXIMAL, 1, 18),
         (Objective.MIN_MAXIMAL, 1, 22),
         (Objective.MIN_MAXIMAL, 3, 3),
@@ -648,7 +652,7 @@ class TestStateBytes:
     def charges(res, bricked):
         """What a witness solve charges beyond _need_bytes: each layer it
         keeps past the ones the estimate holds, and one scan call.  The
-        maximum keeps each row's transposed low array and run maxima
+        maximum keeps each row's closed low array and run maxima
         (part), the last row's in the estimate as its advance's arrays,
         and its scan call holds a bool per entry of part, a few arrays of
         a word a run or of one low half's rows, and one block of their
@@ -714,7 +718,7 @@ class TestStateBytes:
         # refused at the charge that passes the cap, before its allocation:
         # one byte under the charged peak, the scan's pick; one byte under
         # two layers past the estimate, the third layer kept (of the seven
-        # or eight, the transposed low array and part, 0.23 MiB free, 0.28
+        # or eight, the closed low array and part, 0.23 MiB free, 0.28
         # bricked; the estimate holds the first)
         m, n = 40, 20
         bricked = boundary is Boundary.BRICKED
@@ -800,20 +804,25 @@ class TestStateBytes:
             assert np.array_equal(_houses(n), np.bitwise_count(states)), (n, bricked)
 
     def test_plan_classes_pass_uint16_on_the_bricked_border(self):
-        # 92 736 classes at n = 24, where a uint16 class index would wrap
-        # silently: each (column run, row run) pair's index names the triple
-        # mask of the pair's first state
+        # 92 736 classes at n = 24, past a uint16 class index: the class
+        # that order and class_starts give each (run, column run) cell is
+        # the triple mask of the cell's first state
         n, h = 24, 12
         plan = _split_plan(n, True)
         assert len(plan.keys) == 92736
+        cls = np.empty(len(plan.order), dtype=np.intp)
+        cls[plan.order] = np.repeat(np.arange(len(plan.keys)),
+                                    np.diff(plan.class_starts, append=len(plan.order)))
         # a row of each run
         some = np.empty(len(plan.run_keys), dtype=np.uint32)
         some[plan.run_desc] = plan.hi_desc
-        for (cols, starts, cls), high in zip(plan.sides, (some[:plan.split], some[plan.split:])):
-            low = cols[starts].astype(np.uint32)[:, None]
-            first = (high << h) | low
-            assert cls.shape == first.shape
-            assert np.array_equal(plan.keys[cls], triple_mask(first, n, True))
+        at = 0
+        for (cols, starts), high in zip(plan.sides, (some[:plan.split], some[plan.split:])):
+            first = (high[:, None] << h) | cols[starts].astype(np.uint32)
+            cells = cls[at:at + first.size].reshape(first.shape)
+            assert np.array_equal(plan.keys[cells], triple_mask(first, n, True))
+            at += first.size
+        assert at == len(plan.order)
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_wide_max_holds_under_1_byte_a_state(self, boundary):
@@ -1024,31 +1033,108 @@ class TestSplitRow:
                 assert np.array_equal(got, want), (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
+    def test_small_gathers_give_the_same_advance(self, bricked, monkeypatch):
+        # a gather of four rows splits the closure's parents and the
+        # product's runs over several batches, each a fold into the rows
+        # begun before it: the closed low array, part and the grouped
+        # maxima are those of the default gather, dead entries included
+        rng = np.random.default_rng(10)
+        try:
+            for n in range(1, 21):
+                keys = _split_plan(n, bricked).keys
+                grouped = rng.integers(-2 * n, 0, len(keys), endpoint=True).astype(np.int8)
+                grouped[rng.random(len(keys)) < 0.3] = _DEAD
+                rule = _max_rule(n, bricked, 0, True)
+                want, (want_low, want_part) = rule.advance(grouped, _Clock())
+                _split_plan.cache_clear()
+                monkeypatch.setattr("settle.solvers._GATHER_BLOCK", 4 << (n // 2))
+                got, (low_t, part) = _max_rule(n, bricked, 0, True).advance(grouped, _Clock())
+                assert np.array_equal(low_t, want_low), (n, bricked)
+                assert np.array_equal(part, want_part), (n, bricked)
+                assert np.array_equal(got, want), (n, bricked)
+                _split_plan.cache_clear()
+                monkeypatch.undo()
+        finally:
+            _split_plan.cache_clear()
+
+    @staticmethod
+    def kept_pairs(plan):
+        """Each run's kept pairs {column of hv: A} from the product's
+        batches; each run begins in one batch, and a batch that goes on
+        with runs adds to runs begun before it."""
+        kept = {}
+        for rows, cols, cover, more in plan.product:
+            assert cols.shape == cover.shape[:2] == (len(rows), cols.shape[1])
+            for r, js, a in zip(rows.tolist(), cols.tolist(), cover[:, :, 0].tolist()):
+                assert (r in kept) == more, r
+                pairs = kept.setdefault(r, {})
+                pairs.update(zip(js, a))
+        return kept
+
+    @pytest.mark.parametrize("bricked", [False, True])
     def test_every_run_is_covered(self, bricked):
-        # the product's premise: every row's high half lies in the all-ones
-        # hv, the complemented high half of key 0, the empty row's class,
-        # so each run has a pair there, A = its most houses; and a run's
-        # pairs are the columns some row of it lies in, ascending
+        # the product's premise: every row's high half misses K = 0, the key
+        # high half of the empty row's class, so each run keeps a pair, and
+        # its best A is its most houses.  For n <= 16, against each run's
+        # full pair set, built from its rows: every kept pair is a pair
+        # with its A and undominated, and every dropped pair is dominated
+        # by a kept pair of the run with a strict superset key and an equal A
         for n in range(1, 27):
             plan = _split_plan(n, bricked)
             w = n - n // 2
-            assert plan.keys[0] == 0 and plan.hv[0] == (1 << w) - 1, (n, bricked)
+            full = (1 << w) - 1
+            assert plan.keys[0] == 0 and plan.hv[0] == full, (n, bricked)
             rows = np.zeros((len(plan.run_keys), 1 << w), dtype=bool)
             rows[plan.run_desc, plan.hi_desc] = True
-            first = plan.cover[:-1]
-            assert (np.diff(plan.cover) > 0).all(), (n, bricked)
-            assert (plan.cover_hv[first] == 0).all(), (n, bricked)
+            kept = self.kept_pairs(plan)
+            assert sorted(kept) == list(range(len(rows))), (n, bricked)
             most = [int(np.bitwise_count(np.flatnonzero(r)).max()) for r in rows]
-            assert plan.cover_houses[first, 0].tolist() == most, (n, bricked)
-            if n <= 16:
-                hi = np.arange(1 << w)
-                under = (hi[:, None] & ~plan.hv.astype(np.int64)) == 0
-                for r, (a, b) in enumerate(zip(plan.cover[:-1], plan.cover[1:])):
-                    fits = under[rows[r]]
-                    assert plan.cover_hv[a:b].tolist() == np.flatnonzero(fits.any(axis=0)).tolist()
-                    want = [np.bitwise_count(hi[rows[r]][fits[:, j]]).max()
-                            for j in plan.cover_hv[a:b]]
-                    assert plan.cover_houses[a:b, 0].tolist() == want, (n, bricked, r)
+            assert [max(kept[r].values()) for r in range(len(rows))] == most, (n, bricked)
+            if n > 16:
+                continue
+            keys = full - plan.hv.astype(np.int64)  # K_j
+            hi = np.arange(1 << w)
+            misses = (hi[:, None] & keys) == 0
+            above = ((keys[:, None] & ~keys) == 0) & (keys[:, None] != keys)  # K_j ⊊ K_k
+            for r, row in enumerate(rows):
+                fits = misses[row]
+                pairs = {j: int(np.bitwise_count(hi[row][fits[:, j]]).max())
+                         for j in np.flatnonzero(fits.any(axis=0)).tolist()}
+                assert set(kept[r]) <= set(pairs), (n, bricked, r)
+                for j, a in pairs.items():
+                    equal = [k for k in np.flatnonzero(above[j]).tolist() if pairs.get(k) == a]
+                    if j in kept[r]:
+                        assert kept[r][j] == a and not equal, (n, bricked, r, j)
+                    else:
+                        assert set(equal) & set(kept[r]), (n, bricked, r, j)
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_closure_takes_every_subset_key(self, bricked):
+        # the closure's rounds: on random int8 rows with dead entries, row
+        # j becomes the maximum of the rows j' with K_j' ⊆ K_j, against a
+        # dense reference over the family's order
+        rng = np.random.default_rng(8)
+        for n in range(1, 25):
+            plan = _split_plan(n, bricked)
+            w = n - n // 2
+            keys = ((1 << w) - 1) - plan.hv.astype(np.int64)
+            low_t = rng.integers(-2 * n, 0, (len(keys), 1 << (n // 2)), endpoint=True)
+            low_t = low_t.astype(np.int8)
+            low_t[rng.random(low_t.shape) < 0.3] = _DEAD
+            within = (keys[:, None] & ~keys) == 0  # within[j', j]: K_j' ⊆ K_j
+            want = np.stack([low_t[within[:, j]].max(axis=0) for j in range(len(keys))])
+            _close(low_t, plan.closure)
+            assert np.array_equal(low_t, want), (n, bricked)
+
+    def test_plan_class_counts_are_fibonacci(self):
+        # the classes that _split_plan finds, counted: on the free border
+        # within 1/2 of F(n + 2)/2, on the bricked border exactly 2 F(n)
+        fib = [0, 1]
+        while len(fib) < 27:
+            fib.append(fib[-1] + fib[-2])
+        for n in range(1, 25):
+            assert abs(2 * len(_split_plan(n, False).keys) - fib[n + 2]) <= 1, n
+            assert len(_split_plan(n, True).keys) == 2 * fib[n], n
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_transform_matches_the_naive_maximum(self, bricked):
