@@ -25,12 +25,15 @@ on a chunk of current rows at a time, as a trailing axis.  The maximum
 holds no array of 2^n entries: the high half of its transform and the
 maximum over a run of rows of equal high-half triple bits swap, so each
 run's best score at each low half is one sparse (max, +) product of the
-low array with a cover table per width.  The low array is first closed
-over the key high halves, a subset-maximum transform along the Hasse
-edges of their family alone, so that the product reads only each run's
-undominated pairs; then each run's maxima are grouped along contiguous
-rows into their classes.  The row mask algebra comes from the rows
-module, evaluated on numpy arrays of states.
+low array with a cover table per width.  A class is a run and a run of
+low halves of equal low-half triple bits (a column run), and the maxima
+over a column run's low halves commute with the product, so they are
+taken first: the product runs on the column runs, not on the 2^h low
+halves.  Its input is first closed over the key high halves, a
+subset-maximum transform along the Hasse edges of their family alone,
+so that the product reads only each run's undominated pairs.  The row
+mask algebra comes from the rows module, evaluated on numpy arrays of
+states.
 
 The minimum reads its transformed chunk at reach(c, d) for every current
 row c and row d below (_reach), and takes the maximum over the rows c of
@@ -115,7 +118,7 @@ class Limits:
     max_wall_s is checked after each row advance and each row of the scan.
     """
 
-    max_cols: int = 24
+    max_cols: int = 28
     max_cols_pairs: int = 12
     max_state_bytes: int = 3 << 30
     max_wall_s: float | None = None
@@ -188,6 +191,10 @@ _RING = 4  # how many rows back a row's shifted maxima are looked for
 _SCAN_BLOCK = 1 << 16  # the entries the witness scan tests at a time (_pick, _max_rule)
 _RULE_BLOCK = 1 << 16  # the entries a row rule is evaluated on at a time
 _GATHER_BLOCK = 1 << 18  # the bytes of one gather of the maximum's advance (_batches)
+# _batches' cost of a gather: a numpy call about _CALL_BYTES bytes
+# gathered, and a row about _ROW_BYTES beyond its own
+_CALL_BYTES = 1 << 14
+_ROW_BYTES = 256
 _PLAN_BLOCK = 1 << 20  # the pairs _split_plan flags, and bytes _hasse ands, at a time
 # The pair advance transforms _CHUNK current rows at a time: a (2^n, _CHUNK)
 # int8 block, 1 MiB at n = 12, which stays in cache through the transform.
@@ -220,10 +227,9 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
         # the split plan, and no array of one entry a row: the grouped
         # maxima and the _RING rows' maxima they are compared with, and at
         # a close-off the uint32 fit test, its mask and the masked maxima;
-        # the low array, then its closed transposed copy beside the rest of
-        # the advance
+        # the low array beside the rest of the advance
         per_group = _RING + 7
-        return _FIXED_BYTES + plan + max(build, groups * per_group + low + max(low, group))
+        return _FIXED_BYTES + plan + max(build, groups * per_group + low + group)
     # _houses: pc (int8) a state, built in place; and the split plan
     need = _FIXED_BYTES + size + plan
     # The minimum's state is its grouped maxima, one (groups, 2^n) array a
@@ -282,62 +288,80 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int]:
     return tables, made, entries, slots
 
 
+@lru_cache(maxsize=8)
 def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     """The classes at width n, the bytes of its cached _split_plan and the
     most its build holds beyond them, the cells of _split_transform's (2^h,
     len(hv)) low array, and the most the maximum's advance (_max_rule)
-    holds beyond its closed low array and the grouped maxima.
+    holds beyond that low array and the grouped maxima.
 
     Read off the plan up to _PLAN_COLS columns, where it takes work of the
     order of its classes.  Beyond, 2^n bounds the classes, the (run,
     column run) cells and the low cells, 2^(n - h) the row runs and high
-    halves, their square the pairs of each and the Hasse edges, and three
-    2^n arrays the product and the grouping.
+    halves, their square the pairs of each and the Hasse edges, and eight
+    2^n arrays the advance: twice 2^h column runs by the high halves, and
+    the runs by those.
     """
     h, w = n // 2, n - n // 2
     if n > _PLAN_COLS:
         size, rows = 1 << n, 1 << w
-        # keys (uint32), at and class_starts (intp) a class, order (intp) a
-        # cell; a few words a row, a (run, high half) pair or an edge
+        # keys (uint32), by_class and class_starts (intp) a class, order
+        # (intp) a cell; a few words a row, a (run, high half) pair or an
+        # edge
         held = size * 28 + rows * 64 + rows * rows * 40
-        return size, held, max(size * 12, 3 * _PLAN_BLOCK + rows * rows * 24), size, 3 * size
+        return size, held, max(size * 20, 3 * _PLAN_BLOCK + rows * rows * 24), size, 8 * size
     plan = _split_plan(n, bricked)
     arrays = [a for a in plan if isinstance(a, np.ndarray)]
-    arrays += [a for batches in (plan.sides, plan.closure, plan.product)
+    arrays += [a for batches in (plan.fine, plan.closure, plan.product)
                for batch in batches for a in batch if isinstance(a, np.ndarray)]
     held = sum(a.nbytes + _OBJECT_BYTES for a in arrays)
     highs, runs, cells = len(plan.hv), len(plan.run_keys), len(plan.order)
+    groups, cols = len(plan.keys), len(plan.col_key)
     children = np.concatenate([members[:, 1:].ravel() for _, members in plan.closure]
                               + [np.empty(0, np.intp)])
-    edges, kept = len(children), sum(cols.size for _, cols, *_ in plan.product)
+    edges, kept = len(children), sum(at.size for _, at, *_ in plan.product)
     degree = max(1, int(np.bincount(children).max(initial=0)))  # the most Hasse parents
-    # The build holds at most the largest of: the cells' masks and their
-    # sort (9.5 bytes a cell measured, n = 23..28); the cover table's pass,
-    # 1 + A and its kept flag a (high half, run) pair, the edges and their
-    # ranks (intp), the rows and their houses, beside a block of (high
-    # half, row) pairs, the and in the rows' dtype and its flag, with the
-    # block's parents' maxima and one parent's rows, and the high halves'
-    # padded parents (intp), or, after the pass, the kept pairs (intp) and
-    # their A; or _hasse's strict order, a bool a pair of high halves and
-    # an intp pair for each in it, bit-packed both ways, and a block of
-    # and-ed rows
+    # The build holds at most the largest of: the cells in class order
+    # (intp) beside their copy in the plan's order and a flag a cell (13
+    # bytes a cell measured, n = 26 and 28, both borders); the cover
+    # table's pass, 1 + A and its kept flag a (high half, run) pair, the
+    # edges and their ranks (intp), the rows (uint32), their order by run
+    # (intp), in the rows' dtype and their houses, beside a block of (high
+    # half, row) pairs, the and in the rows' dtype and its
+    # flag, with the block's parents' maxima and one parent's rows, and the
+    # high halves' padded parents (intp), or, after the pass, the kept
+    # pairs (intp) and their A; or _hasse's strict order, a bool a pair of
+    # high halves and an intp pair for each pair in it, and its flat
+    # indices, or it bit-packed both ways, a flag a pair and a block of
+    # and-ed rows and their pairs
     block = min(highs, max(1, _PLAN_BLOCK >> w))
     packed = -(-highs // 8)
-    cover = (2 * (highs + 1) * runs + edges * 24 + (3 << w)
+    cover = (2 * (highs + 1) * runs + edges * 24 + (15 << w)
              + max(3 * min(_PLAN_BLOCK, highs << w) + 2 * block * runs + highs * degree * 8,
                    kept * 19))
-    hasse = (highs * highs * 10 + 2 * highs * packed
-             + 3 * min(_PLAN_BLOCK, highs * highs // 2 * packed))
-    build = max(cells * 12, cover, hasse)
-    # The advance: part, a row a run, beside one batch's gather and its
-    # maxima, or a side's permuted part and the cells' maxima, or the cells
-    # and their copy in class order
-    part = runs << h
-    gather = max([members.size for _, members in plan.closure]
-                 + [cols.size for _, cols, *_ in plan.product]) << h
-    side = max(plan.split, runs - plan.split) << h
-    advance = part + max(2 * gather, side + cells, 2 * cells)
-    return len(plan.keys), held, build, highs << h, advance
+    keys = ((1 << w) - 1) - plan.hv
+    pairs = int(np.count_nonzero((keys[:, None] & plan.hv) == 0)) - highs  # the strict order
+    hasse = 16 * pairs + max(highs * highs + 8 * pairs,
+                             2 * highs * packed + pairs + 3 * min(_PLAN_BLOCK, pairs * packed)
+                             + 16 * min(pairs, _PLAN_BLOCK // packed))
+    build = max(cells * 13, cover, hasse)
+    # The advance: the column runs' maxima, a row of high halves each,
+    # beside a batch's gather of low rows, its maxima and the rows it folds
+    # into, or a gather of their own rows, or their transposed copy; then
+    # that copy beside a closure round's gather and maxima, or beside the
+    # cells, a column run a run, and a product batch's gather, its maxima
+    # and the cells' rows it folds into; then the cells, the cells of the
+    # classes of more than one in class order, and the maxima of all
+    # classes before they are put in class order
+    most = cols * highs
+    gather = max([at.size + 2 * len(rows) for rows, at, _ in plan.fine]
+                 + [plan.coarse.size]) * highs
+    close = max([members.size + len(parents) for parents, members in plan.closure],
+                default=0) * cols
+    product = max(at.size + 2 * len(rows) for rows, at, *_ in plan.product) * cols
+    table = runs * cols
+    advance = max(most + max(gather, most, close, table + product), table + cells + groups)
+    return groups, held, build, highs << h, advance
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -419,11 +443,24 @@ class _SplitPlan(NamedTuple):
     hv: np.ndarray
     at: np.ndarray  # each class's flat index into a (2^h, len(hv)) array
     split: int  # the runs of rows with b = 0, which come first
-    sides: list[tuple[np.ndarray, np.ndarray]]  # (cols, starts), b = 0, 1
-    # the (run, column run) cells of both sides, b = 0 first, each side's
-    # row by row, in class order (intp), and where each class's cells start
+    # the column runs: b = 0's first, then b = 1's.  col_key is each one's
+    # low half of its keys given its side's b, times 2, plus t, and col_of
+    # (2, 2^h) each low half's column run on side b = 0, 1 (intp)
+    col_key: np.ndarray
+    col_of: np.ndarray
+    # fine: b = 1's column runs' batches (_batches), (column runs, low
+    # halves, more); coarse: b = 0's column runs, each a union of b = 1's,
+    # as those column runs, padded (intp)
+    fine: list[tuple[np.ndarray, np.ndarray, bool]]
+    coarse: np.ndarray
+    # the (run, column run) cells of each side's runs and column runs, as
+    # flat indices into a (runs, column runs) array (intp): the cells of
+    # the classes of one cell first, then the other classes' in class
+    # order, and where each of those starts after the first; and each
+    # class's place in that order, the one-cell classes first
     order: np.ndarray
     class_starts: np.ndarray
+    by_class: np.ndarray
     # the closure's batches, (parents, members) with members[:, 0] the
     # parents and the rest their Hasse children, in rounds of ascending
     # popcount (intp)
@@ -431,10 +468,9 @@ class _SplitPlan(NamedTuple):
     # the product's batches, (runs, cols, A): each run's undominated pairs,
     # their columns of hv (intp) and the cover table A (int8, (runs, k, 1))
     product: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    # the scan's: the key of the class of (run, column) is
-    # (run_keys[run, t] << h) | col_keys[b, column]
+    # the scan's: the key of the class of a cell (run, c) is
+    # (run_keys[run, t] << h) | (col_key[c] >> 1), t = col_key[c] & 1
     run_keys: np.ndarray  # (runs, 2): each run's high half of its keys, given t = 0, 1
-    col_keys: np.ndarray  # (2, 2^h): each column's low half of its keys, given b = 0, 1
     lo_desc: np.ndarray  # the columns by descending rev_h (intp)
     hi_desc: np.ndarray  # the rows by descending rev_(n - h), in hv's dtype
     run_desc: np.ndarray  # the run of each row of hi_desc (intp)
@@ -452,11 +488,17 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     triple_mask on rows that hold one half and that one bit of the other.
 
     The rows fall in runs of equal (b, high half given t = 1, high half
-    given t = 0), ascending.  For b = 0 and b = 1, sides holds the columns
-    (cols) in runs of equal (low half given b, t) and the index in cols
-    where each run starts.  Each (run, column run) cell holds states of one
-    triple mask, and each state lies in one cell, so the cells' masks are
-    the classes; order lists the cells by class.  hv and at place the
+    given t = 0), ascending.  The columns fall, for b = 0 and b = 1, in
+    column runs of equal (low half given b, t).  In one order of the
+    columns, by b = 0's key and then b = 1's, the column runs of both
+    sides are contiguous, and each of b = 0's is one or two of b = 1's
+    (checked for n = 1..28, both borders): so fine gathers b = 1's column
+    runs from the columns, in batches of column runs of one padded length
+    (_batches), and coarse b = 0's from b = 1's.  Each (run, column run of
+    the run's side) cell holds states of one triple mask, and each state
+    lies in one cell, so the cells' masks are the classes; order lists the
+    cells of the classes of one cell, then the others' by class.  hv and
+    at place the
     complemented keys for _split_transform: the row of a key's low half,
     the column of its high half.
 
@@ -486,28 +528,71 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     first = order[starts]
     split = int(np.count_nonzero((hi[first] & 1) == 0))
     hi1, hi0 = hi1[first], hi0[first]
-    lo = np.arange(1 << h, dtype=np.uint32)
-    t = (lo & top) != 0
-    col_keys = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
-    col_keys &= (1 << h) - 1
-    sides, masks = [], []
-    for b, part in ((0, slice(None, split)), (1, slice(split, None))):
-        lo_key = col_keys[b]
-        cols, col_starts = _runs(lo_key * 2 + t)
-        col = cols[col_starts]
-        masks.append(((np.where(t[col], hi1[part, None], hi0[part, None]) << h)
-                      | lo_key[col]).ravel())
-        sides.append((cols, col_starts))
-    # (np.unique would import numpy.ma, about 1 MiB, on a solve's first call)
-    masks = np.concatenate(masks)
-    by_mask, class_starts = _runs(masks)
-    keys = masks[by_mask[class_starts]]
-    del masks
     # the key high halves K_j, by popcount, then ascending: every run's at
     # t = 0 and 1, as every run meets columns of both
     both = np.sort(np.concatenate([hi0, hi1]))
     high = both[_starts(both)]
     high = high[np.argsort(np.bitwise_count(high), kind="stable")]
+    lo = np.arange(1 << h, dtype=np.uint32)
+    col_keys = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
+    col_keys &= (1 << h) - 1
+    # the low halves in one order for both sides, by (b = 0's key, b = 1's
+    # key): the column runs of b = 0 are contiguous in it, and so are the
+    # runs of both keys, b = 1's column runs where they refine b = 0's
+    key = col_keys * 2 + ((lo & top) != 0)
+    common = np.lexsort(key[::-1])
+    key = key[:, common]
+    fine = _starts((key[0].astype(np.int64) << 32) | key[1])
+    within = _starts(key[0, fine])  # b = 1's column runs that start b = 0's
+    # the column runs, b = 0's then b = 1's; each of b = 0's is one or
+    # more of b = 1's, padded to as many
+    cols0, cols = len(within), len(within) + len(fine)
+    col_key = np.concatenate([key[0, fine[within]], key[1, fine]])
+    col_of = np.empty((2, 1 << h), dtype=np.intp)
+    col_of[1, common] = np.repeat(np.arange(cols0, cols), _lengths(fine, 1 << h))
+    count = _lengths(within, len(fine))
+    col_of[0, common] = np.repeat(np.arange(cols0), count)[col_of[1, common] - cols0]
+    coarse = cols0 + within[:, None] + np.minimum(np.arange(count.max()), count[:, None] - 1)
+    fine_gathers = [(owners, common[at], more) for owners, at, more
+                    in _batches(col_of[1, common], np.zeros(1 << h, np.intp), len(high))]
+    # the cells' masks, each side's runs by its column runs
+    masks = []
+    for part, span in ((slice(None, split), slice(None, cols0)),
+                       (slice(split, None), slice(cols0, None))):
+        low_key, t = col_key[span] >> 1, (col_key[span] & 1) != 0
+        masks.append(((np.where(t, hi1[part, None], hi0[part, None]) << h) | low_key).ravel())
+    # (np.unique would import numpy.ma, about 1 MiB, on a solve's first call)
+    masks = np.concatenate(masks)
+    by_mask, class_starts = _runs(masks)
+    keys = masks[by_mask[class_starts]]
+    del masks
+    # the one-cell classes' cells first, then the other classes' in class
+    # order, where each of those starts there, and where each class is in
+    # that order
+    count = _lengths(class_starts, len(by_mask))
+    multi = count > 1
+    by_class = np.cumsum(multi)
+    ones = len(keys) - int(by_class[-1])
+    rest = np.repeat(multi, count)
+    del count
+    cells = np.empty_like(by_mask)
+    np.compress(~multi, by_mask[class_starts], out=cells[:ones])
+    np.compress(rest, by_mask, out=cells[ones:])
+    del by_mask, rest
+    class_starts = (class_starts - np.arange(len(keys)) + by_class)[multi] - 1
+    by_class += ones - 1
+    by_class[~multi] = np.arange(ones)
+    del multi
+    # each cell's flat index into (runs, cols), read off its place in
+    # masks, _PLAN_BLOCK bytes of cells at a time
+    flat = np.empty(len(cells), dtype=np.intp)
+    np.add(np.arange(split)[:, None] * cols, np.arange(cols0),
+           out=flat[:split * cols0].reshape(split, cols0))
+    np.add(np.arange(split, len(starts))[:, None] * cols, np.arange(cols0, cols),
+           out=flat[split * cols0:].reshape(len(starts) - split, cols - cols0))
+    for a in range(0, len(cells), _PLAN_BLOCK >> 3):
+        cells[a:a + (_PLAN_BLOCK >> 3)] = flat[cells[a:a + (_PLAN_BLOCK >> 3)]]
+    del flat
     # at: a key's column in high, plus its complemented low half's row
     where = np.empty(1 << w, dtype=np.intp)
     where[high] = np.arange(len(high))
@@ -546,19 +631,21 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     cover = most[col, run].astype(np.int8) - 1
     del most, keep
     product = [(runs, col[at], cover[at][..., None], more)
-               for runs, at, more in _batches(run, np.zeros_like(run), h)]
+               for runs, at, more in _batches(run, np.zeros_like(run), cols)]
     # the closure: each round the parents of one popcount, whose children
     # have less
     rounds = np.bitwise_count(high)[parent]
     by = np.lexsort((parent, rounds))
     parent, child = parent[by], child[by]
     closure = [(parents, np.concatenate([parents[:, None], child[at]], axis=1))
-               for parents, at, _ in _batches(parent, rounds[by], h, 1)]
+               for parents, at, _ in _batches(parent, rounds[by], cols, 1)]
     run_of = np.empty(1 << w, dtype=np.intp)
-    run_of[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=1 << w))
+    run_of[order] = np.repeat(np.arange(len(starts)), _lengths(starts, 1 << w))
     hi_desc = _axis_rows(w, 1 << w)
-    return _SplitPlan(keys, (((1 << w) - 1) - high).astype(half), at, split, sides, by_mask,
-                      class_starts, closure, product, np.stack([hi0, hi1], axis=1), col_keys,
+    return _SplitPlan(keys, (((1 << w) - 1) - high).astype(half), at, split, col_key, col_of,
+                      fine_gathers, coarse, cells, class_starts, by_class, closure,
+                      product,
+                      np.stack([hi0, hi1], axis=1),
                       _axis_rows(h, 1 << h).astype(np.intp), hi_desc.astype(half),
                       run_of[hi_desc])
 
@@ -586,33 +673,51 @@ def _hasse(high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return child[~between], parent[~between]
 
 
-def _batches(owner: np.ndarray, rounds: np.ndarray, h: int,
+def _batches(owner: np.ndarray, rounds: np.ndarray, width: int,
              extra: int = 0) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """The entries of owner, where each owner's entries are contiguous, in
-    batches for an (owners, k, 2^h) gather of at most _GATHER_BLOCK bytes,
-    k + extra rows an owner: per batch, owners of k entries each in one
-    round, at, the (owners, k) positions of their entries, and whether the
-    batch goes on with owners begun in the batch before.  An owner of more
-    entries than a gather holds is split into batches of one owner.
-    Batches come by ascending round.
+    batches for an (owners, k, width) gather of at most _GATHER_BLOCK bytes,
+    k + extra rows an owner: per batch, owners of at most k entries each in
+    one round, at, the (owners, k) positions of their entries, an owner's
+    last repeated up to k, and whether the batch goes on with owners begun
+    in the batch before.  An owner of more entries than a gather holds is
+    split into batches of one owner.  Batches come by ascending round.
+
+    Repeating an entry leaves a maximum as it is, so owners of nearby
+    counts share batches: each round's distinct counts, ascending, are
+    grouped while raising a group's counts to the next one adds rows worth
+    at most _CALL_BYTES, about what one more gather's numpy calls cost (a
+    row costs about _ROW_BYTES beyond its own bytes).
     """
     if not len(owner):
         return []
     segs = _starts(owner)
-    count = np.diff(segs, append=len(owner))
-    by, firsts = _runs((rounds[segs].astype(np.int64) << 32) | count)
-    rows = max(1 + extra, _GATHER_BLOCK >> h)  # the rows of a gather
+    count = _lengths(segs, len(owner))
+    span = int(count.max()) + 1
+    key = rounds[segs].astype(np.intp) * span + count
+    by = np.argsort(key, kind="stable")
+    firsts = _starts(key[by])
+    keys, firsts = key[by[firsts]].tolist(), firsts.tolist() + [len(by)]
+    groups, group, held = [], 0, 0  # the group starts at keys[group] and holds held
+    for i, k in enumerate(keys):
+        if held and (k // span != keys[group] // span
+                     or (k - keys[i - 1]) * held * (width + _ROW_BYTES) > _CALL_BYTES):
+            groups.append((firsts[group], firsts[i], keys[i - 1] % span))
+            group, held = i, 0
+        held += firsts[i + 1] - firsts[i]
+    groups.append((firsts[group], len(by), keys[-1] % span))
+    rows = max(1 + extra, _GATHER_BLOCK // width)  # the rows of a gather
     batches = []
-    for g0, g1 in zip(firsts.tolist(), firsts[1:].tolist() + [len(by)]):
-        k = int(count[by[g0]])
+    for g0, g1, k in groups:
         if k + extra > rows:
-            for s in segs[by[g0:g1]].tolist():
-                batches += [(owner[[s]], np.arange(s + a, s + min(a + rows - extra, k))[None],
-                             a > 0) for a in range(0, k, rows - extra)]
+            for s, c in zip(segs[by[g0:g1]].tolist(), count[by[g0:g1]].tolist()):
+                batches += [(owner[[s]], np.arange(s + a, s + min(a + rows - extra, c))[None],
+                             a > 0) for a in range(0, c, rows - extra)]
             continue
         step = rows // (k + extra)
         for a in range(g0, g1, step):
-            at = segs[by[a:min(a + step, g1)], None] + np.arange(k)
+            own = by[a:min(a + step, g1), None]
+            at = segs[own] + np.minimum(np.arange(k), count[own] - 1)
             batches.append((owner[at[:, 0]], at, False))
     return batches
 
@@ -622,6 +727,15 @@ def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     equal keys starts in that order."""
     order = np.argsort(key, kind="stable")
     return order, _starts(key[order])
+
+
+def _lengths(starts: np.ndarray, end: int) -> np.ndarray:
+    """The lengths of the runs that start at starts, ascending from 0, and
+    end at end."""
+    count = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=count[:-1])
+    count[-1] = end - starts[-1]
+    return count
 
 
 def _starts(ordered: np.ndarray) -> np.ndarray:
@@ -821,9 +935,10 @@ def _split_transform(grouped: np.ndarray, n: int, bricked: bool, superset: bool,
     returned; both DPs share it.  Given z, the minimum's full-width form,
     the low array is scattered into the rows hv of z viewed as a
     (2^(n - h), 2^h) array, every other row dead, and the high bits are
-    transformed over all of z.  The maximum closes the low array over its
-    key high halves and takes its high half in its product with the cover
-    table instead (_max_rule), and holds no z.
+    transformed over all of z.  The maximum takes the low array's maxima
+    over its column runs, closes them over its key high halves and takes
+    its high half in their product with the cover table instead
+    (_max_rule), and holds no z.
     """
     plan = _split_plan(n, bricked)
     h, tail = n // 2, grouped.shape[1:]
@@ -971,123 +1086,160 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
     A row r admits the rows u above it with triple(u) & r == 0 and scores
     its houses, pc(hi) + pc(lo) over its two halves (_split_plan).  The
     advance takes the low half of the superset transform of the grouped
-    maxima (_split_transform), low[lo, j], transposed, and closes it over
-    the key high halves K_j = ~hv[j] (_close): L[lo, j] is the maximum of
-    low[lo, j'] over every K_j' ⊆ K_j.  The high half of the transform and
-    the maximum over a run's rows swap, so each run's best at each low half
-    is one sparse (max, +) product with the plan's cover table A,
+    maxima (_split_transform), low[lo, j], one column j per key high half
+    K_j = ~hv[j].  The high half of the transform and the maximum over a
+    run's rows swap, so the best of a run's rows at a low half lo is a
+    sparse (max, +) product with the plan's cover table A,
 
-        part[run, lo] = pc(lo) + max over j of (L[lo, j] + A[run, j]),
+        pc(lo) + max over j of (L[lo, j] + A[run, j]),
 
-    over the run's undominated pairs alone: per batch of runs with k pairs
-    (_batches), one .max(axis=1) over a (runs, k, 2^h) gather of rows of
-    the closed array.  This is exact.  Every kept term is attained: L[lo,
-    j] is some low[lo, j'] with K_j' ⊆ K_j, and the row that gives A[run,
-    j] misses K_j, so it misses K_j' too and scores at least the term.  A
-    row hi of the run scores pc(hi) plus low[lo, j] at some K_j it misses,
-    at most the term of the pair (run, j); and every dropped pair is
-    dominated by a kept one, whose closed entry is as large at an equal A.
-    The scan reads the closed array unchanged: its maximum over the hv ⊇
-    hi, the K_j that hi misses, is the same before and after the closure,
-    as those K_j take in every K_j' ⊆ K_j.
+    with L the low array closed over the key high halves: L[lo, j] is the
+    maximum of low[lo, j'] over every K_j' ⊆ K_j.  It is exact over the
+    run's undominated pairs alone.  Every kept term is attained: L[lo, j]
+    is some low[lo, j'] with K_j' ⊆ K_j, and the row that gives A[run, j]
+    misses K_j, so it misses K_j' too and scores at least the term.  A row
+    hi of the run scores pc(hi) plus low[lo, j] at some K_j it misses, at
+    most the term of the pair (run, j); and every dropped pair is dominated
+    by a kept one, whose closed entry is as large at an equal A.
 
-    Each side's part is then grouped along contiguous rows: its columns
-    taken in column-run order, maxed over each column run by one reduceat
-    along axis 1, and the (run, column run) cells maxed into their classes
-    by one reduceat over the plan's class order.  Row 1 is the product with
-    low = 0: the empty north row admits every row.  keep: a witness keeps
-    each row's closed low array and part, shifted by the row before it.
+    A class is a (run, column run) cell, so the advance needs that product
+    only at its maximum over each column run C of the run's side, and it
+    takes that maximum first:
+
+        cells[run, C] = max over j of (A[run, j] + close(M)[C, j]),
+        M[C, j] = max over lo in C of (pc(lo) + low[lo, j]).
+
+    The maxima over lo in C commute with both steps: A does not depend on
+    lo, and the closure (_close) maxes over j alone.  So the closure and
+    the product run over the column runs of both sides, 161 + 188 at n =
+    23 free, not the 2^h = 2 048 low halves.  M takes b = 1's column runs
+    from low, one gather a batch of runs of one padded length (_batches),
+    and b = 0's from those, as each is one or two of them; transposed, it
+    is closed in place, and each batch of runs with k pairs (_batches)
+    takes one .max(axis=1) over a (runs, k, column runs) gather of its
+    rows.  A run's cells are its side's columns of the product; the cells
+    are then maxed into their classes, the classes of one cell by one
+    gather and the rest by one reduceat, and put in class order.  Row 1 is
+    the advance from low = 0: the empty north row admits every row.  keep:
+    a witness keeps each row's low array, pc(lo) added, and its cells,
+    shifted by the row before it.
 
     The scan picks in three exact steps.  The target is the best score of
-    the rows that fit the row r below, and the rows of one (run, low half)
-    pair share a class, so the rows that fit and score it lie in the pairs
-    where key & r == 0 and part is the target: the runs whose high half of
-    the key misses r are found first, and only their part is compared.
-    rev(u) = rev_h(lo)·2^(n - h) + rev(hi), so the largest rev_h(lo) of
-    those pairs wins.  At that low half a row hi scores its houses plus the
-    best low entry at the high halves hv ⊇ hi.  Its rows in those runs are
-    scored by descending rev, step at a time, and the first to score the
-    target is the pick.
+    the rows that fit the row r below, and the rows of a cell share a
+    class, so the rows that fit and score it lie in the cells where key &
+    r == 0 and the cell is the target: the runs' high halves of the keys
+    and the column runs' low halves are tested against r, and the cells
+    that fit are compared with the target.  rev(u) =
+    rev_h(lo)·2^(n - h) + rev(hi), so the pick's low half is the one of
+    largest rev_h where a fitting row scores the target, and such a row
+    lies in a hit cell.  The low halves of the hit column runs are tried by
+    descending rev_h: at each, a row hi scores its houses plus the best low
+    entry at the high halves hv ⊇ hi (the closure leaves that maximum as
+    it is, as those K_j take in every K_j' ⊆ K_j).  Its rows in its hit
+    runs are scored by descending rev, step at a time, and the first to
+    score the target is the pick.
     """
     plan = _split_plan(n, bricked)
     keys = plan.keys
     h, w = n // 2, n - n // 2
-    runs = len(plan.run_keys)
-    top = (1 << h) >> 1  # the columns from top on have bit h - 1 set
+    runs, cols, cols0 = len(plan.run_keys), len(plan.col_key), len(plan.coarse)
+    ones = len(keys) - len(plan.class_starts)  # the classes of one cell
     step = max(1, _SCAN_BLOCK // len(plan.hv))  # the scan's rows a (row, high half) test
     houses = np.bitwise_count(np.arange(1 << h, dtype=np.uint32)).astype(np.int8)  # pc(lo)
+    if keep:
+        # the scan's: each column run's low half of its keys; the column
+        # runs a run of side b (b = 0, 1) may read if it fits at no t, at t
+        # = 0 alone, or at both (row 3b + the t it fits at), and the row
+        # of each run's side there; each low half's column runs, by
+        # descending rev_h
+        col_low = plan.col_key >> 1
+        sides = np.zeros((6, cols), dtype=bool)
+        sides[1:3, :cols0] = sides[4:, cols0:] = True
+        sides[1::3] &= (plan.col_key & 1) == 0
+        side_of = np.repeat([0, 3], [plan.split, runs - plan.split])
+        col_desc = plan.col_of[:, plan.lo_desc]
 
     def advance(grouped, clock):
         if grouped is None:
-            low_t = np.zeros((len(plan.hv), 1 << h), dtype=np.int8)
+            low = np.repeat(houses[:, None], len(plan.hv), axis=1)
         else:
-            low_t = np.ascontiguousarray(_split_transform(grouped, n, bricked, True).T)
-            _close(low_t, plan.closure)
-        part = np.empty((runs, 1 << h), dtype=np.int8)
-        for rows, cols, cover, more in plan.product:
-            got = low_t[cols]
+            low = _split_transform(grouped, n, bricked, True)
+            low += houses[:, None]
+        # M[c, j]: the best pc(lo) + low[lo, j] over the low halves lo of
+        # column run c; b = 1's from low, b = 0's from b = 1's
+        most = np.empty((cols, len(plan.hv)), dtype=np.int8)
+        for rows, at, more in plan.fine:
+            best = low[at].max(axis=1)
+            if more:
+                np.maximum(best, most[rows], out=best)
+            most[rows] = best
+        np.max(most[plan.coarse], axis=1, out=most[:cols0])
+        if not keep:
+            del low
+        most_t = np.ascontiguousarray(most.T)
+        del most
+        if grouped is not None:  # row 1's maxima do not depend on j
+            _close(most_t, plan.closure)
+        cells = np.empty((runs, cols), dtype=np.int8)
+        for rows, at, cover, more in plan.product:
+            got = most_t[at]
             got += cover
             best = got.max(axis=1)
             if more:
-                np.maximum(best, part[rows], out=best)
-            part[rows] = best
-        part += houses
-        del got, best  # the last batch, before the grouping
-        layer = (low_t, part) if keep else None
-        del low_t
+                np.maximum(best, cells[rows], out=best)
+            cells[rows] = best
+        del got, best, most_t
+        layer = (low, cells) if keep else None
         clock.lap("transform")
-        cells = np.empty(len(plan.order), dtype=np.int8)
-        at = 0
-        for block, (cols, starts) in zip((part[:plan.split], part[plan.split:]), plan.sides):
-            into = cells[at:at + len(block) * len(starts)].reshape(len(block), len(starts))
-            np.maximum.reduceat(block.take(cols, axis=1), starts, axis=1, out=into)
-            at += into.size
-        return np.maximum.reduceat(cells.take(plan.order), plan.class_starts), layer
+        # the cells maxed into their classes: the one-cell classes' taken
+        # alone, the rest's reduced, then all put in class order
+        flat, out = cells.reshape(-1), np.empty(len(keys), dtype=np.int8)
+        flat.take(plan.order[:ones], out=out[:ones])
+        if ones < len(keys):
+            np.maximum.reduceat(flat.take(plan.order[ones:]), plan.class_starts, out=out[ones:])
+        return out.take(plan.by_class), layer
 
     def scan(layer, below, target):
-        low_t, part = layer
+        low, cells = layer
         r = below[-1]
-        # the (run, low half) pairs that hold a fitting row of the target;
-        # a class's key is (run_keys[run, t] << h) | col_keys[b, lo], with
-        # t the low half's bit h - 1 and b the run's bit h (runs from
-        # split).  t = 1 only adds key bits, so the runs that fit at t = 0
-        # are the runs that fit at all
+        # the (run, column run) cells that hold a fitting row of the target.
+        # A cell's key is (run_keys[run, t] << h) | (col_key >> 1), with t
+        # its column run's col_key & 1; t = 1 only adds key bits, so a run
+        # that fits at t = 1 fits at t = 0.  A run's columns that fit: its
+        # side's, of a t it fits at, and of a low half that misses r
         high = (plan.run_keys & (r >> h)) == 0
-        fit = np.flatnonzero(high[:, 0])
-        hit = part[fit]
-        hit = np.equal(hit, target, out=hit.view(bool))  # in place, a byte a pair
-        hit[:, top:] &= high[fit, 1:]
-        low_fits = (plan.col_keys & (r & ((1 << h) - 1))) == 0
-        split = int(np.searchsorted(fit, plan.split))
-        hit[:split] &= low_fits[0]
-        hit[split:] &= low_fits[1]
-        lo = int(plan.lo_desc[np.argmax(hit.any(axis=0)[plan.lo_desc])])
-        # that low half's rows in those runs, by descending rev, step at a
-        # time: a row scores its houses and the best transformed low entry
-        # of the high halves that hold it
-        held = np.zeros(runs, dtype=bool)
-        held[fit] = hit[:, lo]
-        rows = plan.hi_desc[held[plan.run_desc]]
-        target -= int(houses[lo])  # the score of the high half alone
-        for at in range(0, len(rows), step):
-            hi = rows[at:at + step, None]
-            score = np.where((plan.hv & hi) == hi, low_t[:, lo], _DEAD).max(axis=1)
-            score += np.bitwise_count(hi[:, 0])
-            i = int(np.argmax(score == target))
-            if score[i] == target:
-                return (int(hi[i, 0]) << h) | lo
+        hit = cells == target
+        hit &= (sides & ((col_low & (r & ((1 << h) - 1))) == 0))[side_of + high.sum(axis=1)]
+        # the low halves of the hit column runs by descending rev_h; at each,
+        # the rows of its hit runs by descending rev, step at a time: a row
+        # scores its houses and the best low entry of the high halves that
+        # hold it.  The first low half where a row scores the target holds
+        # the pick
+        some = hit.any(axis=0)
+        for at in np.flatnonzero(some[col_desc].any(axis=0)):
+            lo = int(plan.lo_desc[at])
+            rows = plan.hi_desc[hit[:, col_desc[:, at]].any(axis=1)[plan.run_desc]]
+            for a in range(0, len(rows), step):
+                hi = rows[a:a + step, None]
+                score = np.where((plan.hv & hi) == hi, low[lo], _DEAD).max(axis=1)
+                score += np.bitwise_count(hi[:, 0])
+                i = int(np.argmax(score == target))
+                if score[i] == target:
+                    return (int(hi[i, 0]) << h) | lo
         return -1
 
     # the close-off reads the classes the virtual south row admits
     close = lambda grouped: np.where((keys & d_v) == 0, grouped, _DEAD).max()
-    # a layer is low_t and part.  A scan call holds a bool a (fitting run,
-    # low half) pair and a column, five bools and an intp a run, a bool and
-    # a high half a row, then, step rows at a time, their test against hv
-    # (in hv's dtype, bool and int8), and their houses
-    part = runs << h
+    # a layer is low and the cells.  A scan call holds two bools a cell,
+    # its hits and their fit test, and a few words a run and a column run;
+    # then a bool a column run, three bools and an intp a low half, a bool
+    # and a high half a row, and, step rows at a time, their test against
+    # hv (in hv's dtype, bool and int8) and their houses
+    layer = (len(plan.hv) << h) + runs * cols
     test = step * len(plan.hv) * (plan.hv.itemsize + 2)
-    return _Rule(advance, close, scan, 1, (len(plan.hv) << h) + part, 1,
-                 part + (2 << h) + runs * 13 + ((1 + plan.hv.itemsize) << w) + test + step * 16)
+    return _Rule(advance, close, scan, 1, layer, 1,
+                 2 * runs * cols + runs * 30 + cols * 12 + (11 << h)
+                 + ((1 + plan.hv.itemsize) << w) + test + step * 16)
 
 
 def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
@@ -1200,18 +1352,23 @@ def _normalize(grouped: np.ndarray, n: int) -> int:
     Scores at or above _DEAD // 2 are live.  Dead scores are reset to _DEAD
     so that they do not drift; they are found before the shift, which may
     wrap them around.  A live score more than the band 2n below the maximum
-    raises SettleError: the next row could no longer tell it from a dead
-    one.
+    raises SettleError, with grouped left shifted: the next row could no
+    longer tell it from a dead one.  One wrapped uint8 difference d = score
+    - (shift - 2n), made in place, tells them apart: the scores lie in
+    [-128, shift], 256 values, so d is at most 2n in the band, at least 256
+    + _DEAD // 2 + 2n for a live score below it, and between for a dead one.
     """
     live = _DEAD // 2
     shift = int(grouped.max())
     if shift < live:
         raise SettleError("internal error: a row of the sweep has no live state")
-    low = grouped < shift - 2 * n
-    if grouped.max(where=low, initial=_DEAD) >= shift + live:
+    d = grouped.view(np.uint8)
+    d -= np.uint8((shift - 2 * n) & 0xFF)
+    if int(d.max()) >= 256 + live + 2 * n:
         raise SettleError(f"internal error: live scores spread beyond {2 * n} in one row")
-    grouped -= shift
-    grouped[low] = _DEAD
+    dead = d > 2 * n
+    d -= 2 * n
+    np.putmask(grouped, dead, _DEAD)
     return shift
 
 

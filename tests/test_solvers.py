@@ -5,6 +5,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -77,8 +78,9 @@ class TestMaxSolver:
             solve_max(SolveRequest.minimum(3, 3))
 
     def test_column_cap(self):
-        with pytest.raises(LimitError):
-            solve_max(SolveRequest.maximum(2, 25))
+        assert Limits().max_cols == 28
+        with pytest.raises(LimitError, match="configured cap 28"):
+            solve_max(SolveRequest.maximum(2, 29))
 
     def test_byte_cap(self):
         limits = Limits(max_state_bytes=1 << 10)
@@ -317,7 +319,7 @@ def same_result(a, b) -> bool:
 class TestSweep:
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("objective, cols", [
-        (Objective.MAX_PERMISSIBLE, [1, 3, 7, 25, 10]),
+        (Objective.MAX_PERMISSIBLE, [1, 3, 7, 29, 10]),
         (Objective.MIN_MAXIMAL, [1, 3, 7, 13, 6, 25]),
     ])
     def test_table_equals_per_cell_solve(self, objective, cols, boundary):
@@ -543,6 +545,47 @@ class TestPeriodicSweep:
         with pytest.raises(SettleError):
             _normalize(np.array([-128, -128 + 5], dtype=np.int8), 5)
 
+    def test_normalize_matches_the_naive_band(self):
+        # against the band read score by score, in Python ints, on random
+        # (rows, columns) states: live scores within 2n of the best, dead
+        # ones drifted up to n above -128, a best up to n that wraps the
+        # dead ones around when shifted, and, in some states, one live
+        # score past the band, or no live score at all
+        def naive(values, n):
+            best = max(values)
+            if best < _DEAD // 2:
+                return "no live state"
+            if any(best + _DEAD // 2 <= v < best - 2 * n for v in values):
+                return "spread"
+            return best, [v - best if v >= best - 2 * n else _DEAD for v in values]
+
+        rng = np.random.default_rng(11)
+        seen = set()
+        for trial in range(600):
+            n = int(rng.integers(1, 33))
+            best = int(rng.integers(-2 * n, n + 1))
+            state = rng.integers(best - 2 * n, best + 1, (3, 17))
+            dead = rng.random(state.shape) < 0.4
+            state[dead] = rng.integers(_DEAD, _DEAD + n + 1, np.count_nonzero(dead))
+            state.flat[0] = best
+            kind = trial % 3
+            if kind == 1 and 2 * n < -(_DEAD // 2):  # a live score past the band
+                state.flat[int(rng.integers(1, state.size))] = best - int(
+                    rng.integers(2 * n + 1, -(_DEAD // 2) + 1))
+            elif kind == 2:  # no live score
+                state[:] = rng.integers(_DEAD, _DEAD // 2, state.shape)
+            grouped = state.astype(np.int8)
+            want = naive(state.ravel().tolist(), n)
+            if isinstance(want, str):
+                with pytest.raises(SettleError, match=want):
+                    _normalize(grouped, n)
+                seen.add(want)
+                continue
+            assert _normalize(grouped, n) == want[0], (trial, n)
+            assert grouped.ravel().tolist() == want[1], (trial, n)
+            seen.add("shifted")
+        assert seen == {"shifted", "spread", "no live state"}
+
     def test_int8_scores_hold_every_max_width(self):
         # up to the uint32 limit, for both objectives: a row's gain, its
         # houses for the maximum or its empty lots for the minimum, lies in
@@ -609,8 +652,8 @@ class TestStateBytes:
         # its estimate
         (Objective.MAX_PERMISSIBLE, 2, 26),
         (Objective.MAX_PERMISSIBLE, 26, 26),
-        # past it at 28, where the witness scan once held a copy of the run
-        # maxima beside their fit test
+        # at the default column cap, 28, where the witness scan once held a
+        # copy of the run maxima beside their fit test
         (Objective.MAX_PERMISSIBLE, 8, 28),
         (Objective.MIN_MAXIMAL, 1, 18),
         (Objective.MIN_MAXIMAL, 1, 22),
@@ -652,23 +695,22 @@ class TestStateBytes:
     def charges(res, bricked):
         """What a witness solve charges beyond _need_bytes: each layer it
         keeps past the ones the estimate holds, and one scan call.  The
-        maximum keeps each row's closed low array and run maxima
-        (part), the last row's in the estimate as its advance's arrays,
-        and its scan call holds a bool per entry of part, a few arrays of
-        a word a run or of one low half's rows, and one block of their
-        (row, high half) test.  The minimum keeps its grouped maxima,
-        the ring's _RING + 1 of them in the estimate, and
+        maximum keeps each row's low array and its (run, column run)
+        cells, the last row's in the estimate as its advance's arrays,
+        and its scan call holds two bools per cell, a few arrays of a
+        word a run, a column run, a low half or one low half's rows, and
+        one block of their (row, high half) test.  The minimum keeps its
+        grouped maxima, the ring's _RING + 1 of them in the estimate, and
         a single-row minimum its one state; both pick over one
         _SCAN_BLOCK."""
         m, n = res.dims.rows, res.dims.cols
         h, pick = n // 2, _SCAN_BLOCK * 32
         if res.objective is Objective.MAX_PERMISSIBLE:
             plan = _split_plan(n, bricked)
-            runs, size = len(plan.run_keys), plan.hv.itemsize
-            part = runs << h
-            layer, held, states = (len(plan.hv) << h) + part, 1, 1 << n
+            runs, cols, size = len(plan.run_keys), len(plan.col_key), plan.hv.itemsize
+            layer, held, states = (len(plan.hv) << h) + runs * cols, 1, 1 << n
             step = max(1, _SCAN_BLOCK // len(plan.hv))
-            pick = (part + (2 << h) + runs * 13 + ((1 + size) << (n - h))
+            pick = (2 * runs * cols + runs * 30 + cols * 12 + (11 << h) + ((1 + size) << (n - h))
                     + step * len(plan.hv) * (size + 2) + step * 16)
         elif m == 1:
             layer, held, states = 1 << n, 1, 1 << n
@@ -676,6 +718,27 @@ class TestStateBytes:
             layer, held, states = len(_split_plan(n, bricked).keys) << n, _RING + 1, 4**n
         kept = res.stats["states"] // states
         return max(kept - held, 0) * layer + pick + m * 256
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_default_limits_admit_28_columns(self, boundary):
+        # the default column cap is 28: a witness solve at 28 columns runs
+        # under Limits() as they stand, within its charged peak and the
+        # default byte cap
+        req = SolveRequest.maximum(4, 28, boundary)
+        assert req.limits == Limits() and Limits().max_cols == 28
+        _split_plan.cache_clear()
+        _houses.cache_clear()
+        tracemalloc.start()
+        try:
+            res = solve(req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.witness.occupancy() == res.optimum
+        assert res.stats["state_bytes"] == (_need_bytes(Objective.MAX_PERMISSIBLE, 4, 28,
+                                                         boundary is Boundary.BRICKED)
+                                            + self.charges(res, boundary is Boundary.BRICKED))
+        assert peak <= res.stats["state_bytes"] <= Limits().max_state_bytes
 
     @pytest.mark.parametrize("witness", [False, True])
     def test_single_row_min_builds_no_split_plan(self, witness):
@@ -718,13 +781,13 @@ class TestStateBytes:
         # refused at the charge that passes the cap, before its allocation:
         # one byte under the charged peak, the scan's pick; one byte under
         # two layers past the estimate, the third layer kept (of the seven
-        # or eight, the closed low array and part, 0.23 MiB free, 0.28
+        # or eight, the low array and the cells, 0.14 MiB free, 0.17
         # bricked; the estimate holds the first)
         m, n = 40, 20
         bricked = boundary is Boundary.BRICKED
         need = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, bricked)
         plan = _split_plan(n, bricked)
-        layer = (len(plan.hv) + len(plan.run_keys)) << (n // 2)
+        layer = (len(plan.hv) << (n // 2)) + len(plan.run_keys) * len(plan.col_key)
         peak = solve(SolveRequest.maximum(m, n, boundary)).stats["state_bytes"]
         for cap in (peak - 1, need + 2 * layer - 1):
             _split_plan.cache_clear()
@@ -805,24 +868,33 @@ class TestStateBytes:
 
     def test_plan_classes_pass_uint16_on_the_bricked_border(self):
         # 92 736 classes at n = 24, past a uint16 class index: the class
-        # that order and class_starts give each (run, column run) cell is
-        # the triple mask of the cell's first state
+        # that order, class_starts and by_class give each (run, column run)
+        # cell of its side is the triple mask of a state of the cell, and
+        # no other cell has one
         n, h = 24, 12
         plan = _split_plan(n, True)
-        assert len(plan.keys) == 92736
-        cls = np.empty(len(plan.order), dtype=np.intp)
-        cls[plan.order] = np.repeat(np.arange(len(plan.keys)),
-                                    np.diff(plan.class_starts, append=len(plan.order)))
-        # a row of each run
-        some = np.empty(len(plan.run_keys), dtype=np.uint32)
+        groups, runs, cols = len(plan.keys), len(plan.run_keys), len(plan.col_key)
+        assert groups == 92736
+        place = np.empty(groups, dtype=np.intp)  # the class at each place of by_class
+        place[plan.by_class] = np.arange(groups)
+        ones = groups - len(plan.class_starts)
+        count = np.diff(plan.class_starts, append=len(plan.order) - ones)
+        cls = np.full(runs * cols, -1)
+        cls[plan.order] = np.concatenate([place[:ones], np.repeat(place[ones:], count)])
+        cls = cls.reshape(runs, cols)
+        # a row of each run and a low half of each column run
+        some = np.empty(runs, dtype=np.uint32)
         some[plan.run_desc] = plan.hi_desc
-        at = 0
-        for (cols, starts), high in zip(plan.sides, (some[:plan.split], some[plan.split:])):
-            first = (high[:, None] << h) | cols[starts].astype(np.uint32)
-            cells = cls[at:at + first.size].reshape(first.shape)
-            assert np.array_equal(plan.keys[cells], triple_mask(first, n, True))
-            at += first.size
-        assert at == len(plan.order)
+        low = np.empty(cols, dtype=np.uint32)
+        for b in (0, 1):
+            low[plan.col_of[b]] = np.arange(1 << h)
+        cols0, held = len(plan.coarse), 0
+        for part, span in ((slice(None, plan.split), slice(None, cols0)),
+                           (slice(plan.split, None), slice(cols0, None))):
+            first = (some[part, None] << h) | low[span]
+            assert np.array_equal(plan.keys[cls[part, span]], triple_mask(first, n, True))
+            held += first.size
+        assert held == len(plan.order) == np.count_nonzero(cls >= 0)
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_wide_max_holds_under_1_byte_a_state(self, boundary):
@@ -1004,10 +1076,11 @@ class TestSplitRow:
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_product_matches_the_full_scores(self, bricked):
-        # every width up to 21: the advance's run maxima (part) and grouped
-        # maxima against the full-width superset transform plus each row's
-        # houses, maxed into runs and classes by np.maximum.at; grouped
-        # holds dead entries, and row 1 (grouped None) scores houses alone
+        # every width up to 21: the advance's (run, column run) cells and
+        # grouped maxima against the full-width superset transform plus
+        # each row's houses, maxed into cells and classes by np.maximum.at;
+        # a run's cells are those of its side's column runs.  grouped holds
+        # dead entries, and row 1 (grouped None) scores houses alone
         rng = np.random.default_rng(5)
         for n in range(1, 22):
             plan = _split_plan(n, bricked)
@@ -1016,6 +1089,9 @@ class TestSplitRow:
             ids = np.searchsorted(plan.keys, triple_mask(rows, n, bricked))
             run_of = np.empty(1 << w, dtype=np.intp)
             run_of[plan.hi_desc] = plan.run_desc
+            run = run_of[rows >> h]
+            col = plan.col_of[(run >= plan.split).astype(np.intp), rows & ((1 << h) - 1)]
+            cols0 = len(plan.coarse)
             grouped = rng.integers(-2 * n, 0, len(plan.keys), endpoint=True).astype(np.int8)
             grouped[rng.random(len(plan.keys)) < 0.3] = _DEAD
             rule = _max_rule(n, bricked, 0, True)
@@ -1026,31 +1102,38 @@ class TestSplitRow:
                     scores += _houses(n)
                 want = np.full(len(plan.keys), _DEAD, dtype=np.int8)
                 np.maximum.at(want, ids, scores)
-                part = np.full((len(plan.run_keys), 1 << h), _DEAD, dtype=np.int8)
-                np.maximum.at(part, run_of, scores.reshape(1 << w, 1 << h))
-                got, (_, got_part) = rule.advance(last, _Clock())
-                assert np.array_equal(got_part, part), (n, bricked)
+                cells = np.full((len(plan.run_keys), len(plan.col_key)), _DEAD, dtype=np.int8)
+                np.maximum.at(cells, (run, col), scores)
+                got, (_, got_cells) = rule.advance(last, _Clock())
+                for part, span in ((slice(None, plan.split), slice(None, cols0)),
+                                   (slice(plan.split, None), slice(cols0, None))):
+                    assert np.array_equal(got_cells[part, span], cells[part, span]), (n, bricked)
                 assert np.array_equal(got, want), (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_small_gathers_give_the_same_advance(self, bricked, monkeypatch):
         # a gather of four rows splits the closure's parents and the
         # product's runs over several batches, each a fold into the rows
-        # begun before it: the closed low array, part and the grouped
-        # maxima are those of the default gather, dead entries included
+        # begun before it, and no padding (_batches) leaves one gather per
+        # length: the low array, the cells and the grouped maxima are those
+        # of the default gathers, dead entries included
         rng = np.random.default_rng(10)
         try:
             for n in range(1, 21):
-                keys = _split_plan(n, bricked).keys
-                grouped = rng.integers(-2 * n, 0, len(keys), endpoint=True).astype(np.int8)
-                grouped[rng.random(len(keys)) < 0.3] = _DEAD
+                plan = _split_plan(n, bricked)
+                grouped = rng.integers(-2 * n, 0, len(plan.keys), endpoint=True).astype(np.int8)
+                grouped[rng.random(len(plan.keys)) < 0.3] = _DEAD
                 rule = _max_rule(n, bricked, 0, True)
-                want, (want_low, want_part) = rule.advance(grouped, _Clock())
+                want, (want_low, want_cells) = rule.advance(grouped, _Clock())
                 _split_plan.cache_clear()
-                monkeypatch.setattr("settle.solvers._GATHER_BLOCK", 4 << (n // 2))
-                got, (low_t, part) = _max_rule(n, bricked, 0, True).advance(grouped, _Clock())
-                assert np.array_equal(low_t, want_low), (n, bricked)
-                assert np.array_equal(part, want_part), (n, bricked)
+                monkeypatch.setattr("settle.solvers._GATHER_BLOCK", 4 * len(plan.col_key))
+                monkeypatch.setattr("settle.solvers._CALL_BYTES", 0)
+                got, (low, cells) = _max_rule(n, bricked, 0, True).advance(grouped, _Clock())
+                assert np.array_equal(low, want_low), (n, bricked)
+                cols0 = len(plan.coarse)
+                for part, span in ((slice(None, plan.split), slice(None, cols0)),
+                                   (slice(plan.split, None), slice(cols0, None))):
+                    assert np.array_equal(cells[part, span], want_cells[part, span]), (n, bricked)
                 assert np.array_equal(got, want), (n, bricked)
                 _split_plan.cache_clear()
                 monkeypatch.undo()
@@ -1125,6 +1208,36 @@ class TestSplitRow:
             want = np.stack([low_t[within[:, j]].max(axis=0) for j in range(len(keys))])
             _close(low_t, plan.closure)
             assert np.array_equal(low_t, want), (n, bricked)
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_column_runs_are_contiguous_in_one_order(self, bricked):
+        # the premise of the plan's one low-half order, n = 1..28: by (b =
+        # 0's key, b = 1's key), each side's runs of equal keys (its column
+        # runs) are contiguous, and b = 1's refine b = 0's, into one or
+        # two.  So, up to 24, the plan has one column run a key of each
+        # side, each low half's column run holds its key, and b = 0's
+        # gather two of b = 1's at most
+        for n in range(1, 29):
+            h = n // 2
+            lo = np.arange(1 << h, dtype=np.uint32)
+            key = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
+            key = (key & ((1 << h) - 1)) * 2 + ((lo & ((1 << h) >> 1)) != 0)
+            ordered = key[:, np.lexsort(key[::-1])]
+            ends = [set(np.flatnonzero(side[1:] != side[:-1]).tolist()) for side in ordered]
+            for side, end in zip(key, ends):
+                assert len(end) + 1 == len(set(side.tolist())), (n, bricked)
+            assert ends[0] <= ends[1], (n, bricked)
+            pairs = set(zip(*key.tolist()))  # b = 1's column runs, each in one of b = 0's
+            assert len(pairs) == len(ends[1]) + 1, (n, bricked)
+            assert max(Counter(k0 for k0, _ in pairs).values()) <= 2, (n, bricked)
+            if n > 24:
+                continue
+            plan = _split_plan(n, bricked)
+            cols0 = len(plan.coarse)
+            assert cols0 == len(ends[0]) + 1, (n, bricked)
+            assert len(plan.col_key) - cols0 == len(ends[1]) + 1, (n, bricked)
+            assert np.array_equal(plan.col_key[plan.col_of], key), (n, bricked)
+            assert plan.coarse.shape[1] <= 2, (n, bricked)
 
     def test_plan_class_counts_are_fibonacci(self):
         # the classes that _split_plan finds, counted: on the free border
