@@ -5,8 +5,9 @@ states are row profiles.  The minimum solver's states are ordered
 (row above, current row) pairs, so that the north proposition can cover
 the current row; since its transition reads the row above only through
 its triple mask, it keeps one score per (triple class of the row above,
-current row).  A triple class is a triple mask that occurs; _split_plan
-finds the classes from the two halves of a row.  The minimum scores its
+current row).  A triple class is a triple mask that occurs; the
+maximum's _split_plan finds the classes from the two halves of a row,
+and the minimum's _reach_bits from every row.  The minimum scores its
 empty lots, so both maximize, and each row's transition maximum is
 one subset-indexed maximum transform over the classes (cost ~ n·2^n per
 state column), scattered at the complement of triple(u): the maximum
@@ -14,39 +15,44 @@ takes superset maxima, read at the row below, since triple(u) & r == 0
 exactly when r ⊆ ~triple(u); the minimum takes subset maxima, read at
 reach, since triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.
 
-One function, _split_transform, is that transform for both objectives,
-in either direction.  It runs over the two halves of a row, the low
-h = n // 2 bits and the high n - h: triple bit j reads bits j - 1, j and
-j + 1 alone, so each half of a state's triple mask follows from that
-half of the state and the one bit of the other half next to it.  The
-transform runs over the low bits of the classes in a (2^h, high halves)
-array; the minimum then runs it over the high bits of all 2^n entries,
-on a chunk of current rows at a time, as a trailing axis.  The maximum
-holds no array of 2^n entries: the high half of its transform and the
-maximum over a run of rows of equal high-half triple bits swap, so each
-run's best score at each low half is one sparse (max, +) product of the
-low array with a cover table per width.  A class is a run and a run of
-low halves of equal low-half triple bits (a column run), and the maxima
-over a column run's low halves commute with the product, so they are
-taken first: the product runs on the column runs, not on the 2^h low
-halves.  Its input is first closed over the key high halves, a
-subset-maximum transform along the Hasse edges of their family alone,
-so that the product reads only each run's undominated pairs.  The row
-mask algebra comes from the rows module, evaluated on numpy arrays of
-states.
+The maximum's transform runs over the two halves of a row (_split_transform):
+the low h = n // 2 bits and the high n - h.  Triple bit j reads bits j -
+1, j and j + 1 alone, so each half of a state's triple mask follows from
+that half of the state and the one bit of the other half next to it.
+The transform runs over the low bits of the classes in a (2^h, high
+halves) array.  The maximum holds no array of 2^n entries: the high half
+of its transform and the maximum over a run of rows of equal high-half
+triple bits swap, so each run's best score at each low half is one
+sparse (max, +) product of the low array with a cover table per width.
+A class is a run and a run of low halves of equal low-half triple bits
+(a column run), and the maxima over a column run's low halves commute
+with the product, so they are taken first: the product runs on the
+column runs, not on the 2^h low halves.  Its input is first closed over
+the key high halves, a subset-maximum transform along the Hasse edges of
+their family alone, so that the product reads only each run's
+undominated pairs.  The row mask algebra comes from the rows module,
+evaluated on numpy arrays of states.
 
-The minimum reads its transformed chunk at reach(c, d) for every current
-row c and row d below (_reach), and takes the maximum over the rows c of
-each class.  reach is c or-ed with masks of c and-ed with shifts of d:
-for a row c with key K, it is 0 where d meets K, and otherwise reads d
-only through the few bits D_c that change it (_reach_bits).  So
-_reach_tables holds, per row, its reach at the 2^|D_c| subsets of D_c and
-one reach-0 slot: the advance reads those entries alone, maxes each into
-its class's slot of the same bits, and one subset-maximum transform over
-each class's slots (the bits D_g of all its rows) fills the rest, since a
-row's reach grows with d.  At n = 12 it reads 0.8% of the 4^n pairs on
-the free border and 1.9% on the bricked one.  Then each class's slots
-are expanded to all 2^n rows d.
+The minimum reads no split plan: its classes and reach tables are its
+own (_reach_bits, _reach_tables).  Every complemented key holds the bits
+F that no triple mask has, the two edge bits on the free border, so a
+reach that lacks a bit of F admits no row above; its transform runs over
+the n' = n - |F| open bits alone, split as the maximum's is, on a chunk
+of current rows at a time, as a trailing axis, into a block of 2^n' rows
+and one dead row (_open_split, _pair_advance).  It reads the transformed
+chunk at reach(c, d) for every current row c and row d below (_reach),
+and takes the maximum over the rows c of each class.  reach is c or-ed
+with masks of c and-ed with shifts of d: for a row c with key K, it is 0
+where d meets K, and otherwise reads d only through the few bits D_c
+that change it (_reach_bits).  So _reach_tables holds, per row, its
+reach at the 2^|D_c| subsets of D_c and one reach-0 slot, each stored as
+the block row it reads: the advance reads those entries alone, maxes
+each into its class's slot of the same bits, and one subset-maximum
+transform over each class's slots (the bits D_g of all its rows) fills
+the rest, since a row's reach grows with d.  At n = 12 it reads 0.8% of
+the 4^n pairs on the free border and 1.9% on the bricked one.  Then each
+class's slots are expanded to all 2^n rows d.  The state's columns are
+kept in the tables' row order, so that a chunk is a run of columns.
 
 Past what it scores, the count of DP states it reports and the choice of
 its rule, the sweep does not branch on the objective.  Each solve runs
@@ -196,10 +202,13 @@ _GATHER_BLOCK = 1 << 18  # the bytes of one gather of the maximum's advance (_ba
 _CALL_BYTES = 1 << 14
 _ROW_BYTES = 256
 _PLAN_BLOCK = 1 << 20  # the pairs _split_plan flags, and bytes _hasse ands, at a time
-# The pair advance transforms _CHUNK current rows at a time: a (2^n, _CHUNK)
-# int8 block, 1 MiB at n = 12, which stays in cache through the transform.
-# It reads the block about _READ_ROWS * 2^n table entries at a time, so
-# the flat indices stay in cache too.
+# The pair advance transforms a chunk of current rows at a time into a
+# (2^n' + 1, chunk) int8 block over the n' open bits (_chunk_rows): about
+# _BLOCK bytes, which stay in cache through the transform, and at least
+# _CHUNK rows, so that the numpy calls a chunk makes stay few.  It reads
+# the block about _READ_ROWS * 2^n table entries at a time, so the flat
+# indices stay in cache too.
+_BLOCK = 1 << 20
 _CHUNK = 256
 _READ_ROWS = 16
 # _need_bytes reads the split plan up to _PLAN_COLS columns (0.2-0.3 s and
@@ -222,70 +231,71 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
         # _row_rule reads _houses alone: pc and the state (int8) a row; then
         # one _RULE_BLOCK's rows, their reach and the uint32 stages of _reach
         return _FIXED_BYTES + 2 * size + min(size, _RULE_BLOCK) * 24
-    groups, plan, build, low, group = _split_bytes(n, bricked)
     if objective is Objective.MAX_PERMISSIBLE:
         # the split plan, and no array of one entry a row: the grouped
         # maxima and the _RING rows' maxima they are compared with, and at
         # a close-off the uint32 fit test, its mask and the masked maxima;
         # the low array beside the rest of the advance
+        groups, plan, build, low, group = _split_bytes(n, bricked)
         per_group = _RING + 7
         return _FIXED_BYTES + plan + max(build, groups * per_group + low + group)
-    # _houses: pc (int8) a state, built in place; and the split plan
-    need = _FIXED_BYTES + size + plan
+    # the minimum reads no split plan: _houses, pc (int8) a state, built in
+    # place; the reach tables; and the rule's gain (int8), its rows in
+    # table order and its column at d_v (uint32), a row each
+    tables, made, groups, entries, slots, block = _reach_bytes(n, bricked)
+    need = _FIXED_BYTES + size * 10 + tables
     # The minimum's state is its grouped maxima, one (groups, 2^n) array a
     # row, of which the ring holds _RING + 1.
     grouped = groups * size
     held = min(m, _RING + 1)
-    chunk = min(_CHUNK, size)
-    tables, made, entries, slots = _reach_bytes(n, bricked)
-    # a row advance: the next maxima, the block and the rows' reads, one
-    # a table entry; then a chunk's gathered columns of grouped and
-    # _split_transform's (2^h, len(hv), chunk) low array, and the flat
-    # indices (intp) of at most _READ_ROWS * 2^n table entries; or, at the
-    # end, the class slots and the slot indices (intp) of _RULE_BLOCK
-    # entries
-    advance = (grouped + size * chunk + entries
-               + max((groups + low) * chunk + _READ_ROWS * size * 8,
-                     slots + max(size, _RULE_BLOCK) * 8))
+    # a row advance: the next maxima, the low array and the block of a
+    # chunk and the rows' reads, one a table entry; then the flat indices
+    # (intp) of at most _READ_ROWS * 2^n table entries; or, at the end,
+    # the class slots and one class's slot indices (intp)
+    advance = grouped + block + entries + max(_READ_ROWS * size * 8, slots + size * 8)
     # a read of _min_rule, for a close-off or a row of the witness scan:
     # the column of reach, built in the uint32 stages of _reach, the
-    # uint16 fit test, its mask and the masked maxima; the rule keeps the
-    # last read's maxima until the next advance, and at a cycle the sweep
-    # keeps the close-off maxima of the rows it repeats.  The rule keeps
-    # the column at d_v (uint32).
-    read = size * 24 + groups * size * (2 + 1 + 1) + size * _RING
-    return (need + tables + size * 4
-            + max(build, made, held * grouped + max(advance, read)))
+    # uint16 fit test and its mask, clipped in place (_masked_max), and
+    # the masked maxima; the rule keeps the last read's maxima until the
+    # next advance, and at a cycle the sweep keeps the close-off maxima of
+    # the rows it repeats
+    read = size * 24 + groups * size * (2 + 1) + size * _RING
+    return need + max(made, held * grouped + max(advance, read))
 
 
-def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int]:
+def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int]:
     """The bytes of the cached _reach_bits and _reach_tables at width n,
-    the most their builds hold beyond them, and the entries of the row
-    tables and the class slots."""
-    own, seen = _reach_bits(n, bricked)
-    size, groups = 1 << n, len(seen)
+    the most their builds hold beyond them, the classes, the entries of
+    the row tables and the class slots, and the bytes of _pair_advance's
+    low array and block."""
+    keys, own, seen = _reach_bits(n, bricked)
+    size, groups = 1 << n, len(keys)
+    _, free, hv, _ = _open_split(keys, n)
     widths = (1 << np.arange(n + 1, dtype=np.int64)) + 1
     rows = np.bincount(np.bitwise_count(own), minlength=n + 1)
     held = np.bincount(np.bitwise_count(seen), minlength=n + 1)
     entries, slots = int(rows @ widths), int(held @ widths)
     bits = int(rows @ np.arange(n + 1))  # the bits of every row's D_c
     item = np.dtype(np.min_scalar_type(1 << int(np.flatnonzero(held)[-1]))).itemsize
-    # D_c a row and D_g a class; the rows in table order (intp), the runs
-    # and the spans; the uint16 entries, their scatter (intp), the offsets
-    # (intp) and the slots
-    tables = (size * 4 + groups * 4 + size * 8 + (n + 1) * 600
-              + entries * (2 + 8) + groups * 8 + groups * size * item)
-    # _reach_bits: a block's (bit, row) pairs in the uint32 stages of
-    # _reach.  _reach_tables: a few words a row (the rows' keys and ids,
-    # the sort and its keys, the reordered rows); a (row, bit) flag a bit
-    # of the row; for each bit of a D_c, its row, place and step (intp)
-    # and reach(c, {k}) in uint32 stages, then its step alone beside a
-    # run's int64 table and its shifted copy; arrays of a few words a
-    # class and bit
+    h, chunk = len(free) // 2, _chunk_rows(n, len(free))
+    block = ((len(hv) << h) + (1 << len(free)) + 1) * chunk
+    # the keys, D_c a row and D_g a class; the rows in table order (intp),
+    # the runs and the spans; the uint16 entries, their scatter (intp), the
+    # offsets (intp) and the slots; the split's hv and at (intp)
+    tables = (groups * 8 + size * 4 + size * 8 + (n + 1) * 600
+              + entries * (2 + 8) + groups * 8 + groups * size * item
+              + len(hv) * 8 + groups * 8)
+    # _reach_bits: a flag and D_g (uint32) a triple mask, a block's (bit,
+    # row) pairs in the uint32 stages of _reach.  _reach_tables: a few
+    # words a row (the rows' keys and ids, the sort and its keys, the
+    # reordered rows); a (row, bit) flag a bit of the row; for each bit of
+    # a D_c, its row, place and step (intp) and reach(c, {k}) in uint32
+    # stages, then its step alone beside a run's int64 table and its
+    # shifted copy; arrays of a few words a class and bit
     run = int((rows * widths).max())
-    made = max(min(n << n, _RULE_BLOCK >> 2) * 32,
+    made = max(size * 5 + min(n << n, _RULE_BLOCK >> 2) * 32,
                size * (64 + n) + groups * 32 * (n + 8) + max(bits * 56, bits * 8 + run * 16))
-    return tables, made, entries, slots
+    return tables, made, groups, entries, slots, block
 
 
 @lru_cache(maxsize=8)
@@ -389,8 +399,8 @@ def _check_limits(objective: Objective, dims: Dims, limits: Limits) -> int:
 
     Past 16 columns for a pair solve, and past 32 for every solve, no
     Limits value lifts the column cap: the reach tables
-    (_reach_tables) are uint16, as are the reach and keys of _min_rule's
-    reads, and _split_plan's rows, bit_reverse and the int8 scores' band
+    (_reach_tables) are uint16, as are the keys of _min_rule's reads,
+    and _split_plan's rows, bit_reverse and the int8 scores' band
     (_DEAD) hold 32 columns.  Both are checked before any table is built.
 
     Returns the byte estimate of the solve without a witness (_need_bytes),
@@ -778,48 +788,90 @@ def _reach(c: np.ndarray, d, n: int, bricked: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _reach_bits(n: int, bricked: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The bits of the row below that each row's reach reads, and each
-    class's.
+def _reach_bits(n: int, bricked: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimum's classes, and the bits of the row below that each
+    row's reach reads, and each class's.
 
     reach(c, d) is c or-ed with masks of c and-ed with shifts of d, so bit
     k of d adds reach(c, {k}) to it.  Where d meets the key of c, reach is
     0; elsewhere it reads d only through D_c, the bits k outside the key
     for which reach(c, {k}) ≠ reach(c, ∅) = c.  A class g reads D_g, the
-    union of its rows' D_c.  Returns D_c per row and D_g per class
-    (uint32), evaluated on _RULE_BLOCK >> 2 (bit, row) pairs at a time.
+    union of its rows' D_c.  Returns the classes, the triple masks that
+    occur, ascending, D_c per row and D_g per class (uint32), evaluated on
+    _RULE_BLOCK >> 2 (bit, row) pairs at a time, D_g gathered per triple
+    mask; the minimum reads no split plan.
     """
-    keys = _split_plan(n, bricked).keys
     size, step = 1 << n, max(1, (_RULE_BLOCK >> 2) // n)
     own = np.empty(size, dtype=np.uint32)
-    seen = np.zeros(len(keys), dtype=np.uint32)
+    seen = np.zeros(size, dtype=np.uint32)  # D_g at each triple mask
+    occurs = np.zeros(size, dtype=bool)
     bit = (np.uint32(1) << np.arange(n, dtype=np.uint32))[:, None]
     for lo in range(0, size, step):
         c = np.arange(lo, min(lo + step, size), dtype=np.uint32)
         key = triple_mask(c, n, bricked)
+        occurs[key] = True
         part = own[lo:lo + step]
         np.bitwise_or.reduce(np.where(_reach(c, bit, n, bricked) != c, bit, 0), axis=0, out=part)
         part &= ~key
-        np.bitwise_or.at(seen, np.searchsorted(keys, key), part)
-    return own, seen
+        np.bitwise_or.at(seen, key, part)
+    keys = np.flatnonzero(occurs).astype(np.uint32)
+    return keys, own, seen[keys]
 
 
 class _ReachTables(NamedTuple):
     """The minimum's reach tables at one width (_reach_tables).
 
     The rows are taken in table order: by the size of their own bits D_c,
-    then by class.  The classes' slots are laid out by the size of D_g,
-    then by key.
+    then by class.  The state's columns, its rows c, are in this order
+    too.  The classes' slots are laid out by the size of D_g, then by key.
     """
 
     order: np.ndarray  # the rows in table order (intp)
     runs: list[tuple[int, int, int, int]]  # per table width (_reach_tables)
-    reach: np.ndarray  # per row in order, reach at its own slots (uint16)
+    # per row in order, the block row of its reach at its own slots: reach
+    # on the open bits, or the dead row 2^width (uint16)
+    reach: np.ndarray
     scatter: np.ndarray  # per entry of reach, its class slot (intp)
     spans: list[tuple[int, int, int]]  # per size B of D_g: (first slot, classes, B)
     offset: np.ndarray  # per class, in key order, where its slots start
-    slots: np.ndarray  # (classes, 2^n): each row d's slot in its class's table
+    # (classes, 2^n): each row d's slot in its class's table, the rows d
+    # in table order
+    slots: np.ndarray
     total: int  # the slots of all classes
+    # the transform's split over the open bits (_open_split): their count,
+    # and hv and at
+    width: int
+    hv: np.ndarray
+    at: np.ndarray
+
+
+def _open_split(keys: np.ndarray, n: int) -> tuple[int, list[int], np.ndarray, np.ndarray]:
+    """The bits the minimum's transform runs over, and its split there.
+
+    Every complemented key ~key(g) holds F, the and of them all, so a block
+    row r that lacks a bit of F holds no ~key(g) ⊆ r: it is dead.  F is
+    bits 0 and n - 1 on the free border, whose off-grid lots are empty, so
+    no triple mask has its edge bits, and 0 on the bricked one (checked
+    for n = 1..16).  The transform runs over the n' = n - |F| open bits
+    alone, the complemented keys squeezed to them (distinct, as each holds
+    F), and split at h' = n' // 2 as _split_transform splits: hv holds the
+    distinct high halves, ascending, and at each class's flat index into
+    a (2^h', len(hv)) low array, its row the squeezed key's low half.
+    Returns F, the open bits, ascending, hv and at.
+    """
+    holes = full_mask(n) ^ keys
+    fixed = int(np.bitwise_and.reduce(holes))
+    free = [k for k in range(n) if not fixed >> k & 1]
+    squeezed = np.zeros(len(keys), dtype=np.intp)
+    for i, k in enumerate(free):
+        squeezed |= ((holes >> k) & 1).astype(np.intp) << i
+    h = len(free) // 2
+    high = squeezed >> h
+    hv = np.sort(high)
+    hv = hv[_starts(hv)]
+    at = np.searchsorted(hv, high)
+    at += (squeezed & ((1 << h) - 1)) * len(hv)
+    return fixed, free, hv, at
 
 
 @lru_cache(maxsize=8)
@@ -829,19 +881,21 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
 
     The table row of a row c holds reach(c, s) at the 2^|D_c| subsets s of
     its own bits D_c (_reach_bits), subset s at slot s, whose bit i is the
-    i-th bit of D_c, and then 0, at slot 2^|D_c|.  A run of rows with one
-    |D_c| is the tuple (first row, end row, width L = 2^|D_c| + 1, its
-    first entry in reach).  A class g has 2^|D_g| + 1 slots: subset s of
-    D_g at slot s, whose bit i is the i-th bit of D_g, and the blocked slot
-    2^|D_g|.  scatter maps the slot s of a row of class g to g's slot of s,
-    the bits of D_c placed at their ranks in D_g, and the row's blocked
-    slot to g's.  Both are built by doubling, one bit of D_c at a time,
-    from reach(c, ∅) = c and g's slot ∅.  slots[g, d] is d & D_g's slot,
-    or 2^|D_g| where d meets the key, built by doubling from the 2^n-entry
-    slot 0.
+    i-th bit of D_c, and then 0, at slot 2^|D_c|.  Each entry is stored as
+    the block row _pair_advance reads for it: reach squeezed to the open
+    bits (_open_split), or the dead row 2^n' where it lacks a bit of F.  A
+    run of rows with one |D_c| is the tuple (first row, end row, width L =
+    2^|D_c| + 1, its first entry in reach).  A class g has 2^|D_g| + 1
+    slots: subset s of D_g at slot s, whose bit i is the i-th bit of D_g,
+    and the blocked slot 2^|D_g|.  scatter maps the slot s of a row of
+    class g to g's slot of s, the bits of D_c placed at their ranks in
+    D_g, and the row's blocked slot to g's.  Both are built by doubling,
+    one bit of D_c at a time, from reach(c, ∅) = c and g's slot ∅.
+    slots[g, i] is d & D_g's slot, or 2^|D_g| where d meets the key, for
+    the row d = order[i], built by doubling from the 2^n-entry slot 0 over
+    the rows d ascending and then put in table order in place.
     """
-    keys = _split_plan(n, bricked).keys
-    own, seen = _reach_bits(n, bricked)
+    keys, own, seen = _reach_bits(n, bricked)
     size, groups = 1 << n, len(keys)
     c = np.arange(size, dtype=np.uint32)
     every = np.arange(n, dtype=np.uint32)
@@ -892,6 +946,21 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
         np.add(both >> 16, base[r0:r1, None], out=scatter[e:e + table.size].reshape(rows, w))
         runs.append((r0, r1, w, e))
         e, p = e + table.size, p + rows * b
+    del table, both, move, blocked, base
+    # each reach r as its block row: the dead row 2^n', unless r holds F
+    fixed, free, hv, at = _open_split(keys, n)
+    spread = np.zeros(1 << len(free), dtype=np.intp)  # the rows r ⊇ F, by their open bits
+    for i, k in enumerate(free):
+        np.bitwise_or(spread[:1 << i], 1 << k, out=spread[1 << i:2 << i])
+    spread |= fixed
+    squeeze = np.full(size, 1 << len(free), dtype=np.uint32)
+    squeeze[spread] = np.arange(1 << len(free))
+    # a dead row is left only where F is not 0, so below 2^(n - 1)
+    squeeze = squeeze.astype(np.uint16)
+    del spread
+    for a in range(0, len(reach), _RULE_BLOCK):
+        reach[a:a + _RULE_BLOCK] = squeeze[reach[a:a + _RULE_BLOCK]]
+    del squeeze
     # bit k of d adds 2^i to the slot when it is the i-th bit of D_g, and
     # 2^|D_g| when it is a key bit; each step clips the sum at 2^|D_g|
     top = (1 << held).astype(np.min_scalar_type(1 << int(held.max())))[:, None]
@@ -903,7 +972,19 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
         high = slots[:, 1 << k:2 << k]
         np.minimum(slots[:, :1 << k], room[:, k:k + 1], out=high)
         high += step[:, k:k + 1]
-    return _ReachTables(order, runs, reach, scatter, spans, offset, slots, int(slot_at[-1]))
+    # the rows d in table order, _RULE_BLOCK slots at a time
+    block = max(1, _RULE_BLOCK >> n)
+    for g in range(0, groups, block):
+        slots[g:g + block] = slots[g:g + block, order]
+    return _ReachTables(order, runs, reach, scatter, spans, offset, slots, int(slot_at[-1]),
+                        len(free), hv, at)
+
+
+def _chunk_rows(n: int, width: int) -> int:
+    """The current rows of one chunk of the pair advance at width n, whose
+    transform runs over width open bits: _BLOCK >> width, at least _CHUNK
+    and at most 2^n (a power of two, so the chunks tile the rows)."""
+    return min(1 << n, max(_CHUNK, _BLOCK >> width))
 
 
 def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
@@ -920,36 +1001,25 @@ def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
         np.maximum(into, other, out=into)
 
 
-def _split_transform(grouped: np.ndarray, n: int, bricked: bool, superset: bool,
-                     z: np.ndarray | None = None) -> np.ndarray:
-    """The one subset-maximum transform of both DPs, along axis 0 of the
-    classes' grouped maxima, with any trailing axes.
+def _split_transform(grouped: np.ndarray, n: int, bricked: bool) -> np.ndarray:
+    """The low half of the maximum's superset-maximum transform of the
+    classes' grouped maxima.
 
-    z[r] := the maximum of grouped over the classes whose complemented keys
-    hold r (superset: key & r == 0, the rows r admits above it), or lie in
-    r (the minimum: ~key ⊆ reach r, the classes that fit).  So z is the
-    superset- or subset-maximum transform of grouped scattered at the
-    complemented keys.  It runs bit by bit, so it splits at h = n // 2
-    (_split_plan): the low bits are transformed in a (2^h, len(hv)) array,
-    one column per high half of a complemented key, and that low array is
-    returned; both DPs share it.  Given z, the minimum's full-width form,
-    the low array is scattered into the rows hv of z viewed as a
-    (2^(n - h), 2^h) array, every other row dead, and the high bits are
-    transformed over all of z.  The maximum takes the low array's maxima
-    over its column runs, closes them over its key high halves and takes
-    its high half in their product with the cover table instead
-    (_max_rule), and holds no z.
+    The full transform z[r] is the maximum of grouped over the classes
+    whose complemented keys hold r, key & r == 0, the rows r admits above
+    it: grouped scattered at the complemented keys, superset-transformed.
+    It runs bit by bit, so it splits at h = n // 2 (_split_plan): the low
+    bits are transformed in a (2^h, len(hv)) array, one column per high
+    half of a complemented key, and that low array is returned.  The
+    maximum takes its maxima over its column runs, closes them over its
+    key high halves and takes the high half of the transform in their
+    product with the cover table (_max_rule), and holds no z.
     """
     plan = _split_plan(n, bricked)
-    h, tail = n // 2, grouped.shape[1:]
-    low = np.full((1 << h, len(plan.hv), *tail), _DEAD, dtype=grouped.dtype)
-    low.reshape(-1, *tail)[plan.at] = grouped
-    _subset_max_inplace(low, h, superset)
-    if z is not None:
-        z.fill(_DEAD)
-        rows = z.reshape(-1, 1 << h, *tail)
-        rows[plan.hv] = low.swapaxes(0, 1)
-        _subset_max_inplace(rows, n - h, superset)
+    h = n // 2
+    low = np.full((1 << h, len(plan.hv)), _DEAD, dtype=grouped.dtype)
+    low.reshape(-1)[plan.at] = grouped
+    _subset_max_inplace(low, h, superset=True)
     return low
 
 
@@ -977,13 +1047,22 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     grouped[g, c] is the best score of a state (u, c) whose row above u is
     in triple class g.  The next state (c, d) scores gain[d] plus the
     maximum of grouped[g, c] over the classes g that fit it, ~key(g) ⊆
-    reach(c, d), and the result is grouped by the class of c.  The current
-    rows c are taken _CHUNK at a time in table order (_reach_tables).  Each
-    chunk's columns of grouped run through the subset direction of the
-    maximum's transform (_split_transform) into a (2^n, _CHUNK) block, and
-    each row c reads the block, read_c(s) = block[reach(c, s), c], at the
-    2^|D_c| + 1 entries of its own table row alone, not at all 2^n rows d:
-    a run's rows of a chunk, about _READ_ROWS * 2^n entries per flat take.
+    reach(c, d), and the result is grouped by the class of c.  Both
+    states' columns, and gain, are in table order (_reach_tables), so the
+    current rows c are taken a chunk at a time (_chunk_rows) as contiguous
+    columns of grouped.  Each chunk runs through a subset-maximum
+    transform over the open bits alone (_open_split): grouped scattered at
+    the squeezed complemented keys of a (2^h', len(hv), chunk) low array,
+    transformed over its h' low bits, scattered into the rows hv of the
+    block viewed as (2^(n' - h'), 2^h', chunk), every other row dead, and
+    transformed over the high bits.  The block is (2^n' + 1, chunk), its
+    last row the dead row, which every reach that lacks a bit of F reads:
+    on the free border, three quarters of the 2^n rows r, which no class
+    reaches, are that one row.  Each row c reads the block,
+    read_c(s) = block[reach(c, s), c] with reach as its table stores it,
+    at the 2^|D_c| + 1 entries of its own table row alone, not at all 2^n
+    rows d: a run's rows of a chunk, about _READ_ROWS * 2^n entries per
+    flat take.
 
     After the last chunk, every read is maxed into its class slot
     (scatter), and one in-place subset maximum over each class's first
@@ -993,37 +1072,47 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     {k}) over the bits k of d, and bits outside D_c add nothing: reach(c,
     s) = reach(c, s ∩ D_c).  And read_c is monotone in s ⊆ D_g: no such s
     meets the key, so reach(c, s) grows with s, and the block, a
-    subset-maximum transform, grows with reach.  So of the slots t ⊆ s
-    that the transform collects, a row's reads peak at s ∩ D_c.  The
-    blocked slots, reach 0, read the block's row 0, as a read at reach(c,
-    d) = 0 does, and skip the transform.  Then the class slots are expanded
-    to every row d below (slots[g, d]), in bulk, and gain[d] is added once:
-    the result is the same, dead entries included, as a read at every (c,
-    d).
+    subset-maximum transform, grows with reach (a reach that lacks a bit
+    of F reads the dead row, and so does every reach inside it).  So of
+    the slots t ⊆ s that the transform collects, a row's reads peak at s ∩
+    D_c.  The blocked slots, reach 0, read the block row of reach 0, as a
+    read at reach(c, d) = 0 does, and skip the transform.  Then the class
+    slots are expanded to every row d below, in table order (slots), one
+    take a class, and gain is added once: the result is the same, dead
+    entries included, as a read at every (c, d).
     """
     clock = clock or _Clock()
     tables = _reach_tables(n, bricked)
-    size = 1 << n
-    chunk = min(_CHUNK, size)
+    size, h = 1 << n, tables.width // 2
+    chunk = _chunk_rows(n, tables.width)
     out = np.empty_like(grouped)
-    block = np.empty((size, chunk), dtype=grouped.dtype)
+    low = np.empty((1 << h, len(tables.hv), chunk), dtype=grouped.dtype)
+    block = np.empty(((1 << tables.width) + 1, chunk), dtype=grouped.dtype)
+    block[-1] = _DEAD
+    z = block[:-1]
+    rows = z.reshape(-1, 1 << h, chunk)  # by high half
     flat = block.reshape(-1)
     read = np.empty(len(tables.reach), dtype=grouped.dtype)  # the reads, laid out as reach
     local = np.arange(chunk)[:, None]
     clock.mark()
     for lo in range(0, size, chunk):
         hi = lo + chunk
-        _split_transform(grouped[:, tables.order[lo:hi]], n, bricked, False, block)
+        low.fill(_DEAD)
+        low.reshape(-1, chunk)[tables.at] = grouped[:, lo:hi]
+        _subset_max_inplace(low, h)
+        z.fill(_DEAD)
+        rows[tables.hv] = low.swapaxes(0, 1)
+        _subset_max_inplace(rows, tables.width - h)
         clock.lap("transform")
         for first, end, width, entry in tables.runs:
             step = max(1, (_READ_ROWS << n) // width)
             for a in range(max(first, lo), min(end, hi), step):
-                z = min(a + step, end, hi)
-                at, to = entry + (a - first) * width, entry + (z - first) * width
+                b = min(a + step, end, hi)
+                at, to = entry + (a - first) * width, entry + (b - first) * width
                 # row j of the chunk reads block[reach, j]; the flat indices
-                # lie below 2^n * chunk, so "clip" never clips
+                # lie below the block's size, so "clip" never clips
                 idx = np.multiply(tables.reach[at:to].reshape(-1, width), chunk, dtype=np.intp)
-                idx += local[a - lo:z - lo]
+                idx += local[a - lo:b - lo]
                 np.take(flat, idx, out=read[at:to].reshape(-1, width), mode="clip")
         clock.lap("read")
     # each class's slot ∅ and blocked slot take reads of all its rows, and
@@ -1035,12 +1124,10 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
         span = maxima[at:at + count * ((1 << bits) + 1)].reshape(count, -1)
         _subset_max_inplace(span[:, :1 << bits].T, bits)
     clock.lap("read")
-    # _RULE_BLOCK slot indices at a time; "clip" spares take a buffered
+    # one take a class, from its own slots; "clip" spares take a buffered
     # copy of out
-    step = max(1, _RULE_BLOCK >> n)
-    for lo in range(0, len(out), step):
-        idx = tables.slots[lo:lo + step] + tables.offset[lo:lo + step, None]
-        np.take(maxima, idx, out=out[lo:lo + step], mode="clip")
+    for g, at in enumerate(tables.offset.tolist()):
+        np.take(maxima[at:], tables.slots[g], out=out[g], mode="clip")
     out += gain
     clock.lap("group")
     return out
@@ -1163,7 +1250,7 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
         if grouped is None:
             low = np.repeat(houses[:, None], len(plan.hv), axis=1)
         else:
-            low = _split_transform(grouped, n, bricked, True)
+            low = _split_transform(grouped, n, bricked)
             low += houses[:, None]
         # M[c, j]: the best pc(lo) + low[lo, j] over the low halves lo of
         # column run c; b = 1's from low, b = 0's from b = 1's
@@ -1247,14 +1334,18 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     the best score of a state (u, c) whose row above u is in class g.
 
     A row c admits the rows u above it, for the row d below it, with
-    ~triple(u) ⊆ reach(c, d) (_pair_advance).  A kept state carries its
-    own row's shift.  The close-off reads the last row's state at the
-    virtual south row, and the witness scan reads each row's state at the
-    row below it: so each row's scores come from its own state.
+    ~triple(u) ⊆ reach(c, d) (_pair_advance).  The state's columns, the
+    rows c, are in table order (_reach_tables), as are the rows a read
+    evaluates; the scan puts a read back in row order before its pick.  A
+    kept state carries its own row's shift.  The close-off reads the last
+    row's state at the virtual south row, and the witness scan reads each
+    row's state at the row below it: so each row's scores come from its
+    own state.  Only the reach tables are read: no split plan.
     """
-    keys = _split_plan(n, bricked).keys
-    gain = n - _houses(n)  # each row's empty lots
-    full, rows = full_mask(n), np.arange(1 << n, dtype=np.uint32)
+    tables = _reach_tables(n, bricked)
+    keys = _reach_bits(n, bricked)[0]
+    gain = (n - _houses(n))[tables.order]  # each row's empty lots
+    full, rows = full_mask(n), tables.order.astype(np.uint32)
     holes = (full - keys).astype(np.uint16)
     south = _reach(rows, np.uint32(d_v), n, bricked)  # reach(c, d_v), built once
     # the last read, (grouped, d, maxima), until the next advance: a
@@ -1269,7 +1360,7 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
         if not (last and last[0] is grouped and last[1] == d):
             column = south if d == d_v else _reach(rows, np.uint32(d), n, bricked)
             fit = (holes[:, None] & (full ^ column.astype(np.uint16))) == 0
-            last[:] = grouped, d, np.where(fit, grouped, _DEAD).max(axis=0)
+            last[:] = grouped, d, _masked_max(fit, grouped)
         return last[2]
 
     def advance(grouped, clock):
@@ -1289,10 +1380,25 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
         c = below[-1]
         reach = (int(_reach(np.uint32([c]), np.uint32(below[-2]), n, bricked)[0])
                  if below[1:] else full)
-        return _pick(read(layer, c), target, lambda t: (t | reach) == full, n, bricked)
+        scores = np.empty(1 << n, dtype=np.int8)
+        scores[tables.order] = read(layer, c)
+        return _pick(scores, target, lambda t: (t | reach) == full, n, bricked)
 
     return _Rule(advance, lambda grouped: read(grouped, d_v), scan, 0,
-                 len(keys) << n, _RING + 1, _SCAN_BLOCK * 32)
+                 len(keys) << n, _RING + 1, _SCAN_BLOCK * 32 + (1 << n))
+
+
+def _masked_max(fit: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """np.where(fit, scores, _DEAD).max(axis=0) for int8 scores, without a
+    branch: fit's bytes, overwritten in place, become a limit of 127 where
+    fit holds and _DEAD where not (1 * 255 + 128 wraps to 127, 0 + 128 is
+    -128), and the scores are clipped to it."""
+    limit = fit.view(np.uint8)
+    limit *= 255
+    limit += 128
+    limit = limit.view(np.int8)
+    np.minimum(limit, scores, out=limit)
+    return limit.max(axis=0)
 
 
 def _row_rule(n: int, bricked: bool, d_v: int) -> _Rule:
@@ -1386,10 +1492,11 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     proposition can cover the last row.  The sweep carries the states'
     int8 maxima over the triple classes of their oldest row, and they are
     its whole state: the rule closes them off at the virtual south row at
-    m, and advances them to m + 1 through the subset-maximum transform
-    (_split_transform), whose high half the maximum takes as a product
-    with its cover table (_max_rule) and the minimum over a chunk of rows
-    at a time (_pair_advance).  Neither holds a score per state.  No array
+    m, and advances them to m + 1 through a subset-maximum transform:
+    the maximum's over the halves of a row (_split_transform), whose high
+    half it takes as a product with its cover table (_max_rule), and the
+    minimum's over the open bits, a chunk of rows at a time
+    (_pair_advance).  Neither holds a score per state.  No array
     maps a row to its class: the plan groups the maximum's rows, the
     minimum's tables list its rows by |D_c| and class, and the witness
     scan takes triple masks of the rows it reads.
@@ -1551,10 +1658,10 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
     DP over ordered (row above, current row) profile pairs; advancing to the
     next row requires the current row to stay unblocked and every current-row
     empty lot to be covered by one of the four propositions, where the
-    north proposition folds over the row-above axis through the subset
-    direction of the maximum's transform (_split_transform) on complemented
-    triple masks.  Virtual empty/full rows close off the two borders.  A
-    single row needs no row above it: its sweep keeps one score per row,
+    north proposition folds over the row-above axis through a
+    subset-maximum transform on complemented triple masks, over the bits
+    they leave open (_pair_advance).  Virtual empty/full rows close off the
+    two borders.  A single row needs no row above it: its sweep keeps one score per row,
     through the same reach rule (_row_rule).
     """
     if req.objective is not Objective.MIN_MAXIMAL:

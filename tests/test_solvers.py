@@ -29,9 +29,11 @@ from settle.solvers import (
     _check_limits,
     _close,
     _houses,
+    _masked_max,
     _max_rule,
     _normalize,
     _need_bytes,
+    _open_split,
     _pair_advance,
     _pick,
     _reach,
@@ -47,6 +49,17 @@ from settle.solvers import (
     solve_min_maximal,
     table,
 )
+
+
+def superset_scores(grouped, keys, n):
+    """The maximum's full-width transform, a test reference: z[r] is the
+    best grouped[g] whose key misses r, the rows r admits above it, as
+    grouped scattered at the complemented keys and superset-transformed
+    over all n bits."""
+    z = np.full(1 << n, _DEAD, dtype=np.int8)
+    z[full_mask(n) - keys] = grouped
+    _subset_max_inplace(z, n, superset=True)
+    return z
 
 
 class TestMaxSolver:
@@ -702,7 +715,8 @@ class TestStateBytes:
         one block of their (row, high half) test.  The minimum keeps its
         grouped maxima, the ring's _RING + 1 of them in the estimate, and
         a single-row minimum its one state; both pick over one
-        _SCAN_BLOCK."""
+        _SCAN_BLOCK, and the minimum's pick reads one read put back in
+        row order, a byte a row."""
         m, n = res.dims.rows, res.dims.cols
         h, pick = n // 2, _SCAN_BLOCK * 32
         if res.objective is Objective.MAX_PERMISSIBLE:
@@ -716,6 +730,7 @@ class TestStateBytes:
             layer, held, states = 1 << n, 1, 1 << n
         else:
             layer, held, states = len(_split_plan(n, bricked).keys) << n, _RING + 1, 4**n
+            pick += 1 << n
         kept = res.stats["states"] // states
         return max(kept - held, 0) * layer + pick + m * 256
 
@@ -757,6 +772,19 @@ class TestStateBytes:
         charges = self.charges(res, True) if witness else 0
         assert res.stats["state_bytes"] == _need_bytes(Objective.MIN_MAXIMAL, 1, 24, True) + charges
         assert peak <= res.stats["state_bytes"]
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_pair_min_builds_no_split_plan(self, boundary):
+        # the minimum reads its own classes and reach tables: neither its
+        # estimate nor its sweep, close-off or witness scan builds the
+        # maximum's plan (cover table, Hasse closure, batches, scan rows)
+        _split_plan.cache_clear()
+        for m, n in [(2, 3), (7, 8), (12, 12)]:
+            res = solve(SolveRequest.minimum(m, n, boundary))
+            assert res.witness.occupancy() == res.optimum
+            swept = table(Objective.MIN_MAXIMAL, [m], [n], boundary)
+            assert swept["values"] == [[res.optimum]]
+        assert _split_plan.cache_info().currsize == 0
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_a_cap_at_the_charged_peak_admits_one_sweep(self, boundary, monkeypatch):
@@ -819,7 +847,7 @@ class TestStateBytes:
 
     def test_wide_pair_solve_is_refused_by_its_estimate(self):
         # a raised pair cap leaves the byte cap to refuse the reach tables
-        # (at 16 columns, the widest a pair solve admits; 0.72 GiB on the
+        # (at 16 columns, the widest a pair solve admits; 0.64 GiB on the
         # free border, under the default cap, so the cap is set at 512 MiB),
         # and the estimate itself allocates nothing of the width's size
         limits = Limits(max_cols=40, max_cols_pairs=40, max_state_bytes=1 << 29)
@@ -864,6 +892,8 @@ class TestStateBytes:
             states = np.arange(1 << n, dtype=np.uint32)
             keys = _split_plan(n, bricked).keys
             assert np.array_equal(keys, np.unique(triple_mask(states, n, bricked))), (n, bricked)
+            # the minimum's own classes, built without the split plan
+            assert np.array_equal(_reach_bits(n, bricked)[0], keys), (n, bricked)
             assert np.array_equal(_houses(n), np.bitwise_count(states)), (n, bricked)
 
     def test_plan_classes_pass_uint16_on_the_bricked_border(self):
@@ -950,8 +980,7 @@ class TestPairRule:
         # on: for d that miss the key of c, reach(c, d) = reach(c, d ∩ D_c);
         # and reach(c, s) ⊆ reach(c, s ∪ {k}) for s ∪ {k} ⊆ D_g
         for n in range(1, 11):
-            own, seen = _reach_bits(n, bricked)
-            keys = _split_plan(n, bricked).keys
+            keys, own, seen = _reach_bits(n, bricked)
             states = np.arange(1 << n, dtype=np.uint32)
             key = triple_mask(states, n, bricked)
             held = seen[np.searchsorted(keys, key)]
@@ -968,18 +997,53 @@ class TestPairRule:
                 more = reach[c, d | bit]
                 assert ((reach & ~more)[grown] == 0).all(), (n, bricked, k)
 
+    def test_open_bits_are_all_but_the_edges_on_the_free_border(self):
+        # the premise of the minimum's transform over the open bits: F, the
+        # bits that every complemented key holds, is {0, n - 1} on the free
+        # border and 0 on the bricked one, n = 1..16.  Up to n = 10, every
+        # block row that lacks a bit of F, and so every squeezed entry that
+        # reads the dead row, reads dead in the pair-array reference, on
+        # class maxima with no dead entry
+        rng = np.random.default_rng(11)
+        for n in range(1, 17):
+            states = np.arange(1 << n, dtype=np.uint32)
+            for bricked in (False, True):
+                keys = np.unique(triple_mask(states, n, bricked))
+                holes = full_mask(n) ^ keys
+                fixed = int(np.bitwise_and.reduce(holes))
+                assert fixed == (0 if bricked else 1 | (1 << (n - 1))), (n, bricked)
+                assert _open_split(keys, n)[:2] == (fixed, [k for k in range(n)
+                                                            if not fixed >> k & 1]), (n, bricked)
+                if n > 10:
+                    continue
+                grouped = rng.integers(-2 * n, 0, (len(keys), 4), endpoint=True).astype(np.int8)
+                z = np.stack([np.where(((holes & r) == holes)[:, None], grouped, _DEAD).max(axis=0)
+                              for r in range(1 << n)])
+                lacks = (states & fixed) != fixed
+                assert (z[lacks] == _DEAD).all(), (n, bricked)
+                tables = _reach_tables(n, bricked)
+                dead = tables.reach == 1 << tables.width
+                assert dead.any() == bool(fixed), (n, bricked)
+
     @pytest.mark.parametrize("bricked", [False, True])
     def test_class_tables_hold_reach_at_every_pair(self, bricked):
         # the entry a row c reads at its own slot of d (d ∩ D_c, its bit i
         # the i-th bit of D_c, or the blocked slot where d meets the key)
-        # is reach(c, d), blocked pairs included; scatter sends it to the
-        # class slot of d ∩ D_c, or to the class's blocked slot
+        # is reach(c, d) squeezed to the open bits, bit i the i-th bit
+        # outside F, or the dead row 2^width where reach lacks a bit of F,
+        # blocked pairs included; scatter sends it to the class slot of d ∩
+        # D_c, or to the class's blocked slot, which slots holds at d's
+        # place in table order
         for n in range(1, 11):
             tables = _reach_tables(n, bricked)
-            own, _ = _reach_bits(n, bricked)
-            keys = _split_plan(n, bricked).keys
+            keys, own, _ = _reach_bits(n, bricked)
+            fixed = int(np.bitwise_and.reduce(full_mask(n) ^ keys))
+            free = [k for k in range(n) if not fixed >> k & 1]
+            assert tables.width == len(free), (n, bricked)
             states = np.arange(1 << n, dtype=np.uint32)
             assert np.array_equal(np.sort(tables.order), states), (n, bricked)
+            place = np.empty(1 << n, dtype=np.intp)  # each row's place in table order
+            place[tables.order] = np.arange(1 << n)
             # the runs follow one another over every row and entry
             firsts = [run[0] for run in tables.runs]
             assert firsts[0] == 0 and [run[1] for run in tables.runs] == firsts[1:] + [1 << n]
@@ -999,15 +1063,18 @@ class TestPairRule:
                     slot += np.where(has, 1 << below[:, None], 0)
                 slot[blocked] = width - 1
                 at = entry + np.arange(len(c))[:, None] * width + slot
-                want = _reach(c[:, None], states[None, :], n, bricked)
+                reach = _reach(c[:, None], states[None, :], n, bricked)
+                want = sum(((reach >> k) & 1) << i for i, k in enumerate(free))
+                want = np.where((reach & fixed) == fixed, want, 1 << len(free))
                 assert np.array_equal(tables.reach[at], want), (n, bricked, width)
                 part = np.where(blocked, states, states & own[c][:, None])
-                place = tables.offset[cls][:, None] + tables.slots[cls[:, None], part]
-                assert np.array_equal(tables.scatter[at], place), (n, bricked, width)
+                slot = tables.offset[cls][:, None] + tables.slots[cls[:, None], place[part]]
+                assert np.array_equal(tables.scatter[at], slot), (n, bricked, width)
 
 
 class TestPairAdvance:
-    """The minimum's class-indexed row advance against the pair-array DP."""
+    """The minimum's class-indexed row advance against the pair-array DP,
+    its states' columns and its gain in table order."""
 
     @staticmethod
     def reference(grouped, n, bricked, gain):
@@ -1032,19 +1099,38 @@ class TestPairAdvance:
     def test_matches_the_pair_array(self, bricked, chunk, monkeypatch):
         if chunk is not None:
             # classes that span chunks, read a few rows at a time
+            monkeypatch.setattr("settle.solvers._BLOCK", 0)
             monkeypatch.setattr("settle.solvers._CHUNK", chunk)
             monkeypatch.setattr("settle.solvers._READ_ROWS", chunk // 4)
         rng = np.random.default_rng(9)
         for n in range(1, 11):
             groups = len(_split_plan(n, bricked).keys)
+            order = _reach_tables(n, bricked).order
             gain = n - np.bitwise_count(np.arange(1 << n)).astype(np.int8)
             # one input at 9 and 10, where most (class, D_c) pairs appear
             for _ in range(3 if n < 9 else 1):
                 grouped = rng.integers(-2 * n, 1, (groups, 1 << n)).astype(np.int8)
                 grouped[rng.random(grouped.shape) < 0.3] = _DEAD
-                got = _pair_advance(grouped, n, bricked, gain)
-                # dead entries included
-                assert np.array_equal(got, self.reference(grouped, n, bricked, gain)), (n, bricked)
+                got = _pair_advance(grouped[:, order], n, bricked, gain[order])
+                # whole arrays in table order, dead entries included
+                want = self.reference(grouped, n, bricked, gain)[:, order]
+                assert np.array_equal(got, want), (n, bricked)
+
+
+def test_masked_max_matches_the_branching_form():
+    # _masked_max against np.where(fit, x, _DEAD).max(axis=0) on int8 with
+    # dead entries and every score from -128 to 127, including columns that
+    # all fit and columns that none fit
+    rng = np.random.default_rng(12)
+    for rows, cols in [(1, 1), (3, 7), (189, 4096), (288, 64)]:
+        x = rng.integers(-128, 127, (rows, cols), endpoint=True).astype(np.int8)
+        x[rng.random(x.shape) < 0.3] = _DEAD
+        fit = rng.random(x.shape) < 0.5
+        fit[:, :cols // 3] = True
+        fit[:, cols // 3:2 * cols // 3] = False
+        want = np.where(fit, x, _DEAD).max(axis=0)
+        got = _masked_max(fit, x)
+        assert got.dtype == np.int8 and np.array_equal(got, want), (rows, cols)
 
 
 class TestSubsetMax:
@@ -1098,8 +1184,7 @@ class TestSplitRow:
             for last in (None, grouped):
                 scores = _houses(n).copy()
                 if last is not None:
-                    _split_transform(last, n, bricked, True, scores)
-                    scores += _houses(n)
+                    scores = superset_scores(last, plan.keys, n) + _houses(n)
                 want = np.full(len(plan.keys), _DEAD, dtype=np.int8)
                 np.maximum.at(want, ids, scores)
                 cells = np.full((len(plan.run_keys), len(plan.col_key)), _DEAD, dtype=np.int8)
@@ -1251,27 +1336,22 @@ class TestSplitRow:
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_transform_matches_the_naive_maximum(self, bricked):
-        # superset, the maximum's: z[r] is the best class whose key misses
-        # r, the rows r admits above it; subset, the minimum's, over a
-        # trailing axis: z[k, j] is the best grouped[g, j] with ~key(g) ⊆ k,
-        # the classes that fit reach k
+        # the low array: low[lo, j] is the best class whose key high half
+        # is K_j = ~hv[j] and whose key low half misses lo; and the test
+        # reference superset_scores: z[r] is the best class whose key
+        # misses r, the rows r admits above it
         rng = np.random.default_rng(6)
         for n in range(1, 13):
-            keys = _split_plan(n, bricked).keys
+            plan = _split_plan(n, bricked)
+            keys, h, w = plan.keys, n // 2, n - n // 2
             grouped = rng.integers(-2 * n, 0, len(keys), endpoint=True).astype(np.int8)
             grouped[rng.random(len(keys)) < 0.3] = -128
-            z = np.empty(1 << n, dtype=np.int8)
-            _split_transform(grouped, n, bricked, True, z)
+            high = ((1 << w) - 1) - plan.hv.astype(np.int64)
+            want = [[grouped[((keys >> h) == k) & ((keys & lo) == 0)].max(initial=-128)
+                     for k in high.tolist()] for lo in range(1 << h)]
+            assert _split_transform(grouped, n, bricked).tolist() == want, (n, bricked)
             want = [grouped[(keys & r) == 0].max(initial=-128) for r in range(1 << n)]
-            assert z.tolist() == want, (n, bricked)
-            grouped = rng.integers(-2 * n, 0, (len(keys), 5), endpoint=True).astype(np.int8)
-            grouped[rng.random(grouped.shape) < 0.3] = _DEAD
-            z = np.empty((1 << n, 5), dtype=np.int8)
-            _split_transform(grouped, n, bricked, False, z)
-            holes = full_mask(n) - keys
-            want = np.stack([np.where(((holes & k) == holes)[:, None], grouped, _DEAD).max(axis=0)
-                             for k in range(1 << n)])
-            assert np.array_equal(z, want), (n, bricked)
+            assert superset_scores(grouped, keys, n).tolist() == want, (n, bricked)
 
 
     @pytest.mark.parametrize("boundary", list(Boundary))
@@ -1296,8 +1376,7 @@ class TestSplitRow:
             def advance(grouped, clock):
                 scores = _houses(n).copy()
                 if grouped is not None:
-                    _split_transform(grouped, n, bricked, True, scores)
-                    scores += _houses(n)
+                    scores = superset_scores(grouped, _split_plan(n, bricked).keys, n) + _houses(n)
                 grouped, layer = inner.advance(grouped, clock)
                 full[id(layer)] = layer, scores
                 return grouped, layer
