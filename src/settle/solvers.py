@@ -120,7 +120,10 @@ class Limits:
     the imports add about 30 MiB.  A solve checks its estimate without a
     witness before it sweeps, then each layer a witness keeps beyond it
     and each backward scan as the sweep reaches them, so the cap bounds
-    every allocation on the way, not only the total at the end.
+    every allocation on the way, not only the total at the end.  The
+    maximum's estimate reads its split plan, so it builds the plan before
+    the check, and max_state_bytes does not bound that build: at most
+    about 141 MiB on the free border and 215 MiB bricked, at 32 columns.
     max_wall_s is checked after each row advance and each row of the scan.
     """
 
@@ -211,9 +214,6 @@ _PLAN_BLOCK = 1 << 20  # the pairs _split_plan flags, and bytes _hasse ands, at 
 _BLOCK = 1 << 20
 _CHUNK = 256
 _READ_ROWS = 16
-# _need_bytes reads the split plan up to _PLAN_COLS columns (0.2-0.3 s and
-# 38-47 MiB to build at 28); beyond, it bounds the classes by 2^n.
-_PLAN_COLS = 28
 _PHASES = ("group", "transform", "read", "close", "scan")
 
 
@@ -305,21 +305,11 @@ def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     len(hv)) low array, and the most the maximum's advance (_max_rule)
     holds beyond that low array and the grouped maxima.
 
-    Read off the plan up to _PLAN_COLS columns, where it takes work of the
-    order of its classes.  Beyond, 2^n bounds the classes, the (run,
-    column run) cells and the low cells, 2^(n - h) the row runs and high
-    halves, their square the pairs of each and the Hasse edges, and eight
-    2^n arrays the advance: twice 2^h column runs by the high halves, and
-    the runs by those.
+    Read off the plan itself, at every width the hard limit admits: its
+    build takes work of the order of its classes (0.95 s free and 1.3 s
+    bricked at 32 columns).
     """
     h, w = n // 2, n - n // 2
-    if n > _PLAN_COLS:
-        size, rows = 1 << n, 1 << w
-        # keys (uint32), by_class and class_starts (intp) a class, order
-        # (intp) a cell; a few words a row, a (run, high half) pair or an
-        # edge
-        held = size * 28 + rows * 64 + rows * rows * 40
-        return size, held, max(size * 20, 3 * _PLAN_BLOCK + rows * rows * 24), size, 8 * size
     plan = _split_plan(n, bricked)
     arrays = [a for a in plan if isinstance(a, np.ndarray)]
     arrays += [a for batches in (plan.fine, plan.closure, plan.product)
@@ -332,8 +322,9 @@ def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     edges, kept = len(children), sum(at.size for _, at, *_ in plan.product)
     degree = max(1, int(np.bincount(children).max(initial=0)))  # the most Hasse parents
     # The build holds at most the largest of: the cells in class order
-    # (intp) beside their copy in the plan's order and a flag a cell (13
-    # bytes a cell measured, n = 26 and 28, both borders); the cover
+    # (intp) and a flag a cell beside their copy in the plan's order, and
+    # the indices (intp) of the one-cell or the other classes' cells that
+    # np.compress gathers, 17 bytes a cell; the cover
     # table's pass, 1 + A and its kept flag a (high half, run) pair, the
     # edges and their ranks (intp), the rows (uint32), their order by run
     # (intp), in the rows' dtype and their houses, beside a block of (high
@@ -354,7 +345,7 @@ def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     hasse = 16 * pairs + max(highs * highs + 8 * pairs,
                              2 * highs * packed + pairs + 3 * min(_PLAN_BLOCK, pairs * packed)
                              + 16 * min(pairs, _PLAN_BLOCK // packed))
-    build = max(cells * 13, cover, hasse)
+    build = max(cells * 17, cover, hasse)
     # The advance: the column runs' maxima, a row of high halves each,
     # beside a batch's gather of low rows, its maxima and the rows it folds
     # into, or a gather of their own rows, or their transposed copy; then
@@ -502,7 +493,7 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     column runs of equal (low half given b, t).  In one order of the
     columns, by b = 0's key and then b = 1's, the column runs of both
     sides are contiguous, and each of b = 0's is one or two of b = 1's
-    (checked for n = 1..28, both borders): so fine gathers b = 1's column
+    (checked for n = 1..32, both borders): so fine gathers b = 1's column
     runs from the columns, in batches of column runs of one padded length
     (_batches), and coarse b = 0's from b = 1's.  Each (run, column run of
     the run's side) cell holds states of one triple mask, and each state
@@ -565,6 +556,7 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     coarse = cols0 + within[:, None] + np.minimum(np.arange(count.max()), count[:, None] - 1)
     fine_gathers = [(owners, common[at], more) for owners, at, more
                     in _batches(col_of[1, common], np.zeros(1 << h, np.intp), len(high))]
+    del lo, col_keys, key, common, fine, within, count
     # the cells' masks, each side's runs by its column runs
     masks = []
     for part, span in ((slice(None, split), slice(None, cols0)),
@@ -581,18 +573,21 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     # that order
     count = _lengths(class_starts, len(by_mask))
     multi = count > 1
-    by_class = np.cumsum(multi)
-    ones = len(keys) - int(by_class[-1])
     rest = np.repeat(multi, count)
     del count
-    cells = np.empty_like(by_mask)
-    np.compress(~multi, by_mask[class_starts], out=cells[:ones])
-    np.compress(rest, by_mask, out=cells[ones:])
-    del by_mask, rest
-    class_starts = (class_starts - np.arange(len(keys)) + by_class)[multi] - 1
+    by_class = np.cumsum(multi)
+    ones = len(keys) - int(by_class[-1])
+    class_starts -= np.arange(len(keys))
+    class_starts += by_class
+    class_starts = class_starts[multi] - 1
     by_class += ones - 1
     by_class[~multi] = np.arange(ones)
     del multi
+    cells = np.empty_like(by_mask)
+    np.compress(rest, by_mask, out=cells[ones:])
+    np.logical_not(rest, out=rest)
+    np.compress(rest, by_mask, out=cells[:ones])
+    del by_mask, rest
     # each cell's flat index into (runs, cols), read off its place in
     # masks, _PLAN_BLOCK bytes of cells at a time
     flat = np.empty(len(cells), dtype=np.intp)

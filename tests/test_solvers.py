@@ -39,6 +39,7 @@ from settle.solvers import (
     _reach,
     _reach_bits,
     _reach_tables,
+    _split_bytes,
     _split_plan,
     _split_transform,
     _subset_max_inplace,
@@ -668,6 +669,9 @@ class TestStateBytes:
         # at the default column cap, 28, where the witness scan once held a
         # copy of the run maxima beside their fit test
         (Objective.MAX_PERMISSIBLE, 8, 28),
+        # past the default column cap, where the estimate once bounded the
+        # classes by 2^n; at 8 rows the sweep's ring is full
+        (Objective.MAX_PERMISSIBLE, 8, 29),
         (Objective.MIN_MAXIMAL, 1, 18),
         (Objective.MIN_MAXIMAL, 1, 22),
         (Objective.MIN_MAXIMAL, 3, 3),
@@ -729,10 +733,26 @@ class TestStateBytes:
         elif m == 1:
             layer, held, states = 1 << n, 1, 1 << n
         else:
-            layer, held, states = len(_split_plan(n, bricked).keys) << n, _RING + 1, 4**n
+            layer, held, states = len(_reach_bits(n, bricked)[0]) << n, _RING + 1, 4**n
             pick += 1 << n
         kept = res.stats["states"] // states
         return max(kept - held, 0) * layer + pick + m * 256
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    @pytest.mark.parametrize("n", [20, 24, 26, 28])
+    def test_plan_build_within_its_estimate(self, n, bricked):
+        # the build term bounds a cold _split_plan by itself, beside the
+        # plan it keeps, apart from the advance's term that _need_bytes
+        # takes the larger of
+        _split_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            _split_plan(n, bricked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, held, build, _, _ = _split_bytes(n, bricked)
+        assert peak <= held + build
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_default_limits_admit_28_columns(self, boundary):
