@@ -25,13 +25,13 @@ of its transform and the maximum over a run of rows of equal high-half
 triple bits swap, so each run's best score at each low half is one
 sparse (max, +) product of the low array with a cover table per width.
 A class is a run and a run of low halves of equal low-half triple bits
-(a column run), and the maxima over a column run's low halves commute
-with the product, so they are taken first: the product runs on the
-column runs, not on the 2^h low halves.  Its input is first closed over
-the key high halves, a subset-maximum transform along the Hasse edges of
-their family alone, so that the product reads only each run's
-undominated pairs.  The row mask algebra comes from the rows module,
-evaluated on numpy arrays of states.
+at both values of the row's bit h (a column run), and the maxima over a
+column run's low halves commute with the product, so they are taken
+first: the product runs on the column runs, not on the 2^h low halves.
+Its input is first closed over the key high halves, a subset-maximum
+transform along the Hasse edges of their family alone, so that the
+product reads only each run's undominated pairs.  The row mask algebra
+comes from the rows module, evaluated on numpy arrays of states.
 
 The minimum reads no split plan: its classes and reach tables are its
 own (_reach_bits, _reach_tables).  Every complemented key holds the bits
@@ -123,7 +123,7 @@ class Limits:
     every allocation on the way, not only the total at the end.  The
     maximum's estimate reads its split plan, so it builds the plan before
     the check, and max_state_bytes does not bound that build: at most
-    about 141 MiB on the free border and 215 MiB bricked, at 32 columns.
+    about 145 MiB on the free border and 220 MiB bricked, at 32 columns.
     max_wall_s is checked after each row advance and each row of the scan.
     """
 
@@ -306,17 +306,17 @@ def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     holds beyond that low array and the grouped maxima.
 
     Read off the plan itself, at every width the hard limit admits: its
-    build takes work of the order of its classes (0.95 s free and 1.3 s
-    bricked at 32 columns).
+    build takes work of the order of its classes (about 0.5 s free and 0.7
+    s bricked at 32 columns).
     """
     h, w = n // 2, n - n // 2
     plan = _split_plan(n, bricked)
     arrays = [a for a in plan if isinstance(a, np.ndarray)]
-    arrays += [a for batches in (plan.fine, plan.closure, plan.product)
+    arrays += [a for batches in (plan.col_batches, plan.closure, plan.product)
                for batch in batches for a in batch if isinstance(a, np.ndarray)]
     held = sum(a.nbytes + _OBJECT_BYTES for a in arrays)
     highs, runs, cells = len(plan.hv), len(plan.run_keys), len(plan.order)
-    groups, cols = len(plan.keys), len(plan.col_key)
+    groups, cols = len(plan.keys), plan.col_key.shape[1]
     children = np.concatenate([members[:, 1:].ravel() for _, members in plan.closure]
                               + [np.empty(0, np.intp)])
     edges, kept = len(children), sum(at.size for _, at, *_ in plan.product)
@@ -348,15 +348,14 @@ def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     build = max(cells * 17, cover, hasse)
     # The advance: the column runs' maxima, a row of high halves each,
     # beside a batch's gather of low rows, its maxima and the rows it folds
-    # into, or a gather of their own rows, or their transposed copy; then
-    # that copy beside a closure round's gather and maxima, or beside the
-    # cells, a column run a run, and a product batch's gather, its maxima
-    # and the cells' rows it folds into; then the cells, the cells of the
-    # classes of more than one in class order, and the maxima of all
-    # classes before they are put in class order
+    # into, or their transposed copy; then that copy beside a closure
+    # round's gather and maxima, or beside the cells, a column run a run,
+    # and a product batch's gather, its maxima and the cells' rows it folds
+    # into; then the cells, the cells of the classes of more than one in
+    # class order, and the maxima of all classes before they are put in
+    # class order
     most = cols * highs
-    gather = max([at.size + 2 * len(rows) for rows, at, _ in plan.fine]
-                 + [plan.coarse.size]) * highs
+    gather = max(at.size + 2 * len(rows) for rows, at, _ in plan.col_batches) * highs
     close = max([members.size + len(parents) for parents, members in plan.closure],
                 default=0) * cols
     product = max(at.size + 2 * len(rows) for rows, at, *_ in plan.product) * cols
@@ -444,21 +443,18 @@ class _SplitPlan(NamedTuple):
     hv: np.ndarray
     at: np.ndarray  # each class's flat index into a (2^h, len(hv)) array
     split: int  # the runs of rows with b = 0, which come first
-    # the column runs: b = 0's first, then b = 1's.  col_key is each one's
-    # low half of its keys given its side's b, times 2, plus t, and col_of
-    # (2, 2^h) each low half's column run on side b = 0, 1 (intp)
+    # the column runs.  col_key (2, column runs) is each one's low half of
+    # its keys given b = 0, 1, times 2, plus t, and col_of each low half's
+    # column run (intp)
     col_key: np.ndarray
     col_of: np.ndarray
-    # fine: b = 1's column runs' batches (_batches), (column runs, low
-    # halves, more); coarse: b = 0's column runs, each a union of b = 1's,
-    # as those column runs, padded (intp)
-    fine: list[tuple[np.ndarray, np.ndarray, bool]]
-    coarse: np.ndarray
-    # the (run, column run) cells of each side's runs and column runs, as
-    # flat indices into a (runs, column runs) array (intp): the cells of
-    # the classes of one cell first, then the other classes' in class
-    # order, and where each of those starts after the first; and each
-    # class's place in that order, the one-cell classes first
+    # the column runs' batches (_batches): (column runs, low halves, more)
+    col_batches: list[tuple[np.ndarray, np.ndarray, bool]]
+    # the (run, column run) cells, as flat indices into a (runs, column
+    # runs) array (intp): the cells of the classes of one cell first, then
+    # the other classes' in class order, and where each of those starts
+    # after the first; and each class's place in that order, the one-cell
+    # classes first
     order: np.ndarray
     class_starts: np.ndarray
     by_class: np.ndarray
@@ -470,7 +466,8 @@ class _SplitPlan(NamedTuple):
     # their columns of hv (intp) and the cover table A (int8, (runs, k, 1))
     product: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     # the scan's: the key of the class of a cell (run, c) is
-    # (run_keys[run, t] << h) | (col_key[c] >> 1), t = col_key[c] & 1
+    # (run_keys[run, t] << h) | (col_key[b, c] >> 1), with b the run's side
+    # and t = col_key[b, c] & 1
     run_keys: np.ndarray  # (runs, 2): each run's high half of its keys, given t = 0, 1
     lo_desc: np.ndarray  # the columns by descending rev_h (intp)
     hi_desc: np.ndarray  # the rows by descending rev_(n - h), in hv's dtype
@@ -489,19 +486,16 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     triple_mask on rows that hold one half and that one bit of the other.
 
     The rows fall in runs of equal (b, high half given t = 1, high half
-    given t = 0), ascending.  The columns fall, for b = 0 and b = 1, in
-    column runs of equal (low half given b, t).  In one order of the
-    columns, by b = 0's key and then b = 1's, the column runs of both
-    sides are contiguous, and each of b = 0's is one or two of b = 1's
-    (checked for n = 1..32, both borders): so fine gathers b = 1's column
-    runs from the columns, in batches of column runs of one padded length
-    (_batches), and coarse b = 0's from b = 1's.  Each (run, column run of
-    the run's side) cell holds states of one triple mask, and each state
-    lies in one cell, so the cells' masks are the classes; order lists the
-    cells of the classes of one cell, then the others' by class.  hv and
-    at place the
-    complemented keys for _split_transform: the row of a key's low half,
-    the column of its high half.
+    given t = 0), ascending, and the columns in column runs of equal (low
+    half given b = 0, low half given b = 1, t), ascending; col_batches
+    gathers the column runs from the columns, in batches of column runs
+    of one padded length (_batches).  Each (run, column run) cell holds
+    states of one triple mask, the run's high half at the column run's t
+    and the column run's low half at the run's b, and each state lies in
+    one cell, so the cells' masks are the classes; order lists the cells
+    of the classes of one cell, then the others' by class.  hv and at
+    place the complemented keys for _split_transform: the row of a key's
+    low half, the column of its high half.
 
     The rest serves the maximum's advance (_max_rule).  The key high halves
     K_j = ~hv[j] form a family under ⊆; closure holds its Hasse edges
@@ -537,34 +531,24 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     lo = np.arange(1 << h, dtype=np.uint32)
     col_keys = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
     col_keys &= (1 << h) - 1
-    # the low halves in one order for both sides, by (b = 0's key, b = 1's
-    # key): the column runs of b = 0 are contiguous in it, and so are the
-    # runs of both keys, b = 1's column runs where they refine b = 0's
+    # the column runs, each low half's, and their gathers
     key = col_keys * 2 + ((lo & top) != 0)
-    common = np.lexsort(key[::-1])
-    key = key[:, common]
-    fine = _starts((key[0].astype(np.int64) << 32) | key[1])
-    within = _starts(key[0, fine])  # b = 1's column runs that start b = 0's
-    # the column runs, b = 0's then b = 1's; each of b = 0's is one or
-    # more of b = 1's, padded to as many
-    cols0, cols = len(within), len(within) + len(fine)
-    col_key = np.concatenate([key[0, fine[within]], key[1, fine]])
-    col_of = np.empty((2, 1 << h), dtype=np.intp)
-    col_of[1, common] = np.repeat(np.arange(cols0, cols), _lengths(fine, 1 << h))
-    count = _lengths(within, len(fine))
-    col_of[0, common] = np.repeat(np.arange(cols0), count)[col_of[1, common] - cols0]
-    coarse = cols0 + within[:, None] + np.minimum(np.arange(count.max()), count[:, None] - 1)
-    fine_gathers = [(owners, common[at], more) for owners, at, more
-                    in _batches(col_of[1, common], np.zeros(1 << h, np.intp), len(high))]
-    del lo, col_keys, key, common, fine, within, count
-    # the cells' masks, each side's runs by its column runs
-    masks = []
-    for part, span in ((slice(None, split), slice(None, cols0)),
-                       (slice(split, None), slice(cols0, None))):
-        low_key, t = col_key[span] >> 1, (col_key[span] & 1) != 0
-        masks.append(((np.where(t, hi1[part, None], hi0[part, None]) << h) | low_key).ravel())
+    by_col, firsts = _runs((key[0].astype(np.int64) << 32) | key[1])
+    cols = len(firsts)
+    col_key = key[:, by_col[firsts]]
+    col_of = np.empty(1 << h, dtype=np.intp)
+    col_of[by_col] = np.repeat(np.arange(cols), _lengths(firsts, 1 << h))
+    col_batches = [(owners, by_col[at], more) for owners, at, more
+                   in _batches(col_of[by_col], np.zeros(1 << h, np.intp), len(high))]
+    del lo, col_keys, key, by_col, firsts
+    # the cells' masks, (runs, column runs): each run's high half at the
+    # column run's t, and the column run's low half at the run's b
+    masks = np.where((col_key[0] & 1) != 0, hi1[:, None], hi0[:, None])
+    masks <<= h
+    masks[:split] |= col_key[0] >> 1
+    masks[split:] |= col_key[1] >> 1
     # (np.unique would import numpy.ma, about 1 MiB, on a solve's first call)
-    masks = np.concatenate(masks)
+    masks = masks.ravel()
     by_mask, class_starts = _runs(masks)
     keys = masks[by_mask[class_starts]]
     del masks
@@ -588,16 +572,6 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     np.logical_not(rest, out=rest)
     np.compress(rest, by_mask, out=cells[:ones])
     del by_mask, rest
-    # each cell's flat index into (runs, cols), read off its place in
-    # masks, _PLAN_BLOCK bytes of cells at a time
-    flat = np.empty(len(cells), dtype=np.intp)
-    np.add(np.arange(split)[:, None] * cols, np.arange(cols0),
-           out=flat[:split * cols0].reshape(split, cols0))
-    np.add(np.arange(split, len(starts))[:, None] * cols, np.arange(cols0, cols),
-           out=flat[split * cols0:].reshape(len(starts) - split, cols - cols0))
-    for a in range(0, len(cells), _PLAN_BLOCK >> 3):
-        cells[a:a + (_PLAN_BLOCK >> 3)] = flat[cells[a:a + (_PLAN_BLOCK >> 3)]]
-    del flat
     # at: a key's column in high, plus its complemented low half's row
     where = np.empty(1 << w, dtype=np.intp)
     where[high] = np.arange(len(high))
@@ -648,8 +622,7 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     run_of[order] = np.repeat(np.arange(len(starts)), _lengths(starts, 1 << w))
     hi_desc = _axis_rows(w, 1 << w)
     return _SplitPlan(keys, (((1 << w) - 1) - high).astype(half), at, split, col_key, col_of,
-                      fine_gathers, coarse, cells, class_starts, by_class, closure,
-                      product,
+                      col_batches, cells, class_starts, by_class, closure, product,
                       np.stack([hi0, hi1], axis=1),
                       _axis_rows(h, 1 << h).astype(np.intp), hi_desc.astype(half),
                       run_of[hi_desc])
@@ -1185,33 +1158,31 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
     by a kept one, whose closed entry is as large at an equal A.
 
     A class is a (run, column run) cell, so the advance needs that product
-    only at its maximum over each column run C of the run's side, and it
-    takes that maximum first:
+    only at its maximum over each column run C, and it takes that maximum
+    first:
 
         cells[run, C] = max over j of (A[run, j] + close(M)[C, j]),
         M[C, j] = max over lo in C of (pc(lo) + low[lo, j]).
 
     The maxima over lo in C commute with both steps: A does not depend on
     lo, and the closure (_close) maxes over j alone.  So the closure and
-    the product run over the column runs of both sides, 161 + 188 at n =
-    23 free, not the 2^h = 2 048 low halves.  M takes b = 1's column runs
-    from low, one gather a batch of runs of one padded length (_batches),
-    and b = 0's from those, as each is one or two of them; transposed, it
-    is closed in place, and each batch of runs with k pairs (_batches)
-    takes one .max(axis=1) over a (runs, k, column runs) gather of its
-    rows.  A run's cells are its side's columns of the product; the cells
-    are then maxed into their classes, the classes of one cell by one
-    gather and the rest by one reduceat, and put in class order.  Row 1 is
-    the advance from low = 0: the empty north row admits every row.  keep:
-    a witness keeps each row's low array, pc(lo) added, and its cells,
-    shifted by the row before it.
+    the product run over the column runs, 188 at n = 23 free, not the 2^h
+    = 2 048 low halves.  M takes them from low, one gather a batch of
+    column runs of one padded length (_batches); transposed, it is closed
+    in place, and each batch of runs with k pairs (_batches) takes one
+    .max(axis=1) over a (runs, k, column runs) gather of its rows.  The
+    cells are then maxed into their classes, the classes of one cell by
+    one gather and the rest by one reduceat, and put in class order.  Row
+    1 is the advance from low = 0: the empty north row admits every row.
+    keep: a witness keeps each row's low array, pc(lo) added, and its
+    cells, shifted by the row before it.
 
     The scan picks in three exact steps.  The target is the best score of
     the rows that fit the row r below, and the rows of a cell share a
     class, so the rows that fit and score it lie in the cells where key &
     r == 0 and the cell is the target: the runs' high halves of the keys
-    and the column runs' low halves are tested against r, and the cells
-    that fit are compared with the target.  rev(u) =
+    and the column runs' low halves at each b are tested against r, and
+    the cells that fit are compared with the target.  rev(u) =
     rev_h(lo)·2^(n - h) + rev(hi), so the pick's low half is the one of
     largest rev_h where a fitting row scores the target, and such a row
     lies in a hit cell.  The low halves of the hit column runs are tried by
@@ -1224,22 +1195,21 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
     plan = _split_plan(n, bricked)
     keys = plan.keys
     h, w = n // 2, n - n // 2
-    runs, cols, cols0 = len(plan.run_keys), len(plan.col_key), len(plan.coarse)
+    runs, cols = len(plan.run_keys), plan.col_key.shape[1]
     ones = len(keys) - len(plan.class_starts)  # the classes of one cell
     step = max(1, _SCAN_BLOCK // len(plan.hv))  # the scan's rows a (row, high half) test
     houses = np.bitwise_count(np.arange(1 << h, dtype=np.uint32)).astype(np.int8)  # pc(lo)
     if keep:
-        # the scan's: each column run's low half of its keys; the column
-        # runs a run of side b (b = 0, 1) may read if it fits at no t, at t
-        # = 0 alone, or at both (row 3b + the t it fits at), and the row
-        # of each run's side there; each low half's column runs, by
-        # descending rev_h
+        # the scan's: each column run's low half of its keys given b = 0,
+        # 1; the column runs a run may read if it fits at no t, at t = 0
+        # alone, or at both, and the first of its side's three rows of
+        # those (3b); each low half's column run, by descending rev_h
         col_low = plan.col_key >> 1
-        sides = np.zeros((6, cols), dtype=bool)
-        sides[1:3, :cols0] = sides[4:, cols0:] = True
-        sides[1::3] &= (plan.col_key & 1) == 0
+        by_t = np.zeros((3, cols), dtype=bool)
+        by_t[1] = (plan.col_key[0] & 1) == 0
+        by_t[2] = True
         side_of = np.repeat([0, 3], [plan.split, runs - plan.split])
-        col_desc = plan.col_of[:, plan.lo_desc]
+        col_desc = plan.col_of[plan.lo_desc]
 
     def advance(grouped, clock):
         if grouped is None:
@@ -1248,14 +1218,13 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
             low = _split_transform(grouped, n, bricked)
             low += houses[:, None]
         # M[c, j]: the best pc(lo) + low[lo, j] over the low halves lo of
-        # column run c; b = 1's from low, b = 0's from b = 1's
+        # column run c
         most = np.empty((cols, len(plan.hv)), dtype=np.int8)
-        for rows, at, more in plan.fine:
+        for rows, at, more in plan.col_batches:
             best = low[at].max(axis=1)
             if more:
                 np.maximum(best, most[rows], out=best)
             most[rows] = best
-        np.max(most[plan.coarse], axis=1, out=most[:cols0])
         if not keep:
             del low
         most_t = np.ascontiguousarray(most.T)
@@ -1285,22 +1254,24 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
         low, cells = layer
         r = below[-1]
         # the (run, column run) cells that hold a fitting row of the target.
-        # A cell's key is (run_keys[run, t] << h) | (col_key >> 1), with t
-        # its column run's col_key & 1; t = 1 only adds key bits, so a run
-        # that fits at t = 1 fits at t = 0.  A run's columns that fit: its
-        # side's, of a t it fits at, and of a low half that misses r
+        # A cell's key is (run_keys[run, t] << h) | (col_key[b, c] >> 1),
+        # with b the run's side and t its column run's col_key & 1; t = 1
+        # only adds key bits, so a run that fits at t = 1 fits at t = 0.  A
+        # run's columns that fit: of a t it fits at, and of a low half
+        # given its b that misses r
         high = (plan.run_keys & (r >> h)) == 0
+        fit = (col_low & (r & ((1 << h) - 1))) == 0
         hit = cells == target
-        hit &= (sides & ((col_low & (r & ((1 << h) - 1))) == 0))[side_of + high.sum(axis=1)]
+        hit &= (fit[:, None] & by_t).reshape(6, cols)[side_of + high.sum(axis=1)]
         # the low halves of the hit column runs by descending rev_h; at each,
         # the rows of its hit runs by descending rev, step at a time: a row
         # scores its houses and the best low entry of the high halves that
         # hold it.  The first low half where a row scores the target holds
         # the pick
         some = hit.any(axis=0)
-        for at in np.flatnonzero(some[col_desc].any(axis=0)):
+        for at in np.flatnonzero(some[col_desc]):
             lo = int(plan.lo_desc[at])
-            rows = plan.hi_desc[hit[:, col_desc[:, at]].any(axis=1)[plan.run_desc]]
+            rows = plan.hi_desc[hit[plan.run_desc, col_desc[at]]]
             for a in range(0, len(rows), step):
                 hi = rows[a:a + step, None]
                 score = np.where((plan.hv & hi) == hi, low[lo], _DEAD).max(axis=1)
@@ -1314,13 +1285,13 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
     close = lambda grouped: np.where((keys & d_v) == 0, grouped, _DEAD).max()
     # a layer is low and the cells.  A scan call holds two bools a cell,
     # its hits and their fit test, and a few words a run and a column run;
-    # then a bool a column run, three bools and an intp a low half, a bool
-    # and a high half a row, and, step rows at a time, their test against
+    # then a bool a column run, a bool and an intp a low half, a bool and
+    # a high half a row, and, step rows at a time, their test against
     # hv (in hv's dtype, bool and int8) and their houses
     layer = (len(plan.hv) << h) + runs * cols
     test = step * len(plan.hv) * (plan.hv.itemsize + 2)
     return _Rule(advance, close, scan, 1, layer, 1,
-                 2 * runs * cols + runs * 30 + cols * 12 + (11 << h)
+                 2 * runs * cols + runs * 30 + cols * 12 + (9 << h)
                  + ((1 + plan.hv.itemsize) << w) + test + step * 16)
 
 

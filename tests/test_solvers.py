@@ -5,7 +5,6 @@ import hashlib
 import json
 import time
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -399,7 +398,9 @@ class TestSweep:
     # held the (row above, row) scores of every pair.  The max 23x23 and
     # 24x24 digests were recorded from a sweep that grouped every state
     # with one np.maximum.at over a per-state class index and transformed
-    # all of its 2^n scores in one array.
+    # all of its 2^n scores in one array.  The max 28x28 digests, at the
+    # default column cap, were recorded from an advance that kept a set of
+    # column runs for each value of the row's bit h.
     @pytest.mark.parametrize("objective, m, n, boundary, optimum, digest", [
         (Objective.MAX_PERMISSIBLE, 14, 20, Boundary.FREE, 211,
          "e56ba602e23b619970c59a86605990e9ab5d439ccb9ab22712e3c6753df688c0"),
@@ -431,10 +432,15 @@ class TestSweep:
          "96164786db3d19b426487d1693e1c6fca01af39730b17af39e438d3dfae548f9"),
         (Objective.MAX_PERMISSIBLE, 24, 24, Boundary.BRICKED, 415,
          "8194f3affccea621cdb639bad1035002f764289bccd01b7aa3b29d7fae6b5164"),
+        (Objective.MAX_PERMISSIBLE, 28, 28, Boundary.FREE, 589,
+         "065c4129d2adabc78dcd05eab88999fd6307947e4d17be6ea7d96ef59817b616"),
+        (Objective.MAX_PERMISSIBLE, 28, 28, Boundary.BRICKED, 568,
+         "6050588c1c43516639bc4c901904d261d6fcd6dcfba468ee0581b9ae9a8abff2"),
     ], ids=["max-free", "max-bricked", "min-free", "min-bricked",
             "max-60x16-free", "max-60x16-bricked", "max-40x20-free", "max-40x20-bricked",
             "min-30x10-free", "min-30x10-bricked", "min-12x12-free",
-            "max-23x23-free", "max-24x24-free", "max-23x23-bricked", "max-24x24-bricked"])
+            "max-23x23-free", "max-24x24-free", "max-23x23-bricked", "max-24x24-bricked",
+            "max-28x28-free", "max-28x28-bricked"])
     def test_wide_witnesses_keep_their_rows(self, objective, m, n, boundary, optimum, digest):
         res = solve(SolveRequest(Dims(m, n, boundary), objective))
         assert res.optimum == optimum
@@ -725,10 +731,10 @@ class TestStateBytes:
         h, pick = n // 2, _SCAN_BLOCK * 32
         if res.objective is Objective.MAX_PERMISSIBLE:
             plan = _split_plan(n, bricked)
-            runs, cols, size = len(plan.run_keys), len(plan.col_key), plan.hv.itemsize
+            runs, cols, size = len(plan.run_keys), plan.col_key.shape[1], plan.hv.itemsize
             layer, held, states = (len(plan.hv) << h) + runs * cols, 1, 1 << n
             step = max(1, _SCAN_BLOCK // len(plan.hv))
-            pick = (2 * runs * cols + runs * 30 + cols * 12 + (11 << h) + ((1 + size) << (n - h))
+            pick = (2 * runs * cols + runs * 30 + cols * 12 + (9 << h) + ((1 + size) << (n - h))
                     + step * len(plan.hv) * (size + 2) + step * 16)
         elif m == 1:
             layer, held, states = 1 << n, 1, 1 << n
@@ -835,7 +841,7 @@ class TestStateBytes:
         bricked = boundary is Boundary.BRICKED
         need = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, bricked)
         plan = _split_plan(n, bricked)
-        layer = (len(plan.hv) << (n // 2)) + len(plan.run_keys) * len(plan.col_key)
+        layer = (len(plan.hv) << (n // 2)) + len(plan.run_keys) * plan.col_key.shape[1]
         peak = solve(SolveRequest.maximum(m, n, boundary)).stats["state_bytes"]
         for cap in (peak - 1, need + 2 * layer - 1):
             _split_plan.cache_clear()
@@ -919,11 +925,11 @@ class TestStateBytes:
     def test_plan_classes_pass_uint16_on_the_bricked_border(self):
         # 92 736 classes at n = 24, past a uint16 class index: the class
         # that order, class_starts and by_class give each (run, column run)
-        # cell of its side is the triple mask of a state of the cell, and
-        # no other cell has one
+        # cell is the triple mask of a state of the cell, and every cell
+        # has one
         n, h = 24, 12
         plan = _split_plan(n, True)
-        groups, runs, cols = len(plan.keys), len(plan.run_keys), len(plan.col_key)
+        groups, runs, cols = len(plan.keys), len(plan.run_keys), plan.col_key.shape[1]
         assert groups == 92736
         place = np.empty(groups, dtype=np.intp)  # the class at each place of by_class
         place[plan.by_class] = np.arange(groups)
@@ -931,20 +937,14 @@ class TestStateBytes:
         count = np.diff(plan.class_starts, append=len(plan.order) - ones)
         cls = np.full(runs * cols, -1)
         cls[plan.order] = np.concatenate([place[:ones], np.repeat(place[ones:], count)])
-        cls = cls.reshape(runs, cols)
+        assert len(plan.order) == runs * cols and np.all(cls >= 0)
         # a row of each run and a low half of each column run
         some = np.empty(runs, dtype=np.uint32)
         some[plan.run_desc] = plan.hi_desc
         low = np.empty(cols, dtype=np.uint32)
-        for b in (0, 1):
-            low[plan.col_of[b]] = np.arange(1 << h)
-        cols0, held = len(plan.coarse), 0
-        for part, span in ((slice(None, plan.split), slice(None, cols0)),
-                           (slice(plan.split, None), slice(cols0, None))):
-            first = (some[part, None] << h) | low[span]
-            assert np.array_equal(plan.keys[cls[part, span]], triple_mask(first, n, True))
-            held += first.size
-        assert held == len(plan.order) == np.count_nonzero(cls >= 0)
+        low[plan.col_of] = np.arange(1 << h)
+        first = (some[:, None] << h) | low
+        assert np.array_equal(plan.keys[cls.reshape(runs, cols)], triple_mask(first, n, True))
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_wide_max_holds_under_1_byte_a_state(self, boundary):
@@ -1184,9 +1184,9 @@ class TestSplitRow:
     def test_product_matches_the_full_scores(self, bricked):
         # every width up to 21: the advance's (run, column run) cells and
         # grouped maxima against the full-width superset transform plus
-        # each row's houses, maxed into cells and classes by np.maximum.at;
-        # a run's cells are those of its side's column runs.  grouped holds
-        # dead entries, and row 1 (grouped None) scores houses alone
+        # each row's houses, maxed into cells and classes by np.maximum.at.
+        # grouped holds dead entries, and row 1 (grouped None) scores
+        # houses alone
         rng = np.random.default_rng(5)
         for n in range(1, 22):
             plan = _split_plan(n, bricked)
@@ -1196,8 +1196,7 @@ class TestSplitRow:
             run_of = np.empty(1 << w, dtype=np.intp)
             run_of[plan.hi_desc] = plan.run_desc
             run = run_of[rows >> h]
-            col = plan.col_of[(run >= plan.split).astype(np.intp), rows & ((1 << h) - 1)]
-            cols0 = len(plan.coarse)
+            col = plan.col_of[rows & ((1 << h) - 1)]
             grouped = rng.integers(-2 * n, 0, len(plan.keys), endpoint=True).astype(np.int8)
             grouped[rng.random(len(plan.keys)) < 0.3] = _DEAD
             rule = _max_rule(n, bricked, 0, True)
@@ -1207,12 +1206,10 @@ class TestSplitRow:
                     scores = superset_scores(last, plan.keys, n) + _houses(n)
                 want = np.full(len(plan.keys), _DEAD, dtype=np.int8)
                 np.maximum.at(want, ids, scores)
-                cells = np.full((len(plan.run_keys), len(plan.col_key)), _DEAD, dtype=np.int8)
+                cells = np.full((len(plan.run_keys), plan.col_key.shape[1]), _DEAD, dtype=np.int8)
                 np.maximum.at(cells, (run, col), scores)
                 got, (_, got_cells) = rule.advance(last, _Clock())
-                for part, span in ((slice(None, plan.split), slice(None, cols0)),
-                                   (slice(plan.split, None), slice(cols0, None))):
-                    assert np.array_equal(got_cells[part, span], cells[part, span]), (n, bricked)
+                assert np.array_equal(got_cells, cells), (n, bricked)
                 assert np.array_equal(got, want), (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
@@ -1231,14 +1228,11 @@ class TestSplitRow:
                 rule = _max_rule(n, bricked, 0, True)
                 want, (want_low, want_cells) = rule.advance(grouped, _Clock())
                 _split_plan.cache_clear()
-                monkeypatch.setattr("settle.solvers._GATHER_BLOCK", 4 * len(plan.col_key))
+                monkeypatch.setattr("settle.solvers._GATHER_BLOCK", 4 * plan.col_key.shape[1])
                 monkeypatch.setattr("settle.solvers._CALL_BYTES", 0)
                 got, (low, cells) = _max_rule(n, bricked, 0, True).advance(grouped, _Clock())
                 assert np.array_equal(low, want_low), (n, bricked)
-                cols0 = len(plan.coarse)
-                for part, span in ((slice(None, plan.split), slice(None, cols0)),
-                                   (slice(plan.split, None), slice(cols0, None))):
-                    assert np.array_equal(cells[part, span], want_cells[part, span]), (n, bricked)
+                assert np.array_equal(cells, want_cells), (n, bricked)
                 assert np.array_equal(got, want), (n, bricked)
                 _split_plan.cache_clear()
                 monkeypatch.undo()
@@ -1315,34 +1309,18 @@ class TestSplitRow:
             assert np.array_equal(low_t, want), (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
-    def test_column_runs_are_contiguous_in_one_order(self, bricked):
-        # the premise of the plan's one low-half order, n = 1..28: by (b =
-        # 0's key, b = 1's key), each side's runs of equal keys (its column
-        # runs) are contiguous, and b = 1's refine b = 0's, into one or
-        # two.  So, up to 24, the plan has one column run a key of each
-        # side, each low half's column run holds its key, and b = 0's
-        # gather two of b = 1's at most
-        for n in range(1, 29):
+    def test_column_runs_hold_both_sides_keys(self, bricked):
+        # n = 1..24: each low half's column run holds its key given b, times
+        # 2, plus t, for b = 0 and b = 1, and there is one column run a
+        # distinct pair of those
+        for n in range(1, 25):
             h = n // 2
             lo = np.arange(1 << h, dtype=np.uint32)
             key = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
             key = (key & ((1 << h) - 1)) * 2 + ((lo & ((1 << h) >> 1)) != 0)
-            ordered = key[:, np.lexsort(key[::-1])]
-            ends = [set(np.flatnonzero(side[1:] != side[:-1]).tolist()) for side in ordered]
-            for side, end in zip(key, ends):
-                assert len(end) + 1 == len(set(side.tolist())), (n, bricked)
-            assert ends[0] <= ends[1], (n, bricked)
-            pairs = set(zip(*key.tolist()))  # b = 1's column runs, each in one of b = 0's
-            assert len(pairs) == len(ends[1]) + 1, (n, bricked)
-            assert max(Counter(k0 for k0, _ in pairs).values()) <= 2, (n, bricked)
-            if n > 24:
-                continue
             plan = _split_plan(n, bricked)
-            cols0 = len(plan.coarse)
-            assert cols0 == len(ends[0]) + 1, (n, bricked)
-            assert len(plan.col_key) - cols0 == len(ends[1]) + 1, (n, bricked)
-            assert np.array_equal(plan.col_key[plan.col_of], key), (n, bricked)
-            assert plan.coarse.shape[1] <= 2, (n, bricked)
+            assert np.array_equal(plan.col_key[:, plan.col_of], key), (n, bricked)
+            assert plan.col_key.shape[1] == len(set(zip(*key.tolist()))), (n, bricked)
 
     def test_plan_class_counts_are_fibonacci(self):
         # the classes that _split_plan finds, counted: on the free border
