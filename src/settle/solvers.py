@@ -9,18 +9,18 @@ current row).  A triple class is a triple mask that occurs; the
 maximum's _split_plan finds the classes from the two halves of a row,
 and the minimum's _reach_bits from every row.  The minimum scores its
 empty lots, so both maximize, and each row's transition maximum is
-one subset-indexed maximum transform over the classes (cost ~ n·2^n per
-state column), scattered at the complement of triple(u): the maximum
-takes superset maxima, read at the row below, since triple(u) & r == 0
-exactly when r ⊆ ~triple(u); the minimum takes subset maxima, read at
-reach, since triple(u) ⊇ k exactly when ~triple(u) ⊆ ~k.
+one subset-maximum transform over the classes (cost ~ n·2^n per state
+column): the maximum's scattered at triple(u) and read reversed, at ~r
+for the row r below, since triple(u) & r == 0 exactly when triple(u) ⊆
+~r; the minimum's at ~triple(u) and read at reach, since triple(u) ⊇ k
+exactly when ~triple(u) ⊆ ~k.
 
-The maximum's transform runs over the two halves of a row (_split_transform):
-the low h = n // 2 bits and the high n - h.  Triple bit j reads bits j -
-1, j and j + 1 alone, so each half of a state's triple mask follows from
-that half of the state and the one bit of the other half next to it.
-The transform runs over the low bits of the classes in a (2^h, high
-halves) array.  The maximum holds no array of 2^n entries: the high half
+The maximum's transform runs over the two halves of a row: the low h =
+n // 2 bits and the high n - h.  Triple bit j reads bits j - 1, j and j
++ 1 alone, so each half of a state's triple mask follows from that half
+of the state and the one bit of the other half next to it.  The
+transform runs over the low bits of the classes in a (2^h, high halves)
+low array.  The maximum holds no array of 2^n entries: the high half
 of its transform and the maximum over a run of rows of equal high-half
 triple bits swap, so each run's best score at each low half is one
 sparse (max, +) product of the low array with a cover table per width.
@@ -72,9 +72,10 @@ most n + 1 up to n = 14), and _normalize checks it on every row.  A
 witness is not tracked forward: the sweep keeps a layer of each row,
 and a backward scan rebuilds the rows from the south border up, each the
 argmax of the key (score << n) | rev(row) over the rows that fit the
-rows below it, in one loop for both objectives (the rule's scan).  The
-maximum keeps two small arrays of its split advance, not the row's 2^n
-scores; the minimum keeps its class maxima and reads them at the row
+rows below it, in one loop for both objectives (the rule's scan).  Each
+keeps class maxima, not the row's 2^n scores: the maximum the ones its
+advance read and its cells, from which the scan rebuilds the one row of
+the low array it tries; the minimum its own, which it reads at the row
 below, as its close-off reads the last row's at the south border.
 
 The state after row k does not depend on the final row count, so one sweep
@@ -301,9 +302,9 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int]:
 @lru_cache(maxsize=8)
 def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     """The classes at width n, the bytes of its cached _split_plan and the
-    most its build holds beyond them, the cells of _split_transform's (2^h,
-    len(hv)) low array, and the most the maximum's advance (_max_rule)
-    holds beyond that low array and the grouped maxima.
+    most its build holds beyond them, the cells of the maximum's (2^h,
+    len(hv)) low array, and the most its advance (_max_rule) holds beyond
+    that low array and the grouped maxima.
 
     Read off the plan itself, at every width the hard limit admits: its
     build takes work of the order of its classes (about 0.5 s free and 0.7
@@ -438,8 +439,9 @@ class _SplitPlan(NamedTuple):
     witness scan reach them over the two halves of a row (_split_plan)."""
 
     keys: np.ndarray  # the classes: the triple masks that occur, ascending
-    # the distinct high halves of the complemented keys, by the popcount of
-    # the key high half K_j they complement, then by K_j
+    # the distinct high halves of the complemented keys, by the key high
+    # half K_j they complement, ascending, so that the classes of each
+    # column come in a run, in column order
     hv: np.ndarray
     at: np.ndarray  # each class's flat index into a (2^h, len(hv)) array
     split: int  # the runs of rows with b = 0, which come first
@@ -448,7 +450,8 @@ class _SplitPlan(NamedTuple):
     # column run (intp)
     col_key: np.ndarray
     col_of: np.ndarray
-    # the column runs' batches (_batches): (column runs, low halves, more)
+    # the column runs' batches (_batches): (column runs, the complements
+    # ~lo of their low halves, more), as the advance reads low reversed
     col_batches: list[tuple[np.ndarray, np.ndarray, bool]]
     # the (run, column run) cells, as flat indices into a (runs, column
     # runs) array (intp): the cells of the classes of one cell first, then
@@ -488,14 +491,15 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     The rows fall in runs of equal (b, high half given t = 1, high half
     given t = 0), ascending, and the columns in column runs of equal (low
     half given b = 0, low half given b = 1, t), ascending; col_batches
-    gathers the column runs from the columns, in batches of column runs
-    of one padded length (_batches).  Each (run, column run) cell holds
-    states of one triple mask, the run's high half at the column run's t
-    and the column run's low half at the run's b, and each state lies in
-    one cell, so the cells' masks are the classes; order lists the cells
-    of the classes of one cell, then the others' by class.  hv and at
-    place the complemented keys for _split_transform: the row of a key's
-    low half, the column of its high half.
+    gathers the column runs from the columns, at their complements, in
+    batches of column runs of one padded length (_batches).  Each (run,
+    column run) cell holds states of one triple mask, the run's high half
+    at the column run's t and the column run's low half at the run's b,
+    and each state lies in one cell, so the cells' masks are the classes;
+    order lists the cells of the classes of one cell, then the others' by
+    class.  hv and at
+    place the classes in the maximum's low array: the row of a key's low
+    half, the column of its complemented high half.
 
     The rest serves the maximum's advance (_max_rule).  The key high halves
     K_j = ~hv[j] form a family under ⊆; closure holds its Hasse edges
@@ -509,9 +513,9 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     pairs: 1 656 of 6 641 pairs at n = 23, free.  Each row misses K = 0,
     the high half of key 0, so each run keeps a pair.  A and the dominance
     are found in one pass, _PLAN_BLOCK (high half, row) pairs at a time,
-    the largest K_j first, so that each pair's parents are done before it;
-    the full cover table is not kept.  At h = 0, t is 0 and a run's two
-    high halves agree.
+    the largest K_j first, so that each pair's parents, which are larger,
+    are done before it; the full cover table is not kept.  At h = 0, t is
+    0 and a run's two high halves agree.
     """
     h, w = n // 2, n - n // 2
     top = (1 << h) >> 1  # bit h - 1; none when h = 0
@@ -523,11 +527,10 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     first = order[starts]
     split = int(np.count_nonzero((hi[first] & 1) == 0))
     hi1, hi0 = hi1[first], hi0[first]
-    # the key high halves K_j, by popcount, then ascending: every run's at
-    # t = 0 and 1, as every run meets columns of both
+    # the key high halves K_j, ascending: every run's at t = 0 and 1, as
+    # every run meets columns of both
     both = np.sort(np.concatenate([hi0, hi1]))
     high = both[_starts(both)]
-    high = high[np.argsort(np.bitwise_count(high), kind="stable")]
     lo = np.arange(1 << h, dtype=np.uint32)
     col_keys = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
     col_keys &= (1 << h) - 1
@@ -538,7 +541,7 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     col_key = key[:, by_col[firsts]]
     col_of = np.empty(1 << h, dtype=np.intp)
     col_of[by_col] = np.repeat(np.arange(cols), _lengths(firsts, 1 << h))
-    col_batches = [(owners, by_col[at], more) for owners, at, more
+    col_batches = [(owners, ((1 << h) - 1) - by_col[at], more) for owners, at, more
                    in _batches(col_of[by_col], np.zeros(1 << h, np.intp), len(high))]
     del lo, col_keys, key, by_col, firsts
     # the cells' masks, (runs, column runs): each run's high half at the
@@ -572,15 +575,12 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     np.logical_not(rest, out=rest)
     np.compress(rest, by_mask, out=cells[:ones])
     del by_mask, rest
-    # at: a key's column in high, plus its complemented low half's row
+    # at: a key's column in high, plus its low half's row
     where = np.empty(1 << w, dtype=np.intp)
     where[high] = np.arange(len(high))
     at = where[keys >> h]
-    low = keys & ((1 << h) - 1)
-    np.subtract((1 << h) - 1, low, out=low)
-    low *= len(high)
-    at += low
-    del where, low
+    at += (keys & ((1 << h) - 1)) * len(high)
+    del where
     child, parent = _hasse(high)
     # each high half's Hasse parents, padded with len(high), a row of 0s
     rank = np.arange(len(child)) - np.searchsorted(child, child)
@@ -822,9 +822,10 @@ def _open_split(keys: np.ndarray, n: int) -> tuple[int, list[int], np.ndarray, n
     no triple mask has its edge bits, and 0 on the bricked one (checked
     for n = 1..16).  The transform runs over the n' = n - |F| open bits
     alone, the complemented keys squeezed to them (distinct, as each holds
-    F), and split at h' = n' // 2 as _split_transform splits: hv holds the
-    distinct high halves, ascending, and at each class's flat index into
-    a (2^h', len(hv)) low array, its row the squeezed key's low half.
+    F), and split at h' = n' // 2 as the maximum splits (_split_plan): hv
+    holds the distinct high halves, ascending, and at each class's flat
+    index into a (2^h', len(hv)) low array, its row the squeezed key's
+    low half.
     Returns F, the open bits, ascending, hv and at.
     """
     holes = full_mask(n) ^ keys
@@ -955,40 +956,35 @@ def _chunk_rows(n: int, width: int) -> int:
     return min(1 << n, max(_CHUNK, _BLOCK >> width))
 
 
-def _subset_max_inplace(z: np.ndarray, n: int, superset: bool = False):
-    """z[k] := max over k' ⊆ k (k' ⊇ k if superset) of z[k'], along axis 0.
+def _subset_max_inplace(z: np.ndarray, n: int):
+    """z[k] := max over k' ⊆ k of z[k'], along axis 0.
 
     The subset-maximum (zeta) transform of Björklund, Husfeldt, Kaski &
     Koivisto (STOC 2007): one pass per bit b, each z[k] with bit b set
-    taking the maximum with z[k - 2^b] (the other way round for supersets).
+    taking the maximum with z[k - 2^b].  Run on z[::-1], it leaves z the
+    superset maximum, as k' ⊇ k exactly when ~k' ⊆ ~k.
     """
     tail = z.shape[1:]
     for b in range(n):
         view = z.reshape(-1, 2, 1 << b, *tail)
-        into, other = (view[:, 0], view[:, 1]) if superset else (view[:, 1], view[:, 0])
-        np.maximum(into, other, out=into)
+        np.maximum(view[:, 1], view[:, 0], out=view[:, 1])
 
 
-def _split_transform(grouped: np.ndarray, n: int, bricked: bool) -> np.ndarray:
-    """The low half of the maximum's superset-maximum transform of the
-    classes' grouped maxima.
-
-    The full transform z[r] is the maximum of grouped over the classes
-    whose complemented keys hold r, key & r == 0, the rows r admits above
-    it: grouped scattered at the complemented keys, superset-transformed.
-    It runs bit by bit, so it splits at h = n // 2 (_split_plan): the low
-    bits are transformed in a (2^h, len(hv)) array, one column per high
-    half of a complemented key, and that low array is returned.  The
-    maximum takes its maxima over its column runs, closes them over its
-    key high halves and takes the high half of the transform in their
-    product with the cover table (_max_rule), and holds no z.
-    """
-    plan = _split_plan(n, bricked)
-    h = n // 2
-    low = np.full((1 << h, len(plan.hv)), _DEAD, dtype=grouped.dtype)
-    low.reshape(-1)[plan.at] = grouped
-    _subset_max_inplace(low, h, superset=True)
-    return low
+def _low_row(plan: _SplitPlan, grouped: np.ndarray, lo: int, h: int) -> np.ndarray:
+    """Row lo of the maximum's low array before pc(lo), from the grouped
+    maxima its advance read: per column j of hv, the best class of key high
+    half K_j, the j-th run in key order, whose key misses lo.  Read
+    _SCAN_BLOCK >> 2 classes at a time, as score + 128 in uint8 times its
+    fit: 0 at a miss."""
+    row = np.zeros(len(plan.hv), dtype=np.uint8)
+    for a in range(0, len(grouped), _SCAN_BLOCK >> 2):
+        keys = plan.keys[a:a + (_SCAN_BLOCK >> 2)]
+        best = grouped[a:a + len(keys)].view(np.uint8) ^ np.uint8(128)
+        best *= (keys & lo) == 0
+        best = np.maximum.reduceat(best, _starts(keys >> h))
+        cols = row[plan.at[a] % len(plan.hv):][:len(best)]  # from the first class's column
+        np.maximum(cols, best, out=cols)
+    return (row ^ np.uint8(128)).view(np.int8)
 
 
 class _Clock:
@@ -1134,17 +1130,19 @@ class _Rule(NamedTuple):
     pick: int  # the bytes one scan call allocates
 
 
-def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
+def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     """The maximum's row rule: its state is its grouped maxima, the best
     score of each triple class's rows; it holds no score per row.
 
     A row r admits the rows u above it with triple(u) & r == 0 and scores
     its houses, pc(hi) + pc(lo) over its two halves (_split_plan).  The
-    advance takes the low half of the superset transform of the grouped
-    maxima (_split_transform), low[lo, j], one column j per key high half
-    K_j = ~hv[j].  The high half of the transform and the maximum over a
-    run's rows swap, so the best of a run's rows at a low half lo is a
-    sparse (max, +) product with the plan's cover table A,
+    advance takes the low array, low[lo, j] the best class of key high half
+    K_j = ~hv[j] whose key misses lo: the classes at their key low halves
+    (plan.at), subset-transformed over the h low bits and read reversed,
+    as a low half misses lo exactly when it lies in ~lo.  The high half of
+    the transform and the maximum over a run's rows swap, so the best of a
+    run's rows at a low half lo is a sparse (max, +) product with the
+    plan's cover table A,
 
         pc(lo) + max over j of (L[lo, j] + A[run, j]),
 
@@ -1174,8 +1172,9 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
     cells are then maxed into their classes, the classes of one cell by
     one gather and the rest by one reduceat, and put in class order.  Row
     1 is the advance from low = 0: the empty north row admits every row.
-    keep: a witness keeps each row's low array, pc(lo) added, and its
-    cells, shifted by the row before it.
+    A row's layer is the grouped maxima its advance read (None for row 1)
+    and its cells, shifted by the row before it; the scan rebuilds the
+    one row of low it tries from those maxima (_low_row).
 
     The scan picks in three exact steps.  The target is the best score of
     the rows that fit the row r below, and the rows of a cell share a
@@ -1199,34 +1198,31 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
     ones = len(keys) - len(plan.class_starts)  # the classes of one cell
     step = max(1, _SCAN_BLOCK // len(plan.hv))  # the scan's rows a (row, high half) test
     houses = np.bitwise_count(np.arange(1 << h, dtype=np.uint32)).astype(np.int8)  # pc(lo)
-    if keep:
-        # the scan's: each column run's low half of its keys given b = 0,
-        # 1; the column runs a run may read if it fits at no t, at t = 0
-        # alone, or at both, and the first of its side's three rows of
-        # those (3b); each low half's column run, by descending rev_h
-        col_low = plan.col_key >> 1
-        by_t = np.zeros((3, cols), dtype=bool)
-        by_t[1] = (plan.col_key[0] & 1) == 0
-        by_t[2] = True
-        side_of = np.repeat([0, 3], [plan.split, runs - plan.split])
-        col_desc = plan.col_of[plan.lo_desc]
+    # the scan's: the column runs a run may read if it fits at no t, at t
+    # = 0 alone, or at both, and the first of its side's three rows of
+    # those (3b); each low half's column run, by descending rev_h
+    by_t = np.zeros((3, cols), dtype=bool)
+    by_t[1] = (plan.col_key[0] & 1) == 0
+    by_t[2] = True
+    side_of = np.repeat([0, 3], [plan.split, runs - plan.split])
+    col_desc = plan.col_of[plan.lo_desc]
 
     def advance(grouped, clock):
-        if grouped is None:
-            low = np.repeat(houses[:, None], len(plan.hv), axis=1)
-        else:
-            low = _split_transform(grouped, n, bricked)
-            low += houses[:, None]
+        # the low array reversed, pc(lo) added: row ~lo holds low[lo]
+        low = np.full((1 << h, len(plan.hv)), 0 if grouped is None else _DEAD, dtype=np.int8)
+        if grouped is not None:
+            low.reshape(-1)[plan.at] = grouped
+            _subset_max_inplace(low, h)
+        low += houses[::-1, None]
         # M[c, j]: the best pc(lo) + low[lo, j] over the low halves lo of
-        # column run c
+        # column run c, read at their complements
         most = np.empty((cols, len(plan.hv)), dtype=np.int8)
         for rows, at, more in plan.col_batches:
             best = low[at].max(axis=1)
             if more:
                 np.maximum(best, most[rows], out=best)
             most[rows] = best
-        if not keep:
-            del low
+        del low
         most_t = np.ascontiguousarray(most.T)
         del most
         if grouped is not None:  # row 1's maxima do not depend on j
@@ -1240,7 +1236,6 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
                 np.maximum(best, cells[rows], out=best)
             cells[rows] = best
         del got, best, most_t
-        layer = (low, cells) if keep else None
         clock.lap("transform")
         # the cells maxed into their classes: the one-cell classes' taken
         # alone, the rest's reduced, then all put in class order
@@ -1248,10 +1243,10 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
         flat.take(plan.order[:ones], out=out[:ones])
         if ones < len(keys):
             np.maximum.reduceat(flat.take(plan.order[ones:]), plan.class_starts, out=out[ones:])
-        return out.take(plan.by_class), layer
+        return out.take(plan.by_class), (grouped, cells)
 
     def scan(layer, below, target):
-        low, cells = layer
+        grouped, cells = layer
         r = below[-1]
         # the (run, column run) cells that hold a fitting row of the target.
         # A cell's key is (run_keys[run, t] << h) | (col_key[b, c] >> 1),
@@ -1260,21 +1255,22 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
         # run's columns that fit: of a t it fits at, and of a low half
         # given its b that misses r
         high = (plan.run_keys & (r >> h)) == 0
-        fit = (col_low & (r & ((1 << h) - 1))) == 0
+        fit = ((plan.col_key >> 1) & (r & ((1 << h) - 1))) == 0
         hit = cells == target
         hit &= (fit[:, None] & by_t).reshape(6, cols)[side_of + high.sum(axis=1)]
         # the low halves of the hit column runs by descending rev_h; at each,
-        # the rows of its hit runs by descending rev, step at a time: a row
-        # scores its houses and the best low entry of the high halves that
-        # hold it.  The first low half where a row scores the target holds
-        # the pick
+        # its row of low, and the rows of its hit runs by descending rev,
+        # step at a time: a row scores its houses and the best low entry of
+        # the high halves that hold it.  The first low half where a row
+        # scores the target holds the pick
         some = hit.any(axis=0)
         for at in np.flatnonzero(some[col_desc]):
             lo = int(plan.lo_desc[at])
+            low = houses[lo] + (0 if grouped is None else _low_row(plan, grouped, lo, h))
             rows = plan.hi_desc[hit[plan.run_desc, col_desc[at]]]
             for a in range(0, len(rows), step):
                 hi = rows[a:a + step, None]
-                score = np.where((plan.hv & hi) == hi, low[lo], _DEAD).max(axis=1)
+                score = np.where((plan.hv & hi) == hi, low, _DEAD).max(axis=1)
                 score += np.bitwise_count(hi[:, 0])
                 i = int(np.argmax(score == target))
                 if score[i] == target:
@@ -1283,15 +1279,17 @@ def _max_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
 
     # the close-off reads the classes the virtual south row admits
     close = lambda grouped: np.where((keys & d_v) == 0, grouped, _DEAD).max()
-    # a layer is low and the cells.  A scan call holds two bools a cell,
-    # its hits and their fit test, and a few words a run and a column run;
-    # then a bool a column run, a bool and an intp a low half, a bool and
-    # a high half a row, and, step rows at a time, their test against
-    # hv (in hv's dtype, bool and int8) and their houses
-    layer = (len(plan.hv) << h) + runs * cols
+    # a layer is the grouped maxima and the cells.  A scan call holds two
+    # bools a cell, its hits and their fit test, and a few words a run and
+    # a column run; then a bool a column run, a bool and an intp a low
+    # half; the rebuild of a row of low (_low_row), six bytes a class of
+    # a block and a few words a column; a bool and a high half a row, and,
+    # step rows at a time, their test against hv (in hv's dtype, bool and
+    # int8) and their houses
     test = step * len(plan.hv) * (plan.hv.itemsize + 2)
-    return _Rule(advance, close, scan, 1, layer, 1,
-                 2 * runs * cols + runs * 30 + cols * 12 + (9 << h)
+    rebuild = min(len(keys), _SCAN_BLOCK >> 2) * 6 + len(plan.hv) * 40
+    return _Rule(advance, close, scan, 1, len(keys) + runs * cols, 1,
+                 2 * runs * cols + runs * 30 + cols * 12 + (9 << h) + rebuild
                  + ((1 + plan.hv.itemsize) << w) + test + step * 16)
 
 
@@ -1459,10 +1457,10 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     int8 maxima over the triple classes of their oldest row, and they are
     its whole state: the rule closes them off at the virtual south row at
     m, and advances them to m + 1 through a subset-maximum transform:
-    the maximum's over the halves of a row (_split_transform), whose high
-    half it takes as a product with its cover table (_max_rule), and the
-    minimum's over the open bits, a chunk of rows at a time
-    (_pair_advance).  Neither holds a score per state.  No array
+    the maximum's over the low half of a row, whose high half it takes as
+    a product with its cover table (_max_rule), and the minimum's over
+    the open bits, a chunk of rows at a time (_pair_advance).  Neither
+    holds a score per state.  No array
     maps a row to its class: the plan groups the maximum's rows, the
     minimum's tables list its rows by |D_c| and class, and the witness
     scan takes triple masks of the rows it reads.
@@ -1495,7 +1493,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     d_v = full_mask(n) if bricked else 0  # the virtual south row
     # the DP's states are the rows, or, past one row, the minimum's pairs (u, c)
     if maximize:
-        states, rule = 1 << n, _max_rule(n, bricked, d_v, want_witness)
+        states, rule = 1 << n, _max_rule(n, bricked, d_v)
     elif top == 1:
         states, rule = 1 << n, _row_rule(n, bricked, d_v)
     else:
@@ -1585,6 +1583,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         grouped, layer = rule.advance(grouped, clock)
         if want_witness:
             layers.append(layer)
+        del layer
         shifts.append(shifts[-1] + _normalize(grouped, n))
         ring.pop(m - _RING - 1, None)
         # at most one row matches: two would have matched each other before

@@ -28,6 +28,7 @@ from settle.solvers import (
     _check_limits,
     _close,
     _houses,
+    _low_row,
     _masked_max,
     _max_rule,
     _normalize,
@@ -40,7 +41,6 @@ from settle.solvers import (
     _reach_tables,
     _split_bytes,
     _split_plan,
-    _split_transform,
     _subset_max_inplace,
     _sweep,
     brute_force,
@@ -55,10 +55,10 @@ def superset_scores(grouped, keys, n):
     """The maximum's full-width transform, a test reference: z[r] is the
     best grouped[g] whose key misses r, the rows r admits above it, as
     grouped scattered at the complemented keys and superset-transformed
-    over all n bits."""
+    over all n bits: subset-transformed read reversed, in place."""
     z = np.full(1 << n, _DEAD, dtype=np.int8)
     z[full_mask(n) - keys] = grouped
-    _subset_max_inplace(z, n, superset=True)
+    _subset_max_inplace(z[::-1], n)
     return z
 
 
@@ -718,24 +718,26 @@ class TestStateBytes:
     def charges(res, bricked):
         """What a witness solve charges beyond _need_bytes: each layer it
         keeps past the ones the estimate holds, and one scan call.  The
-        maximum keeps each row's low array and its (run, column run)
-        cells, the last row's in the estimate as its advance's arrays,
-        and its scan call holds two bools per cell, a few arrays of a
-        word a run, a column run, a low half or one low half's rows, and
-        one block of their (row, high half) test.  The minimum keeps its
-        grouped maxima, the ring's _RING + 1 of them in the estimate, and
-        a single-row minimum its one state; both pick over one
-        _SCAN_BLOCK, and the minimum's pick reads one read put back in
-        row order, a byte a row."""
+        maximum keeps the grouped maxima each row's advance read and its
+        (run, column run) cells, the last row's in the estimate as its
+        advance's arrays, and its scan call holds two bools per cell, a
+        few arrays of a word a run, a column run, a low half or one low
+        half's rows, one row of low and its rebuild over a block of
+        classes, and one block of their (row, high half) test.  The
+        minimum keeps its grouped maxima, the ring's _RING + 1 of them in
+        the estimate, and a single-row minimum its one state; both pick
+        over one _SCAN_BLOCK, and the minimum's pick reads one read put
+        back in row order, a byte a row."""
         m, n = res.dims.rows, res.dims.cols
         h, pick = n // 2, _SCAN_BLOCK * 32
         if res.objective is Objective.MAX_PERMISSIBLE:
             plan = _split_plan(n, bricked)
             runs, cols, size = len(plan.run_keys), plan.col_key.shape[1], plan.hv.itemsize
-            layer, held, states = (len(plan.hv) << h) + runs * cols, 1, 1 << n
+            layer, held, states = len(plan.keys) + runs * cols, 1, 1 << n
             step = max(1, _SCAN_BLOCK // len(plan.hv))
+            rebuild = min(len(plan.keys), _SCAN_BLOCK >> 2) * 6 + len(plan.hv) * 40
             pick = (2 * runs * cols + runs * 30 + cols * 12 + (9 << h) + ((1 + size) << (n - h))
-                    + step * len(plan.hv) * (size + 2) + step * 16)
+                    + rebuild + step * len(plan.hv) * (size + 2) + step * 16)
         elif m == 1:
             layer, held, states = 1 << n, 1, 1 << n
         else:
@@ -835,13 +837,13 @@ class TestStateBytes:
         # refused at the charge that passes the cap, before its allocation:
         # one byte under the charged peak, the scan's pick; one byte under
         # two layers past the estimate, the third layer kept (of the seven
-        # or eight, the low array and the cells, 0.14 MiB free, 0.17
+        # or eight, the grouped maxima and the cells, 22 KiB free, 34 KiB
         # bricked; the estimate holds the first)
         m, n = 40, 20
         bricked = boundary is Boundary.BRICKED
         need = _need_bytes(Objective.MAX_PERMISSIBLE, m, n, bricked)
         plan = _split_plan(n, bricked)
-        layer = (len(plan.hv) << (n // 2)) + len(plan.run_keys) * plan.col_key.shape[1]
+        layer = len(plan.keys) + len(plan.run_keys) * plan.col_key.shape[1]
         peak = solve(SolveRequest.maximum(m, n, boundary)).stats["state_bytes"]
         for cap in (peak - 1, need + 2 * layer - 1):
             _split_plan.cache_clear()
@@ -1167,13 +1169,15 @@ class TestSubsetMax:
             assert z.tolist() == want, (n, dtype)
 
     def test_matches_the_naive_superset_maximum(self):
-        # a tail axis of three columns, each transformed on its own
+        # a tail axis of three columns, each transformed on its own; the
+        # subset transform of the reversed array, in place through the
+        # reversed view, is the superset transform
         rng = np.random.default_rng(4)
         for n in range(11):
             keys = np.arange(1 << n)
             z = rng.integers(-128, 127, (1 << n, 3), endpoint=True).astype(np.int8)
             want = np.stack([z[(keys & k) == k].max(axis=0) for k in range(1 << n)])
-            _subset_max_inplace(z, n, superset=True)
+            _subset_max_inplace(z[::-1], n)
             assert np.array_equal(z, want), n
 
 
@@ -1199,7 +1203,7 @@ class TestSplitRow:
             col = plan.col_of[rows & ((1 << h) - 1)]
             grouped = rng.integers(-2 * n, 0, len(plan.keys), endpoint=True).astype(np.int8)
             grouped[rng.random(len(plan.keys)) < 0.3] = _DEAD
-            rule = _max_rule(n, bricked, 0, True)
+            rule = _max_rule(n, bricked, 0)
             for last in (None, grouped):
                 scores = _houses(n).copy()
                 if last is not None:
@@ -1208,7 +1212,8 @@ class TestSplitRow:
                 np.maximum.at(want, ids, scores)
                 cells = np.full((len(plan.run_keys), plan.col_key.shape[1]), _DEAD, dtype=np.int8)
                 np.maximum.at(cells, (run, col), scores)
-                got, (_, got_cells) = rule.advance(last, _Clock())
+                got, (read, got_cells) = rule.advance(last, _Clock())
+                assert read is last
                 assert np.array_equal(got_cells, cells), (n, bricked)
                 assert np.array_equal(got, want), (n, bricked)
 
@@ -1217,21 +1222,20 @@ class TestSplitRow:
         # a gather of four rows splits the closure's parents and the
         # product's runs over several batches, each a fold into the rows
         # begun before it, and no padding (_batches) leaves one gather per
-        # length: the low array, the cells and the grouped maxima are those
-        # of the default gathers, dead entries included
+        # length: the cells and the grouped maxima are those of the default
+        # gathers, dead entries included
         rng = np.random.default_rng(10)
         try:
             for n in range(1, 21):
                 plan = _split_plan(n, bricked)
                 grouped = rng.integers(-2 * n, 0, len(plan.keys), endpoint=True).astype(np.int8)
                 grouped[rng.random(len(plan.keys)) < 0.3] = _DEAD
-                rule = _max_rule(n, bricked, 0, True)
-                want, (want_low, want_cells) = rule.advance(grouped, _Clock())
+                rule = _max_rule(n, bricked, 0)
+                want, (_, want_cells) = rule.advance(grouped, _Clock())
                 _split_plan.cache_clear()
                 monkeypatch.setattr("settle.solvers._GATHER_BLOCK", 4 * plan.col_key.shape[1])
                 monkeypatch.setattr("settle.solvers._CALL_BYTES", 0)
-                got, (low, cells) = _max_rule(n, bricked, 0, True).advance(grouped, _Clock())
-                assert np.array_equal(low, want_low), (n, bricked)
+                got, (_, cells) = _max_rule(n, bricked, 0).advance(grouped, _Clock())
                 assert np.array_equal(cells, want_cells), (n, bricked)
                 assert np.array_equal(got, want), (n, bricked)
                 _split_plan.cache_clear()
@@ -1333,11 +1337,14 @@ class TestSplitRow:
             assert len(_split_plan(n, True).keys) == 2 * fib[n], n
 
     @pytest.mark.parametrize("bricked", [False, True])
-    def test_transform_matches_the_naive_maximum(self, bricked):
+    def test_transform_matches_the_naive_maximum(self, bricked, monkeypatch):
         # the low array: low[lo, j] is the best class whose key high half
-        # is K_j = ~hv[j] and whose key low half misses lo; and the test
-        # reference superset_scores: z[r] is the best class whose key
-        # misses r, the rows r admits above it
+        # is K_j = ~hv[j] and whose key low half misses lo, as the advance
+        # builds it (the classes at their key low halves, subset-transformed
+        # and read reversed) and as the scan rebuilds each row (_low_row),
+        # also in blocks of five classes, so that a key high half's classes
+        # span blocks; and the test reference superset_scores: z[r] is the
+        # best class whose key misses r, the rows r admits above it
         rng = np.random.default_rng(6)
         for n in range(1, 13):
             plan = _split_plan(n, bricked)
@@ -1347,7 +1354,15 @@ class TestSplitRow:
             high = ((1 << w) - 1) - plan.hv.astype(np.int64)
             want = [[grouped[((keys >> h) == k) & ((keys & lo) == 0)].max(initial=-128)
                      for k in high.tolist()] for lo in range(1 << h)]
-            assert _split_transform(grouped, n, bricked).tolist() == want, (n, bricked)
+            low = np.full((1 << h, len(plan.hv)), -128, dtype=np.int8)
+            low.reshape(-1)[plan.at] = grouped
+            _subset_max_inplace(low, h)
+            assert low[::-1].tolist() == want, (n, bricked)
+            for block in (_SCAN_BLOCK, 20):  # 16 384 and five classes at a time
+                monkeypatch.setattr("settle.solvers._SCAN_BLOCK", block)
+                rows = [_low_row(plan, grouped, lo, h).tolist() for lo in range(1 << h)]
+                assert rows == want, (n, bricked, block)
+            monkeypatch.undo()
             want = [grouped[(keys & r) == 0].max(initial=-128) for r in range(1 << n)]
             assert superset_scores(grouped, keys, n).tolist() == want, (n, bricked)
 
@@ -1364,8 +1379,8 @@ class TestSplitRow:
         made = _max_rule
         seen = {"calls": 0, "lows": 0}
 
-        def rule(n, bricked, d_v, keep):
-            inner = made(n, bricked, d_v, keep)
+        def rule(n, bricked, d_v):
+            inner = made(n, bricked, d_v)
             h = n // 2
             full = {}  # id(layer) -> (layer, its scores)
             rows = np.arange(1 << n, dtype=np.uint32)
