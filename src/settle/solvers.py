@@ -10,36 +10,38 @@ maximum's _split_plan finds the classes from the two halves of a row,
 and the minimum's _reach_bits from every row.  The minimum scores its
 empty lots, so both maximize, and each row's transition maximum is
 one subset-maximum transform over the classes (cost ~ n·2^n per state
-column): the maximum's scattered at triple(u) and read reversed, at ~r
-for the row r below, since triple(u) & r == 0 exactly when triple(u) ⊆
-~r; the minimum's at ~triple(u) and read at reach, since triple(u) ⊇ k
-exactly when ~triple(u) ⊆ ~k.
+column): the maximum's scattered at triple(u) and read at ~r for the
+row r below, since triple(u) & r == 0 exactly when triple(u) ⊆ ~r; the
+minimum's at ~triple(u) and read at reach, since triple(u) ⊇ k exactly
+when ~triple(u) ⊆ ~k.  Both run over the bits that their sets leave
+open, squeezed there by a shift and split in two halves (_open_split).
 
-The maximum's transform runs over the two halves of a row: the low h =
-n // 2 bits and the high n - h.  Triple bit j reads bits j - 1, j and j
-+ 1 alone, so each half of a state's triple mask follows from that half
-of the state and the one bit of the other half next to it.  The
-transform runs over the low bits of the classes in a (2^h, high halves)
-low array.  The maximum holds no array of 2^n entries: the high half
-of its transform and the maximum over a run of rows of equal high-half
-triple bits swap, so each run's best score at each low half is one
-sparse (max, +) product of the low array with a cover table per width.
-A class is a run and a run of low halves of equal low-half triple bits
-at both values of the row's bit h (a column run), and the maxima over a
-column run's low halves commute with the product, so they are taken
-first: the product runs on the column runs, not on the 2^h low halves.
-Its input is first closed over the key high halves, a subset-maximum
-transform along the Hasse edges of their family alone, so that the
-product reads only each run's undominated pairs.  The row mask algebra
-comes from the rows module, evaluated on numpy arrays of states.
+The maximum splits a row in two: the low h = n // 2 bits and the high
+n - h.  Triple bit j reads bits j - 1, j and j + 1 alone, so each half
+of a state's triple mask follows from that half of the state and the
+one bit of the other half next to it.  The transform runs over the low
+bits that the keys leave open, in a (2^h', high halves) low array: h' =
+h - 1 on the free border, where no key has bit 0.  The maximum holds no
+array of 2^n entries: the high half of its transform and the maximum
+over a run of rows of equal high-half triple bits swap, so each run's
+best score at each low half is one sparse (max, +) product of the low
+array with a cover table per width.  A class is a run and a run of low
+halves of equal low-half triple bits at both values of the row's bit h
+(a column run), and the maxima over a column run's low halves commute
+with the product, so they are taken first: the product runs on the
+column runs, not on the 2^h low halves.  Its input is first closed over
+the key high halves, a subset-maximum transform along the Hasse edges of
+their family alone, so that the product reads only each run's
+undominated pairs.  The row mask algebra comes from the rows module,
+evaluated on numpy arrays of states.
 
 The minimum reads no split plan: its classes and reach tables are its
 own (_reach_bits, _reach_tables).  Every complemented key holds the bits
 F that no triple mask has, the two edge bits on the free border, so a
 reach that lacks a bit of F admits no row above; its transform runs over
-the n' = n - |F| open bits alone, split as the maximum's is, on a chunk
-of current rows at a time, as a trailing axis, into a block of 2^n' rows
-and one dead row (_open_split, _pair_advance).  It reads the transformed
+the n' open bits alone, split as the maximum's is, on a chunk of current
+rows at a time, as a trailing axis, into a block of 2^n' rows and one
+dead row (_pair_advance).  It reads the transformed
 chunk at reach(c, d) for every current row c and row d below (_reach),
 and takes the maximum over the rows c of each class.  reach is c or-ed
 with masks of c and-ed with shifts of d: for a row c with key K, it is 0
@@ -271,15 +273,15 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int]:
     low array and block."""
     keys, own, seen = _reach_bits(n, bricked)
     size, groups = 1 << n, len(keys)
-    _, free, hv, _ = _open_split(keys, n)
+    _, _, width, h, hv, _ = _open_split(full_mask(n) ^ keys, n)
     widths = (1 << np.arange(n + 1, dtype=np.int64)) + 1
     rows = np.bincount(np.bitwise_count(own), minlength=n + 1)
     held = np.bincount(np.bitwise_count(seen), minlength=n + 1)
     entries, slots = int(rows @ widths), int(held @ widths)
     bits = int(rows @ np.arange(n + 1))  # the bits of every row's D_c
     item = np.dtype(np.min_scalar_type(1 << int(np.flatnonzero(held)[-1]))).itemsize
-    h, chunk = len(free) // 2, _chunk_rows(n, len(free))
-    block = ((len(hv) << h) + (1 << len(free)) + 1) * chunk
+    chunk = _chunk_rows(n, width)
+    block = ((len(hv) << h) + (1 << width) + 1) * chunk
     # the keys, D_c a row and D_g a class; the rows in table order (intp),
     # the runs and the spans; the uint16 entries, their scatter (intp), the
     # offsets (intp) and the slots; the split's hv and at (intp)
@@ -302,7 +304,7 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int]:
 @lru_cache(maxsize=8)
 def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     """The classes at width n, the bytes of its cached _split_plan and the
-    most its build holds beyond them, the cells of the maximum's (2^h,
+    most its build holds beyond them, the cells of the maximum's (2^h',
     len(hv)) low array, and the most its advance (_max_rule) holds beyond
     that low array and the grouped maxima.
 
@@ -310,7 +312,7 @@ def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     build takes work of the order of its classes (about 0.5 s free and 0.7
     s bricked at 32 columns).
     """
-    h, w = n // 2, n - n // 2
+    w = n - n // 2
     plan = _split_plan(n, bricked)
     arrays = [a for a in plan if isinstance(a, np.ndarray)]
     arrays += [a for batches in (plan.col_batches, plan.closure, plan.product)
@@ -356,13 +358,13 @@ def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     # class order, and the maxima of all classes before they are put in
     # class order
     most = cols * highs
-    gather = max(at.size + 2 * len(rows) for rows, at, _ in plan.col_batches) * highs
+    gather = max(at.size + 2 * len(rows) for rows, at, *_ in plan.col_batches) * highs
     close = max([members.size + len(parents) for parents, members in plan.closure],
                 default=0) * cols
     product = max(at.size + 2 * len(rows) for rows, at, *_ in plan.product) * cols
     table = runs * cols
     advance = max(most + max(gather, most, close, table + product), table + cells + groups)
-    return groups, held, build, highs << h, advance
+    return groups, held, build, highs << plan.low, advance
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -443,16 +445,18 @@ class _SplitPlan(NamedTuple):
     # half K_j they complement, ascending, so that the classes of each
     # column come in a run, in column order
     hv: np.ndarray
-    at: np.ndarray  # each class's flat index into a (2^h, len(hv)) array
+    at: np.ndarray  # each class's flat index into a (2^h', len(hv)) low array
+    low: int  # h' (_open_split)
     split: int  # the runs of rows with b = 0, which come first
     # the column runs.  col_key (2, column runs) is each one's low half of
     # its keys given b = 0, 1, times 2, plus t, and col_of each low half's
     # column run (intp)
     col_key: np.ndarray
     col_of: np.ndarray
-    # the column runs' batches (_batches): (column runs, the complements
-    # ~lo of their low halves, more), as the advance reads low reversed
-    col_batches: list[tuple[np.ndarray, np.ndarray, bool]]
+    # the column runs' batches (_batches): (column runs, the rows of low
+    # their low halves lo read, (~lo >> shift) & (2^h' - 1), the most pc(lo)
+    # at each (int8, (column runs, k, 1)), more)
+    col_batches: list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]
     # the (run, column run) cells, as flat indices into a (runs, column
     # runs) array (intp): the cells of the classes of one cell first, then
     # the other classes' in class order, and where each of those starts
@@ -490,16 +494,14 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
 
     The rows fall in runs of equal (b, high half given t = 1, high half
     given t = 0), ascending, and the columns in column runs of equal (low
-    half given b = 0, low half given b = 1, t), ascending; col_batches
-    gathers the column runs from the columns, at their complements, in
-    batches of column runs of one padded length (_batches).  Each (run,
+    half given b = 0, low half given b = 1, t), ascending.  Each (run,
     column run) cell holds states of one triple mask, the run's high half
     at the column run's t and the column run's low half at the run's b,
     and each state lies in one cell, so the cells' masks are the classes;
     order lists the cells of the classes of one cell, then the others' by
-    class.  hv and at
-    place the classes in the maximum's low array: the row of a key's low
-    half, the column of its complemented high half.
+    class.  at (_open_split) places the classes in the maximum's low
+    array, and col_batches gathers the column runs from its rows, in
+    batches of column runs of one padded length (_batches).
 
     The rest serves the maximum's advance (_max_rule).  The key high halves
     K_j = ~hv[j] form a family under ⊆; closure holds its Hasse edges
@@ -527,10 +529,6 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     first = order[starts]
     split = int(np.count_nonzero((hi[first] & 1) == 0))
     hi1, hi0 = hi1[first], hi0[first]
-    # the key high halves K_j, ascending: every run's at t = 0 and 1, as
-    # every run meets columns of both
-    both = np.sort(np.concatenate([hi0, hi1]))
-    high = both[_starts(both)]
     lo = np.arange(1 << h, dtype=np.uint32)
     col_keys = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
     col_keys &= (1 << h) - 1
@@ -541,8 +539,6 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     col_key = key[:, by_col[firsts]]
     col_of = np.empty(1 << h, dtype=np.intp)
     col_of[by_col] = np.repeat(np.arange(cols), _lengths(firsts, 1 << h))
-    col_batches = [(owners, ((1 << h) - 1) - by_col[at], more) for owners, at, more
-                   in _batches(col_of[by_col], np.zeros(1 << h, np.intp), len(high))]
     del lo, col_keys, key, by_col, firsts
     # the cells' masks, (runs, column runs): each run's high half at the
     # column run's t, and the column run's low half at the run's b
@@ -575,12 +571,18 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     np.logical_not(rest, out=rest)
     np.compress(rest, by_mask, out=cells[:ones])
     del by_mask, rest
-    # at: a key's column in high, plus its low half's row
-    where = np.empty(1 << w, dtype=np.intp)
-    where[high] = np.arange(len(high))
-    at = where[keys >> h]
-    at += (keys & ((1 << h) - 1)) * len(high)
-    del where
+    # the key high halves K_j, ascending, and at: the keys' span starts at
+    # bit 0 or 1, so its high halves are the keys' (_open_split)
+    _, shift, _, low, high, at = _open_split(keys, n)
+    # the column runs' gathers: a row of low that low halves of one column
+    # run read is gathered once for them, at their most houses
+    rows = col_of << low | (np.arange((1 << h) - 1, -1, -1) >> shift) & ((1 << low) - 1)
+    by, firsts = _runs(rows)
+    houses = np.maximum.reduceat(np.bitwise_count(by).astype(np.int8), firsts)
+    owner, rows = np.divmod(rows[by[firsts]], 1 << low)
+    col_batches = [(owners, rows[i], houses[i][..., None], more)
+                   for owners, i, more in _batches(owner, np.zeros_like(owner), len(high))]
+    del rows, by, firsts, houses, owner
     child, parent = _hasse(high)
     # each high half's Hasse parents, padded with len(high), a row of 0s
     rank = np.arange(len(child)) - np.searchsorted(child, child)
@@ -621,9 +623,9 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     run_of = np.empty(1 << w, dtype=np.intp)
     run_of[order] = np.repeat(np.arange(len(starts)), _lengths(starts, 1 << w))
     hi_desc = _axis_rows(w, 1 << w)
-    return _SplitPlan(keys, (((1 << w) - 1) - high).astype(half), at, split, col_key, col_of,
-                      col_batches, cells, class_starts, by_class, closure, product,
-                      np.stack([hi0, hi1], axis=1),
+    return _SplitPlan(keys, (((1 << w) - 1) - high).astype(half), at, low, split,
+                      col_key, col_of, col_batches, cells, class_starts, by_class, closure,
+                      product, np.stack([hi0, hi1], axis=1),
                       _axis_rows(h, 1 << h).astype(np.intp), hi_desc.astype(half),
                       run_of[hi_desc])
 
@@ -806,41 +808,41 @@ class _ReachTables(NamedTuple):
     # in table order
     slots: np.ndarray
     total: int  # the slots of all classes
-    # the transform's split over the open bits (_open_split): their count,
-    # and hv and at
-    width: int
-    hv: np.ndarray
-    at: np.ndarray
+    split: tuple  # the transform's, of the complemented keys (_open_split)
 
 
-def _open_split(keys: np.ndarray, n: int) -> tuple[int, list[int], np.ndarray, np.ndarray]:
-    """The bits the minimum's transform runs over, and its split there.
+def _open_split(sets: np.ndarray, n: int) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
+    """The bits a subset-maximum transform over the distinct sets runs on,
+    and its split there, for both DPs (_split_plan, _reach_tables).
 
-    Every complemented key ~key(g) holds F, the and of them all, so a block
-    row r that lacks a bit of F holds no ~key(g) ⊆ r: it is dead.  F is
-    bits 0 and n - 1 on the free border, whose off-grid lots are empty, so
-    no triple mask has its edge bits, and 0 on the bricked one (checked
-    for n = 1..16).  The transform runs over the n' = n - |F| open bits
-    alone, the complemented keys squeezed to them (distinct, as each holds
-    F), and split at h' = n' // 2 as the maximum splits (_split_plan): hv
-    holds the distinct high halves, ascending, and at each class's flat
-    index into a (2^h', len(hv)) low array, its row the squeezed key's
-    low half.
-    Returns F, the open bits, ascending, hv and at.
+    F, the and of the sets, is in every set.  The open span, from the
+    lowest to the highest bit that some set holds and not every set, is
+    squeezed out by a shift and split at h', its bits below h = n // 2,
+    so that a squeezed low half follows from a row's low half.  Exact for
+    any sets, as a bit of F inside the span only costs a pass.  On the
+    free border the span is bits 1..n - 2 for both DPs, so h' = h - 1, and
+    on the bricked one every bit (checked for n = 1..24).
+    Returns F, the shift, the span's n' bits, h', the distinct squeezed
+    high halves, ascending, and each set's flat index into a (2^h', their
+    count) low array, both intp; the rest is built in the sets' dtype.
     """
-    holes = full_mask(n) ^ keys
-    fixed = int(np.bitwise_and.reduce(holes))
-    free = [k for k in range(n) if not fixed >> k & 1]
-    squeezed = np.zeros(len(keys), dtype=np.intp)
-    for i, k in enumerate(free):
-        squeezed |= ((holes >> k) & 1).astype(np.intp) << i
-    h = len(free) // 2
-    high = squeezed >> h
-    hv = np.sort(high)
-    hv = hv[_starts(hv)]
-    at = np.searchsorted(hv, high)
-    at += (squeezed & ((1 << h) - 1)) * len(hv)
-    return fixed, free, hv, at
+    fixed = int(np.bitwise_and.reduce(sets))
+    span = int(np.bitwise_or.reduce(sets)) & ~fixed
+    shift = max((span & -span).bit_length() - 1, 0)
+    width = span.bit_length() - shift
+    low = min(max(n // 2 - shift, 0), width)
+    high = sets >> (shift + low)
+    high &= (1 << (width - low)) - 1
+    seen = np.bincount(high) > 0
+    hv, at = np.flatnonzero(seen), high.astype(np.intp)
+    del high
+    # each one's column, in place: take reads each index before its slot
+    np.take(np.cumsum(seen) - 1, at, out=at, mode="clip")
+    part = sets >> shift
+    part &= (1 << low) - 1
+    part *= len(hv)  # below the low array's size, as at is
+    at += part
+    return fixed, shift, width, low, hv, at
 
 
 @lru_cache(maxsize=8)
@@ -916,20 +918,17 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
         runs.append((r0, r1, w, e))
         e, p = e + table.size, p + rows * b
     del table, both, move, blocked, base
-    # each reach r as its block row: the dead row 2^n', unless r holds F
-    fixed, free, hv, at = _open_split(keys, n)
-    spread = np.zeros(1 << len(free), dtype=np.intp)  # the rows r ⊇ F, by their open bits
-    for i, k in enumerate(free):
-        np.bitwise_or(spread[:1 << i], 1 << k, out=spread[1 << i:2 << i])
-    spread |= fixed
-    squeeze = np.full(size, 1 << len(free), dtype=np.uint32)
-    squeeze[spread] = np.arange(1 << len(free))
-    # a dead row is left only where F is not 0, so below 2^(n - 1)
-    squeeze = squeeze.astype(np.uint16)
-    del spread
+    # each reach r as its block row (_open_split), or the dead row 2^n'
+    # where it lacks a bit of F, which is not 0 on the free border alone
+    split = _open_split(full_mask(n) ^ keys, n)
+    fixed, shift, width = split[:3]
     for a in range(0, len(reach), _RULE_BLOCK):
-        reach[a:a + _RULE_BLOCK] = squeeze[reach[a:a + _RULE_BLOCK]]
-    del squeeze
+        part = reach[a:a + _RULE_BLOCK]
+        dead = (part & fixed) != fixed
+        part >>= shift
+        part &= (1 << width) - 1
+        if fixed:
+            part[dead] = 1 << width
     # bit k of d adds 2^i to the slot when it is the i-th bit of D_g, and
     # 2^|D_g| when it is a key bit; each step clips the sum at 2^|D_g|
     top = (1 << held).astype(np.min_scalar_type(1 << int(held.max())))[:, None]
@@ -946,7 +945,7 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     for g in range(0, groups, block):
         slots[g:g + block] = slots[g:g + block, order]
     return _ReachTables(order, runs, reach, scatter, spans, offset, slots, int(slot_at[-1]),
-                        len(free), hv, at)
+                        split)
 
 
 def _chunk_rows(n: int, width: int) -> int:
@@ -971,7 +970,7 @@ def _subset_max_inplace(z: np.ndarray, n: int):
 
 
 def _low_row(plan: _SplitPlan, grouped: np.ndarray, lo: int, h: int) -> np.ndarray:
-    """Row lo of the maximum's low array before pc(lo), from the grouped
+    """The maximum's low array read at lo, before pc(lo), from the grouped
     maxima its advance read: per column j of hv, the best class of key high
     half K_j, the j-th run in key order, whose key misses lo.  Read
     _SCAN_BLOCK >> 2 classes at a time, as score + 128 in uint8 times its
@@ -1015,7 +1014,7 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     states' columns, and gain, are in table order (_reach_tables), so the
     current rows c are taken a chunk at a time (_chunk_rows) as contiguous
     columns of grouped.  Each chunk runs through a subset-maximum
-    transform over the open bits alone (_open_split): grouped scattered at
+    transform over the open span alone (_open_split): grouped scattered at
     the squeezed complemented keys of a (2^h', len(hv), chunk) low array,
     transformed over its h' low bits, scattered into the rows hv of the
     block viewed as (2^(n' - h'), 2^h', chunk), every other row dead, and
@@ -1047,11 +1046,11 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     """
     clock = clock or _Clock()
     tables = _reach_tables(n, bricked)
-    size, h = 1 << n, tables.width // 2
-    chunk = _chunk_rows(n, tables.width)
+    _, _, span, h, hv, place = tables.split
+    size, chunk = 1 << n, _chunk_rows(n, span)
     out = np.empty_like(grouped)
-    low = np.empty((1 << h, len(tables.hv), chunk), dtype=grouped.dtype)
-    block = np.empty(((1 << tables.width) + 1, chunk), dtype=grouped.dtype)
+    low = np.empty((1 << h, len(hv), chunk), dtype=grouped.dtype)
+    block = np.empty(((1 << span) + 1, chunk), dtype=grouped.dtype)
     block[-1] = _DEAD
     z = block[:-1]
     rows = z.reshape(-1, 1 << h, chunk)  # by high half
@@ -1062,11 +1061,11 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     for lo in range(0, size, chunk):
         hi = lo + chunk
         low.fill(_DEAD)
-        low.reshape(-1, chunk)[tables.at] = grouped[:, lo:hi]
+        low.reshape(-1, chunk)[place] = grouped[:, lo:hi]
         _subset_max_inplace(low, h)
         z.fill(_DEAD)
-        rows[tables.hv] = low.swapaxes(0, 1)
-        _subset_max_inplace(rows, tables.width - h)
+        rows[hv] = low.swapaxes(0, 1)
+        _subset_max_inplace(rows, span - h)
         clock.lap("transform")
         for first, end, width, entry in tables.runs:
             step = max(1, (_READ_ROWS << n) // width)
@@ -1137,9 +1136,10 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     A row r admits the rows u above it with triple(u) & r == 0 and scores
     its houses, pc(hi) + pc(lo) over its two halves (_split_plan).  The
     advance takes the low array, low[lo, j] the best class of key high half
-    K_j = ~hv[j] whose key misses lo: the classes at their key low halves
-    (plan.at), subset-transformed over the h low bits and read reversed,
-    as a low half misses lo exactly when it lies in ~lo.  The high half of
+    K_j = ~hv[j] whose key misses lo: the classes at their squeezed key
+    low halves (plan.at), subset-transformed over h' bits and read at row
+    (~lo >> shift) & (2^h' - 1), as a key low half, with no bit below the
+    shift, misses lo exactly when it lies in ~lo.  The high half of
     the transform and the maximum over a run's rows swap, so the best of a
     run's rows at a low half lo is a sparse (max, +) product with the
     plan's cover table A,
@@ -1197,7 +1197,6 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     runs, cols = len(plan.run_keys), plan.col_key.shape[1]
     ones = len(keys) - len(plan.class_starts)  # the classes of one cell
     step = max(1, _SCAN_BLOCK // len(plan.hv))  # the scan's rows a (row, high half) test
-    houses = np.bitwise_count(np.arange(1 << h, dtype=np.uint32)).astype(np.int8)  # pc(lo)
     # the scan's: the column runs a run may read if it fits at no t, at t
     # = 0 alone, or at both, and the first of its side's three rows of
     # those (3b); each low half's column run, by descending rev_h
@@ -1208,17 +1207,17 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     col_desc = plan.col_of[plan.lo_desc]
 
     def advance(grouped, clock):
-        # the low array reversed, pc(lo) added: row ~lo holds low[lo]
-        low = np.full((1 << h, len(plan.hv)), 0 if grouped is None else _DEAD, dtype=np.int8)
+        low = np.full((1 << plan.low, len(plan.hv)), 0 if grouped is None else _DEAD, np.int8)
         if grouped is not None:
             low.reshape(-1)[plan.at] = grouped
-            _subset_max_inplace(low, h)
-        low += houses[::-1, None]
+            _subset_max_inplace(low, plan.low)
         # M[c, j]: the best pc(lo) + low[lo, j] over the low halves lo of
-        # column run c, read at their complements
+        # column run c, each read at its row
         most = np.empty((cols, len(plan.hv)), dtype=np.int8)
-        for rows, at, more in plan.col_batches:
-            best = low[at].max(axis=1)
+        for rows, at, houses, more in plan.col_batches:
+            best = low[at]
+            best += houses
+            best = best.max(axis=1)
             if more:
                 np.maximum(best, most[rows], out=best)
             most[rows] = best
@@ -1266,12 +1265,12 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
         some = hit.any(axis=0)
         for at in np.flatnonzero(some[col_desc]):
             lo = int(plan.lo_desc[at])
-            low = houses[lo] + (0 if grouped is None else _low_row(plan, grouped, lo, h))
+            low = np.int8(0) if grouped is None else _low_row(plan, grouped, lo, h)
             rows = plan.hi_desc[hit[plan.run_desc, col_desc[at]]]
             for a in range(0, len(rows), step):
                 hi = rows[a:a + step, None]
                 score = np.where((plan.hv & hi) == hi, low, _DEAD).max(axis=1)
-                score += np.bitwise_count(hi[:, 0])
+                score += np.bitwise_count(hi[:, 0]) + lo.bit_count()
                 i = int(np.argmax(score == target))
                 if score[i] == target:
                     return (int(hi[i, 0]) << h) | lo

@@ -1020,32 +1020,42 @@ class TestPairRule:
                 assert ((reach & ~more)[grown] == 0).all(), (n, bricked, k)
 
     def test_open_bits_are_all_but_the_edges_on_the_free_border(self):
-        # the premise of the minimum's transform over the open bits: F, the
-        # bits that every complemented key holds, is {0, n - 1} on the free
-        # border and 0 on the bricked one, n = 1..16.  Up to n = 10, every
-        # block row that lacks a bit of F, and so every squeezed entry that
-        # reads the dead row, reads dead in the pair-array reference, on
-        # class maxima with no dead entry
+        # the premise of both DPs' transforms over the open span
+        # (_open_split), n = 1..24: no bit is in every key, and the keys span
+        # bits 1..n - 2 on the free border and every bit on the bricked one,
+        # split at h' = h - 1 and h, with high halves the keys' own; the
+        # complemented keys split the same, with F, the bits they all hold,
+        # {0, n - 1} on the free border and 0 on the bricked one.  Up to
+        # n = 10, every block row that lacks a bit of F, and so every
+        # squeezed entry that reads the dead row, reads dead in the
+        # pair-array reference, on class maxima with no dead entry
         rng = np.random.default_rng(11)
-        for n in range(1, 17):
-            states = np.arange(1 << n, dtype=np.uint32)
+        for n in range(1, 25):
+            h = n // 2
             for bricked in (False, True):
-                keys = np.unique(triple_mask(states, n, bricked))
+                keys = _split_plan(n, bricked).keys
+                if bricked:
+                    edges, span = 0, (0, n, h)
+                else:
+                    edges, span = full_mask(n) & (1 | (1 << (n - 1))), (1, n - 2, h - 1)
+                    span = span if n >= 3 else (0, 0, 0)  # no key has a bit
+                fixed, shift, width, low, hv, at = _open_split(keys, n)
+                assert (fixed, shift, width, low) == (0, *span), (n, bricked)
+                assert int(np.bitwise_or.reduce(keys)) == ((1 << width) - 1) << shift, (n, bricked)
+                assert np.array_equal(hv[at % len(hv)], keys >> h), (n, bricked)
                 holes = full_mask(n) ^ keys
-                fixed = int(np.bitwise_and.reduce(holes))
-                assert fixed == (0 if bricked else 1 | (1 << (n - 1))), (n, bricked)
-                assert _open_split(keys, n)[:2] == (fixed, [k for k in range(n)
-                                                            if not fixed >> k & 1]), (n, bricked)
+                assert _open_split(holes, n)[:4] == (edges, *span), (n, bricked)
                 if n > 10:
                     continue
+                states = np.arange(1 << n, dtype=np.uint32)
                 grouped = rng.integers(-2 * n, 0, (len(keys), 4), endpoint=True).astype(np.int8)
                 z = np.stack([np.where(((holes & r) == holes)[:, None], grouped, _DEAD).max(axis=0)
                               for r in range(1 << n)])
-                lacks = (states & fixed) != fixed
+                lacks = (states & edges) != edges
                 assert (z[lacks] == _DEAD).all(), (n, bricked)
                 tables = _reach_tables(n, bricked)
-                dead = tables.reach == 1 << tables.width
-                assert dead.any() == bool(fixed), (n, bricked)
+                dead = tables.reach == 1 << tables.split[2]
+                assert dead.any() == bool(edges), (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_class_tables_hold_reach_at_every_pair(self, bricked):
@@ -1061,7 +1071,7 @@ class TestPairRule:
             keys, own, _ = _reach_bits(n, bricked)
             fixed = int(np.bitwise_and.reduce(full_mask(n) ^ keys))
             free = [k for k in range(n) if not fixed >> k & 1]
-            assert tables.width == len(free), (n, bricked)
+            assert tables.split[:3] == (fixed, free[0] if free else 0, len(free)), (n, bricked)
             states = np.arange(1 << n, dtype=np.uint32)
             assert np.array_equal(np.sort(tables.order), states), (n, bricked)
             place = np.empty(1 << n, dtype=np.intp)  # each row's place in table order
@@ -1326,6 +1336,14 @@ class TestSplitRow:
             assert np.array_equal(plan.col_key[:, plan.col_of], key), (n, bricked)
             assert plan.col_key.shape[1] == len(set(zip(*key.tolist()))), (n, bricked)
 
+    def test_low_array_loses_bit_0_on_the_free_border(self):
+        # no free key has bit 0, so the low array's term of the estimate is
+        # half of 2^h rows of len(hv) there, and all of them bricked
+        for n in range(3, 25):
+            for bricked in (False, True):
+                highs = len(_split_plan(n, bricked).hv)
+                assert _split_bytes(n, bricked)[3] == highs << (n // 2 - (not bricked)), n
+
     def test_plan_class_counts_are_fibonacci(self):
         # the classes that _split_plan finds, counted: on the free border
         # within 1/2 of F(n + 2)/2, on the bricked border exactly 2 F(n)
@@ -1340,8 +1358,9 @@ class TestSplitRow:
     def test_transform_matches_the_naive_maximum(self, bricked, monkeypatch):
         # the low array: low[lo, j] is the best class whose key high half
         # is K_j = ~hv[j] and whose key low half misses lo, as the advance
-        # builds it (the classes at their key low halves, subset-transformed
-        # and read reversed) and as the scan rebuilds each row (_low_row),
+        # builds it (the classes at their squeezed key low halves,
+        # subset-transformed over h' bits and read at row (~lo >> shift) &
+        # (2^h' - 1)) and as the scan rebuilds each row (_low_row),
         # also in blocks of five classes, so that a key high half's classes
         # span blocks; and the test reference superset_scores: z[r] is the
         # best class whose key misses r, the rows r admits above it
@@ -1354,10 +1373,12 @@ class TestSplitRow:
             high = ((1 << w) - 1) - plan.hv.astype(np.int64)
             want = [[grouped[((keys >> h) == k) & ((keys & lo) == 0)].max(initial=-128)
                      for k in high.tolist()] for lo in range(1 << h)]
-            low = np.full((1 << h, len(plan.hv)), -128, dtype=np.int8)
+            low = np.full((1 << plan.low, len(plan.hv)), -128, dtype=np.int8)
             low.reshape(-1)[plan.at] = grouped
-            _subset_max_inplace(low, h)
-            assert low[::-1].tolist() == want, (n, bricked)
+            _subset_max_inplace(low, plan.low)
+            shift = _open_split(keys, n)[1]
+            at = (((1 << h) - 1 - np.arange(1 << h)) >> shift) & ((1 << plan.low) - 1)
+            assert low[at].tolist() == want, (n, bricked)
             for block in (_SCAN_BLOCK, 20):  # 16 384 and five classes at a time
                 monkeypatch.setattr("settle.solvers._SCAN_BLOCK", block)
                 rows = [_low_row(plan, grouped, lo, h).tolist() for lo in range(1 << h)]
