@@ -51,10 +51,22 @@ reach at the 2^|D_c| subsets of D_c and one reach-0 slot, each stored as
 the block row it reads: the advance reads those entries alone, maxes
 each into its class's slot of the same bits, and one subset-maximum
 transform over each class's slots (the bits D_g of all its rows) fills
-the rest, since a row's reach grows with d.  At n = 12 it reads 0.8% of
-the 4^n pairs on the free border and 1.9% on the bricked one.  Then each
-class's slots are expanded to all 2^n rows d.  The state's columns are
+the rest, since a row's reach grows with d.  At n = 12 it reads 0.4% of
+the 4^n pairs on the free border and 1.0% on the bricked one.  Then each
+class's slots are expanded to the rows d.  The state's columns are
 kept in the tables' row order, so that a chunk is a run of columns.
+
+Every rule treats east and west alike, so the minimum's state is
+mirror-symmetric: the score of (class g, row c) is that of (the class of
+the reversed key, rev(c)).  It keeps the representative rows c <= rev(c)
+alone, 2 080 of the 4 096 at n = 12: its state, its transform, its reads
+and its expansion are half as wide.  One maximum over each class slot
+and its mirror's slot supplies the other rows' reads, and a read of row
+rev(c) at d is a read of row c at rev(d).  In a fresh process, cold
+tables included, min 12×12 with a witness takes 0.03 s at 39 MiB RSS on
+the free border and 0.06-0.09 s at 43 MiB bricked; without one, 14×14
+takes 0.19-0.25 s at 82 MiB and 0.65-0.81 s at 121 MiB, and 16×16 3.5-4.1
+s at 519 MiB and 12.5 s at 951 MiB.
 
 Past what it scores, the count of DP states it reports and the choice of
 its rule, the sweep does not branch on the objective.  Each solve runs
@@ -114,8 +126,8 @@ class Limits:
 
     Column caps keep the states within memory: for the maximum solver, its
     split plan and arrays of 2^(n/2) entries a row run or high half; for
-    the minimum solver, one score per (triple class, profile) and its
-    reach tables.  A single-row minimum keeps
+    the minimum solver, one score per (triple class, profile c <= rev(c))
+    and its reach tables.  A single-row minimum keeps
     one score per row (_row_rule), so it only needs the wider max_cols cap.
     max_state_bytes caps the estimated bytes a solve or brute_force
     allocates, the cached per-width tables included: the allocations
@@ -242,63 +254,78 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
         groups, plan, build, low, group = _split_bytes(n, bricked)
         per_group = _RING + 7
         return _FIXED_BYTES + plan + max(build, groups * per_group + low + group)
-    # the minimum reads no split plan: _houses, pc (int8) a state, built in
-    # place; the reach tables; and the rule's gain (int8), its rows in
-    # table order and its column at d_v (uint32), a row each
-    tables, made, groups, entries, slots, block = _reach_bytes(n, bricked)
-    need = _FIXED_BYTES + size * 10 + tables
-    # The minimum's state is its grouped maxima, one (groups, 2^n) array a
-    # row, of which the ring holds _RING + 1.
-    grouped = groups * size
+    # the minimum reads no split plan: _houses, pc (int8) a row, built in
+    # place, and its gain; the reach tables; and the rule's gain (int8),
+    # its rows in table order and at d_v (uint32), a representative row
+    # each
+    tables, made, groups, cols, entries, slots, block = _reach_bytes(n, bricked)
+    need = _FIXED_BYTES + size * 2 + cols * 9 + tables
+    # The minimum's state is its grouped maxima, one (groups,
+    # representative rows) array a row, of which the ring holds _RING + 1.
+    grouped = groups * cols
     held = min(m, _RING + 1)
     # a row advance: the next maxima, the low array and the block of a
     # chunk and the rows' reads, one a table entry; then the flat indices
     # (intp) of at most _READ_ROWS * 2^n table entries; or, at the end,
-    # the class slots and one class's slot indices (intp)
-    advance = grouped + block + entries + max(_READ_ROWS * size * 8, slots + size * 8)
+    # the class slots and their mirror, and one class's slot indices
+    # (intp)
+    advance = grouped + block + entries + max(_READ_ROWS * size * 8, 2 * slots + cols * 8)
     # a read of _min_rule, for a close-off or a row of the witness scan:
     # the column of reach, built in the uint32 stages of _reach, the
     # uint16 fit test and its mask, clipped in place (_masked_max), and
     # the masked maxima; the rule keeps the last read's maxima until the
     # next advance, and at a cycle the sweep keeps the close-off maxima of
-    # the rows it repeats
-    read = size * 24 + groups * size * (2 + 1) + size * _RING
+    # the rows it repeats; a scan row's second read is made beside its
+    # first
+    read = cols * 24 + groups * cols * (2 + 1) + cols * (_RING + 1)
     return need + max(made, held * grouped + max(advance, read))
 
 
-def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int]:
+def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int, int]:
     """The bytes of the cached _reach_bits and _reach_tables at width n,
-    the most their builds hold beyond them, the classes, the entries of
-    the row tables and the class slots, and the bytes of _pair_advance's
-    low array and block."""
+    the most their builds hold beyond them, the classes, the
+    representative rows c <= rev(c), the entries of the row tables and
+    the class slots, and the bytes of _pair_advance's low array and block.
+
+    The representatives are half of the rows and of the palindromes, x |
+    rev(x) for the 2^ceil(n / 2) rows x below them, and a row's mirror
+    has as many own bits D_c: so they hold half of both's entries.
+    """
     keys, own, seen = _reach_bits(n, bricked)
-    size, groups = 1 << n, len(keys)
+    half = np.arange(1 << (n + 1) // 2, dtype=np.uint32)
+    size, groups, cols = 1 << n, len(keys), ((1 << n) + len(half)) // 2
     _, _, width, h, hv, _ = _open_split(full_mask(n) ^ keys, n)
     widths = (1 << np.arange(n + 1, dtype=np.int64)) + 1
     rows = np.bincount(np.bitwise_count(own), minlength=n + 1)
+    rows += np.bincount(np.bitwise_count(own[half | bit_reverse(half, n)]), minlength=n + 1)
+    rows //= 2
     held = np.bincount(np.bitwise_count(seen), minlength=n + 1)
     entries, slots = int(rows @ widths), int(held @ widths)
     bits = int(rows @ np.arange(n + 1))  # the bits of every row's D_c
     item = np.dtype(np.min_scalar_type(1 << int(np.flatnonzero(held)[-1]))).itemsize
-    chunk = _chunk_rows(n, width)
-    block = ((len(hv) << h) + (1 << width) + 1) * chunk
-    # the keys, D_c a row and D_g a class; the rows in table order (intp),
-    # the runs and the spans; the uint16 entries, their scatter (intp), the
-    # offsets (intp) and the slots; the split's hv and at (intp)
-    tables = (groups * 8 + size * 4 + size * 8 + (n + 1) * 600
-              + entries * (2 + 8) + groups * 8 + groups * size * item
+    block = ((len(hv) << h) + (1 << width) + 1) * _chunk_rows(cols, width)
+    # the keys, D_c a row and D_g a class; the rows in table order and
+    # their mirrors (intp), the runs and the spans; the uint16 entries,
+    # their scatter (intp), the offsets (intp), the slots and their mirror
+    # (intp); the split's hv and at (intp)
+    tables = (groups * 8 + size * 4 + cols * 16 + (n + 1) * 600
+              + entries * (2 + 8) + groups * 8 + groups * cols * item + slots * 8
               + len(hv) * 8 + groups * 8)
     # _reach_bits: a flag and D_g (uint32) a triple mask, a block's (bit,
     # row) pairs in the uint32 stages of _reach.  _reach_tables: a few
-    # words a row (the rows' keys and ids, the sort and its keys, the
-    # reordered rows); a (row, bit) flag a bit of the row; for each bit of
-    # a D_c, its row, place and step (intp) and reach(c, {k}) in uint32
-    # stages, then its step alone beside a run's int64 table and its
-    # shifted copy; arrays of a few words a class and bit
+    # words a row (the rows' keys and ids, the mirror test); a few words a
+    # representative (the sort and its keys, the reordered rows) and a
+    # (row, bit) flag a bit of it; for each bit of a D_c, its row, place
+    # and step (intp) and reach(c, {k}) in uint32 stages, then its step
+    # alone beside a run's int64 table and its shifted copy; arrays of a
+    # few words a class and bit; then the slots of a block of classes at
+    # every row d
     run = int((rows * widths).max())
     made = max(size * 5 + min(n << n, _RULE_BLOCK >> 2) * 32,
-               size * (64 + n) + groups * 32 * (n + 8) + max(bits * 56, bits * 8 + run * 16))
-    return tables, made, groups, entries, slots, block
+               size * 40 + cols * (40 + n) + groups * 32 * (n + 8)
+               + max(bits * 56, bits * 8 + run * 16),
+               min(groups, max(1, _BLOCK >> n)) * size * item)
+    return tables, made, groups, cols, entries, slots, block
 
 
 @lru_cache(maxsize=8)
@@ -791,12 +818,14 @@ def _reach_bits(n: int, bricked: bool) -> tuple[np.ndarray, np.ndarray, np.ndarr
 class _ReachTables(NamedTuple):
     """The minimum's reach tables at one width (_reach_tables).
 
-    The rows are taken in table order: by the size of their own bits D_c,
-    then by class.  The state's columns, its rows c, are in this order
-    too.  The classes' slots are laid out by the size of D_g, then by key.
+    The rows are the representatives c <= rev(c) alone, taken in table
+    order: by the size of their own bits D_c, then by class.  The state's
+    columns, its rows c, are in this order too.  The classes' slots are
+    laid out by the size of D_g, then by key.
     """
 
-    order: np.ndarray  # the rows in table order (intp)
+    order: np.ndarray  # the representative rows in table order (intp)
+    mirrored: np.ndarray  # their mirrors, rev(c) at c's place (intp)
     runs: list[tuple[int, int, int, int]]  # per table width (_reach_tables)
     # per row in order, the block row of its reach at its own slots: reach
     # on the open bits, or the dead row 2^width (uint16)
@@ -804,10 +833,10 @@ class _ReachTables(NamedTuple):
     scatter: np.ndarray  # per entry of reach, its class slot (intp)
     spans: list[tuple[int, int, int]]  # per size B of D_g: (first slot, classes, B)
     offset: np.ndarray  # per class, in key order, where its slots start
-    # (classes, 2^n): each row d's slot in its class's table, the rows d
-    # in table order
+    # (classes, representative rows): each row d's slot in its class's
+    # table, the rows d in table order
     slots: np.ndarray
-    total: int  # the slots of all classes
+    mirror: np.ndarray  # per class slot, the mirror class's slot of its mirror (intp)
     split: tuple  # the transform's, of the complemented keys (_open_split)
 
 
@@ -850,12 +879,14 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     """The pair solver's reach, per row at the rows below it can see, and
     the slots of its classes.
 
-    The table row of a row c holds reach(c, s) at the 2^|D_c| subsets s of
-    its own bits D_c (_reach_bits), subset s at slot s, whose bit i is the
-    i-th bit of D_c, and then 0, at slot 2^|D_c|.  Each entry is stored as
-    the block row _pair_advance reads for it: reach squeezed to the open
-    bits (_open_split), or the dead row 2^n' where it lacks a bit of F.  A
-    run of rows with one |D_c| is the tuple (first row, end row, width L =
+    Only the representative rows c <= rev(c) are kept: the state is
+    mirror-symmetric (_pair_advance).  The table row of a row c
+    holds reach(c, s) at the 2^|D_c| subsets s of its own bits D_c
+    (_reach_bits), subset s at slot s, whose bit i is the i-th bit of D_c,
+    and then 0, at slot 2^|D_c|.  Each entry is stored as the block row
+    _pair_advance reads for it: reach squeezed to the open bits
+    (_open_split), or the dead row 2^n' where it lacks a bit of F.  A run
+    of rows with one |D_c| is the tuple (first row, end row, width L =
     2^|D_c| + 1, its first entry in reach).  A class g has 2^|D_g| + 1
     slots: subset s of D_g at slot s, whose bit i is the i-th bit of D_g,
     and the blocked slot 2^|D_g|.  scatter maps the slot s of a row of
@@ -863,8 +894,11 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     D_g, and the row's blocked slot to g's.  Both are built by doubling,
     one bit of D_c at a time, from reach(c, ∅) = c and g's slot ∅.
     slots[g, i] is d & D_g's slot, or 2^|D_g| where d meets the key, for
-    the row d = order[i], built by doubling from the 2^n-entry slot 0 over
-    the rows d ascending and then put in table order in place.
+    the row d = order[i], built by doubling over the rows d ascending, a
+    block of classes at a time, and then put in table order.  mirror
+    sends g's slot s to the slot of rev(s) of the mirror class g*, whose
+    key is rev(key(g)) and whose D_g* is rev(D_g): s's |D_g| bits in
+    reverse order, and the blocked slot to the blocked slot.
     """
     keys, own, seen = _reach_bits(n, bricked)
     size, groups = 1 << n, len(keys)
@@ -884,10 +918,15 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
              for j0, j1 in zip(firsts, firsts[1:] + [groups])]
     mine = ((seen[:, None] >> every) & 1).astype(np.intp)
     rank = np.cumsum(mine, axis=1) - mine
-    # the rows in table order: by |D_c|, then by class
-    bits = np.bitwise_count(own)
-    order = np.argsort((bits.astype(np.int64) << 32) | ids, kind="stable")
-    own, bits, ids = own[order], bits[order], ids[order]
+    # the representative rows in table order: by |D_c|, then by class
+    rev = _axis_rows(n, size)[::-1]  # rev(c) at c
+    order = np.flatnonzero(c <= rev)
+    del c
+    bits = np.bitwise_count(own[order])
+    by_row = np.argsort((bits.astype(np.int64) << 32) | ids[order], kind="stable")
+    order, bits = order[by_row], bits[by_row]
+    del by_row
+    own, ids = own[order], ids[order]
     reach = np.empty(int(((1 << bits.astype(np.intp)) + 1).sum()), dtype=np.uint16)
     scatter = np.empty(len(reach), dtype=np.intp)
     # the bits k of each row's D_c, lowest first, row by row: reach(c, {k})
@@ -900,7 +939,7 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     # the runs, one |D_c| each, built slot by slot, so that each step is
     # one long row, and stored row by row: slot ∅ holds reach(c, ∅) = c,
     # the blocked slot reach 0 and the class's blocked slot
-    bounds = _starts(bits).tolist() + [size]
+    bounds = _starts(bits).tolist() + [len(order)]
     blocked = (1 << held[ids]) << 16
     base = offset[ids]
     runs, e, p = [], 0, 0
@@ -934,25 +973,35 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     top = (1 << held).astype(np.min_scalar_type(1 << int(held.max())))[:, None]
     step = np.where((keys[:, None] >> every) & 1, top, mine << rank).astype(top.dtype)
     room = top - step
-    slots = np.empty((groups, size), dtype=top.dtype)
-    slots[:, 0] = 0
-    for k in range(n):
-        high = slots[:, 1 << k:2 << k]
-        np.minimum(slots[:, :1 << k], room[:, k:k + 1], out=high)
-        high += step[:, k:k + 1]
-    # the rows d in table order, _RULE_BLOCK slots at a time
-    block = max(1, _RULE_BLOCK >> n)
+    slots = np.empty((groups, len(order)), dtype=top.dtype)
+    block = max(1, _BLOCK >> n)
+    every_d = np.empty((min(block, groups), size), dtype=top.dtype)
+    every_d[:, 0] = 0
     for g in range(0, groups, block):
-        slots[g:g + block] = slots[g:g + block, order]
-    return _ReachTables(order, runs, reach, scatter, spans, offset, slots, int(slot_at[-1]),
-                        split)
+        part = every_d[:min(block, groups - g)]
+        for k in range(n):
+            high = part[:, 1 << k:2 << k]
+            np.minimum(part[:, :1 << k], room[g:g + block, k:k + 1], out=high)
+            high += step[g:g + block, k:k + 1]
+        np.take(part, order, axis=1, out=slots[g:g + block], mode="clip")
+    del every_d
+    # each slot s of a class g, its subset reversed in D_g's b bits, or
+    # the blocked slot 2^b, at the mirror class's offset: s holds no bit
+    # at or above b, so rev_b(s) is rev_n(s) shifted down by n - b
+    cls = np.repeat(by, (1 << held[by]) + 1)
+    s = np.arange(int(slot_at[-1])) - offset[cls]
+    b = held[cls]
+    mirror = np.where(s >> b != 0, s, rev.take(s, mode="clip") >> (n - b))
+    mirror += offset[np.searchsorted(keys, rev[keys])][cls]
+    return _ReachTables(order, rev[order].astype(np.intp), runs, reach, scatter, spans, offset,
+                        slots, mirror, split)
 
 
-def _chunk_rows(n: int, width: int) -> int:
-    """The current rows of one chunk of the pair advance at width n, whose
-    transform runs over width open bits: _BLOCK >> width, at least _CHUNK
-    and at most 2^n (a power of two, so the chunks tile the rows)."""
-    return min(1 << n, max(_CHUNK, _BLOCK >> width))
+def _chunk_rows(rows: int, width: int) -> int:
+    """The current rows of one chunk of the pair advance over rows state
+    columns, whose transform runs over width open bits: _BLOCK >> width,
+    at least _CHUNK and at most rows.  The last chunk takes the rest."""
+    return min(rows, max(_CHUNK, _BLOCK >> width))
 
 
 def _subset_max_inplace(z: np.ndarray, n: int):
@@ -1010,60 +1059,68 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     grouped[g, c] is the best score of a state (u, c) whose row above u is
     in triple class g.  The next state (c, d) scores gain[d] plus the
     maximum of grouped[g, c] over the classes g that fit it, ~key(g) ⊆
-    reach(c, d), and the result is grouped by the class of c.  Both
-    states' columns, and gain, are in table order (_reach_tables), so the
-    current rows c are taken a chunk at a time (_chunk_rows) as contiguous
-    columns of grouped.  Each chunk runs through a subset-maximum
-    transform over the open span alone (_open_split): grouped scattered at
-    the squeezed complemented keys of a (2^h', len(hv), chunk) low array,
-    transformed over its h' low bits, scattered into the rows hv of the
-    block viewed as (2^(n' - h'), 2^h', chunk), every other row dead, and
-    transformed over the high bits.  The block is (2^n' + 1, chunk), its
-    last row the dead row, which every reach that lacks a bit of F reads:
-    on the free border, three quarters of the 2^n rows r, which no class
-    reaches, are that one row.  Each row c reads the block,
-    read_c(s) = block[reach(c, s), c] with reach as its table stores it,
-    at the 2^|D_c| + 1 entries of its own table row alone, not at all 2^n
-    rows d: a run's rows of a chunk, about _READ_ROWS * 2^n entries per
-    flat take.
+    reach(c, d), and the result is grouped by the class of c.  Every rule
+    commutes with column reversal, so the state is mirror-symmetric:
+    grouped[g*, rev(c)] = grouped[g, c], with g* the class of key
+    rev(key(g)), and grouped and the result hold the representative
+    columns c <= rev(c) alone.  Both states' columns, and gain, are in
+    table order (_reach_tables), so the current rows c are taken a chunk
+    at a time (_chunk_rows) as contiguous columns of grouped, the last
+    chunk on its own columns alone.  Each chunk runs through a
+    subset-maximum transform over the open span alone (_open_split):
+    grouped scattered at the squeezed complemented keys of a (2^h',
+    len(hv), chunk) low array, transformed over its h' low bits, scattered
+    into the rows hv of the block viewed as (2^(n' - h'), 2^h', chunk),
+    every other row dead, and transformed over the high bits.  The block
+    is (2^n' + 1, chunk), its last row the dead row, which every reach
+    that lacks a bit of F reads: on the free border, three quarters of the
+    2^n rows r, which no class reaches, are that one row.  Each row c
+    reads the block, read_c(s) = block[reach(c, s), c] with reach as its
+    table stores it, at the 2^|D_c| + 1 entries of its own table row
+    alone, not at all 2^n rows d: a run's rows of a chunk, about
+    _READ_ROWS * 2^n entries per flat take.
 
     After the last chunk, every read is maxed into its class slot
-    (scatter), and one in-place subset maximum over each class's first
-    2^|D_g| slots gives slot s ⊆ D_g the maximum of read_c(s ∩ D_c) over
-    the rows c of the class.  That is the maximum of read_c(s), by two
-    facts.  reach(c, d) for d that miss the key is c or-ed with reach(c,
-    {k}) over the bits k of d, and bits outside D_c add nothing: reach(c,
-    s) = reach(c, s ∩ D_c).  And read_c is monotone in s ⊆ D_g: no such s
-    meets the key, so reach(c, s) grows with s, and the block, a
-    subset-maximum transform, grows with reach (a reach that lacks a bit
-    of F reads the dead row, and so does every reach inside it).  So of
-    the slots t ⊆ s that the transform collects, a row's reads peak at s ∩
-    D_c.  The blocked slots, reach 0, read the block row of reach 0, as a
-    read at reach(c, d) = 0 does, and skip the transform.  Then the class
-    slots are expanded to every row d below, in table order (slots), one
-    take a class, and gain is added once: the result is the same, dead
-    entries included, as a read at every (c, d).
+    (scatter).  The other rows' reads follow by symmetry, read_rev(c)(d) =
+    read_c(rev(d)): class g's slot of d holds the reads of its rows rev(c)
+    once maxed with g*'s slot of rev(d), one maximum through mirror.  Then
+    one in-place subset maximum over each class's first 2^|D_g| slots
+    gives slot s ⊆ D_g the maximum of read_c(s ∩ D_c) over the rows c of
+    the class.  That is the maximum of read_c(s), by two facts.  reach(c,
+    d) for d that miss the key is c or-ed with reach(c, {k}) over the bits
+    k of d, and bits outside D_c add nothing: reach(c, s) = reach(c, s ∩
+    D_c).  And read_c is monotone in s ⊆ D_g: no such s meets the key, so
+    reach(c, s) grows with s, and the block, a subset-maximum transform,
+    grows with reach (a reach that lacks a bit of F reads the dead row,
+    and so does every reach inside it).  So of the slots t ⊆ s that the
+    transform collects, a row's reads peak at s ∩ D_c.  The blocked slots,
+    reach 0, read the block row of reach 0, as a read at reach(c, d) = 0
+    does, and skip the transform.  Then the class slots are expanded to
+    every representative row d below, in table order (slots), one take a
+    class, and gain is added once: the result is the same, dead entries
+    included, as a read at every (c, d).
     """
     clock = clock or _Clock()
     tables = _reach_tables(n, bricked)
     _, _, span, h, hv, place = tables.split
-    size, chunk = 1 << n, _chunk_rows(n, span)
+    cols = len(tables.order)
+    chunk = _chunk_rows(cols, span)
     out = np.empty_like(grouped)
-    low = np.empty((1 << h, len(hv), chunk), dtype=grouped.dtype)
-    block = np.empty(((1 << span) + 1, chunk), dtype=grouped.dtype)
-    block[-1] = _DEAD
-    z = block[:-1]
-    rows = z.reshape(-1, 1 << h, chunk)  # by high half
-    flat = block.reshape(-1)
+    lows = np.empty((1 << h) * len(hv) * chunk, dtype=grouped.dtype)
+    blocks = np.empty(((1 << span) + 1) * chunk, dtype=grouped.dtype)
     read = np.empty(len(tables.reach), dtype=grouped.dtype)  # the reads, laid out as reach
     local = np.arange(chunk)[:, None]
     clock.mark()
-    for lo in range(0, size, chunk):
-        hi = lo + chunk
+    for lo in range(0, cols, chunk):
+        hi = min(lo + chunk, cols)
+        k = hi - lo  # the chunk's rows, the trailing axis of its arrays
+        low = lows[:lows.size // chunk * k].reshape(1 << h, len(hv), k)
+        flat = blocks[:blocks.size // chunk * k]
         low.fill(_DEAD)
-        low.reshape(-1, chunk)[place] = grouped[:, lo:hi]
+        low.reshape(-1, k)[place] = grouped[:, lo:hi]
         _subset_max_inplace(low, h)
-        z.fill(_DEAD)
+        flat.fill(_DEAD)
+        rows = flat[:-k].reshape(-1, 1 << h, k)  # by high half
         rows[hv] = low.swapaxes(0, 1)
         _subset_max_inplace(rows, span - h)
         clock.lap("transform")
@@ -1074,18 +1131,19 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
                 at, to = entry + (a - first) * width, entry + (b - first) * width
                 # row j of the chunk reads block[reach, j]; the flat indices
                 # lie below the block's size, so "clip" never clips
-                idx = np.multiply(tables.reach[at:to].reshape(-1, width), chunk, dtype=np.intp)
+                idx = np.multiply(tables.reach[at:to].reshape(-1, width), k, dtype=np.intp)
                 idx += local[a - lo:b - lo]
                 np.take(flat, idx, out=read[at:to].reshape(-1, width), mode="clip")
         clock.lap("read")
     # each class's slot ∅ and blocked slot take reads of all its rows, and
     # the transform lifts every other slot to at least slot ∅: the dead
     # fill is no bias
-    maxima = np.full(tables.total, _DEAD, dtype=grouped.dtype)
+    maxima = np.full(len(tables.mirror), _DEAD, dtype=grouped.dtype)
     np.maximum.at(maxima, tables.scatter, read)
+    np.maximum(maxima, maxima[tables.mirror], out=maxima)  # the mirror rows' reads
     for at, count, bits in tables.spans:
-        span = maxima[at:at + count * ((1 << bits) + 1)].reshape(count, -1)
-        _subset_max_inplace(span[:, :1 << bits].T, bits)
+        part = maxima[at:at + count * ((1 << bits) + 1)].reshape(count, -1)
+        _subset_max_inplace(part[:, :1 << bits].T, bits)
     clock.lap("read")
     # one take a class, from its own slots; "clip" spares take a buffered
     # copy of out
@@ -1298,12 +1356,16 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
 
     A row c admits the rows u above it, for the row d below it, with
     ~triple(u) ⊆ reach(c, d) (_pair_advance).  The state's columns, the
-    rows c, are in table order (_reach_tables), as are the rows a read
-    evaluates; the scan puts a read back in row order before its pick.  A
-    kept state carries its own row's shift.  The close-off reads the last
-    row's state at the virtual south row, and the witness scan reads each
-    row's state at the row below it: so each row's scores come from its
-    own state.  Only the reach tables are read: no split plan.
+    representative rows c <= rev(c), are in table order (_reach_tables),
+    as are the rows a read evaluates.  A read at d gives the
+    representatives' scores, and one at rev(d) the other rows', as row
+    rev(c) at d scores as row c at rev(d); the scan puts both back in row
+    order before its pick, and the close-off needs one, as d_v is a
+    palindrome.  A kept state carries its own row's shift.  The close-off
+    reads the last row's state at the virtual south row, and the witness
+    scan reads each row's state at the row below it: so each row's scores
+    come from its own state.  Only the reach tables are read: no split
+    plan.
     """
     tables = _reach_tables(n, bricked)
     keys = _reach_bits(n, bricked)[0]
@@ -1317,9 +1379,9 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
 
     def read(grouped, d):
         """_pair_advance's read for the one row d below, before its gain:
-        for every row c, the maximum of grouped[g, c] over the classes g
-        that fit (c, d), ~key(g) ⊆ reach(c, d), in (classes) x 2^n work,
-        in uint16."""
+        for every representative row c, the maximum of grouped[g, c] over
+        the classes g that fit (c, d), ~key(g) ⊆ reach(c, d), in (classes)
+        x (representative rows) work, in uint16."""
         if not (last and last[0] is grouped and last[1] == d):
             column = south if d == d_v else _reach(rows, np.uint32(d), n, bricked)
             fit = (holes[:, None] & (full ^ column.astype(np.uint16))) == 0
@@ -1331,7 +1393,7 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
         if grouped is None:
             # row 1 sits under the virtual empty north row, whose triple
             # mask 0 is the least key on both borders
-            state = np.full((len(keys), 1 << n), _DEAD, dtype=np.int8)
+            state = np.full((len(keys), len(rows)), _DEAD, dtype=np.int8)
             state[0] = gain
         else:
             state = _pair_advance(grouped, n, bricked, gain, clock)
@@ -1344,11 +1406,13 @@ def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
         reach = (int(_reach(np.uint32([c]), np.uint32(below[-2]), n, bricked)[0])
                  if below[1:] else full)
         scores = np.empty(1 << n, dtype=np.int8)
+        scores[tables.mirrored] = read(layer, bit_reverse(c, n))
         scores[tables.order] = read(layer, c)
         return _pick(scores, target, lambda t: (t | reach) == full, n, bricked)
 
+    # a scan call: the scores in row order, and the pick's block of them
     return _Rule(advance, lambda grouped: read(grouped, d_v), scan, 0,
-                 len(keys) << n, _RING + 1, _SCAN_BLOCK * 32 + (1 << n))
+                 len(keys) * len(rows), _RING + 1, min(_SCAN_BLOCK, 1 << n) * 32 + (1 << n))
 
 
 def _masked_max(fit: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -1426,6 +1490,10 @@ def _normalize(grouped: np.ndarray, n: int) -> int:
     - (shift - 2n), made in place, tells them apart: the scores lie in
     [-128, shift], 256 values, so d is at most 2n in the band, at least 256
     + _DEAD // 2 + 2n for a live score below it, and between for a dead one.
+    The dead ones, most of a minimum's state, are reset without a masked
+    write: the scores d less 2n are clipped to a limit made in place from
+    the dead flag, 127 + 1 = 0x80 = _DEAD where it is set and 127 where
+    not.
     """
     live = _DEAD // 2
     shift = int(grouped.max())
@@ -1435,9 +1503,10 @@ def _normalize(grouped: np.ndarray, n: int) -> int:
     d -= np.uint8((shift - 2 * n) & 0xFF)
     if int(d.max()) >= 256 + live + 2 * n:
         raise SettleError(f"internal error: live scores spread beyond {2 * n} in one row")
-    dead = d > 2 * n
+    limit = np.greater(d, 2 * n).view(np.uint8)  # 1 where dead
     d -= 2 * n
-    np.putmask(grouped, dead, _DEAD)
+    limit += 127
+    np.minimum(grouped, limit.view(np.int8), out=grouped)
     return shift
 
 

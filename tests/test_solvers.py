@@ -400,7 +400,9 @@ class TestSweep:
     # with one np.maximum.at over a per-state class index and transformed
     # all of its 2^n scores in one array.  The max 28x28 digests, at the
     # default column cap, were recorded from an advance that kept a set of
-    # column runs for each value of the row's bit h.
+    # column runs for each value of the row's bit h.  The min 12x12
+    # bricked, 13x13 bricked and 14x14 free digests were recorded from a
+    # sweep whose state kept every row, not one row of each mirror pair.
     @pytest.mark.parametrize("objective, m, n, boundary, optimum, digest", [
         (Objective.MAX_PERMISSIBLE, 14, 20, Boundary.FREE, 211,
          "e56ba602e23b619970c59a86605990e9ab5d439ccb9ab22712e3c6753df688c0"),
@@ -424,6 +426,12 @@ class TestSweep:
          "f40a4ba5e8b56ec14992cfff6fc90bb8de3d9ec7cd0316de8f1e9b7a82e3de5c"),
         (Objective.MIN_MAXIMAL, 12, 12, Boundary.FREE, 74,
          "1de086484d78d805457b17fa273707eaf9dffa9547e5655806da99c8875e0665"),
+        (Objective.MIN_MAXIMAL, 12, 12, Boundary.BRICKED, 72,
+         "a8f141642e9161789054aa5afc81c01feb4fb673907c2023b4c093a19853f8b9"),
+        (Objective.MIN_MAXIMAL, 13, 13, Boundary.BRICKED, 82,
+         "a2a0d89dcabb7a49c239aa595342617d65ec5d52ad9f64017c4a712f7167a59b"),
+        (Objective.MIN_MAXIMAL, 14, 14, Boundary.FREE, 112,
+         "6b39bb3009347fe618b9961a68f7702da2b7bc6d16e4575f5a7af4838bd99444"),
         (Objective.MAX_PERMISSIBLE, 23, 23, Boundary.FREE, 403,
          "1a7b46adb13bcf8d6dc6eaf81a87b45c3fd45b4201329a4cb713451a0d7adc81"),
         (Objective.MAX_PERMISSIBLE, 24, 24, Boundary.FREE, 433,
@@ -438,11 +446,13 @@ class TestSweep:
          "6050588c1c43516639bc4c901904d261d6fcd6dcfba468ee0581b9ae9a8abff2"),
     ], ids=["max-free", "max-bricked", "min-free", "min-bricked",
             "max-60x16-free", "max-60x16-bricked", "max-40x20-free", "max-40x20-bricked",
-            "min-30x10-free", "min-30x10-bricked", "min-12x12-free",
+            "min-30x10-free", "min-30x10-bricked", "min-12x12-free", "min-12x12-bricked",
+            "min-13x13-bricked", "min-14x14-free",
             "max-23x23-free", "max-24x24-free", "max-23x23-bricked", "max-24x24-bricked",
             "max-28x28-free", "max-28x28-bricked"])
     def test_wide_witnesses_keep_their_rows(self, objective, m, n, boundary, optimum, digest):
-        res = solve(SolveRequest(Dims(m, n, boundary), objective))
+        res = solve(SolveRequest(Dims(m, n, boundary), objective,
+                                 limits=Limits(max_cols_pairs=14)))
         assert res.optimum == optimum
         rows = " ".join(map(str, res.witness.row_bits))
         assert hashlib.sha256(rows.encode()).hexdigest() == digest
@@ -724,10 +734,12 @@ class TestStateBytes:
         few arrays of a word a run, a column run, a low half or one low
         half's rows, one row of low and its rebuild over a block of
         classes, and one block of their (row, high half) test.  The
-        minimum keeps its grouped maxima, the ring's _RING + 1 of them in
-        the estimate, and a single-row minimum its one state; both pick
-        over one _SCAN_BLOCK, and the minimum's pick reads one read put
-        back in row order, a byte a row."""
+        minimum keeps its grouped maxima, a score per class and
+        representative row, the ring's _RING + 1 of them in the estimate,
+        and a single-row minimum its one state; both pick over one
+        _SCAN_BLOCK, the minimum over at most its 2^n rows, and the
+        minimum's pick reads two reads put back in row order, a byte a
+        row."""
         m, n = res.dims.rows, res.dims.cols
         h, pick = n // 2, _SCAN_BLOCK * 32
         if res.objective is Objective.MAX_PERMISSIBLE:
@@ -741,8 +753,9 @@ class TestStateBytes:
         elif m == 1:
             layer, held, states = 1 << n, 1, 1 << n
         else:
-            layer, held, states = len(_reach_bits(n, bricked)[0]) << n, _RING + 1, 4**n
-            pick += 1 << n
+            rows = len(_reach_tables(n, bricked).order)  # the representative rows
+            layer, held, states = len(_reach_bits(n, bricked)[0]) * rows, _RING + 1, 4**n
+            pick = min(_SCAN_BLOCK, 1 << n) * 32 + (1 << n)
         kept = res.stats["states"] // states
         return max(kept - held, 0) * layer + pick + m * 256
 
@@ -875,10 +888,10 @@ class TestStateBytes:
 
     def test_wide_pair_solve_is_refused_by_its_estimate(self):
         # a raised pair cap leaves the byte cap to refuse the reach tables
-        # (at 16 columns, the widest a pair solve admits; 0.64 GiB on the
-        # free border, under the default cap, so the cap is set at 512 MiB),
+        # (at 16 columns, the widest a pair solve admits; 335 MiB on the
+        # free border, under the default cap, so the cap is set at 256 MiB),
         # and the estimate itself allocates nothing of the width's size
-        limits = Limits(max_cols=40, max_cols_pairs=40, max_state_bytes=1 << 29)
+        limits = Limits(max_cols=40, max_cols_pairs=40, max_state_bytes=1 << 28)
         tracemalloc.start()
         try:
             with pytest.raises(LimitError, match="estimated state space"):
@@ -1058,6 +1071,44 @@ class TestPairRule:
                 assert dead.any() == bool(edges), (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
+    def test_rules_commute_with_reversal(self, bricked):
+        # the premise of the minimum's half state (_pair_advance): the rules
+        # treat east and west alike, so the triple mask, reach and the
+        # cover of reversed rows are the reversed ones, and the classes, and
+        # their D_g, come in mirror pairs.  A rule edit that breaks the
+        # symmetry fails here, not as a wrong optimum
+        for n in range(1, 10):
+            states = np.arange(1 << n, dtype=np.uint32)
+            rev = bit_reverse(states, n)
+            assert np.array_equal(triple_mask(rev, n, bricked),
+                                  bit_reverse(triple_mask(states, n, bricked), n)), n
+            reach = _reach(states[:, None], states[None, :], n, bricked)
+            assert np.array_equal(_reach(rev[:, None], rev[None, :], n, bricked),
+                                  bit_reverse(reach, n)), n
+            keys, _, seen = _reach_bits(n, bricked)
+            star = np.searchsorted(keys, bit_reverse(keys, n))
+            assert np.array_equal(keys[star], bit_reverse(keys, n)), n
+            assert np.array_equal(seen[star], bit_reverse(seen, n)), n
+        for n in range(1, 7):
+            states = np.arange(1 << n, dtype=np.uint32)
+            rev = bit_reverse(states, n)
+            u, c, d = states[:, None, None], states[None, :, None], states[None, None, :]
+            cover = covered_mask(u, c, d, n, bricked)
+            assert np.array_equal(covered_mask(rev[u], rev[c], rev[d], n, bricked),
+                                  bit_reverse(cover, n)), n
+
+    @staticmethod
+    def packed(d, bits, n):
+        """The slot of the rows d in a table over the bits: bit i of the
+        slot is the i-th of the bits, read in d."""
+        out = np.zeros(np.broadcast(d, bits).shape, dtype=np.intp)
+        for k in range(n):
+            below = np.bitwise_count(bits & ((1 << k) - 1)).astype(np.intp)
+            has = ((bits >> k) & 1 == 1) & ((d >> k) & 1 == 1)
+            out += np.where(has, 1 << below, 0)
+        return out
+
+    @pytest.mark.parametrize("bricked", [False, True])
     def test_class_tables_hold_reach_at_every_pair(self, bricked):
         # the entry a row c reads at its own slot of d (d ∩ D_c, its bit i
         # the i-th bit of D_c, or the blocked slot where d meets the key)
@@ -1065,43 +1116,56 @@ class TestPairRule:
         # outside F, or the dead row 2^width where reach lacks a bit of F,
         # blocked pairs included; scatter sends it to the class slot of d ∩
         # D_c, or to the class's blocked slot, which slots holds at d's
-        # place in table order
+        # place in table order.  The rows are the representatives c <=
+        # rev(c), and mirror sends each class slot to the mirror class's
+        # slot of its reversed subset
         for n in range(1, 11):
             tables = _reach_tables(n, bricked)
-            keys, own, _ = _reach_bits(n, bricked)
+            keys, own, seen = _reach_bits(n, bricked)
             fixed = int(np.bitwise_and.reduce(full_mask(n) ^ keys))
             free = [k for k in range(n) if not fixed >> k & 1]
             assert tables.split[:3] == (fixed, free[0] if free else 0, len(free)), (n, bricked)
             states = np.arange(1 << n, dtype=np.uint32)
-            assert np.array_equal(np.sort(tables.order), states), (n, bricked)
-            place = np.empty(1 << n, dtype=np.intp)  # each row's place in table order
-            place[tables.order] = np.arange(1 << n)
+            reps = states[states <= bit_reverse(states, n)]
+            assert np.array_equal(np.sort(tables.order), reps), (n, bricked)
+            assert np.array_equal(tables.mirrored, bit_reverse(tables.order.astype(np.uint32), n))
             # the runs follow one another over every row and entry
             firsts = [run[0] for run in tables.runs]
-            assert firsts[0] == 0 and [run[1] for run in tables.runs] == firsts[1:] + [1 << n]
+            assert firsts[0] == 0 and [run[1] for run in tables.runs] == firsts[1:] + [len(reps)]
             assert tables.runs[0][3] == 0
             for (first, end, width, entry), nxt in zip(tables.runs, tables.runs[1:]):
                 assert nxt[3] == entry + (end - first) * width, (n, bricked)
+            blocked_slot = 1 << np.bitwise_count(seen).astype(np.intp)
             for first, end, width, entry in tables.runs:
                 c = tables.order[first:end].astype(np.uint32)
                 cls = np.searchsorted(keys, triple_mask(c, n, bricked))
                 assert ((1 << np.bitwise_count(own[c]).astype(int)) + 1 == width).all()
                 blocked = (triple_mask(c, n, bricked)[:, None] & states) != 0
-                slot = np.zeros((len(c), 1 << n), dtype=np.intp)
-                for k in range(n):
-                    # bit k of d adds 2^i where it is the i-th bit of D_c
-                    below = np.bitwise_count(own[c] & ((1 << k) - 1)).astype(np.intp)
-                    has = ((own[c] >> k) & 1).astype(bool)[:, None] & ((states >> k) & 1 == 1)
-                    slot += np.where(has, 1 << below[:, None], 0)
+                slot = self.packed(states, own[c][:, None], n)
                 slot[blocked] = width - 1
                 at = entry + np.arange(len(c))[:, None] * width + slot
                 reach = _reach(c[:, None], states[None, :], n, bricked)
                 want = sum(((reach >> k) & 1) << i for i, k in enumerate(free))
                 want = np.where((reach & fixed) == fixed, want, 1 << len(free))
                 assert np.array_equal(tables.reach[at], want), (n, bricked, width)
-                part = np.where(blocked, states, states & own[c][:, None])
-                slot = tables.offset[cls][:, None] + tables.slots[cls[:, None], place[part]]
-                assert np.array_equal(tables.scatter[at], slot), (n, bricked, width)
+                slot = self.packed(states & own[c][:, None], seen[cls][:, None], n)
+                slot[blocked] = blocked_slot[cls][:, None].repeat(1 << n, axis=1)[blocked]
+                assert np.array_equal(tables.scatter[at], tables.offset[cls][:, None] + slot), \
+                    (n, bricked, width)
+            d = tables.order.astype(np.uint32)
+            slot = self.packed(d, seen[:, None], n)
+            meets = (keys[:, None] & d) != 0
+            slot[meets] = np.broadcast_to(blocked_slot[:, None], slot.shape)[meets]
+            assert np.array_equal(tables.slots, slot), (n, bricked)
+            star = np.searchsorted(keys, bit_reverse(keys, n))
+            assert np.array_equal(keys[star], bit_reverse(keys, n)), (n, bricked)
+            for g in range(len(keys)):
+                b = int(blocked_slot[g]).bit_length() - 1
+                subsets = np.arange(1 << b, dtype=np.uint32)
+                mirrored = bit_reverse(subsets, b) if b else subsets
+                got = tables.mirror[tables.offset[g]:tables.offset[g] + (1 << b) + 1]
+                assert np.array_equal(got - tables.offset[star[g]], np.append(mirrored, 1 << b)), \
+                    (n, bricked, g)
 
 
 class TestPairAdvance:
@@ -1130,22 +1194,33 @@ class TestPairAdvance:
     @pytest.mark.parametrize("bricked", [False, True])
     def test_matches_the_pair_array(self, bricked, chunk, monkeypatch):
         if chunk is not None:
-            # classes that span chunks, read a few rows at a time
+            # classes that span chunks, read a few rows at a time, and a
+            # last chunk of fewer rows where the representatives do not
+            # fill one (20 of them at n = 5)
             monkeypatch.setattr("settle.solvers._BLOCK", 0)
             monkeypatch.setattr("settle.solvers._CHUNK", chunk)
             monkeypatch.setattr("settle.solvers._READ_ROWS", chunk // 4)
         rng = np.random.default_rng(9)
         for n in range(1, 11):
-            groups = len(_split_plan(n, bricked).keys)
+            keys = _split_plan(n, bricked).keys
             order = _reach_tables(n, bricked).order
+            # each class's mirror and each representative row's
+            star, mirrored = np.searchsorted(keys, bit_reverse(keys, n)), bit_reverse(order, n)
             gain = n - np.bitwise_count(np.arange(1 << n)).astype(np.int8)
             # one input at 9 and 10, where most (class, D_c) pairs appear
             for _ in range(3 if n < 9 else 1):
-                grouped = rng.integers(-2 * n, 1, (groups, 1 << n)).astype(np.int8)
+                grouped = rng.integers(-2 * n, 1, (len(keys), 1 << n)).astype(np.int8)
                 grouped[rng.random(grouped.shape) < 0.3] = _DEAD
-                got = _pair_advance(grouped[:, order], n, bricked, gain[order])
-                # whole arrays in table order, dead entries included
-                want = self.reference(grouped, n, bricked, gain)[:, order]
+                # mirror-symmetric, grouped[g*, rev(c)] = grouped[g, c], as
+                # every state the sweep makes
+                rev = bit_reverse(np.arange(1 << n, dtype=np.uint32), n)
+                grouped = np.maximum(grouped, grouped[star][:, rev])
+                half = _pair_advance(grouped[:, order], n, bricked, gain[order])
+                got = np.empty_like(grouped)
+                got[star[:, None], mirrored] = half
+                got[:, order] = half
+                # whole arrays, dead entries included
+                want = self.reference(grouped, n, bricked, gain)
                 assert np.array_equal(got, want), (n, bricked)
 
 
