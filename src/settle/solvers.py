@@ -8,40 +8,36 @@ its triple mask, it keeps one score per (triple class of the row above,
 current row).  A triple class is a triple mask that occurs; the
 maximum's _split_plan finds the classes from the two halves of a row,
 and the minimum's _reach_bits from every row.  The minimum scores its
-empty lots, so both maximize, and each row's transition maximum is
-one subset-maximum transform over the classes (cost ~ n·2^n per state
-column): the maximum's scattered at triple(u) and read at ~r for the
-row r below, since triple(u) & r == 0 exactly when triple(u) ⊆ ~r; the
-minimum's at ~triple(u) and read at reach, since triple(u) ⊇ k exactly
-when ~triple(u) ⊆ ~k.  Both run over the bits that their sets leave
-open, squeezed there by a shift and split in two halves (_open_split).
+empty lots, so both maximize.
 
 The maximum splits a row in two: the low h = n // 2 bits and the high
 n - h.  Triple bit j reads bits j - 1, j and j + 1 alone, so each half
 of a state's triple mask follows from that half of the state and the
-one bit of the other half next to it.  The transform runs over the low
-bits that the keys leave open, in a (2^h', high halves) low array: h' =
-h - 1 on the free border, where no key has bit 0.  The maximum holds no
-array of 2^n entries: the high half of its transform and the maximum
-over a run of rows of equal high-half triple bits swap, so each run's
-best score at each low half is one sparse (max, +) product of the low
-array with a cover table per width.  A class is a run and a run of low
-halves of equal low-half triple bits at both values of the row's bit h
-(a column run), and the maxima over a column run's low halves commute
-with the product, so they are taken first: the product runs on the
-column runs, not on the 2^h low halves.  Its input is first closed over
-the key high halves, a subset-maximum transform along the Hasse edges of
-their family alone, so that the product reads only each run's
-undominated pairs.  The row mask algebra comes from the rows module,
-evaluated on numpy arrays of states.
+one bit of the other half next to it, and a key misses a row exactly
+when each of its halves misses that half of the row.  So each row's
+transition maximum is a sparse (max, +) product with a cover table on
+each side, over the grouped maxima at (key low half, key high half),
+and it holds no score per row nor a row of them per low half
+(_max_rule).  The low
+product runs on the runs of low halves of equal low-half triple bits at
+both values of the row's bit h (column runs), the high one on the runs
+of rows of equal high-half triple bits, and a class is a (run, column
+run) cell.  Each product's input is first closed over its family of key
+halves, a subset-maximum transform along the Hasse edges of that family
+alone, so that it reads only the undominated pairs of its cover table.
+The row mask algebra comes from the rows module, evaluated on numpy
+arrays of states.
 
 The minimum reads no split plan: its classes and reach tables are its
-own (_reach_bits, _reach_tables).  Every complemented key holds the bits
-F that no triple mask has, the two edge bits on the free border, so a
-reach that lacks a bit of F admits no row above; its transform runs over
-the n' open bits alone, split as the maximum's is, on a chunk of current
-rows at a time, as a trailing axis, into a block of 2^n' rows and one
-dead row (_pair_advance).  It reads the transformed
+own (_reach_bits, _reach_tables).  A pair (c, d) admits the rows u
+above it with ~triple(u) ⊆ reach(c, d), so its transition maximum is one
+subset-maximum transform over the classes, scattered at ~triple(u) and
+read at reach.  Every complemented key holds the bits F that no triple
+mask has, the two edge bits on the free border, so a reach that lacks a
+bit of F admits no row above; the transform runs over the n' open bits
+alone, squeezed there by a shift and split in two halves (_open_split),
+on a chunk of current rows at a time, as a trailing axis, into a block
+of 2^n' rows and one dead row (_pair_advance).  It reads the transformed
 chunk at reach(c, d) for every current row c and row d below (_reach),
 and takes the maximum over the rows c of each class.  reach is c or-ed
 with masks of c and-ed with shifts of d: for a row c with key K, it is 0
@@ -86,11 +82,12 @@ most n + 1 up to n = 14), and _normalize checks it on every row.  A
 witness is not tracked forward: the sweep keeps a layer of each row,
 and a backward scan rebuilds the rows from the south border up, each the
 argmax of the key (score << n) | rev(row) over the rows that fit the
-rows below it, in one loop for both objectives (the rule's scan).  Each
-keeps class maxima, not the row's 2^n scores: the maximum the ones its
-advance read and its cells, from which the scan rebuilds the one row of
-the low array it tries; the minimum its own, which it reads at the row
-below, as its close-off reads the last row's at the south border.
+rows below it, in one loop for both objectives (the rule's scan), which
+picks once for each state of the scan that repeats.  Each layer keeps
+class maxima, not the row's 2^n scores: the maximum's its closed G and
+its cells, from which the scan takes the low row it tries; the
+minimum's its own, which it reads at the row below, as its close-off
+reads the last row's at the south border.
 
 The state after row k does not depend on the final row count, so one sweep
 to the largest m closes off every requested row count on the way: solve
@@ -125,7 +122,8 @@ class Limits:
     """Resource caps for a solve call.
 
     Column caps keep the states within memory: for the maximum solver, its
-    split plan and arrays of 2^(n/2) entries a row run or high half; for
+    split plan and arrays of under 2^(n/2) entries a key half, run or
+    column run; for
     the minimum solver, one score per (triple class, profile c <= rev(c))
     and its reach tables.  A single-row minimum keeps
     one score per row (_row_rule), so it only needs the wider max_cols cap.
@@ -138,7 +136,8 @@ class Limits:
     every allocation on the way, not only the total at the end.  The
     maximum's estimate reads its split plan, so it builds the plan before
     the check, and max_state_bytes does not bound that build: at most
-    about 145 MiB on the free border and 220 MiB bricked, at 32 columns.
+    about 145 MiB on the free border and 220 MiB bricked, at 32 columns
+    (144.1 and 219.6 MiB traced).
     max_wall_s is checked after each row advance and each row of the scan.
     """
 
@@ -250,10 +249,10 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
         # the split plan, and no array of one entry a row: the grouped
         # maxima and the _RING rows' maxima they are compared with, and at
         # a close-off the uint32 fit test, its mask and the masked maxima;
-        # the low array beside the rest of the advance
-        groups, plan, build, low, group = _split_bytes(n, bricked)
+        # G beside the rest of the advance
+        groups, plan, build, g, group = _split_bytes(n, bricked)
         per_group = _RING + 7
-        return _FIXED_BYTES + plan + max(build, groups * per_group + low + group)
+        return _FIXED_BYTES + plan + max(build, groups * per_group + g + group)
     # the minimum reads no split plan: _houses, pc (int8) a row, built in
     # place, and its gain; the reach tables; and the rule's gain (int8),
     # its rows in table order and at d_v (uint32), a representative row
@@ -331,67 +330,70 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int, i
 @lru_cache(maxsize=8)
 def _split_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     """The classes at width n, the bytes of its cached _split_plan and the
-    most its build holds beyond them, the cells of the maximum's (2^h',
-    len(hv)) low array, and the most its advance (_max_rule) holds beyond
-    that low array and the grouped maxima.
+    most its build holds beyond them, the cells of the maximum's (len(lam),
+    len(hv)) array G, and the most its advance (_max_rule) holds beyond G
+    and the grouped maxima.
 
     Read off the plan itself, at every width the hard limit admits: its
-    build takes work of the order of its classes (about 0.5 s free and 0.7
+    build takes work of the order of its classes (about 0.6 s free and 1.0
     s bricked at 32 columns).
     """
-    w = n - n // 2
+    h, w = n // 2, n - n // 2
     plan = _split_plan(n, bricked)
     arrays = [a for a in plan if isinstance(a, np.ndarray)]
-    arrays += [a for batches in (plan.col_batches, plan.closure, plan.product)
+    arrays += [a for batches in (plan.lam_closure, plan.lam_product, plan.closure, plan.product)
                for batch in batches for a in batch if isinstance(a, np.ndarray)]
     held = sum(a.nbytes + _OBJECT_BYTES for a in arrays)
     highs, runs, cells = len(plan.hv), len(plan.run_keys), len(plan.order)
     groups, cols = len(plan.keys), plan.col_key.shape[1]
-    children = np.concatenate([members[:, 1:].ravel() for _, members in plan.closure]
-                              + [np.empty(0, np.intp)])
-    edges, kept = len(children), sum(at.size for _, at, *_ in plan.product)
-    degree = max(1, int(np.bincount(children).max(initial=0)))  # the most Hasse parents
-    # The build holds at most the largest of: the cells in class order
-    # (intp) and a flag a cell beside their copy in the plan's order, and
-    # the indices (intp) of the one-cell or the other classes' cells that
-    # np.compress gathers, 17 bytes a cell; the cover
-    # table's pass, 1 + A and its kept flag a (high half, run) pair, the
-    # edges and their ranks (intp), the rows (uint32), their order by run
-    # (intp), in the rows' dtype and their houses, beside a block of (high
-    # half, row) pairs, the and in the rows' dtype and its
-    # flag, with the block's parents' maxima and one parent's rows, and the
-    # high halves' padded parents (intp), or, after the pass, the kept
-    # pairs (intp) and their A; or _hasse's strict order, a bool a pair of
-    # high halves and an intp pair for each pair in it, and its flat
-    # indices, or it bit-packed both ways, a flag a pair and a block of
-    # and-ed rows and their pairs
-    block = min(highs, max(1, _PLAN_BLOCK >> w))
-    packed = -(-highs // 8)
-    cover = (2 * (highs + 1) * runs + edges * 24 + (15 << w)
-             + max(3 * min(_PLAN_BLOCK, highs << w) + 2 * block * runs + highs * degree * 8,
-                   kept * 19))
-    keys = ((1 << w) - 1) - plan.hv
-    pairs = int(np.count_nonzero((keys[:, None] & plan.hv) == 0)) - highs  # the strict order
-    hasse = 16 * pairs + max(highs * highs + 8 * pairs,
-                             2 * highs * packed + pairs + 3 * min(_PLAN_BLOCK, pairs * packed)
-                             + 16 * min(pairs, _PLAN_BLOCK // packed))
-    build = max(cells * 17, cover, hasse)
-    # The advance: the column runs' maxima, a row of high halves each,
-    # beside a batch's gather of low rows, its maxima and the rows it folds
-    # into, or their transposed copy; then that copy beside a closure
-    # round's gather and maxima, or beside the cells, a column run a run,
-    # and a product batch's gather, its maxima and the cells' rows it folds
-    # into; then the cells, the cells of the classes of more than one in
-    # class order, and the maxima of all classes before they are put in
-    # class order
-    most = cols * highs
-    gather = max(at.size + 2 * len(rows) for rows, at, *_ in plan.col_batches) * highs
-    close = max([members.size + len(parents) for parents, members in plan.closure],
-                default=0) * cols
-    product = max(at.size + 2 * len(rows) for rows, at, *_ in plan.product) * cols
-    table = runs * cols
-    advance = max(most + max(gather, most, close, table + product), table + cells + groups)
-    return groups, held, build, highs << plan.low, advance
+    # The build holds the runs' rows, their order (intp) and a few words
+    # a run, and the low halves and the column runs' starts (intp), beside
+    # the largest of: the cells in class order (intp) and a flag a cell
+    # beside their copy in the plan's order, and the indices (intp) of the
+    # cells np.compress gathers, 17 bytes a cell; a class's place in G and
+    # its high half's index (intp); either side's _cover pass, 1 + T and
+    # its kept flag a (set, owner) pair, the edges and their ranks (intp),
+    # a house count an item, beside a block of (set, item) pairs, their
+    # and and its flag, the block's parents' maxima and one parent's, and
+    # the padded parents (intp), or then the kept pairs (intp) and their
+    # T; or its _hasse's strict order, a bool a pair of sets and an intp
+    # pair for each pair in it and its flat indices, or it bit-packed both
+    # ways, a flag a pair and a block of and-ed rows and their pairs
+    build = max(cells * 17, groups * 16)
+    for sets, items, owners, closure, product in (
+            (plan.lam, 1 << h, cols, plan.lam_closure, plan.lam_product),
+            (((1 << w) - 1) - plan.hv, 1 << w, runs, plan.closure, plan.product)):
+        count = len(sets)
+        children = np.concatenate([members[:, 1:].ravel() for _, members in closure]
+                                  + [np.empty(0, np.intp)])
+        edges, kept = len(children), sum(at.size for _, at, *_ in product)
+        degree = max(1, int(np.bincount(children).max(initial=0)))  # the most Hasse parents
+        block = min(count, max(1, _PLAN_BLOCK // items))
+        packed = -(-count // 8)
+        pairs = int(np.count_nonzero((sets[:, None] & ~sets) == 0)) - count  # the strict order
+        cover = (2 * (count + 1) * owners + edges * 24 + items
+                 + max(3 * min(_PLAN_BLOCK, count * items) + 2 * block * owners
+                       + count * degree * 8, kept * 19))
+        hasse = 16 * pairs + max(count * count + 8 * pairs,
+                                 2 * count * packed + pairs + 3 * min(_PLAN_BLOCK, pairs * packed)
+                                 + 16 * min(pairs, _PLAN_BLOCK // packed))
+        build = max(build, cover, hasse)
+    build += (10 << w) + runs * 32 + (2 << h) + cols * 8
+    # The advance, beside G: a batch of G's closure; or M, a row of high
+    # halves a column run, beside a batch of its product or its transposed
+    # copy; then that copy beside a batch of its closure, or of its
+    # product beside the cells, a column run a run; then the cells, the
+    # cells of the classes of more than one in class order, and the maxima
+    # of all classes before they are put in class order.  A batch gathers
+    # and makes at most its members or pairs and twice its parents or
+    # owners, their maxima and the rows a product folds them into
+    rows = lambda batches: max([at.size + 2 * len(r) for r, at, *_ in batches], default=0)
+    most, table = cols * highs, runs * cols
+    advance = max(rows(plan.lam_closure) * highs,
+                  most + max(rows(plan.lam_product) * highs, most, rows(plan.closure) * cols,
+                             table + rows(plan.product) * cols),
+                  table + cells + groups)
+    return groups, held, build, len(plan.lam) * highs, advance
 
 
 def _brute_bytes(objective: Objective, m: int, n: int) -> int:
@@ -468,22 +470,15 @@ class _SplitPlan(NamedTuple):
     witness scan reach them over the two halves of a row (_split_plan)."""
 
     keys: np.ndarray  # the classes: the triple masks that occur, ascending
-    # the distinct high halves of the complemented keys, by the key high
-    # half K_j they complement, ascending, so that the classes of each
-    # column come in a run, in column order
-    hv: np.ndarray
-    at: np.ndarray  # each class's flat index into a (2^h', len(hv)) low array
-    low: int  # h' (_open_split)
+    hv: np.ndarray  # the distinct ~K_j, for the key high halves K_j ascending
+    lam: np.ndarray  # the distinct key low halves λ, ascending
+    at: np.ndarray  # each class's flat index into a (len(lam), len(hv)) array G
     split: int  # the runs of rows with b = 0, which come first
     # the column runs.  col_key (2, column runs) is each one's low half of
     # its keys given b = 0, 1, times 2, plus t, and col_of each low half's
     # column run (intp)
     col_key: np.ndarray
     col_of: np.ndarray
-    # the column runs' batches (_batches): (column runs, the rows of low
-    # their low halves lo read, (~lo >> shift) & (2^h' - 1), the most pc(lo)
-    # at each (int8, (column runs, k, 1)), more)
-    col_batches: list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]
     # the (run, column run) cells, as flat indices into a (runs, column
     # runs) array (intp): the cells of the classes of one cell first, then
     # the other classes' in class order, and where each of those starts
@@ -492,13 +487,11 @@ class _SplitPlan(NamedTuple):
     order: np.ndarray
     class_starts: np.ndarray
     by_class: np.ndarray
-    # the closure's batches, (parents, members) with members[:, 0] the
-    # parents and the rest their Hasse children, in rounds of ascending
-    # popcount (intp)
+    # each side's closure and product (_cover): the λ's, then the K_j's
+    lam_closure: list[tuple[np.ndarray, np.ndarray]]
+    lam_product: list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]
     closure: list[tuple[np.ndarray, np.ndarray]]
-    # the product's batches, (runs, cols, A): each run's undominated pairs,
-    # their columns of hv (intp) and the cover table A (int8, (runs, k, 1))
-    product: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    product: list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]
     # the scan's: the key of the class of a cell (run, c) is
     # (run_keys[run, t] << h) | (col_key[b, c] >> 1), with b the run's side
     # and t = col_key[b, c] & 1
@@ -526,25 +519,15 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     at the column run's t and the column run's low half at the run's b,
     and each state lies in one cell, so the cells' masks are the classes;
     order lists the cells of the classes of one cell, then the others' by
-    class.  at (_open_split) places the classes in the maximum's low
-    array, and col_batches gathers the column runs from its rows, in
-    batches of column runs of one padded length (_batches).
+    class.
 
-    The rest serves the maximum's advance (_max_rule).  The key high halves
-    K_j = ~hv[j] form a family under ⊆; closure holds its Hasse edges
-    (K_j' ⊊ K_j with no member between, found by _hasse), grouped by
-    parent, a round per popcount of the parents.  The cover table A[run, j]
-    is the most houses of a row of the run that misses K_j, where there is
-    one; a row that misses K_j misses every K_j' ⊆ K_j, so A falls as K_j
-    grows.  A pair (run, j) is dominated when some K_k ⊋ K_j has an equal
-    A[run, k], and then a Hasse parent of K_j on the way to K_k has it too;
-    product keeps the rest, each run's in one batch of runs with as many
-    pairs: 1 656 of 6 641 pairs at n = 23, free.  Each row misses K = 0,
-    the high half of key 0, so each run keeps a pair.  A and the dominance
-    are found in one pass, _PLAN_BLOCK (high half, row) pairs at a time,
-    the largest K_j first, so that each pair's parents, which are larger,
-    are done before it; the full cover table is not kept.  At h = 0, t is
-    0 and a run's two high halves agree.
+    The rest serves the maximum's advance (_max_rule), alike on both sides
+    of a row.  at places a key K_j·2^h + λ, with K_j = ~hv[j] and λ =
+    lam[i], at (i, j) of a (len(lam), len(hv)) array.  Each side's family
+    of key halves has its Hasse closure and the undominated pairs of its
+    cover table (_cover): 872 of 3 152 (column run, λ) pairs and 1 656 of
+    6 641 (run, K_j) pairs at n = 23, free.  At h = 0, t is 0 and a run's
+    two high halves agree.
     """
     h, w = n // 2, n - n // 2
     top = (1 << h) >> 1  # bit h - 1; none when h = 0
@@ -556,17 +539,21 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     first = order[starts]
     split = int(np.count_nonzero((hi[first] & 1) == 0))
     hi1, hi0 = hi1[first], hi0[first]
+    half = np.min_scalar_type((1 << w) - 1)
+    rows = hi[order].astype(half)  # the rows in run order
+    del hi
     lo = np.arange(1 << h, dtype=np.uint32)
     col_keys = triple_mask(lo | (np.arange(2, dtype=np.uint32)[:, None] << h), n, bricked)
     col_keys &= (1 << h) - 1
-    # the column runs, each low half's, and their gathers
+    # the column runs, each low half's, and the low halves by column run
     key = col_keys * 2 + ((lo & top) != 0)
     by_col, firsts = _runs((key[0].astype(np.int64) << 32) | key[1])
     cols = len(firsts)
     col_key = key[:, by_col[firsts]]
     col_of = np.empty(1 << h, dtype=np.intp)
     col_of[by_col] = np.repeat(np.arange(cols), _lengths(firsts, 1 << h))
-    del lo, col_keys, key, by_col, firsts
+    halves = by_col.astype(np.min_scalar_type((1 << h) - 1))
+    del lo, col_keys, key, by_col
     # the cells' masks, (runs, column runs): each run's high half at the
     # column run's t, and the column run's low half at the run's b
     masks = np.where((col_key[0] & 1) != 0, hi1[:, None], hi0[:, None])
@@ -598,35 +585,67 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
     np.logical_not(rest, out=rest)
     np.compress(rest, by_mask, out=cells[:ones])
     del by_mask, rest
-    # the key high halves K_j, ascending, and at: the keys' span starts at
-    # bit 0 or 1, so its high halves are the keys' (_open_split)
-    _, shift, _, low, high, at = _open_split(keys, n)
-    # the column runs' gathers: a row of low that low halves of one column
-    # run read is gathered once for them, at their most houses
-    rows = col_of << low | (np.arange((1 << h) - 1, -1, -1) >> shift) & ((1 << low) - 1)
-    by, firsts = _runs(rows)
-    houses = np.maximum.reduceat(np.bitwise_count(by).astype(np.int8), firsts)
-    owner, rows = np.divmod(rows[by[firsts]], 1 << low)
-    col_batches = [(owners, rows[i], houses[i][..., None], more)
-                   for owners, i, more in _batches(owner, np.zeros_like(owner), len(high))]
-    del rows, by, firsts, houses, owner
-    child, parent = _hasse(high)
-    # each high half's Hasse parents, padded with len(high), a row of 0s
+    # each class at (i, j): the K_j come ascending, as the keys do
+    part = keys >> h
+    js = _starts(part)
+    high = part[js].astype(half)
+    np.bitwise_and(keys, (1 << h) - 1, out=part)
+    seen = np.bincount(part, minlength=1) > 0
+    lam = np.flatnonzero(seen).astype(halves.dtype)
+    at = np.take(np.cumsum(seen) - 1, part)
+    del part, seen
+    at *= len(high)
+    at += np.repeat(np.arange(len(high)), _lengths(js, len(keys)))
+    lam_closure, lam_product = _cover(lam, halves, firsts, len(high))
+    del halves, firsts
+    closure, product = _cover(high, rows, starts, cols)
+    del rows
+    run_of = np.empty(1 << w, dtype=np.intp)
+    run_of[order] = np.repeat(np.arange(len(starts)), _lengths(starts, 1 << w))
+    hi_desc = _axis_rows(w, 1 << w)
+    return _SplitPlan(keys, (((1 << w) - 1) - high).astype(half), lam, at, split, col_key,
+                      col_of, cells, class_starts, by_class, lam_closure, lam_product, closure,
+                      product, np.stack([hi0, hi1], axis=1),
+                      _axis_rows(h, 1 << h).astype(np.intp), hi_desc.astype(half),
+                      run_of[hi_desc])
+
+
+def _cover(sets: np.ndarray, items: np.ndarray, starts: np.ndarray,
+           width: int) -> tuple[list, list]:
+    """One side's closure and product for the maximum's advance: sets
+    are its key halves S_j, distinct and ascending, and items its row
+    halves, in the sets' dtype, by owner (column run or run), each owner's
+    from starts on; width is the row width of the arrays the batches read.
+
+    closure holds the family's Hasse edges (S_k ⊊ S_j with no member
+    between, found by _hasse), grouped by parent, a round per popcount of
+    the parents (_close).  The cover table T[owner, j] is the most houses
+    of an item of the owner that misses S_j, where there is one, so T
+    falls as S_j grows.  A pair (owner, j) is dominated when some S_k ⊋
+    S_j has an equal T[owner, k], and then a Hasse parent of S_j on the
+    way to S_k has it too; product keeps the rest, each owner's in one
+    batch of owners with as many pairs (_batches): the owners, their
+    pairs' j (intp), T (int8, (owners, k, 1)) and whether the batch goes
+    on with owners begun before it.  Each item misses the empty set, the
+    half of key 0, so each owner keeps a pair.  T and the dominance are
+    found in one pass, _PLAN_BLOCK (set, item) pairs at a time, the
+    largest S_j first, so that each pair's parents are done before it.
+    """
+    child, parent = _hasse(sets)
+    # each set's Hasse parents, padded with len(sets), a row of 0s
     rank = np.arange(len(child)) - np.searchsorted(child, child)
-    ups = np.full((len(high), int(rank.max(initial=0)) + 1), len(high))
+    ups = np.full((len(sets), int(rank.max(initial=0)) + 1), len(sets))
     ups[child, rank] = parent
-    # the cover table, dense: 1 + A, or 0 where no row of the run misses
-    # K_j, a uint8 flag a (high half, row) pair maxed over each run; then
-    # a pair is kept when its A passes every Hasse parent's
-    half = np.min_scalar_type((1 << w) - 1)
-    rows = hi[order].astype(half)
-    gain = np.bitwise_count(rows) + np.uint8(1)
-    most = np.zeros((len(high) + 1, len(starts)), dtype=np.uint8)
-    keep = np.empty((len(starts), len(high)), dtype=bool)
-    step = max(1, _PLAN_BLOCK >> w)
-    for a in range(len(high) - step, -step, -step):
+    # 1 + T, or 0 where no item of the owner misses S_j, a uint8 flag a
+    # (set, item) pair maxed over each owner; then a pair is kept when its
+    # T passes every Hasse parent's
+    gain = np.bitwise_count(items) + np.uint8(1)
+    most = np.zeros((len(sets) + 1, len(starts)), dtype=np.uint8)
+    keep = np.empty((len(starts), len(sets)), dtype=bool)
+    step = max(1, _PLAN_BLOCK // len(items))
+    for a in range(len(sets) - step, -step, -step):
         z, a = a + step, max(a, 0)
-        flags = ((high[a:z].astype(half)[:, None] & rows) == 0).view(np.uint8)
+        flags = ((sets[a:z, None] & items) == 0).view(np.uint8)
         np.multiply(flags, gain, out=flags)
         np.maximum.reduceat(flags, starts, axis=1, out=most[a:z])
         del flags
@@ -635,26 +654,19 @@ def _split_plan(n: int, bricked: bool) -> _SplitPlan:
             np.maximum(up, most[ups[a:z, i]], out=up)
         np.greater(most[a:z], up, out=keep[:, a:z].T)
     del up
-    run, col = np.nonzero(keep)
-    cover = most[col, run].astype(np.int8) - 1
+    owner, col = np.nonzero(keep)
+    cover = most[col, owner].astype(np.int8) - 1
     del most, keep
-    product = [(runs, col[at], cover[at][..., None], more)
-               for runs, at, more in _batches(run, np.zeros_like(run), cols)]
+    product = [(owners, col[at], cover[at][..., None], more)
+               for owners, at, more in _batches(owner, np.zeros_like(owner), width)]
     # the closure: each round the parents of one popcount, whose children
     # have less
-    rounds = np.bitwise_count(high)[parent]
+    rounds = np.bitwise_count(sets)[parent]
     by = np.lexsort((parent, rounds))
     parent, child = parent[by], child[by]
     closure = [(parents, np.concatenate([parents[:, None], child[at]], axis=1))
-               for parents, at, _ in _batches(parent, rounds[by], cols, 1)]
-    run_of = np.empty(1 << w, dtype=np.intp)
-    run_of[order] = np.repeat(np.arange(len(starts)), _lengths(starts, 1 << w))
-    hi_desc = _axis_rows(w, 1 << w)
-    return _SplitPlan(keys, (((1 << w) - 1) - high).astype(half), at, low, split,
-                      col_key, col_of, col_batches, cells, class_starts, by_class, closure,
-                      product, np.stack([hi0, hi1], axis=1),
-                      _axis_rows(h, 1 << h).astype(np.intp), hi_desc.astype(half),
-                      run_of[hi_desc])
+               for parents, at, _ in _batches(parent, rounds[by], width, 1)]
+    return closure, product
 
 
 def _hasse(high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -842,15 +854,15 @@ class _ReachTables(NamedTuple):
 
 def _open_split(sets: np.ndarray, n: int) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
     """The bits a subset-maximum transform over the distinct sets runs on,
-    and its split there, for both DPs (_split_plan, _reach_tables).
+    and its split there, for the minimum's (_reach_tables).
 
     F, the and of the sets, is in every set.  The open span, from the
     lowest to the highest bit that some set holds and not every set, is
-    squeezed out by a shift and split at h', its bits below h = n // 2,
-    so that a squeezed low half follows from a row's low half.  Exact for
-    any sets, as a bit of F inside the span only costs a pass.  On the
-    free border the span is bits 1..n - 2 for both DPs, so h' = h - 1, and
-    on the bricked one every bit (checked for n = 1..24).
+    squeezed out by a shift and split at h', its bits below h = n // 2.
+    Exact for any sets, as a bit of F inside the span only costs a pass.
+    On the free border the span of the complemented keys is bits 1..n - 2,
+    so h' = h - 1, and on the bricked one every bit (checked for n =
+    1..24).
     Returns F, the shift, the span's n' bits, h', the distinct squeezed
     high halves, ascending, and each set's flat index into a (2^h', their
     count) low array, both intp; the rest is built in the sets' dtype.
@@ -1018,21 +1030,17 @@ def _subset_max_inplace(z: np.ndarray, n: int):
         np.maximum(view[:, 1], view[:, 0], out=view[:, 1])
 
 
-def _low_row(plan: _SplitPlan, grouped: np.ndarray, lo: int, h: int) -> np.ndarray:
-    """The maximum's low array read at lo, before pc(lo), from the grouped
-    maxima its advance read: per column j of hv, the best class of key high
-    half K_j, the j-th run in key order, whose key misses lo.  Read
-    _SCAN_BLOCK >> 2 classes at a time, as score + 128 in uint8 times its
-    fit: 0 at a miss."""
-    row = np.zeros(len(plan.hv), dtype=np.uint8)
-    for a in range(0, len(grouped), _SCAN_BLOCK >> 2):
-        keys = plan.keys[a:a + (_SCAN_BLOCK >> 2)]
-        best = grouped[a:a + len(keys)].view(np.uint8) ^ np.uint8(128)
-        best *= (keys & lo) == 0
-        best = np.maximum.reduceat(best, _starts(keys >> h))
-        cols = row[plan.at[a] % len(plan.hv):][:len(best)]  # from the first class's column
-        np.maximum(cols, best, out=cols)
-    return (row ^ np.uint8(128)).view(np.int8)
+def _low_row(plan: _SplitPlan, g: np.ndarray, lo: int) -> np.ndarray:
+    """The maximum's low row at lo, before pc(lo), from a layer's closed G
+    (_max_rule): per column j of hv, the best class of key high half K_j
+    whose key low half misses lo, the maximum of G's rows whose λ misses
+    lo, _SCAN_BLOCK bytes of them at a time."""
+    fit = np.flatnonzero((plan.lam & lo) == 0)  # never empty: λ = 0 misses lo
+    step = max(1, _SCAN_BLOCK // len(plan.hv))
+    row = g[fit[:step]].max(axis=0)
+    for a in range(step, len(fit), step):
+        np.maximum(row, g[fit[a:a + step]].max(axis=0), out=row)
+    return row
 
 
 class _Clock:
@@ -1154,14 +1162,28 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     return out
 
 
-def _close(low_t: np.ndarray, closure: list[tuple[np.ndarray, np.ndarray]]):
-    """low_t[j] := the maximum of low_t[j'] over every K_j' ⊆ K_j, in place,
-    with the plan's closure (_split_plan): round by round, each parent
-    takes the maximum of its row and its Hasse children's, which an
-    earlier round has closed, so each parent is written once.
-    """
+def _close(table: np.ndarray, closure: list[tuple[np.ndarray, np.ndarray]]):
+    """table[j] := the maximum of table[k] over every S_k ⊆ S_j of one side's
+    family, in place, with its closure (_cover): round by round, each
+    parent takes the maximum of its row and its Hasse children's, which an
+    earlier round has closed, so each parent is written once."""
     for parents, members in closure:
-        low_t[parents] = low_t[members].max(axis=1)
+        table[parents] = table[members].max(axis=1)
+
+
+def _product(table: np.ndarray, product: list, owners: int) -> np.ndarray:
+    """One side's sparse (max, +) product (_max_rule): out[owner] is the
+    maximum of T[owner, j] + table[j] over the owner's kept pairs (_cover),
+    one .max(axis=1) over an (owners, k, width) gather a batch."""
+    out = np.empty((owners, table.shape[1]), dtype=table.dtype)
+    for rows, at, cover, more in product:
+        got = table[at]
+        got += cover
+        best = got.max(axis=1)
+        if more:
+            np.maximum(best, out[rows], out=best)
+        out[rows] = best
+    return out
 
 
 class _Rule(NamedTuple):
@@ -1192,47 +1214,33 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     score of each triple class's rows; it holds no score per row.
 
     A row r admits the rows u above it with triple(u) & r == 0 and scores
-    its houses, pc(hi) + pc(lo) over its two halves (_split_plan).  The
-    advance takes the low array, low[lo, j] the best class of key high half
-    K_j = ~hv[j] whose key misses lo: the classes at their squeezed key
-    low halves (plan.at), subset-transformed over h' bits and read at row
-    (~lo >> shift) & (2^h' - 1), as a key low half, with no bit below the
-    shift, misses lo exactly when it lies in ~lo.  The high half of
-    the transform and the maximum over a run's rows swap, so the best of a
-    run's rows at a low half lo is a sparse (max, +) product with the
-    plan's cover table A,
+    its houses, pc(hi) + pc(lo) over its two halves (_split_plan).  A key
+    K_j·2^h + λ misses r exactly when K_j misses hi and λ misses lo, so
+    the best of the rows of a run and a column run C, which share a class,
+    is a sparse (max, +) product on each side of the row:
 
-        pc(lo) + max over j of (L[lo, j] + A[run, j]),
+        cells[run, C] = max over j of (A[run, j] + M[C, j]),
+        M[C, j] = max over λ of (B[C, λ] + G[λ, j]),
 
-    with L the low array closed over the key high halves: L[lo, j] is the
-    maximum of low[lo, j'] over every K_j' ⊆ K_j.  It is exact over the
-    run's undominated pairs alone.  Every kept term is attained: L[lo, j]
-    is some low[lo, j'] with K_j' ⊆ K_j, and the row that gives A[run, j]
-    misses K_j, so it misses K_j' too and scores at least the term.  A row
-    hi of the run scores pc(hi) plus low[lo, j] at some K_j it misses, at
-    most the term of the pair (run, j); and every dropped pair is dominated
-    by a kept one, whose closed entry is as large at an equal A.
+    with G[λ, j] the grouped maximum of key K_j·2^h + λ, dead where no
+    class has it, and the cover tables (_cover) B[C, λ], the most pc(lo)
+    of a low half of C that misses λ, and A[run, j], the most pc(hi) of a
+    row of the run that misses K_j.  Each product reads its owners'
+    undominated pairs alone, once its input is closed over its family
+    (_close): G over the λ, M over the K_j.  That is exact: a kept term is
+    attained, as the closed G[λ, j] is some G[λ', j] with λ' ⊆ λ and the
+    low half that gives B[C, λ] misses λ' too, and a dropped pair is
+    dominated by a kept one, whose closed entry is as large at an equal
+    B; so too on the high side.
 
-    A class is a (run, column run) cell, so the advance needs that product
-    only at its maximum over each column run C, and it takes that maximum
-    first:
-
-        cells[run, C] = max over j of (A[run, j] + close(M)[C, j]),
-        M[C, j] = max over lo in C of (pc(lo) + low[lo, j]).
-
-    The maxima over lo in C commute with both steps: A does not depend on
-    lo, and the closure (_close) maxes over j alone.  So the closure and
-    the product run over the column runs, 188 at n = 23 free, not the 2^h
-    = 2 048 low halves.  M takes them from low, one gather a batch of
-    column runs of one padded length (_batches); transposed, it is closed
-    in place, and each batch of runs with k pairs (_batches) takes one
-    .max(axis=1) over a (runs, k, column runs) gather of its rows.  The
-    cells are then maxed into their classes, the classes of one cell by
-    one gather and the rest by one reduceat, and put in class order.  Row
-    1 is the advance from low = 0: the empty north row admits every row.
-    A row's layer is the grouped maxima its advance read (None for row 1)
-    and its cells, shifted by the row before it; the scan rebuilds the
-    one row of low it tries from those maxima (_low_row).
+    So the advance scatters the classes into G (plan.at), closes it, takes
+    M, transposed, closes it and takes the cells, one .max(axis=1) over a
+    gather of a product's table rows a batch (_product).  The cells are
+    then maxed into their classes, the classes of one cell by one gather
+    and the rest by one reduceat, and put in class order.  Row 1 is the
+    advance from key 0 alone, at 0: the empty north row admits every row.
+    A row's layer is its closed G, shifted by the row before it, and its
+    cells.
 
     The scan picks in three exact steps.  The target is the best score of
     the rows that fit the row r below, and the rows of a cell share a
@@ -1243,9 +1251,9 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     rev_h(lo)·2^(n - h) + rev(hi), so the pick's low half is the one of
     largest rev_h where a fitting row scores the target, and such a row
     lies in a hit cell.  The low halves of the hit column runs are tried by
-    descending rev_h: at each, a row hi scores its houses plus the best low
-    entry at the high halves hv ⊇ hi (the closure leaves that maximum as
-    it is, as those K_j take in every K_j' ⊆ K_j).  Its rows in its hit
+    descending rev_h: at each, its low row, the maximum of G's rows whose
+    λ misses lo (_low_row), and a row hi scores its houses plus the best
+    entry of that row at the high halves hv ⊇ hi.  Its rows in its hit
     runs are scored by descending rev, step at a time, and the first to
     score the target is the pick.
     """
@@ -1265,34 +1273,16 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
     col_desc = plan.col_of[plan.lo_desc]
 
     def advance(grouped, clock):
-        low = np.full((1 << plan.low, len(plan.hv)), 0 if grouped is None else _DEAD, np.int8)
-        if grouped is not None:
-            low.reshape(-1)[plan.at] = grouped
-            _subset_max_inplace(low, plan.low)
-        # M[c, j]: the best pc(lo) + low[lo, j] over the low halves lo of
-        # column run c, each read at its row
-        most = np.empty((cols, len(plan.hv)), dtype=np.int8)
-        for rows, at, houses, more in plan.col_batches:
-            best = low[at]
-            best += houses
-            best = best.max(axis=1)
-            if more:
-                np.maximum(best, most[rows], out=best)
-            most[rows] = best
-        del low
-        most_t = np.ascontiguousarray(most.T)
-        del most
-        if grouped is not None:  # row 1's maxima do not depend on j
-            _close(most_t, plan.closure)
-        cells = np.empty((runs, cols), dtype=np.int8)
-        for rows, at, cover, more in plan.product:
-            got = most_t[at]
-            got += cover
-            best = got.max(axis=1)
-            if more:
-                np.maximum(best, cells[rows], out=best)
-            cells[rows] = best
-        del got, best, most_t
+        g = np.full((len(plan.lam), len(plan.hv)), _DEAD, dtype=np.int8)
+        if grouped is None:
+            g[0, 0] = 0  # row 1 reads key 0, at (0, 0), alone
+        else:
+            g.reshape(-1)[plan.at] = grouped
+        _close(g, plan.lam_closure)
+        most_t = np.ascontiguousarray(_product(g, plan.lam_product, cols).T)
+        _close(most_t, plan.closure)
+        cells = _product(most_t, plan.product, runs)
+        del most_t
         clock.lap("transform")
         # the cells maxed into their classes: the one-cell classes' taken
         # alone, the rest's reduced, then all put in class order
@@ -1300,10 +1290,10 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
         flat.take(plan.order[:ones], out=out[:ones])
         if ones < len(keys):
             np.maximum.reduceat(flat.take(plan.order[ones:]), plan.class_starts, out=out[ones:])
-        return out.take(plan.by_class), (grouped, cells)
+        return out.take(plan.by_class), (g, cells)
 
     def scan(layer, below, target):
-        grouped, cells = layer
+        g, cells = layer
         r = below[-1]
         # the (run, column run) cells that hold a fitting row of the target.
         # A cell's key is (run_keys[run, t] << h) | (col_key[b, c] >> 1),
@@ -1316,14 +1306,14 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
         hit = cells == target
         hit &= (fit[:, None] & by_t).reshape(6, cols)[side_of + high.sum(axis=1)]
         # the low halves of the hit column runs by descending rev_h; at each,
-        # its row of low, and the rows of its hit runs by descending rev,
-        # step at a time: a row scores its houses and the best low entry of
-        # the high halves that hold it.  The first low half where a row
-        # scores the target holds the pick
+        # its low row, and the rows of its hit runs by descending rev, step
+        # at a time: a row scores its houses and the best entry of the low
+        # row at the high halves that hold it.  The first low half where a
+        # row scores the target holds the pick
         some = hit.any(axis=0)
         for at in np.flatnonzero(some[col_desc]):
             lo = int(plan.lo_desc[at])
-            low = np.int8(0) if grouped is None else _low_row(plan, grouped, lo, h)
+            low = _low_row(plan, g, lo)
             rows = plan.hi_desc[hit[plan.run_desc, col_desc[at]]]
             for a in range(0, len(rows), step):
                 hi = rows[a:a + step, None]
@@ -1336,16 +1326,16 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
 
     # the close-off reads the classes the virtual south row admits
     close = lambda grouped: np.where((keys & d_v) == 0, grouped, _DEAD).max()
-    # a layer is the grouped maxima and the cells.  A scan call holds two
-    # bools a cell, its hits and their fit test, and a few words a run and
-    # a column run; then a bool a column run, a bool and an intp a low
-    # half; the rebuild of a row of low (_low_row), six bytes a class of
-    # a block and a few words a column; a bool and a high half a row, and,
-    # step rows at a time, their test against hv (in hv's dtype, bool and
-    # int8) and their houses
+    # a layer is G and the cells.  A scan call holds two bools a cell, its
+    # hits and their fit test, and a few words a run and a column run; then
+    # a bool a column run, a bool and an intp a low half; a low row
+    # (_low_row), the λ's test in their dtype, its flag and the fitting
+    # rows (intp), and a block of step rows of G, its maxima and the row;
+    # a bool and a high half a row, and, step rows at a time, their test
+    # against hv (in hv's dtype, bool and int8) and their houses
     test = step * len(plan.hv) * (plan.hv.itemsize + 2)
-    rebuild = min(len(keys), _SCAN_BLOCK >> 2) * 6 + len(plan.hv) * 40
-    return _Rule(advance, close, scan, 1, len(keys) + runs * cols, 1,
+    rebuild = len(plan.lam) * (plan.lam.itemsize + 9) + (step + 2) * len(plan.hv)
+    return _Rule(advance, close, scan, 1, len(plan.lam) * len(plan.hv) + runs * cols, 1,
                  2 * runs * cols + runs * 30 + cols * 12 + (9 << h) + rebuild
                  + ((1 + plan.hv.itemsize) << w) + test + step * 16)
 
@@ -1524,11 +1514,10 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     proposition can cover the last row.  The sweep carries the states'
     int8 maxima over the triple classes of their oldest row, and they are
     its whole state: the rule closes them off at the virtual south row at
-    m, and advances them to m + 1 through a subset-maximum transform:
-    the maximum's over the low half of a row, whose high half it takes as
-    a product with its cover table (_max_rule), and the minimum's over
-    the open bits, a chunk of rows at a time (_pair_advance).  Neither
-    holds a score per state.  No array
+    m, and advances them to m + 1: the maximum through a sparse product
+    with a cover table on each half of a row (_max_rule), and the minimum
+    through a subset-maximum transform over the open bits, a chunk of rows
+    at a time (_pair_advance).  Neither holds a score per state.  No array
     maps a row to its class: the plan groups the maximum's rows, the
     minimum's tables list its rows by |D_c| and class, and the witness
     scan takes triple masks of the rows it reads.
@@ -1542,15 +1531,16 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     m0 + 1 + (m - m0 - 1) mod p.  With a witness, the rule's layer of each
     row is kept until then, and a backward scan rebuilds the rows from the
     virtual south row up (rule.scan), reusing the layers past m0
-    periodically.  Ties break toward the largest rev of each row, the last
-    row first.  Every result's stats carry the seconds spent so far per
-    phase (_PHASES).
+    periodically, and each pick once its kept row, the rows below it and
+    its shifted target repeat.  Ties break toward the largest rev of each
+    row, the last row first.  Every result's stats carry the seconds spent
+    so far per phase (_PHASES).
 
     The byte cap is checked against the estimate without a witness
     (_check_limits) before the first row.  A witness charges each layer it
     keeps past the rule's held ones before the advance makes it, and a
-    scan call and the rows as each scan starts, for that scan alone: a
-    result's "state_bytes" is the peak charged so far.
+    scan call, the rows and their picks as each scan starts, for that scan
+    alone: a result's "state_bytes" is the peak charged so far.
     """
     maximize = objective is Objective.MAX_PERMISSIBLE
     bricked = boundary is Boundary.BRICKED
@@ -1600,19 +1590,26 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         dims = Dims(m, n, boundary)
         witness, peak = None, charged
         if want_witness:
-            # one scan call, and the rows' Python objects, 168 bytes a row
-            # measured
-            peak = _check_bytes(charged + rule.pick + m * 256, limits)
+            # one scan call, and the rows' Python objects and the picks'
+            # entries, 168 and at most 200 bytes a row measured
+            peak = _check_bytes(charged + rule.pick + m * 512, limits)
             # Walking north from the virtual south row, a kept layer's best
             # score over the rows u that fit the rows below it is the
             # target, and the layer kept a row earlier scores the target
             # less the gain of u.  So each row is the fitting row that
             # scores the target of largest rev (rule.scan), the row a stored
-            # argmax would give.
-            below, target = [d_v], score
+            # argmax would give.  A scan reads its layer, the last two rows
+            # below and its target alone, so a pick is made once for each
+            # kept row, those rows and the target less the row's shift, and
+            # reused when they repeat, as they do past the sweep's cycle
+            below, target, picks = [d_v], score, {}
             for k in range(m, 0, -1):
                 row, shift = repeat(k)
-                u = rule.scan(layers[row - 1], below, target - shifts[row - rule.lag] - shift)
+                at = target - shifts[row - rule.lag] - shift
+                key = (row, *below[-2:], at)
+                u = picks.get(key)
+                if u is None:
+                    u = picks[key] = rule.scan(layers[row - 1], below, at)
                 if u < 0:
                     raise SettleError("internal error: the backward scan lost the optimum's path")
                 below.append(u)

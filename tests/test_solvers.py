@@ -36,6 +36,7 @@ from settle.solvers import (
     _open_split,
     _pair_advance,
     _pick,
+    _product,
     _reach,
     _reach_bits,
     _reach_tables,
@@ -541,6 +542,40 @@ class TestPeriodicSweep:
                 got.append([res.stats[k] for k in ("transient", "period", "slope")])
             assert [list(column) for column in zip(*got)] == list(want), boundary
 
+    # sha256 of "20000x12:" and the witness rows, as the scan gave them
+    # when it picked once a row
+    @pytest.mark.parametrize("boundary, optimum, digest", [
+        (Boundary.FREE, (3 * 12 * 20000 + 4) // 4,
+         "ba27dedb2800296ac71d3da14edf98e8f7b10ad67a72a48524f5cbf084c2a6bb"),
+        # criterion 08: the free E(20001, 14) less 2 * 20001 + 14 - 2
+        (Boundary.BRICKED, (3 * 14 * 20001 + 6) // 4 - (2 * 20001 + 14 - 2),
+         "785bb832227361a95197fd799fcdbed4bc74fa087193cbf57231729741dcf030"),
+    ], ids=["free", "bricked"])
+    def test_tall_strip_scan_picks_once_per_state(self, boundary, optimum, digest, monkeypatch):
+        # max 20000x12 with a witness: a pick is made once for each kept
+        # row, the rows below it that the scan reads and its shifted
+        # target, and reused when they repeat past the sweep's cycle, so
+        # the scan runs a few times, not once a row, and gives the same
+        # rows
+        made, calls = _max_rule, []
+
+        def rule(n, bricked, d_v):
+            inner = made(n, bricked, d_v)
+
+            def scan(*args):
+                calls.append(args)
+                return inner.scan(*args)
+
+            return inner._replace(scan=scan)
+
+        monkeypatch.setattr("settle.solvers._max_rule", rule)
+        res = solve(SolveRequest.maximum(20000, 12, boundary))
+        assert 0 < len(calls) < 100
+        assert res.optimum == res.witness.occupancy() == optimum
+        assert res.witness.is_maximal()
+        rows = " ".join(map(str, res.witness.row_bits))
+        assert hashlib.sha256(f"20000x12:{rows}\n".encode()).hexdigest() == digest
+
     def test_growth_rate_per_row(self):
         # E grows by (3n + n mod 2)/4 houses a row on the free border; the
         # bricked rate at n is the free rate at n + 2 less 2, criterion 08's
@@ -728,26 +763,26 @@ class TestStateBytes:
     def charges(res, bricked):
         """What a witness solve charges beyond _need_bytes: each layer it
         keeps past the ones the estimate holds, and one scan call.  The
-        maximum keeps the grouped maxima each row's advance read and its
-        (run, column run) cells, the last row's in the estimate as its
-        advance's arrays, and its scan call holds two bools per cell, a
-        few arrays of a word a run, a column run, a low half or one low
-        half's rows, one row of low and its rebuild over a block of
-        classes, and one block of their (row, high half) test.  The
-        minimum keeps its grouped maxima, a score per class and
+        maximum keeps each row's closed G and its (run, column run)
+        cells, the last row's in the estimate as its advance's arrays, and
+        its scan call holds two bools per cell, a few arrays of a word a
+        run, a column run, a low half or one low half's rows, one low row
+        with its test of the λ and a block of G's rows, and one block of
+        their (row, high half) test.  The minimum keeps its grouped maxima, a score per class and
         representative row, the ring's _RING + 1 of them in the estimate,
         and a single-row minimum its one state; both pick over one
         _SCAN_BLOCK, the minimum over at most its 2^n rows, and the
         minimum's pick reads two reads put back in row order, a byte a
-        row."""
+        row.  Each row charges 512 bytes, its Python objects and its pick's
+        memo entry."""
         m, n = res.dims.rows, res.dims.cols
         h, pick = n // 2, _SCAN_BLOCK * 32
         if res.objective is Objective.MAX_PERMISSIBLE:
             plan = _split_plan(n, bricked)
             runs, cols, size = len(plan.run_keys), plan.col_key.shape[1], plan.hv.itemsize
-            layer, held, states = len(plan.keys) + runs * cols, 1, 1 << n
+            layer, held, states = len(plan.lam) * len(plan.hv) + runs * cols, 1, 1 << n
             step = max(1, _SCAN_BLOCK // len(plan.hv))
-            rebuild = min(len(plan.keys), _SCAN_BLOCK >> 2) * 6 + len(plan.hv) * 40
+            rebuild = len(plan.lam) * (plan.lam.itemsize + 9) + (step + 2) * len(plan.hv)
             pick = (2 * runs * cols + runs * 30 + cols * 12 + (9 << h) + ((1 + size) << (n - h))
                     + rebuild + step * len(plan.hv) * (size + 2) + step * 16)
         elif m == 1:
@@ -757,7 +792,7 @@ class TestStateBytes:
             layer, held, states = len(_reach_bits(n, bricked)[0]) * rows, _RING + 1, 4**n
             pick = min(_SCAN_BLOCK, 1 << n) * 32 + (1 << n)
         kept = res.stats["states"] // states
-        return max(kept - held, 0) * layer + pick + m * 256
+        return max(kept - held, 0) * layer + pick + m * 512
 
     @pytest.mark.parametrize("bricked", [False, True])
     @pytest.mark.parametrize("n", [20, 24, 26, 28])
@@ -1033,7 +1068,7 @@ class TestPairRule:
                 assert ((reach & ~more)[grown] == 0).all(), (n, bricked, k)
 
     def test_open_bits_are_all_but_the_edges_on_the_free_border(self):
-        # the premise of both DPs' transforms over the open span
+        # the premise of the minimum's transform over the open span
         # (_open_split), n = 1..24: no bit is in every key, and the keys span
         # bits 1..n - 2 on the free border and every bit on the bricked one,
         # split at h' = h - 1 and h, with high halves the keys' own; the
@@ -1297,8 +1332,7 @@ class TestSplitRow:
                 np.maximum.at(want, ids, scores)
                 cells = np.full((len(plan.run_keys), plan.col_key.shape[1]), _DEAD, dtype=np.int8)
                 np.maximum.at(cells, (run, col), scores)
-                got, (read, got_cells) = rule.advance(last, _Clock())
-                assert read is last
+                got, (_, got_cells) = rule.advance(last, _Clock())
                 assert np.array_equal(got_cells, cells), (n, bricked)
                 assert np.array_equal(got, want), (n, bricked)
 
@@ -1329,12 +1363,12 @@ class TestSplitRow:
             _split_plan.cache_clear()
 
     @staticmethod
-    def kept_pairs(plan):
-        """Each run's kept pairs {column of hv: A} from the product's
-        batches; each run begins in one batch, and a batch that goes on
-        with runs adds to runs begun before it."""
+    def kept_pairs(product):
+        """Each owner's kept pairs {j: T} from one side's product batches;
+        each owner begins in one batch, and a batch that goes on with
+        owners adds to owners begun before it."""
         kept = {}
-        for rows, cols, cover, more in plan.product:
+        for rows, cols, cover, more in product:
             assert cols.shape == cover.shape[:2] == (len(rows), cols.shape[1])
             for r, js, a in zip(rows.tolist(), cols.tolist(), cover[:, :, 0].tolist()):
                 assert (r in kept) == more, r
@@ -1357,7 +1391,7 @@ class TestSplitRow:
             assert plan.keys[0] == 0 and plan.hv[0] == full, (n, bricked)
             rows = np.zeros((len(plan.run_keys), 1 << w), dtype=bool)
             rows[plan.run_desc, plan.hi_desc] = True
-            kept = self.kept_pairs(plan)
+            kept = self.kept_pairs(plan.product)
             assert sorted(kept) == list(range(len(rows))), (n, bricked)
             most = [int(np.bitwise_count(np.flatnonzero(r)).max()) for r in rows]
             assert [max(kept[r].values()) for r in range(len(rows))] == most, (n, bricked)
@@ -1380,22 +1414,60 @@ class TestSplitRow:
                         assert set(equal) & set(kept[r]), (n, bricked, r, j)
 
     @pytest.mark.parametrize("bricked", [False, True])
+    def test_every_dropped_column_pair_has_a_kept_hasse_parent(self, bricked):
+        # the low product's premise, n = 1..16: the closure's edges are the
+        # Hasse edges of the key low halves λ, and against each column
+        # run's full cover table B[C, λ], the most pc(lo) of its low halves
+        # lo that miss λ, every kept pair carries its B and passes every
+        # Hasse parent's, and every dropped pair has a Hasse parent with an
+        # equal B whose pair is kept, or dropped and matched the same way
+        for n in range(1, 17):
+            plan = _split_plan(n, bricked)
+            lam, cols = plan.lam.astype(np.int64), plan.col_key.shape[1]
+            lo = np.arange(1 << (n // 2))
+            within = (lam[:, None] & ~lam) == 0  # within[i, k]: λ_i ⊆ λ_k
+            above = within & ~np.eye(len(lam), dtype=bool)
+            hasse = above & ~((above.astype(np.int64) @ above.astype(np.int64)) > 0)
+            parents = np.zeros_like(hasse)
+            for heads, members in plan.lam_closure:
+                parents[members[:, 1:], heads[:, None]] = True
+            assert np.array_equal(parents, hasse), (n, bricked)
+            houses = np.bitwise_count(lo).astype(int)[:, None]
+            table = np.full((cols, len(lam)), -1)  # -1 where no low half misses λ
+            np.maximum.at(table, plan.col_of, np.where((lo[:, None] & lam) == 0, houses, -1))
+            kept = self.kept_pairs(plan.lam_product)
+            assert sorted(kept) == list(range(cols)), (n, bricked)
+            for c, row in enumerate(table.tolist()):
+                matched = set(kept[c])
+                for i in range(len(lam) - 1, -1, -1):  # a λ's parents come after it
+                    ups = np.flatnonzero(hasse[i]).tolist()
+                    if i in kept[c]:
+                        assert kept[c][i] == row[i] >= 0, (n, bricked, c, i)
+                        assert all(row[k] < row[i] for k in ups), (n, bricked, c, i)
+                    elif row[i] >= 0:
+                        assert any(row[k] == row[i] and k in matched for k in ups), \
+                            (n, bricked, c, i)
+                        matched.add(i)
+
+    @pytest.mark.parametrize("bricked", [False, True])
     def test_closure_takes_every_subset_key(self, bricked):
-        # the closure's rounds: on random int8 rows with dead entries, row
-        # j becomes the maximum of the rows j' with K_j' ⊆ K_j, against a
-        # dense reference over the family's order
+        # both closures' rounds: on random int8 rows with dead entries, row
+        # j becomes the maximum of the rows j' whose key half is a subset
+        # of j's, against a dense reference over the family's order, for
+        # the key high halves K_j and the key low halves λ
         rng = np.random.default_rng(8)
         for n in range(1, 25):
             plan = _split_plan(n, bricked)
             w = n - n // 2
-            keys = ((1 << w) - 1) - plan.hv.astype(np.int64)
-            low_t = rng.integers(-2 * n, 0, (len(keys), 1 << (n // 2)), endpoint=True)
-            low_t = low_t.astype(np.int8)
-            low_t[rng.random(low_t.shape) < 0.3] = _DEAD
-            within = (keys[:, None] & ~keys) == 0  # within[j', j]: K_j' ⊆ K_j
-            want = np.stack([low_t[within[:, j]].max(axis=0) for j in range(len(keys))])
-            _close(low_t, plan.closure)
-            assert np.array_equal(low_t, want), (n, bricked)
+            for sets, closure in ((((1 << w) - 1) - plan.hv.astype(np.int64), plan.closure),
+                                  (plan.lam.astype(np.int64), plan.lam_closure)):
+                rows = rng.integers(-2 * n, 0, (len(sets), 1 << (n // 2)), endpoint=True)
+                rows = rows.astype(np.int8)
+                rows[rng.random(rows.shape) < 0.3] = _DEAD
+                within = (sets[:, None] & ~sets) == 0  # within[j', j]: S_j' ⊆ S_j
+                want = np.stack([rows[within[:, j]].max(axis=0) for j in range(len(sets))])
+                _close(rows, closure)
+                assert np.array_equal(rows, want), (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_column_runs_hold_both_sides_keys(self, bricked):
@@ -1411,13 +1483,25 @@ class TestSplitRow:
             assert np.array_equal(plan.col_key[:, plan.col_of], key), (n, bricked)
             assert plan.col_key.shape[1] == len(set(zip(*key.tolist()))), (n, bricked)
 
-    def test_low_array_loses_bit_0_on_the_free_border(self):
-        # no free key has bit 0, so the low array's term of the estimate is
-        # half of 2^h rows of len(hv) there, and all of them bricked
-        for n in range(3, 25):
+    def test_g_holds_each_class_once_in_its_estimate_term(self):
+        # G is (len(lam), len(hv)): each class at its own cell, the row of
+        # its key low half and the column of its key high half, and the
+        # estimate's G term (_split_bytes) is its cells.  From n = 8 on the
+        # free border and n = 4 on the bricked one it is smaller than a
+        # dense array of the 2^h low halves' rows, 2^h' of them over the
+        # bits the keys leave open (h' = h - 1 on the free border)
+        for n in range(1, 25):
             for bricked in (False, True):
-                highs = len(_split_plan(n, bricked).hv)
-                assert _split_bytes(n, bricked)[3] == highs << (n // 2 - (not bricked)), n
+                plan = _split_plan(n, bricked)
+                h, w = n // 2, n - n // 2
+                i, j = np.divmod(plan.at, len(plan.hv))
+                assert len(np.unique(plan.at)) == len(plan.keys), (n, bricked)
+                key = ((((1 << w) - 1) - plan.hv[j].astype(np.int64)) << h) | plan.lam[i]
+                assert np.array_equal(key, plan.keys), (n, bricked)
+                term = _split_bytes(n, bricked)[3]
+                assert term == len(plan.lam) * len(plan.hv), (n, bricked)
+                dense = len(plan.hv) << max(h - (not bricked), 0)
+                assert term < dense if n >= (4 if bricked else 8) else term == dense, (n, bricked)
 
     def test_plan_class_counts_are_fibonacci(self):
         # the classes that _split_plan finds, counted: on the free border
@@ -1431,13 +1515,13 @@ class TestSplitRow:
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_transform_matches_the_naive_maximum(self, bricked, monkeypatch):
-        # the low array: low[lo, j] is the best class whose key high half
-        # is K_j = ~hv[j] and whose key low half misses lo, as the advance
-        # builds it (the classes at their squeezed key low halves,
-        # subset-transformed over h' bits and read at row (~lo >> shift) &
-        # (2^h' - 1)) and as the scan rebuilds each row (_low_row),
-        # also in blocks of five classes, so that a key high half's classes
-        # span blocks; and the test reference superset_scores: z[r] is the
+        # n = 1..12, against the naive low row, low[lo, j] the best class
+        # whose key high half is K_j = ~hv[j] and whose key low half misses
+        # lo: the scan's low rows (_low_row), read from the closed G of the
+        # advance's layer, also two rows of G at a time, so that the λ
+        # that miss lo span blocks; and M, the low product of that G, at
+        # each column run C the best pc(lo) + low[lo, j] over its low
+        # halves lo; and the test reference superset_scores: z[r] is the
         # best class whose key misses r, the rows r admits above it
         rng = np.random.default_rng(6)
         for n in range(1, 13):
@@ -1448,15 +1532,15 @@ class TestSplitRow:
             high = ((1 << w) - 1) - plan.hv.astype(np.int64)
             want = [[grouped[((keys >> h) == k) & ((keys & lo) == 0)].max(initial=-128)
                      for k in high.tolist()] for lo in range(1 << h)]
-            low = np.full((1 << plan.low, len(plan.hv)), -128, dtype=np.int8)
-            low.reshape(-1)[plan.at] = grouped
-            _subset_max_inplace(low, plan.low)
-            shift = _open_split(keys, n)[1]
-            at = (((1 << h) - 1 - np.arange(1 << h)) >> shift) & ((1 << plan.low) - 1)
-            assert low[at].tolist() == want, (n, bricked)
-            for block in (_SCAN_BLOCK, 20):  # 16 384 and five classes at a time
+            most = np.full((plan.col_key.shape[1], len(high)), -128 - 1)
+            for lo, row in enumerate(want):
+                c = plan.col_of[lo]
+                most[c] = np.maximum(most[c], np.array(row) + lo.bit_count())
+            _, (g, _) = _max_rule(n, bricked, 0).advance(grouped, _Clock())
+            assert _product(g, plan.lam_product, len(most)).tolist() == most.tolist(), (n, bricked)
+            for block in (_SCAN_BLOCK, 2 * len(high)):
                 monkeypatch.setattr("settle.solvers._SCAN_BLOCK", block)
-                rows = [_low_row(plan, grouped, lo, h).tolist() for lo in range(1 << h)]
+                rows = [_low_row(plan, g, lo).tolist() for lo in range(1 << h)]
                 assert rows == want, (n, bricked, block)
             monkeypatch.undo()
             want = [grouped[(keys & r) == 0].max(initial=-128) for r in range(1 << n)]
@@ -1511,7 +1595,8 @@ class TestSplitRow:
         for n in range(1, 17):
             plain = next(_sweep(Objective.MAX_PERMISSIBLE, n, boundary, [60], False, Limits()))
             m0, p = plain.stats["transient"], plain.stats["period"]
-            rows = sorted({1, 2, max(1, m0 - 1), m0, m0 + 1, m0 + p, m0 + p + 1, 3 * (m0 + p) + 1})
+            rows = sorted({1, 2, max(1, m0 - 1), m0, m0 + 1, m0 + p, m0 + p + 1, 2 * (m0 + p),
+                           3 * (m0 + p) + 1})
             for res in _sweep(Objective.MAX_PERMISSIBLE, n, boundary, rows, True, Limits()):
                 assert res.witness.occupancy() == res.optimum
         # the target ties across many low halves somewhere
