@@ -29,40 +29,40 @@ The row mask algebra comes from the rows module, evaluated on numpy
 arrays of states.
 
 The minimum reads no split plan: its classes and reach tables are its
-own (_reach_bits, _reach_tables).  A pair (c, d) admits the rows u
-above it with ~triple(u) ⊆ reach(c, d), so its transition maximum is one
-subset-maximum transform over the classes, scattered at ~triple(u) and
-read at reach.  Every complemented key holds the bits F that no triple
-mask has, the two edge bits on the free border, so a reach that lacks a
-bit of F admits no row above; the transform runs over the n' open bits
-alone, squeezed there by a shift and split in two halves (_open_split),
-on a chunk of current rows at a time, as a trailing axis, into a block
-of 2^n' rows and one dead row (_pair_advance).  It reads the transformed
-chunk at reach(c, d) for every current row c and row d below (_reach),
-and takes the maximum over the rows c of each class.  reach is c or-ed
-with masks of c and-ed with shifts of d: for a row c with key K, it is 0
-where d meets K, and otherwise reads d only through the few bits D_c
-that change it (_reach_bits).  So _reach_tables holds, per row, its
-reach at the 2^|D_c| subsets of D_c and one reach-0 slot, each stored as
-the block row it reads: the advance reads those entries alone, maxes
-each into its class's slot of the same bits, and one subset-maximum
-transform over each class's slots (the bits D_g of all its rows) fills
-the rest, since a row's reach grows with d.  At n = 12 it reads 0.4% of
-the 4^n pairs on the free border and 1.0% on the bricked one.  Then each
-class's slots are expanded to the rows d.  The state's columns are
-kept in the tables' row order, so that a chunk is a run of columns.
+own (_reach_bits, _reach_tables).  A pair (c, d) admits the rows u above
+it whose hole, the complemented key ~triple(u), lies in reach(c, d).  The
+classes are and-closed, so the holes are or-closed: those inside a reach
+R have one largest, their union, of class g(R) (_hole_classes), and the
+transition maximum at R is the state closed over the holes' lattice,
+along their Hasse edges (_close), read at g(R).  The advance closes a
+chunk of current rows at a time, as a trailing axis, in a (classes + 1,
+chunk) block whose last row, dead, is g of a reach that holds no hole
+(_pair_advance).  It reads the closed chunk at g(reach(c, d)) for every
+current row c and row d below (_reach), and takes the maximum over the
+rows c of each class.  reach is c or-ed with masks of c and-ed with
+shifts of d: for a row c with key K, it is 0 where d meets K, and
+otherwise reads d only through the few bits D_c that change it
+(_reach_bits).  So _reach_tables holds, per row, its reach at the
+2^|D_c| subsets of D_c and one reach-0 slot, each stored as its g: the
+advance reads those entries alone, maxes each into its class's slot of
+the same bits, and one subset-maximum transform over each class's slots
+(the bits D_g of all its rows) fills the rest, since a row's reach grows
+with d.  At n = 12 it reads 0.4% of the 4^n pairs on the free border and
+1.0% on the bricked one.  Then each class's slots are expanded to the
+rows d.  The state's columns are kept in the tables' row order, so that
+a chunk is a run of columns.
 
 Every rule treats east and west alike, so the minimum's state is
 mirror-symmetric: the score of (class g, row c) is that of (the class of
 the reversed key, rev(c)).  It keeps the representative rows c <= rev(c)
-alone, 2 080 of the 4 096 at n = 12: its state, its transform, its reads
+alone, 2 080 of the 4 096 at n = 12: its state, its closure, its reads
 and its expansion are half as wide.  One maximum over each class slot
 and its mirror's slot supplies the other rows' reads, and a read of row
 rev(c) at d is a read of row c at rev(d).  In a fresh process, cold
-tables included, min 12×12 with a witness takes 0.03 s at 39 MiB RSS on
-the free border and 0.06-0.09 s at 43 MiB bricked; without one, 14×14
-takes 0.19-0.25 s at 82 MiB and 0.65-0.81 s at 121 MiB, and 16×16 3.5-4.1
-s at 519 MiB and 12.5 s at 951 MiB.
+tables included, min 12×12 with a witness takes 0.035 s at 38 MiB RSS on
+the free border and 0.07-0.08 s at 43 MiB bricked; without one, 14×14
+takes 0.17-0.21 s at 84 MiB and 0.34-0.43 s at 118 MiB, and 16×16 1.9-2.5
+s at 512 MiB and 4.1-5.5 s at 935 MiB.
 
 Past what it scores, the count of DP states it reports and the choice of
 its rule, the sweep does not branch on the objective.  Each solve runs
@@ -219,12 +219,12 @@ _GATHER_BLOCK = 1 << 18  # the bytes of one gather of the maximum's advance (_ba
 _CALL_BYTES = 1 << 14
 _ROW_BYTES = 256
 _PLAN_BLOCK = 1 << 20  # the pairs _split_plan flags, and bytes _hasse ands, at a time
-# The pair advance transforms a chunk of current rows at a time into a
-# (2^n' + 1, chunk) int8 block over the n' open bits (_chunk_rows): about
-# _BLOCK bytes, which stay in cache through the transform, and at least
-# _CHUNK rows, so that the numpy calls a chunk makes stay few.  It reads
-# the block about _READ_ROWS * 2^n table entries at a time, so the flat
-# indices stay in cache too.
+# The pair advance closes a chunk of current rows at a time in a
+# (classes + 1, chunk) int8 block (_chunk_rows): about _BLOCK bytes,
+# which stay in cache through the closure, and at least _CHUNK rows, so
+# that the numpy calls a chunk makes stay few.  It reads the block about
+# _READ_ROWS * 2^n table entries at a time, so the flat indices stay in
+# cache too.
 _BLOCK = 1 << 20
 _CHUNK = 256
 _READ_ROWS = 16
@@ -257,18 +257,20 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
     # place, and its gain; the reach tables; and the rule's gain (int8),
     # its rows in table order and at d_v (uint32), a representative row
     # each
-    tables, made, groups, cols, entries, slots, block = _reach_bytes(n, bricked)
+    tables, made, groups, cols, entries, slots, chunk = _reach_bytes(n, bricked)
     need = _FIXED_BYTES + size * 2 + cols * 9 + tables
     # The minimum's state is its grouped maxima, one (groups,
     # representative rows) array a row, of which the ring holds _RING + 1.
     grouped = groups * cols
     held = min(m, _RING + 1)
-    # a row advance: the next maxima, the low array and the block of a
-    # chunk and the rows' reads, one a table entry; then the flat indices
-    # (intp) of at most _READ_ROWS * 2^n table entries; or, at the end,
-    # the class slots and their mirror, and one class's slot indices
-    # (intp)
-    advance = grouped + block + entries + max(_READ_ROWS * size * 8, 2 * slots + cols * 8)
+    # a row advance: the next maxima, the block of a chunk and the rows'
+    # reads, one a table entry; then a closure's gather and its maxima
+    # (_batches), or the flat indices (intp) of at most _READ_ROWS * 2^n
+    # table entries; or, at the end, the class slots and their mirror, and
+    # one class's slot indices (intp)
+    gather = 3 * min(max(_GATHER_BLOCK, 2 * chunk), groups * (n + 1) * chunk) // 2
+    advance = (grouped + (groups + 1) * chunk + entries
+               + max(gather, _READ_ROWS * size * 8, 2 * slots + cols * 8))
     # a read of _min_rule, for a close-off or a row of the witness scan:
     # the column of reach, built in the uint32 stages of _reach, the
     # uint16 fit test and its mask, clipped in place (_masked_max), and
@@ -284,16 +286,17 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int, i
     """The bytes of the cached _reach_bits and _reach_tables at width n,
     the most their builds hold beyond them, the classes, the
     representative rows c <= rev(c), the entries of the row tables and
-    the class slots, and the bytes of _pair_advance's low array and block.
+    the class slots, and the current rows of _pair_advance's chunk.
 
     The representatives are half of the rows and of the palindromes, x |
     rev(x) for the 2^ceil(n / 2) rows x below them, and a row's mirror
-    has as many own bits D_c: so they hold half of both's entries.
+    has as many own bits D_c: so they hold half of both's entries.  The
+    holes' closure is charged from at most n Hasse parents a class, with
+    no call of _hasse.
     """
     keys, own, seen = _reach_bits(n, bricked)
     half = np.arange(1 << (n + 1) // 2, dtype=np.uint32)
     size, groups, cols = 1 << n, len(keys), ((1 << n) + len(half)) // 2
-    _, _, width, h, hv, _ = _open_split(full_mask(n) ^ keys, n)
     widths = (1 << np.arange(n + 1, dtype=np.int64)) + 1
     rows = np.bincount(np.bitwise_count(own), minlength=n + 1)
     rows += np.bincount(np.bitwise_count(own[half | bit_reverse(half, n)]), minlength=n + 1)
@@ -302,14 +305,15 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int, i
     entries, slots = int(rows @ widths), int(held @ widths)
     bits = int(rows @ np.arange(n + 1))  # the bits of every row's D_c
     item = np.dtype(np.min_scalar_type(1 << int(np.flatnonzero(held)[-1]))).itemsize
-    block = ((len(hv) << h) + (1 << width) + 1) * _chunk_rows(cols, width)
+    edges = groups * n
     # the keys, D_c a row and D_g a class; the rows in table order and
     # their mirrors (intp), the runs and the spans; the uint16 entries,
     # their scatter (intp), the offsets (intp), the slots and their mirror
-    # (intp); the split's hv and at (intp)
+    # (intp); the closure, each class's row and its Hasse children (intp),
+    # and a few batches' objects
     tables = (groups * 8 + size * 4 + cols * 16 + (n + 1) * 600
               + entries * (2 + 8) + groups * 8 + groups * cols * item + slots * 8
-              + len(hv) * 8 + groups * 8)
+              + (edges + 2 * groups) * 8 + (n + 1) ** 2 * _OBJECT_BYTES)
     # _reach_bits: a flag and D_g (uint32) a triple mask, a block's (bit,
     # row) pairs in the uint32 stages of _reach.  _reach_tables: a few
     # words a row (the rows' keys and ids, the mirror test); a few words a
@@ -317,14 +321,20 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int, i
     # (row, bit) flag a bit of it; for each bit of a D_c, its row, place
     # and step (intp) and reach(c, {k}) in uint32 stages, then its step
     # alone beside a run's int64 table and its shifted copy; arrays of a
-    # few words a class and bit; then the slots of a block of classes at
-    # every row d
+    # few words a class and bit; then the g map (uint16) beside the mirror
+    # test and a few words a representative, and _hasse of the holes (its
+    # phases summed, at most half the class pairs ordered) or the
+    # closure's build; then the slots of a block of classes at every row d
     run = int((rows * widths).max())
+    pairs, packed = groups * (groups - 1) // 2, -(-groups // 8)
+    hasse = (3 * groups * groups + 24 * pairs + 2 * groups * packed
+             + 3 * min(_PLAN_BLOCK, pairs * packed) + 16 * edges)
     made = max(size * 5 + min(n << n, _RULE_BLOCK >> 2) * 32,
                size * 40 + cols * (40 + n) + groups * 32 * (n + 8)
                + max(bits * 56, bits * 8 + run * 16),
+               size * 6 + cols * 24 + groups * 16 * n + max(hasse, edges * 48 + groups * 40),
                min(groups, max(1, _BLOCK >> n)) * size * item)
-    return tables, made, groups, cols, entries, slots, block
+    return tables, made, groups, cols, entries, slots, _chunk_rows(cols, groups + 1)
 
 
 @lru_cache(maxsize=8)
@@ -447,6 +457,13 @@ def _check_bytes(need: int, limits: Limits) -> int:
             f"estimated state space of {need} bytes over cap {limits.max_state_bytes}"
         )
     return need
+
+
+def _out_of_memory(need: int | None) -> LimitError:
+    """A MemoryError in a solve or brute_force as a LimitError that names
+    its estimate need, which the byte cap admitted, or None before it."""
+    return LimitError("out of memory " + ("while estimating the state space" if need is None
+                                          else f"within the estimated state space of {need} bytes"))
 
 
 def _check_wall(t0: float, limits: Limits):
@@ -659,14 +676,20 @@ def _cover(sets: np.ndarray, items: np.ndarray, starts: np.ndarray,
     del most, keep
     product = [(owners, col[at], cover[at][..., None], more)
                for owners, at, more in _batches(owner, np.zeros_like(owner), width)]
-    # the closure: each round the parents of one popcount, whose children
-    # have less
+    return _closure(sets, child, parent, width), product
+
+
+def _closure(sets: np.ndarray, child: np.ndarray, parent: np.ndarray,
+             width: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The closure (_close) of a family of distinct sets from its Hasse
+    edges (_hasse), for a table whose rows are width bytes: each round the
+    parents of one popcount, whose children have less, in batches
+    (_batches), a parent's members its own row, then its children's."""
     rounds = np.bitwise_count(sets)[parent]
     by = np.lexsort((parent, rounds))
     parent, child = parent[by], child[by]
-    closure = [(parents, np.concatenate([parents[:, None], child[at]], axis=1))
-               for parents, at, _ in _batches(parent, rounds[by], width, 1)]
-    return closure, product
+    return [(parents, np.concatenate([parents[:, None], child[at]], axis=1))
+            for parents, at, _ in _batches(parent, rounds[by], width, 1)]
 
 
 def _hasse(high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -839,8 +862,8 @@ class _ReachTables(NamedTuple):
     order: np.ndarray  # the representative rows in table order (intp)
     mirrored: np.ndarray  # their mirrors, rev(c) at c's place (intp)
     runs: list[tuple[int, int, int, int]]  # per table width (_reach_tables)
-    # per row in order, the block row of its reach at its own slots: reach
-    # on the open bits, or the dead row 2^width (uint16)
+    # per row in order, the class of the largest hole inside its reach at
+    # its own slots, or the dead row, the class count, where none is (uint16)
     reach: np.ndarray
     scatter: np.ndarray  # per entry of reach, its class slot (intp)
     spans: list[tuple[int, int, int]]  # per size B of D_g: (first slot, classes, B)
@@ -849,41 +872,7 @@ class _ReachTables(NamedTuple):
     # table, the rows d in table order
     slots: np.ndarray
     mirror: np.ndarray  # per class slot, the mirror class's slot of its mirror (intp)
-    split: tuple  # the transform's, of the complemented keys (_open_split)
-
-
-def _open_split(sets: np.ndarray, n: int) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
-    """The bits a subset-maximum transform over the distinct sets runs on,
-    and its split there, for the minimum's (_reach_tables).
-
-    F, the and of the sets, is in every set.  The open span, from the
-    lowest to the highest bit that some set holds and not every set, is
-    squeezed out by a shift and split at h', its bits below h = n // 2.
-    Exact for any sets, as a bit of F inside the span only costs a pass.
-    On the free border the span of the complemented keys is bits 1..n - 2,
-    so h' = h - 1, and on the bricked one every bit (checked for n =
-    1..24).
-    Returns F, the shift, the span's n' bits, h', the distinct squeezed
-    high halves, ascending, and each set's flat index into a (2^h', their
-    count) low array, both intp; the rest is built in the sets' dtype.
-    """
-    fixed = int(np.bitwise_and.reduce(sets))
-    span = int(np.bitwise_or.reduce(sets)) & ~fixed
-    shift = max((span & -span).bit_length() - 1, 0)
-    width = span.bit_length() - shift
-    low = min(max(n // 2 - shift, 0), width)
-    high = sets >> (shift + low)
-    high &= (1 << (width - low)) - 1
-    seen = np.bincount(high) > 0
-    hv, at = np.flatnonzero(seen), high.astype(np.intp)
-    del high
-    # each one's column, in place: take reads each index before its slot
-    np.take(np.cumsum(seen) - 1, at, out=at, mode="clip")
-    part = sets >> shift
-    part &= (1 << low) - 1
-    part *= len(hv)  # below the low array's size, as at is
-    at += part
-    return fixed, shift, width, low, hv, at
+    closure: list[tuple[np.ndarray, np.ndarray]]  # the holes' (_close), by class index
 
 
 @lru_cache(maxsize=8)
@@ -896,10 +885,10 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     holds reach(c, s) at the 2^|D_c| subsets s of its own bits D_c
     (_reach_bits), subset s at slot s, whose bit i is the i-th bit of D_c,
     and then 0, at slot 2^|D_c|.  Each entry is stored as the block row
-    _pair_advance reads for it: reach squeezed to the open bits
-    (_open_split), or the dead row 2^n' where it lacks a bit of F.  A run
-    of rows with one |D_c| is the tuple (first row, end row, width L =
-    2^|D_c| + 1, its first entry in reach).  A class g has 2^|D_g| + 1
+    _pair_advance reads for it, g(reach), the class of the largest hole
+    inside reach, or the dead row where none is (_hole_classes).  A run of
+    rows with one |D_c| is the tuple (first row, end row, width L = 2^|D_c|
+    + 1, its first entry in reach).  A class g has 2^|D_g| + 1
     slots: subset s of D_g at slot s, whose bit i is the i-th bit of D_g,
     and the blocked slot 2^|D_g|.  scatter maps the slot s of a row of
     class g to g's slot of s, the bits of D_c placed at their ranks in
@@ -910,7 +899,8 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     block of classes at a time, and then put in table order.  mirror
     sends g's slot s to the slot of rev(s) of the mirror class g*, whose
     key is rev(key(g)) and whose D_g* is rev(D_g): s's |D_g| bits in
-    reverse order, and the blocked slot to the blocked slot.
+    reverse order, and the blocked slot to the blocked slot.  closure is
+    the holes' (_closure), batched for a chunk's rows (_chunk_rows).
     """
     keys, own, seen = _reach_bits(n, bricked)
     size, groups = 1 << n, len(keys)
@@ -968,18 +958,11 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
         np.add(both >> 16, base[r0:r1, None], out=scatter[e:e + table.size].reshape(rows, w))
         runs.append((r0, r1, w, e))
         e, p = e + table.size, p + rows * b
-    del table, both, move, blocked, base
-    # each reach r as its block row (_open_split), or the dead row 2^n'
-    # where it lacks a bit of F, which is not 0 on the free border alone
-    split = _open_split(full_mask(n) ^ keys, n)
-    fixed, shift, width = split[:3]
-    for a in range(0, len(reach), _RULE_BLOCK):
-        part = reach[a:a + _RULE_BLOCK]
-        dead = (part & fixed) != fixed
-        part >>= shift
-        part &= (1 << width) - 1
-        if fixed:
-            part[dead] = 1 << width
+    del table, both, move, moves, blocked, base, row, pos
+    # each reach R as g(R); take reads each index before its slot
+    holes = (full_mask(n) ^ keys).astype(np.uint16)
+    _hole_classes(holes, n).take(reach, out=reach, mode="clip")
+    closure = _closure(holes, *_hasse(holes), _chunk_rows(len(order), groups + 1))
     # bit k of d adds 2^i to the slot when it is the i-th bit of D_g, and
     # 2^|D_g| when it is a key bit; each step clips the sum at 2^|D_g|
     top = (1 << held).astype(np.min_scalar_type(1 << int(held.max())))[:, None]
@@ -1006,14 +989,27 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     mirror = np.where(s >> b != 0, s, rev.take(s, mode="clip") >> (n - b))
     mirror += offset[np.searchsorted(keys, rev[keys])][cls]
     return _ReachTables(order, rev[order].astype(np.intp), runs, reach, scatter, spans, offset,
-                        slots, mirror, split)
+                        slots, mirror, closure)
 
 
-def _chunk_rows(rows: int, width: int) -> int:
-    """The current rows of one chunk of the pair advance over rows state
-    columns, whose transform runs over width open bits: _BLOCK >> width,
-    at least _CHUNK and at most rows.  The last chunk takes the rest."""
-    return min(rows, max(_CHUNK, _BLOCK >> width))
+def _hole_classes(holes: np.ndarray, n: int) -> np.ndarray:
+    """g(R) at every R of width n (uint16): the class of the largest hole
+    inside R, or the class count, the dead row, where none is.  The holes
+    are or-closed, so that is their union and their numeric maximum, and
+    they descend: one subset maximum of count - g at hole g finds it."""
+    count = len(holes)
+    star = np.zeros(1 << n, dtype=np.uint16)
+    star[holes] = count - np.arange(count)
+    _subset_max_inplace(star, n)
+    np.subtract(count, star, out=star)
+    return star
+
+
+def _chunk_rows(cols: int, rows: int) -> int:
+    """The current rows of one chunk of the pair advance over cols state
+    columns, whose closure runs over rows table rows: _BLOCK // rows, at
+    least _CHUNK and at most cols.  The last chunk takes the rest."""
+    return min(cols, max(_CHUNK, _BLOCK // rows))
 
 
 def _subset_max_inplace(z: np.ndarray, n: int):
@@ -1074,19 +1070,17 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     columns c <= rev(c) alone.  Both states' columns, and gain, are in
     table order (_reach_tables), so the current rows c are taken a chunk
     at a time (_chunk_rows) as contiguous columns of grouped, the last
-    chunk on its own columns alone.  Each chunk runs through a
-    subset-maximum transform over the open span alone (_open_split):
-    grouped scattered at the squeezed complemented keys of a (2^h',
-    len(hv), chunk) low array, transformed over its h' low bits, scattered
-    into the rows hv of the block viewed as (2^(n' - h'), 2^h', chunk),
-    every other row dead, and transformed over the high bits.  The block
-    is (2^n' + 1, chunk), its last row the dead row, which every reach
-    that lacks a bit of F reads: on the free border, three quarters of the
-    2^n rows r, which no class reaches, are that one row.  Each row c
-    reads the block, read_c(s) = block[reach(c, s), c] with reach as its
-    table stores it, at the 2^|D_c| + 1 entries of its own table row
-    alone, not at all 2^n rows d: a run's rows of a chunk, about
-    _READ_ROWS * 2^n entries per flat take.
+    chunk on its own columns alone.  Each chunk is copied into a (classes
+    + 1, chunk) block whose last row is dead and closed over the holes'
+    lattice (_close): row g takes the maximum over the classes whose hole
+    lies inside g's, along the Hasse edges alone, as a zeta transform over
+    a lattice needs only its members and covering pairs (Björklund,
+    Husfeldt, Kaski, Koivisto, Nederlof & Parviainen, SODA 2012).  The
+    classes that fit a reach R are those whose hole lies inside R's
+    largest, so their maximum is row g(R) (_hole_classes).  Each row c
+    reads the block, read_c(s) = block[g(reach(c, s)), c], at the 2^|D_c|
+    + 1 entries of its own table row alone, not at all 2^n rows d: a run's
+    rows of a chunk, about _READ_ROWS * 2^n entries per flat take.
 
     After the last chunk, every read is maxed into its class slot
     (scatter).  The other rows' reads follow by symmetry, read_rev(c)(d) =
@@ -1098,39 +1092,33 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
     d) for d that miss the key is c or-ed with reach(c, {k}) over the bits
     k of d, and bits outside D_c add nothing: reach(c, s) = reach(c, s ∩
     D_c).  And read_c is monotone in s ⊆ D_g: no such s meets the key, so
-    reach(c, s) grows with s, and the block, a subset-maximum transform,
-    grows with reach (a reach that lacks a bit of F reads the dead row,
-    and so does every reach inside it).  So of the slots t ⊆ s that the
-    transform collects, a row's reads peak at s ∩ D_c.  The blocked slots,
-    reach 0, read the block row of reach 0, as a read at reach(c, d) = 0
-    does, and skip the transform.  Then the class slots are expanded to
-    every representative row d below, in table order (slots), one take a
-    class, and gain is added once: the result is the same, dead entries
-    included, as a read at every (c, d).
+    reach(c, s) grows with s, and the closed block read at g(reach) grows
+    with reach (a reach that holds no hole reads the dead row, and so does
+    every reach inside it).  So of the slots t ⊆ s that the transform
+    collects, a row's reads peak at s ∩ D_c.  The blocked slots, reach 0,
+    read the block at g(0), as a read at reach(c, d) = 0 does, and skip
+    the transform.  Then the class slots are expanded to every
+    representative row d below, in table order (slots), one take a class,
+    and gain is added once: the result is the same, dead entries included,
+    as a read at every (c, d).
     """
     clock = clock or _Clock()
     tables = _reach_tables(n, bricked)
-    _, _, span, h, hv, place = tables.split
-    cols = len(tables.order)
-    chunk = _chunk_rows(cols, span)
+    groups, cols = len(grouped), len(tables.order)
+    chunk = _chunk_rows(cols, groups + 1)
     out = np.empty_like(grouped)
-    lows = np.empty((1 << h) * len(hv) * chunk, dtype=grouped.dtype)
-    blocks = np.empty(((1 << span) + 1) * chunk, dtype=grouped.dtype)
+    blocks = np.empty((groups + 1) * chunk, dtype=grouped.dtype)
     read = np.empty(len(tables.reach), dtype=grouped.dtype)  # the reads, laid out as reach
     local = np.arange(chunk)[:, None]
     clock.mark()
     for lo in range(0, cols, chunk):
         hi = min(lo + chunk, cols)
         k = hi - lo  # the chunk's rows, the trailing axis of its arrays
-        low = lows[:lows.size // chunk * k].reshape(1 << h, len(hv), k)
-        flat = blocks[:blocks.size // chunk * k]
-        low.fill(_DEAD)
-        low.reshape(-1, k)[place] = grouped[:, lo:hi]
-        _subset_max_inplace(low, h)
-        flat.fill(_DEAD)
-        rows = flat[:-k].reshape(-1, 1 << h, k)  # by high half
-        rows[hv] = low.swapaxes(0, 1)
-        _subset_max_inplace(rows, span - h)
+        flat = blocks[:(groups + 1) * k]
+        block = flat.reshape(groups + 1, k)
+        block[:-1] = grouped[:, lo:hi]
+        block[-1] = _DEAD
+        _close(block, tables.closure)
         clock.lap("transform")
         for first, end, width, entry in tables.runs:
             step = max(1, (_READ_ROWS << n) // width)
@@ -1163,10 +1151,10 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
 
 
 def _close(table: np.ndarray, closure: list[tuple[np.ndarray, np.ndarray]]):
-    """table[j] := the maximum of table[k] over every S_k ⊆ S_j of one side's
-    family, in place, with its closure (_cover): round by round, each
-    parent takes the maximum of its row and its Hasse children's, which an
-    earlier round has closed, so each parent is written once."""
+    """table[j] := the maximum of table[k] over every S_k ⊆ S_j of a family
+    (a side's key halves, or the holes), in place, with its closure
+    (_closure): round by round, each parent takes the maximum of its row
+    and its Hasse children's, which an earlier round has closed."""
     for parents, members in closure:
         table[parents] = table[members].max(axis=1)
 
@@ -1516,7 +1504,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     its whole state: the rule closes them off at the virtual south row at
     m, and advances them to m + 1: the maximum through a sparse product
     with a cover table on each half of a row (_max_rule), and the minimum
-    through a subset-maximum transform over the open bits, a chunk of rows
+    through a closure over its classes' complemented keys, a chunk of rows
     at a time (_pair_advance).  Neither holds a score per state.  No array
     maps a row to its class: the plan groups the maximum's rows, the
     minimum's tables list its rows by |D_c| and class, and the witness
@@ -1540,22 +1528,15 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     (_check_limits) before the first row.  A witness charges each layer it
     keeps past the rule's held ones before the advance makes it, and a
     scan call, the rows and their picks as each scan starts, for that scan
-    alone: a result's "state_bytes" is the peak charged so far.
+    alone: a result's "state_bytes" is the peak charged so far.  A
+    MemoryError on the way, the estimate included, ends as a LimitError
+    that names the charged peak (_out_of_memory).
     """
     maximize = objective is Objective.MAX_PERMISSIBLE
     bricked = boundary is Boundary.BRICKED
     top = rows[-1]
     t0 = time.perf_counter()
-    charged = _check_limits(objective, Dims(top, n, boundary), limits)
-    clock = _Clock()
-    d_v = full_mask(n) if bricked else 0  # the virtual south row
-    # the DP's states are the rows, or, past one row, the minimum's pairs (u, c)
-    if maximize:
-        states, rule = 1 << n, _max_rule(n, bricked, d_v)
-    elif top == 1:
-        states, rule = 1 << n, _row_rule(n, bricked, d_v)
-    else:
-        states, rule = 1 << 2 * n, _min_rule(n, bricked, d_v)
+    charged = None  # the charged peak, once estimated
 
     def houses(score: int, count: int) -> int:
         """The houses of count rows that score score, and the other way
@@ -1639,32 +1620,45 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
 
     wanted = rows[::-1]  # the row counts left to close off, the next one last
     grouped = None
-    for m in range(1, top + 1):
-        closed.clear()
-        if want_witness and len(layers) >= rule.held:
-            # one more layer, before the advance makes it
-            charged = _check_bytes(charged + rule.layer, limits)
-        clock.mark()
-        grouped, layer = rule.advance(grouped, clock)
-        if want_witness:
-            layers.append(layer)
-        del layer
-        shifts.append(shifts[-1] + _normalize(grouped, n))
-        ring.pop(m - _RING - 1, None)
-        # at most one row matches: two would have matched each other before
-        for row, seen in ring.items():
-            if np.array_equal(grouped, seen):
-                cycle = (row, m - row, shifts[m] - shifts[row])
-                break
-        ring[m] = grouped
-        clock.lap("group")
-        # once the sweep has found its cycle, at row m = m0 + p, every later
-        # row count repeats one of the rows m0 + 1..m, kept in the ring
-        while wanted and (wanted[-1] == m or cycle is not None):
-            yield finish(wanted.pop(), m)
-        if not wanted:
-            return
-        _check_wall(t0, limits)
+    try:
+        charged = _check_limits(objective, Dims(top, n, boundary), limits)
+        clock = _Clock()
+        d_v = full_mask(n) if bricked else 0  # the virtual south row
+        # the DP's states are the rows, or, past one row, the minimum's pairs (u, c)
+        if maximize:
+            states, rule = 1 << n, _max_rule(n, bricked, d_v)
+        elif top == 1:
+            states, rule = 1 << n, _row_rule(n, bricked, d_v)
+        else:
+            states, rule = 1 << 2 * n, _min_rule(n, bricked, d_v)
+        for m in range(1, top + 1):
+            closed.clear()
+            if want_witness and len(layers) >= rule.held:
+                # one more layer, before the advance makes it
+                charged = _check_bytes(charged + rule.layer, limits)
+            clock.mark()
+            grouped, layer = rule.advance(grouped, clock)
+            if want_witness:
+                layers.append(layer)
+            del layer
+            shifts.append(shifts[-1] + _normalize(grouped, n))
+            ring.pop(m - _RING - 1, None)
+            # at most one row matches: two would have matched each other before
+            for row, seen in ring.items():
+                if np.array_equal(grouped, seen):
+                    cycle = (row, m - row, shifts[m] - shifts[row])
+                    break
+            ring[m] = grouped
+            clock.lap("group")
+            # once the sweep has found its cycle, at row m = m0 + p, every later
+            # row count repeats one of the rows m0 + 1..m, kept in the ring
+            while wanted and (wanted[-1] == m or cycle is not None):
+                yield finish(wanted.pop(), m)
+            if not wanted:
+                return
+            _check_wall(t0, limits)
+    except MemoryError as exc:
+        raise _out_of_memory(charged) from exc
 
 
 def solve(req: SolveRequest) -> SolveResult:
@@ -1688,11 +1682,11 @@ def solve_min_maximal(req: SolveRequest) -> SolveResult:
     DP over ordered (row above, current row) profile pairs; advancing to the
     next row requires the current row to stay unblocked and every current-row
     empty lot to be covered by one of the four propositions, where the
-    north proposition folds over the row-above axis through a
-    subset-maximum transform on complemented triple masks, over the bits
-    they leave open (_pair_advance).  Virtual empty/full rows close off the
-    two borders.  A single row needs no row above it: its sweep keeps one score per row,
-    through the same reach rule (_row_rule).
+    north proposition folds over the row-above axis through a closure over
+    the lattice of complemented triple masks, read at the largest one
+    inside each pair's reach (_pair_advance).  Virtual empty/full rows
+    close off the two borders.  A single row needs no row above it: its
+    sweep keeps one score per row, through the same reach rule (_row_rule).
     """
     if req.objective is not Objective.MIN_MAXIMAL:
         raise ValueError("solve_min_maximal requires the min objective")
@@ -1774,7 +1768,8 @@ def brute_force(req: SolveRequest) -> SolveResult:
     and the first maximum np.argmax finds is the one of largest rev(g).
 
     Grids of more than 22 cells raise LimitError, as do estimates past
-    limits.max_state_bytes (_brute_bytes) and runs past limits.max_wall_s.
+    limits.max_state_bytes (_brute_bytes), runs past limits.max_wall_s and
+    a MemoryError within the estimate (_out_of_memory).
     stats: "states" counts the configurations, "transitions" the rows
     checked (m per configuration), "state_bytes" the estimate.
     """
@@ -1787,40 +1782,43 @@ def brute_force(req: SolveRequest) -> SolveResult:
     need = _check_bytes(_brute_bytes(req.objective, m, n), req.limits)
     t0 = time.perf_counter()
     configs = 1 << cells
-    # uint8, not bool: numpy's bool and with a broadcast operand is about
-    # 30 times slower
-    ok = np.ones(configs, dtype=np.uint8)
-    window = table = None
-    for k in range(m):
-        north, south = minimize and k > 0, k < m - 1
-        if (north, south) != window:
-            window = north, south
-            table = _window_ok(n, bricked, minimize, north, south).view(np.uint8).ravel()
-        rest = 1 << (n * (m - 1 - k - south))  # the configurations of the axes after the window
-        period = table.size * rest
-        if period < _RULE_BLOCK:
-            # a short period: and a line of _RULE_BLOCK entries that repeats it
-            width = min(configs, _RULE_BLOCK)
-            view = ok.reshape(-1, width)
-            view &= np.tile(np.repeat(table, rest), width // period)
-        else:
-            view = ok.reshape(-1, table.size, rest)
-            view &= table[:, None]
-        _check_wall(t0, req.limits)
-    del table
-    # Index bit set means empty lot (rev(row) = full - j on every axis), so
-    # a configuration's empty lots are the popcount of its flat index.
-    score = np.empty(configs, dtype=np.uint8)  # 1 + the score, 0 where ok fails
-    score[0] = 1 if minimize else 1 + cells
-    step = np.add if minimize else np.subtract
-    for b in range(cells):
-        step(score[:1 << b], 1, out=score[1 << b:2 << b])
-    score *= ok
-    best = int(np.argmax(score))
-    if score[best] == 0:
-        raise SettleError(f"no feasible configuration found for {m}x{n} (internal error)")
-    config = Configuration(req.dims, tuple(
-        bit_reverse(full_mask(n) ^ int(j), n) for j in np.unravel_index(best, (1 << n,) * m)))
+    try:
+        # uint8, not bool: numpy's bool and with a broadcast operand is about
+        # 30 times slower
+        ok = np.ones(configs, dtype=np.uint8)
+        window = table = None
+        for k in range(m):
+            north, south = minimize and k > 0, k < m - 1
+            if (north, south) != window:
+                window = north, south
+                table = _window_ok(n, bricked, minimize, north, south).view(np.uint8).ravel()
+            rest = 1 << (n * (m - 1 - k - south))  # the configurations of the axes after the window
+            period = table.size * rest
+            if period < _RULE_BLOCK:
+                # a short period: and a line of _RULE_BLOCK entries that repeats it
+                width = min(configs, _RULE_BLOCK)
+                view = ok.reshape(-1, width)
+                view &= np.tile(np.repeat(table, rest), width // period)
+            else:
+                view = ok.reshape(-1, table.size, rest)
+                view &= table[:, None]
+            _check_wall(t0, req.limits)
+        del table
+        # Index bit set means empty lot (rev(row) = full - j on every axis), so
+        # a configuration's empty lots are the popcount of its flat index.
+        score = np.empty(configs, dtype=np.uint8)  # 1 + the score, 0 where ok fails
+        score[0] = 1 if minimize else 1 + cells
+        step = np.add if minimize else np.subtract
+        for b in range(cells):
+            step(score[:1 << b], 1, out=score[1 << b:2 << b])
+        score *= ok
+        best = int(np.argmax(score))
+        if score[best] == 0:
+            raise SettleError(f"no feasible configuration found for {m}x{n} (internal error)")
+        config = Configuration(req.dims, tuple(
+            bit_reverse(full_mask(n) ^ int(j), n) for j in np.unravel_index(best, (1 << n,) * m)))
+    except MemoryError as exc:
+        raise _out_of_memory(need) from exc
     return SolveResult(
         req.dims, req.objective, config.occupancy(),
         config if req.want_witness else None,

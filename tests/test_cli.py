@@ -2,10 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from conftest import GOLDEN
+import settle
 from settle.cli import main
 from settle.formats import parse_grid
 from settle.grid import Dims
@@ -173,6 +180,30 @@ class TestSolve:
         res = invoke("solve", "--rows", "2", "--cols", "3",
                      env={"SETTLE_MAX_COLS": "wide"})
         assert res.exit_code == 2
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+    def test_out_of_memory_exits_2_without_a_traceback(self):
+        # a solve its byte cap admits, in a process whose address space ends
+        # 24 MiB past its size after import: the MemoryError becomes a
+        # LimitError that names the estimate, so the CLI exits 2
+        child = "\n".join([
+            "import re, resource, sys",
+            "from settle.cli import main",
+            "with open('/proc/self/status') as f:",
+            "    size = int(re.search(r'VmSize:\\s+(\\d+) kB', f.read()).group(1)) << 10",
+            "resource.setrlimit(resource.RLIMIT_AS, (size + (24 << 20),) * 2)",
+            "sys.argv = ['settle', 'solve', '--objective', 'min', '--rows', '14',",
+            "            '--cols', '14', '--json']",
+            "main()",
+        ])
+        env = {**os.environ, "SETTLE_MAX_COLS": "14",
+               "PYTHONPATH": str(Path(settle.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error: out of memory within the estimated state space of \d+ "
+                            r"bytes\n", proc.stderr), proc.stderr
 
 
 class TestBounds:

@@ -27,13 +27,14 @@ from settle.solvers import (
     _brute_bytes,
     _check_limits,
     _close,
+    _hasse,
+    _hole_classes,
     _houses,
     _low_row,
     _masked_max,
     _max_rule,
     _normalize,
     _need_bytes,
-    _open_split,
     _pair_advance,
     _pick,
     _product,
@@ -936,6 +937,28 @@ class TestStateBytes:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_a_memory_error_becomes_a_limit_error_that_names_the_estimate(self, monkeypatch):
+        # a solve, a table cell and brute_force whose allocation fails end
+        # as a LimitError, a cap violation, not a MemoryError
+        def fail(*args):
+            raise MemoryError
+
+        need = _need_bytes(Objective.MIN_MAXIMAL, 4, 5, False)
+        monkeypatch.setattr("settle.solvers._normalize", fail)
+        with pytest.raises(LimitError, match=f"out of memory within the estimated state "
+                                             f"space of {need} bytes"):
+            solve(SolveRequest.minimum(4, 5, want_witness=False))
+        swept = table(Objective.MIN_MAXIMAL, [4], [5])
+        assert swept["values"] == [[None]]
+        assert swept["errors"][0]["error"].startswith("out of memory within the estimated")
+        monkeypatch.setattr("settle.solvers._window_ok", fail)
+        need = _brute_bytes(Objective.MAX_PERMISSIBLE, 3, 4)
+        with pytest.raises(LimitError, match=f"space of {need} bytes"):
+            brute_force(SolveRequest.maximum(3, 4))
+        monkeypatch.setattr("settle.solvers._reach_bits", fail)
+        with pytest.raises(LimitError, match="out of memory while estimating"):
+            solve(SolveRequest.minimum(4, 5))
+
     @pytest.mark.parametrize("objective, m, n", [
         (Objective.MIN_MAXIMAL, 2, 17),  # reach and _min_rule's fit keys are uint16
         (Objective.MAX_PERMISSIBLE, 2, 33),  # hi << h wraps in _split_plan's uint32 rows
@@ -1067,43 +1090,49 @@ class TestPairRule:
                 more = reach[c, d | bit]
                 assert ((reach & ~more)[grown] == 0).all(), (n, bricked, k)
 
-    def test_open_bits_are_all_but_the_edges_on_the_free_border(self):
-        # the premise of the minimum's transform over the open span
-        # (_open_split), n = 1..24: no bit is in every key, and the keys span
-        # bits 1..n - 2 on the free border and every bit on the bricked one,
-        # split at h' = h - 1 and h, with high halves the keys' own; the
-        # complemented keys split the same, with F, the bits they all hold,
-        # {0, n - 1} on the free border and 0 on the bricked one.  Up to
-        # n = 10, every block row that lacks a bit of F, and so every
-        # squeezed entry that reads the dead row, reads dead in the
-        # pair-array reference, on class maxima with no dead entry
-        rng = np.random.default_rng(11)
-        for n in range(1, 25):
-            h = n // 2
+    @staticmethod
+    def largest_holes(keys, n):
+        """g(R) at every R, a test reference: the class of the numerically
+        largest hole, full ^ key, inside R, or len(keys) where none is."""
+        holes = (full_mask(n) ^ keys).astype(np.int64)
+        inside = (holes[None, :] & ~np.arange(1 << n)[:, None]) == 0
+        best = np.where(inside, holes, -1).max(axis=1)
+        return np.where(best >= 0, np.searchsorted(-holes, -best), len(keys))
+
+    def test_classes_are_and_closed_and_reach_reads_the_largest_hole(self):
+        # the premise of the minimum's closure (_hole_classes), n = 1..16:
+        # the and of two classes is a class, so the holes, full ^ key, are
+        # or-closed and the holes inside any R have one largest member,
+        # their union.  Up to n = 12, g(R) is that member's class, or the
+        # dead row where no hole fits: on the free border, exactly the R
+        # that lack bit 0 or bit n - 1
+        for n in range(1, 17):
             for bricked in (False, True):
-                keys = _split_plan(n, bricked).keys
-                if bricked:
-                    edges, span = 0, (0, n, h)
-                else:
-                    edges, span = full_mask(n) & (1 | (1 << (n - 1))), (1, n - 2, h - 1)
-                    span = span if n >= 3 else (0, 0, 0)  # no key has a bit
-                fixed, shift, width, low, hv, at = _open_split(keys, n)
-                assert (fixed, shift, width, low) == (0, *span), (n, bricked)
-                assert int(np.bitwise_or.reduce(keys)) == ((1 << width) - 1) << shift, (n, bricked)
-                assert np.array_equal(hv[at % len(hv)], keys >> h), (n, bricked)
-                holes = full_mask(n) ^ keys
-                assert _open_split(holes, n)[:4] == (edges, *span), (n, bricked)
-                if n > 10:
+                keys = _reach_bits(n, bricked)[0]
+                meets = np.unique(keys[:, None] & keys)
+                assert np.array_equal(meets, keys), (n, bricked)
+                if n > 12:
                     continue
-                states = np.arange(1 << n, dtype=np.uint32)
-                grouped = rng.integers(-2 * n, 0, (len(keys), 4), endpoint=True).astype(np.int8)
-                z = np.stack([np.where(((holes & r) == holes)[:, None], grouped, _DEAD).max(axis=0)
-                              for r in range(1 << n)])
-                lacks = (states & edges) != edges
-                assert (z[lacks] == _DEAD).all(), (n, bricked)
-                tables = _reach_tables(n, bricked)
-                dead = tables.reach == 1 << tables.split[2]
-                assert dead.any() == bool(edges), (n, bricked)
+                holes = (full_mask(n) ^ keys).astype(np.uint16)
+                largest = _hole_classes(holes, n)
+                assert largest.dtype == np.uint16, (n, bricked)
+                assert np.array_equal(largest, self.largest_holes(keys, n)), (n, bricked)
+                edges = full_mask(n) & (1 | (1 << (n - 1)))
+                states = np.arange(1 << n)
+                dead = (states & edges) != edges if not bricked else np.zeros(1 << n, bool)
+                assert np.array_equal(largest == len(keys), dead), (n, bricked)
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_no_class_has_more_than_n_hasse_parents(self, bricked):
+        # the closure's bound in the estimate (_reach_bytes): at most n
+        # Hasse parents and n Hasse children a hole, n = 1..16, so at most
+        # n classes x n edges and n + 1 members a parent in the closure
+        for n in range(1, 17):
+            holes = (full_mask(n) ^ _reach_bits(n, bricked)[0]).astype(np.uint16)
+            child, parent = _hasse(holes)
+            assert np.bincount(child, minlength=1).max() <= n, (n, bricked)
+            assert np.bincount(parent, minlength=1).max() <= n, (n, bricked)
+            assert len(child) <= len(holes) * n, (n, bricked)
 
     @pytest.mark.parametrize("bricked", [False, True])
     def test_rules_commute_with_reversal(self, bricked):
@@ -1147,9 +1176,9 @@ class TestPairRule:
     def test_class_tables_hold_reach_at_every_pair(self, bricked):
         # the entry a row c reads at its own slot of d (d ∩ D_c, its bit i
         # the i-th bit of D_c, or the blocked slot where d meets the key)
-        # is reach(c, d) squeezed to the open bits, bit i the i-th bit
-        # outside F, or the dead row 2^width where reach lacks a bit of F,
-        # blocked pairs included; scatter sends it to the class slot of d ∩
+        # is g(reach(c, d)), the class of the largest hole inside reach,
+        # or the dead row, the class count, where none is, blocked pairs
+        # included; scatter sends it to the class slot of d ∩
         # D_c, or to the class's blocked slot, which slots holds at d's
         # place in table order.  The rows are the representatives c <=
         # rev(c), and mirror sends each class slot to the mirror class's
@@ -1157,9 +1186,8 @@ class TestPairRule:
         for n in range(1, 11):
             tables = _reach_tables(n, bricked)
             keys, own, seen = _reach_bits(n, bricked)
-            fixed = int(np.bitwise_and.reduce(full_mask(n) ^ keys))
-            free = [k for k in range(n) if not fixed >> k & 1]
-            assert tables.split[:3] == (fixed, free[0] if free else 0, len(free)), (n, bricked)
+            largest = self.largest_holes(keys, n)
+            assert tables.reach.dtype == np.uint16, (n, bricked)
             states = np.arange(1 << n, dtype=np.uint32)
             reps = states[states <= bit_reverse(states, n)]
             assert np.array_equal(np.sort(tables.order), reps), (n, bricked)
@@ -1180,9 +1208,7 @@ class TestPairRule:
                 slot[blocked] = width - 1
                 at = entry + np.arange(len(c))[:, None] * width + slot
                 reach = _reach(c[:, None], states[None, :], n, bricked)
-                want = sum(((reach >> k) & 1) << i for i, k in enumerate(free))
-                want = np.where((reach & fixed) == fixed, want, 1 << len(free))
-                assert np.array_equal(tables.reach[at], want), (n, bricked, width)
+                assert np.array_equal(tables.reach[at], largest[reach]), (n, bricked, width)
                 slot = self.packed(states & own[c][:, None], seen[cls][:, None], n)
                 slot[blocked] = blocked_slot[cls][:, None].repeat(1 << n, axis=1)[blocked]
                 assert np.array_equal(tables.scatter[at], tables.offset[cls][:, None] + slot), \
