@@ -180,11 +180,15 @@ def check(input, boundary, expect, as_json):
 @click.option("--boundary", default="free", show_default=True,
               type=click.Choice([b.value for b in Boundary]))
 @click.option("--witness", "witness_path", type=click.Path(dir_okay=False))
+@click.option("--no-witness", is_flag=True,
+              help="Solve without a witness; with --json, \"witness\" is null.")
 @click.option("--json", "as_json", is_flag=True)
 @_cli_errors
-def solve_cmd(objective, rows, cols, boundary, witness_path, as_json):
+def solve_cmd(objective, rows, cols, boundary, witness_path, no_witness, as_json):
     """Compute the exact extremal occupancy."""
-    want = as_json or witness_path is not None
+    if no_witness and witness_path is not None:
+        raise click.UsageError("--no-witness and --witness exclude each other")
+    want = not no_witness and (as_json or witness_path is not None)
     req = SolveRequest(Dims(rows, cols, Boundary(boundary)), Objective(objective),
                        want_witness=want, limits=_limits())
     res = solve(req)

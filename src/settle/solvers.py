@@ -34,35 +34,41 @@ it whose hole, the complemented key ~triple(u), lies in reach(c, d).  The
 classes are and-closed, so the holes are or-closed: those inside a reach
 R have one largest, their union, of class g(R) (_hole_classes), and the
 transition maximum at R is the state closed over the holes' lattice,
-along their Hasse edges (_close), read at g(R).  The advance closes a
-chunk of current rows at a time, as a trailing axis, in a (classes + 1,
-chunk) block whose last row, dead, is g of a reach that holds no hole
-(_pair_advance).  It reads the closed chunk at g(reach(c, d)) for every
-current row c and row d below (_reach), and takes the maximum over the
-rows c of each class.  reach is c or-ed with masks of c and-ed with
-shifts of d: for a row c with key K, it is 0 where d meets K, and
-otherwise reads d only through the few bits D_c that change it
-(_reach_bits).  So _reach_tables holds, per row, its reach at the
-2^|D_c| subsets of D_c and one reach-0 slot, each stored as its g: the
-advance reads those entries alone, maxes each into its class's slot of
-the same bits, and one subset-maximum transform over each class's slots
-(the bits D_g of all its rows) fills the rest, since a row's reach grows
-with d.  At n = 12 it reads 0.4% of the 4^n pairs on the free border and
-1.0% on the bricked one.  Then each class's slots are expanded to the
-rows d.  The state's columns are kept in the tables' row order, so that
-a chunk is a run of columns.
+along their Hasse edges (_close), read at g(R).  The state is held in
+slot form: the maxima of its classes' slots, of which each (class, row)
+reads one (slots), plus the row's gain.  The advance fills a chunk of
+current rows at a time, as a trailing axis, into a (classes + 1, chunk)
+block whose last row, dead, is g of a reach that holds no hole: one take
+from the slot maxima a piece of _TAKE_BLOCK entries, and the chunk's
+gain (_closed_chunks).  It closes the block and reads it at g(reach(c,
+d)) for every current row c and row d below (_reach), and takes the
+maximum over the rows c of each class (_pair_advance).  reach is c
+or-ed with masks of c and-ed with shifts of d: for a row c with key K,
+it is 0 where d meets K, and otherwise reads d only through the few bits
+D_c that change it (_reach_bits).  So _reach_tables holds, per row, its
+reach at the 2^|D_c| subsets of D_c and one reach-0 slot, each stored
+as its g: the advance reads those entries alone, maxes each into its
+class's slot of the same bits, and one subset-maximum transform over
+each class's slots (the bits D_g of all its rows) fills the rest, since
+a row's reach grows with d.  At n = 12 it reads 0.4% of the 4^n pairs
+on the free border and 1.0% on the bricked one.  The slot maxima are
+the advance's result, and the next state: the sweep's ring, its shift
+and its cycle test run on them, 19 570 bytes a row at n = 12 on the
+free border where the (classes, rows) array took 393 120.  The state's
+columns are kept in the tables' row order, so that a chunk is a run of
+columns.
 
 Every rule treats east and west alike, so the minimum's state is
 mirror-symmetric: the score of (class g, row c) is that of (the class of
 the reversed key, rev(c)).  It keeps the representative rows c <= rev(c)
 alone, 2 080 of the 4 096 at n = 12: its state, its closure, its reads
-and its expansion are half as wide.  One maximum over each class slot
-and its mirror's slot supplies the other rows' reads, and a read of row
+and its blocks are half as wide.  One maximum over each class slot and
+its mirror's slot supplies the other rows' reads, and a read of row
 rev(c) at d is a read of row c at rev(d).  In a fresh process, cold
-tables included, min 12×12 with a witness takes 0.035 s at 38 MiB RSS on
-the free border and 0.07-0.08 s at 43 MiB bricked; without one, 14×14
-takes 0.17-0.21 s at 84 MiB and 0.34-0.43 s at 118 MiB, and 16×16 1.9-2.5
-s at 512 MiB and 4.1-5.5 s at 935 MiB.
+tables included, min 12×12 with a witness takes 0.015-0.016 s at 38 MiB
+RSS on the free border and 0.028-0.030 s at 43 MiB bricked; without
+one, 14×14 takes 0.09 s at 59 MiB and 0.17 s at 83 MiB, and 16×16
+0.95 s at 262 MiB and 2.0 s at 455 MiB.
 
 Past what it scores, the count of DP states it reports and the choice of
 its rule, the sweep does not branch on the objective.  Each solve runs
@@ -77,8 +83,9 @@ carries.
 The forward pass carries scores alone, shifted each row so that its best
 is 0; the shift is carried as a Python int.  So every rule's scores fit
 in int8, because each lies within 2n of its row's best: the maximum's
-since the empty row fits under every row, the minimum's as measured (at
-most n + 1 up to n = 14), and _normalize checks it on every row.  A
+since the empty row fits under every row, the minimum's slot maxima as
+measured (at most n - 1 up to n = 16), and _normalize checks it on every
+row.  A
 witness is not tracked forward: the sweep keeps a layer of each row,
 and a backward scan rebuilds the rows from the south border up, each the
 argmax of the key (score << n) | rev(row) over the rows that fit the
@@ -86,8 +93,9 @@ rows below it, in one loop for both objectives (the rule's scan), which
 picks once for each state of the scan that repeats.  Each layer keeps
 class maxima, not the row's 2^n scores: the maximum's its closed G and
 its cells, from which the scan takes the low row it tries; the
-minimum's its own, which it reads at the row below, as its close-off
-reads the last row's at the south border.
+minimum's its slot maxima and their closed state, which the next
+advance closes anyway and the scan reads at the row below, one gather,
+as the close-off reads the last row's at the south border.
 
 The state after row k does not depend on the final row count, so one sweep
 to the largest m closes off every requested row count on the way: solve
@@ -124,8 +132,9 @@ class Limits:
     Column caps keep the states within memory: for the maximum solver, its
     split plan and arrays of under 2^(n/2) entries a key half, run or
     column run; for
-    the minimum solver, one score per (triple class, profile c <= rev(c))
-    and its reach tables.  A single-row minimum keeps
+    the minimum solver, one score per class slot, its reach tables, and a
+    block of one score per (triple class, profile c <= rev(c)) for a chunk
+    of the profiles at a time.  A single-row minimum keeps
     one score per row (_row_rule), so it only needs the wider max_cols cap.
     max_state_bytes caps the estimated bytes a solve or brute_force
     allocates, the cached per-width tables included: the allocations
@@ -228,6 +237,7 @@ _PLAN_BLOCK = 1 << 20  # the pairs _split_plan flags, and bytes _hasse ands, at 
 _BLOCK = 1 << 20
 _CHUNK = 256
 _READ_ROWS = 16
+_TAKE_BLOCK = 1 << 16  # the class slots a take of _closed_chunks expands at a time
 _PHASES = ("group", "transform", "read", "close", "scan")
 
 
@@ -237,8 +247,9 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
 
     Counts the arrays alive at the DP's peak: the cached tables, the working
     arrays of one row, and the grouped maxima of the rows in the sweep's
-    ring.  A witness's kept layers past those and
-    its backward scan are charged by the sweep as it goes (_sweep).
+    ring, the minimum's its slot maxima (_pair_advance).  A witness's kept
+    layers past those and its backward scan are charged by the sweep as
+    it goes (_sweep).
     """
     size = 1 << n
     if objective is Objective.MIN_MAXIMAL and m == 1:
@@ -254,39 +265,23 @@ def _need_bytes(objective: Objective, m: int, n: int, bricked: bool) -> int:
         per_group = _RING + 7
         return _FIXED_BYTES + plan + max(build, groups * per_group + g + group)
     # the minimum reads no split plan: _houses, pc (int8) a row, built in
-    # place, and its gain; the reach tables; and the rule's gain (int8),
-    # its rows in table order and at d_v (uint32), a representative row
-    # each
-    tables, made, groups, cols, entries, slots, chunk = _reach_bytes(n, bricked)
-    need = _FIXED_BYTES + size * 2 + cols * 9 + tables
-    # The minimum's state is its grouped maxima, one (groups,
-    # representative rows) array a row, of which the ring holds _RING + 1.
-    grouped = groups * cols
-    held = min(m, _RING + 1)
-    # a row advance: the next maxima, the block of a chunk and the rows'
-    # reads, one a table entry; then a closure's gather and its maxima
-    # (_batches), or the flat indices (intp) of at most _READ_ROWS * 2^n
-    # table entries; or, at the end, the class slots and their mirror, and
-    # one class's slot indices (intp)
-    gather = 3 * min(max(_GATHER_BLOCK, 2 * chunk), groups * (n + 1) * chunk) // 2
-    advance = (grouped + (groups + 1) * chunk + entries
-               + max(gather, _READ_ROWS * size * 8, 2 * slots + cols * 8))
-    # a read of _min_rule, for a close-off or a row of the witness scan:
-    # the column of reach, built in the uint32 stages of _reach, the
-    # uint16 fit test and its mask, clipped in place (_masked_max), and
-    # the masked maxima; the rule keeps the last read's maxima until the
-    # next advance, and at a cycle the sweep keeps the close-off maxima of
-    # the rows it repeats; a scan row's second read is made beside its
-    # first
-    read = cols * 24 + groups * cols * (2 + 1) + cols * (_RING + 1)
-    return need + max(made, held * grouped + max(advance, read))
+    # place, and its gain; the reach tables; the rule (_min_rule), row 1's
+    # slot maxima, the rows' gain (int8) and rows (uint32) and the places
+    # of their entries in a closed state and at d_v (intp), beside _reach's
+    # uint32 stages while they are made, and its closures' objects; and
+    # the slot maxima of the rows in the sweep's ring, _RING + 1 of them
+    tables, made, slots, advance, read = _reach_bytes(n, bricked)
+    cols = ((1 << n) + (1 << (n + 1) // 2)) // 2
+    rule = slots + cols * 48 + 20 * _OBJECT_BYTES
+    return (_FIXED_BYTES + size * 2 + tables + rule
+            + max(made, min(m, _RING + 1) * slots + max(advance, read)))
 
 
-def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int, int]:
+def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int]:
     """The bytes of the cached _reach_bits and _reach_tables at width n,
-    the most their builds hold beyond them, the classes, the
-    representative rows c <= rev(c), the entries of the row tables and
-    the class slots, and the current rows of _pair_advance's chunk.
+    the most their builds hold beyond them, the class slots (one state's
+    bytes), and the most a row advance (_pair_advance) and a read of
+    _min_rule hold beyond the tables, the rule and the states they read.
 
     The representatives are half of the rows and of the palindromes, x |
     rev(x) for the 2^ceil(n / 2) rows x below them, and a row's mirror
@@ -304,37 +299,64 @@ def _reach_bytes(n: int, bricked: bool) -> tuple[int, int, int, int, int, int, i
     held = np.bincount(np.bitwise_count(seen), minlength=n + 1)
     entries, slots = int(rows @ widths), int(held @ widths)
     bits = int(rows @ np.arange(n + 1))  # the bits of every row's D_c
-    item = np.dtype(np.min_scalar_type(1 << int(np.flatnonzero(held)[-1]))).itemsize
+    item = np.dtype(np.min_scalar_type(slots - 1)).itemsize
     edges = groups * n
+    chunk = _chunk_rows(cols, groups + 1)
     # the keys, D_c a row and D_g a class; the rows in table order and
-    # their mirrors (intp), the runs and the spans; the uint16 entries,
-    # their scatter (intp), the offsets (intp), the slots and their mirror
-    # (intp); the closure, each class's row and its Hasse children (intp),
-    # and a few batches' objects
-    tables = (groups * 8 + size * 4 + cols * 16 + (n + 1) * 600
-              + entries * (2 + 8) + groups * 8 + groups * cols * item + slots * 8
+    # their mirrors (intp), the runs and the spans; the uint16 entries and
+    # their scatter (intp), the slots and their mirror (intp); the g map
+    # (uint16); the closure, each class's row and its Hasse children
+    # (intp), and a few batches' objects
+    tables = (groups * 8 + size * 4 + cols * 16 + (n + 1) * 600 + entries * (2 + 8)
+              + groups * cols * item + slots * 8 + size * 2
               + (edges + 2 * groups) * 8 + (n + 1) ** 2 * _OBJECT_BYTES)
     # _reach_bits: a flag and D_g (uint32) a triple mask, a block's (bit,
     # row) pairs in the uint32 stages of _reach.  _reach_tables: a few
-    # words a row (the rows' keys and ids, the mirror test); a few words a
-    # representative (the sort and its keys, the reordered rows) and a
-    # (row, bit) flag a bit of it; for each bit of a D_c, its row, place
+    # words a row while it orders the representatives (the rows' keys and
+    # ids, the mirror test); then, to its end, the reversed rows (uint32),
+    # a few words a representative (its class, D_c and |D_c|) and a few a
+    # class and bit, beside, in turn: for each bit of a D_c, its row, place
     # and step (intp) and reach(c, {k}) in uint32 stages, then its step
-    # alone beside a run's int64 table and its shifted copy; arrays of a
-    # few words a class and bit; then the g map (uint16) beside the mirror
-    # test and a few words a representative, and _hasse of the holes (its
-    # phases summed, at most half the class pairs ordered) or the
-    # closure's build; then the slots of a block of classes at every row d
+    # alone beside a run's int64 table and its rows' class places; the g
+    # map's take of _TAKE_BLOCK entries (intp), or _hasse of the holes, or
+    # the closure's build; a block of classes' slots at every row d; and
+    # the mirror classes' places and the rows' mirrors.  _hasse holds, in
+    # turn, a uint16 and and a flag a class pair; the flags beside the
+    # ordered pairs (intp), or beside them bit-packed both ways; those
+    # beside a flag a pair and a block of and-ed rows; the pairs beside the
+    # edges
     run = int((rows * widths).max())
-    pairs, packed = groups * (groups - 1) // 2, -(-groups // 8)
-    hasse = (3 * groups * groups + 24 * pairs + 2 * groups * packed
-             + 3 * min(_PLAN_BLOCK, pairs * packed) + 16 * edges)
-    made = max(size * 5 + min(n << n, _RULE_BLOCK >> 2) * 32,
-               size * 40 + cols * (40 + n) + groups * 32 * (n + 8)
-               + max(bits * 56, bits * 8 + run * 16),
-               size * 6 + cols * 24 + groups * 16 * n + max(hasse, edges * 48 + groups * 40),
-               min(groups, max(1, _BLOCK >> n)) * size * item)
-    return tables, made, groups, cols, entries, slots, _chunk_rows(cols, groups + 1)
+    step = max(1, (_PLAN_BLOCK >> 4) // groups)
+    pairs = sum(int(np.count_nonzero((keys & ~keys[a:a + step, None]) == 0))
+                for a in range(0, groups, step)) - groups  # hole j ⊊ hole k: key k ⊊ key j
+    packed = -(-groups // 8)
+    hasse = max(3 * groups * groups, groups * groups + 24 * pairs + 2 * groups * packed,
+                17 * pairs + 2 * groups * packed + 3 * min(_PLAN_BLOCK, pairs * packed),
+                18 * pairs + 16 * edges)
+    kept = size * 4 + cols * 13 + groups * (48 + 32 * n)
+    made = 64 * _OBJECT_BYTES + max(
+        size * 5 + min(n << n, _RULE_BLOCK >> 2) * 32,
+        size * 40 + cols * (40 + n),
+        kept + cols * 8 + max(bits * 56, bits * 8 + run * 16 + cols * 16),
+        kept + max(min(entries, _TAKE_BLOCK) * 8, hasse, edges * 48 + groups * 40),
+        kept + min(groups, max(1, _BLOCK // (size * item))) * size * item,
+        kept + groups * 8 + cols * 12)
+    # a row advance: the rows' reads, one a table entry, and the flat
+    # indices (intp) of at most _READ_ROWS * 2^n of them; a chunk's block
+    # and the intp slots of its takes (_closed_chunks), and a closure's
+    # gather and its maxima (_batches); then its maxima beside the reads or
+    # the mirror's maxima
+    gather = 3 * min(max(_GATHER_BLOCK, 2 * chunk), groups * (n + 1) * chunk) // 2
+    block = (groups + 1) * chunk + min(max(1, _TAKE_BLOCK // chunk), groups) * chunk * 8
+    advance = max(entries + min(_READ_ROWS * size, entries) * 8 + block + gather,
+                  slots + max(entries, slots))
+    # a read of _min_rule: a close-off's maxima, a block and its gather
+    # and the places of a chunk's entries (intp); or a scan row's reach,
+    # built in the uint32 stages of _reach, its g (uint16), their places
+    # (intp) and the reads, beside the row's first read; and the close-off
+    # maxima of the rows the sweep repeats, at most _RING
+    read = max(cols + block + max(gather, chunk * 8), cols * (24 + 2 + 16 + 2)) + cols * _RING
+    return tables, made, slots, advance, read
 
 
 @lru_cache(maxsize=8)
@@ -431,8 +453,8 @@ def _check_limits(objective: Objective, dims: Dims, limits: Limits) -> int:
 
     Past 16 columns for a pair solve, and past 32 for every solve, no
     Limits value lifts the column cap: the reach tables
-    (_reach_tables) are uint16, as are the keys of _min_rule's reads,
-    and _split_plan's rows, bit_reverse and the int8 scores' band
+    (_reach_tables) and their map of each reach to its hole's class are
+    uint16, and _split_plan's rows, bit_reverse and the int8 scores' band
     (_DEAD) hold 32 columns.  Both are checked before any table is built.
 
     Returns the byte estimate of the solve without a witness (_need_bytes),
@@ -802,8 +824,9 @@ def _houses(n: int) -> np.ndarray:
     return pc
 
 
-def _reach(c: np.ndarray, d, n: int, bricked: bool) -> np.ndarray:
-    """The pair rule: reach(c, d) for the uint32 rows c over the rows d below.
+def _reach(c, d, n: int, bricked: bool):
+    """The pair rule: reach(c, d) for the uint32 rows c over the rows d
+    below, or for one pair of int rows.
 
     reach holds the houses of c and the empty lots of c that the east, west
     and center propositions cover; the north proposition must cover the
@@ -815,8 +838,7 @@ def _reach(c: np.ndarray, d, n: int, bricked: bool) -> np.ndarray:
     # key 0 fits only u = full on the bricked border, and (full, c) is
     # itself blocked for every c ≠ 0: dead from row 1 on, so blocked
     # pairs read dead
-    part[(triple_mask(c, n, bricked) & d) != 0] = 0
-    return part
+    return part * ((triple_mask(c, n, bricked) & d) == 0)
 
 
 @lru_cache(maxsize=8)
@@ -855,8 +877,9 @@ class _ReachTables(NamedTuple):
 
     The rows are the representatives c <= rev(c) alone, taken in table
     order: by the size of their own bits D_c, then by class.  The state's
-    columns, its rows c, are in this order too.  The classes' slots are
-    laid out by the size of D_g, then by key.
+    columns, its rows c, are in this order too.  The class slots are laid
+    out slot-major by the size B of D_g: per B, one (2^B + 1, classes)
+    array, its classes by key.
     """
 
     order: np.ndarray  # the representative rows in table order (intp)
@@ -867,11 +890,12 @@ class _ReachTables(NamedTuple):
     reach: np.ndarray
     scatter: np.ndarray  # per entry of reach, its class slot (intp)
     spans: list[tuple[int, int, int]]  # per size B of D_g: (first slot, classes, B)
-    offset: np.ndarray  # per class, in key order, where its slots start
-    # (classes, representative rows): each row d's slot in its class's
-    # table, the rows d in table order
+    # (classes, representative rows): each row d's class slot, the rows d in
+    # table order, in the smallest unsigned dtype that holds the slot count
     slots: np.ndarray
     mirror: np.ndarray  # per class slot, the mirror class's slot of its mirror (intp)
+    unread: int  # the one class slot that no row d reads, nor its mirror: key 0's blocked slot
+    hole: np.ndarray  # g(R) at every R (_hole_classes, uint16)
     closure: list[tuple[np.ndarray, np.ndarray]]  # the holes' (_close), by class index
 
 
@@ -886,38 +910,46 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     (_reach_bits), subset s at slot s, whose bit i is the i-th bit of D_c,
     and then 0, at slot 2^|D_c|.  Each entry is stored as the block row
     _pair_advance reads for it, g(reach), the class of the largest hole
-    inside reach, or the dead row where none is (_hole_classes).  A run of
-    rows with one |D_c| is the tuple (first row, end row, width L = 2^|D_c|
-    + 1, its first entry in reach).  A class g has 2^|D_g| + 1
-    slots: subset s of D_g at slot s, whose bit i is the i-th bit of D_g,
-    and the blocked slot 2^|D_g|.  scatter maps the slot s of a row of
-    class g to g's slot of s, the bits of D_c placed at their ranks in
-    D_g, and the row's blocked slot to g's.  Both are built by doubling,
-    one bit of D_c at a time, from reach(c, ∅) = c and g's slot ∅.
-    slots[g, i] is d & D_g's slot, or 2^|D_g| where d meets the key, for
-    the row d = order[i], built by doubling over the rows d ascending, a
-    block of classes at a time, and then put in table order.  mirror
-    sends g's slot s to the slot of rev(s) of the mirror class g*, whose
-    key is rev(key(g)) and whose D_g* is rev(D_g): s's |D_g| bits in
-    reverse order, and the blocked slot to the blocked slot.  closure is
-    the holes' (_closure), batched for a chunk's rows (_chunk_rows).
+    inside reach, or the dead row where none is (hole, _hole_classes).  A
+    run of rows with one |D_c| is the tuple (first row, end row, width L =
+    2^|D_c| + 1, its first entry in reach).  A class g has 2^|D_g| + 1
+    slots: subset s of D_g, whose bit i is the i-th bit of D_g, and the
+    blocked slot 2^|D_g|, slot s of the j-th class of its span at first
+    slot + s * classes + j.  scatter maps the slot s of a row of class g to
+    g's slot of s, the bits of D_c placed at their ranks in D_g, and the
+    row's blocked slot to g's.  Both are built by doubling, one bit of D_c
+    at a time, from reach(c, ∅) = c and g's slot ∅.  slots[g, i] is d &
+    D_g's slot, or the blocked one where d meets the key, for the row d =
+    order[i], built by doubling over the rows d ascending, a block of
+    classes at a time, and then put in table order.  mirror sends g's slot
+    s to the slot of rev(s) of the mirror class g*, whose key is
+    rev(key(g)) and whose D_g* is rev(D_g): s's |D_g| bits in reverse
+    order, and the blocked slot to the blocked slot.  Every slot but one is
+    read by a representative row d, directly or through mirror: a subset
+    s of D_g misses the key, so the row s reads it, or rev(s) its mirror,
+    and the full row, a palindrome, meets every key but 0.  Key 0, class 0,
+    is its own mirror and meets no row: its blocked slot is unread.
+    closure is the holes' (_closure), batched for a chunk's rows
+    (_chunk_rows).
     """
     keys, own, seen = _reach_bits(n, bricked)
     size, groups = 1 << n, len(keys)
     c = np.arange(size, dtype=np.uint32)
     every = np.arange(n, dtype=np.uint32)
     ids = np.searchsorted(keys, triple_mask(c, n, bricked))
-    # the classes' slots, by |D_g| then key, and the rank of each bit of
-    # D_g among them
+    # the spans, one |D_g| each, of count classes from by[j0] on, from slot
+    # at on; each class's slot ∅ and the stride between its slots; and the
+    # rank of each bit of D_g among them
     held = np.bitwise_count(seen).astype(np.intp)
     by = np.argsort(held, kind="stable")
-    slot_at = np.zeros(groups + 1, dtype=np.intp)
-    np.cumsum((1 << held[by]) + 1, out=slot_at[1:])
-    offset = np.empty(groups, dtype=np.intp)
-    offset[by] = slot_at[:-1]
-    firsts = _starts(held[by]).tolist()
-    spans = [(int(slot_at[j0]), j1 - j0, int(held[by[j0]]))
-             for j0, j1 in zip(firsts, firsts[1:] + [groups])]
+    j0 = _starts(held[by])
+    count, size_b = _lengths(j0, groups), held[by[j0]]
+    at = np.zeros(len(j0) + 1, dtype=np.intp)
+    np.cumsum(count * ((1 << size_b) + 1), out=at[1:])
+    spans = list(zip(at.tolist(), count.tolist(), size_b.tolist()))
+    span = np.repeat(np.arange(len(j0)), count)  # each class's, in by order
+    first, stride = np.empty(groups, dtype=np.intp), np.empty(groups, dtype=np.intp)
+    first[by], stride[by] = at[span] + np.arange(groups) - j0[span], count[span]
     mine = ((seen[:, None] >> every) & 1).astype(np.intp)
     rank = np.cumsum(mine, axis=1) - mine
     # the representative rows in table order: by |D_c|, then by class
@@ -943,7 +975,7 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
     # the blocked slot reach 0 and the class's blocked slot
     bounds = _starts(bits).tolist() + [len(order)]
     blocked = (1 << held[ids]) << 16
-    base = offset[ids]
+    first_c, stride_c = first[ids, None], stride[ids, None]  # each row's class's
     runs, e, p = [], 0, 0
     for r0, r1 in zip(bounds, bounds[1:]):
         b = int(bits[r0])
@@ -955,41 +987,53 @@ def _reach_tables(n: int, bricked: bool) -> _ReachTables:
             np.bitwise_or(table[:1 << i], moves[i], out=table[1 << i:2 << i])
         both = table.T
         np.bitwise_and(both, 0xFFFF, out=reach[e:e + table.size].reshape(rows, w), casting="unsafe")
-        np.add(both >> 16, base[r0:r1, None], out=scatter[e:e + table.size].reshape(rows, w))
+        to = scatter[e:e + table.size].reshape(rows, w)
+        np.right_shift(both, 16, out=to)
+        to *= stride_c[r0:r1]
+        to += first_c[r0:r1]
         runs.append((r0, r1, w, e))
         e, p = e + table.size, p + rows * b
-    del table, both, move, moves, blocked, base, row, pos
-    # each reach R as g(R); take reads each index before its slot
+    del table, both, move, moves, blocked, row, pos, first_c, stride_c
+    # each reach R as g(R), _TAKE_BLOCK entries a take; take reads each
+    # index before its slot
     holes = (full_mask(n) ^ keys).astype(np.uint16)
-    _hole_classes(holes, n).take(reach, out=reach, mode="clip")
+    hole = _hole_classes(holes, n)
+    for a in range(0, len(reach), _TAKE_BLOCK):
+        hole.take(reach[a:a + _TAKE_BLOCK], out=reach[a:a + _TAKE_BLOCK], mode="clip")
     closure = _closure(holes, *_hasse(holes), _chunk_rows(len(order), groups + 1))
     # bit k of d adds 2^i to the slot when it is the i-th bit of D_g, and
-    # 2^|D_g| when it is a key bit; each step clips the sum at 2^|D_g|
-    top = (1 << held).astype(np.min_scalar_type(1 << int(held.max())))[:, None]
-    step = np.where((keys[:, None] >> every) & 1, top, mine << rank).astype(top.dtype)
-    room = top - step
-    slots = np.empty((groups, len(order)), dtype=top.dtype)
-    block = max(1, _BLOCK >> n)
-    every_d = np.empty((min(block, groups), size), dtype=top.dtype)
-    every_d[:, 0] = 0
+    # 2^|D_g| when it is a key bit; each step clips the sum at 2^|D_g|.
+    # The slots are placed as they are built, first + slot * stride, which
+    # keeps the clip: each step adds step * stride and clips at the
+    # blocked slot
+    item = np.min_scalar_type(int(at[-1]) - 1)
+    top = (1 << held)[:, None]
+    step = np.where((keys[:, None] >> every) & 1, top, mine << rank)
+    room = (first[:, None] + (top - step) * stride[:, None]).astype(item)
+    step = (step * stride[:, None]).astype(item)
+    slots = np.empty((groups, len(order)), dtype=item)
+    block = min(groups, max(1, _BLOCK // (size * item.itemsize)))
+    every_d = np.empty((block, size), dtype=item)
     for g in range(0, groups, block):
         part = every_d[:min(block, groups - g)]
+        part[:, 0] = first[g:g + block]
         for k in range(n):
             high = part[:, 1 << k:2 << k]
             np.minimum(part[:, :1 << k], room[g:g + block, k:k + 1], out=high)
             high += step[g:g + block, k:k + 1]
         np.take(part, order, axis=1, out=slots[g:g + block], mode="clip")
-    del every_d
-    # each slot s of a class g, its subset reversed in D_g's b bits, or
-    # the blocked slot 2^b, at the mirror class's offset: s holds no bit
-    # at or above b, so rev_b(s) is rev_n(s) shifted down by n - b
-    cls = np.repeat(by, (1 << held[by]) + 1)
-    s = np.arange(int(slot_at[-1])) - offset[cls]
-    b = held[cls]
-    mirror = np.where(s >> b != 0, s, rev.take(s, mode="clip") >> (n - b))
-    mirror += offset[np.searchsorted(keys, rev[keys])][cls]
-    return _ReachTables(order, rev[order].astype(np.intp), runs, reach, scatter, spans, offset,
-                        slots, mirror, closure)
+    del every_d, part, high
+    # each span's slots s, its subset reversed in D_g's b bits, or the
+    # blocked slot 2^b, at the mirror class's place: s holds no bit at or
+    # above b, so rev_b(s) is rev_n(s) shifted down by n - b
+    mirror = np.empty(int(at[-1]), dtype=np.intp)
+    star = first[np.searchsorted(keys, rev[keys])][by]  # in span order
+    for j, (a, k, b) in zip(j0.tolist(), spans):
+        s = np.full((1 << b) + 1, 1 << b)
+        np.right_shift(rev[:1 << b], n - b, out=s[:-1])
+        np.add(s[:, None] * k, star[j:j + k], out=mirror[a:a + s.size * k].reshape(-1, k))
+    return _ReachTables(order, rev[order].astype(np.intp), runs, reach, scatter, spans,
+                        slots, mirror, int(first[0] + (stride[0] << held[0])), hole, closure)
 
 
 def _hole_classes(holes: np.ndarray, n: int) -> np.ndarray:
@@ -1056,70 +1100,100 @@ class _Clock:
         self.t = now
 
 
-def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
-                  clock: _Clock | None = None) -> np.ndarray:
-    """The minimum's row advance, from grouped maxima to grouped maxima.
+def _closed_chunks(maxima: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
+                   into: np.ndarray | None = None):
+    """The closed block of the state whose slot maxima are maxima, a chunk
+    of its current rows at a time (_chunk_rows): yields (lo, hi, flat),
+    flat the (classes + 1, hi - lo) block of rows lo..hi as a flat array.
 
-    grouped[g, c] is the best score of a state (u, c) whose row above u is
-    in triple class g.  The next state (c, d) scores gain[d] plus the
-    maximum of grouped[g, c] over the classes g that fit it, ~key(g) ⊆
-    reach(c, d), and the result is grouped by the class of c.  Every rule
-    commutes with column reversal, so the state is mirror-symmetric:
-    grouped[g*, rev(c)] = grouped[g, c], with g* the class of key
-    rev(key(g)), and grouped and the result hold the representative
-    columns c <= rev(c) alone.  Both states' columns, and gain, are in
-    table order (_reach_tables), so the current rows c are taken a chunk
-    at a time (_chunk_rows) as contiguous columns of grouped, the last
-    chunk on its own columns alone.  Each chunk is copied into a (classes
-    + 1, chunk) block whose last row is dead and closed over the holes'
-    lattice (_close): row g takes the maximum over the classes whose hole
-    lies inside g's, along the Hasse edges alone, as a zeta transform over
-    a lattice needs only its members and covering pairs (Björklund,
-    Husfeldt, Kaski, Koivisto, Nederlof & Parviainen, SODA 2012).  The
-    classes that fit a reach R are those whose hole lies inside R's
-    largest, so their maximum is row g(R) (_hole_classes).  Each row c
-    reads the block, read_c(s) = block[g(reach(c, s)), c], at the 2^|D_c|
-    + 1 entries of its own table row alone, not at all 2^n rows d: a run's
-    rows of a chunk, about _READ_ROWS * 2^n entries per flat take.
+    Row g of a chunk's block is filled from each current row's class slot
+    (slots), _TAKE_BLOCK entries a take through one reused intp buffer,
+    plus the row's gain; its last row is dead.  Then it is closed over the
+    holes' lattice (_close).  The blocks go into one reused chunk buffer,
+    or, where into is given, into into at (classes + 1) * lo, so that it
+    holds the whole closed state.
+    """
+    tables = _reach_tables(n, bricked)
+    groups, cols = tables.slots.shape
+    chunk = _chunk_rows(cols, groups + 1)
+    whole = into is not None
+    if not whole:
+        into = np.empty((groups + 1) * chunk, dtype=maxima.dtype)
+    step = max(1, _TAKE_BLOCK // chunk)  # the classes of one take
+    at = np.empty(min(step, groups) * chunk, dtype=np.intp)
+    for lo in range(0, cols, chunk):
+        hi = min(lo + chunk, cols)
+        k = hi - lo  # the chunk's rows, the trailing axis of its block
+        base = (groups + 1) * lo if whole else 0
+        flat = into[base:base + (groups + 1) * k]
+        block = flat.reshape(groups + 1, k)
+        for g in range(0, groups, step):
+            part = tables.slots[g:g + step, lo:hi]
+            idx = at[:part.size].reshape(part.shape)
+            idx[...] = part
+            np.take(maxima, idx, out=block[g:g + len(part)], mode="clip")
+        block[:-1] += gain[lo:hi]
+        block[-1] = _DEAD
+        _close(block, tables.closure)
+        yield lo, hi, flat
+
+
+def _pair_advance(maxima: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
+                  clock: _Clock | None = None, into: np.ndarray | None = None) -> np.ndarray:
+    """The minimum's row advance, from slot maxima to slot maxima.
+
+    The state grouped[g, c] is the best score of a state (u, c) whose row
+    above u is in triple class g, and is held as its class slots' maxima:
+    grouped[g, c] = maxima[slots[g, c]] + gain[c].  The next state (c, d)
+    scores gain[d] plus the maximum of grouped[g, c] over the classes g
+    that fit it, ~key(g) ⊆ reach(c, d), and the result is grouped by the
+    class of c.  Every rule commutes with column reversal, so the state is
+    mirror-symmetric: grouped[g*, rev(c)] = grouped[g, c], with g* the
+    class of key rev(key(g)), and grouped holds the representative columns
+    c <= rev(c) alone, in table order (_reach_tables), as is gain.  The
+    current rows c are taken a chunk at a time (_closed_chunks): each
+    chunk's (classes + 1, chunk) block is filled from maxima, its last row
+    dead, and closed over the holes' lattice (_close): row g takes the
+    maximum over the classes whose hole lies inside g's, along the Hasse
+    edges alone, as a zeta transform over a lattice needs only its members
+    and covering pairs (Björklund, Husfeldt, Kaski, Koivisto, Nederlof &
+    Parviainen, SODA 2012).  The classes that fit a reach R are those whose
+    hole lies inside R's largest, so their maximum is row g(R)
+    (_hole_classes).  Each row c reads the block, read_c(s) =
+    block[g(reach(c, s)), c], at the 2^|D_c| + 1 entries of its own table
+    row alone, not at all 2^n rows d: a run's rows of a chunk, about
+    _READ_ROWS * 2^n entries per flat take.  With into, the closed blocks
+    are kept there (_closed_chunks).
 
     After the last chunk, every read is maxed into its class slot
     (scatter).  The other rows' reads follow by symmetry, read_rev(c)(d) =
     read_c(rev(d)): class g's slot of d holds the reads of its rows rev(c)
     once maxed with g*'s slot of rev(d), one maximum through mirror.  Then
-    one in-place subset maximum over each class's first 2^|D_g| slots
-    gives slot s ⊆ D_g the maximum of read_c(s ∩ D_c) over the rows c of
-    the class.  That is the maximum of read_c(s), by two facts.  reach(c,
-    d) for d that miss the key is c or-ed with reach(c, {k}) over the bits
-    k of d, and bits outside D_c add nothing: reach(c, s) = reach(c, s ∩
-    D_c).  And read_c is monotone in s ⊆ D_g: no such s meets the key, so
-    reach(c, s) grows with s, and the closed block read at g(reach) grows
-    with reach (a reach that holds no hole reads the dead row, and so does
-    every reach inside it).  So of the slots t ⊆ s that the transform
-    collects, a row's reads peak at s ∩ D_c.  The blocked slots, reach 0,
-    read the block at g(0), as a read at reach(c, d) = 0 does, and skip
-    the transform.  Then the class slots are expanded to every
-    representative row d below, in table order (slots), one take a class,
-    and gain is added once: the result is the same, dead entries included,
-    as a read at every (c, d).
+    one in-place subset maximum over each span's first 2^B slot rows, a
+    (2^B, classes) array, gives slot s ⊆ D_g the maximum of read_c(s ∩
+    D_c) over the rows c of the class.  That is the maximum of read_c(s),
+    by two facts.  reach(c, d) for d that miss the key is c or-ed with
+    reach(c, {k}) over the bits k of d, and bits outside D_c add nothing:
+    reach(c, s) = reach(c, s ∩ D_c).  And read_c is monotone in s ⊆ D_g:
+    no such s meets the key, so reach(c, s) grows with s, and the closed
+    block read at g(reach) grows with reach (a reach that holds no hole
+    reads the dead row, and so does every reach inside it).  So of the
+    slots t ⊆ s that the transform collects, a row's reads peak at s ∩
+    D_c.  The blocked slots, reach 0, read the block at g(0), as a read at
+    reach(c, d) = 0 does, and skip the transform.  The slots no row reads
+    are set dead (unread), so that two states are equal exactly when their
+    slot maxima are.  The result's expansion through slots, plus gain, is
+    the same, dead entries included, as a read at every (c, d).
     """
     clock = clock or _Clock()
     tables = _reach_tables(n, bricked)
-    groups, cols = len(grouped), len(tables.order)
-    chunk = _chunk_rows(cols, groups + 1)
-    out = np.empty_like(grouped)
-    blocks = np.empty((groups + 1) * chunk, dtype=grouped.dtype)
-    read = np.empty(len(tables.reach), dtype=grouped.dtype)  # the reads, laid out as reach
-    local = np.arange(chunk)[:, None]
+    read = np.empty(len(tables.reach), dtype=maxima.dtype)  # the reads, laid out as reach
+    flat_at = np.empty(min(_READ_ROWS << n, len(read)), dtype=np.intp)  # a take's flat indices
     clock.mark()
-    for lo in range(0, cols, chunk):
-        hi = min(lo + chunk, cols)
-        k = hi - lo  # the chunk's rows, the trailing axis of its arrays
-        flat = blocks[:(groups + 1) * k]
-        block = flat.reshape(groups + 1, k)
-        block[:-1] = grouped[:, lo:hi]
-        block[-1] = _DEAD
-        _close(block, tables.closure)
+    for lo, hi, flat in _closed_chunks(maxima, n, bricked, gain, into):
         clock.lap("transform")
+        k = hi - lo
+        local = np.arange(k)[:, None]
         for first, end, width, entry in tables.runs:
             step = max(1, (_READ_ROWS << n) // width)
             for a in range(max(first, lo), min(end, hi), step):
@@ -1127,26 +1201,23 @@ def _pair_advance(grouped: np.ndarray, n: int, bricked: bool, gain: np.ndarray,
                 at, to = entry + (a - first) * width, entry + (b - first) * width
                 # row j of the chunk reads block[reach, j]; the flat indices
                 # lie below the block's size, so "clip" never clips
-                idx = np.multiply(tables.reach[at:to].reshape(-1, width), k, dtype=np.intp)
+                idx = flat_at[:to - at].reshape(-1, width)
+                np.multiply(tables.reach[at:to].reshape(-1, width), k, out=idx, dtype=np.intp)
                 idx += local[a - lo:b - lo]
                 np.take(flat, idx, out=read[at:to].reshape(-1, width), mode="clip")
         clock.lap("read")
+    del flat_at
     # each class's slot ∅ and blocked slot take reads of all its rows, and
     # the transform lifts every other slot to at least slot ∅: the dead
     # fill is no bias
-    maxima = np.full(len(tables.mirror), _DEAD, dtype=grouped.dtype)
-    np.maximum.at(maxima, tables.scatter, read)
-    np.maximum(maxima, maxima[tables.mirror], out=maxima)  # the mirror rows' reads
+    out = np.full(len(tables.mirror), _DEAD, dtype=maxima.dtype)
+    np.maximum.at(out, tables.scatter, read)
+    del read
+    np.maximum(out, out[tables.mirror], out=out)  # the mirror rows' reads
     for at, count, bits in tables.spans:
-        part = maxima[at:at + count * ((1 << bits) + 1)].reshape(count, -1)
-        _subset_max_inplace(part[:, :1 << bits].T, bits)
+        _subset_max_inplace(out[at:at + (count << bits)].reshape(1 << bits, count), bits)
+    out[tables.unread] = _DEAD
     clock.lap("read")
-    # one take a class, from its own slots; "clip" spares take a buffered
-    # copy of out
-    for g, at in enumerate(tables.offset.tolist()):
-        np.take(maxima[at:], tables.slots[g], out=out[g], mode="clip")
-    out += gain
-    clock.lap("group")
     return out
 
 
@@ -1328,82 +1399,98 @@ def _max_rule(n: int, bricked: bool, d_v: int) -> _Rule:
                  + ((1 + plan.hv.itemsize) << w) + test + step * 16)
 
 
-def _min_rule(n: int, bricked: bool, d_v: int) -> _Rule:
-    """The minimum's row rule: its state is its grouped maxima, grouped[g, c]
-    the best score of a state (u, c) whose row above u is in class g.
+def _min_rule(n: int, bricked: bool, d_v: int, keep: bool) -> _Rule:
+    """The minimum's row rule: its state is its class slots' maxima
+    (_pair_advance), grouped[g, c] = maxima[slots[g, c]] + gain[c] the best
+    score of a state (u, c) whose row above u is in class g.
 
     A row c admits the rows u above it, for the row d below it, with
     ~triple(u) ⊆ reach(c, d) (_pair_advance).  The state's columns, the
     representative rows c <= rev(c), are in table order (_reach_tables),
     as are the rows a read evaluates.  A read at d gives the
-    representatives' scores, and one at rev(d) the other rows', as row
-    rev(c) at d scores as row c at rev(d); the scan puts both back in row
-    order before its pick, and the close-off needs one, as d_v is a
-    palindrome.  A kept state carries its own row's shift.  The close-off
-    reads the last row's state at the virtual south row, and the witness
-    scan reads each row's state at the row below it: so each row's scores
-    come from its own state.  Only the reach tables are read: no split
+    representatives' scores: their closed block, read at g(reach(c, d))
+    (hole), one gather.  One at rev(d) gives the other rows', as row rev(c)
+    at d scores as row c at rev(d); the scan puts both back in row order
+    before its pick, and the close-off needs one, as d_v is a palindrome.
+    The close-off reads the last row's state at the virtual south row, a
+    chunk at a time (_closed_chunks), and the witness scan reads each
+    row's state at the row below it: so each row's scores come from its
+    own state, and a kept layer carries its own row's shift.  With keep, a
+    witness's, each state's closed block is kept whole: the next advance
+    closes it anyway, into its kept place, and a read builds those of the
+    rows no advance follows.  Only the reach tables are read: no split
     plan.
     """
     tables = _reach_tables(n, bricked)
-    keys = _reach_bits(n, bricked)[0]
+    groups, cols = tables.slots.shape
     gain = (n - _houses(n))[tables.order]  # each row's empty lots
-    full, rows = full_mask(n), tables.order.astype(np.uint32)
-    holes = (full - keys).astype(np.uint16)
-    south = _reach(rows, np.uint32(d_v), n, bricked)  # reach(c, d_v), built once
-    # the last read, (grouped, d, maxima), until the next advance: a
-    # witness scan starts where the close-off read
-    last = []
+    rows = tables.order.astype(np.uint32)
+    # each row's place in a whole closed state, chunk by chunk (_closed_chunks):
+    # row g of column i at base[i] + g * width[i]
+    chunk = _chunk_rows(cols, groups + 1)
+    width = np.full(cols, chunk)
+    width[cols - cols % chunk:] = cols % chunk
+    base = np.arange(cols)
+    base += base // chunk * (chunk * groups)
+    south = tables.hole[_reach(rows, np.uint32(d_v), n, bricked)] * width + base
+    # row 1 reads key 0, class 0, at its gain: its slots that rows read, or
+    # their mirrors, hold 0
+    first = np.full(len(tables.mirror), _DEAD, dtype=np.int8)
+    first[tables.slots[0]] = 0
+    first[tables.mirror[tables.slots[0]]] = 0
+    closed = {}  # with keep, id(maxima) -> (maxima, its whole closed state)
 
-    def read(grouped, d):
-        """_pair_advance's read for the one row d below, before its gain:
-        for every representative row c, the maximum of grouped[g, c] over
-        the classes g that fit (c, d), ~key(g) ⊆ reach(c, d), in (classes)
-        x (representative rows) work, in uint16."""
-        if not (last and last[0] is grouped and last[1] == d):
-            column = south if d == d_v else _reach(rows, np.uint32(d), n, bricked)
-            fit = (holes[:, None] & (full ^ column.astype(np.uint16))) == 0
-            last[:] = grouped, d, _masked_max(fit, grouped)
-        return last[2]
+    def block(maxima):
+        """The whole closed state of maxima, built once."""
+        if id(maxima) not in closed:
+            whole = np.empty((groups + 1) * cols, dtype=np.int8)
+            for _ in _closed_chunks(maxima, n, bricked, gain, whole):
+                pass
+            closed[id(maxima)] = maxima, whole
+        return closed[id(maxima)][1]
+
+    def read(maxima, d):
+        """_pair_advance's read for the one row d below, gain included: for
+        every representative row c, the maximum of grouped[g, c] over the
+        classes g that fit (c, d), ~key(g) ⊆ reach(c, d)."""
+        reach = _reach(rows, np.uint32(d), n, bricked)
+        return block(maxima).take(tables.hole[reach] * width + base)
+
+    def close(maxima):
+        if keep:
+            return block(maxima).take(south)
+        out = np.empty(cols, dtype=np.int8)
+        for lo, hi, flat in _closed_chunks(maxima, n, bricked, gain):
+            np.take(flat, south[lo:hi] - (groups + 1) * lo, out=out[lo:hi])
+        return out
 
     def advance(grouped, clock):
-        last.clear()
         if grouped is None:
             # row 1 sits under the virtual empty north row, whose triple
             # mask 0 is the least key on both borders
-            state = np.full((len(keys), len(rows)), _DEAD, dtype=np.int8)
-            state[0] = gain
+            maxima = first.copy()
         else:
-            state = _pair_advance(grouped, n, bricked, gain, clock)
-        return state, state
+            whole = np.empty((groups + 1) * cols, dtype=np.int8) if keep else None
+            maxima = _pair_advance(grouped, n, bricked, gain, clock, whole)
+            if keep:
+                closed[id(grouped)] = grouped, whole
+        return maxima, maxima
 
     def scan(layer, below, target):
         # u fits the rows (c, d) below it when ~triple(u) ⊆ reach(c, d);
         # the virtual south row needs no cover
         c = below[-1]
-        reach = (int(_reach(np.uint32([c]), np.uint32(below[-2]), n, bricked)[0])
-                 if below[1:] else full)
-        scores = np.empty(1 << n, dtype=np.int8)
-        scores[tables.mirrored] = read(layer, bit_reverse(c, n))
-        scores[tables.order] = read(layer, c)
-        return _pick(scores, target, lambda t: (t | reach) == full, n, bricked)
+        reach = _reach(c, below[-2], n, bricked) if below[1:] else full_mask(n)
+        scores, rev = np.empty(1 << n, dtype=np.int8), bit_reverse(c, n)
+        here = read(layer, c)
+        scores[tables.mirrored] = here if rev == c else read(layer, rev)
+        scores[tables.order] = here
+        return _pick(scores, target, lambda t: (t | reach) == full_mask(n), n, bricked)
 
-    # a scan call: the scores in row order, and the pick's block of them
-    return _Rule(advance, lambda grouped: read(grouped, d_v), scan, 0,
-                 len(keys) * len(rows), _RING + 1, min(_SCAN_BLOCK, 1 << n) * 32 + (1 << n))
-
-
-def _masked_max(fit: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """np.where(fit, scores, _DEAD).max(axis=0) for int8 scores, without a
-    branch: fit's bytes, overwritten in place, become a limit of 127 where
-    fit holds and _DEAD where not (1 * 255 + 128 wraps to 127, 0 + 128 is
-    -128), and the scores are clipped to it."""
-    limit = fit.view(np.uint8)
-    limit *= 255
-    limit += 128
-    limit = limit.view(np.int8)
-    np.minimum(limit, scores, out=limit)
-    return limit.max(axis=0)
+    # a layer is its slot maxima and their closed state; a scan call: the
+    # scores in row order, and the pick's block of them
+    return _Rule(advance, close, scan, 0, len(first) + (groups + 1) * cols + _OBJECT_BYTES,
+                 0, min(_SCAN_BLOCK, 1 << n) * 32 + (1 << n))
 
 
 def _row_rule(n: int, bricked: bool, d_v: int) -> _Rule:
@@ -1500,8 +1587,8 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
     row 1 too.  The maximum's states are indexed by the last row; the
     minimum's by the row above it and the last row, so that the north
     proposition can cover the last row.  The sweep carries the states'
-    int8 maxima over the triple classes of their oldest row, and they are
-    its whole state: the rule closes them off at the virtual south row at
+    int8 maxima over the triple classes of their oldest row, the
+    minimum's over those classes' slots, and they are its whole state: the rule closes them off at the virtual south row at
     m, and advances them to m + 1: the maximum through a sparse product
     with a cover table on each half of a row (_max_rule), and the minimum
     through a closure over its classes' complemented keys, a chunk of rows
@@ -1630,7 +1717,7 @@ def _sweep(objective: Objective, n: int, boundary: Boundary, rows: list[int],
         elif top == 1:
             states, rule = 1 << n, _row_rule(n, bricked, d_v)
         else:
-            states, rule = 1 << 2 * n, _min_rule(n, bricked, d_v)
+            states, rule = 1 << 2 * n, _min_rule(n, bricked, d_v, want_witness)
         for m in range(1, top + 1):
             closed.clear()
             if want_witness and len(layers) >= rule.held:

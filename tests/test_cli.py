@@ -164,6 +164,30 @@ class TestSolve:
             inproc = solve(SolveRequest(Dims(m, n), Objective(objective)))
             assert stats["state_bytes"] == inproc.stats["state_bytes"]
 
+    def test_no_witness_json_reports_the_witness_free_solve(self):
+        for objective, m, n in [("max", 3, 5), ("min", 4, 6), ("min", 1, 9)]:
+            res = invoke("solve", "--objective", objective, "--rows", str(m),
+                         "--cols", str(n), "--no-witness", "--json")
+            assert res.exit_code == 0
+            payload = json.loads(res.output)
+            assert payload["schema"] == "1" and payload["witness"] is None
+            inproc = solve(SolveRequest(Dims(m, n), Objective(objective), want_witness=False))
+            assert payload["optimum"] == inproc.optimum
+            assert payload["stats"]["state_bytes"] == inproc.stats["state_bytes"]
+            with_witness = json.loads(invoke("solve", "--objective", objective, "--rows",
+                                             str(m), "--cols", str(n), "--json").output)
+            assert payload["stats"]["state_bytes"] < with_witness["stats"]["state_bytes"]
+        text = invoke("solve", "--rows", "4", "--cols", "4", "--no-witness")
+        assert text.exit_code == 0 and text.output.strip().endswith("13")
+
+    def test_no_witness_with_a_witness_file_exits_2(self, tmp_path):
+        out = tmp_path / "w.grid"
+        res = invoke("solve", "--rows", "3", "--cols", "4", "--no-witness",
+                     "--witness", str(out))
+        assert res.exit_code == 2
+        assert "--no-witness" in res.output
+        assert not out.exists()
+
     def test_cap_violation_exits_2(self):
         res = invoke("solve", "--rows", "3", "--cols", "30")
         assert res.exit_code == 2

@@ -20,9 +20,9 @@ from settle.solvers import (
     Objective,
     SolveRequest,
     _DEAD,
+    _OBJECT_BYTES,
     _PHASES,
     _Clock,
-    _RING,
     _SCAN_BLOCK,
     _brute_bytes,
     _check_limits,
@@ -31,8 +31,8 @@ from settle.solvers import (
     _hole_classes,
     _houses,
     _low_row,
-    _masked_max,
     _max_rule,
+    _min_rule,
     _normalize,
     _need_bytes,
     _pair_advance,
@@ -40,6 +40,7 @@ from settle.solvers import (
     _product,
     _reach,
     _reach_bits,
+    _reach_bytes,
     _reach_tables,
     _split_bytes,
     _split_plan,
@@ -769,9 +770,11 @@ class TestStateBytes:
         its scan call holds two bools per cell, a few arrays of a word a
         run, a column run, a low half or one low half's rows, one low row
         with its test of the λ and a block of G's rows, and one block of
-        their (row, high half) test.  The minimum keeps its grouped maxima, a score per class and
-        representative row, the ring's _RING + 1 of them in the estimate,
-        and a single-row minimum its one state; both pick over one
+        their (row, high half) test.  The minimum keeps its slot maxima
+        and their whole closed state, a score per class and representative
+        row and a dead row, none of them in the estimate (the ring holds
+        the slot maxima alone), and a single-row minimum its one state;
+        both pick over one
         _SCAN_BLOCK, the minimum over at most its 2^n rows, and the
         minimum's pick reads two reads put back in row order, a byte a
         row.  Each row charges 512 bytes, its Python objects and its pick's
@@ -789,8 +792,9 @@ class TestStateBytes:
         elif m == 1:
             layer, held, states = 1 << n, 1, 1 << n
         else:
-            rows = len(_reach_tables(n, bricked).order)  # the representative rows
-            layer, held, states = len(_reach_bits(n, bricked)[0]) * rows, _RING + 1, 4**n
+            tables = _reach_tables(n, bricked)
+            groups, rows = tables.slots.shape  # the classes, the representative rows
+            layer, held, states = len(tables.mirror) + (groups + 1) * rows + _OBJECT_BYTES, 0, 4**n
             pick = min(_SCAN_BLOCK, 1 << n) * 32 + (1 << n)
         kept = res.stats["states"] // states
         return max(kept - held, 0) * layer + pick + m * 512
@@ -810,6 +814,49 @@ class TestStateBytes:
             tracemalloc.stop()
         _, held, build, _, _ = _split_bytes(n, bricked)
         assert peak <= held + build
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_reach_tables_build_within_its_estimate(self, bricked):
+        # the build term bounds cold _reach_bits and _reach_tables builds by
+        # themselves, beside the tables they keep
+        for n in range(2, 15):
+            _reach_bits.cache_clear()
+            _reach_tables.cache_clear()
+            tracemalloc.start()
+            try:
+                _reach_tables(n, bricked)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            tables, made = _reach_bytes(n, bricked)[:2]
+            assert peak <= tables + made, (n, bricked)
+
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_advance_and_reads_within_their_terms(self, bricked, monkeypatch):
+        # with warm tables and a rule, one row advance holds at most its
+        # term beside the state it reads; a close-off and one row of the
+        # witness scan, its two reads of a kept closed state and the
+        # scores they fill, hold at most the read term and the scores
+        monkeypatch.setattr("settle.solvers._pick", lambda *args: -1)
+        rng = np.random.default_rng(13)
+        for n in range(10, 14):
+            tables = _reach_tables(n, bricked)
+            _, _, slots, advance, read = _reach_bytes(n, bricked)
+            maxima = TestPairAdvance.state(n, bricked, rng)
+            gain = (n - _houses(n))[tables.order]
+            d_v = full_mask(n) if bricked else 0
+            rules = [_min_rule(n, bricked, d_v, keep) for keep in (False, True)]
+            rules[1].close(maxima)  # the kept closed state, a layer
+            for run, term in [(lambda: _pair_advance(maxima, n, bricked, gain), advance),
+                              (lambda: rules[0].close(maxima), read),
+                              (lambda: rules[1].scan(maxima, [d_v, 5], 0), read + (1 << n))]:
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= term, (n, bricked, term)
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_default_limits_admit_28_columns(self, boundary):
@@ -924,10 +971,10 @@ class TestStateBytes:
 
     def test_wide_pair_solve_is_refused_by_its_estimate(self):
         # a raised pair cap leaves the byte cap to refuse the reach tables
-        # (at 16 columns, the widest a pair solve admits; 335 MiB on the
-        # free border, under the default cap, so the cap is set at 256 MiB),
+        # (at 16 columns, the widest a pair solve admits; 231 MiB on the
+        # free border, under the default cap, so the cap is set at 128 MiB),
         # and the estimate itself allocates nothing of the width's size
-        limits = Limits(max_cols=40, max_cols_pairs=40, max_state_bytes=1 << 28)
+        limits = Limits(max_cols=40, max_cols_pairs=40, max_state_bytes=1 << 27)
         tracemalloc.start()
         try:
             with pytest.raises(LimitError, match="estimated state space"):
@@ -1172,6 +1219,23 @@ class TestPairRule:
             out += np.where(has, 1 << below, 0)
         return out
 
+    @staticmethod
+    def places(tables, seen):
+        """Each class's slot ∅ and the stride between its slots, from the
+        spans: slot-major, one (2^B + 1, classes) array per size B of D_g,
+        its classes by key, the spans one after another from slot 0."""
+        held = np.bitwise_count(seen).astype(np.intp)
+        first, stride = np.full(len(seen), -1), np.full(len(seen), -1)
+        end = 0
+        for at, count, b in tables.spans:
+            assert at == end
+            members = np.flatnonzero(held == b)
+            assert len(members) == count
+            first[members], stride[members] = at + np.arange(count), count
+            end = at + (count << b) + count
+        assert end == len(tables.mirror) and (first >= 0).all()
+        return first, stride
+
     @pytest.mark.parametrize("bricked", [False, True])
     def test_class_tables_hold_reach_at_every_pair(self, bricked):
         # the entry a row c reads at its own slot of d (d ∩ D_c, its bit i
@@ -1182,12 +1246,15 @@ class TestPairRule:
         # D_c, or to the class's blocked slot, which slots holds at d's
         # place in table order.  The rows are the representatives c <=
         # rev(c), and mirror sends each class slot to the mirror class's
-        # slot of its reversed subset
+        # slot of its reversed subset; unread lists the slots that neither
+        # slots nor their mirror's reach
         for n in range(1, 11):
             tables = _reach_tables(n, bricked)
             keys, own, seen = _reach_bits(n, bricked)
+            first, stride = self.places(tables, seen)
             largest = self.largest_holes(keys, n)
             assert tables.reach.dtype == np.uint16, (n, bricked)
+            assert np.array_equal(tables.hole, largest), (n, bricked)
             states = np.arange(1 << n, dtype=np.uint32)
             reps = states[states <= bit_reverse(states, n)]
             assert np.array_equal(np.sort(tables.order), reps), (n, bricked)
@@ -1196,11 +1263,11 @@ class TestPairRule:
             firsts = [run[0] for run in tables.runs]
             assert firsts[0] == 0 and [run[1] for run in tables.runs] == firsts[1:] + [len(reps)]
             assert tables.runs[0][3] == 0
-            for (first, end, width, entry), nxt in zip(tables.runs, tables.runs[1:]):
-                assert nxt[3] == entry + (end - first) * width, (n, bricked)
+            for (first_row, end, width, entry), nxt in zip(tables.runs, tables.runs[1:]):
+                assert nxt[3] == entry + (end - first_row) * width, (n, bricked)
             blocked_slot = 1 << np.bitwise_count(seen).astype(np.intp)
-            for first, end, width, entry in tables.runs:
-                c = tables.order[first:end].astype(np.uint32)
+            for first_row, end, width, entry in tables.runs:
+                c = tables.order[first_row:end].astype(np.uint32)
                 cls = np.searchsorted(keys, triple_mask(c, n, bricked))
                 assert ((1 << np.bitwise_count(own[c]).astype(int)) + 1 == width).all()
                 blocked = (triple_mask(c, n, bricked)[:, None] & states) != 0
@@ -1211,27 +1278,36 @@ class TestPairRule:
                 assert np.array_equal(tables.reach[at], largest[reach]), (n, bricked, width)
                 slot = self.packed(states & own[c][:, None], seen[cls][:, None], n)
                 slot[blocked] = blocked_slot[cls][:, None].repeat(1 << n, axis=1)[blocked]
-                assert np.array_equal(tables.scatter[at], tables.offset[cls][:, None] + slot), \
-                    (n, bricked, width)
+                want = first[cls][:, None] + slot * stride[cls][:, None]
+                assert np.array_equal(tables.scatter[at], want), (n, bricked, width)
             d = tables.order.astype(np.uint32)
             slot = self.packed(d, seen[:, None], n)
             meets = (keys[:, None] & d) != 0
             slot[meets] = np.broadcast_to(blocked_slot[:, None], slot.shape)[meets]
-            assert np.array_equal(tables.slots, slot), (n, bricked)
+            assert tables.slots.dtype == np.min_scalar_type(len(tables.mirror) - 1), (n, bricked)
+            assert np.array_equal(tables.slots, first[:, None] + slot * stride[:, None]), \
+                (n, bricked)
             star = np.searchsorted(keys, bit_reverse(keys, n))
             assert np.array_equal(keys[star], bit_reverse(keys, n)), (n, bricked)
             for g in range(len(keys)):
                 b = int(blocked_slot[g]).bit_length() - 1
                 subsets = np.arange(1 << b, dtype=np.uint32)
                 mirrored = bit_reverse(subsets, b) if b else subsets
-                got = tables.mirror[tables.offset[g]:tables.offset[g] + (1 << b) + 1]
-                assert np.array_equal(got - tables.offset[star[g]], np.append(mirrored, 1 << b)), \
-                    (n, bricked, g)
+                got = tables.mirror[first[g] + np.arange((1 << b) + 1) * stride[g]]
+                want = first[star[g]] + np.append(mirrored, 1 << b) * stride[g]
+                assert np.array_equal(got, want), (n, bricked, g)
+            # one slot is unread, key 0's blocked slot
+            read = np.zeros(len(tables.mirror), dtype=bool)
+            read[tables.slots] = True
+            read[tables.mirror[tables.slots]] = True
+            assert keys[0] == 0, (n, bricked)
+            assert np.flatnonzero(~read).tolist() == [tables.unread], (n, bricked)
+            assert tables.unread == first[0] + blocked_slot[0] * stride[0], (n, bricked)
 
 
 class TestPairAdvance:
-    """The minimum's class-indexed row advance against the pair-array DP,
-    its states' columns and its gain in table order."""
+    """The minimum's slot-form row advance and its reads against the
+    pair-array DP, its states' columns and its gain in table order."""
 
     @staticmethod
     def reference(grouped, n, bricked, gain):
@@ -1251,9 +1327,35 @@ class TestPairAdvance:
         score = z[reach, np.arange(size)[:, None]] + gain
         return np.stack([score[ids == g].max(axis=0) for g in range(len(keys))])
 
-    @pytest.mark.parametrize("chunk", [None, 8], ids=["one-chunk", "chunks-of-8"])
-    @pytest.mark.parametrize("bricked", [False, True])
-    def test_matches_the_pair_array(self, bricked, chunk, monkeypatch):
+    @staticmethod
+    def state(n, bricked, rng):
+        """Random slot maxima as the sweep makes them: live in [-2n, 0],
+        mirror-symmetric, and dead at the unread slots."""
+        tables = _reach_tables(n, bricked)
+        maxima = rng.integers(-2 * n, 1, len(tables.mirror)).astype(np.int8)
+        maxima[rng.random(maxima.shape) < 0.3] = _DEAD
+        np.maximum(maxima, maxima[tables.mirror], out=maxima)
+        maxima[tables.unread] = _DEAD
+        return maxima
+
+    @staticmethod
+    def expand(maxima, n, bricked, gain):
+        """The whole (classes, 2^n) state of slot maxima: each
+        representative row's class slots plus its gain, and each other
+        row's by symmetry, grouped[g*, rev(c)] = grouped[g, c]."""
+        tables = _reach_tables(n, bricked)
+        keys = _reach_bits(n, bricked)[0]
+        star = np.searchsorted(keys, bit_reverse(keys, n))
+        half = maxima[tables.slots] + gain[tables.order]
+        grouped = np.empty((len(keys), 1 << n), dtype=np.int8)
+        grouped[star[:, None], tables.mirrored] = half
+        grouped[:, tables.order] = half
+        return grouped
+
+    CHUNKS = pytest.mark.parametrize("chunk", [None, 8], ids=["one-chunk", "chunks-of-8"])
+
+    @staticmethod
+    def chunks(chunk, monkeypatch):
         if chunk is not None:
             # classes that span chunks, read a few rows at a time, and a
             # last chunk of fewer rows where the representatives do not
@@ -1261,44 +1363,59 @@ class TestPairAdvance:
             monkeypatch.setattr("settle.solvers._BLOCK", 0)
             monkeypatch.setattr("settle.solvers._CHUNK", chunk)
             monkeypatch.setattr("settle.solvers._READ_ROWS", chunk // 4)
+            monkeypatch.setattr("settle.solvers._TAKE_BLOCK", 3 * chunk)
+
+    @CHUNKS
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_matches_the_pair_array(self, bricked, chunk, monkeypatch):
+        self.chunks(chunk, monkeypatch)
         rng = np.random.default_rng(9)
         for n in range(1, 11):
-            keys = _split_plan(n, bricked).keys
-            order = _reach_tables(n, bricked).order
-            # each class's mirror and each representative row's
-            star, mirrored = np.searchsorted(keys, bit_reverse(keys, n)), bit_reverse(order, n)
+            tables = _reach_tables(n, bricked)
             gain = n - np.bitwise_count(np.arange(1 << n)).astype(np.int8)
             # one input at 9 and 10, where most (class, D_c) pairs appear
             for _ in range(3 if n < 9 else 1):
-                grouped = rng.integers(-2 * n, 1, (len(keys), 1 << n)).astype(np.int8)
-                grouped[rng.random(grouped.shape) < 0.3] = _DEAD
-                # mirror-symmetric, grouped[g*, rev(c)] = grouped[g, c], as
-                # every state the sweep makes
-                rev = bit_reverse(np.arange(1 << n, dtype=np.uint32), n)
-                grouped = np.maximum(grouped, grouped[star][:, rev])
-                half = _pair_advance(grouped[:, order], n, bricked, gain[order])
-                got = np.empty_like(grouped)
-                got[star[:, None], mirrored] = half
-                got[:, order] = half
+                maxima = self.state(n, bricked, rng)
+                out = _pair_advance(maxima, n, bricked, gain[tables.order])
+                # the result is in slot form: symmetric, and dead where unread
+                assert np.array_equal(out, out[tables.mirror]), (n, bricked)
+                assert out[tables.unread] == _DEAD, (n, bricked)
                 # whole arrays, dead entries included
-                want = self.reference(grouped, n, bricked, gain)
+                got = self.expand(out, n, bricked, gain)
+                want = self.reference(self.expand(maxima, n, bricked, gain), n, bricked, gain)
                 assert np.array_equal(got, want), (n, bricked)
 
-
-def test_masked_max_matches_the_branching_form():
-    # _masked_max against np.where(fit, x, _DEAD).max(axis=0) on int8 with
-    # dead entries and every score from -128 to 127, including columns that
-    # all fit and columns that none fit
-    rng = np.random.default_rng(12)
-    for rows, cols in [(1, 1), (3, 7), (189, 4096), (288, 64)]:
-        x = rng.integers(-128, 127, (rows, cols), endpoint=True).astype(np.int8)
-        x[rng.random(x.shape) < 0.3] = _DEAD
-        fit = rng.random(x.shape) < 0.5
-        fit[:, :cols // 3] = True
-        fit[:, cols // 3:2 * cols // 3] = False
-        want = np.where(fit, x, _DEAD).max(axis=0)
-        got = _masked_max(fit, x)
-        assert got.dtype == np.int8 and np.array_equal(got, want), (rows, cols)
+    @CHUNKS
+    @pytest.mark.parametrize("bricked", [False, True])
+    def test_reads_gather_the_masked_maximum(self, bricked, chunk, monkeypatch):
+        # the witness scan's read of a kept state at every row d below, one
+        # gather from its closed state at g(reach(c, d)), and the close-off
+        # at the virtual south row, chunk by chunk, against the maximum of
+        # the whole state over the classes that fit, ~key(g) ⊆ reach(u, d),
+        # for every row u
+        self.chunks(chunk, monkeypatch)
+        scores = []
+        monkeypatch.setattr("settle.solvers._pick", lambda got, *args: scores.append(got) or -1)
+        rng = np.random.default_rng(10)
+        for n in range(1, 9):
+            tables = _reach_tables(n, bricked)
+            holes = (full_mask(n) ^ _reach_bits(n, bricked)[0]).astype(np.int64)
+            gain = n - np.bitwise_count(np.arange(1 << n)).astype(np.int8)
+            maxima = self.state(n, bricked, rng)
+            grouped = self.expand(maxima, n, bricked, gain)
+            states = np.arange(1 << n, dtype=np.uint32)
+            d_v = full_mask(n) if bricked else 0
+            rule = _min_rule(n, bricked, d_v, keep=True)
+            for d in range(1 << n):
+                reach = _reach(states, np.uint32(d), n, bricked).astype(np.int64)
+                fit = (holes[:, None] & ~reach) == 0
+                want = np.where(fit, grouped, _DEAD).max(axis=0)
+                assert rule.scan(maxima, [d_v, d], 0) == -1
+                assert np.array_equal(scores.pop(), want), (n, bricked, d)
+                if d == d_v:
+                    for keep in (False, True):
+                        got = _min_rule(n, bricked, d_v, keep).close(maxima)
+                        assert np.array_equal(got, want[tables.order]), (n, bricked, keep)
 
 
 class TestSubsetMax:
